@@ -1,20 +1,18 @@
 """Command-line driver: verification suites, dumps, and golden files.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage
-error, 3 I/O error.  Every report is JSON with one record per check,
-each carrying a stable descriptive id, and the seed used for sampled
-families so runs are reproducible.
+error or bad input, 3 I/O error.  Every report is JSON with one record
+per check, each carrying a stable descriptive id, and the seed used for
+sampled families so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
@@ -28,12 +26,14 @@ class Config:
     nmax: Optional[int] = None          # defaults to 2*deg + 2 per element
     degree_cap: int = 4
     seed: int = 20240801
-    parallelism: int = 1
+    parallelism: int = 1                # accepted for old config files
 
     def __post_init__(self):
-        if self.dimension_cap <= 0 or self.degree_cap <= 0 \
-                or self.parallelism <= 0:
+        if self.dimension_cap <= 0 or self.degree_cap <= 0:
             raise ValueError("config values must be positive")
+        if self.parallelism != 1:
+            raise ValueError("parallelism must be 1: the checks of a suite "
+                             "share state and run in order")
 
     @staticmethod
     def load(path: str) -> "Config":
@@ -95,11 +95,9 @@ Check = Tuple[str, Callable[[], Tuple[bool, Optional[str]]]]
 
 
 def _run_checks(suite: str, cfg: Config, checks: List[Check]) -> Report:
-    t0 = time.time()
+    """Run the checks in order; later checks may read what earlier built."""
     report = Report(suite=suite, seed=cfg.seed)
-
-    def run_one(item):
-        cid, fn = item
+    for cid, fn in checks:
         try:
             ok, witness = fn()
         except Exception as exc:   # a crash is a failed check with witness
@@ -107,14 +105,7 @@ def _run_checks(suite: str, cfg: Config, checks: List[Check]) -> Report:
         rec = {"id": cid, "status": "pass" if ok else "fail"}
         if not ok:
             rec["witness"] = witness or "unspecified"
-        return rec
-
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            report.checks = list(pool.map(run_one, checks))
-    else:
-        report.checks = [run_one(c) for c in checks]
-    report.wall_time = time.time() - t0
+        report.checks.append(rec)
     return report
 
 
@@ -130,11 +121,8 @@ def _ok(cond: bool, witness: str = None) -> Tuple[bool, Optional[str]]:
 def suite_model(cfg: Config) -> Report:
     from .liealg import build_f4_model, verify_model
     bat = verify_model(build_f4_model())
-    report = Report(suite="model", seed=cfg.seed)
-    t0 = time.time()
-    report.checks = [r.as_dict() for r in bat.results]
-    report.wall_time = time.time() - t0
-    return report
+    return Report(suite="model", seed=cfg.seed,
+                  checks=[r.as_dict() for r in bat.results])
 
 
 def suite_transversality(cfg: Config) -> Report:
@@ -480,21 +468,21 @@ SUITES = {
 
 
 def run_suite(name: str, cfg: Config) -> Report:
+    """Run one suite, or all of them; wall_time covers the whole call,
+    including the model and engine setup the suite pays for."""
+    if name != "all" and name not in SUITES:
+        raise KeyError(name)
+    t0 = time.perf_counter()
     if name == "all":
-        t0 = time.time()
-        combined = Report(suite="all", seed=cfg.seed)
+        report = Report(suite="all", seed=cfg.seed)
         for sub in ("model", "transversality", "omega", "balg", "repth",
                     "combin"):
-            rep = SUITES[sub](cfg)
-            for c in rep.checks:
-                c = dict(c)
-                c["id"] = "%s: %s" % (sub, c["id"])
-                combined.checks.append(c)
-        combined.wall_time = time.time() - t0
-        return combined
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](cfg)
+            report.checks.extend(dict(c, id="%s: %s" % (sub, c["id"]))
+                                 for c in SUITES[sub](cfg).checks)
+    else:
+        report = SUITES[name](cfg)
+    report.wall_time = time.perf_counter() - t0
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="TOML or JSON config file")
     common.add_argument("--json", dest="json_out", help="write the report here")
     common.add_argument("--seed", type=int, help="seed for sampled families")
-    common.add_argument("--parallelism", type=int, help="worker pool bound")
 
     p = argparse.ArgumentParser(prog="f4workbench", parents=[common],
                                 description=__doc__.splitlines()[0])
@@ -613,6 +600,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class BadInput(Exception):
+    """An input file that does not hold a serialized element."""
+
+
+def _load_element(me, path: str):
+    """Read and deserialize the IwasawaElement in path.
+
+    OSError propagates (exit 3); malformed JSON, an unknown label or a
+    bad coefficient string raise BadInput (exit 2).
+    """
+    from .uea import IwasawaElement
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return IwasawaElement.deserialize(me.g, json.loads(text))
+    except KeyError as exc:
+        raise BadInput("bad input %s: unknown label %s" % (path, exc)) from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise BadInput("bad input %s: %s" % (path, exc)) from exc
+
+
 def _emit(payload: dict, json_out: Optional[str]) -> None:
     text = json.dumps(payload, indent=1, sort_keys=False)
     if json_out:
@@ -636,11 +644,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg = Config.load(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        env_par = os.environ.get("F4WORKBENCH_PARALLELISM")
-        if env_par:
-            cfg.parallelism = int(env_par)
-        if args.parallelism is not None:
-            cfg.parallelism = args.parallelism
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -661,7 +664,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
 
         if args.command == "liealg":
-            rep = suite_model(cfg)
+            rep = run_suite("model", cfg)
             _emit(rep.as_dict(), args.json_out)
             return 0 if rep.ok else 1
 
@@ -670,16 +673,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
 
         if args.command == "balg":
-            from .uea import model_engine, IwasawaElement
+            from .uea import model_engine
             from .balg import check_b_membership
             me = model_engine()
-            try:
-                data = json.load(open(args.input))
-            except OSError as exc:
-                print("cannot read %s: %s" % (args.input, exc),
-                      file=sys.stderr)
-                return 3
-            elem = IwasawaElement.deserialize(me.g, data)
+            elem = _load_element(me, args.input)
             rep = check_b_membership(me, elem, nmax=args.nmax or cfg.nmax)
             _emit(rep.as_dict(), args.json_out)
             return 0 if rep.passed else 1
@@ -706,6 +703,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "combin":
             return _combin_command(args, cfg)
         parser.print_usage()
+        return 2
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
         return 2
     except OSError as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
@@ -744,16 +744,10 @@ def _combin_command(args, cfg: Config) -> int:
         _emit({"factorizations": out}, args.json_out)
         return 0 if all(f["splits"] for f in out) else 1
     if args.action == "assemble":
-        from .uea import model_engine, IwasawaElement, omega_normalized
+        from .uea import model_engine, omega_normalized
         me = model_engine()
         if args.input:
-            try:
-                data = json.load(open(args.input))
-            except OSError as exc:
-                print("cannot read %s: %s" % (args.input, exc),
-                      file=sys.stderr)
-                return 3
-            elem = IwasawaElement.deserialize(me.g, data)
+            elem = _load_element(me, args.input)
         else:
             elem = omega_normalized(me).omega
         T = args.T if args.T is not None else 2

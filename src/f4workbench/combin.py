@@ -304,11 +304,6 @@ class CoefficientData:
     components: List[Dict[Tuple[int, int], UEA]]
     degrees: List[int]
 
-    def skew_types(self, r: int, t: int) -> Dict[Tuple[int, int], UEA]:
-        """Components of b_r on the skew diagonal labeled t."""
-        return {kl: u for kl, u in self.components[r].items()
-                if kl[0] + kl[1] == t}
-
     def p_holds(self, T: int) -> Tuple[bool, str]:
         for r in range(self.m + 1):
             bound = min(T - r, 2 * self.profile[r])

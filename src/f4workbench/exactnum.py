@@ -10,6 +10,11 @@ multiplies and one gcd per operation.
 Matrices are dense with Scalar entries.  Rank and determinant use
 fraction-free (Bareiss) elimination to bound coefficient growth; kernels
 and solving use ordinary Gauss-Jordan over the field, which is exact.
+
+Sparse vectors are dicts {key: Scalar} with comparable keys.  One sparse
+reduced echelon form (Echelon) serves every span, coordinate map, kernel
+and dual basis downstream; the dense Matrix eliminations stay for dense
+work and as the test oracle.
 """
 
 from __future__ import annotations
@@ -209,19 +214,6 @@ def sca(x) -> Scalar:
     return Scalar.from_rational(x)
 
 
-def scalar_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatch; division by zero raises ZeroDivisionError."""
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        return x / y
-    raise ValueError("unknown op %r" % op)
-
-
 def sqrt_in_field(x: Scalar) -> Scalar:
     """Exact square root of a rational scalar inside Q(sqrt2), if it exists.
 
@@ -292,9 +284,6 @@ class Matrix:
             return Matrix.zero(0, 0)
         return Matrix([[cols[j][i] for j in range(len(cols))]
                        for i in range(len(cols[0]))])
-
-    def column(self, j: int):
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.entries[i][j] for i in range(self.rows)]
@@ -462,9 +451,127 @@ class Matrix:
         return "Matrix(%dx%d)" % (self.rows, self.cols)
 
 
-def exact_rank(m: Matrix) -> int:
-    """Rank over Q(sqrt2), fraction-free."""
-    return m.rank()
+# ---------------------------------------------------------------------------
+# Sparse vectors and their reduced echelon form
+# ---------------------------------------------------------------------------
+
+
+def _accumulate(acc: dict, c: Scalar, x: dict) -> None:
+    """acc += c * x in place, dropping entries that cancel."""
+    for k, e in x.items():
+        s = acc.get(k, ZERO) + c * e
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+
+
+def combine(coeffs: dict, vectors) -> dict:
+    """sum_i coeffs[i] * vectors[i], accumulated in the order of coeffs."""
+    out: dict = {}
+    for i, c in coeffs.items():
+        if c:
+            _accumulate(out, c, vectors[i])
+    return out
+
+
+class Echelon:
+    """Sparse reduced row echelon form of the vectors added so far.
+
+    Every row is monic at its smallest key (its pivot) and no other row
+    has an entry at that key, so the rows of a span are unique.  Each row
+    also records its coordinates over the independent vectors added so
+    far, numbered 0, 1, ... in the order add() accepted them; reduce()
+    returns coordinates over them, and add() returns the dependency of a
+    vector that is already in the span.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows: dict = {}     # pivot -> (row, coordinates of the row)
+        for v in vectors:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def rows(self) -> list:
+        """The rows in increasing pivot order, each with ascending keys."""
+        return [{k: row[k] for k in sorted(row)}
+                for row, _ in (self._rows[p] for p in sorted(self._rows))]
+
+    def reduce(self, v: dict):
+        """(remainder, coordinates) with v = remainder + sum_i c_i vector_i.
+
+        The remainder has no entry at any pivot; it is empty exactly when
+        v lies in the span.  Coordinates come with ascending indices.
+        """
+        rem = {k: c for k, c in v.items() if c}
+        coords: dict = {}
+        for p in [k for k in rem if k in self._rows]:
+            # rows vanish at the other pivots, so rem[p] is still v[p]
+            c = rem[p]
+            row, rc = self._rows[p]
+            _accumulate(rem, -c, row)
+            _accumulate(coords, c, rc)
+        return rem, {i: coords[i] for i in sorted(coords)}
+
+    def add(self, v: dict):
+        """Insert v: None when it enlarged the span, else its coordinates."""
+        rem, coords = self.reduce(v)
+        if not rem:
+            return coords
+        p = min(rem)
+        inv = rem[p].inverse()
+        row = {k: inv * c for k, c in rem.items()}
+        # rem = v - sum_i coords_i vector_i, and v becomes vector number len
+        rc = {i: -inv * c for i, c in coords.items()}
+        rc[len(self._rows)] = inv
+        for other, oc in self._rows.values():
+            f = other.get(p)
+            if f:
+                _accumulate(other, -f, row)
+                _accumulate(oc, -f, rc)
+        self._rows[p] = (row, rc)
+        return None
+
+
+def kernel(images) -> list:
+    """Reduced basis of {c : sum_j c_j images[j] = 0}, as coordinate dicts.
+
+    One vector per j whose image depends on the earlier ones, with
+    coefficient 1 at j and ascending keys: the columns Matrix.nullspace
+    returns for the matrix whose j-th column is images[j].
+    """
+    echelon = Echelon()
+    independent: list = []
+    out = []
+    for j, image in enumerate(images):
+        dependency = echelon.add(image)
+        if dependency is None:
+            independent.append(j)
+        else:
+            v = {independent[i]: -c for i, c in dependency.items()}
+            v[j] = ONE
+            out.append(v)
+    return out
+
+
+def dual_basis(basis, form) -> list:
+    """Vectors d_i in the span of basis with form(basis[j], d_i) = [i == j].
+
+    Raises ValueError when the form is degenerate on the span.
+    """
+    n = len(basis)
+    columns = Echelon()
+    for k in range(n):
+        if columns.add({j: form(basis[j], basis[k]) for j in range(n)}) \
+                is not None:
+            raise ValueError("the form is degenerate on the span")
+    # the rows are now the unit vectors e_i = sum_k c_k column_k, and
+    # sum_k c_k basis[k] is the dual of basis[i]
+    return [combine(columns.reduce({i: ONE})[1], basis) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Matrix, ONE, Scalar, ZERO, sca, sqrt_in_field
+from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, combine, kernel,
+                       sca, sqrt_in_field)
 from .reporting import Battery
 from .rootdata import (
     Coord, F4_SIMPLE, RootSystem, build_root_system, cartan_matrix_of,
@@ -30,10 +31,6 @@ from .rootdata import (
 
 # A Lie algebra element: sparse mapping basis index -> nonzero Scalar.
 LieElement = Dict[int, Scalar]
-
-
-def el(*pairs) -> LieElement:
-    return {i: c for i, c in pairs if c}
 
 
 def el_add(x: LieElement, y: LieElement) -> LieElement:
@@ -297,65 +294,25 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
 
 
 class Subspace:
-    """Span of elements of a fixed algebra, with an echelonized basis."""
+    """Span of elements of a fixed algebra, in reduced echelon form."""
 
     def __init__(self, dim_ambient: int, generators: Sequence[LieElement]):
         self.dim_ambient = dim_ambient
-        self.generators = [dict(g) for g in generators]
-        self._rows: List[List[Scalar]] = []   # reduced echelon rows
-        self._pivots: List[int] = []
-        for g in generators:
-            self._insert(g)
+        self._echelon = Echelon(generators)
 
-    def _insert(self, element: LieElement) -> bool:
-        v = [element.get(i, ZERO) for i in range(self.dim_ambient)]
-        v = self._reduce(v)
-        piv = next((i for i, c in enumerate(v) if c), None)
-        if piv is None:
-            return False
-        inv = v[piv].inverse()
-        v = [inv * c for c in v]
-        for r, row in enumerate(self._rows):
-            if row[piv]:
-                f = row[piv]
-                self._rows[r] = [row[j] - f * v[j] for j in range(self.dim_ambient)]
-        self._rows.append(v)
-        self._pivots.append(piv)
-        order = sorted(range(len(self._pivots)), key=lambda r: self._pivots[r])
-        self._rows = [self._rows[r] for r in order]
-        self._pivots = [self._pivots[r] for r in order]
-        return True
-
-    def _reduce(self, v: List[Scalar]) -> List[Scalar]:
-        for row, piv in zip(self._rows, self._pivots):
-            if v[piv]:
-                f = v[piv]
-                v = [v[j] - f * row[j] for j in range(self.dim_ambient)]
-        return v
+    def add(self, element: LieElement) -> bool:
+        """Insert element; True when it enlarged the span."""
+        return self._echelon.add(element) is None
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._echelon)
 
     def basis(self) -> List[LieElement]:
-        return [{i: c for i, c in enumerate(row) if c} for row in self._rows]
+        return self._echelon.rows()
 
     def contains(self, element: LieElement) -> bool:
-        v = [element.get(i, ZERO) for i in range(self.dim_ambient)]
-        return not any(self._reduce(v))
-
-    def coordinates(self, element: LieElement) -> Optional[List[Scalar]]:
-        """Coordinates over basis() rows, or None if not a member."""
-        v = [element.get(i, ZERO) for i in range(self.dim_ambient)]
-        coords = []
-        for row, piv in zip(self._rows, self._pivots):
-            c = v[piv]
-            coords.append(c)
-            if c:
-                v = [v[j] - c * row[j] for j in range(self.dim_ambient)]
-        if any(v):
-            return None
-        return coords
+        return not self._echelon.reduce(element)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,28 +429,15 @@ class F4Model:
     def chi_apply(self, x: LieElement) -> LieElement:
         return _matrix_apply(self.chi, x)
 
-    def k_index(self, label: str) -> int:
-        return self.k_algebra.index[label]
+    def in_chevalley(self, x: LieElement) -> LieElement:
+        """Convert a mixed-basis element to Chevalley coordinates.
 
-    def k_element_in_g(self, x: LieElement) -> LieElement:
-        """Convert a k-coordinate element to Chevalley coordinates."""
-        out: LieElement = {}
-        for i, c in x.items():
-            out = el_add(out, el_scale(c, self.k_basis[i]))
-        return out
+        The mixed basis lists the k basis first, so k coordinates are
+        mixed coordinates and convert the same way.
+        """
+        return combine(x, self.g_basis)
 
-    def g_element_in_k(self, x: LieElement) -> LieElement:
-        coords = self.subspaces["k"].coordinates(x)
-        if coords is None:
-            raise ValueError("element does not lie in the fixed subalgebra")
-        # subspace basis is echelonized from k_basis generators; resolve via matrix
-        return self._k_solver(x)
-
-    def _k_solver(self, x: LieElement) -> LieElement:
-        sol = self._k_matrix.solve(_element_to_vec(x, self.algebra.dim))
-        if sol is None:
-            raise ValueError("element does not lie in the fixed subalgebra")
-        return _vec_to_element(sol)
+    k_element_in_g = in_chevalley
 
 
 def _build_theta(alg: LieAlgebra, rs: RootSystem, c1: Scalar) -> Matrix:
@@ -552,51 +496,28 @@ def _ratio(x: LieElement, y: LieElement) -> Scalar:
 
 def _rebase_table(parent: LieAlgebra, basis: List[LieElement],
                   labels: Sequence[str]) -> LieAlgebra:
-    """Bracket table of a list of closed vectors, over those vectors."""
+    """Bracket table of a list of closed vectors, over those vectors.
+
+    The result carries coords_in_parent, the coordinates over the vectors
+    of a parent element in their span; it raises on any other element.
+    """
     n = len(basis)
-    bmat = Matrix.from_columns([_element_to_vec(b, parent.dim) for b in basis])
-    rref_rows, pivots = bmat.transpose().rref()
-    # build solver: x -> coordinates over basis, via rref of augmented system
-    aug = Matrix([[bmat.entries[i][j] for j in range(n)] +
-                  [ONE if k == i else ZERO for k in range(parent.dim)]
-                  for i in range(parent.dim)])
-    red, piv = aug.rref()
-    if piv[:n] != list(range(n)):
+    span = Echelon()
+    if any(span.add(b) is not None for b in basis):
         raise ValueError("basis vectors are dependent")
 
     def coords(x: LieElement) -> LieElement:
-        out = {}
-        for r in range(n):
-            acc = ZERO
-            row = red[r]
-            for i, c in x.items():
-                e = row[n + i]
-                if e:
-                    acc = acc + e * c
-            if acc:
-                out[r] = acc
+        rem, out = span.reduce(x)
+        if rem:
+            raise ValueError("element does not lie in the span")
         return out
-
-    # consistency: rows beyond the basis must annihilate members
-    def check_member(x: LieElement, what: str):
-        for r in range(n, len(red)):
-            acc = ZERO
-            row = red[r]
-            for i, c in x.items():
-                e = row[n + i]
-                if e:
-                    acc = acc + e * c
-            if acc:
-                raise ValueError("%s does not lie in the span" % what)
 
     table: Dict[Tuple[int, int], LieElement] = {}
     for i in range(n):
         for j in range(i + 1, n):
             br = parent.bracket(basis[i], basis[j])
-            if not br:
-                continue
-            check_member(br, "bracket of %s, %s" % (labels[i], labels[j]))
-            table[(i, j)] = coords(br)
+            if br:
+                table[(i, j)] = coords(br)
     out = LieAlgebra(labels, table)
     out.coords_in_parent = coords
     return out
@@ -611,8 +532,7 @@ def _closure(parent: LieAlgebra, generators: List[LieElement]) -> Subspace:
         for x in frontier:
             for y in basis_now:
                 br = parent.bracket(x, y)
-                if br and not span.contains(br):
-                    span._insert(br)
+                if br and span.add(br):
                     new.append(br)
         frontier = new
     return span
@@ -669,19 +589,9 @@ def build_f4_model() -> F4Model:
     def th(x: LieElement) -> LieElement:
         return _matrix_apply(theta, x)
 
-    # fixed and anti-fixed subspaces
-    k_span = Subspace(n, [])
-    p_span = Subspace(n, [])
-    idmat = Matrix.identity(n)
-    sym = theta.add(idmat)
-    anti = theta.add(idmat.scale(-ONE))
-    for j in range(n):
-        kvec = _vec_to_element([sym.entries[i][j] for i in range(n)])
-        pvec = _vec_to_element([anti.entries[i][j] for i in range(n)])
-        if kvec:
-            k_span._insert(kvec)
-        if pvec:
-            p_span._insert(pvec)
+    # fixed and anti-fixed subspaces: spanned by x + theta x and x - theta x
+    k_span = Subspace(n, [el_add(th({j: ONE}), {j: ONE}) for j in range(n)])
+    p_span = Subspace(n, [el_sub({j: ONE}, th({j: ONE})) for j in range(n)])
     if (k_span.dim, p_span.dim) != (36, 16):
         raise ValueError("fixed-space dimensions (%d, %d) are wrong"
                          % (k_span.dim, p_span.dim))
@@ -871,8 +781,6 @@ def build_f4_model() -> F4Model:
         k_basis=k_basis, k_algebra=k_alg, g_basis=g_basis, g_algebra=g_alg,
         k_weights=_k_weights(), k_t_weights=_k_t_weights(), c_value=c_value,
     )
-    model._k_matrix = Matrix.from_columns(
-        [_element_to_vec(b, n) for b in k_basis])
     model.subspaces["mplus_perp"] = orthocomplement(model, subspaces["mplus"],
                                                     subspaces["k"])
     model.subspaces["y_perp"] = orthocomplement(model, subspaces["y"],
@@ -895,7 +803,6 @@ def _form_value(form: Matrix, x: LieElement, y: LieElement) -> Scalar:
 
 
 def _coroot_element(rs: RootSystem, ridx, root: Coord) -> LieElement:
-    from .rootdata import f4_root_system
     co = _coroot_coeffs(rs, root)
     return {i: sca(c) for i, c in enumerate(co) if c}
 
@@ -940,19 +847,12 @@ def _k_t_weights() -> Dict[int, Coord]:
 def orthocomplement(model: F4Model, sub: Subspace, within: Subspace) -> Subspace:
     """Exact orthocomplement of sub inside within, for the invariant form."""
     wb = within.basis()
-    gram = Matrix([[model.b(x, y) for y in wb] for x in wb])
-    if gram.rank() != len(wb):
+    if kernel([{i: model.b(x, w) for i, x in enumerate(wb)} for w in wb]):
         raise ValueError("form degenerates on the ambient subspace")
     sb = sub.basis()
-    rows = Matrix([[model.b(s, w) for w in wb] for s in sb])
-    out = []
-    for coords in rows.nullspace():
-        elt: LieElement = {}
-        for c, w in zip(coords, wb):
-            if c:
-                elt = el_add(elt, el_scale(c, w))
-        out.append(elt)
-    result = Subspace(model.algebra.dim, out)
+    pairings = [{i: model.b(s, w) for i, s in enumerate(sb)} for w in wb]
+    result = Subspace(model.algebra.dim,
+                      [combine(c, wb) for c in kernel(pairings)])
     if sub.dim + result.dim != within.dim:
         raise ValueError("orthocomplement dimension mismatch")
     return result

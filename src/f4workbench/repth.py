@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Matrix, ONE, PolyScalar, Scalar, ZERO, rational_roots, sca
-from .liealg import F4Model, LieElement, el_add, el_scale
+from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO, combine,
+                       dual_basis, kernel, rational_roots, sca)
+from .liealg import F4Model, LieElement, el_scale
 from .rootdata import Coord, compact_split, DEFAULT_REGULAR, dot, gamma_basis, vec
 from .uea import ModelEngine, PBWEngine, UEA
 
@@ -146,10 +147,6 @@ class SparseOp:
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
-
-    def to_matrix(self) -> Matrix:
-        return Matrix([[self.cols[j].get(i, ZERO) for j in range(self.n)]
-                       for i in range(self.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +392,11 @@ class KActionBasis:
         # closure: words as ('gen', kind, i) or ('br', a, b)
         self.words: List[tuple] = []
         self.vectors: List[LieElement] = []
-        rows: List[List[Scalar]] = []
-        piv_cols: List[int] = []
+        self._span = Echelon()
 
         def try_add(word, v):
-            r = [v.get(i, ZERO) for i in range(36)]
-            for row, pc in zip(rows, piv_cols):
-                if r[pc]:
-                    f = r[pc]
-                    r = [r[j] - f * row[j] for j in range(36)]
-            pc = next((j for j, c in enumerate(r) if c), None)
-            if pc is None:
+            if self._span.add(v) is not None:
                 return False
-            inv = r[pc].inverse()
-            rows.append([inv * c for c in r])
-            piv_cols.append(pc)
             self.words.append(word)
             self.vectors.append(v)
             return True
@@ -431,8 +418,6 @@ class KActionBasis:
         if len(self.words) != 36:
             raise AssertionError("bracket words span only %d of 36"
                                  % len(self.words))
-        cols = [[v.get(i, ZERO) for v in self.vectors] for i in range(36)]
-        self._solve_matrix = Matrix(cols)
 
     def _k_named(self, name: str) -> LieElement:
         model = self.model
@@ -457,11 +442,12 @@ class KActionBasis:
             acc = acc + c * sca(w[int(lab[2]) - 1])
         return acc
 
-    def coords(self, x: LieElement) -> List[Scalar]:
-        sol = self._solve_matrix.solve([x.get(i, ZERO) for i in range(36)])
-        if sol is None:
+    def coords(self, x: LieElement) -> Dict[int, Scalar]:
+        """Coordinates of x over the words, keyed by word index."""
+        rem, coords = self._span.reduce(x)
+        if rem:
             raise ValueError("element is not in the fixed subalgebra span")
-        return sol
+        return coords
 
     def word_ops(self, rep: Irrep) -> List[SparseOp]:
         ops: List[Optional[SparseOp]] = []
@@ -486,16 +472,14 @@ class ModuleContext:
     word_ops: List[SparseOp]
 
     def action(self, x: LieElement) -> SparseOp:
-        coords = self.basis.coords(x)
         out = SparseOp(self.rep.dim)
-        for c, op in zip(coords, self.word_ops):
-            if c:
-                out = out.add_scaled(op, c)
+        for i, c in self.basis.coords(x).items():
+            out = out.add_scaled(self.word_ops[i], c)
         return out
 
     def action_named(self, me: ModelEngine, name: str) -> SparseOp:
         x = me.model.distinguished[name]
-        return self.action(me.model._k_solver(x))
+        return self.action(me.model.k_algebra.coords_in_parent(x))
 
 
 def build_module(me: ModelEngine, k: int, l: int, cap: int = 512
@@ -513,14 +497,10 @@ def build_module_for_weight(me: ModelEngine, xi: Weight, cap: int = 512
     return ModuleContext(rep=rep, basis=basis, word_ops=basis.word_ops(rep))
 
 
-_ACTION_BASIS_CACHE: dict = {}
-
-
 def _action_basis(me: ModelEngine) -> KActionBasis:
-    key = id(me.model)
-    if key not in _ACTION_BASIS_CACHE:
-        _ACTION_BASIS_CACHE[key] = KActionBasis(me.model)
-    return _ACTION_BASIS_CACHE[key]
+    if me.action_basis is None:
+        me.action_basis = KActionBasis(me.model)
+    return me.action_basis
 
 
 # ---------------------------------------------------------------------------
@@ -541,37 +521,18 @@ def m_generators(me: ModelEngine) -> List[LieElement]:
             {idx["D4"]: ONE}]
     # lowering vector for the short torus root: in k coordinates
     alg = model.algebra
-    lower = model._k_solver({alg.root_index[vec(0, 0, 0, -1)]: ONE})
+    lower = ka.coords_in_parent({alg.root_index[vec(0, 0, 0, -1)]: ONE})
     gens.append(lower)
     return gens
 
 
 def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]:
     """Exact joint kernel of the centralizer action."""
-    rep = ctx.rep
-    space = [ {i: ONE} for i in range(rep.dim) ]
+    space = [{i: ONE} for i in range(ctx.rep.dim)]
     for gvec in m_generators(me):
         op = ctx.action(gvec)
-        images = [op.apply(v) for v in space]
-        idxs = sorted({i for im in images for i in im})
-        if not idxs:
-            continue
-        mat = Matrix([[images[c].get(i, ZERO) for c in range(len(space))]
-                      for i in idxs])
-        new_space = []
-        for coords in mat.nullspace():
-            v: Dict[int, Scalar] = {}
-            for c, b in zip(coords, space):
-                if c:
-                    for i, e in b.items():
-                        s = v.get(i, ZERO) + c * e
-                        if s:
-                            v[i] = s
-                        else:
-                            v.pop(i, None)
-            if v:
-                new_space.append(v)
-        space = new_space
+        space = [combine(c, space)
+                 for c in kernel([op.apply(v) for v in space])]
         if not space:
             break
     return space
@@ -586,10 +547,6 @@ def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]
 class Report:
     ok: bool
     details: List[str] = field(default_factory=list)
-
-
-def _nonzero(v: Dict[int, Scalar]) -> bool:
-    return bool(v)
 
 
 def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
@@ -700,18 +657,13 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
         u = chain[0]
         acc = u
         for j in range(0, k + 1):
-            c = Fraction(2 ** j * _factorial(j) * comb(k, j), comb(l + j, l))
+            c = Fraction(2 ** j * factorial(j) * comb(k, j), comb(l + j, l))
             want = _scale_vec(sca(c), chain[j])
             if acc != want:
                 ok = False
                 details.append("iterated lowering fails at j=%d" % j)
             acc = xm1.apply(acc)
     return Report(ok, details)
-
-
-def _factorial(n: int) -> int:
-    from math import factorial
-    return factorial(n)
 
 
 def _scale_vec(c: Scalar, v: Dict[int, Scalar]) -> Dict[int, Scalar]:
@@ -742,19 +694,9 @@ class DegreeMachine:
               for i in range(36)]
 
         def fv(x, y):
-            return model.b(_to_chev(me, x), _to_chev(me, y))
+            return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
-        n = len(kb)
-        gram = Matrix([[fv(kb[i], kb[j]) for j in range(n)] for i in range(n)])
-        self._pairs = []
-        for i in range(n):
-            rhs = [ONE if t == i else ZERO for t in range(n)]
-            coords = gram.solve(rhs)
-            dual: LieElement = {}
-            for c, b in zip(coords, kb):
-                if c:
-                    dual = el_add(dual, el_scale(c, b))
-            self._pairs.append((kb[i], dual))
+        self._pairs = list(zip(kb, dual_basis(kb, fv)))
         self._xdelta = me.lie_in_mixed(model.distinguished["Xdelta"])
         self._e = me.lie_in_mixed(model.distinguished["E"])
         g = gamma_basis()
@@ -785,57 +727,20 @@ class DegreeMachine:
             raise ValueError("element must lie in U(k)")
         if not self.is_m_invariant(u):
             raise ValueError("element is not an invariant of the centralizer")
-        krylov: List[UEA] = [u]
-        rows: List[List[Scalar]] = []
-        piv: List[int] = []
-        monos: List = []
-        mono_index: Dict = {}
-
-        def reduce_vec(vecu: UEA):
-            for m in vecu:
-                if m not in mono_index:
-                    mono_index[m] = len(monos)
-                    monos.append(m)
-            r = {mono_index[m]: c for m, c in vecu.items()}
-            coeffs = []
-            for row, pc in zip(rows, piv):
-                c = r.get(pc, ZERO)
-                coeffs.append(c)
-                if c:
-                    for j, e in row.items():
-                        s = r.get(j, ZERO) - c * e
-                        if s:
-                            r[j] = s
-                        else:
-                            r.pop(j, None)
-            return r, coeffs
-
+        # krylov[t] = C^t u until C^d u falls into their span; the
+        # dependency add() returns is C^d u = sum_t a_t C^t u, so the
+        # minimal polynomial on the cyclic span is x^d - sum_t a_t x^t
+        span = Echelon()
+        krylov: List[UEA] = []
         cur = u
-        rels = []
         while True:
-            r, coeffs = reduce_vec(cur)
-            pc = min(r) if r else None
-            if pc is None:
-                rels = coeffs
+            relation = span.add(cur)
+            if relation is not None:
                 break
-            inv = r[pc].inverse()
-            rows.append({j: inv * c for j, c in r.items()})
-            piv.append(pc)
             krylov.append(cur)
             cur = self.casimir_apply(cur)
-        # minimal polynomial: C^d u = sum rels_t * (reduced basis rows) --
-        # rebuild in terms of the Krylov vectors via back substitution
-        d = len(rows)
-        # solve for coefficients a_t with C^d u = sum_t a_t C^t u
-        mat = Matrix([[krylov[t].get(m, ZERO) for t in range(1, d + 1)]
-                      for m in monos])
-        rhs = [cur.get(m, ZERO) for m in monos]
-        sol = mat.solve(rhs)
-        if sol is None:
-            raise AssertionError("Krylov relation did not close")
-        # minpoly(x) = x^d - sum a_t x^t ... with krylov[t+1] = C^t u
-        coeffs = [-c for c in sol] + [ONE]
-        poly = PolyScalar(coeffs)
+        poly = PolyScalar([-relation.get(t, ZERO) for t in range(len(krylov))]
+                          + [ONE])
         roots, rem = rational_roots(poly)
         if rem.degree() > 0:
             raise AssertionError("Casimir minimal polynomial does not split")
@@ -845,12 +750,8 @@ class DegreeMachine:
             # the Krylov vectors already at hand
             quot = poly.exact_div(PolyScalar([-sca(root), ONE]))
             scale = quot.evaluate(sca(root)).inverse()
-            comp: UEA = {}
-            for t, c in enumerate(quot.coeffs):
-                if c:
-                    comp = PBWEngine.add(comp,
-                                         PBWEngine.scale(scale * c,
-                                                         krylov[t + 1]))
+            comp = combine({t: scale * c for t, c in enumerate(quot.coeffs)},
+                           krylov)
             if not comp:
                 continue
             label = self._type_of_pure(comp)
@@ -898,25 +799,10 @@ class DegreeMachine:
         return max(k + 2 * l for (k, l) in comps)
 
 
-_DEGREE_MACHINE_CACHE: dict = {}
-
-
 def degree_machine(me: ModelEngine) -> DegreeMachine:
-    key = id(me)
-    if key not in _DEGREE_MACHINE_CACHE:
-        _DEGREE_MACHINE_CACHE[key] = DegreeMachine(me)
-    return _DEGREE_MACHINE_CACHE[key]
-
-
-def _to_chev(me: ModelEngine, x: LieElement) -> LieElement:
-    out: LieElement = {}
-    for i, c in x.items():
-        out = el_add(out, el_scale(c, me.model.g_basis[i]))
-    return out
-
-
-def kostant_degree(me: ModelEngine, u: UEA) -> int:
-    return degree_machine(me).degree(u)
+    if me.degree_machine is None:
+        me.degree_machine = DegreeMachine(me)
+    return me.degree_machine
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 Coord = Tuple[Fraction, ...]
@@ -59,9 +60,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return len(self.simple)
-
-    def is_root(self, a: Coord) -> bool:
-        return a in self.roots
 
     def coroot_pairing(self, phi: Coord, alpha: Coord) -> Fraction:
         """2<phi, alpha>/<alpha, alpha>."""
@@ -364,11 +362,13 @@ def theta_coord(a: Coord) -> Coord:
     return (-a[0],) + tuple(a[1:])
 
 
+@lru_cache(maxsize=None)
 def f4_root_system() -> RootSystem:
     cartan = cartan_matrix_of(F4_SIMPLE)
     return build_root_system(cartan, simple_coords=F4_SIMPLE)
 
 
+@lru_cache(maxsize=None)
 def f4_satake_data() -> Tuple[RootSystem, SatakeSplit]:
     rs = f4_root_system()
     p_plus = tuple(a for a in rs.positives if a[0] != 0)
@@ -391,6 +391,7 @@ def is_compact_root(a: Coord) -> bool:
     return minus % 2 == 0
 
 
+@lru_cache(maxsize=None)
 def compact_split(regular: Coord) -> CompactSplit:
     """Split the moved-Cartan roots by compactness and pick positives.
 

@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exactnum import Matrix, ONE, Scalar, ZERO, sca
-from .liealg import (F4Model, LieAlgebra, LieElement, Subspace,
-                     build_f4_model, el_scale)
+from .exactnum import Matrix, ONE, Scalar, ZERO, combine, dual_basis, kernel
+from .liealg import F4Model, LieAlgebra, LieElement, build_f4_model
 
 Mono = Tuple[Tuple[int, int], ...]
 UEA = Dict[Mono, Scalar]
@@ -283,13 +282,6 @@ class PBWEngine:
         """Filtration degree; -1 for the zero element."""
         return max((mono_degree(m) for m in u), default=-1)
 
-    def support_labels(self, u: UEA) -> set:
-        out = set()
-        for m in u:
-            for i, _ in m:
-                out.add(self.algebra.labels[i])
-        return out
-
     def supported_below(self, u: UEA, bound: int) -> bool:
         """True when every index in the support is < bound."""
         return all(i < bound for m in u for i, _ in m)
@@ -426,6 +418,9 @@ class ModelEngine:
         self.z_index = 36
         self.mplus_start = model.g_algebra.index["D2"]
         self.y_start = model.g_algebra.index["X2"]
+        # built on first use by repth.build_module and repth.degree_machine
+        self.action_basis = None
+        self.degree_machine = None
 
     # -- conversions --------------------------------------------------------
 
@@ -486,25 +481,9 @@ def casimir(engine: PBWEngine, basis: List[LieElement], form_value) -> UEA:
     basis holds elements in the engine's own coordinates; form_value is
     a symmetric nondegenerate invariant pairing on the span.
     """
-    n = len(basis)
-    gram = Matrix([[form_value(basis[i], basis[j]) for j in range(n)]
-                   for i in range(n)])
     out: UEA = {}
-    for i in range(n):
-        rhs = [ONE if k == i else ZERO for k in range(n)]
-        coords = gram.solve(rhs)
-        if coords is None:
-            raise ValueError("degenerate pairing for the quadratic element")
-        dual: LieElement = {}
-        for c, b in zip(coords, basis):
-            if c:
-                for idx, v in b.items():
-                    s = dual.get(idx, ZERO) + c * v
-                    if s:
-                        dual[idx] = s
-                    else:
-                        dual.pop(idx, None)
-        out = PBWEngine.add(out, engine.mul(engine.from_lie(basis[i]),
+    for x, dual in zip(basis, dual_basis(basis, form_value)):
+        out = PBWEngine.add(out, engine.mul(engine.from_lie(x),
                                             engine.from_lie(dual)))
     return out
 
@@ -515,9 +494,7 @@ def model_casimir_g(me: ModelEngine) -> UEA:
     basis = [me.lie_in_mixed({i: ONE}) for i in range(model.algebra.dim)]
 
     def fv(x: LieElement, y: LieElement) -> Scalar:
-        gx = _mixed_to_chev(me, x)
-        gy = _mixed_to_chev(me, y)
-        return model.b(gx, gy)
+        return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
     return casimir(me.g, basis, fv)
 
@@ -528,17 +505,9 @@ def model_casimir_m(me: ModelEngine) -> UEA:
     basis = [me.lie_in_mixed(v) for v in model.subspaces["m"].basis()]
 
     def fv(x: LieElement, y: LieElement) -> Scalar:
-        return model.b(_mixed_to_chev(me, x), _mixed_to_chev(me, y))
+        return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
     return casimir(me.g, basis, fv)
-
-
-def _mixed_to_chev(me: ModelEngine, x: LieElement) -> LieElement:
-    out: LieElement = {}
-    from .liealg import el_add
-    for i, c in x.items():
-        out = el_add(out, el_scale(c, me.model.g_basis[i]))
-    return out
 
 
 @dataclass
@@ -638,20 +607,6 @@ def invariants_up_to_degree(engine: PBWEngine, sub_basis: List[LieElement],
     for x in sub_basis:
         if not space:
             break
-        images = [engine.ad(x, u) for u in space]
-        img_monos = sorted({m for im in images for m in im})
-        if not img_monos:
-            continue
-        # kernel of the coordinate map (current basis) -> image monomials
-        mat = Matrix([[images[i].get(m, ZERO) for i in range(len(space))]
-                      for m in img_monos])
-        new_space = []
-        for coords in mat.nullspace():
-            u: UEA = {}
-            for c, v in zip(coords, space):
-                if c:
-                    u = PBWEngine.add(u, PBWEngine.scale(c, v))
-            if u:
-                new_space.append(u)
-        space = new_space
+        space = [combine(c, space)
+                 for c in kernel([engine.ad(x, u) for u in space])]
     return space

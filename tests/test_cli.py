@@ -20,9 +20,9 @@ class TestConfig:
 
     def test_load_json(self, tmp_path):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"seed": 7, "parallelism": 2}))
+        p.write_text(json.dumps({"seed": 7, "parallelism": 1}))
         cfg = Config.load(str(p))
-        assert cfg.seed == 7 and cfg.parallelism == 2
+        assert cfg.seed == 7 and cfg.parallelism == 1
 
     def test_load_toml_subset(self, tmp_path):
         p = tmp_path / "cfg.toml"
@@ -48,9 +48,19 @@ class TestSuites:
         with pytest.raises(KeyError):
             run_suite("nonsense", Config())
 
-    def test_parallel_dispatch(self):
-        rep = run_suite("transversality", Config(parallelism=2))
-        assert rep.ok
+    def test_parallelism_rejected(self, tmp_path, capsys):
+        # the checks of a suite share state, so they only run in order
+        assert main(["verify", "transversality", "--parallelism", "2"]) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parallelism": 2}))
+        assert main(["verify", "transversality", "--config", str(cfg)]) == 2
+        capsys.readouterr()
+
+    def test_wall_time_includes_setup(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert main(["verify", "model", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["wall_time_seconds"] > 0
+        capsys.readouterr()
 
     def test_failed_check_records_witness(self):
         from f4workbench.cli import _run_checks
@@ -98,6 +108,21 @@ class TestExitCodes:
         assert main(["balg", "check-b", "--input", str(bad),
                      "--nmax", "2"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["balg", "check-b"],
+                                         ["combin", "assemble"]])
+    @pytest.mark.parametrize("text", [
+        "[[{\"exponents\": {}, ",                                  # JSON
+        '[[{"exponents": {"NoSuchLabel": 1}, "coeff": "1/1 + 0/1*sqrt2"}]]',
+        '[[{"exponents": {"E": 1}, "coeff": "one"}]]',
+    ], ids=["malformed-json", "unknown-label", "bad-coefficient"])
+    def test_bad_input(self, tmp_path, capsys, command, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main(command + ["--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad input %s: " % path)
+        assert err.count("\n") == 1
 
 
 class TestGolden:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f4workbench.exactnum import (
-    HALF, ONE, SQRT2, TWO, ZERO, Matrix, PolyScalar, Scalar, exact_rank,
-    poly_det, poly_det_cofactor, rational_roots, sca, scalar_arith,
+    HALF, ONE, SQRT2, TWO, ZERO, Echelon, Matrix, PolyScalar, Scalar, combine,
+    dual_basis, kernel, poly_det, poly_det_cofactor, rational_roots, sca,
     sqrt_in_field,
 )
 
@@ -36,7 +36,7 @@ class TestScalar:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            scalar_arith(ONE, ZERO, "/")
+            ONE / ZERO
 
     def test_components_reduced(self):
         x = Scalar(2, 4, 6)
@@ -83,14 +83,14 @@ class TestScalar:
 
 class TestMatrix:
     def test_identity_rank(self):
-        assert exact_rank(Matrix.identity(3)) == 3
+        assert Matrix.identity(3).rank() == 3
 
     def test_zero_rank(self):
-        assert exact_rank(Matrix.zero(2, 5)) == 0
+        assert Matrix.zero(2, 5).rank() == 0
 
     def test_proportional_rows(self):
         m = Matrix([[ONE, SQRT2], [TWO, TWO * SQRT2]])
-        assert exact_rank(m) == 1
+        assert m.rank() == 1
 
     def test_rank_nullity(self):
         rows = [
@@ -167,3 +167,102 @@ class TestPolyScalar:
     def test_evaluate(self):
         p = PolyScalar([S(1), S(0), S(2)])  # 1 + 2 s^2
         assert p.evaluate(SQRT2) == S(5)
+
+
+# Random sparse matrices over Q(sqrt2): a product of an r x k and a k x c
+# factor with about half the entries zero, so most have rank below min(r, c).
+sparse_scalars = st.one_of(
+    st.just(ZERO), st.just(ZERO),
+    st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    r, c, k = (draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+               draw(st.integers(0, 6)))
+    a = [[draw(sparse_scalars) for _ in range(k)] for _ in range(r)]
+    b = [[draw(sparse_scalars) for _ in range(c)] for _ in range(k)]
+    return Matrix([[sum((a[i][t] * b[t][j] for t in range(k)), ZERO)
+                    for j in range(c)] for i in range(r)])
+
+
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+class TestEchelon:
+    @given(sparse_matrices())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_rows_are_the_rref(self, m):
+        rows, pivots = m.rref()
+        echelon = Echelon(_sparse(row) for row in m.entries)
+        assert echelon.rows() == [_sparse(row) for row in rows[:len(pivots)]]
+        assert len(echelon) == m.rank()
+
+    @given(sparse_matrices(), st.lists(sparse_scalars, min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_reduce_and_add_match_solve(self, m, rhs):
+        # columns of m are the added vectors; rhs is reduced against them
+        columns = [_sparse(col) for col in m.transpose().entries]
+        echelon = Echelon()
+        independent = []
+        for j, col in enumerate(columns):
+            dependency = echelon.add(col)
+            earlier = Matrix.from_columns(
+                [m.transpose().entries[i] for i in independent]) \
+                if independent else None
+            if dependency is None:
+                independent.append(j)
+                continue
+            want = earlier.solve(m.transpose().entries[j]) if earlier else []
+            assert want is not None
+            assert dependency == _sparse(want)
+        target = rhs[:m.rows]
+        rem, coords = echelon.reduce(_sparse(target))
+        basis = Matrix.from_columns(
+            [m.transpose().entries[i] for i in independent]) \
+            if independent else None
+        sol = basis.solve(target) if basis else (
+            [] if not any(target) else None)
+        assert (not rem) == (sol is not None)
+        if sol is not None:
+            assert coords == _sparse(sol)
+        back = combine(coords, [columns[i] for i in independent])
+        for k, c in rem.items():
+            back[k] = back.get(k, ZERO) + c
+        assert {k: c for k, c in back.items() if c} == _sparse(target)
+
+    @given(sparse_matrices())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_kernel_is_the_nullspace(self, m):
+        images = [_sparse(col) for col in m.transpose().entries]
+        assert kernel(images) == [_sparse(v) for v in m.nullspace()]
+
+    @given(sparse_matrices())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_dual_basis_matches_solve(self, m):
+        # the Gram matrix g = m^T m of the columns; degenerate when rank < c
+        n = m.cols
+        gram = m.transpose() * m
+        basis = [{j: ONE} for j in range(n)]
+
+        def form(x, y):
+            return sum((c * d * gram.entries[i][j] for i, c in x.items()
+                        for j, d in y.items()), ZERO)
+
+        if gram.rank() < n:
+            with pytest.raises(ValueError):
+                dual_basis(basis, form)
+            return
+        duals = dual_basis(basis, form)
+        for i in range(n):
+            rhs = [ONE if t == i else ZERO for t in range(n)]
+            assert duals[i] == _sparse(gram.solve(rhs))
+
+    def test_dependency_of_a_sum(self):
+        echelon = Echelon()
+        x, y = {0: ONE, 2: SQRT2}, {1: TWO, 2: ONE}
+        assert echelon.add(x) is None and echelon.add(y) is None
+        assert echelon.add({0: TWO, 1: TWO, 2: TWO * SQRT2 + ONE}) \
+            == {0: TWO, 1: ONE}
+        assert echelon.add({}) == {}

@@ -207,6 +207,12 @@ class TestKAlgebra:
             rhs = model.algebra.bracket(model.k_basis[i], model.k_basis[j])
             assert el_eq(lhs, rhs)
 
+    def test_coords_in_parent_rejects_non_members(self, model):
+        ka = model.k_algebra
+        assert ka.coords_in_parent(model.k_basis[3]) == {3: ONE}
+        with pytest.raises(ValueError):
+            ka.coords_in_parent(model.distinguished["Z"])
+
     def test_g_mixed_basis_rank(self, model):
         assert model.g_algebra.dim == 52
         cols = [[b.get(i, ZERO) for i in range(52)] for b in model.g_basis]
@@ -229,3 +235,26 @@ class TestKAlgebra:
                 got = model.algebra.bracket(h, v)
                 want = el_scale(sca(w[ci]), v)
                 assert el_eq(got, want)
+
+
+class TestSubspaceEchelon:
+    def test_model_subspaces_are_the_dense_rref(self, model):
+        # every model subspace, rebuilt from random combinations of its
+        # basis (with one redundant generator and a zero), is the reduced
+        # row echelon form Matrix.rref computes from those generators
+        import random
+        from f4workbench.exactnum import combine
+        from f4workbench.liealg import Subspace
+        rng = random.Random(5)
+        n = model.algebra.dim
+        for name, sub in sorted(model.subspaces.items()):
+            basis = sub.basis()
+            gens = [combine({i: sca(rng.randint(-30, 30))
+                             for i in range(len(basis))}, basis)
+                    for _ in range(len(basis) + 1)] + [{}]
+            rows, pivots = Matrix([[g.get(i, ZERO) for i in range(n)]
+                                   for g in gens]).rref()
+            want = [{i: c for i, c in enumerate(row) if c}
+                    for row in rows[:len(pivots)]]
+            assert Subspace(n, gens).basis() == want, name
+            assert basis == want, name

@@ -382,3 +382,73 @@ class TestDominantInIdeal:
                        g["gamma3"],
                        vadd(vadd(g["gamma4"], g["delta"]), g["gamma3"])):
             assert dominant_in_ideal_slice(me, target, max_degree=2) == []
+
+
+def _dense_invariants(engine, sub_basis, max_degree, label_weights,
+                      label_limit):
+    """invariants_up_to_degree as it ran on dense Matrix.nullspace."""
+    n = label_limit
+    level = [()]
+    for _ in range(max_degree):
+        out = set(level)
+        for m in level:
+            start = m[-1][0] if m else 0
+            for g in range(start, n):
+                if m and m[-1][0] == g:
+                    out.add(m[:-1] + ((g, m[-1][1] + 1),))
+                else:
+                    out.add(m + ((g, 1),))
+        level = sorted(out)
+    zero = tuple(Fraction(0) for _ in next(iter(label_weights.values())))
+
+    def mono_weight(m):
+        acc = list(zero)
+        for i, e in m:
+            for j in range(len(acc)):
+                acc[j] += e * label_weights[i][j]
+        return tuple(acc)
+
+    space = [{m: ONE} for m in level if mono_weight(m) == zero]
+    for x in sub_basis:
+        if not space:
+            break
+        images = [engine.ad(x, u) for u in space]
+        img_monos = sorted({m for im in images for m in im})
+        if not img_monos:
+            continue
+        mat = Matrix([[images[i].get(m, ZERO) for i in range(len(space))]
+                      for m in img_monos])
+        new_space = []
+        for coords in mat.nullspace():
+            u = {}
+            for c, v in zip(coords, space):
+                if c:
+                    u = PBWEngine.add(u, PBWEngine.scale(c, v))
+            if u:
+                new_space.append(u)
+        space = new_space
+    return space
+
+
+class TestEchelonOracles:
+    def test_invariants_match_the_dense_loop(self, me, uk2_m_basis):
+        gens = [me.lie_in_mixed(me.model.k_element_in_g(g))
+                for g in m_generators(me)]
+        lw = {i: me.model.k_t_weights[i][1:] for i in range(36)}
+        dense = _dense_invariants(me.g, gens, 2, lw, 36)
+        # same vectors in the same order, each with the same term order
+        assert [list(u.items()) for u in uk2_m_basis] == \
+            [list(u.items()) for u in dense]
+
+    def test_engine_caches_do_not_keep_the_engine_alive(self):
+        import gc
+        import weakref
+        from f4workbench.liealg import build_f4_model
+        from f4workbench.uea import ModelEngine
+        engine = ModelEngine(build_f4_model())
+        degree_machine(engine)
+        build_module(engine, 0, 0)
+        ref = weakref.ref(engine)
+        del engine
+        gc.collect()
+        assert ref() is None
