@@ -604,17 +604,27 @@ class BadInput(Exception):
     """An input file that does not hold a serialized element."""
 
 
-def _load_element(me, path: str):
-    """Read and deserialize the IwasawaElement in path.
+def _read_input(path: str):
+    """The JSON held in path, read before any model is built.
 
-    OSError propagates (exit 3); malformed JSON, an unknown label or a
-    bad coefficient string raise BadInput (exit 2).
+    OSError propagates (exit 3); a file that is not JSON raises BadInput
+    (exit 2).
+    """
+    with open(path) as fh:
+        try:
+            return json.loads(fh.read())
+        except ValueError as exc:
+            raise BadInput("bad input %s: %s" % (path, exc)) from exc
+
+
+def _load_element(me, path: str, data):
+    """Deserialize the IwasawaElement read from path by _read_input.
+
+    An unknown label or a bad coefficient string raises BadInput (exit 2).
     """
     from .uea import IwasawaElement
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return IwasawaElement.deserialize(me.g, json.loads(text))
+        return IwasawaElement.deserialize(me.g, data)
     except KeyError as exc:
         raise BadInput("bad input %s: unknown label %s" % (path, exc)) from exc
     except (ValueError, TypeError, AttributeError) as exc:
@@ -675,8 +685,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "balg":
             from .uea import model_engine
             from .balg import check_b_membership
+            data = _read_input(args.input)
             me = model_engine()
-            elem = _load_element(me, args.input)
+            elem = _load_element(me, args.input, data)
             rep = check_b_membership(me, elem, nmax=args.nmax or cfg.nmax)
             _emit(rep.as_dict(), args.json_out)
             return 0 if rep.passed else 1
@@ -745,9 +756,10 @@ def _combin_command(args, cfg: Config) -> int:
         return 0 if all(f["splits"] for f in out) else 1
     if args.action == "assemble":
         from .uea import model_engine, omega_normalized
+        data = _read_input(args.input) if args.input else None
         me = model_engine()
         if args.input:
-            elem = _load_element(me, args.input)
+            elem = _load_element(me, args.input, data)
         else:
             elem = omega_normalized(me).omega
         T = args.T if args.T is not None else 2

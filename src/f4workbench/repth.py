@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO, combine,
                        dual_basis, kernel, rational_roots, sca)
 from .liealg import F4Model, LieElement, el_scale
 from .rootdata import Coord, compact_split, DEFAULT_REGULAR, dot, gamma_basis, vec
-from .uea import ModelEngine, PBWEngine, UEA
+from .uea import Core, ModelEngine, UEA
 
 Weight = Coord
 
@@ -696,25 +696,38 @@ class DegreeMachine:
         def fv(x, y):
             return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
-        self._pairs = list(zip(kb, dual_basis(kb, fv)))
+        self._casimir, self._casimir_den = _casimir_tensor(
+            me.g, zip(kb, dual_basis(kb, fv)))
         self._xdelta = me.lie_in_mixed(model.distinguished["Xdelta"])
         self._e = me.lie_in_mixed(model.distinguished["E"])
-        g = gamma_basis()
+        self._m_gens = [me.lie_in_mixed(model.k_element_in_g(gvec))
+                        for gvec in m_generators(me)]
         pos = positive_roots_k()
         self._rho = tuple(sum(a[i] for a in pos) / 2 for i in range(4))
 
     def casimir_apply(self, u: UEA) -> UEA:
-        out: UEA = {}
-        for x, xd in self._pairs:
-            out = PBWEngine.add(out, self.me.g.ad(x, self.me.g.ad(xd, u)))
+        """sum_i ad(x_i) ad(x^i) u, converted to and from the core once."""
+        engine = self.me.g
+        core_p, core_q, den = engine.to_core(u)
+        return engine.from_core(self._casimir_core(core_p),
+                                self._casimir_core(core_q),
+                                den * self._casimir_den)
+
+    def _casimir_core(self, v: Core) -> Core:
+        out: Core = {}
+        if not v:
+            return out
+        ad_core = self.me.g.ad_core
+        for h, y in self._casimir:
+            for m, c in ad_core(y, ad_core({h: 1}, v)).items():
+                out[m] = out.get(m, 0) + c
         return out
 
     def casimir_eigenvalue(self, xi: Weight) -> Fraction:
         return dot(xi, xi) + 2 * dot(xi, self._rho)
 
     def is_m_invariant(self, u: UEA) -> bool:
-        for gvec in m_generators(self.me):
-            x = self.me.lie_in_mixed(self.me.model.k_element_in_g(gvec))
+        for x in self._m_gens:
             if self.me.g.ad(x, u):
                 return False
         return True
@@ -797,6 +810,38 @@ class DegreeMachine:
         if not comps:
             return 0
         return max(k + 2 * l for (k, l) in comps)
+
+
+def _casimir_tensor(engine, pairs):
+    """sum_i x_i (x) x^i on the rescaled basis of the engine, by inner label.
+
+    Returns ([(h, y_h)], den) with integer y_h = {g: int}, so that
+    sum_i ad(x_i) ad(x^i) = sum_h ad(y_h) ad(e'_h) / den.  Raises
+    ValueError when a coefficient is not rational (on F4 the tensor has 42
+    rational terms over 256).
+    """
+    def rescaled(x):
+        core_p, core_q, den = engine.lie_core(x)
+        return {g: Scalar(core_p.get(g, 0), core_q.get(g, 0), den)
+                for g in set(core_p) | set(core_q)}
+
+    tensor: Dict[Tuple[int, int], Scalar] = {}
+    for x, xd in pairs:
+        b = rescaled(xd)
+        for g, ca in rescaled(x).items():
+            for h, cb in b.items():
+                tensor[(g, h)] = tensor.get((g, h), ZERO) + ca * cb
+    den = 1
+    for c in tensor.values():
+        if not c.is_rational():
+            raise ValueError("Casimir tensor is not rational on the "
+                             "rescaled basis")
+        den = lcm(den, c.r)
+    by_inner: Dict[int, Dict[int, int]] = {}
+    for (g, h), c in sorted(tensor.items()):
+        if c:
+            by_inner.setdefault(h, {})[g] = c.p * (den // c.r)
+    return sorted(by_inner.items()), den
 
 
 def degree_machine(me: ModelEngine) -> DegreeMachine:

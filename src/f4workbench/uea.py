@@ -9,6 +9,14 @@ engine: the rewrite x^p * g for a generator g below x costs one bracket
 lookup plus lower-degree work, which the memo table amortizes across
 the big congruence computations downstream.
 
+The straightening runs over Z.  Each engine rescales its basis to
+e'_i = L sqrt2^{s_i} e_i, with parities s_i and a scale L chosen when it
+is built so that every structure constant becomes an integer.  The memo
+tables hold {monomial: int} on that basis, and an element there is two
+integer vectors (its rational and its sqrt2 part) over one common
+denominator, which never mix.  mul, mono_mul and ad convert their
+arguments to that core form on entry and back to Scalars on exit.
+
 The fixed model order lists the 36 fixed-subalgebra labels first (with
 the nilradical of the centralizer as a suffix and the abelian ideal as
 the very last block), then the torus generator Z, then the 15 nilpotent
@@ -22,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactnum import Matrix, ONE, Scalar, ZERO, combine, dual_basis, kernel
@@ -29,6 +38,7 @@ from .liealg import F4Model, LieAlgebra, LieElement, build_f4_model
 
 Mono = Tuple[Tuple[int, int], ...]
 UEA = Dict[Mono, Scalar]
+Core = Dict[Mono, int]
 
 ONE_MONO: Mono = ()
 
@@ -54,6 +64,13 @@ def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
 
+def _nonzero(v: Core) -> Core:
+    """v without its zero entries (v itself when it has none)."""
+    if all(v.values()):
+        return v
+    return {m: c for m, c in v.items() if c}
+
+
 def mono_mul_free(m1: Mono, m2: Mono) -> Optional[Mono]:
     """Concatenation when already ordered, else None."""
     if not m1:
@@ -67,24 +84,89 @@ def mono_mul_free(m1: Mono, m2: Mono) -> Optional[Mono]:
     return None
 
 
+def _rescaling(algebra: LieAlgebra):
+    """Parities s_i, scale L and the brackets on e'_i = L sqrt2^{s_i} e_i.
+
+    The rescaling turns a constant c of [e_i, e_j] at e_k into
+    L sqrt2^{s_i + s_j - s_k} c.  With c rational or a rational multiple
+    of sqrt2 (t = 1 for the latter), the power of sqrt2 is rational
+    exactly when s_i + s_j + s_k = t mod 2.  That GF(2) system is solved
+    with the free parities set to 0, and L is the lcm of the denominators
+    left.  Returns (s, L, {(i, j): ((k, integer constant), ...)}) for the
+    stored pairs i < j.  Raises ValueError on a constant that mixes Q and
+    Q sqrt2, or when the system has no solution.
+    """
+    equations = {}          # bit mask of {i, j, k} -> t
+    for (i, j), t in algebra.table.items():
+        for k, c in t.items():
+            if c.p and c.q:
+                raise ValueError("structure constant %s mixes Q and Q*sqrt2"
+                                 % c.to_string())
+            mask = (1 << i) ^ (1 << j) ^ (1 << k)
+            parity = 1 if c.q else 0
+            if equations.setdefault(mask, parity) != parity:
+                raise ValueError("no rescaling by powers of sqrt2 makes the "
+                                 "structure constants rational")
+    pivots = {}             # lowest bit -> (mask, parity), fully reduced
+    for mask, parity in equations.items():
+        for low, (pm, pp) in pivots.items():
+            if mask >> low & 1:
+                mask, parity = mask ^ pm, parity ^ pp
+        if not mask:
+            if parity:
+                raise ValueError("no rescaling by powers of sqrt2 makes the "
+                                 "structure constants rational")
+            continue
+        low = (mask & -mask).bit_length() - 1
+        for other, (om, op) in pivots.items():
+            if om >> low & 1:
+                pivots[other] = (om ^ mask, op ^ parity)
+        pivots[low] = (mask, parity)
+    # with the free parities 0, each pivot parity is its equation's t
+    s = [0] * algebra.dim
+    for low, (_, parity) in pivots.items():
+        s[low] = parity
+    rational = {}           # (i, j) -> [(k, num, den)], sqrt2^{s_i+s_j-s_k} c
+    scale = 1
+    for (i, j), t in algebra.table.items():
+        row = rational[(i, j)] = []
+        for k, c in t.items():
+            num = c.q if c.q else c.p
+            # sqrt2^{s_i + s_j - s_k + t} is 1 or 2
+            if s[i] + s[j] - s[k] + (1 if c.q else 0) == 2:
+                num *= 2
+            g = gcd(num, c.r)
+            row.append((k, num // g, c.r // g))
+            scale = lcm(scale, c.r // g)
+    return s, scale, {ij: tuple((k, num * scale // den) for k, num, den in row)
+                      for ij, row in rational.items()}
+
+
 class PBWEngine:
-    """Straightening engine for one algebra under one basis order."""
+    """Straightening engine for one algebra under one basis order.
+
+    The engine works on the rescaled basis e'_i = L sqrt2^{s_i} e_i of
+    _rescaling, where every structure constant is an integer.  There the
+    straightening is Z-linear, so the memo tables hold {monomial: int}
+    and the rational and sqrt2 parts of an element never mix: its core
+    form (to_core) is two integer vectors over one common denominator.
+    The public operations take and return {monomial: Scalar} on the
+    original basis and convert once at entry and once at exit.
+    """
 
     def __init__(self, algebra: LieAlgebra, order: Optional[BasisOrder] = None):
         self.algebra = algebra
         self.order = order or BasisOrder(algebra.labels)
         if tuple(self.order.labels) != tuple(algebra.labels):
             raise ValueError("engine order must list the algebra labels")
-        self._memo: Dict[Tuple[Mono, int], UEA] = {}
-        self._memo_left: Dict[Tuple[int, Mono], UEA] = {}
-        # bracket_rows[i][j] = bracket of basis i with basis j, as item list
-        self._brackets: Dict[Tuple[int, int], Tuple[Tuple[int, Scalar], ...]] = {}
-        n = algebra.dim
-        for i in range(n):
-            for j in range(n):
-                t = algebra.bracket_basis(i, j)
-                if t:
-                    self._brackets[(i, j)] = tuple(t.items())
+        self.parity, self.scale_l, table = _rescaling(algebra)
+        self._memo: Dict[Tuple[Mono, int], Core] = {}
+        self._memo_left: Dict[Tuple[int, Mono], Core] = {}
+        # _brackets[(i, j)] = [e'_i, e'_j] on the rescaled basis, as items
+        self._brackets: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        for (i, j), items in table.items():
+            self._brackets[(i, j)] = items
+            self._brackets[(j, i)] = tuple((k, -c) for k, c in items)
 
     # -- basic constructors ------------------------------------------------
 
@@ -99,6 +181,66 @@ class PBWEngine:
 
     def from_lie(self, x: LieElement) -> UEA:
         return {((i, 1),): c for i, c in x.items()}
+
+    # -- the core form ------------------------------------------------------
+
+    def _weight(self, m: Mono) -> Tuple[int, int]:
+        """(deg, sigma) of m, with e'^m = L^deg sqrt2^sigma e^m."""
+        deg = sigma = 0
+        for i, e in m:
+            deg += e
+            sigma += self.parity[i] * e
+        return deg, sigma
+
+    def to_core(self, u: UEA) -> Tuple[Core, Core, int]:
+        """(P, Q, D) with u = sum_m (P[m] + Q[m] sqrt2) / D * e'^m.
+
+        c e^m has the core coefficient c / (L^deg sqrt2^sigma) (_weight).
+        """
+        terms = []
+        den_lcm = 1
+        for m, c in u.items():
+            deg, sigma = self._weight(m)
+            p, q = c.p, c.q
+            if sigma & 1:           # c / sqrt2 = c sqrt2 / 2
+                p, q = 2 * q, p
+                sigma += 1
+            den = c.r * self.scale_l ** deg << (sigma >> 1)
+            g = gcd(gcd(p, q), den)
+            den //= g
+            terms.append((m, p // g, q // g, den))
+            den_lcm = lcm(den_lcm, den)
+        core_p: Core = {}
+        core_q: Core = {}
+        for m, p, q, den in terms:
+            f = den_lcm // den
+            if p:
+                core_p[m] = p * f
+            if q:
+                core_q[m] = q * f
+        return core_p, core_q, den_lcm
+
+    def from_core(self, core_p: Core, core_q: Core, den: int) -> UEA:
+        """The element sum_m (P[m] + Q[m] sqrt2) / D * e'^m; one Scalar per
+        nonzero term."""
+        out: UEA = {}
+        for m in {**core_p, **core_q}:
+            p, q = core_p.get(m, 0), core_q.get(m, 0)
+            if not (p or q):
+                continue
+            deg, sigma = self._weight(m)
+            if sigma & 1:           # c sqrt2 = 2q + p sqrt2
+                p, q = 2 * q, p
+            f = self.scale_l ** deg << (sigma >> 1)
+            out[m] = Scalar(p * f, q * f, den)
+        return out
+
+    def lie_core(self, x: LieElement) -> Tuple[Dict[int, int],
+                                               Dict[int, int], int]:
+        """to_core of a Lie element, keyed by label."""
+        core_p, core_q, den = self.to_core(self.from_lie(x))
+        return ({m[0][0]: c for m, c in core_p.items()},
+                {m[0][0]: c for m, c in core_q.items()}, den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -123,120 +265,121 @@ class PBWEngine:
             return {}
         return {m: c * x for m, x in u.items()}
 
-    def _mono_times_gen(self, m: Mono, g: int) -> UEA:
-        """Straightened product m * e_g."""
+    def _mono_times_gen(self, m: Mono, g: int) -> Core:
+        """Straightened product e'^m * e'_g."""
         if not m or m[-1][0] < g:
-            return {m + ((g, 1),): ONE}
+            return {m + ((g, 1),): 1}
         last, p = m[-1]
         if last == g:
-            return {m[:-1] + ((g, p + 1),): ONE}
+            return {m[:-1] + ((g, p + 1),): 1}
         key = (m, g)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         head = m[:-1] + ((last, p - 1),) if p > 1 else m[:-1]
-        out: UEA = {}
-        # (head e_g) e_last
+        out: Core = {}
+        get = out.get
+        # (head e'_g) e'_last
         for mono, c in self._mono_times_gen(head, g).items():
             for mono2, c2 in self._mono_times_gen(mono, last).items():
-                s = out.get(mono2, ZERO) + c * c2
-                if s:
-                    out[mono2] = s
-                else:
-                    out.pop(mono2, None)
-        # head [e_last, e_g]
-        br = self._brackets.get((last, g))
-        if br:
-            for k, c in br:
-                for mono2, c2 in self._mono_times_gen(head, k).items():
-                    s = out.get(mono2, ZERO) + c * c2
-                    if s:
-                        out[mono2] = s
-                    else:
-                        out.pop(mono2, None)
+                out[mono2] = get(mono2, 0) + c * c2
+        # head [e'_last, e'_g]
+        for k, c in self._brackets.get((last, g), ()):
+            for mono2, c2 in self._mono_times_gen(head, k).items():
+                out[mono2] = get(mono2, 0) + c * c2
+        out = _nonzero(out)
         self._memo[key] = out
         return out
 
-    def _gen_times_mono(self, g: int, m: Mono) -> UEA:
-        """Straightened product e_g * m (mirror of the right recursion)."""
+    def _gen_times_mono(self, g: int, m: Mono) -> Core:
+        """Straightened product e'_g * e'^m (mirror of the right recursion)."""
         if not m or g < m[0][0]:
-            return {((g, 1),) + m: ONE}
+            return {((g, 1),) + m: 1}
         first, p = m[0]
         if first == g:
-            return {((g, p + 1),) + m[1:]: ONE}
+            return {((g, p + 1),) + m[1:]: 1}
         key = (g, m)
         hit = self._memo_left.get(key)
         if hit is not None:
             return hit
         tail = ((first, p - 1),) + m[1:] if p > 1 else m[1:]
-        out: UEA = {}
-        # e_g e_first = e_first e_g + [e_g, e_first]
+        out: Core = {}
+        get = out.get
+        # e'_g e'_first = e'_first e'_g + [e'_g, e'_first]
         for mono, c in self._gen_times_mono(g, tail).items():
             for mono2, c2 in self._gen_times_mono(first, mono).items():
-                s = out.get(mono2, ZERO) + c * c2
-                if s:
-                    out[mono2] = s
-                else:
-                    out.pop(mono2, None)
-        br = self._brackets.get((g, first))
-        if br:
-            for k, c in br:
-                for mono2, c2 in self._gen_times_mono(k, tail).items():
-                    s = out.get(mono2, ZERO) + c * c2
-                    if s:
-                        out[mono2] = s
-                    else:
-                        out.pop(mono2, None)
+                out[mono2] = get(mono2, 0) + c * c2
+        for k, c in self._brackets.get((g, first), ()):
+            for mono2, c2 in self._gen_times_mono(k, tail).items():
+                out[mono2] = get(mono2, 0) + c * c2
+        out = _nonzero(out)
         self._memo_left[key] = out
         return out
 
-    def mono_mul(self, m1: Mono, m2: Mono) -> UEA:
+    def _mono_mul_core(self, m1: Mono, m2: Mono) -> Core:
+        """Straightened product e'^m1 * e'^m2."""
         free = mono_mul_free(m1, m2)
         if free is not None:
-            return {free: ONE}
-        cur: UEA = {m1: ONE}
+            return {free: 1}
+        cur: Core = {m1: 1}
         for g, p in m2:
             for _ in range(p):
-                nxt: UEA = {}
+                nxt: Core = {}
+                get = nxt.get
                 for mono, c in cur.items():
                     if not mono or mono[-1][0] < g:
                         key = mono + ((g, 1),)
-                        s = nxt.get(key, ZERO) + c
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
-                        continue
-                    if mono[-1][0] == g:
+                        nxt[key] = get(key, 0) + c
+                    elif mono[-1][0] == g:
                         key = mono[:-1] + ((g, mono[-1][1] + 1),)
-                        s = nxt.get(key, ZERO) + c
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
-                        continue
-                    for mono2, c2 in self._mono_times_gen(mono, g).items():
-                        s = nxt.get(mono2, ZERO) + c * c2
-                        if s:
-                            nxt[mono2] = s
-                        else:
-                            nxt.pop(mono2, None)
-                cur = nxt
+                        nxt[key] = get(key, 0) + c
+                    else:
+                        for mono2, c2 in self._mono_times_gen(mono, g).items():
+                            nxt[mono2] = get(mono2, 0) + c * c2
+                cur = _nonzero(nxt)
         return cur
 
-    def mul(self, u: UEA, v: UEA) -> UEA:
-        out: UEA = {}
+    def _mul_into(self, out: Core, u: Core, v: Core) -> None:
+        get = out.get
         for m1, c1 in u.items():
             for m2, c2 in v.items():
                 c = c1 * c2
-                prod = self.mono_mul(m1, m2)
-                for m, cm in prod.items():
-                    s = out.get(m, ZERO) + c * cm
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-        return out
+                for m, cm in self._mono_mul_core(m1, m2).items():
+                    out[m] = get(m, 0) + c * cm
+
+    def _ad_into(self, out: Core, x: Dict[int, int], v: Core) -> None:
+        get = out.get
+        left, right = self._gen_times_mono, self._mono_times_gen
+        for g, cg in x.items():
+            for m, c in v.items():
+                coef = cg * c
+                for mono, c2 in left(g, m).items():
+                    out[mono] = get(mono, 0) + coef * c2
+                for mono, c2 in right(m, g).items():
+                    out[mono] = get(mono, 0) - coef * c2
+
+    def ad_core(self, x: Dict[int, int], v: Core) -> Core:
+        """ad(sum_g x_g e'_g) on an integer vector of the rescaled basis."""
+        out: Core = {}
+        self._ad_into(out, x, v)
+        return _nonzero(out)
+
+    def mono_mul(self, m1: Mono, m2: Mono) -> UEA:
+        """Straightened product e^m1 * e^m2 on the original basis."""
+        return self.mul({m1: ONE}, {m2: ONE})
+
+    def mul(self, u: UEA, v: UEA) -> UEA:
+        # (P1 + Q1 sqrt2)(P2 + Q2 sqrt2)
+        #     = P1 P2 + 2 Q1 Q2 + (P1 Q2 + Q1 P2) sqrt2
+        p1, q1, d1 = self.to_core(u)
+        p2, q2, d2 = self.to_core(v)
+        out_p: Core = {}
+        out_q: Core = {}
+        self._mul_into(out_p, p1, p2)
+        self._mul_into(out_p, {m: 2 * c for m, c in q1.items()}, q2)
+        self._mul_into(out_q, p1, q2)
+        self._mul_into(out_q, q1, p2)
+        return self.from_core(out_p, out_q, d1 * d2)
 
     def mul_many(self, *factors: UEA) -> UEA:
         out = self.one()
@@ -252,23 +395,15 @@ class PBWEngine:
 
     def ad(self, x: LieElement, u: UEA) -> UEA:
         """The derivation induced by bracketing with x: u -> xu - ux."""
-        out: UEA = {}
-        for g, cg in x.items():
-            for m, c in u.items():
-                coef = cg * c
-                for mono, c2 in self._gen_times_mono(g, m).items():
-                    s = out.get(mono, ZERO) + coef * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-                for mono, c2 in self._mono_times_gen(m, g).items():
-                    s = out.get(mono, ZERO) - coef * c2
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
-        return out
+        xp, xq, xd = self.lie_core(x)
+        p, q, d = self.to_core(u)
+        out_p: Core = {}
+        out_q: Core = {}
+        self._ad_into(out_p, xp, p)
+        self._ad_into(out_p, {g: 2 * c for g, c in xq.items()}, q)
+        self._ad_into(out_q, xp, q)
+        self._ad_into(out_q, xq, p)
+        return self.from_core(out_p, out_q, xd * d)
 
     def ad_power(self, x: LieElement, u: UEA, n: int) -> UEA:
         for _ in range(n):

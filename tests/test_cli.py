@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -123,6 +125,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("bad input %s: " % path)
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", [["balg", "check-b"],
+                                         ["combin", "assemble"]])
+    def test_bad_file_exits_before_model_build(self, tmp_path, command):
+        # a fresh interpreter, so the model cache starts empty
+        bad = tmp_path / "bad.json"
+        bad.write_text("[[{")
+        script = (
+            "import sys\n"
+            "from f4workbench.cli import main\n"
+            "from f4workbench.uea import model_engine\n"
+            "cmd = %r\n"
+            "codes = [main(cmd + ['--input', p]) for p in sys.argv[1:]]\n"
+            "print(codes, model_engine.cache_info().currsize)\n" % command)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "none.json"),
+             str(bad)], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split("\n")[-2] == "[3, 2] 0"
 
 
 class TestGolden:

@@ -1,14 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from f4workbench.exactnum import Matrix, ONE, Scalar, ZERO, sca
-from f4workbench.liealg import chevalley_algebra, el_add, el_scale
+from f4workbench.exactnum import (Matrix, ONE, SQRT2, Scalar, ZERO, dual_basis,
+                                  sca)
+from f4workbench.liealg import (LieAlgebra, chevalley_algebra, el_add,
+                                el_scale)
 from f4workbench.rootdata import build_root_system, f4_satake_data
 from f4workbench.uea import (
     IwasawaElement, ONE_MONO, PBWEngine, casimir, ideal_normal_form,
     in_ideal, invariants_up_to_degree, model_casimir_g, model_casimir_m,
-    omega_normalized, reduce_mod,
+    mono_mul_free, omega_normalized, reduce_mod,
 )
 
 
@@ -382,3 +386,222 @@ class TestEvenOddSplit:
             assert reduce_mod(me.g, u0, me.y_start) == {}
             assert reduce_mod(me.g, u1, me.y_start) == {}
         assert hits >= 3   # the sample family produces nonvacuous instances
+
+
+# ---------------------------------------------------------------------------
+# The Scalar straightening the integer core replaced, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _acc(out, mono, c):
+    s = out.get(mono, ZERO) + c
+    if s:
+        out[mono] = s
+    else:
+        out.pop(mono, None)
+
+
+class ScalarPBW:
+    """PBW straightening with {monomial: Scalar} memo tables on the
+    original basis: the engine as it was before the rescaled integer core."""
+
+    def __init__(self, algebra):
+        self._memo = {}
+        self._memo_left = {}
+        self._brackets = {}
+        for i in range(algebra.dim):
+            for j in range(algebra.dim):
+                t = algebra.bracket_basis(i, j)
+                if t:
+                    self._brackets[(i, j)] = tuple(t.items())
+
+    def _mono_times_gen(self, m, g):
+        if not m or m[-1][0] < g:
+            return {m + ((g, 1),): ONE}
+        last, p = m[-1]
+        if last == g:
+            return {m[:-1] + ((g, p + 1),): ONE}
+        key = (m, g)
+        if key in self._memo:
+            return self._memo[key]
+        head = m[:-1] + ((last, p - 1),) if p > 1 else m[:-1]
+        out = {}
+        for mono, c in self._mono_times_gen(head, g).items():
+            for mono2, c2 in self._mono_times_gen(mono, last).items():
+                _acc(out, mono2, c * c2)
+        for k, c in self._brackets.get((last, g), ()):
+            for mono2, c2 in self._mono_times_gen(head, k).items():
+                _acc(out, mono2, c * c2)
+        self._memo[key] = out
+        return out
+
+    def _gen_times_mono(self, g, m):
+        if not m or g < m[0][0]:
+            return {((g, 1),) + m: ONE}
+        first, p = m[0]
+        if first == g:
+            return {((g, p + 1),) + m[1:]: ONE}
+        key = (g, m)
+        if key in self._memo_left:
+            return self._memo_left[key]
+        tail = ((first, p - 1),) + m[1:] if p > 1 else m[1:]
+        out = {}
+        for mono, c in self._gen_times_mono(g, tail).items():
+            for mono2, c2 in self._gen_times_mono(first, mono).items():
+                _acc(out, mono2, c * c2)
+        for k, c in self._brackets.get((g, first), ()):
+            for mono2, c2 in self._gen_times_mono(k, tail).items():
+                _acc(out, mono2, c * c2)
+        self._memo_left[key] = out
+        return out
+
+    def mono_mul(self, m1, m2):
+        free = mono_mul_free(m1, m2)
+        if free is not None:
+            return {free: ONE}
+        cur = {m1: ONE}
+        for g, p in m2:
+            for _ in range(p):
+                nxt = {}
+                for mono, c in cur.items():
+                    for mono2, c2 in self._mono_times_gen(mono, g).items():
+                        _acc(nxt, mono2, c * c2)
+                cur = nxt
+        return cur
+
+    def mul(self, u, v):
+        out = {}
+        for m1, c1 in u.items():
+            for m2, c2 in v.items():
+                for m, cm in self.mono_mul(m1, m2).items():
+                    _acc(out, m, c1 * c2 * cm)
+        return out
+
+    def ad(self, x, u):
+        out = {}
+        for g, cg in x.items():
+            for m, c in u.items():
+                for mono, c2 in self._gen_times_mono(g, m).items():
+                    _acc(out, mono, cg * c * c2)
+                for mono, c2 in self._mono_times_gen(m, g).items():
+                    _acc(out, mono, -(cg * c * c2))
+        return out
+
+
+@pytest.fixture(scope="module")
+def oracle(me):
+    return ScalarPBW(me.model.g_algebra)
+
+
+def _mono(labels):
+    return tuple(sorted(Counter(labels).items()))
+
+
+# coefficients a + b sqrt2 with both parts present in most draws
+_coeffs = st.builds(Scalar, st.integers(-9, 9), st.integers(-9, 9),
+                    st.integers(1, 8)).filter(bool)
+
+
+def _elements(max_degree, max_terms=3):
+    monos = st.lists(st.integers(0, 51), max_size=max_degree).map(_mono)
+    return st.dictionaries(monos, _coeffs, max_size=max_terms)
+
+
+_lie = st.dictionaries(st.integers(0, 51), _coeffs, min_size=1, max_size=3)
+
+
+class TestIntegerCore:
+    @given(_elements(4), _elements(4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_mul_matches_oracle(self, me, oracle, u, v):
+        assert me.g.mul(u, v) == oracle.mul(u, v)
+        for m1 in u:
+            for m2 in v:
+                assert me.g.mono_mul(m1, m2) == oracle.mono_mul(m1, m2)
+
+    @given(_lie, _elements(4))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_ad_matches_oracle(self, me, oracle, x, u):
+        assert me.g.ad(x, u) == oracle.ad(x, u)
+
+    @given(_elements(2), _elements(2), _elements(2))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_associativity(self, me, u, v, w):
+        assert me.g.mul(me.g.mul(u, v), w) == me.g.mul(u, me.g.mul(v, w))
+
+    @given(_lie, _elements(4), _elements(4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_ad_is_a_derivation(self, me, x, u, v):
+        lhs = me.g.ad(x, me.g.mul(u, v))
+        rhs = PBWEngine.add(me.g.mul(me.g.ad(x, u), v),
+                            me.g.mul(u, me.g.ad(x, v)))
+        assert lhs == rhs
+
+    @given(_elements(4, max_terms=8))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_core_roundtrip(self, me, u):
+        core_p, core_q, den = me.g.to_core(u)
+        assert den > 0
+        assert all(type(c) is int for c in (*core_p.values(),
+                                            *core_q.values()))
+        assert me.g.from_core(core_p, core_q, den) == u
+
+    @given(_elements(3, max_terms=2))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_casimir_apply_matches_oracle(self, me, oracle, u):
+        from f4workbench.repth import degree_machine
+        model = me.model
+        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
+              for i in range(36)]
+
+        def fv(x, y):
+            return model.b(model.in_chevalley(x), model.in_chevalley(y))
+
+        want = {}
+        for x, xd in zip(kb, dual_basis(kb, fv)):
+            want = PBWEngine.add(want, oracle.ad(x, oracle.ad(xd, u)))
+        assert degree_machine(me).casimir_apply(u) == want
+
+    def test_memo_tables_hold_integers(self, me):
+        u = me.g.mul(me.g.gen("X1", 2), me.g.mul(me.g.gen("Xm1"),
+                                                 me.g.gen("E")))
+        assert u
+        for table in (me.g._memo, me.g._memo_left):
+            assert table
+            assert all(type(c) is int
+                       for out in table.values() for c in out.values())
+
+
+class TestRescaling:
+    def test_sl2_needs_no_rescaling(self, sl2):
+        _, eng = sl2
+        assert eng.parity == [0, 0, 0]
+        assert eng.scale_l == 1
+
+    def test_mixed_constant_rejected(self):
+        alg = LieAlgebra(["a", "b"], {(0, 1): {1: Scalar(1, 1)}})
+        with pytest.raises(ValueError):
+            PBWEngine(alg)
+
+    def test_unsolvable_parities_rejected(self):
+        # s_a + s_b + s_c would have to be both even and odd
+        alg = LieAlgebra(["a", "b", "c"], {(0, 1): {2: ONE},
+                                           (0, 2): {1: SQRT2}})
+        with pytest.raises(ValueError):
+            PBWEngine(alg)
+
+    def test_f4_constants_are_integers(self, me):
+        alg, eng = me.model.g_algebra, me.g
+        s, big_l = eng.parity, eng.scale_l
+        assert big_l == 8
+        assert any(s)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                want = alg.bracket_basis(i, j)
+                got = dict(eng._brackets.get((i, j), ()))
+                assert set(got) == set(want)
+                for k, c in want.items():
+                    assert type(got[k]) is int
+                    # [e'_i, e'_j] = L sqrt2^{s_i + s_j - s_k} c e'_k
+                    assert sca(got[k]) == sca(big_l) * c * \
+                        SQRT2 ** (s[i] + s[j] - s[k])
