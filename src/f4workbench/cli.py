@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .exactnum import ONE, Scalar, ZERO, sca
+from .exactnum import ONE, ZERO, sca
+from .reporting import CheckResult
 
 
 @dataclass
@@ -98,14 +99,13 @@ def _run_checks(suite: str, cfg: Config, checks: List[Check]) -> Report:
     """Run the checks in order; later checks may read what earlier built."""
     report = Report(suite=suite, seed=cfg.seed)
     for cid, fn in checks:
+        t0 = time.perf_counter()
         try:
             ok, witness = fn()
         except Exception as exc:   # a crash is a failed check with witness
             ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        rec = {"id": cid, "status": "pass" if ok else "fail"}
-        if not ok:
-            rec["witness"] = witness or "unspecified"
-        report.checks.append(rec)
+        report.checks.append(CheckResult(cid, bool(ok), witness,
+                                         time.perf_counter() - t0).as_dict())
     return report
 
 

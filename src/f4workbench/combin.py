@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import Matrix, ONE, PolyScalar, Scalar, ZERO, sca
-from .liealg import LieElement, el_add, el_scale
-from .repth import DegreeMachine, degree_machine
+from .repth import degree_machine
 from .rootdata import Coord, gamma_basis, vadd, vscale
 from .uea import IwasawaElement, ModelEngine, PBWEngine, UEA
 
@@ -129,8 +129,9 @@ def generalized_a_matrix(lseq: Sequence[int], delta: int) -> List[List[PolyScala
     return out
 
 
+@lru_cache(maxsize=None)
 def _binom_poly(shift: int, t: int) -> PolyScalar:
-    """C(s + shift, t) as a polynomial in s."""
+    """C(s + shift, t) as a polynomial in s; shared, so never mutated."""
     acc = PolyScalar.constant(Fraction(1, factorial(t)))
     for u in range(t):
         acc = acc * PolyScalar([sca(shift - u), ONE])

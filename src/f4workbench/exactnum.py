@@ -7,14 +7,15 @@ is stored as a single reduced triple (p, q, r) of integers representing
 (p + q*sqrt2)/r, which keeps the hot arithmetic paths down to integer
 multiplies and one gcd per operation.
 
-Matrices are dense with Scalar entries.  Rank and determinant use
+Matrices are dense with Scalar entries.  Their rank and determinant use
 fraction-free (Bareiss) elimination to bound coefficient growth; kernels
 and solving use ordinary Gauss-Jordan over the field, which is exact.
 
 Sparse vectors are dicts {key: Scalar} with comparable keys.  One sparse
-reduced echelon form (Echelon) serves every span, coordinate map, kernel
-and dual basis downstream; the dense Matrix eliminations stay for dense
-work and as the test oracle.
+reduced echelon form (Echelon) serves every span, coordinate map, kernel,
+dual basis and rank downstream.  Dense Bareiss has no caller outside the
+tests, where it is the oracle for the echelon ranks; the remaining dense
+Matrix work is Gauss-Jordan solving and products.
 """
 
 from __future__ import annotations

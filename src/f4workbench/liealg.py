@@ -15,18 +15,18 @@ the named subspaces and transversality maps used everywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, combine, kernel,
                        sca, sqrt_in_field)
 from .reporting import Battery
 from .rootdata import (
-    Coord, F4_SIMPLE, RootSystem, build_root_system, cartan_matrix_of,
-    cartan_type, dot, f4_root_system, f4_satake_data, gamma_basis,
-    simple_system, theta_coord, vadd, vneg, vsub, vec,
+    Coord, F4_SIMPLE, RootSystem, cartan_type, f4_root_system,
+    f4_satake_data, gamma_basis, simple_system, theta_coord, vadd, vneg,
+    vsub, vec,
 )
 
 # A Lie algebra element: sparse mapping basis index -> nonzero Scalar.
@@ -320,10 +320,6 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _element_to_vec(x: LieElement, n: int) -> List[Scalar]:
-    return [x.get(i, ZERO) for i in range(n)]
-
-
 def _vec_to_element(v: Sequence[Scalar]) -> LieElement:
     return {i: c for i, c in enumerate(v) if c}
 
@@ -467,8 +463,8 @@ def _build_theta(alg: LieAlgebra, rs: RootSystem, c1: Scalar) -> Matrix:
         images[ridx[gamma]] = el_scale(ninv, img)
         imgn = alg.bracket(images[ridx[vneg(a1)]], images[ridx[vneg(b1)]])
         images[ridx[vneg(gamma)]] = el_scale(-ninv, imgn)
-    cols = [_element_to_vec(images[j], alg.dim) for j in range(alg.dim)]
-    return Matrix.from_columns(cols)
+    return Matrix([[images[j].get(i, ZERO) for j in range(alg.dim)]
+                   for i in range(alg.dim)])
 
 
 def _is_automorphism(alg: LieAlgebra, m: Matrix) -> Optional[str]:
@@ -877,15 +873,16 @@ def transversality_rank(model: F4Model, which: str) -> Tuple[int, int]:
     return _transversality_rank_at(model, dom, zo), target.dim
 
 
+def _transversality_columns(model: F4Model, dom: Subspace,
+                            z: LieElement) -> List[LieElement]:
+    """The images [x, z] of the basis of dom, then the basis of (mplus)perp."""
+    return ([model.algebra.bracket(x, z) for x in dom.basis()]
+            + model.subspaces["mplus_perp"].basis())
+
+
 def _transversality_rank_at(model: F4Model, dom: Subspace,
                             z: LieElement) -> int:
-    cols = []
-    ndim = model.algebra.dim
-    for x in dom.basis():
-        cols.append(_element_to_vec(model.algebra.bracket(x, z), ndim))
-    for y in model.subspaces["mplus_perp"].basis():
-        cols.append(_element_to_vec(y, ndim))
-    return Matrix.from_columns(cols).rank()
+    return len(Echelon(_transversality_columns(model, dom, z)))
 
 
 def transversality_rank_zero_map(model: F4Model) -> int:
@@ -1013,7 +1010,12 @@ def verify_model(model: F4Model = None) -> Battery:
                 if lhs != ZERO:
                     ok = False
     bat.check("invariant form: associativity on sampled triples", ok)
-    bat.check("F4 Killing determinant nonzero", bool(model.killing.det()))
+    # a square matrix has nonzero determinant exactly when its rows are
+    # independent
+    killing_rows = [{j: c for j, c in enumerate(row) if c}
+                    for row in model.killing.entries]
+    bat.check("F4 Killing determinant nonzero",
+              len(Echelon(killing_rows)) == alg.dim)
     return bat
 
 

@@ -593,6 +593,20 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     return Report(ok, details)
 
 
+def lowering_chain(xd: SparseOp, e: SparseOp, v: Dict[int, Scalar],
+                   k: int, l: int) -> List[Dict[int, Scalar]]:
+    """The vectors Xdelta^{k-j} E^{l+j} v for 0 <= j <= k."""
+    chain = []
+    for j in range(0, k + 1):
+        w = v
+        for _ in range(l + j):
+            w = e.apply(w)
+        for _ in range(k - j):
+            w = xd.apply(w)
+        chain.append(w)
+    return chain
+
+
 def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     """The lowering-chain identities and the basis property.
 
@@ -613,18 +627,9 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     g = gamma_basis()
     xi = xi_weight(k, l)
     for v in inv:
-        chain = []
-        for j in range(0, k + 1):
-            w = v
-            for _ in range(l + j):
-                w = e.apply(w)
-            for _ in range(k - j):
-                w = xd.apply(w)
-            chain.append(w)
+        chain = lowering_chain(xd, e, v, k, l)
         # linear independence
-        idxs = sorted({i for w in chain for i in w})
-        mat = Matrix([[w.get(i, ZERO) for w in chain] for i in idxs])
-        if mat.rank() != k + 1:
+        if len(Echelon(chain)) != k + 1:
             ok = False
             details.append("chain is not independent")
         # weights: xi - j gamma1

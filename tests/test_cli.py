@@ -64,6 +64,29 @@ class TestSuites:
         assert json.loads(out.read_text())["wall_time_seconds"] > 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_check_records_carry_seconds(self, suite, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["verify", suite, "--json", str(out)]) == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        seconds = [c["seconds"] for c in report["checks"]]
+        assert seconds and all(s >= 0 for s in seconds)
+        # the checks take disjoint slices of the suite's wall time; the
+        # slack covers rounding each record to 1e-6 s and the total to 1e-3 s
+        slack = 5e-4 + 5e-7 * len(seconds)
+        assert sum(seconds) <= report["wall_time_seconds"] + slack
+
+    def test_battery_charges_the_time_since_the_previous_check(self):
+        import time
+        from f4workbench.reporting import Battery
+        bat = Battery("demo")
+        time.sleep(0.02)
+        bat.check("slow", True)
+        bat.check("fast", True)
+        slow, fast = (r.as_dict()["seconds"] for r in bat.results)
+        assert slow >= 0.02 and 0 <= fast < 0.02
+
     def test_failed_check_records_witness(self):
         from f4workbench.cli import _run_checks
         rep = _run_checks("demo", Config(), [

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from f4workbench.combin import (
-    assemble_system, coefficient_a, coefficient_b, coefficient_data,
-    degree_profile, determinant_factorization, dk_operator,
+    _binom_poly, assemble_system, coefficient_a, coefficient_b,
+    coefficient_data, degree_profile, determinant_factorization, dk_operator,
     generalized_a_matrix, has_degree_property, in_reduced_subspace,
     index_sets, power_needed_for_degree_property, system_matches_generalized,
     system_matrix, u_element, weight_of,
@@ -160,6 +160,27 @@ class TestGeneralizedMatrix:
                         2 * j + delta for j in range(size)) + size
                     checked += 1
         assert checked > 50
+
+
+class TestBinomPoly:
+    def test_matches_math_comb(self):
+        from math import comb
+        for shift in range(-3, 4):
+            for t in range(6):
+                poly = _binom_poly(shift, t)
+                for s in range(-shift, -shift + 8):
+                    assert poly.evaluate(sca(s)) == sca(comb(s + shift, t))
+
+    def test_factorization_survives_the_cache(self):
+        # the cached polynomials are shared between calls; a caller that
+        # mutated one would change the second answer
+        _binom_poly.cache_clear()
+        cold = [determinant_factorization(lseq, delta)
+                for lseq in ((0, 1), (1, 3), (0, 2, 5)) for delta in (0, 1)]
+        warm = [determinant_factorization(lseq, delta)
+                for lseq in ((0, 1), (1, 3), (0, 2, 5)) for delta in (0, 1)]
+        assert _binom_poly.cache_info().hits > 0
+        assert cold == warm
 
 
 class TestUElement:

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from f4workbench.exactnum import Matrix, ONE, SQRT2, Scalar, ZERO, sca
+from f4workbench.exactnum import Echelon, Matrix, ONE, SQRT2, Scalar, ZERO, sca
 from f4workbench.liealg import (
-    build_f4_model, cayley_transform, chevalley_algebra, el_add, el_eq,
-    el_scale, el_sub, killing_form, orthocomplement, transversality_rank,
-    transversality_rank_zero_map, verify_model,
+    _transversality_columns, build_f4_model, cayley_transform,
+    chevalley_algebra, el_add, el_eq, el_scale, el_sub, killing_form,
+    orthocomplement, transversality_rank, transversality_rank_zero_map,
+    verify_model,
 )
 from f4workbench.rootdata import build_root_system, f4_root_system, vec
 
@@ -162,6 +163,30 @@ class TestTransversality:
         for x in model.subspaces["q"].basis():
             img = model.algebra.bracket(x, zo)
             assert yp.contains(img)
+
+
+class TestDenseRankOracle:
+    """The echelon ranks of the checks against dense Bareiss on the same
+    vectors, densified."""
+
+    @staticmethod
+    def _dense_rank(vectors):
+        return Matrix.from_columns([[v.get(i, ZERO) for i in range(52)]
+                                    for v in vectors]).rank()
+
+    @pytest.mark.parametrize("domain, anchor, rank", [
+        ("q", "Zo", 33), ("qtilde", "Zo", 36), ("q", None, 27)])
+    def test_transversality_columns(self, model, domain, anchor, rank):
+        z = model.distinguished[anchor] if anchor else {}
+        cols = _transversality_columns(model, model.subspaces[domain], z)
+        assert len(Echelon(cols)) == self._dense_rank(cols) == rank
+
+    def test_killing_rows(self, model):
+        killing = model.killing
+        rows = [{j: c for j, c in enumerate(row) if c}
+                for row in killing.entries]
+        assert killing.det() != ZERO
+        assert len(Echelon(rows)) == killing.rank() == 52
 
 
 class TestOrthocomplement:

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from f4workbench.exactnum import Matrix, ONE, ZERO, sca
+from f4workbench.exactnum import Echelon, Matrix, ONE, ZERO, sca
 from f4workbench.repth import (
     DegreeMachine, TriangularData, build_irrep, build_module,
     build_module_for_weight, degree_additivity, degree_machine,
-    k_triangular_data, label_of_weight, m_generators, m_invariants,
-    sl2_triangular_data, spherical_fundamentals, verify_hw3iv, verify_techo,
-    weyl_dimension, xi_weight,
+    k_triangular_data, label_of_weight, lowering_chain, m_generators,
+    m_invariants, sl2_triangular_data, spherical_fundamentals, verify_hw3iv,
+    verify_techo, weyl_dimension, xi_weight,
 )
 from f4workbench.rootdata import vec
 from f4workbench.uea import PBWEngine, invariants_up_to_degree
@@ -180,6 +180,28 @@ class TestTecho:
         lowered = xm1.apply(u)
         expect = {i: sca(2) * c for i, c in e.apply(v).items()}
         assert lowered == expect
+
+
+class TestChainRankOracle:
+    def test_echelon_rank_matches_dense(self, me, modules):
+        # the lowering chain of verify_techo at (2, 0), densified
+        ctx = modules[(2, 0)]
+        xd = ctx.action_named(me, "Xdelta")
+        e = ctx.action_named(me, "E")
+        invariants = m_invariants(ctx, me)
+        assert invariants
+        for v in invariants:
+            chain = lowering_chain(xd, e, v, 2, 0)
+            idxs = sorted({i for w in chain for i in w})
+
+            def dense(vectors):
+                return Matrix([[w.get(i, ZERO) for w in vectors]
+                               for i in idxs]).rank()
+            assert len(Echelon(chain)) == dense(chain) == 3
+            # a dependent vector raises neither rank
+            extra = chain + [{i: chain[0].get(i, ZERO) + chain[2].get(i, ZERO)
+                              for i in idxs}]
+            assert len(Echelon(extra)) == dense(extra) == 3
 
 
 class TestKostantDegree:
