@@ -20,13 +20,14 @@ combinations used by the induction machinery downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
 from .exactnum import ONE, Scalar, ZERO, sca
 from .liealg import LieElement, el_scale
+from .reporting import Report
 from .uea import (IwasawaElement, Mono, ONE_MONO, PBWEngine, UEA,
                   ModelEngine, reduce_mod)
 
@@ -278,33 +279,6 @@ def shift_substitute_direct(me: ModelEngine, b: PolyUEA) -> PolyUEA:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EquationRecord:
-    eq_id: str
-    passed: bool
-    residual_monomials: int
-
-    def as_dict(self) -> dict:
-        return {"equation": self.eq_id, "passed": self.passed,
-                "residual_monomials": self.residual_monomials}
-
-
-@dataclass
-class BEquationReport:
-    records: List[EquationRecord] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def add(self, eq_id: str, residual: UEA):
-        self.records.append(EquationRecord(eq_id, not residual, len(residual)))
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed,
-                "equations": [r.as_dict() for r in self.records]}
-
-
 def default_nmax(degree: int) -> int:
     return 2 * degree + 2
 
@@ -322,8 +296,9 @@ def coefficients_m_invariant(me: ModelEngine, b: IwasawaElement) -> bool:
 
 
 def check_congruences(me: ModelEngine, b: IwasawaElement,
-                      nmax: Optional[int] = None) -> BEquationReport:
-    """The raw congruences for n = 1..nmax, reduced exactly.
+                      nmax: Optional[int] = None,
+                      rep: Optional[Report] = None) -> Report:
+    """The raw congruences for n = 1..nmax, reduced exactly, into rep.
 
     Raises when a coefficient leaves U(k).  nmax defaults to twice the
     degree plus two; the triangular form shows higher equations are
@@ -337,35 +312,36 @@ def check_congruences(me: ModelEngine, b: IwasawaElement,
         nmax = default_nmax(max(b.degree, 0))
     y = me.model.distinguished["Y"]
     neg_y = el_scale(-ONE, y)
-    report = BEquationReport()
+    if rep is None:
+        rep = Report("congruences")
     for n in range(1, nmax + 1):
         left_arg = CentralArg(me, Fraction(n - 1), neg_y)
         right_arg = CentralArg(me, Fraction(-n - 1), neg_y)
         en = me.g.gen("E", n)
         lhs = me.g.mul(en, evaluate_poly(me, iwasawa_to_poly(b), left_arg))
         rhs = evaluate_poly(me, iwasawa_to_poly(b), right_arg, right=en)
-        residual = me.reduce_mod_mplus(PBWEngine.sub(lhs, rhs))
-        report.add("n=%d" % n, residual)
-    return report
+        rep.vanishes("n=%d" % n, me.reduce_mod_mplus(PBWEngine.sub(lhs, rhs)),
+                     me.g.serialize)
+    return rep
 
 
 def check_b_membership(me: ModelEngine, b: IwasawaElement,
-                       nmax: Optional[int] = None) -> BEquationReport:
+                       nmax: Optional[int] = None,
+                       rep: Optional[Report] = None) -> Report:
     """Membership in the congruence algebra: invariance plus equations.
 
-    The algebra is defined inside the centralizer invariants, so the
-    report carries one record for the invariance of the coefficients
-    followed by one record per congruence, all reduced exactly.
+    The algebra is defined inside the centralizer invariants, so rep gets
+    one record for the invariance of the coefficients followed by one
+    record per congruence, all reduced exactly.
     """
-    report = BEquationReport()
-    inv_ok = coefficients_m_invariant(me, b)
-    report.records.append(EquationRecord("m-invariance", inv_ok,
-                                         0 if inv_ok else 1))
-    report.records.extend(check_congruences(me, b, nmax).records)
-    return report
+    if rep is None:
+        rep = Report("membership")
+    rep.check("m-invariance", coefficients_m_invariant(me, b),
+              "a coefficient is moved by the centralizer")
+    return check_congruences(me, b, nmax, rep)
 
 
-def check_triangular(me: ModelEngine, c: PolyUEA) -> BEquationReport:
+def check_triangular(me: ModelEngine, c: PolyUEA) -> Report:
     """The triangularized system, one equation per degree level.
 
     Equation n reads: apply the raising derivation n+1 times to the n-th
@@ -378,7 +354,7 @@ def check_triangular(me: ModelEngine, c: PolyUEA) -> BEquationReport:
     yt = me.model.distinguished["Ytilde"]
     neg_yt = el_scale(-ONE, yt)
     e = me.g.gen("E")
-    report = BEquationReport()
+    rep = Report("triangular")
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
     for n in range(0, max(m, 0) + 1):
         dn = discrete_derivative(cx, n)
@@ -390,8 +366,8 @@ def check_triangular(me: ModelEngine, c: PolyUEA) -> BEquationReport:
         total = PBWEngine.add(
             evaluate_poly(me, dn_e, arg1),
             evaluate_poly(me, dn1_e, arg2, right=e))
-        report.add("n=%d" % n, me.reduce_mod_mplus(total))
-    return report
+        rep.vanishes("n=%d" % n, me.reduce_mod_mplus(total), me.g.serialize)
+    return rep
 
 
 def epsilon_ln(me: ModelEngine, c: PolyUEA, l: int, n: int) -> UEA:

@@ -1,9 +1,10 @@
 """Command-line driver: verification suites, dumps, and golden files.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage
-error or bad input, 3 I/O error.  Every report is JSON with one record
-per check, each carrying a stable descriptive id, and the seed used for
-sampled families so runs are reproducible.
+error or bad input, 3 I/O error.  Every command that runs checks writes
+one JSON schema, reporting.Report.as_dict(): one record per check, each
+carrying a stable descriptive id, the seed used for sampled families so
+runs are reproducible, the setup time and the wall time.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exactnum import ONE, ZERO, sca
-from .reporting import CheckResult
+from .reporting import Report
 
 
 @dataclass
@@ -30,8 +31,17 @@ class Config:
     parallelism: int = 1                # accepted for old config files
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "nmax":
+                continue
+            if type(value) is not int:          # a bool is not a count
+                raise ValueError("%s must be an integer, not %r"
+                                 % (f.name, value))
         if self.dimension_cap <= 0 or self.degree_cap <= 0:
             raise ValueError("config values must be positive")
+        if self.nmax is not None and self.nmax < 1:
+            raise ValueError("nmax must be at least 1, not %d" % self.nmax)
         if self.parallelism != 1:
             raise ValueError("parallelism must be 1: the checks of a suite "
                              "share state and run in order")
@@ -39,7 +49,6 @@ class Config:
     @staticmethod
     def load(path: str) -> "Config":
         text = open(path).read()
-        data = None
         if path.endswith(".json"):
             data = json.loads(text)
         else:
@@ -48,9 +57,12 @@ class Config:
                 data = tomllib.loads(text)
             except ModuleNotFoundError:
                 data = _mini_toml(text)
-        known = {"dimension_cap", "nmax", "degree_cap", "seed", "parallelism"}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        return Config(**kwargs)
+        if not isinstance(data, dict):
+            raise ValueError("%s must hold an object of keys" % path)
+        unknown = sorted(set(data) - {f.name for f in fields(Config)})
+        if unknown:
+            raise ValueError("unknown key %s in %s" % (unknown[0], path))
+        return Config(**data)
 
 
 def _mini_toml(text: str) -> dict:
@@ -70,47 +82,8 @@ def _mini_toml(text: str) -> dict:
     return out
 
 
-@dataclass
-class Report:
-    suite: str
-    seed: int
-    checks: List[dict] = field(default_factory=list)
-    wall_time: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(c["status"] == "pass" for c in self.checks)
-
-    def as_dict(self) -> dict:
-        passes = sum(1 for c in self.checks if c["status"] == "pass")
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "checks": self.checks,
-            "summary": {"pass": passes, "fail": len(self.checks) - passes},
-            "wall_time_seconds": round(self.wall_time, 3),
-        }
-
-
-Check = Tuple[str, Callable[[], Tuple[bool, Optional[str]]]]
-
-
-def _run_checks(suite: str, cfg: Config, checks: List[Check]) -> Report:
-    """Run the checks in order; later checks may read what earlier built."""
-    report = Report(suite=suite, seed=cfg.seed)
-    for cid, fn in checks:
-        t0 = time.perf_counter()
-        try:
-            ok, witness = fn()
-        except Exception as exc:   # a crash is a failed check with witness
-            ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
-        report.checks.append(CheckResult(cid, bool(ok), witness,
-                                         time.perf_counter() - t0).as_dict())
-    return report
-
-
 def _ok(cond: bool, witness: str = None) -> Tuple[bool, Optional[str]]:
-    return (bool(cond), None if cond else (witness or "condition failed"))
+    return bool(cond), witness
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +91,25 @@ def _ok(cond: bool, witness: str = None) -> Tuple[bool, Optional[str]]:
 # ---------------------------------------------------------------------------
 
 
+def _outcome(rep: Report) -> Tuple[bool, Optional[str]]:
+    """A nested report as one check: its status, and its first failures."""
+    return rep.ok, "; ".join(rep.details[:3])
+
+
+# Each suite starts its report first, so that imports and the model and
+# engine builds are charged to its setup_seconds.
+
+
 def suite_model(cfg: Config) -> Report:
+    rep = Report("model", cfg.seed)
     from .liealg import build_f4_model, verify_model
-    bat = verify_model(build_f4_model())
-    return Report(suite="model", seed=cfg.seed,
-                  checks=[r.as_dict() for r in bat.results])
+    model = build_f4_model()
+    rep.end_setup()
+    return verify_model(model, rep)
 
 
 def suite_transversality(cfg: Config) -> Report:
+    rep = Report("transversality", cfg.seed)
     from .liealg import (build_f4_model, transversality_rank,
                          transversality_rank_zero_map)
     model = build_f4_model()
@@ -145,16 +129,17 @@ def suite_transversality(cfg: Config) -> Report:
         ("zero anchor degenerates to the inclusion",
          lambda: _ok(transversality_rank_zero_map(model) == 27)),
     ]
-    return _run_checks("transversality", cfg, checks)
+    return rep.run(checks)
 
 
 def suite_omega(cfg: Config) -> Report:
+    rep = Report("omega", cfg.seed)
     from .uea import model_engine, omega_normalized
     from .balg import check_b_membership
     from .repth import degree_machine
     me = model_engine()
-    rep = omega_normalized(me)
-    om = rep.omega
+    omr = omega_normalized(me)
+    om = omr.omega
     dm = degree_machine(me)
     nmax = cfg.nmax or 6
 
@@ -164,25 +149,26 @@ def suite_omega(cfg: Config) -> Report:
         ("leading coefficient normalized to 1",
          lambda: _ok(om.coeff(2) == me.g.one())),
         ("middle coefficient is a nonzero scalar",
-         lambda: _ok(bool(rep.omega1_scalar)
-                     and rep.omega1_scalar.is_rational(),
-                     str(rep.omega1_scalar))),
+         lambda: _ok(bool(omr.omega1_scalar)
+                     and omr.omega1_scalar.is_rational(),
+                     str(omr.omega1_scalar))),
         ("constant coefficient in span{1, centralizer Casimir}",
-         lambda: _ok(rep.casimir_m_coeff != ZERO,
-                     "solved (%r, %r)" % (rep.casimir_m_coeff,
-                                          rep.constant_coeff))),
+         lambda: _ok(omr.casimir_m_coeff != ZERO,
+                     "solved (%r, %r)" % (omr.casimir_m_coeff,
+                                          omr.constant_coeff))),
         ("constant coefficient degree at most 4",
          lambda: _ok(dm.degree(om.coeff(0)) <= cfg.degree_cap)),
         ("membership equations for the projected Casimir",
-         lambda: _ok(check_b_membership(me, om, nmax=nmax).passed)),
+         lambda: _outcome(check_b_membership(me, om, nmax=nmax))),
         ("membership equations for its square",
-         lambda: _ok(check_b_membership(me, om.mul(om, me.g),
-                                        nmax=nmax).passed)),
+         lambda: _outcome(check_b_membership(me, om.mul(om, me.g),
+                                             nmax=nmax))),
     ]
-    return _run_checks("omega", cfg, checks)
+    return rep.run(checks)
 
 
 def suite_balg(cfg: Config) -> Report:
+    rep = Report("balg", cfg.seed)
     from .uea import model_engine, omega_normalized, PBWEngine
     from .balg import (CentralArg, check_congruences, check_triangular,
                        default_nmax, discrete_derivative, epsilon_ln,
@@ -260,8 +246,8 @@ def suite_balg(cfg: Config) -> Report:
                               if lab else PBWEngine.scale(c, me.g.one()))
             b = PolyUEA(coeffs, "x").trim()
             nmax = default_nmax(max(b.degree, 0))
-            direct = check_congruences(me, poly_to_iwasawa(b), nmax).passed
-            tri = check_triangular(me, shift_substitute(me, b)).passed
+            direct = check_congruences(me, poly_to_iwasawa(b), nmax).ok
+            tri = check_triangular(me, shift_substitute(me, b)).ok
             if direct != tri:
                 return False, "equivalence fails on a sampled input"
         return True, None
@@ -299,59 +285,50 @@ def suite_balg(cfg: Config) -> Report:
         ("mixed-difference combinations vanish on the projected Casimir",
          epsilon_family),
     ]
-    return _run_checks("balg", cfg, checks)
+    return rep.run(checks)
+
+
+def _module_checks(me, kl, cap: int, modules: dict) -> List[tuple]:
+    """The dimension, invariant, boundary and chain checks of module kl.
+
+    The first builds the module into modules; the others read it there.
+    """
+    from .repth import (build_module, m_invariants, verify_hw3iv,
+                        verify_techo, weyl_dimension, xi_weight)
+
+    def dim():
+        ctx = modules.get(kl) or build_module(me, *kl, cap=cap)
+        modules[kl] = ctx
+        want = weyl_dimension(xi_weight(*kl))
+        return _ok(ctx.rep.dim == want, "dim %d vs %d" % (ctx.rep.dim, want))
+
+    def inv():
+        n = len(m_invariants(modules[kl], me))
+        return _ok(n == 1, "multiplicity %d" % n)
+
+    return [
+        ("module (%d,%d): dimension matches the product formula" % kl, dim),
+        ("module (%d,%d): invariant multiplicity measured" % kl, inv),
+        ("module (%d,%d): raising vanishing boundary" % kl,
+         lambda: _outcome(verify_hw3iv(modules[kl], me, *kl))),
+        ("module (%d,%d): lowering-chain identities" % kl,
+         lambda: _outcome(verify_techo(modules[kl], me, *kl))),
+    ]
 
 
 def suite_repth(cfg: Config) -> Report:
+    rep = Report("repth", cfg.seed)
     from .uea import model_engine, invariants_up_to_degree, PBWEngine
-    from .repth import (build_module, degree_additivity, degree_machine,
-                        m_generators, m_invariants, verify_hw3iv,
-                        verify_techo, weyl_dimension, xi_weight)
+    from .repth import degree_machine, m_generators
     me = model_engine()
     rng = random.Random(cfg.seed)
     labels = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
     modules = {}
-
-    def mk_dim(kl):
-        def fn():
-            ctx = modules.get(kl) or build_module(me, *kl,
-                                                  cap=cfg.dimension_cap)
-            modules[kl] = ctx
-            want = weyl_dimension(xi_weight(*kl))
-            return _ok(ctx.rep.dim == want,
-                       "dim %d vs %d" % (ctx.rep.dim, want))
-        return fn
-
-    def mk_inv(kl):
-        def fn():
-            ctx = modules[kl]
-            inv = m_invariants(ctx, me)
-            return _ok(len(inv) == 1, "multiplicity %d" % len(inv))
-        return fn
-
-    def mk_hw(kl):
-        def fn():
-            r = verify_hw3iv(modules[kl], me, *kl)
-            return _ok(r.ok, "; ".join(r.details[:3]))
-        return fn
-
-    def mk_techo(kl):
-        def fn():
-            r = verify_techo(modules[kl], me, *kl)
-            return _ok(r.ok, "; ".join(r.details[:3]))
-        return fn
-
-    checks = []
-    for kl in labels:
-        checks.append(("module (%d,%d): dimension matches the product formula"
-                       % kl, mk_dim(kl)))
-    for kl in labels:
-        checks.append(("module (%d,%d): invariant multiplicity measured"
-                       % kl, mk_inv(kl)))
-        checks.append(("module (%d,%d): raising vanishing boundary" % kl,
-                       mk_hw(kl)))
-        checks.append(("module (%d,%d): lowering-chain identities" % kl,
-                       mk_techo(kl)))
+    per_module = [_module_checks(me, kl, cfg.dimension_cap, modules)
+                  for kl in labels]
+    # every dimension first, then each module's other three checks
+    checks = [mc[0] for mc in per_module]
+    checks += [c for mc in per_module for c in mc[1:]]
 
     def degree_checks():
         gens = [me.lie_in_mixed(me.model.k_element_in_g(g))
@@ -371,10 +348,11 @@ def suite_repth(cfg: Config) -> Report:
         return True, None
 
     checks.append(("filtration bound on sampled invariants", degree_checks))
-    return _run_checks("repth", cfg, checks)
+    return rep.run(checks)
 
 
 def suite_combin(cfg: Config) -> Report:
+    rep = Report("combin", cfg.seed)
     from .uea import model_engine, omega_normalized
     from .combin import (assemble_system, degree_profile,
                          determinant_factorization, dk_operator,
@@ -441,8 +419,7 @@ def suite_combin(cfg: Config) -> Report:
         return True, None
 
     def assembly():
-        rep = assemble_system(me, om, 2, [(1, 0), (0, 1), (2, 1)])
-        return _ok(rep.passed, str(rep.direct_residuals))
+        return _outcome(assemble_system(me, om, 2, [(1, 0), (0, 1), (2, 1)]))
 
     checks = [
         ("degree profile table", profile_table),
@@ -454,7 +431,7 @@ def suite_combin(cfg: Config) -> Report:
         ("assembled congruence sums vanish on the projected Casimir",
          assembly),
     ]
-    return _run_checks("combin", cfg, checks)
+    return rep.run(checks)
 
 
 SUITES = {
@@ -469,16 +446,19 @@ SUITES = {
 
 def run_suite(name: str, cfg: Config) -> Report:
     """Run one suite, or all of them; wall_time covers the whole call,
-    including the model and engine setup the suite pays for."""
+    including the model and engine setup the suite pays for.  The report
+    of all suites sums their setup_seconds."""
     if name != "all" and name not in SUITES:
         raise KeyError(name)
     t0 = time.perf_counter()
     if name == "all":
-        report = Report(suite="all", seed=cfg.seed)
+        report = Report("all", cfg.seed)
         for sub in ("model", "transversality", "omega", "balg", "repth",
                     "combin"):
+            part = SUITES[sub](cfg)
             report.checks.extend(dict(c, id="%s: %s" % (sub, c["id"]))
-                                 for c in SUITES[sub](cfg).checks)
+                                 for c in part.checks)
+            report.setup_seconds += part.setup_seconds
     else:
         report = SUITES[name](cfg)
     report.wall_time = time.perf_counter() - t0
@@ -639,6 +619,11 @@ def _emit(payload: dict, json_out: Optional[str]) -> None:
     print(text)
 
 
+def _emit_report(rep: Report, json_out: Optional[str]) -> int:
+    _emit(rep.as_dict(), json_out)
+    return 0 if rep.ok else 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -652,17 +637,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.config:
             cfg = Config.load(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        flags = {"seed": args.seed, "nmax": getattr(args, "nmax", None)}
+        cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     except (OSError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
     try:
         if args.command == "verify":
-            rep = run_suite(args.suite, cfg)
-            _emit(rep.as_dict(), args.json_out)
-            return 0 if rep.ok else 1
+            return _emit_report(run_suite(args.suite, cfg), args.json_out)
 
         if args.command == "golden":
             emit_golden(args.target, args.out)
@@ -674,42 +657,30 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
 
         if args.command == "liealg":
-            rep = run_suite("model", cfg)
-            _emit(rep.as_dict(), args.json_out)
-            return 0 if rep.ok else 1
+            return _emit_report(run_suite("model", cfg), args.json_out)
 
         if args.command == "uea":
             _emit(json.loads(golden_omega()), args.json_out)
             return 0
 
         if args.command == "balg":
+            rep = Report("balg check-b", cfg.seed)
             from .uea import model_engine
             from .balg import check_b_membership
             data = _read_input(args.input)
             me = model_engine()
             elem = _load_element(me, args.input, data)
-            rep = check_b_membership(me, elem, nmax=args.nmax or cfg.nmax)
-            _emit(rep.as_dict(), args.json_out)
-            return 0 if rep.passed else 1
+            rep.end_setup()
+            check_b_membership(me, elem, nmax=cfg.nmax, rep=rep)
+            return _emit_report(rep, args.json_out)
 
         if args.command == "repth":
+            rep = Report("repth verify", cfg.seed)
             from .uea import model_engine
-            from .repth import (build_module, m_invariants, verify_hw3iv,
-                                verify_techo)
             me = model_engine()
-            ctx = build_module(me, args.k, args.l, cap=cfg.dimension_cap)
-            inv = m_invariants(ctx, me)
-            r1 = verify_hw3iv(ctx, me, args.k, args.l)
-            r2 = verify_techo(ctx, me, args.k, args.l)
-            payload = {
-                "label": [args.k, args.l],
-                "dimension": ctx.rep.dim,
-                "invariant_multiplicity": len(inv),
-                "vanishing_boundary": {"ok": r1.ok, "details": r1.details},
-                "chain_identities": {"ok": r2.ok, "details": r2.details},
-            }
-            _emit(payload, args.json_out)
-            return 0 if (r1.ok and r2.ok) else 1
+            rep.run(_module_checks(me, (args.k, args.l), cfg.dimension_cap,
+                                   {}))
+            return _emit_report(rep, args.json_out)
 
         if args.command == "combin":
             return _combin_command(args, cfg)
@@ -755,6 +726,7 @@ def _combin_command(args, cfg: Config) -> int:
         _emit({"factorizations": out}, args.json_out)
         return 0 if all(f["splits"] for f in out) else 1
     if args.action == "assemble":
+        rep = Report("combin assemble", cfg.seed)
         from .uea import model_engine, omega_normalized
         data = _read_input(args.input) if args.input else None
         me = model_engine()
@@ -762,24 +734,13 @@ def _combin_command(args, cfg: Config) -> int:
             elem = _load_element(me, args.input, data)
         else:
             elem = omega_normalized(me).omega
+        rep.end_setup()
         T = args.T if args.T is not None else 2
         n = args.n if args.n is not None else 0
         pairs = [(l, n) for l in range(0, T - n + 1) if (l, n) != (n, n)] \
             or [(0, n)]
-        rep = assemble_system(me, elem, T, pairs)
-        payload = {
-            "T": T,
-            "pairs": [list(p) for p in rep.n_l_pairs],
-            "direct_residual_monomials":
-                {str(k): v for k, v in rep.direct_residuals.items()},
-            "typed_residual_monomials":
-                {str(k): v for k, v in rep.typed_residuals.items()},
-            "combined_residual_monomials":
-                {str(k): v for k, v in rep.script_e_residuals.items()},
-            "passed": rep.passed,
-        }
-        _emit(payload, args.json_out)
-        return 0 if rep.passed else 1
+        assemble_system(me, elem, T, pairs, rep=rep)
+        return _emit_report(rep, args.json_out)
     return 2
 
 

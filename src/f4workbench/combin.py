@@ -12,13 +12,14 @@ out-of-range arguments vanish, which is what delimits every sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import Matrix, ONE, PolyScalar, Scalar, ZERO, sca
+from .reporting import Report
 from .repth import degree_machine
 from .rootdata import Coord, gamma_basis, vadd, vscale
 from .uea import IwasawaElement, ModelEngine, PBWEngine, UEA
@@ -337,23 +338,6 @@ def coefficient_data(me: ModelEngine, b: IwasawaElement) -> CoefficientData:
                            degrees=degrees)
 
 
-@dataclass
-class AssemblyReport:
-    T: int
-    n_l_pairs: List[Tuple[int, int]]
-    direct_residuals: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    typed_residuals: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    weight_ok: Dict[Tuple[int, int], bool] = field(default_factory=dict)
-    script_e_residuals: Dict[Tuple[int, int], int] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (all(v == 0 for v in self.direct_residuals.values())
-                and all(v == 0 for v in self.typed_residuals.values())
-                and all(self.weight_ok.values())
-                and all(v == 0 for v in self.script_e_residuals.values()))
-
-
 def _sigma_direct(me: ModelEngine, b: IwasawaElement, m: int, T: int,
                   l: int, n: int) -> UEA:
     """First assembled sum with raw coefficients: over the index pairs
@@ -413,14 +397,16 @@ def _sigma_typed(me: ModelEngine, data: CoefficientData, T: int,
 
 def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
                     ln_pairs: Sequence[Tuple[int, int]],
-                    data: Optional[CoefficientData] = None) -> AssemblyReport:
+                    data: Optional[CoefficientData] = None,
+                    rep: Optional[Report] = None) -> Report:
     """Assemble the congruence sums for the pairs (l, n) and reduce.
 
     Checks the degree bounds and the diagonal hypothesis first (raises
-    naming the violated hypothesis); then, for each pair, reduces the
-    raw-coefficient and type-component assemblies modulo the nilradical
-    left ideal, verifies the weight of the typed assembly, and reduces
-    the binomially-combined family over admissible L.
+    naming the violated hypothesis); then, for each pair, records in rep
+    whether the raw-coefficient ("direct") and type-component ("typed")
+    assemblies vanish modulo the nilradical left ideal and whether the
+    typed assembly has its weight, and finally whether the binomially
+    combined family ("combined") vanishes for each n and admissible L.
     """
     if data is None:
         data = coefficient_data(me, b)
@@ -432,7 +418,8 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
     if not (m <= T <= 2 * d0):
         raise ValueError("T=%d out of range [%d, %d]" % (T, m, 2 * d0))
     g = gamma_basis()
-    report = AssemblyReport(T=T, n_l_pairs=list(ln_pairs))
+    if rep is None:
+        rep = Report("assembly")
     for (l, n) in ln_pairs:
         s1 = _sigma_direct(me, b, m, T, l, n)
         s2 = _sigma_direct(me, b, m, T, n, l)
@@ -441,7 +428,8 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
                             me.g.mul(s1, me.g.gen("E", n) if n else me.g.one())),
             PBWEngine.scale(sca((-1) ** l),
                             me.g.mul(s2, me.g.gen("E", l) if l else me.g.one())))
-        report.direct_residuals[(l, n)] = len(me.reduce_mod_mplus(lhs))
+        rep.vanishes("direct (l,n)=(%d,%d)" % (l, n),
+                     me.reduce_mod_mplus(lhs), me.g.serialize)
 
         t1 = _sigma_typed(me, data, T, l, n)
         t2 = _sigma_typed(me, data, T, n, l)
@@ -450,11 +438,14 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
                             me.g.mul(t1, me.g.gen("E", n) if n else me.g.one())),
             PBWEngine.scale(sca((-1) ** l),
                             me.g.mul(t2, me.g.gen("E", l) if l else me.g.one())))
-        report.typed_residuals[(l, n)] = len(me.reduce_mod_mplus(lhs_t))
+        rep.vanishes("typed (l,n)=(%d,%d)" % (l, n),
+                     me.reduce_mod_mplus(lhs_t), me.g.serialize)
         expect = vadd(vscale(2 * T - l - n, g["gamma1"]),
                       vscale(T, vadd(g["gamma2"], g["delta"])))
         w = weight_of(me, lhs_t)
-        report.weight_ok[(l, n)] = (not lhs_t) or w == expect
+        rep.check("weight (l,n)=(%d,%d)" % (l, n),
+                  (not lhs_t) or w == expect,
+                  "weight %s, expected %s" % (w, expect))
     # the binomially combined family over admissible L
     x4 = me.uea_of(me.model.distinguished["X4"])
     seen_n = sorted({n for (_, n) in ln_pairs})
@@ -480,8 +471,9 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
                 acc = PBWEngine.add(
                     acc, PBWEngine.scale(sca((-2) ** l * comb(L, l)),
                                          me.g.mul(eps, tail)))
-            report.script_e_residuals[(n, L)] = len(me.reduce_mod_mplus(acc))
-    return report
+            rep.vanishes("combined (n,L)=(%d,%d)" % (n, L),
+                         me.reduce_mod_mplus(acc), me.g.serialize)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, combine, kernel,
                        sca, sqrt_in_field)
-from .reporting import Battery
+from .reporting import Report
 from .rootdata import (
     Coord, F4_SIMPLE, RootSystem, cartan_type, f4_root_system,
     f4_satake_data, gamma_basis, simple_system, theta_coord, vadd, vneg,
@@ -895,109 +895,110 @@ def transversality_rank_zero_map(model: F4Model) -> int:
 # ---------------------------------------------------------------------------
 
 
-def verify_model(model: F4Model = None) -> Battery:
-    """Run every structural invariant of the model; exact, no tolerances."""
+def verify_model(model: F4Model = None, rep: Report = None) -> Report:
+    """Check every structural invariant of the model, exactly, into rep."""
     if model is None:
         model = build_f4_model()
-    bat = Battery("model")
+    if rep is None:
+        rep = Report("model")
     alg = model.algebra
     d = model.distinguished
     sub = model.subspaces
 
-    bat.equal("dim g = 52", alg.dim, 52)
-    bat.equal("dim k = 36", sub["k"].dim, 36)
-    bat.equal("dim p = 16", sub["p"].dim, 16)
-    bat.equal("dim m = 21", sub["m"].dim, 21)
-    bat.equal("dim n = 15", sub["n"].dim, 15)
-    bat.equal("dim a = 1", sub["a"].dim, 1)
-    bat.equal("dim gtilde = 21", sub["gtilde"].dim, 21)
+    rep.equal("dim g = 52", alg.dim, 52)
+    rep.equal("dim k = 36", sub["k"].dim, 36)
+    rep.equal("dim p = 16", sub["p"].dim, 16)
+    rep.equal("dim m = 21", sub["m"].dim, 21)
+    rep.equal("dim n = 15", sub["n"].dim, 15)
+    rep.equal("dim a = 1", sub["a"].dim, 1)
+    rep.equal("dim gtilde = 21", sub["gtilde"].dim, 21)
 
-    bat.check("involution squares to identity",
+    rep.check("involution squares to identity",
               model.theta * model.theta == Matrix.identity(alg.dim))
-    bat.check("involution is an automorphism",
+    rep.check("involution is an automorphism",
               _is_automorphism(alg, model.theta) is None)
-    bat.check("rotation is an automorphism",
+    rep.check("rotation is an automorphism",
               _is_automorphism(alg, model.chi) is None)
-    bat.check("Jacobi identity on all basis triples",
+    rep.check("Jacobi identity on all basis triples",
               not alg.jacobi_failures(limit=1))
-    bat.check("Jacobi identity on the 36-dim table",
+    rep.check("Jacobi identity on the 36-dim table",
               not model.k_algebra.jacobi_failures(limit=1))
 
     br = alg.bracket
-    bat.check("[X1, X2] = E", el_eq(br(d["X1"], d["X2"]), d["E"]))
-    bat.check("[X1, E] = X4", el_eq(br(d["X1"], d["E"]), d["X4"]))
-    bat.check("[Xm1, E] = 2 X2",
+    rep.check("[X1, X2] = E", el_eq(br(d["X1"], d["X2"]), d["E"]))
+    rep.check("[X1, E] = X4", el_eq(br(d["X1"], d["E"]), d["X4"]))
+    rep.check("[Xm1, E] = 2 X2",
               el_eq(br(d["Xm1"], d["E"]), el_scale(sca(2), d["X2"])))
-    bat.check("[Xm1, X4] = 2 E",
+    rep.check("[Xm1, X4] = 2 E",
               el_eq(br(d["Xm1"], d["X4"]), el_scale(sca(2), d["E"])))
-    bat.check("[H, E] = E/2",
+    rep.check("[H, E] = E/2",
               el_eq(br(d["H"], d["E"]), el_scale(sca(Fraction(1, 2)), d["E"])))
-    bat.check("[Xdelta, H] = 0", br(d["Xdelta"], d["H"]) == {})
-    bat.check("[E, Ytilde] = E", el_eq(br(d["E"], d["Ytilde"]), d["E"]))
-    bat.check("[Xdelta, Ytilde] = Xdelta",
+    rep.check("[Xdelta, H] = 0", br(d["Xdelta"], d["H"]) == {})
+    rep.check("[E, Ytilde] = E", el_eq(br(d["E"], d["Ytilde"]), d["E"]))
+    rep.check("[Xdelta, Ytilde] = Xdelta",
               el_eq(br(d["Xdelta"], d["Ytilde"]), d["Xdelta"]))
-    bat.check("[E, Y] = (3/2) E",
+    rep.check("[E, Y] = (3/2) E",
               el_eq(br(d["E"], d["Y"]), el_scale(sca(Fraction(3, 2)), d["E"])))
-    bat.equal("alpha1(Y) = 3/2", model.c_value, Fraction(3, 2))
+    rep.equal("alpha1(Y) = 3/2", model.c_value, Fraction(3, 2))
 
-    bat.check("rotation fixes the small torus",
+    rep.check("rotation fixes the small torus",
               all(el_eq(model.chi_apply(t), t)
                   for t in sub["t"].basis()))
-    bat.check("rotation moves the split coroot onto the compact one",
+    rep.check("rotation moves the split coroot onto the compact one",
               el_eq(model.chi_apply(d["Hmu"]),
                     el_add(d["Xmu"], model.theta_apply(d["Xmu"]))))
     half_sqrt2 = Scalar.from_pair(0, Fraction(1, 2))
     xma1 = {alg.root_index[vneg(F4_SIMPLE[0])]: ONE}
-    bat.check("rotation scales the lowering vector onto E by sqrt2/2",
+    rep.check("rotation scales the lowering vector onto E by sqrt2/2",
               el_eq(model.chi_apply(model.theta_apply(xma1)),
                     el_scale(half_sqrt2, d["E"])))
 
-    bat.check("E is dominant for the centralizer nilradical",
+    rep.check("E is dominant for the centralizer nilradical",
               all(br(x, d["E"]) == {} for x in sub["mplus"].basis()))
 
     # difference vectors land in the nilradical of the centralizer
-    bat.check("X4 - Xdelta in mplus", sub["mplus"].contains(d["D2"]))
-    bat.check("Xphi1 - Xdelta1 in mplus", sub["mplus"].contains(d["D3"]))
-    bat.check("Xphi2 - Xdelta2 in mplus", sub["mplus"].contains(d["D4"]))
-    bat.check("pairing of X4 - Xdelta with Xm4 + Xmdelta vanishes",
+    rep.check("X4 - Xdelta in mplus", sub["mplus"].contains(d["D2"]))
+    rep.check("Xphi1 - Xdelta1 in mplus", sub["mplus"].contains(d["D3"]))
+    rep.check("Xphi2 - Xdelta2 in mplus", sub["mplus"].contains(d["D4"]))
+    rep.check("pairing of X4 - Xdelta with Xm4 + Xmdelta vanishes",
               model.b(d["D2"], el_add(d["Xm4"], d["Xmdelta"])) == ZERO)
-    bat.check("Xm4 + Xmdelta orthogonal to mplus",
+    rep.check("Xm4 + Xmdelta orthogonal to mplus",
               all(model.b(el_add(d["Xm4"], d["Xmdelta"]), v) == ZERO
                   for v in sub["mplus"].basis()))
 
-    bat.equal("dim mplus_perp = 27", sub["mplus_perp"].dim, 27)
-    bat.equal("dim y_perp = 33", sub["y_perp"].dim, 33)
-    bat.check("anchor vector lies in mplus_perp",
+    rep.equal("dim mplus_perp = 27", sub["mplus_perp"].dim, 27)
+    rep.equal("dim y_perp = 33", sub["y_perp"].dim, 33)
+    rep.check("anchor vector lies in mplus_perp",
               sub["mplus_perp"].contains(d["Zo"]))
     for nm in ("Xmdelta", "Xmdelta1", "Xmdelta2", "T32", "T42", "T43"):
-        bat.check("y_perp contains %s" % nm, sub["y_perp"].contains(d[nm]))
-    bat.check("y_perp contains mplus_perp",
+        rep.check("y_perp contains %s" % nm, sub["y_perp"].contains(d[nm]))
+    rep.check("y_perp contains mplus_perp",
               all(sub["y_perp"].contains(v) for v in sub["mplus_perp"].basis()))
 
-    bat.check("[q, y] inside y",
+    rep.check("[q, y] inside y",
               all(sub["y"].contains(br(x, y)) or not br(x, y)
                   for x in sub["q"].basis() for y in sub["y"].basis()))
-    bat.check("y is abelian",
+    rep.check("y is abelian",
               all(not br(x, y) for x in sub["y"].basis()
                   for y in sub["y"].basis()))
-    bat.check("gtilde stable under the involution",
+    rep.check("gtilde stable under the involution",
               all(sub["gtilde"].contains(model.theta_apply(v))
                   for v in sub["gtilde"].basis()))
 
     # Cartan types
     _, split = f4_satake_data()
-    bat.equal("centralizer root type is B3",
+    rep.equal("centralizer root type is B3",
               cartan_type(simple_system(split.p_minus)), "B3")
     from .rootdata import compact_split, DEFAULT_REGULAR
     cs = compact_split(DEFAULT_REGULAR)
-    bat.equal("fixed-subalgebra root type is B4", cartan_type(cs.simple_k), "B4")
-    bat.equal("gtilde root type is C3", _gtilde_type(model), "C3")
+    rep.equal("fixed-subalgebra root type is B4", cartan_type(cs.simple_k), "B4")
+    rep.equal("gtilde root type is C3", _gtilde_type(model), "C3")
 
     r1, t1 = transversality_rank(model, "T")
-    bat.equal("transversality rank onto y_perp", (r1, t1), (33, 33))
+    rep.equal("transversality rank onto y_perp", (r1, t1), (33, 33))
     r2, t2 = transversality_rank(model, "Ttilde")
-    bat.equal("extended transversality rank onto k", (r2, t2), (36, 36))
-    bat.equal("zero anchor degenerates to the inclusion",
+    rep.equal("extended transversality rank onto k", (r2, t2), (36, 36))
+    rep.equal("zero anchor degenerates to the inclusion",
               transversality_rank_zero_map(model), 27)
 
     # invariance of the form (sampled) and automorphism property of chi
@@ -1009,14 +1010,14 @@ def verify_model(model: F4Model = None) -> Battery:
                 lhs = model.b(br(x, y), z) + model.b(y, br(x, z))
                 if lhs != ZERO:
                     ok = False
-    bat.check("invariant form: associativity on sampled triples", ok)
+    rep.check("invariant form: associativity on sampled triples", ok)
     # a square matrix has nonzero determinant exactly when its rows are
     # independent
     killing_rows = [{j: c for j, c in enumerate(row) if c}
                     for row in model.killing.entries]
-    bat.check("F4 Killing determinant nonzero",
+    rep.check("F4 Killing determinant nonzero",
               len(Echelon(killing_rows)) == alg.dim)
-    return bat
+    return rep
 
 
 def _gtilde_type(model: F4Model) -> str:

@@ -1,48 +1,44 @@
-"""Check records shared by the verification batteries and the CLI."""
+"""The one check record and report shared by every verification layer.
+
+A check record is the JSON dict itself:
+{"id", "status", "seconds"[, "witness"]}, with a witness only on failure.
+"""
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional, Tuple
 
 
-@dataclass
-class CheckResult:
-    """One verified identity: a stable id, a status, a witness on failure,
-    and the seconds spent computing it."""
+class Report:
+    """The check records of one run, in order, each charged its time.
 
-    check_id: str
-    ok: bool
-    witness: Optional[str] = None
-    seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        d = {"id": self.check_id, "status": "pass" if self.ok else "fail",
-             "seconds": round(self.seconds, 6)}
-        if not self.ok:
-            d["witness"] = self.witness or "unspecified"
-        return d
-
-
-@dataclass
-class Battery:
-    """Accumulates check results for one verification family.
-
-    A check's argument is computed just before check() is called, so each
-    result is charged the time since the previous result, or since the
-    battery was created.
+    The clock starts when the report is made.  Work done before the first
+    check (imports, the model and its engines) is setup: end_setup() moves
+    it into setup_seconds, and run() does so when it starts an empty
+    report.  Every record is then charged the time since the previous one.
     """
 
-    name: str
-    results: list = field(default_factory=list)
-    _mark: float = field(default_factory=time.perf_counter, init=False,
-                         repr=False)
+    def __init__(self, suite: str, seed: Optional[int] = None):
+        self.suite = suite
+        self.seed = seed
+        self.checks: list = []
+        self.setup_seconds = 0.0
+        self.wall_time: Optional[float] = None   # else measured at as_dict
+        self._start = self._mark = time.perf_counter()
 
-    def check(self, check_id: str, ok: bool, witness: str = None) -> bool:
+    def end_setup(self) -> None:
+        self._mark = time.perf_counter()
+        self.setup_seconds = self._mark - self._start
+
+    def check(self, check_id: str, ok, witness: Optional[str] = None) -> bool:
         now = time.perf_counter()
-        self.results.append(CheckResult(check_id, bool(ok), witness,
-                                        now - self._mark))
+        record = {"id": check_id, "status": "pass" if ok else "fail",
+                  "seconds": round(now - self._mark, 6)}
+        if not ok:
+            record["witness"] = witness or "condition failed"
+        self.checks.append(record)
         self._mark = now
         return bool(ok)
 
@@ -51,19 +47,55 @@ class Battery:
         return self.check(check_id, ok,
                           None if ok else "got %r, expected %r" % (got, expected))
 
+    def vanishes(self, check_id: str, residual: dict,
+                 serialize: Callable[[dict], list]) -> bool:
+        """Check that residual is zero.  A nonzero residual is witnessed by
+        its monomial count and its first three monomials, as serialize
+        writes them."""
+        witness = None
+        if residual:
+            witness = "%d residual monomials, first %s" % (
+                len(residual), json.dumps(serialize(residual)[:3]))
+        return self.check(check_id, not residual, witness)
+
+    def run(self, checks: Iterable[Tuple[str, Callable]]) -> "Report":
+        """Run (id, fn) pairs in order; fn returns (ok, witness).
+
+        Later checks may read what earlier ones built.  An exception is a
+        failed check whose witness names it.
+        """
+        if not self.checks:
+            self.end_setup()
+        for check_id, fn in checks:
+            try:
+                ok, witness = fn()
+            except Exception as exc:
+                ok, witness = False, "%s: %s" % (type(exc).__name__, exc)
+            self.check(check_id, ok, witness)
+        return self
+
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.results)
+        return all(c["status"] == "pass" for c in self.checks)
 
-    def failures(self):
-        return [r for r in self.results if not r.ok]
+    passed = ok   # read by perfbench on membership reports
+
+    @property
+    def details(self) -> list:
+        """"id: witness" for each failed check."""
+        return ["%s: %s" % (c["id"], c["witness"])
+                for c in self.checks if c["status"] != "pass"]
 
     def as_dict(self) -> dict:
+        passes = sum(1 for c in self.checks if c["status"] == "pass")
+        wall = self.wall_time
+        if wall is None:
+            wall = time.perf_counter() - self._start
         return {
-            "suite": self.name,
-            "checks": [r.as_dict() for r in self.results],
-            "summary": {
-                "pass": sum(1 for r in self.results if r.ok),
-                "fail": sum(1 for r in self.results if not r.ok),
-            },
+            "suite": self.suite,
+            "seed": self.seed,
+            "checks": self.checks,
+            "summary": {"pass": passes, "fail": len(self.checks) - passes},
+            "setup_seconds": round(self.setup_seconds, 6),
+            "wall_time_seconds": round(wall, 3),
         }

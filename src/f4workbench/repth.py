@@ -18,7 +18,7 @@ operators, so no floating point and no lookup table enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO, combine,
                        dual_basis, kernel, rational_roots, sca)
 from .liealg import F4Model, LieElement, el_scale
+from .reporting import Report
 from .rootdata import Coord, compact_split, DEFAULT_REGULAR, dot, gamma_basis, vec
 from .uea import Core, ModelEngine, UEA
 
@@ -543,12 +544,6 @@ def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    ok: bool
-    details: List[str] = field(default_factory=list)
-
-
 def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     """Vanishing boundary of the two raisings on an invariant vector.
 
@@ -556,11 +551,10 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     invariant onto a dominant vector, and that p raisings by delta and
     q by E kill it exactly when p > k or p + q > k + l.
     """
+    rep = Report("raising vanishing boundary")
     inv = m_invariants(ctx, me)
-    if not inv:
-        return Report(False, ["no invariant vector"])
-    details = []
-    ok = True
+    if not rep.check("invariant vector exists", inv, "none"):
+        return rep
     xd = ctx.action_named(me, "Xdelta")
     e = ctx.action_named(me, "E")
     for v in inv:
@@ -570,10 +564,10 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
                 w = e.apply(w)
             for p in range(0, k + 2):
                 expect_zero = (p > k) or (p + q > k + l)
-                got_zero = not w
-                if got_zero != expect_zero:
-                    ok = False
-                    details.append("vanishing mismatch at (p=%d,q=%d)" % (p, q))
+                rep.check("vanishing at (p=%d,q=%d)" % (p, q),
+                          (not w) == expect_zero,
+                          "expected %s" % ("zero" if expect_zero else
+                                           "nonzero"))
                 if p <= k:
                     w = xd.apply(w)
         # the extreme vector is dominant
@@ -582,15 +576,11 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
             w = e.apply(w)
         for _ in range(k):
             w = xd.apply(w)
-        if not w:
-            ok = False
-            details.append("extreme vector vanished")
-        else:
+        if rep.check("extreme vector is nonzero", w, "it vanished"):
             for i in range(4):
-                if ctx.rep.e_ops[i].apply(w):
-                    ok = False
-                    details.append("extreme vector is not dominant (i=%d)" % i)
-    return Report(ok, details)
+                rep.check("extreme vector is dominant (i=%d)" % i,
+                          not ctx.rep.e_ops[i].apply(w), "raised nonzero")
+    return rep
 
 
 def lowering_chain(xd: SparseOp, e: SparseOp, v: Dict[int, Scalar],
@@ -615,11 +605,10 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     module for the gamma1 triple, with the three displayed identities
     holding with their exact binomial scalars.
     """
+    rep = Report("lowering-chain identities")
     inv = m_invariants(ctx, me)
-    if not inv:
-        return Report(False, ["no invariant vector"])
-    ok = True
-    details = []
+    if not rep.check("invariant vector exists", inv, "none"):
+        return rep
     xd = ctx.action_named(me, "Xdelta")
     e = ctx.action_named(me, "E")
     x1 = ctx.action_named(me, "X1")
@@ -628,25 +617,19 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     xi = xi_weight(k, l)
     for v in inv:
         chain = lowering_chain(xd, e, v, k, l)
-        # linear independence
-        if len(Echelon(chain)) != k + 1:
-            ok = False
-            details.append("chain is not independent")
+        rank = len(Echelon(chain))
+        rep.check("chain is independent", rank == k + 1,
+                  "rank %d of %d" % (rank, k + 1))
         # weights: xi - j gamma1
         for j, w in enumerate(chain):
             want = tuple(x - j * c for x, c in zip(xi, g["gamma1"]))
-            for i in w:
-                if ctx.rep.weights_of_index[i] != want:
-                    ok = False
-                    details.append("weight mismatch at j=%d" % j)
-                    break
+            rep.check("weight at j=%d" % j,
+                      all(ctx.rep.weights_of_index[i] == want for i in w))
         # identity: X1 (chain_j) = (j+l)/2 chain_{j-1}
         for j in range(0, k + 1):
             lhs = x1.apply(chain[j])
             want = _scale_vec(sca(Fraction(j + l, 2)), chain[j - 1]) if j else {}
-            if lhs != want:
-                ok = False
-                details.append("raising identity fails at j=%d" % j)
+            rep.check("raising identity at j=%d" % j, lhs == want)
         # identity: Xm1 (chain_j) = 2(j+1)(k-j)/(l+j+1) chain_{j+1}
         for j in range(0, k + 1):
             lhs = xm1.apply(chain[j])
@@ -655,20 +638,16 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
                 want = _scale_vec(sca(c), chain[j + 1])
             else:
                 want = {}
-            if lhs != want:
-                ok = False
-                details.append("lowering identity fails at j=%d" % j)
+            rep.check("lowering identity at j=%d" % j, lhs == want)
         # iterated lowering from the extreme vector with binomial scalars
         u = chain[0]
         acc = u
         for j in range(0, k + 1):
             c = Fraction(2 ** j * factorial(j) * comb(k, j), comb(l + j, l))
             want = _scale_vec(sca(c), chain[j])
-            if acc != want:
-                ok = False
-                details.append("iterated lowering fails at j=%d" % j)
+            rep.check("iterated lowering at j=%d" % j, acc == want)
             acc = xm1.apply(acc)
-    return Report(ok, details)
+    return rep
 
 
 def _scale_vec(c: Scalar, v: Dict[int, Scalar]) -> Dict[int, Scalar]:

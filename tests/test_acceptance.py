@@ -26,8 +26,8 @@ def _report(num, ok, text):
     assert ok, text
 
 
-def _fails(battery_results):
-    return [r.check_id for r in battery_results if not r.ok]
+def _fails(records):
+    return [c["id"] for c in records if c["status"] != "pass"]
 
 
 class TestAcceptance:
@@ -311,7 +311,7 @@ class TestAcceptance:
         rep = assemble_system(me, omega_report.omega, 2,
                               [(1, 0), (0, 1), (2, 1)])
         if not rep.passed:
-            bad.append("assembly residuals %s" % rep.direct_residuals)
+            bad.append("assembly residuals %s" % rep.details)
         _report(8, not bad, "profiles, index sets, 196 split determinants, "
                 "dominant element, twisted raisings, assembled sums"
                 if not bad else "failed: %s" % bad)

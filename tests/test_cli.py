@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from f4workbench.cli import (Config, GOLDENS, Report, SUITES, emit_golden,
-                             main, run_suite, suite_model)
+from f4workbench.cli import (Config, GOLDENS, SUITES, _mini_toml,
+                             emit_golden, main, run_suite, suite_model)
+from f4workbench.reporting import Report
 
 
 class TestConfig:
@@ -31,6 +32,27 @@ class TestConfig:
         p.write_text("seed = 11\ndimension_cap = 256\n# comment\n")
         cfg = Config.load(str(p))
         assert cfg.seed == 11 and cfg.dimension_cap == 256
+
+    def test_mini_toml(self):
+        # the parser used where tomllib is missing (Python 3.10)
+        text = '# header\nseed = 5  # trailing\n\nname = "a b"\n'
+        assert _mini_toml(text) == {"seed": 5, "name": "a b"}
+        with pytest.raises(ValueError):
+            _mini_toml("seed 5\n")
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"dimension_cap": "big"}', '{"degree_cpa": 9}',
+        '{"seed": true}', '{"nmax": -3}', '{"nmax": 0}',
+    ], ids=["list", "string-value", "unknown-key", "bool-value",
+            "negative-nmax", "zero-nmax"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["verify", "transversality", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestSuites:
@@ -64,7 +86,7 @@ class TestSuites:
         assert json.loads(out.read_text())["wall_time_seconds"] > 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("suite", sorted(SUITES))
+    @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
     def test_check_records_carry_seconds(self, suite, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["verify", suite, "--json", str(out)]) == 0
@@ -72,24 +94,49 @@ class TestSuites:
         report = json.loads(out.read_text())
         seconds = [c["seconds"] for c in report["checks"]]
         assert seconds and all(s >= 0 for s in seconds)
-        # the checks take disjoint slices of the suite's wall time; the
-        # slack covers rounding each record to 1e-6 s and the total to 1e-3 s
-        slack = 5e-4 + 5e-7 * len(seconds)
-        assert sum(seconds) <= report["wall_time_seconds"] + slack
+        assert report["setup_seconds"] >= 0
+        # setup and the checks take disjoint slices of the suite's wall
+        # time and leave little of it unattributed; the slack covers
+        # rounding each figure to 1e-6 s and the total to 1e-3 s
+        attributed = report["setup_seconds"] + sum(seconds)
+        slack = 5e-4 + 5e-7 * (len(seconds) + 1)
+        assert attributed <= report["wall_time_seconds"] + slack
+        assert report["wall_time_seconds"] - attributed < 0.05
+
+    def test_verify_all_attributes_setup_from_a_cold_start(self, tmp_path):
+        # a fresh interpreter builds the model and engines inside the
+        # suites, and that time must land in setup_seconds
+        out = tmp_path / "all.json"
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        subprocess.run([sys.executable, "-m", "f4workbench", "verify", "all",
+                        "--json", str(out)], check=True,
+                       stdout=subprocess.DEVNULL,
+                       env=dict(os.environ, PYTHONPATH=src))
+        report = json.loads(out.read_text())
+        attributed = report["setup_seconds"] + sum(
+            c["seconds"] for c in report["checks"])
+        assert report["setup_seconds"] > 0.05
+        assert abs(report["wall_time_seconds"] - attributed) < 0.05
 
     def test_battery_charges_the_time_since_the_previous_check(self):
         import time
-        from f4workbench.reporting import Battery
-        bat = Battery("demo")
+        rep = Report("demo")
         time.sleep(0.02)
-        bat.check("slow", True)
-        bat.check("fast", True)
-        slow, fast = (r.as_dict()["seconds"] for r in bat.results)
+        rep.check("slow", True)
+        rep.check("fast", True)
+        slow, fast = (c["seconds"] for c in rep.checks)
         assert slow >= 0.02 and 0 <= fast < 0.02
 
+    def test_setup_is_charged_to_no_check(self):
+        import time
+        rep = Report("demo")
+        time.sleep(0.02)
+        rep.run([("first", lambda: (True, None))])
+        assert rep.setup_seconds >= 0.02
+        assert 0 <= rep.checks[0]["seconds"] < 0.02
+
     def test_failed_check_records_witness(self):
-        from f4workbench.cli import _run_checks
-        rep = _run_checks("demo", Config(), [
+        rep = Report("demo").run([
             ("passes", lambda: (True, None)),
             ("fails", lambda: (False, "because")),
             ("crashes", lambda: 1 / 0),
@@ -98,6 +145,9 @@ class TestSuites:
         by_id = {c["id"]: c for c in rep.checks}
         assert by_id["fails"]["witness"] == "because"
         assert "ZeroDivisionError" in by_id["crashes"]["witness"]
+        assert "witness" not in by_id["passes"]
+        assert rep.details == ["fails: because", by_id["crashes"]["id"]
+                               + ": " + by_id["crashes"]["witness"]]
 
 
 class TestExitCodes:
@@ -169,6 +219,74 @@ class TestExitCodes:
              str(bad)], capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.split("\n")[-2] == "[3, 2] 0"
+
+
+@pytest.fixture
+def member_and_control(tmp_path, me, omega_report):
+    """The projected Casimir, and the non-member with 1 added to its Z
+    coefficient, written as check-b input files."""
+    from f4workbench.uea import IwasawaElement, PBWEngine
+    om = omega_report.omega
+    coeffs = [dict(c) for c in om.coeffs]
+    coeffs[1] = PBWEngine.add(coeffs[1], me.g.one())
+    member, control = tmp_path / "member.json", tmp_path / "control.json"
+    member.write_text(json.dumps(om.serialize(me.g)))
+    control.write_text(json.dumps(IwasawaElement(coeffs).serialize(me.g)))
+    return str(member), str(control)
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("command", [
+        ["verify", "transversality"],
+        ["liealg", "verify-model"],
+        ["balg", "check-b", "--input", "member", "--nmax", "3"],
+        ["balg", "check-b", "--input", "control", "--nmax", "3"],
+        ["repth", "verify", "--k", "0", "--l", "0"],
+        ["combin", "assemble", "--T", "2", "--n", "0"],
+    ], ids=["verify", "verify-model", "check-b-pass", "check-b-fail",
+            "repth-verify", "combin-assemble"])
+    def test_one_schema(self, command, member_and_control, capsys):
+        paths = dict(zip(("member", "control"), member_and_control))
+        code = main([paths.get(a, a) for a in command])
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == ["suite", "seed", "checks", "summary",
+                                "setup_seconds", "wall_time_seconds"]
+        assert code == int(report["summary"]["fail"] > 0)
+        for c in report["checks"]:
+            assert set(c) == ({"id", "status", "seconds"} |
+                              ({"witness"} if c["status"] == "fail" else set()))
+
+    def test_residual_witness_names_monomials(self, member_and_control,
+                                              capsys):
+        _, control = member_and_control
+        assert main(["balg", "check-b", "--input", control,
+                     "--nmax", "3"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert failed
+        for c in failed:
+            count, _, shown = c["witness"].partition(" residual monomials, "
+                                                     "first ")
+            monomials = json.loads(shown)
+            assert int(count) >= len(monomials) >= 1
+            assert all(set(m) == {"exponents", "coeff"} for m in monomials)
+
+    @pytest.mark.parametrize("args", [
+        ["balg", "check-b", "--input", "control", "--nmax", "-1"],
+        ["balg", "check-b", "--input", "control", "--nmax", "0"],
+        ["verify", "omega", "--config", "negative-nmax"],
+    ], ids=["check-b-negative", "check-b-zero", "config"])
+    def test_nmax_below_one_exits_2(self, args, member_and_control, tmp_path,
+                                    capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nmax": -3}))
+        paths = {"control": member_and_control[1],
+                 "negative-nmax": str(config)}
+        assert main([paths.get(a, a) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: nmax must be at least 1")
+        assert captured.err.count("\n") == 1
 
 
 class TestGolden:

@@ -261,13 +261,17 @@ class TestAssembleSystem:
         rep = assemble_system(me, omega_report.omega, 2,
                               [(1, 0), (0, 1), (2, 1)])
         assert rep.passed
-        assert rep.direct_residuals == {(1, 0): 0, (0, 1): 0, (2, 1): 0}
-        assert rep.typed_residuals == {(1, 0): 0, (0, 1): 0, (2, 1): 0}
+        for kind in ("direct", "typed"):
+            got = {c["id"]: c["status"] for c in rep.checks
+                   if c["id"].startswith(kind + " ")}
+            assert got == {"%s (l,n)=%s" % (kind, pair): "pass"
+                           for pair in ("(1,0)", "(0,1)", "(2,1)")}
 
     def test_out_of_range_pair_trivial(self, me, omega_report):
         # (l, n) = (2, 1) at T = 2 empties both index families
         rep = assemble_system(me, omega_report.omega, 2, [(2, 1)])
-        assert rep.direct_residuals[(2, 1)] == 0
+        status = {c["id"]: c["status"] for c in rep.checks}
+        assert status["direct (l,n)=(2,1)"] == "pass"
 
     def test_diagonal_hypothesis_enforced(self, me, omega_report):
         with pytest.raises(ValueError) as err:

@@ -53,9 +53,8 @@ class TestChevalley:
 
 class TestModelInvariants:
     def test_battery_all_pass(self, model):
-        bat = verify_model(model)
-        failures = bat.failures()
-        assert not failures, [f.check_id for f in failures]
+        rep = verify_model(model)
+        assert rep.ok, rep.details
 
     def test_dimensions(self, model):
         s = model.subspaces
