@@ -600,15 +600,19 @@ def _read_input(path: str):
 def _load_element(me, path: str, data):
     """Deserialize the IwasawaElement read from path by _read_input.
 
-    An unknown label or a bad coefficient string raises BadInput (exit 2).
+    An unknown label, a bad coefficient string or a coefficient outside
+    U(k) raises BadInput (exit 2).
     """
     from .uea import IwasawaElement
     try:
-        return IwasawaElement.deserialize(me.g, data)
+        elem = IwasawaElement.deserialize(me.g, data)
     except KeyError as exc:
         raise BadInput("bad input %s: unknown label %s" % (path, exc)) from exc
     except (ValueError, TypeError, AttributeError) as exc:
         raise BadInput("bad input %s: %s" % (path, exc)) from exc
+    if not all(me.k_only(c) for c in elem.coeffs):
+        raise BadInput("bad input %s: coefficients must lie in U(k)" % path)
+    return elem
 
 
 def _emit(payload: dict, json_out: Optional[str]) -> None:
@@ -695,7 +699,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _combin_command(args, cfg: Config) -> int:
-    from .combin import (assemble_system, determinant_factorization,
+    from .combin import (assemble_system, check_assembly_hypotheses,
+                         coefficient_data, determinant_factorization,
                          index_sets, system_matrix)
     import itertools
     if args.action == "matrix":
@@ -739,7 +744,13 @@ def _combin_command(args, cfg: Config) -> int:
         n = args.n if args.n is not None else 0
         pairs = [(l, n) for l in range(0, T - n + 1) if (l, n) != (n, n)] \
             or [(0, n)]
-        assemble_system(me, elem, T, pairs, rep=rep)
+        try:
+            data = coefficient_data(me, elem)
+            check_assembly_hypotheses(data, T, pairs)
+        except ValueError as exc:
+            print("combin assemble: %s" % exc, file=sys.stderr)
+            return 2
+        assemble_system(me, elem, T, pairs, data=data, rep=rep)
         return _emit_report(rep, args.json_out)
     return 2
 

@@ -395,6 +395,21 @@ def _sigma_typed(me: ModelEngine, data: CoefficientData, T: int,
     return acc
 
 
+def check_assembly_hypotheses(data: CoefficientData, T: int,
+                              ln_pairs: Sequence[Tuple[int, int]]) -> None:
+    """Raises ValueError naming the violated hypothesis: the diagonal
+    hypothesis at T, T outside [m, 2 d_0], or a negative l or n."""
+    ok, why = data.p_holds(T)
+    if not ok:
+        raise ValueError("diagonal hypothesis fails at T=%d: %s" % (T, why))
+    if not (data.m <= T <= 2 * data.profile[0]):
+        raise ValueError("T=%d out of range [%d, %d]"
+                         % (T, data.m, 2 * data.profile[0]))
+    for l, n in ln_pairs:
+        if l < 0 or n < 0:
+            raise ValueError("(l,n)=(%d,%d) has a negative entry" % (l, n))
+
+
 def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
                     ln_pairs: Sequence[Tuple[int, int]],
                     data: Optional[CoefficientData] = None,
@@ -410,13 +425,8 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
     """
     if data is None:
         data = coefficient_data(me, b)
+    check_assembly_hypotheses(data, T, ln_pairs)
     m = data.m
-    d0 = data.profile[0]
-    ok, why = data.p_holds(T)
-    if not ok:
-        raise ValueError("diagonal hypothesis fails at T=%d: %s" % (T, why))
-    if not (m <= T <= 2 * d0):
-        raise ValueError("T=%d out of range [%d, %d]" % (T, m, 2 * d0))
     g = gamma_basis()
     if rep is None:
         rep = Report("assembly")

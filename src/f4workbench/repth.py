@@ -471,6 +471,8 @@ class ModuleContext:
     rep: Irrep
     basis: KActionBasis
     word_ops: List[SparseOp]
+    # the centralizer invariants, solved on first use by m_invariants
+    invariants: Optional[List[Dict[int, Scalar]]] = None
 
     def action(self, x: LieElement) -> SparseOp:
         out = SparseOp(self.rep.dim)
@@ -528,15 +530,21 @@ def m_generators(me: ModelEngine) -> List[LieElement]:
 
 
 def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]:
-    """Exact joint kernel of the centralizer action."""
-    space = [{i: ONE} for i in range(ctx.rep.dim)]
-    for gvec in m_generators(me):
-        op = ctx.action(gvec)
-        space = [combine(c, space)
-                 for c in kernel([op.apply(v) for v in space])]
-        if not space:
-            break
-    return space
+    """Exact joint kernel of the centralizer action.
+
+    Solved once per module and kept on ctx, so every caller shares the
+    same list.
+    """
+    if ctx.invariants is None:
+        space = [{i: ONE} for i in range(ctx.rep.dim)]
+        for gvec in m_generators(me):
+            op = ctx.action(gvec)
+            space = [combine(c, space)
+                     for c in kernel([op.apply(v) for v in space])]
+            if not space:
+                break
+        ctx.invariants = space
+    return ctx.invariants
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,27 @@ class TestExitCodes:
         assert err.startswith("bad input %s: " % path)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["balg", "check-b"],
+                                         ["combin", "assemble"]])
+    def test_coefficient_outside_uk(self, tmp_path, capsys, command):
+        path = tmp_path / "z.json"
+        path.write_text(
+            '[[{"exponents": {"Z": 1}, "coeff": "1/1 + 0/1*sqrt2"}]]')
+        assert main(command + ["--input", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "bad input %s: coefficients must lie in U(k)\n" % path
+
+    @pytest.mark.parametrize("t, n, why", [
+        ("9", "0", "T=9 out of range [2, 8]"),
+        ("2", "-1", "(l,n)=(0,-1) has a negative entry"),
+        ("1", "0", "diagonal hypothesis fails at T=1: "),
+    ], ids=["T-above-range", "negative-n", "diagonal-hypothesis"])
+    def test_assemble_hypothesis_violated(self, capsys, t, n, why):
+        assert main(["combin", "assemble", "--T", t, "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("combin assemble: " + why)
+        assert err.count("\n") == 1
+
 
     @pytest.mark.parametrize("command", [["balg", "check-b"],
                                          ["combin", "assemble"]])

@@ -474,3 +474,46 @@ class TestEchelonOracles:
         del engine
         gc.collect()
         assert ref() is None
+
+
+class TestInvariantCache:
+    @staticmethod
+    def _joint_kernel(ctx, me):
+        """m_invariants before the cache: one joint solve per call."""
+        from f4workbench import repth
+        from f4workbench.exactnum import combine
+        space = [{i: ONE} for i in range(ctx.rep.dim)]
+        for gvec in m_generators(me):
+            op = ctx.action(gvec)
+            space = [combine(c, space)
+                     for c in repth.kernel([op.apply(v) for v in space])]
+            if not space:
+                break
+        return space
+
+    @pytest.mark.parametrize("kl", LABELS)
+    def test_one_solve_per_module(self, me, modules, monkeypatch, kl):
+        import dataclasses
+        from f4workbench import repth
+        from f4workbench.cli import _module_checks
+        solves = []
+        kernel = repth.kernel
+
+        def counted(images):
+            solves.append(len(images))
+            return kernel(images)
+
+        monkeypatch.setattr(repth, "kernel", counted)
+        # a context without a cached solve, sharing the module's operators
+        fresh = dataclasses.replace(modules[kl], invariants=None)
+        want = self._joint_kernel(fresh, me)
+        one_solve = list(solves)
+        assert one_solve
+        del solves[:]
+        # the invariant, boundary and chain checks of verify repth
+        checks = _module_checks(me, kl, 512, {kl: fresh})[1:]
+        assert [fn()[0] for _, fn in checks] == [True] * 3
+        assert solves == one_solve
+        assert [list(v.items()) for v in m_invariants(fresh, me)] == \
+            [list(v.items()) for v in want]
+        assert solves == one_solve

@@ -12,7 +12,7 @@ from f4workbench.rootdata import build_root_system, f4_satake_data
 from f4workbench.uea import (
     IwasawaElement, ONE_MONO, PBWEngine, casimir, ideal_normal_form,
     in_ideal, invariants_up_to_degree, model_casimir_g, model_casimir_m,
-    mono_mul_free, omega_normalized, reduce_mod,
+    mono_degree, mono_mul_free, omega_normalized, reduce_mod,
 )
 
 
@@ -570,6 +570,75 @@ class TestIntegerCore:
             assert table
             assert all(type(c) is int
                        for out in table.values() for c in out.values())
+
+
+def _bracket_cases():
+    """(g, m) over all 52 labels g: m = (), then monomials of degree 1 to 5
+    with g below, among and above their labels, and with exponents >= 2."""
+    rng = random.Random(20240806)
+
+    def mono(pool, deg, min_exp=1):
+        labels = rng.sample(pool, min(len(pool),
+                                      rng.randint(1, min(3, deg // min_exp))))
+        exps = [min_exp] * len(labels)
+        while sum(exps) < deg:
+            exps[rng.randrange(len(exps))] += 1
+        return tuple(sorted(zip(labels, exps)))
+
+    cases = []
+    for g in range(52):
+        cases.append((g, ONE_MONO))
+        below, above = list(range(g + 1, 52)), list(range(g))
+        among = list(range(52))
+        for deg in range(1, 6):
+            if below:
+                cases.append((g, mono(below, deg)))
+            if above:
+                cases.append((g, mono(above, deg)))
+            m = dict(mono(among, deg - 1)) if deg > 1 else {}
+            m[g] = m.get(g, 0) + 1
+            cases.append((g, tuple(sorted(m.items()))))
+        cases.append((g, mono(among, 5, min_exp=2)))
+    return cases
+
+
+class TestBracketTable:
+    """The memoized brackets [e'_g, e'^m] against the oracle's left and
+    right products."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self, me):
+        return PBWEngine(me.model.g_algebra)
+
+    def test_cases_cover_the_orders(self):
+        cases = _bracket_cases()
+        assert {g for g, _ in cases} == set(range(52))
+        assert {mono_degree(m) for _, m in cases} == set(range(6))
+        assert any(m and m[0][0] > g for g, m in cases)
+        assert any(m and m[-1][0] < g for g, m in cases)
+        assert any(g in dict(m) for g, m in cases)
+        assert any(e >= 2 for _, m in cases for _, e in m)
+
+    def test_ad_matches_oracle(self, fresh, oracle):
+        for g, m in _bracket_cases():
+            assert fresh.ad({g: ONE}, {m: ONE}) == \
+                oracle.ad({g: ONE}, {m: ONE}), (g, m)
+
+    def test_brackets_do_not_raise_degree(self, fresh):
+        for g, m in _bracket_cases():
+            fresh.ad({g: ONE}, {m: ONE})
+        assert fresh._memo_left
+        for (g, m), out in fresh._memo_left.items():
+            assert PBWEngine.degree(out) <= mono_degree(m), (g, m)
+            assert all(type(c) is int for c in out.values())
+
+    def test_bracket_is_a_commutator(self, fresh):
+        for g, m in _bracket_cases()[::7]:
+            gm = fresh._mono_mul_core(((g, 1),), m)
+            for mono, c in fresh._mono_mul_core(m, ((g, 1),)).items():
+                gm[mono] = gm.get(mono, 0) - c
+            assert {k: c for k, c in gm.items() if c} == \
+                fresh._bracket(g, m), (g, m)
 
 
 class TestRescaling:
