@@ -397,17 +397,24 @@ class PBWEngine:
             out = self.mul(out, u)
         return out
 
-    def ad(self, x: LieElement, u: UEA) -> UEA:
-        """The derivation induced by bracketing with x: u -> xu - ux."""
-        xp, xq, xd = self.lie_core(x)
-        p, q, d = self.to_core(u)
+    def ad_pair(self, x: Tuple[Dict[int, int], Dict[int, int]],
+                v: Tuple[Core, Core]) -> Tuple[Core, Core]:
+        """ad(xp + xq sqrt2) on P + Q sqrt2, both in core form; the
+        denominators multiply and are left to the caller."""
+        (xp, xq), (p, q) = x, v
         out_p: Core = {}
         out_q: Core = {}
         self._ad_into(out_p, xp, p)
         self._ad_into(out_p, {g: 2 * c for g, c in xq.items()}, q)
         self._ad_into(out_q, xp, q)
         self._ad_into(out_q, xq, p)
-        return self.from_core(out_p, out_q, xd * d)
+        return _nonzero(out_p), _nonzero(out_q)
+
+    def ad(self, x: LieElement, u: UEA) -> UEA:
+        """The derivation induced by bracketing with x: u -> xu - ux."""
+        xp, xq, xd = self.lie_core(x)
+        p, q, d = self.to_core(u)
+        return self.from_core(*self.ad_pair((xp, xq), (p, q)), xd * d)
 
     def ad_power(self, x: LieElement, u: UEA, n: int) -> UEA:
         for _ in range(n):
@@ -557,9 +564,11 @@ class ModelEngine:
         self.z_index = 36
         self.mplus_start = model.g_algebra.index["D2"]
         self.y_start = model.g_algebra.index["X2"]
-        # built on first use by repth.build_module and repth.degree_machine
+        # built on first use by repth.build_module, repth.degree_machine
+        # and omega_normalized
         self.action_basis = None
         self.degree_machine = None
+        self.omega = None
 
     # -- conversions --------------------------------------------------------
 
@@ -664,10 +673,17 @@ def omega_normalized(me: ModelEngine = None) -> OmegaReport:
     Scales the projection of the Casimir so the Z^2 coefficient is 1,
     asserts the Z coefficient is a nonzero scalar, and resolves the
     constant coefficient exactly over span{1, Casimir of the
-    centralizer}, recording both scalars.
+    centralizer}, recording both scalars.  Computed once per engine and
+    kept on it, so callers share one report and must not mutate it.
     """
     if me is None:
         me = model_engine()
+    if me.omega is None:
+        me.omega = _omega_report(me)
+    return me.omega
+
+
+def _omega_report(me: ModelEngine) -> OmegaReport:
     om = me.iwasawa_project(model_casimir_g(me))
     checks = []
     if om.degree != 2:

@@ -118,6 +118,27 @@ class TestSuites:
         assert report["setup_seconds"] > 0.05
         assert abs(report["wall_time_seconds"] - attributed) < 0.05
 
+    def test_verify_all_computes_omega_once(self, me, tmp_path, monkeypatch,
+                                           capsys):
+        # the omega, balg and combin suites share the report kept on the
+        # engine, and none of them may mutate it
+        from f4workbench import uea
+        built = []
+        compute = uea._omega_report
+
+        def counted(engine):
+            rep = compute(engine)
+            built.append(rep.omega.serialize(engine.g))
+            return rep
+
+        monkeypatch.setattr(me, "omega", None)
+        monkeypatch.setattr(uea, "_omega_report", counted)
+        assert main(["verify", "all", "--json", str(tmp_path / "all.json")]) \
+            == 0
+        capsys.readouterr()
+        assert len(built) == 1
+        assert me.omega.omega.serialize(me.g) == built[0]
+
     def test_battery_charges_the_time_since_the_previous_check(self):
         import time
         rep = Report("demo")

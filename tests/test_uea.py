@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from f4workbench.exactnum import (Matrix, ONE, SQRT2, Scalar, ZERO, dual_basis,
                                   sca)
 from f4workbench.liealg import (LieAlgebra, chevalley_algebra, el_add,
                                 el_scale)
+from f4workbench.repth import _casimir_core, _casimir_tensor, degree_machine
 from f4workbench.rootdata import build_root_system, f4_satake_data
 from f4workbench.uea import (
     IwasawaElement, ONE_MONO, PBWEngine, casimir, ideal_normal_form,
@@ -563,10 +565,13 @@ class TestIntegerCore:
         assert degree_machine(me).casimir_apply(u) == want
 
     def test_memo_tables_hold_integers(self, me):
-        u = me.g.mul(me.g.gen("X1", 2), me.g.mul(me.g.gen("Xm1"),
-                                                 me.g.gen("E")))
+        # a fresh engine, so that the tables hold what this test fills
+        # whatever ran before it
+        eng = PBWEngine(me.model.g_algebra)
+        u = eng.mul(eng.gen("X1", 2), eng.mul(eng.gen("Xm1"), eng.gen("E")))
         assert u
-        for table in (me.g._memo, me.g._memo_left):
+        assert eng.ad({eng.algebra.index["Xm1"]: ONE}, u)
+        for table in (eng._memo, eng._memo_left):
             assert table
             assert all(type(c) is int
                        for out in table.values() for c in out.values())
@@ -639,6 +644,59 @@ class TestBracketTable:
                 gm[mono] = gm.get(mono, 0) - c
             assert {k: c for k, c in gm.items() if c} == \
                 fresh._bracket(g, m), (g, m)
+
+
+class TestCasimirTriangular:
+    """The Casimir tensor in triangular form, sum_h ad(Y_h) ad(e'_h) - ad(r),
+    against the pair sum sum_i ad(x_i) ad(x^i)."""
+
+    @staticmethod
+    def _pair_sum(ad, pairs, u):
+        out = {}
+        for x, xd in pairs:
+            out = PBWEngine.add(out, ad(x, ad(xd, u)))
+        return out
+
+    def test_sl2_by_hand(self, sl2):
+        alg, eng = sl2
+        basis = [{0: ONE}, {1: ONE}, {2: ONE}]          # h, e, f
+        pairs = list(zip(basis, dual_basis(basis, _sl2_form(alg))))
+        inner, shift, den = _casimir_tensor(eng, pairs)
+        # the form has (h, h) = 8 and (e, f) = 4, so the tensor is
+        # (h h + 2 e f + 2 f e) / 8: Y_h = h, Y_f = 4 e, r = 2 [e, f] = 2 h
+        assert den == 8
+        assert inner == [(0, {0: 1}), (2, {1: 4})]
+        assert shift == {0: 2}
+        for a, b, c in itertools.product(range(4), repeat=3):
+            # e^a f^b h^c, in PBW order h < e < f
+            m = tuple((i, p) for i, p in ((0, c), (1, a), (2, b)) if p)
+            got = eng.from_core(_casimir_core(eng, inner, shift, {m: 1}), {},
+                                den)
+            assert got == self._pair_sum(eng.ad, pairs, {m: ONE}), (a, b, c)
+
+    def test_asymmetric_tensor_rejected(self, sl2):
+        _, eng = sl2
+        with pytest.raises(ValueError):
+            _casimir_tensor(eng, [({1: ONE}, {2: ONE})])
+
+    def test_f4_krylov_vectors_match_pair_sum(self, me, oracle, omega_report):
+        model = me.model
+        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
+              for i in range(36)]
+
+        def fv(x, y):
+            return model.b(model.in_chevalley(x), model.in_chevalley(y))
+
+        pairs = list(zip(kb, dual_basis(kb, fv)))
+        dm = degree_machine(me)
+        for u in (model_casimir_m(me), omega_report.omega.coeff(0)):
+            comps = dm.components(u)
+            vectors = [u]
+            while len(vectors) < len(comps):
+                vectors.append(dm.casimir_apply(vectors[-1]))
+            for v in vectors:
+                assert dm.casimir_apply(v) == \
+                    self._pair_sum(oracle.ad, pairs, v)
 
 
 class TestRescaling:
