@@ -25,11 +25,11 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
-from .exactnum import ONE, Scalar, ZERO, sca
-from .liealg import LieElement, el_scale
+from .exactnum import ONE, Scalar, ZERO, add, sca, scale, sub
+from .liealg import LieElement
 from .reporting import Report
-from .uea import (IwasawaElement, Mono, ONE_MONO, PBWEngine, UEA,
-                  ModelEngine, reduce_mod)
+from .uea import (IwasawaElement, Mono, ONE_MONO, UEA, ModelEngine,
+                  reduce_mod)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +99,11 @@ class PolyUEA:
         if self.basis != other.basis:
             raise ValueError("mixed bases")
         n = max(len(self.coeffs), len(other.coeffs))
-        return PolyUEA([PBWEngine.add(self.coeff(j), other.coeff(j))
+        return PolyUEA([add(self.coeff(j), other.coeff(j))
                         for j in range(n)], self.basis).trim()
 
     def scale(self, c: Scalar) -> "PolyUEA":
-        return PolyUEA([PBWEngine.scale(c, u) for u in self.coeffs],
+        return PolyUEA([scale(c, u) for u in self.coeffs],
                        self.basis).trim()
 
     def map_coeffs(self, f) -> "PolyUEA":
@@ -118,7 +118,7 @@ class PolyUEA:
                 continue
             for i, s in enumerate(phi_coeffs(j)):
                 if s:
-                    out[i] = PBWEngine.add(out[i], PBWEngine.scale(sca(s), c))
+                    out[i] = add(out[i], scale(sca(s), c))
         return PolyUEA(out, "x").trim()
 
     def to_phi(self) -> "PolyUEA":
@@ -129,11 +129,11 @@ class PolyUEA:
         for j in range(len(rem) - 1, -1, -1):
             top = rem[j]
             if top:
-                cj = PBWEngine.scale(sca(factorial(j)), top)
+                cj = scale(sca(factorial(j)), top)
                 out[j] = cj
                 for i, s in enumerate(phi_coeffs(j)):
                     if s:
-                        rem[i] = PBWEngine.sub(rem[i], PBWEngine.scale(sca(s), cj))
+                        rem[i] = sub(rem[i], scale(sca(s), cj))
         if any(rem):
             raise AssertionError("phi-basis conversion left a remainder")
         return PolyUEA(out, "phi").trim()
@@ -163,7 +163,7 @@ def shift_by_scalar(p: PolyUEA, c: Fraction) -> PolyUEA:
         for i in range(j + 1):
             s = comb(j, i) * c ** (j - i)
             if s:
-                out[i] = PBWEngine.add(out[i], PBWEngine.scale(sca(s), pj))
+                out[i] = add(out[i], scale(sca(s), pj))
     return PolyUEA(out, "x").trim()
 
 
@@ -196,7 +196,7 @@ class CentralArg:
         if scalar:
             base[ONE_MONO] = sca(scalar)
         if element:
-            base = PBWEngine.add(base, me.g.from_lie(me.lie_in_mixed(element)))
+            base = add(base, me.g.from_lie(me.lie_in_mixed(element)))
         self.value = base
         self._powers = [me.g.one()]
 
@@ -215,7 +215,7 @@ def evaluate_poly(me: ModelEngine, p: PolyUEA, arg: CentralArg,
         if not pj:
             continue
         term = me.g.mul(pj, arg.power(j))
-        acc = PBWEngine.add(acc, term)
+        acc = add(acc, term)
     if right is not None:
         acc = me.g.mul(acc, right)
     return acc
@@ -227,8 +227,8 @@ def t_matrix_entry(me: ModelEngine, i: int, j: int) -> UEA:
     acc: UEA = {}
     for k in range(i + 1):
         arg = CentralArg(me, Fraction(i, 2) - 1 - k, h)
-        term = PBWEngine.scale(sca((-1) ** k * comb(i, k)), arg.power(j))
-        acc = PBWEngine.add(acc, term)
+        term = scale(sca((-1) ** k * comb(i, k)), arg.power(j))
+        acc = add(acc, term)
     return acc
 
 
@@ -249,7 +249,7 @@ def shift_substitute(me: ModelEngine, b: PolyUEA) -> PolyUEA:
             bj = b.coeff(j)
             if not bj:
                 continue
-            acc = PBWEngine.add(acc, me.g.mul(bj, t_matrix_entry(me, i, j)))
+            acc = add(acc, me.g.mul(bj, t_matrix_entry(me, i, j)))
         out.append(acc)
     return PolyUEA(out, "phi").trim()
 
@@ -268,9 +268,9 @@ def shift_substitute_direct(me: ModelEngine, b: PolyUEA) -> PolyUEA:
         if not bj:
             continue
         for i in range(j + 1):
-            term = me.g.mul(PBWEngine.scale(sca(comb(j, i)), bj),
+            term = me.g.mul(scale(sca(comb(j, i)), bj),
                             arg.power(j - i))
-            out[i] = PBWEngine.add(out[i], term)
+            out[i] = add(out[i], term)
     return PolyUEA(out, "x").trim()
 
 
@@ -311,7 +311,7 @@ def check_congruences(me: ModelEngine, b: IwasawaElement,
     if nmax is None:
         nmax = default_nmax(max(b.degree, 0))
     y = me.model.distinguished["Y"]
-    neg_y = el_scale(-ONE, y)
+    neg_y = scale(-ONE, y)
     if rep is None:
         rep = Report("congruences")
     for n in range(1, nmax + 1):
@@ -320,7 +320,7 @@ def check_congruences(me: ModelEngine, b: IwasawaElement,
         en = me.g.gen("E", n)
         lhs = me.g.mul(en, evaluate_poly(me, iwasawa_to_poly(b), left_arg))
         rhs = evaluate_poly(me, iwasawa_to_poly(b), right_arg, right=en)
-        rep.vanishes("n=%d" % n, me.reduce_mod_mplus(PBWEngine.sub(lhs, rhs)),
+        rep.vanishes("n=%d" % n, me.reduce_mod_mplus(sub(lhs, rhs)),
                      me.g.serialize)
     return rep
 
@@ -352,7 +352,7 @@ def check_triangular(me: ModelEngine, c: PolyUEA) -> Report:
     cx = c.to_x()
     m = cx.degree
     yt = me.model.distinguished["Ytilde"]
-    neg_yt = el_scale(-ONE, yt)
+    neg_yt = scale(-ONE, yt)
     e = me.g.gen("E")
     rep = Report("triangular")
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
@@ -363,7 +363,7 @@ def check_triangular(me: ModelEngine, c: PolyUEA) -> Report:
         dn1_e = dn1.map_coeffs(lambda u: me.g.ad_power(e_elt, u, n))
         arg1 = CentralArg(me, Fraction(n, 2) + 1, neg_yt)
         arg2 = CentralArg(me, Fraction(n, 2) - Fraction(1, 2), neg_yt)
-        total = PBWEngine.add(
+        total = add(
             evaluate_poly(me, dn_e, arg1),
             evaluate_poly(me, dn1_e, arg2, right=e))
         rep.vanishes("n=%d" % n, me.reduce_mod_mplus(total), me.g.serialize)
@@ -379,7 +379,7 @@ def epsilon_ln(me: ModelEngine, c: PolyUEA, l: int, n: int) -> UEA:
     cphi = c.to_phi()
     m = cphi.degree
     yt = me.model.distinguished["Ytilde"]
-    neg_yt = el_scale(-ONE, yt)
+    neg_yt = scale(-ONE, yt)
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
     acc: UEA = {}
     for i in range(n, m + 1):
@@ -392,7 +392,7 @@ def epsilon_ln(me: ModelEngine, c: PolyUEA, l: int, n: int) -> UEA:
         arg = CentralArg(me, -Fraction(n, 2) + l, neg_yt)
         phi_at = evaluate_poly(me, phi_poly(i - n), arg)
         term = me.g.mul_many(der, phi_at, me.g.gen("E", n) if n else me.g.one())
-        acc = PBWEngine.add(acc, PBWEngine.scale(sca((-1) ** n), term))
+        acc = add(acc, scale(sca((-1) ** n), term))
     for i in range(l, m + 1):
         ci = cphi.coeff(i)
         if not ci:
@@ -403,7 +403,7 @@ def epsilon_ln(me: ModelEngine, c: PolyUEA, l: int, n: int) -> UEA:
         arg = CentralArg(me, -Fraction(l, 2) + n, neg_yt)
         phi_at = evaluate_poly(me, phi_poly(i - l), arg)
         term = me.g.mul_many(der, phi_at, me.g.gen("E", l) if l else me.g.one())
-        acc = PBWEngine.sub(acc, PBWEngine.scale(sca((-1) ** l), term))
+        acc = sub(acc, scale(sca((-1) ** l), term))
     return acc
 
 

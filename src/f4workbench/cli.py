@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .exactnum import ONE, ZERO, sca
+from .exactnum import ONE, ZERO, add, sca, scale, sub
 from .reporting import Report
 
 
@@ -169,7 +169,7 @@ def suite_omega(cfg: Config) -> Report:
 
 def suite_balg(cfg: Config) -> Report:
     rep = Report("balg", cfg.seed)
-    from .uea import model_engine, omega_normalized, PBWEngine
+    from .uea import model_engine, omega_normalized
     from .balg import (CentralArg, check_congruences, check_triangular,
                        default_nmax, discrete_derivative, epsilon_ln,
                        evaluate_poly, iwasawa_to_poly, phi_poly,
@@ -197,14 +197,13 @@ def suite_balg(cfg: Config) -> Report:
                 t = t_matrix_entry(me, i, j)
                 d = me.g.ad_power(e_elt, t, j - i)
                 scalef = Fraction((-1) ** (j - i) * factorial(j), 2 ** (j - i))
-                expect = PBWEngine.scale(
+                expect = scale(
                     sca(scalef), me.g.gen("E", j - i) if j > i else me.g.one())
                 if d != expect:
                     return False, "entry (%d,%d)" % (i, j)
         return True, None
 
     def raising_identities():
-        from .liealg import el_scale
         h = me.model.distinguished["H"]
         yt = me.model.distinguished["Ytilde"]
         raiser_e = me.lie_in_mixed(me.model.distinguished["E"])
@@ -213,24 +212,24 @@ def suite_balg(cfg: Config) -> Report:
         for k in range(5):
             argh = CentralArg(me, Fraction(0), h)
             got = me.g.ad_power(raiser_e, argh.power(k), k)
-            expect = PBWEngine.scale(
+            expect = scale(
                 sca(Fraction(factorial(k) * (-1) ** k, 2 ** k)),
                 me.g.gen("E", k) if k else me.g.one())
             if got != expect:
                 return False, "torus power identity at %d" % k
             val = evaluate_poly(me, phi_poly(k), argh)
-            if me.g.ad_power(raiser_e, val, k) != PBWEngine.scale(
+            if me.g.ad_power(raiser_e, val, k) != scale(
                     sca(Fraction((-1) ** k, 2 ** k)),
                     me.g.gen("E", k) if k else me.g.one()):
                 return False, "basis-evaluated identity at %d" % k
-            argy = CentralArg(me, Fraction(0), el_scale(-ONE, yt))
+            argy = CentralArg(me, Fraction(0), scale(-ONE, yt))
             got2 = me.g.ad_power(raiser_d, argy.power(k), k)
-            if got2 != PBWEngine.scale(sca(factorial(k) * (-1) ** k),
-                                       me.g.power(xdelta, k)):
+            if got2 != scale(sca(factorial(k) * (-1) ** k),
+                             me.g.power(xdelta, k)):
                 return False, "argument power identity at %d" % k
             val2 = evaluate_poly(me, phi_poly(k),
-                                 CentralArg(me, Fraction(3), el_scale(-ONE, yt)))
-            if me.g.ad_power(raiser_d, val2, k) != PBWEngine.scale(
+                                 CentralArg(me, Fraction(3), scale(-ONE, yt)))
+            if me.g.ad_power(raiser_d, val2, k) != scale(
                     sca((-1) ** k), me.g.power(xdelta, k)):
                 return False, "shifted basis identity at %d" % k
         return True, None
@@ -242,8 +241,8 @@ def suite_balg(cfg: Config) -> Report:
             for _ in range(3):
                 lab = labels[rng.randrange(len(labels))]
                 c = sca(rng.randint(-2, 2))
-                coeffs.append(PBWEngine.scale(c, me.g.gen(lab))
-                              if lab else PBWEngine.scale(c, me.g.one()))
+                coeffs.append(scale(c, me.g.gen(lab))
+                              if lab else scale(c, me.g.one()))
             b = PolyUEA(coeffs, "x").trim()
             nmax = default_nmax(max(b.degree, 0))
             direct = check_congruences(me, poly_to_iwasawa(b), nmax).ok
@@ -318,7 +317,7 @@ def _module_checks(me, kl, cap: int, modules: dict) -> List[tuple]:
 
 def suite_repth(cfg: Config) -> Report:
     rep = Report("repth", cfg.seed)
-    from .uea import model_engine, invariants_up_to_degree, PBWEngine
+    from .uea import model_engine, invariants_up_to_degree
     from .repth import degree_machine, m_generators
     me = model_engine()
     rng = random.Random(cfg.seed)
@@ -342,7 +341,7 @@ def suite_repth(cfg: Config) -> Report:
         for _ in range(20):
             u = me.g.zero()
             for b in inv2:
-                u = PBWEngine.add(u, PBWEngine.scale(sca(rng.randint(-3, 3)), b))
+                u = add(u, scale(sca(rng.randint(-3, 3)), b))
             if u and dm.degree(u) > 4:
                 return False, "bound violated"
         return True, None
@@ -359,7 +358,7 @@ def suite_combin(cfg: Config) -> Report:
                          index_sets, system_matches_generalized, u_element,
                          weight_of)
     from .repth import degree_machine
-    from .uea import model_casimir_m, PBWEngine
+    from .uea import model_casimir_m
     from .rootdata import gamma_basis, vadd, vscale
     import itertools
     me = model_engine()
@@ -398,7 +397,7 @@ def suite_combin(cfg: Config) -> Report:
             return False, "weight"
         lead = me.g.mul(me.g.gen("Xdelta"),
                         me.uea_of(me.model.distinguished["X4"]))
-        if me.reduce_mod_y(PBWEngine.sub(u, lead)):
+        if me.reduce_mod_y(sub(u, lead)):
             return False, "leading congruence"
         return True, None
 
@@ -637,6 +636,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not args.command:
         parser.print_usage()
         return 2
+    for count in ("k", "l", "kmax", "lmax"):
+        value = getattr(args, count, None)
+        if value is not None and value < 0:
+            print("--%s must be nonnegative, not %d" % (count, value),
+                  file=sys.stderr)
+            return 2
     cfg = Config()
     try:
         if args.config:
@@ -707,7 +712,11 @@ def _combin_command(args, cfg: Config) -> int:
         if args.T is None or args.n is None or args.m is None:
             print("matrix requires --T --n --m", file=sys.stderr)
             return 2
-        sets = index_sets(args.m, args.T, args.n)
+        try:
+            sets = index_sets(args.m, args.T, args.n)
+        except ValueError as exc:
+            print("combin matrix: %s" % exc, file=sys.stderr)
+            return 2
         sm = system_matrix(args.T, args.n, args.m, reduced=args.reduced)
         payload = {
             "L": list(sets.L),

@@ -18,11 +18,12 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import Matrix, ONE, PolyScalar, Scalar, ZERO, sca
+from .exactnum import (Matrix, ONE, PolyScalar, Scalar, ZERO, add, coordinates,
+                       sca, scale, sub)
 from .reporting import Report
 from .repth import degree_machine
 from .rootdata import Coord, gamma_basis, vadd, vscale
-from .uea import IwasawaElement, ModelEngine, PBWEngine, UEA
+from .uea import IwasawaElement, ModelEngine, UEA
 
 
 def degree_profile(m: int) -> Tuple[int, ...]:
@@ -42,6 +43,8 @@ class IndexSets:
 
 def index_sets(m: int, T: int, n: int) -> IndexSets:
     """The row and column index sets at skew-diagonal level (T, n)."""
+    if m < 0:
+        raise ValueError("m=%d is negative" % m)
     d0 = degree_profile(m)[0]
     if not (m <= T <= 2 * d0):
         raise ValueError("T=%d out of range [%d, %d]" % (T, m, 2 * d0))
@@ -227,7 +230,7 @@ def dk_operator(me: ModelEngine, b: UEA, k: int,
             continue
         tail = me.g.mul(me.g.gen("E", k - l) if k > l else me.g.one(),
                         me.g.power(x4, l))
-        acc = PBWEngine.add(acc, PBWEngine.scale(sca(c), me.g.mul(der, tail)))
+        acc = add(acc, scale(sca(c), me.g.mul(der, tail)))
     return acc
 
 
@@ -249,7 +252,7 @@ def weight_of(me: ModelEngine, u: UEA) -> Optional[Coord]:
                 break
         if ratio is None or not ratio.is_rational():
             return None
-        if PBWEngine.sub(img, PBWEngine.scale(ratio, u)):
+        if sub(img, scale(ratio, u)):
             return None
         out.append(ratio.rational_value())
     return tuple(out)
@@ -272,23 +275,18 @@ def u_element(me: ModelEngine) -> Tuple[UEA, Scalar, Scalar]:
         me.model.k_element_in_g({k_idx["Xdelta2"]: ONE}),
         me.model.k_element_in_g({k_idx["X1"]: ONE}),
     ]
-    rows = []
-    rhs = []
-    for x in raisers:
+    # the images under every raiser, stacked as one vector keyed by
+    # (raiser, monomial): a ad(t1) + b ad(t2) = -ad(xd_x4)
+    images = [{}, {}, {}]
+    for r, x in enumerate(raisers):
         xm = me.lie_in_mixed(x)
-        im0 = me.g.ad(xm, xd_x4)
-        im1 = me.g.ad(xm, t1)
-        im2 = me.g.ad(xm, t2)
-        monos = sorted(set(im0) | set(im1) | set(im2))
-        for mo in monos:
-            rows.append([im1.get(mo, ZERO), im2.get(mo, ZERO)])
-            rhs.append(-im0.get(mo, ZERO))
-    sol = Matrix(rows).solve(rhs)
+        for image, u in zip(images, (xd_x4, t1, t2)):
+            image.update(((r, mo), c) for mo, c in me.g.ad(xm, u).items())
+    sol = coordinates(images[1:], scale(-ONE, images[0]))
     if sol is None:
         raise ValueError("no dominant combination exists")
-    a, b = sol
-    u = PBWEngine.add(xd_x4, PBWEngine.add(PBWEngine.scale(a, t1),
-                                           PBWEngine.scale(b, t2)))
+    a, b = sol.get(0, ZERO), sol.get(1, ZERO)
+    u = add(xd_x4, add(scale(a, t1), scale(b, t2)))
     return u, a, b
 
 
@@ -359,7 +357,7 @@ def _sigma_direct(me: ModelEngine, b: IwasawaElement, m: int, T: int,
             tail_e = me.g.gen("E", r - i) if r > i else me.g.one()
             tail_d = me.g.gen("Xdelta", i - n) if i > n else me.g.one()
             term = me.g.mul_many(der, tail_e, tail_d)
-            acc = PBWEngine.add(acc, PBWEngine.scale(c, term))
+            acc = add(acc, scale(c, term))
     return acc
 
 
@@ -391,7 +389,7 @@ def _sigma_typed(me: ModelEngine, data: CoefficientData, T: int,
                     me.g.gen("E", r - i) if r > i else me.g.one(),
                     me.g.gen("Xdelta", T - k) if T > k else me.g.one(),
                     me.g.power(x4, k + i - n))
-                acc = PBWEngine.add(acc, PBWEngine.scale(c, term))
+                acc = add(acc, scale(c, term))
     return acc
 
 
@@ -433,21 +431,21 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
     for (l, n) in ln_pairs:
         s1 = _sigma_direct(me, b, m, T, l, n)
         s2 = _sigma_direct(me, b, m, T, n, l)
-        lhs = PBWEngine.sub(
-            PBWEngine.scale(sca((-1) ** n),
-                            me.g.mul(s1, me.g.gen("E", n) if n else me.g.one())),
-            PBWEngine.scale(sca((-1) ** l),
-                            me.g.mul(s2, me.g.gen("E", l) if l else me.g.one())))
+        lhs = sub(
+            scale(sca((-1) ** n),
+                  me.g.mul(s1, me.g.gen("E", n) if n else me.g.one())),
+            scale(sca((-1) ** l),
+                  me.g.mul(s2, me.g.gen("E", l) if l else me.g.one())))
         rep.vanishes("direct (l,n)=(%d,%d)" % (l, n),
                      me.reduce_mod_mplus(lhs), me.g.serialize)
 
         t1 = _sigma_typed(me, data, T, l, n)
         t2 = _sigma_typed(me, data, T, n, l)
-        lhs_t = PBWEngine.sub(
-            PBWEngine.scale(sca((-1) ** n),
-                            me.g.mul(t1, me.g.gen("E", n) if n else me.g.one())),
-            PBWEngine.scale(sca((-1) ** l),
-                            me.g.mul(t2, me.g.gen("E", l) if l else me.g.one())))
+        lhs_t = sub(
+            scale(sca((-1) ** n),
+                  me.g.mul(t1, me.g.gen("E", n) if n else me.g.one())),
+            scale(sca((-1) ** l),
+                  me.g.mul(t2, me.g.gen("E", l) if l else me.g.one())))
         rep.vanishes("typed (l,n)=(%d,%d)" % (l, n),
                      me.reduce_mod_mplus(lhs_t), me.g.serialize)
         expect = vadd(vscale(2 * T - l - n, g["gamma1"]),
@@ -467,20 +465,17 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
             for l in range(0, L + 1):
                 t1 = _sigma_typed(me, data, T, l, n)
                 t2 = _sigma_typed(me, data, T, n, l)
-                eps = PBWEngine.sub(
-                    PBWEngine.scale(sca((-1) ** n),
-                                    me.g.mul(t1, me.g.gen("E", n)
-                                             if n else me.g.one())),
-                    PBWEngine.scale(sca((-1) ** l),
-                                    me.g.mul(t2, me.g.gen("E", l)
-                                             if l else me.g.one())))
+                eps = sub(
+                    scale(sca((-1) ** n),
+                          me.g.mul(t1, me.g.gen("E", n) if n else me.g.one())),
+                    scale(sca((-1) ** l),
+                          me.g.mul(t2, me.g.gen("E", l) if l else me.g.one())))
                 if not eps:
                     continue
                 tail = me.g.mul(me.g.gen("E", L - l) if L > l else me.g.one(),
                                 me.g.power(x4, l + n))
-                acc = PBWEngine.add(
-                    acc, PBWEngine.scale(sca((-2) ** l * comb(L, l)),
-                                         me.g.mul(eps, tail)))
+                acc = add(acc, scale(sca((-2) ** l * comb(L, l)),
+                                     me.g.mul(eps, tail)))
             rep.vanishes("combined (n,L)=(%d,%d)" % (n, L),
                          me.reduce_mod_mplus(acc), me.g.serialize)
     return rep

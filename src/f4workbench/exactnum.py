@@ -7,20 +7,20 @@ is stored as a single reduced triple (p, q, r) of integers representing
 (p + q*sqrt2)/r, which keeps the hot arithmetic paths down to integer
 multiplies and one gcd per operation.
 
-Matrices are dense with Scalar entries.  Their rank and determinant use
-fraction-free (Bareiss) elimination to bound coefficient growth; kernels
-and solving use ordinary Gauss-Jordan over the field, which is exact.
+Sparse vectors are dicts {key: Scalar} with comparable keys and no zero
+entries.  This module is the one place that does arithmetic and
+elimination on them: add, sub, scale and combine all run the one
+accumulate loop, and one sparse reduced echelon form (Echelon) serves
+every span, coordinate solve, kernel, dual basis and rank downstream.
 
-Sparse vectors are dicts {key: Scalar} with comparable keys.  One sparse
-reduced echelon form (Echelon) serves every span, coordinate map, kernel,
-dual basis and rank downstream.  Dense Bareiss has no caller outside the
-tests, where it is the oracle for the echelon ranks; the remaining dense
-Matrix work is Gauss-Jordan solving and products.
+Matrices are dense with Scalar entries.  Downstream they are only
+multiplied and read; their eliminations (fraction-free Bareiss rank and
+determinant, Gauss-Jordan rref, nullspace and solve) have no caller
+outside the tests, where they are the oracle for the echelon.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from math import gcd
@@ -438,16 +438,6 @@ class Matrix:
             x[pc] = m[r][self.cols]
         return x
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps([[e.to_string() for e in row] for row in self.entries])
-
-    @staticmethod
-    def from_json(s: str) -> "Matrix":
-        data = json.loads(s)
-        return Matrix([[Scalar.parse(e) for e in row] for row in data])
-
     def __repr__(self):
         return "Matrix(%dx%d)" % (self.rows, self.cols)
 
@@ -457,14 +447,44 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(acc: dict, c: Scalar, x: dict) -> None:
-    """acc += c * x in place, dropping entries that cancel."""
+def accumulate(acc: dict, x: dict, c: Scalar = None) -> None:
+    """acc += c * x in place, or acc += x when c is None.
+
+    Entries that cancel are dropped, and a key new to acc costs no Scalar
+    addition.
+    """
     for k, e in x.items():
-        s = acc.get(k, ZERO) + c * e
-        if s:
-            acc[k] = s
+        if c is not None:
+            e = c * e
+        s = acc.get(k)
+        if s is not None:
+            e = s + e
+        if e:
+            acc[k] = e
         else:
             acc.pop(k, None)
+
+
+def add(u: dict, v: dict) -> dict:
+    """u + v."""
+    out = dict(u)
+    accumulate(out, v)
+    return out
+
+
+def sub(u: dict, v: dict) -> dict:
+    """u - v."""
+    out = dict(u)
+    accumulate(out, v, -ONE)
+    return out
+
+
+def scale(c: Scalar, u: dict) -> dict:
+    """c * u."""
+    out: dict = {}
+    if c:
+        accumulate(out, u, c)
+    return out
 
 
 def combine(coeffs: dict, vectors) -> dict:
@@ -472,7 +492,7 @@ def combine(coeffs: dict, vectors) -> dict:
     out: dict = {}
     for i, c in coeffs.items():
         if c:
-            _accumulate(out, c, vectors[i])
+            accumulate(out, vectors[i], c)
     return out
 
 
@@ -514,8 +534,8 @@ class Echelon:
             # rows vanish at the other pivots, so rem[p] is still v[p]
             c = rem[p]
             row, rc = self._rows[p]
-            _accumulate(rem, -c, row)
-            _accumulate(coords, c, rc)
+            accumulate(rem, row, -c)
+            accumulate(coords, rc, c)
         return rem, {i: coords[i] for i in sorted(coords)}
 
     def add(self, v: dict):
@@ -532,8 +552,8 @@ class Echelon:
         for other, oc in self._rows.values():
             f = other.get(p)
             if f:
-                _accumulate(other, -f, row)
-                _accumulate(oc, -f, rc)
+                accumulate(other, row, -f)
+                accumulate(oc, rc, -f)
         self._rows[p] = (row, rc)
         return None
 
@@ -557,6 +577,20 @@ def kernel(images) -> list:
             v[j] = ONE
             out.append(v)
     return out
+
+
+def coordinates(vectors, target):
+    """The c with sum_i c_i vectors[i] = target, as {i: c_i}, or None when
+    target lies outside the span.
+
+    Raises ValueError when the vectors are dependent, where the
+    coordinates would not be unique.
+    """
+    echelon = Echelon()
+    if any(echelon.add(v) is not None for v in vectors):
+        raise ValueError("the vectors are dependent")
+    rem, coords = echelon.reduce(target)
+    return None if rem else coords
 
 
 def dual_basis(basis, form) -> list:

@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, combine, kernel,
-                       sca, sqrt_in_field)
+from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, accumulate, add,
+                       combine, coordinates, kernel, scale, sca, sqrt_in_field,
+                       sub)
 from .reporting import Report
 from .rootdata import (
     Coord, F4_SIMPLE, RootSystem, cartan_type, f4_root_system,
@@ -31,31 +32,6 @@ from .rootdata import (
 
 # A Lie algebra element: sparse mapping basis index -> nonzero Scalar.
 LieElement = Dict[int, Scalar]
-
-
-def el_add(x: LieElement, y: LieElement) -> LieElement:
-    out = dict(x)
-    for i, c in y.items():
-        s = out.get(i, ZERO) + c
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
-
-
-def el_sub(x: LieElement, y: LieElement) -> LieElement:
-    return el_add(x, {i: -c for i, c in y.items()})
-
-
-def el_scale(c: Scalar, x: LieElement) -> LieElement:
-    if not c:
-        return {}
-    return {i: c * v for i, v in x.items()}
-
-
-def el_eq(x: LieElement, y: LieElement) -> bool:
-    return el_sub(x, y) == {}
 
 
 class LieAlgebra:
@@ -80,15 +56,8 @@ class LieAlgebra:
         for i, ci in x.items():
             for j, cj in y.items():
                 t = self.bracket_basis(i, j)
-                if not t:
-                    continue
-                c = ci * cj
-                for k, ck in t.items():
-                    s = out.get(k, ZERO) + c * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                if t:
+                    accumulate(out, t, ci * cj)
         return out
 
     def ad_matrix(self, x: LieElement) -> Matrix:
@@ -106,8 +75,10 @@ class LieAlgebra:
                 bij = self.bracket_basis(i, j)
                 for k in range(j + 1, self.dim):
                     acc = self.bracket(bij, {k: ONE})
-                    acc = el_add(acc, self.bracket(self.bracket_basis(j, k), {i: ONE}))
-                    acc = el_add(acc, self.bracket(self.bracket_basis(k, i), {j: ONE}))
+                    accumulate(acc, self.bracket(self.bracket_basis(j, k),
+                                                 {i: ONE}))
+                    accumulate(acc, self.bracket(self.bracket_basis(k, i),
+                                                 {j: ONE}))
                     if acc:
                         bad.append((i, j, k))
                         if len(bad) >= limit:
@@ -134,10 +105,6 @@ class LieAlgebra:
                 out.entries[i][j] = acc
                 out.entries[j][i] = acc
         return out
-
-
-def killing_form(algebra: LieAlgebra) -> Matrix:
-    return algebra.killing_form()
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +287,9 @@ class Subspace:
 # ---------------------------------------------------------------------------
 
 
-def _vec_to_element(v: Sequence[Scalar]) -> LieElement:
-    return {i: c for i, c in enumerate(v) if c}
-
-
 def _matrix_apply(m: Matrix, x: LieElement) -> LieElement:
-    out: Dict[int, Scalar] = {}
-    for j, c in x.items():
-        for i in range(m.rows):
-            e = m.entries[i][j]
-            if e:
-                s = out.get(i, ZERO) + e * c
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-    return out
+    return combine(x, {j: {i: row[j] for i, row in enumerate(m.entries)
+                           if row[j]} for j in x})
 
 
 # Lagrange interpolation of exp(pi/4 * t) on the spectrum {0, +-i, +-2i};
@@ -358,7 +312,7 @@ def cayley_transform(algebra: LieAlgebra, xmu: LieElement,
     Raises if the spectrum condition (the minimal-polynomial identity
     A(A^2+1)(A^2+4) = 0) fails, which signals a wrong normalization.
     """
-    w = el_sub(theta_xmu, xmu)
+    w = sub(theta_xmu, xmu)
     a = algebra.ad_matrix(w)
     n = algebra.dim
     powers = [Matrix.identity(n), a]
@@ -411,13 +365,7 @@ class F4Model:
 
     def b(self, x: LieElement, y: LieElement) -> Scalar:
         """The invariant form normalized so the epsilon basis is orthonormal."""
-        acc = ZERO
-        for i, ci in x.items():
-            row = self.bform.entries[i]
-            for j, cj in y.items():
-                if row[j]:
-                    acc = acc + ci * cj * row[j]
-        return acc
+        return _form_value(self.bform, x, y)
 
     def theta_apply(self, x: LieElement) -> LieElement:
         return _matrix_apply(self.theta, x)
@@ -460,9 +408,9 @@ def _build_theta(alg: LieAlgebra, rs: RootSystem, c1: Scalar) -> Matrix:
         n = sca(data.N[(a1, b1)])
         ninv = n.inverse()
         img = alg.bracket(images[ridx[a1]], images[ridx[b1]])
-        images[ridx[gamma]] = el_scale(ninv, img)
+        images[ridx[gamma]] = scale(ninv, img)
         imgn = alg.bracket(images[ridx[vneg(a1)]], images[ridx[vneg(b1)]])
-        images[ridx[vneg(gamma)]] = el_scale(-ninv, imgn)
+        images[ridx[vneg(gamma)]] = scale(-ninv, imgn)
     return Matrix([[images[j].get(i, ZERO) for j in range(alg.dim)]
                    for i in range(alg.dim)])
 
@@ -473,7 +421,7 @@ def _is_automorphism(alg: LieAlgebra, m: Matrix) -> Optional[str]:
         for j in range(i + 1, alg.dim):
             lhs = _matrix_apply(m, alg.bracket_basis(i, j))
             rhs = alg.bracket(xi, _matrix_apply(m, {j: ONE}))
-            if not el_eq(lhs, rhs):
+            if lhs != rhs:
                 return "bracket image mismatch at basis pair (%s, %s)" % (
                     alg.labels[i], alg.labels[j])
     return None
@@ -485,7 +433,7 @@ def _ratio(x: LieElement, y: LieElement) -> Scalar:
         raise ValueError("ratio against zero")
     j = next(iter(y))
     c = x.get(j, ZERO) / y[j]
-    if not el_eq(x, el_scale(c, y)):
+    if x != scale(c, y):
         raise ValueError("elements are not proportional")
     return c
 
@@ -548,12 +496,9 @@ def build_f4_model() -> F4Model:
     # h coordinates: eps_j(h_alpha_i) = coroot pairing of eps_j with alpha_i
     pair = [[rs.coroot_pairing(_eps(j), rs.simple[i]) for i in range(4)]
             for j in range(4)]
-    pm = Matrix([[sca(x) for x in row] for row in pair])
-    t_elements = []
-    for i in range(4):
-        rhs = [ONE if j == i else ZERO for j in range(4)]
-        sol = pm.solve(rhs)
-        t_elements.append(_vec_to_element(sol))
+    columns = [{j: sca(pair[j][i]) for j in range(4) if pair[j][i]}
+               for i in range(4)]
+    t_elements = [coordinates(columns, {i: ONE}) for i in range(4)]
 
     # the invariant form with orthonormal epsilon basis
     k_t1 = _form_value(kappa, t_elements[0], t_elements[0])
@@ -586,8 +531,8 @@ def build_f4_model() -> F4Model:
         return _matrix_apply(theta, x)
 
     # fixed and anti-fixed subspaces: spanned by x + theta x and x - theta x
-    k_span = Subspace(n, [el_add(th({j: ONE}), {j: ONE}) for j in range(n)])
-    p_span = Subspace(n, [el_sub({j: ONE}, th({j: ONE})) for j in range(n)])
+    k_span = Subspace(n, [add(th({j: ONE}), {j: ONE}) for j in range(n)])
+    p_span = Subspace(n, [sub({j: ONE}, th({j: ONE})) for j in range(n)])
     if (k_span.dim, p_span.dim) != (36, 16):
         raise ValueError("fixed-space dimensions (%d, %d) are wrong"
                          % (k_span.dim, p_span.dim))
@@ -597,7 +542,7 @@ def build_f4_model() -> F4Model:
     x_e1 = {ridx[eps1]: ONE}
     beta = b_val(x_e1, th(x_e1))
     lam = sqrt_in_field(sca(2) / beta)
-    xmu = el_scale(lam, x_e1)
+    xmu = scale(lam, x_e1)
     alpha1 = F4_SIMPLE[0]
     x_a1 = {ridx[alpha1]: ONE}
     x_ma1 = {ridx[vneg(alpha1)]: ONE}
@@ -605,11 +550,11 @@ def build_f4_model() -> F4Model:
     if t_val * t_val != ONE:
         raise ValueError("normalization scalar t with t^2 = 1 not found")
     if t_val == ONE:
-        xmu = el_scale(-ONE, xmu)
-    if not el_eq(alg.bracket(xmu, x_ma1), th(x_ma1)):
+        xmu = scale(-ONE, xmu)
+    if alg.bracket(xmu, x_ma1) != th(x_ma1):
         raise ValueError("second normalization identity failed")
     h_mu = alg.bracket(xmu, th(xmu))
-    if not el_eq(h_mu, el_scale(sca(2), t_elements[0])):
+    if h_mu != scale(sca(2), t_elements[0]):
         raise ValueError("s-triple bracket is not the coroot of the split root")
 
     chi = cayley_transform(alg, xmu, th(xmu))
@@ -618,7 +563,7 @@ def build_f4_model() -> F4Model:
         return _matrix_apply(chi, x)
 
     # named vectors, normalized by their defining relations
-    e_elt = el_add(x_ma1, th(x_ma1))
+    e_elt = add(x_ma1, th(x_ma1))
     g = gamma_basis()
     a_g1 = g["gamma1"]           # pre-image root of gamma1 has equal coords
     x1 = ch({ridx[a_g1]: ONE})
@@ -627,13 +572,13 @@ def build_f4_model() -> F4Model:
     g2 = g["gamma2"]
     x2_raw = {ridx[g2]: ONE}     # chi-fixed
     sigma = _ratio(alg.bracket(x1, x2_raw), e_elt)
-    x2 = el_scale(sigma.inverse(), x2_raw)
-    xm2 = el_scale(sigma, {ridx[vneg(g2)]: ONE})
+    x2 = scale(sigma.inverse(), x2_raw)
+    xm2 = scale(sigma, {ridx[vneg(g2)]: ONE})
     h2 = alg.bracket(x2, xm2)
     x4 = alg.bracket(x1, e_elt)
     g4pre = g["gamma4"]
     rho = _ratio(x4, ch({ridx[g4pre]: ONE}))
-    xdelta = el_scale(rho, ch(th({ridx[g4pre]: ONE})))
+    xdelta = scale(rho, ch(th({ridx[g4pre]: ONE})))
     phi_pairs = {}
     for nm, prename in (("phi1", vec(1, 0, 1, 0)), ("phi2", vec(1, 0, 0, 1))):
         plus = ch({ridx[prename]: ONE})
@@ -645,7 +590,7 @@ def build_f4_model() -> F4Model:
     def dual_normalized(x_pos: LieElement, neg_root_pre: Coord) -> LieElement:
         v = ch({ridx[neg_root_pre]: ONE})
         c = b_val(x_pos, v)
-        return el_scale(c.inverse(), v)
+        return scale(c.inverse(), v)
 
     xm4 = dual_normalized(x4, vneg(g4pre))
     xmdelta = dual_normalized(xdelta, vec(1, -1, 0, 0))
@@ -675,9 +620,9 @@ def build_f4_model() -> F4Model:
     sm23 = chev_root(0, -1, -1, 0)
     sm24 = chev_root(0, -1, 0, -1)
 
-    d2 = el_sub(x4, xdelta)
-    d3 = el_sub(xphi1, xdelta1)
-    d4 = el_sub(xphi2, xdelta2)
+    d2 = sub(x4, xdelta)
+    d3 = sub(xphi1, xdelta1)
+    d4 = sub(xphi2, xdelta2)
 
     ht1 = ch(t_elements[0])
     named = {
@@ -695,7 +640,7 @@ def build_f4_model() -> F4Model:
     }
     k_basis = [named[lab] for lab in K_LABELS]
     for lab, v in named.items():
-        if not el_eq(th(v), v):
+        if th(v) != v:
             raise ValueError("basis vector %s is not fixed by the involution" % lab)
 
     k_alg = _rebase_table(alg, k_basis, K_LABELS)
@@ -710,9 +655,9 @@ def build_f4_model() -> F4Model:
 
     # named non-basis vectors
     h_a1 = {i: sca(c) for i, c in enumerate(_coroot_coeffs(rs, alpha1)) if c}
-    y_elt = el_sub(h_a1, z_elt)   # torus part of the alpha1 coroot
-    h_elt = el_scale(sca(Fraction(1, 2)), h2)
-    ytilde = el_add(y_elt, h_elt)
+    y_elt = sub(h_a1, z_elt)   # torus part of the alpha1 coroot
+    h_elt = scale(sca(Fraction(1, 2)), h2)
+    ytilde = add(y_elt, h_elt)
     c_value = Fraction(3, 2)
     got_c = _ratio(alg.bracket(e_elt, y_elt), e_elt)
     if got_c != sca(c_value):
@@ -721,8 +666,8 @@ def build_f4_model() -> F4Model:
     hr1 = _coroot_element(rs, ridx, vec(0, 0, 1, -1))
     hr2 = ch(_coroot_element(rs, ridx, vec(-1, 0, 0, 1)))
     h43 = ch(_coroot_element(rs, ridx, vec(0, 0, -1, 1)))
-    zo = el_add(el_add(el_add(xm4, xmdelta), el_add(xmphi2, xmdelta2)),
-                el_add(xm3, h43))
+    zo = add(add(add(xm4, xmdelta), add(xmphi2, xmdelta2)),
+             add(xm3, h43))
 
     distinguished = dict(named)
     distinguished.update({
@@ -925,33 +870,33 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
               not model.k_algebra.jacobi_failures(limit=1))
 
     br = alg.bracket
-    rep.check("[X1, X2] = E", el_eq(br(d["X1"], d["X2"]), d["E"]))
-    rep.check("[X1, E] = X4", el_eq(br(d["X1"], d["E"]), d["X4"]))
+    rep.check("[X1, X2] = E", br(d["X1"], d["X2"]) == d["E"])
+    rep.check("[X1, E] = X4", br(d["X1"], d["E"]) == d["X4"])
     rep.check("[Xm1, E] = 2 X2",
-              el_eq(br(d["Xm1"], d["E"]), el_scale(sca(2), d["X2"])))
+              br(d["Xm1"], d["E"]) == scale(sca(2), d["X2"]))
     rep.check("[Xm1, X4] = 2 E",
-              el_eq(br(d["Xm1"], d["X4"]), el_scale(sca(2), d["E"])))
+              br(d["Xm1"], d["X4"]) == scale(sca(2), d["E"]))
     rep.check("[H, E] = E/2",
-              el_eq(br(d["H"], d["E"]), el_scale(sca(Fraction(1, 2)), d["E"])))
+              br(d["H"], d["E"]) == scale(sca(Fraction(1, 2)), d["E"]))
     rep.check("[Xdelta, H] = 0", br(d["Xdelta"], d["H"]) == {})
-    rep.check("[E, Ytilde] = E", el_eq(br(d["E"], d["Ytilde"]), d["E"]))
+    rep.check("[E, Ytilde] = E", br(d["E"], d["Ytilde"]) == d["E"])
     rep.check("[Xdelta, Ytilde] = Xdelta",
-              el_eq(br(d["Xdelta"], d["Ytilde"]), d["Xdelta"]))
+              br(d["Xdelta"], d["Ytilde"]) == d["Xdelta"])
     rep.check("[E, Y] = (3/2) E",
-              el_eq(br(d["E"], d["Y"]), el_scale(sca(Fraction(3, 2)), d["E"])))
+              br(d["E"], d["Y"]) == scale(sca(Fraction(3, 2)), d["E"]))
     rep.equal("alpha1(Y) = 3/2", model.c_value, Fraction(3, 2))
 
     rep.check("rotation fixes the small torus",
-              all(el_eq(model.chi_apply(t), t)
+              all(model.chi_apply(t) == t
                   for t in sub["t"].basis()))
     rep.check("rotation moves the split coroot onto the compact one",
-              el_eq(model.chi_apply(d["Hmu"]),
-                    el_add(d["Xmu"], model.theta_apply(d["Xmu"]))))
+              model.chi_apply(d["Hmu"])
+              == add(d["Xmu"], model.theta_apply(d["Xmu"])))
     half_sqrt2 = Scalar.from_pair(0, Fraction(1, 2))
     xma1 = {alg.root_index[vneg(F4_SIMPLE[0])]: ONE}
     rep.check("rotation scales the lowering vector onto E by sqrt2/2",
-              el_eq(model.chi_apply(model.theta_apply(xma1)),
-                    el_scale(half_sqrt2, d["E"])))
+              model.chi_apply(model.theta_apply(xma1))
+              == scale(half_sqrt2, d["E"]))
 
     rep.check("E is dominant for the centralizer nilradical",
               all(br(x, d["E"]) == {} for x in sub["mplus"].basis()))
@@ -961,9 +906,9 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
     rep.check("Xphi1 - Xdelta1 in mplus", sub["mplus"].contains(d["D3"]))
     rep.check("Xphi2 - Xdelta2 in mplus", sub["mplus"].contains(d["D4"]))
     rep.check("pairing of X4 - Xdelta with Xm4 + Xmdelta vanishes",
-              model.b(d["D2"], el_add(d["Xm4"], d["Xmdelta"])) == ZERO)
+              model.b(d["D2"], add(d["Xm4"], d["Xmdelta"])) == ZERO)
     rep.check("Xm4 + Xmdelta orthogonal to mplus",
-              all(model.b(el_add(d["Xm4"], d["Xmdelta"]), v) == ZERO
+              all(model.b(add(d["Xm4"], d["Xmdelta"]), v) == ZERO
                   for v in sub["mplus"].basis()))
 
     rep.equal("dim mplus_perp = 27", sub["mplus_perp"].dim, 27)

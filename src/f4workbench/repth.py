@@ -23,9 +23,10 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO, combine,
-                       dual_basis, kernel, rational_roots, sca)
-from .liealg import F4Model, LieElement, el_scale
+from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO,
+                       accumulate, add, combine, coordinates, dual_basis, kernel,
+                       rational_roots, sca, scale)
+from .liealg import F4Model, LieElement
 from .reporting import Report
 from .rootdata import Coord, compact_split, DEFAULT_REGULAR, dot, gamma_basis, vec
 from .uea import Core, ModelEngine, UEA
@@ -114,15 +115,7 @@ class SparseOp:
         self.cols = cols if cols is not None else [dict() for _ in range(n)]
 
     def apply(self, vec_: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        out: Dict[int, Scalar] = {}
-        for j, c in vec_.items():
-            for i, e in self.cols[j].items():
-                s = out.get(i, ZERO) + e * c
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
-        return out
+        return combine(vec_, self.cols)
 
     def mul(self, other: "SparseOp") -> "SparseOp":
         out = SparseOp(self.n)
@@ -134,13 +127,8 @@ class SparseOp:
 
     def add_scaled(self, other: "SparseOp", c: Scalar) -> "SparseOp":
         out = SparseOp(self.n, [dict(col) for col in self.cols])
-        for j in range(self.n):
-            for i, e in other.cols[j].items():
-                s = out.cols[j].get(i, ZERO) + c * e
-                if s:
-                    out.cols[j][i] = s
-                else:
-                    out.cols[j].pop(i, None)
+        for col, other_col in zip(out.cols, other.cols):
+            accumulate(col, other_col, c)
         return out
 
     def commutator(self, other: "SparseOp") -> "SparseOp":
@@ -236,45 +224,31 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
             def raise_then_lower(i, j, t):
                 # e_i applied to basis vector t of V_{mu + a_j}, then f_j down
                 up_j = tuple(x + a for x, a in zip(mu, data.simple[j]))
-                ei_w = e_data[i][up_j][t]
-                out: Dict[int, Scalar] = {}
                 up_ij = tuple(x + a for x, a in zip(up_j, data.simple[i]))
                 fj = f_data[j].get(up_ij)
                 if fj is None:
-                    return out
-                for s, c in ei_w.items():
-                    for r, c2 in fj[s].items():
-                        acc = out.get(r, ZERO) + c * c2
-                        if acc:
-                            out[r] = acc
-                        else:
-                            out.pop(r, None)
-                return out
+                    return {}
+                return combine(e_data[i][up_j][t], fj)
 
-            nc = len(cands)
-            gram_c = Matrix.zero(nc, nc)
-            for a_idx, (i, t) in enumerate(cands):
+            gram_rows: List[Dict[int, Scalar]] = []
+            for i, t in cands:
+                up_i = tuple(x + a for x, a in zip(mu, data.simple[i]))
+                g = grams[up_i]
+                row: Dict[int, Scalar] = {}
                 for b_idx, (j, s) in enumerate(cands):
-                    up_i = tuple(x + a for x, a in zip(mu, data.simple[i]))
                     vecv = raise_then_lower(i, j, s)
                     if i == j:
                         hval = data.pairing(up_i, i)
-                        base = {s: sca(hval)} if hval else {}
-                        merged = dict(vecv)
-                        for r, c in base.items():
-                            x2 = merged.get(r, ZERO) + c
-                            if x2:
-                                merged[r] = x2
-                            else:
-                                merged.pop(r, None)
-                        vecv = merged
+                        if hval:
+                            vecv = add(vecv, {s: sca(hval)})
                     # pair with gram at up_i against basis vector t
-                    g = grams[up_i]
                     acc = ZERO
                     for r, c in vecv.items():
                         acc = acc + g.entries[t][r] * c
-                    gram_c.entries[a_idx][b_idx] = acc
-            _, pivots = gram_c.rref()
+                    if acc:
+                        row[b_idx] = acc
+                gram_rows.append(row)
+            pivots, coords = _quotient_basis(gram_rows)
             dim_mu = len(pivots)
             if dim_mu == 0:
                 continue
@@ -284,14 +258,8 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
                     "dimension exceeds cap %d while building (prediction %s)"
                     % (cap, predicted))
             dims[mu] = dim_mu
-            gm = Matrix([[gram_c.entries[a][b] for b in pivots] for a in pivots])
-            grams[mu] = gm
-            # coordinates of every candidate over the pivot basis
-            coords: List[Dict[int, Scalar]] = []
-            for a_idx in range(nc):
-                rhs = [gram_c.entries[a_idx][b] for b in pivots]
-                sol = gm.solve(rhs)
-                coords.append({r: c for r, c in enumerate(sol) if c})
+            grams[mu] = Matrix([[gram_rows[a].get(b, ZERO) for b in pivots]
+                                for a in pivots])
             # record lowering data f_i: V_{mu+a_i} -> V_mu
             for i in range(rank):
                 up = tuple(x + a for x, a in zip(mu, data.simple[i]))
@@ -312,12 +280,7 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
                         up_j = tuple(x + a for x, a in zip(mu, data.simple[j]))
                         hval = data.pairing(up_j, i)
                         if hval:
-                            vecv = dict(vecv)
-                            acc = vecv.get(s, ZERO) + sca(hval)
-                            if acc:
-                                vecv[s] = acc
-                            else:
-                                vecv.pop(s, None)
+                            vecv = add(vecv, {s: sca(hval)})
                     table.append(vecv if up_i in dims else dict())
                 e_data[i][mu] = table
             new_level.append(mu)
@@ -351,6 +314,27 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
     return Irrep(data=data, highest=xi, dims=dims, offsets=offsets, dim=total,
                  grams=grams, e_ops=e_ops, f_ops=f_ops,
                  weights_of_index=weights_of_index)
+
+
+def _quotient_basis(gram_rows: List[Dict[int, Scalar]]):
+    """(pivots, coords) for the Gram matrix of the candidates at a weight.
+
+    The Gram matrix is symmetric, so the rows the echelon accepts are the
+    pivot columns of its rref: the candidates that form a basis of the
+    quotient by the radical.  coords[a] gives candidate a over that
+    basis; for a rejected row it is the dependency add() returns.
+    """
+    echelon = Echelon()
+    pivots: List[int] = []
+    coords: List[Dict[int, Scalar]] = []
+    for a_idx, row in enumerate(gram_rows):
+        dependency = echelon.add(row)
+        if dependency is None:
+            coords.append({len(pivots): ONE})
+            pivots.append(a_idx)
+        else:
+            coords.append(dependency)
+    return pivots, coords
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +372,7 @@ class KActionBasis:
             val = self._eval_weight(self.simple[i], h)
             if not val:
                 raise ValueError("degenerate simple pair %d" % i)
-            f_vecs.append(el_scale(sca(Fraction(2) / val.rational_value()), cand))
+            f_vecs.append(scale(sca(Fraction(2) / val.rational_value()), cand))
         self.e_vecs, self.f_vecs = e_vecs, f_vecs
         # closure: words as ('gen', kind, i) or ('br', a, b)
         self.words: List[tuple] = []
@@ -477,7 +461,8 @@ class ModuleContext:
     def action(self, x: LieElement) -> SparseOp:
         out = SparseOp(self.rep.dim)
         for i, c in self.basis.coords(x).items():
-            out = out.add_scaled(self.word_ops[i], c)
+            for col, word_col in zip(out.cols, self.word_ops[i].cols):
+                accumulate(col, word_col, c)
         return out
 
     def action_named(self, me: ModelEngine, name: str) -> SparseOp:
@@ -487,10 +472,7 @@ class ModuleContext:
 
 def build_module(me: ModelEngine, k: int, l: int, cap: int = 512
                  ) -> ModuleContext:
-    data = k_triangular_data()
-    rep = build_irrep(data, xi_weight(k, l), cap=cap)
-    basis = _action_basis(me)
-    return ModuleContext(rep=rep, basis=basis, word_ops=basis.word_ops(rep))
+    return build_module_for_weight(me, xi_weight(k, l), cap)
 
 
 def build_module_for_weight(me: ModelEngine, xi: Weight, cap: int = 512
@@ -636,14 +618,14 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
         # identity: X1 (chain_j) = (j+l)/2 chain_{j-1}
         for j in range(0, k + 1):
             lhs = x1.apply(chain[j])
-            want = _scale_vec(sca(Fraction(j + l, 2)), chain[j - 1]) if j else {}
+            want = scale(sca(Fraction(j + l, 2)), chain[j - 1]) if j else {}
             rep.check("raising identity at j=%d" % j, lhs == want)
         # identity: Xm1 (chain_j) = 2(j+1)(k-j)/(l+j+1) chain_{j+1}
         for j in range(0, k + 1):
             lhs = xm1.apply(chain[j])
             if j < k:
                 c = Fraction(2 * (j + 1) * (k - j), l + j + 1)
-                want = _scale_vec(sca(c), chain[j + 1])
+                want = scale(sca(c), chain[j + 1])
             else:
                 want = {}
             rep.check("lowering identity at j=%d" % j, lhs == want)
@@ -652,16 +634,10 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
         acc = u
         for j in range(0, k + 1):
             c = Fraction(2 ** j * factorial(j) * comb(k, j), comb(l + j, l))
-            want = _scale_vec(sca(c), chain[j])
+            want = scale(sca(c), chain[j])
             rep.check("iterated lowering at j=%d" % j, acc == want)
             acc = xm1.apply(acc)
     return rep
-
-
-def _scale_vec(c: Scalar, v: Dict[int, Scalar]) -> Dict[int, Scalar]:
-    if not c:
-        return {}
-    return {i: c * e for i, e in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +732,8 @@ class DegreeMachine:
             # projector = minpoly/(x - root) normalized; a combination of
             # the Krylov vectors already at hand
             quot = poly.exact_div(PolyScalar([-sca(root), ONE]))
-            scale = quot.evaluate(sca(root)).inverse()
-            comp = combine({t: scale * c for t, c in enumerate(quot.coeffs)},
+            norm = quot.evaluate(sca(root)).inverse()
+            comp = combine({t: norm * c for t, c in enumerate(quot.coeffs)},
                            krylov)
             if not comp:
                 continue
@@ -903,13 +879,13 @@ def degree_additivity(me: ModelEngine, u: UEA, v: UEA) -> AdditivityReport:
 def spherical_fundamentals() -> List[Tuple[Weight, bool]]:
     """The fundamental weights with their spherical-lattice membership."""
     data = k_triangular_data()
-    mat = Matrix([[sca(data.pairing(_unit(j), i)) for j in range(4)]
-                  for i in range(4)])
+    # column j holds the pairings of the unit weight j with the simple roots
+    columns = [{i: sca(p) for i in range(4)
+                if (p := data.pairing(_unit(j), i))} for j in range(4)]
     out = []
     for i in range(4):
-        rhs = [ONE if t == i else ZERO for t in range(4)]
-        sol = mat.solve(rhs)
-        w = tuple(c.rational_value() for c in sol)
+        coords = coordinates(columns, {i: ONE})
+        w = tuple(coords.get(j, ZERO).rational_value() for j in range(4))
         out.append((w, label_of_weight(w) is not None))
     return out
 

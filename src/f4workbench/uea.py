@@ -36,7 +36,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exactnum import Matrix, ONE, Scalar, ZERO, combine, dual_basis, kernel
+from .exactnum import (ONE, Scalar, ZERO, accumulate, add, combine,
+                       coordinates, dual_basis, kernel, scale)
 from .liealg import F4Model, LieAlgebra, LieElement, build_f4_model
 
 Mono = Tuple[Tuple[int, int], ...]
@@ -249,26 +250,10 @@ class PBWEngine:
 
     # -- arithmetic ----------------------------------------------------------
 
-    @staticmethod
-    def add(u: UEA, v: UEA) -> UEA:
-        out = dict(u)
-        for m, c in v.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return out
-
-    @staticmethod
-    def sub(u: UEA, v: UEA) -> UEA:
-        return PBWEngine.add(u, {m: -c for m, c in v.items()})
-
-    @staticmethod
-    def scale(c: Scalar, u: UEA) -> UEA:
-        if not c:
-            return {}
-        return {m: c * x for m, x in u.items()}
+    # the sparse arithmetic of exactnum, under the names perfbench's
+    # workloads call
+    add = staticmethod(add)
+    scale = staticmethod(scale)
 
     def _mono_times_gen(self, m: Mono, g: int) -> Core:
         """Straightened product e'^m * e'_g."""
@@ -449,10 +434,8 @@ class PBWEngine:
             pairs = sorted((self.algebra.index[l], e)
                            for l, e in item["exponents"].items())
             mono = tuple((i, int(e)) for i, e in pairs)
-            c = Scalar.parse(item["coeff"])
-            if c:
-                out[mono] = out.get(mono, ZERO) + c
-        return {m: c for m, c in out.items() if c}
+            accumulate(out, {mono: Scalar.parse(item["coeff"])})
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +469,6 @@ def ideal_normal_form(engine: PBWEngine, u: UEA, suffix_start: int):
 
 def reduce_mod(engine: PBWEngine, u: UEA, suffix_start: int) -> UEA:
     return ideal_normal_form(engine, u, suffix_start)[1]
-
-
-def in_ideal(engine: PBWEngine, u: UEA, suffix_start: int) -> bool:
-    return not reduce_mod(engine, u, suffix_start)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +506,11 @@ class IwasawaElement:
     def add(self, other: "IwasawaElement") -> "IwasawaElement":
         n = max(len(self.coeffs), len(other.coeffs))
         return IwasawaElement([
-            PBWEngine.add(self.coeff(j), other.coeff(j)) for j in range(n)
+            add(self.coeff(j), other.coeff(j)) for j in range(n)
         ]).trim()
 
     def scale(self, c: Scalar) -> "IwasawaElement":
-        return IwasawaElement([PBWEngine.scale(c, u) for u in self.coeffs]).trim()
+        return IwasawaElement([scale(c, u) for u in self.coeffs]).trim()
 
     def mul(self, other: "IwasawaElement", engine: PBWEngine) -> "IwasawaElement":
         out: List[UEA] = [dict() for _ in
@@ -543,7 +522,7 @@ class IwasawaElement:
             for j, b in enumerate(other.coeffs):
                 if not b:
                     continue
-                out[i + j] = PBWEngine.add(out[i + j], engine.mul(a, b))
+                out[i + j] = add(out[i + j], engine.mul(a, b))
         return IwasawaElement(out).trim()
 
     def serialize(self, engine: PBWEngine) -> list:
@@ -631,8 +610,7 @@ def casimir(engine: PBWEngine, basis: List[LieElement], form_value) -> UEA:
     """
     out: UEA = {}
     for x, dual in zip(basis, dual_basis(basis, form_value)):
-        out = PBWEngine.add(out, engine.mul(engine.from_lie(x),
-                                            engine.from_lie(dual)))
+        out = add(out, engine.mul(engine.from_lie(x), engine.from_lie(dual)))
     return out
 
 
@@ -700,14 +678,10 @@ def _omega_report(me: ModelEngine) -> OmegaReport:
     w0 = om.coeff(0)
     cas_m = model_casimir_m(me)
     # solve w0 = s*cas_m + t*1 exactly over the monomial coordinates
-    monos = sorted(set(w0) | set(cas_m) | {ONE_MONO})
-    a = Matrix([[cas_m.get(m, ZERO), ONE if m == ONE_MONO else ZERO]
-                for m in monos])
-    rhs = [w0.get(m, ZERO) for m in monos]
-    sol = a.solve(rhs)
+    sol = coordinates([cas_m, {ONE_MONO: ONE}], w0)
     if sol is None:
         raise ValueError("constant coefficient is outside span{1, Casimir(m)}")
-    s, t = sol
+    s, t = sol.get(0, ZERO), sol.get(1, ZERO)
     checks.append(("omega0 in span{1, Casimir(m)}", True))
     checks.append(("omega0 constant shift recorded", True))
     return OmegaReport(omega=om, omega1_scalar=w1s, casimir_m_coeff=s,

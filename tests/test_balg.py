@@ -11,9 +11,8 @@ from f4workbench.balg import (
     leading_data, phi_coeffs, phi_poly, phi_value_at, poly_to_iwasawa,
     shift_by_scalar, shift_substitute, shift_substitute_direct, t_matrix_entry,
 )
-from f4workbench.exactnum import ONE, Scalar, ZERO, sca
-from f4workbench.liealg import el_scale
-from f4workbench.uea import IwasawaElement, ONE_MONO, PBWEngine
+from f4workbench.exactnum import ONE, Scalar, ZERO, add, sca, scale
+from f4workbench.uea import IwasawaElement, ONE_MONO
 
 
 def x_poly(me, *coeff_specs):
@@ -25,9 +24,9 @@ def x_poly(me, *coeff_specs):
         else:
             lab, c = spec
             if lab is None:
-                coeffs.append(PBWEngine.scale(sca(c), me.g.one()))
+                coeffs.append(scale(sca(c), me.g.one()))
             else:
-                coeffs.append(PBWEngine.scale(sca(c), me.g.gen(lab)))
+                coeffs.append(scale(sca(c), me.g.gen(lab)))
     return PolyUEA(coeffs, "x").trim()
 
 
@@ -49,7 +48,7 @@ class TestPhi:
     def test_basis_roundtrip(self, me):
         rng = random.Random(13)
         for deg in range(0, 9):
-            coeffs = [PBWEngine.scale(sca(rng.randint(-4, 4)),
+            coeffs = [scale(sca(rng.randint(-4, 4)),
                                       me.g.gen(me.model.g_algebra.labels[
                                           rng.randrange(36)]))
                       for _ in range(deg + 1)]
@@ -67,12 +66,12 @@ class TestDiscreteDerivative:
             p = PolyUEA([{}] * m + [me.g.one()], "x")
             d = discrete_derivative(p, m)
             assert d.trim().coeffs == [
-                PBWEngine.scale(sca(factorial(m)), me.g.one())]
+                scale(sca(factorial(m)), me.g.one())]
             assert discrete_derivative(p, m + 1).is_zero()
 
     def test_iterated_equals_direct(self, me):
         rng = random.Random(17)
-        coeffs = [PBWEngine.scale(sca(rng.randint(-3, 3)), me.g.gen("Xdelta"))
+        coeffs = [scale(sca(rng.randint(-3, 3)), me.g.gen("Xdelta"))
                   for _ in range(5)]
         p = PolyUEA(coeffs, "x").trim()
         once = discrete_derivative(discrete_derivative(p, 1), 1)
@@ -82,7 +81,7 @@ class TestDiscreteDerivative:
         # coefficient-wise derivations commute with taking differences
         rng = random.Random(19)
         e_elt = me.lie_in_mixed(me.model.distinguished["E"])
-        coeffs = [PBWEngine.scale(sca(rng.randint(-3, 3)),
+        coeffs = [scale(sca(rng.randint(-3, 3)),
                                   me.g.gen(me.model.g_algebra.labels[
                                       rng.randrange(36)])) for _ in range(4)]
         p = PolyUEA(coeffs, "x").trim()
@@ -113,9 +112,9 @@ class TestShiftSubstitute:
             for i in range(j + 1):
                 t = t_matrix_entry(me, i, j)
                 d = me.g.ad_power(e_elt, t, j - i)
-                scale = Fraction((-1) ** (j - i) * factorial(j), 2 ** (j - i))
-                expect = PBWEngine.scale(
-                    sca(scale),
+                scalef = Fraction((-1) ** (j - i) * factorial(j), 2 ** (j - i))
+                expect = scale(
+                    sca(scalef),
                     me.g.gen("E", j - i) if j > i else me.g.one())
                 assert d == expect
 
@@ -202,7 +201,7 @@ class TestEpsilon:
         c = shift_substitute(me, iwasawa_to_poly(omega_report.omega))
         a = epsilon_ln(me, c, 1, 2)
         b = epsilon_ln(me, c, 2, 1)
-        assert PBWEngine.add(a, b) == {}
+        assert add(a, b) == {}
 
     def test_omega_reduces_to_zero(self, me, omega_report):
         c = shift_substitute(me, iwasawa_to_poly(omega_report.omega))
@@ -239,7 +238,7 @@ class TestRaisingIdentities:
         for k in range(5):
             arg = CentralArg(me, Fraction(0), h)
             got = me.g.ad_power(raiser, arg.power(k), k)
-            expect = PBWEngine.scale(
+            expect = scale(
                 sca(Fraction(factorial(k) * (-1) ** k, 2 ** k)),
                 me.g.gen("E", k) if k else me.g.one())
             assert got == expect
@@ -253,19 +252,19 @@ class TestRaisingIdentities:
         for k in range(5):
             val = evaluate_poly(me, phi_poly(k), arg)
             got = me.g.ad_power(raiser, val, k)
-            expect = PBWEngine.scale(sca(Fraction((-1) ** k, 2 ** k)),
+            expect = scale(sca(Fraction((-1) ** k, 2 ** k)),
                                      me.g.gen("E", k) if k else me.g.one())
             assert got == expect
 
     def test_xdelta_on_ytilde_powers(self, me):
         yt = me.model.distinguished["Ytilde"]
-        neg_yt = el_scale(-ONE, yt)
+        neg_yt = scale(-ONE, yt)
         raiser = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for k in range(5):
             arg = CentralArg(me, Fraction(0), neg_yt)
             got = me.g.ad_power(raiser, arg.power(k), k)
-            expect = PBWEngine.scale(sca(factorial(k) * (-1) ** k),
+            expect = scale(sca(factorial(k) * (-1) ** k),
                                      me.g.power(xdelta, k))
             assert got == expect
             if k:
@@ -273,7 +272,7 @@ class TestRaisingIdentities:
 
     def test_xdelta_on_phi_of_shifted_ytilde(self, me):
         yt = me.model.distinguished["Ytilde"]
-        neg_yt = el_scale(-ONE, yt)
+        neg_yt = scale(-ONE, yt)
         raiser = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for a in (Fraction(0), Fraction(3), Fraction(-1, 2)):
@@ -281,7 +280,7 @@ class TestRaisingIdentities:
                 arg = CentralArg(me, a, neg_yt)
                 val = evaluate_poly(me, phi_poly(k), arg)
                 got = me.g.ad_power(raiser, val, k)
-                expect = PBWEngine.scale(sca((-1) ** k),
+                expect = scale(sca((-1) ** k),
                                          me.g.power(xdelta, k))
                 assert got == expect
 

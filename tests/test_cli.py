@@ -186,6 +186,29 @@ class TestExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["L"] == [1] and out["R"] == [0]
 
+    @pytest.mark.parametrize("t, n, m, why", [
+        ("9", "0", "1", "T=9 out of range [1, 4]"),
+        ("2", "0", "-1", "m=-1 is negative"),
+        ("2", "-1", "1", "n=-1 out of range [0, 2]"),
+    ], ids=["T-above-range", "negative-m", "negative-n"])
+    def test_matrix_out_of_range(self, capsys, t, n, m, why):
+        assert main(["combin", "matrix", "--T", t, "--n", n, "--m", m]) == 2
+        assert capsys.readouterr().err == "combin matrix: %s\n" % why
+
+    @pytest.mark.parametrize("command, flag", [
+        (["combin", "dets", "--kmax", "-3"], "--kmax must be nonnegative, not -3"),
+        (["combin", "dets", "--lmax", "-1"], "--lmax must be nonnegative, not -1"),
+        (["repth", "verify", "--k", "-1", "--l", "0"],
+         "--k must be nonnegative, not -1"),
+        (["repth", "verify", "--k", "0", "--l", "-2"],
+         "--l must be nonnegative, not -2"),
+    ], ids=["kmax", "lmax", "k", "l"])
+    def test_negative_count(self, capsys, command, flag):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == flag + "\n"
+        assert captured.out == ""
+
     def test_rootdata_dump(self, capsys):
         assert main(["rootdata", "dump", "f4"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -267,10 +290,11 @@ class TestExitCodes:
 def member_and_control(tmp_path, me, omega_report):
     """The projected Casimir, and the non-member with 1 added to its Z
     coefficient, written as check-b input files."""
-    from f4workbench.uea import IwasawaElement, PBWEngine
+    from f4workbench.exactnum import add
+    from f4workbench.uea import IwasawaElement
     om = omega_report.omega
     coeffs = [dict(c) for c in om.coeffs]
-    coeffs[1] = PBWEngine.add(coeffs[1], me.g.one())
+    coeffs[1] = add(coeffs[1], me.g.one())
     member, control = tmp_path / "member.json", tmp_path / "control.json"
     member.write_text(json.dumps(om.serialize(me.g)))
     control.write_text(json.dumps(IwasawaElement(coeffs).serialize(me.g)))

@@ -10,10 +10,9 @@ from f4workbench.combin import (
     index_sets, power_needed_for_degree_property, system_matches_generalized,
     system_matrix, u_element, weight_of,
 )
-from f4workbench.exactnum import ONE, PolyScalar, ZERO, sca
+from f4workbench.exactnum import Matrix, ONE, PolyScalar, ZERO, add, sca, sub
 from f4workbench.rootdata import gamma_basis, vadd, vscale
-from f4workbench.uea import (IwasawaElement, PBWEngine, model_casimir_m,
-                             reduce_mod)
+from f4workbench.uea import IwasawaElement, model_casimir_m, reduce_mod
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +204,26 @@ class TestUElement:
         u, _, _ = u_element(me)
         lead = me.g.mul(me.g.gen("Xdelta"),
                         me.uea_of(me.model.distinguished["X4"]))
-        assert me.reduce_mod_y(PBWEngine.sub(u, lead)) == {}
+        assert me.reduce_mod_y(sub(u, lead)) == {}
+
+    def test_coefficients_match_dense_solve(self, me):
+        # a ad(T23 S23) + b ad(T24 S24) = -ad(Xdelta X4) under each raiser,
+        # solved densely over the monomials of the images
+        xd_x4 = me.g.mul(me.g.gen("Xdelta"),
+                         me.uea_of(me.model.distinguished["X4"]))
+        t1 = me.g.mul(me.g.gen("T23"), me.g.gen("S23"))
+        t2 = me.g.mul(me.g.gen("T24"), me.g.gen("S24"))
+        k_idx = me.model.k_algebra.index
+        rows, rhs = [], []
+        for labels in (("D4", "Xdelta2"), ("T34",), ("Xdelta2",), ("X1",)):
+            x = me.lie_in_mixed(me.model.k_element_in_g(
+                {k_idx[lab]: ONE for lab in labels}))
+            im0, im1, im2 = (me.g.ad(x, u) for u in (xd_x4, t1, t2))
+            for mo in sorted(set(im0) | set(im1) | set(im2)):
+                rows.append([im1.get(mo, ZERO), im2.get(mo, ZERO)])
+                rhs.append(-im0.get(mo, ZERO))
+        _, a, b = u_element(me)
+        assert Matrix(rows).solve(rhs) == [a, b]
 
     def test_mixing_coefficients_nonzero(self, me):
         _, a, b = u_element(me)
@@ -243,7 +261,7 @@ class TestDkOperator:
             assert me.reduce_mod_y(img) == {}
 
     def test_type_checked(self, me, cas_components):
-        mixed = PBWEngine.add(cas_components[(2, 0)],
+        mixed = add(cas_components[(2, 0)],
                               cas_components[(0, 2)])
         with pytest.raises(ValueError):
             dk_operator(me, mixed, 0)
@@ -304,7 +322,7 @@ class TestDegreeProperty:
             t1 = bw.coeff(m + 2 - j)
             t2 = me.g.mul(b.coeff(m - j + 1), w1) if b.coeff(m - j + 1) else {}
             t3 = me.g.mul(b.coeff(m - j + 2), w0) if b.coeff(m - j + 2) else {}
-            assert lhs == PBWEngine.sub(PBWEngine.sub(t1, t2), t3)
+            assert lhs == sub(sub(t1, t2), t3)
 
     def test_power_closure(self, me, omega_report):
         # multiplying by the computed power of omega restores the bound
@@ -325,6 +343,6 @@ class TestDegreeProperty:
         from f4workbench.repth import degree_machine
         dm = degree_machine(me)
         comps = dm.components(omega_report.omega.coeff(0))
-        deep = PBWEngine.add(comps[(2, 0)], comps[(0, 2)])
+        deep = add(comps[(2, 0)], comps[(0, 2)])
         b = IwasawaElement([deep, {}, comps[(0, 2)]])
         assert in_reduced_subspace(me, b)

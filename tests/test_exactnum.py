@@ -1,12 +1,15 @@
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import f4workbench
 from f4workbench.exactnum import (
-    HALF, ONE, SQRT2, TWO, ZERO, Echelon, Matrix, PolyScalar, Scalar, combine,
-    dual_basis, kernel, poly_det, poly_det_cofactor, rational_roots, sca,
-    sqrt_in_field,
+    HALF, ONE, SQRT2, TWO, ZERO, Echelon, Matrix, PolyScalar, Scalar, add,
+    combine, coordinates, dual_basis, kernel, poly_det, poly_det_cofactor,
+    rational_roots, sca, scale, sqrt_in_field, sub,
 )
 
 
@@ -121,10 +124,6 @@ class TestMatrix:
         rhs = [S(1), S(0)]
         x = m.solve(rhs)
         assert m.apply(x) == rhs
-
-    def test_json_roundtrip(self):
-        m = Matrix([[ONE, HALF], [SQRT2, S(-2, 3)]])
-        assert Matrix.from_json(m.to_json()) == m
 
 
 class TestPolyScalar:
@@ -266,3 +265,73 @@ class TestEchelon:
         assert echelon.add({0: TWO, 1: TWO, 2: TWO * SQRT2 + ONE}) \
             == {0: TWO, 1: ONE}
         assert echelon.add({}) == {}
+
+    @given(sparse_matrices(), st.lists(sparse_scalars, min_size=6, max_size=6))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_coordinates_match_solve(self, m, rhs):
+        columns = [_sparse(col) for col in m.transpose().entries]
+        target = rhs[:m.rows]
+        if m.rank() < m.cols:
+            with pytest.raises(ValueError):
+                coordinates(columns, _sparse(target))
+            return
+        sol = m.solve(target)
+        got = coordinates(columns, _sparse(target))
+        assert got == (None if sol is None else _sparse(sol))
+
+
+# Pairs of dense vectors of one length whose entries often cancel.
+@st.composite
+def dense_pairs(draw):
+    n = draw(st.integers(0, 8))
+    return ([draw(sparse_scalars) for _ in range(n)],
+            [draw(sparse_scalars) for _ in range(n)])
+
+
+class TestSparseArithmetic:
+    """add, sub and scale against entrywise arithmetic on dense lists."""
+
+    @given(dense_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_add_and_sub(self, pair):
+        x, y = pair
+        u, v = _sparse(x), _sparse(y)
+        total, diff = add(u, v), sub(u, v)
+        assert total == _sparse([a + b for a, b in zip(x, y)])
+        assert diff == _sparse([a - b for a, b in zip(x, y)])
+        assert all(total.values()) and all(diff.values())
+        assert sub(u, u) == {}
+        assert (u, v) == (_sparse(x), _sparse(y))      # inputs untouched
+
+    @given(sparse_scalars, dense_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_scale(self, c, pair):
+        x, _ = pair
+        u = _sparse(x)
+        out = scale(c, u)
+        assert out == _sparse([c * a for a in x])
+        assert all(out.values())
+        assert scale(ZERO, u) == {}
+        assert u == _sparse(x)
+
+
+class TestDenseEliminationIsTheOracle:
+    """Outside exactnum, the program eliminates only through Echelon; the
+    dense Matrix eliminations are left to the tests as the oracle."""
+
+    DENSE = {"rref", "solve", "nullspace", "bareiss"}
+
+    def test_no_dense_elimination_in_the_program(self):
+        package = pathlib.Path(f4workbench.__file__).parent
+        sources = sorted(p for p in package.glob("*.py")
+                         if p.name != "exactnum.py")
+        assert sources
+        calls = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in self.DENSE):
+                    calls.append("%s:%d %s" % (path.name, node.lineno,
+                                               node.func.attr))
+        assert calls == []

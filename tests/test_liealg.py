@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from f4workbench.exactnum import Echelon, Matrix, ONE, SQRT2, Scalar, ZERO, sca
+from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
+                                  add, sca, scale, sub)
 from f4workbench.liealg import (
     _transversality_columns, build_f4_model, cayley_transform,
-    chevalley_algebra, el_add, el_eq, el_scale, el_sub, killing_form,
-    orthocomplement, transversality_rank, transversality_rank_zero_map,
+    chevalley_algebra, orthocomplement, transversality_rank, transversality_rank_zero_map,
     verify_model,
 )
 from f4workbench.rootdata import build_root_system, f4_root_system, vec
@@ -41,7 +41,7 @@ class TestChevalley:
     def test_killing_sl2(self):
         rs = build_root_system([[2]])
         a = chevalley_algebra(rs)
-        kf = killing_form(a)
+        kf = a.killing_form()
         # oracle: trace of (ad h)^2 over the 3-dim adjoint is 4 + 4 = 8
         assert kf.entries[0][0] == sca(8)
         e = a.index["x[1]"]
@@ -72,33 +72,32 @@ class TestModelInvariants:
     def test_normalizations(self, model):
         d = model.distinguished
         br = model.algebra.bracket
-        assert el_eq(br(d["X1"], d["X2"]), d["E"])
-        assert el_eq(br(d["X1"], d["E"]), d["X4"])
-        assert el_eq(br(d["Xm1"], d["E"]), el_scale(sca(2), d["X2"]))
-        assert el_eq(br(d["Xm1"], d["X4"]), el_scale(sca(2), d["E"]))
-        assert el_eq(br(d["H"], d["E"]),
-                     el_scale(sca(Fraction(1, 2)), d["E"]))
+        assert br(d["X1"], d["X2"]) == d["E"]
+        assert br(d["X1"], d["E"]) == d["X4"]
+        assert br(d["Xm1"], d["E"]) == scale(sca(2), d["X2"])
+        assert br(d["Xm1"], d["X4"]) == scale(sca(2), d["E"])
+        assert br(d["H"], d["E"]) == scale(sca(Fraction(1, 2)), d["E"])
         assert br(d["Xdelta"], d["H"]) == {}
 
     def test_s_triples(self, model):
         d = model.distinguished
         br = model.algebra.bracket
-        assert el_eq(br(d["X1"], d["Xm1"]), d["H1"])
-        assert el_eq(br(d["H1"], d["X1"]), el_scale(sca(2), d["X1"]))
-        assert el_eq(br(d["X2"], d["Xm2"]), d["H2"])
+        assert br(d["X1"], d["Xm1"]) == d["H1"]
+        assert br(d["H1"], d["X1"]) == scale(sca(2), d["X1"])
+        assert br(d["X2"], d["Xm2"]) == d["H2"]
         # gamma1(H2) = -1, so [H2, X1] = -X1
-        assert el_eq(br(d["H2"], d["X1"]), el_scale(sca(-1), d["X1"]))
+        assert br(d["H2"], d["X1"]) == scale(sca(-1), d["X1"])
 
     def test_cayley_identities(self, model):
         d = model.distinguished
-        assert el_eq(model.chi_apply(d["Hmu"]),
-                     el_add(d["Xmu"], model.theta_apply(d["Xmu"])))
+        assert model.chi_apply(d["Hmu"]) == add(
+            d["Xmu"], model.theta_apply(d["Xmu"]))
         for t in model.subspaces["t"].basis():
-            assert el_eq(model.chi_apply(t), t)
+            assert model.chi_apply(t) == t
 
     def test_cayley_wrong_normalization_rejected(self, model):
         d = model.distinguished
-        bad = el_scale(sca(3), d["Xmu"])
+        bad = scale(sca(3), d["Xmu"])
         with pytest.raises(ValueError):
             cayley_transform(model.algebra, bad, model.theta_apply(bad))
 
@@ -120,12 +119,12 @@ class TestModelInvariants:
 
     def test_kappa_orthogonality_display(self, model):
         d = model.distinguished
-        assert model.b(el_sub(d["X4"], d["Xdelta"]),
-                       el_add(d["Xm4"], d["Xmdelta"])) == ZERO
-        assert model.b(el_sub(d["Xphi1"], d["Xdelta1"]),
-                       el_add(d["Xmphi1"], d["Xmdelta1"])) == ZERO
-        assert model.b(el_sub(d["Xphi2"], d["Xdelta2"]),
-                       el_add(d["Xmphi2"], d["Xmdelta2"])) == ZERO
+        assert model.b(sub(d["X4"], d["Xdelta"]),
+                       add(d["Xm4"], d["Xmdelta"])) == ZERO
+        assert model.b(sub(d["Xphi1"], d["Xdelta1"]),
+                       add(d["Xmphi1"], d["Xmdelta1"])) == ZERO
+        assert model.b(sub(d["Xphi2"], d["Xdelta2"]),
+                       add(d["Xmphi2"], d["Xmdelta2"])) == ZERO
 
     def test_pairing_normalizations(self, model):
         d = model.distinguished
@@ -145,7 +144,7 @@ class TestModelInvariants:
             # proportional to the difference vector
             j = next(iter(br))
             c = d[dname].get(j, ZERO) / br[j]
-            assert el_eq(d[dname], el_scale(c, br))
+            assert d[dname] == scale(c, br)
 
 
 class TestTransversality:
@@ -186,6 +185,19 @@ class TestDenseRankOracle:
                 for row in killing.entries]
         assert killing.det() != ZERO
         assert len(Echelon(rows)) == killing.rank() == 52
+
+
+class TestTorusSolve:
+    def test_epsilon_dual_torus_matches_dense_solve(self, model):
+        # T_i in h with eps_j(T_i) = delta_ij, solved densely
+        rs = model.algebra.rs
+        eps = [tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)]
+        pm = Matrix([[sca(rs.coroot_pairing(eps[j], rs.simple[i]))
+                      for i in range(4)] for j in range(4)])
+        d = model.distinguished
+        for name, i in (("Z", 0), ("Ht2", 1), ("Ht3", 2), ("Ht4", 3)):
+            sol = pm.solve([ONE if j == i else ZERO for j in range(4)])
+            assert d[name] == {j: c for j, c in enumerate(sol) if c}
 
 
 class TestOrthocomplement:
@@ -229,7 +241,7 @@ class TestKAlgebra:
             got = ka.bracket_basis(i, j)
             lhs = model.k_element_in_g(got)
             rhs = model.algebra.bracket(model.k_basis[i], model.k_basis[j])
-            assert el_eq(lhs, rhs)
+            assert lhs == rhs
 
     def test_coords_in_parent_rejects_non_members(self, model):
         ka = model.k_algebra
@@ -244,7 +256,7 @@ class TestKAlgebra:
 
     def test_theta_fixes_k_basis(self, model):
         for v in model.k_basis:
-            assert el_eq(model.theta_apply(v), v)
+            assert model.theta_apply(v) == v
 
     def test_k_weights_consistency(self, model):
         # native labels carry the weight their bracket action shows
@@ -257,8 +269,8 @@ class TestKAlgebra:
             v = model.k_basis[idx]
             for ci, h in enumerate(cart):
                 got = model.algebra.bracket(h, v)
-                want = el_scale(sca(w[ci]), v)
-                assert el_eq(got, want)
+                want = scale(sca(w[ci]), v)
+                assert got == want
 
 
 class TestSubspaceEchelon:

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from f4workbench.exactnum import Echelon, Matrix, ONE, ZERO, sca
+from f4workbench import repth
+from f4workbench.exactnum import Echelon, Matrix, ONE, ZERO, add, sca, scale, sub
 from f4workbench.repth import (
-    DegreeMachine, TriangularData, build_irrep, build_module,
+    DegreeMachine, SparseOp, TriangularData, _unit, build_irrep, build_module,
     build_module_for_weight, degree_additivity, degree_machine,
     k_triangular_data, label_of_weight, lowering_chain, m_generators,
     m_invariants, sl2_triangular_data, spherical_fundamentals, verify_hw3iv,
     verify_techo, weyl_dimension, xi_weight,
 )
 from f4workbench.rootdata import vec
-from f4workbench.uea import PBWEngine, invariants_up_to_degree
+from f4workbench.uea import invariants_up_to_degree
 
 
 LABELS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
@@ -107,6 +108,62 @@ class TestBuildIrrep:
             lhs = ax.commutator(ay)
             rhs = ctx.action(ka.bracket(x, y))
             assert lhs.add_scaled(rhs, -ONE).is_zero()
+
+
+def _dense_quotient_basis(gram_rows):
+    """The dense path build_irrep took before the echelon: the rref pivots
+    of the Gram matrix, then one solve per candidate over them."""
+    nc = len(gram_rows)
+    gram = Matrix([[row.get(b, ZERO) for b in range(nc)] for row in gram_rows])
+    _, pivots = gram.rref()
+    if not pivots:
+        return [], [{} for _ in range(nc)]
+    gm = Matrix([[gram.entries[a][b] for b in pivots] for a in pivots])
+    coords = []
+    for a in range(nc):
+        sol = gm.solve([gram.entries[a][b] for b in pivots])
+        coords.append({r: c for r, c in enumerate(sol) if c})
+    return pivots, coords
+
+
+class TestDenseOracles:
+    @pytest.mark.parametrize("kl, cap", [(kl, 512) for kl in LABELS]
+                             + [((1, 2), 1024)], ids=str)
+    def test_build_irrep_matches_dense_elimination(self, monkeypatch, kl,
+                                                    cap):
+        data, xi = k_triangular_data(), xi_weight(*kl)
+        got = build_irrep(data, xi, cap=cap)
+        monkeypatch.setattr(repth, "_quotient_basis", _dense_quotient_basis)
+        want = build_irrep(data, xi, cap=cap)
+        assert got.dims == want.dims
+        assert got.offsets == want.offsets
+        assert got.grams == want.grams
+        assert [op.cols for op in got.e_ops] == [op.cols for op in want.e_ops]
+        assert [op.cols for op in got.f_ops] == [op.cols for op in want.f_ops]
+
+    def test_spherical_fundamentals_match_solve(self):
+        data = k_triangular_data()
+        mat = Matrix([[sca(data.pairing(_unit(j), i)) for j in range(4)]
+                      for i in range(4)])
+        want = []
+        for i in range(4):
+            sol = mat.solve([ONE if t == i else ZERO for t in range(4)])
+            want.append(tuple(c.rational_value() for c in sol))
+        assert [w for w, _ in spherical_fundamentals()] == want
+
+    def test_action_matches_the_chain_of_copies(self, me, modules):
+        # the action once copied the whole operator for every word
+        ctx = modules[(1, 1)]
+        rng = random.Random(11)
+        samples = [{i: ONE} for i in range(0, 36, 7)] + [
+            {i: sca(rng.randint(-3, 3)) for i in rng.sample(range(36), 6)}
+            for _ in range(3)]
+        for x in samples:
+            x = {i: c for i, c in x.items() if c}
+            old = SparseOp(ctx.rep.dim)
+            for i, c in ctx.basis.coords(x).items():
+                old = old.add_scaled(ctx.word_ops[i], c)
+            assert ctx.action(x).cols == old.cols
 
 
 class TestMInvariants:
@@ -227,7 +284,7 @@ class TestKostantDegree:
         assert all(k % 2 == 0 for (k, _) in comps)
         total = me.g.zero()
         for c in comps.values():
-            total = PBWEngine.add(total, c)
+            total = add(total, c)
         from f4workbench.uea import model_casimir_m as mc
         assert total == mc(me)
 
@@ -237,7 +294,7 @@ class TestKostantDegree:
         for _ in range(6):
             u = me.g.zero()
             for b in uk2_m_basis:
-                u = PBWEngine.add(u, PBWEngine.scale(sca(rng.randint(-3, 3)), b))
+                u = add(u, scale(sca(rng.randint(-3, 3)), b))
             if u:
                 assert dm.degree(u) <= 4
 
@@ -269,8 +326,8 @@ class TestAdditivity:
             u = me.g.zero()
             v = me.g.zero()
             for b in uk2_m_basis:
-                u = PBWEngine.add(u, PBWEngine.scale(sca(rng.randint(-2, 2)), b))
-                v = PBWEngine.add(v, PBWEngine.scale(sca(rng.randint(-2, 2)), b))
+                u = add(u, scale(sca(rng.randint(-2, 2)), b))
+                v = add(v, scale(sca(rng.randint(-2, 2)), b))
             if not u or not v:
                 continue
             rep = degree_additivity(me, u, v)
@@ -284,9 +341,9 @@ class TestAdditivity:
             u = me.g.zero()
             v = me.g.zero()
             for b in uk2_m_basis:
-                u = PBWEngine.add(u, PBWEngine.scale(sca(rng.randint(-2, 2)), b))
-                v = PBWEngine.add(v, PBWEngine.scale(sca(rng.randint(-2, 2)), b))
-            s = PBWEngine.add(u, v)
+                u = add(u, scale(sca(rng.randint(-2, 2)), b))
+                v = add(v, scale(sca(rng.randint(-2, 2)), b))
+            s = add(u, v)
             if not u or not v or not s:
                 continue
             assert dm.degree(s) <= max(dm.degree(u), dm.degree(v))
@@ -314,7 +371,7 @@ class TestProductIdentities:
         lhs = me.g.ad_power(xd, uv, k + l)
         du = me.g.ad_power(xd, u, k)
         dv = me.g.ad_power(xd, v, l)
-        rhs = PBWEngine.scale(sca(comb(k + l, l)), me.g.mul(du, dv))
+        rhs = scale(sca(comb(k + l, l)), me.g.mul(du, dv))
         assert lhs == rhs and lhs
         # mixed double raising with both binomials
         lhs2 = me.g.ad_power(e, me.g.ad_power(xd, uv, k + l),
@@ -322,7 +379,7 @@ class TestProductIdentities:
         du2 = me.g.ad_power(e, me.g.ad_power(xd, u, k), (p - k) // 2)
         dv2 = me.g.ad_power(e, me.g.ad_power(xd, v, l), (q - l) // 2)
         c = comb(k + l, l) * comb((p + q - k - l) // 2, (q - l) // 2)
-        rhs2 = PBWEngine.scale(sca(c), me.g.mul(du2, dv2))
+        rhs2 = scale(sca(c), me.g.mul(du2, dv2))
         assert lhs2 == rhs2 and lhs2
 
 
@@ -375,7 +432,7 @@ def dominant_in_ideal_slice(me, target, max_degree=2):
         for u in space:
             im = me.g.ad(x, u)
             if eig is not None:
-                im = PBWEngine.sub(im, PBWEngine.scale(eig, u))
+                im = sub(im, scale(eig, u))
             images.append(im)
         idxs = sorted({m for im in images for m in im})
         if not idxs:
@@ -387,7 +444,7 @@ def dominant_in_ideal_slice(me, target, max_degree=2):
             v = me.g.zero()
             for c, b in zip(coords, space):
                 if c:
-                    v = PBWEngine.add(v, PBWEngine.scale(c, b))
+                    v = add(v, scale(c, b))
             if v:
                 new_space.append(v)
         space = new_space
@@ -445,7 +502,7 @@ def _dense_invariants(engine, sub_basis, max_degree, label_weights,
             u = {}
             for c, v in zip(coords, space):
                 if c:
-                    u = PBWEngine.add(u, PBWEngine.scale(c, v))
+                    u = add(u, scale(c, v))
             if u:
                 new_space.append(u)
         space = new_space
