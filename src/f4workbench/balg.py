@@ -23,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from .exactnum import ONE, Scalar, ZERO, add, sca, scale, sub
+from .exactnum import ONE, Scalar, add, sca, scale, sub
 from .liealg import LieElement
 from .reporting import Report
-from .uea import (IwasawaElement, Mono, ONE_MONO, UEA, ModelEngine,
-                  reduce_mod)
+from .uea import IwasawaElement, ONE_MONO, UEA, ModelEngine
 
 
 # ---------------------------------------------------------------------------

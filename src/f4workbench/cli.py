@@ -525,14 +525,24 @@ def emit_golden(target: str, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_options(default) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="TOML or JSON config file")
-    common.add_argument("--json", dest="json_out", help="write the report here")
-    common.add_argument("--seed", type=int, help="seed for sampled families")
+    common.add_argument("--config", default=default,
+                        help="TOML or JSON config file")
+    common.add_argument("--json", dest="json_out", default=default,
+                        help="write the report here")
+    common.add_argument("--seed", type=int, default=default,
+                        help="seed for sampled families")
+    return common
 
-    p = argparse.ArgumentParser(prog="f4workbench", parents=[common],
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="f4workbench",
+                                parents=[_common_options(None)],
                                 description=__doc__.splitlines()[0])
+    # a subcommand sets only the options given after it, so one given
+    # before it keeps its value
+    common = _common_options(argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command")
 
     v = sub.add_parser("verify", parents=[common],

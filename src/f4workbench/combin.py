@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import (Matrix, ONE, PolyScalar, Scalar, ZERO, add, coordinates,
@@ -186,13 +186,17 @@ def determinant_factorization(lseq: Sequence[int], delta: int) -> DetFactorizati
     """Exact determinant of the polynomial matrix with its rational
     roots; splits records whether it factors into linear terms."""
     from .exactnum import poly_det, rational_roots
-    entries = generalized_a_matrix(lseq, delta)
-    det = poly_det(entries)
+    # column j has denominators dividing (2j + delta)!, so scaled by it
+    # Bareiss runs on integer polynomials; the scale leaves the roots alone
+    scales = [factorial(2 * j + delta) for j in range(len(lseq))]
+    det = poly_det([[e * sca(f) for e, f in zip(row, scales)]
+                    for row in generalized_a_matrix(lseq, delta)])
     if det.is_zero():
         return DetFactorization(tuple(lseq), delta, (), ZERO, False)
     roots, rem = rational_roots(det)
     return DetFactorization(tuple(lseq), delta, tuple(sorted(roots)),
-                            det.leading(), rem.degree() <= 0)
+                            det.leading() / sca(prod(scales)),
+                            rem.degree() <= 0)
 
 
 # ---------------------------------------------------------------------------

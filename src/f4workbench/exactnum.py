@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 # Exact rationals: arbitrary precision, always reduced, positive
 # denominator.  fractions.Fraction guarantees all three.
@@ -615,15 +615,46 @@ def dual_basis(basis, form) -> list:
 
 
 class PolyScalar:
-    """Polynomial in one indeterminate s with Scalar coefficients."""
+    """Polynomial in one indeterminate s with coefficients in Q(sqrt2).
 
-    __slots__ = ("coeffs",)
+    Stored the way PBWEngine.to_core stores an element: the coefficient of
+    s^i is (p[i] + q[i]*sqrt2) / den, with two integer lists over one
+    positive denominator.  The form is reduced, so equal polynomials store
+    equal ints: gcd(den, p, q) = 1, the top coefficient is nonzero, and q
+    is empty when every coefficient is rational.  The arithmetic, and so
+    poly_det's Bareiss, runs on these ints; Scalars are made only where a
+    caller reads coeffs, leading() or evaluate().
+    """
+
+    __slots__ = ("p", "q", "den")
 
     def __init__(self, coeffs):
         cs = [sca(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
+        den = lcm(*(c.r for c in cs))
+        self._reduce([c.p * (den // c.r) for c in cs],
+                     [c.q * (den // c.r) for c in cs], den)
+
+    @staticmethod
+    def _of(p: list, q: list, den: int) -> "PolyScalar":
+        """The polynomial (p + q*sqrt2) / den; q is empty or as long as p,
+        and both lists become the new polynomial's."""
+        out = PolyScalar.__new__(PolyScalar)
+        out._reduce(p, q, den)
+        return out
+
+    def _reduce(self, p: list, q: list, den: int) -> None:
+        if q and not any(q):
+            q = []
+        n = len(p)
+        while n and not (p[n - 1] or (q and q[n - 1])):
+            n -= 1
+        del p[n:], q[n:]
+        g = gcd(den, *p, *q)
+        if g > 1:
+            p = [x // g for x in p]
+            q = [x // g for x in q]
+            den //= g
+        self.p, self.q, self.den = p, q, den
 
     @staticmethod
     def constant(c) -> "PolyScalar":
@@ -631,46 +662,67 @@ class PolyScalar:
 
     @staticmethod
     def variable() -> "PolyScalar":
-        return PolyScalar([ZERO, ONE])
+        return PolyScalar._of([0, 1], [], 1)
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients as Scalars, constant term first."""
+        q = self.q or [0] * len(self.p)
+        return [Scalar(a, b, self.den) for a, b in zip(self.p, q)]
 
     def degree(self) -> int:
         """Degree, with deg 0 = -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.p) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.p
 
     def leading(self) -> Scalar:
-        return self.coeffs[-1] if self.coeffs else ZERO
+        if not self.p:
+            return ZERO
+        return Scalar(self.p[-1], self.q[-1] if self.q else 0, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, PolyScalar) and self.coeffs == other.coeffs
+        return (isinstance(other, PolyScalar) and self.den == other.den
+                and self.p == other.p and self.q == other.q)
+
+    def _linear(self, other: "PolyScalar", sign: int) -> "PolyScalar":
+        """self + sign * other."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        n = max(len(self.p), len(other.p))
+        p = _scaled_sum(self.p, fa, other.p, fb, n)
+        q = _scaled_sum(self.q, fa, other.q, fb, n) \
+            if self.q or other.q else []
+        return PolyScalar._of(p, q, den)
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [ZERO] * (n - len(self.coeffs))
-        b = other.coeffs + [ZERO] * (n - len(other.coeffs))
-        return PolyScalar([a[i] + b[i] for i in range(n)])
+        return self._linear(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._linear(other, -1)
 
     def __neg__(self):
-        return PolyScalar([-c for c in self.coeffs])
+        return PolyScalar._of([-x for x in self.p], [-x for x in self.q],
+                              self.den)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            return PolyScalar([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return PolyScalar([])
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return PolyScalar(out)
+            other = PolyScalar._of([other.p], [other.q] if other.q else [],
+                                   other.r)
+        if not self.p or not other.p:
+            return PolyScalar._of([], [], 1)
+        # (a + b sqrt2)(c + d sqrt2) = ac + 2bd + (ad + bc) sqrt2
+        p = _convolve(self.p, other.p)
+        q = []
+        if self.q and other.q:
+            p = [x + 2 * y for x, y in zip(p, _convolve(self.q, other.q))]
+        if self.q:
+            q = _convolve(self.q, other.p)
+        if other.q:
+            q2 = _convolve(self.p, other.q)
+            q = [x + y for x, y in zip(q, q2)] if q else q2
+        return PolyScalar._of(p, q, self.den * other.den)
 
     def evaluate(self, x: Scalar) -> Scalar:
         acc = ZERO
@@ -682,32 +734,70 @@ class PolyScalar:
         """Exact polynomial quotient; raises if the division has remainder."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = self.coeffs[:]
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            if not self.coeffs:
-                return PolyScalar([])
-            raise ValueError("inexact polynomial division")
-        out = [ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] / lead
-            out[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return PolyScalar(out)
+        if other.q:
+            # divide by the rational polynomial other * conj(other)
+            conj = PolyScalar._of(other.p[:], [-x for x in other.q],
+                                  other.den)
+            return (self * conj).exact_div(other * conj)
+        # other = content * prim / den with prim primitive: by Gauss's lemma
+        # an exact quotient by prim has integer coefficients
+        content = gcd(*other.p)
+        prim = [x // content for x in other.p]
+        p = _divide_exact(self.p, prim)
+        q = _divide_exact(self.q, prim) if self.q else []
+        return PolyScalar._of([x * other.den for x in p],
+                              [x * other.den for x in q], self.den * content)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.p:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
             if c:
                 parts.append("(%r)*s^%d" % (c, i))
         return " + ".join(parts)
+
+
+def _scaled_sum(a: list, fa: int, b: list, fb: int, n: int) -> list:
+    """fa * a + fb * b as a list of length n; either list may be empty."""
+    out = [x * fa for x in a] + [0] * (n - len(a))
+    for i, y in enumerate(b):
+        out[i] += y * fb
+    return out
+
+
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divide_exact(num: list, den: list) -> list:
+    """The integer quotient num / den of integer polynomials, long division
+    from the top; raises ValueError unless every step and the remainder
+    come out exact."""
+    if not num:
+        return []
+    dq = len(num) - len(den)
+    if dq < 0:
+        raise ValueError("inexact polynomial division")
+    rem = num[:]
+    out = [0] * (dq + 1)
+    lead = den[-1]
+    for k in range(dq, -1, -1):
+        c, r = divmod(rem[k + len(den) - 1], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        out[k] = c
+        if c:
+            for j, b in enumerate(den):
+                rem[k + j] -= c * b
+    if any(rem):
+        raise ValueError("inexact polynomial division")
+    return out
 
 
 def poly_det(entries) -> PolyScalar:
@@ -765,19 +855,22 @@ def poly_det_cofactor(entries) -> PolyScalar:
 
 
 def _divisors(n: int):
+    """The positive divisors of n in increasing order, from its factors
+    (the determinants' constants are smooth); [1] for n = 0."""
     n = abs(n)
-    if n == 0:
-        return [1]
-    small = []
-    large = []
-    f = 1
+    out = [1]
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
+            powers = [1]
+            while n % f == 0:
+                n //= f
+                powers.append(powers[-1] * f)
+            out = [d * w for d in out for w in powers]
         f += 1
-    return small + large[::-1]
+    if n > 1:
+        out += [d * n for d in out]
+    return sorted(out)
 
 
 def rational_roots(poly: PolyScalar):
@@ -786,47 +879,58 @@ def rational_roots(poly: PolyScalar):
     Requires rational coefficients.  Returns (roots, remainder) where
     roots is a list of Fractions (with repetition) and remainder is the
     PolyScalar left after dividing out every rational linear factor.
+
+    The search runs on the primitive integer polynomial: a root p/q in
+    lowest terms has p dividing the constant and q the top coefficient,
+    it is tested by the homogeneous Horner sum sum_i c_i p^i q^(n-i) = 0,
+    and q s - p is divided out on integers.
     """
     if poly.is_zero():
         raise ValueError("zero polynomial has every root")
-    for c in poly.coeffs:
-        if not c.is_rational():
-            raise ValueError("rational_roots needs rational coefficients")
-    roots = []
-    cur = poly
-    # strip roots at zero
-    while cur.coeffs and not cur.coeffs[0]:
-        roots.append(Fraction(0))
-        cur = PolyScalar(cur.coeffs[1:])
-    while cur.degree() >= 1:
-        fracs = [c.rational_value() for c in cur.coeffs]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        ints = [int(f * lcm) for f in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        found = None
-        for qd in _divisors(ints[-1]):
-            for pd in _divisors(ints[0]):
-                for p in (pd, -pd):
-                    if gcd(abs(p), qd) != 1:
-                        continue
-                    cand = Fraction(p, qd)
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+    if poly.q:
+        raise ValueError("rational_roots needs rational coefficients")
+    zeros = next(i for i, c in enumerate(poly.p) if c)
+    roots = [Fraction(0)] * zeros
+    content = gcd(*poly.p)
+    ints = [c // content for c in poly.p[zeros:]]
+    # poly = content * s^zeros * prod_roots (q s - p) * ints / den
+    while len(ints) > 1:
+        found = _integer_root(ints)
         if found is None:
             break
-        roots.append(found)
-        cur = cur.exact_div(PolyScalar([-sca(found), ONE]))
-    return roots, cur
+        p, q = found
+        roots.append(Fraction(p, q))
+        ints = _divide_linear(ints, p, q)
+        content *= q
+    return roots, PolyScalar._of([c * content for c in ints], [], poly.den)
+
+
+def _integer_root(ints: list):
+    """The first root (p, q) of the integer polynomial ints, candidates
+    ordered by q, then by |p|, then positive before negative; or None."""
+    numerators = _divisors(ints[0])
+    for q in _divisors(ints[-1]):
+        for pd in numerators:
+            if gcd(pd, q) != 1:
+                continue
+            for p in (pd, -pd):
+                acc = ints[-1]
+                qpow = 1
+                for c in reversed(ints[:-1]):
+                    qpow *= q
+                    acc = acc * p + c * qpow
+                if acc == 0:
+                    return p, q
+    return None
+
+
+def _divide_linear(ints: list, p: int, q: int) -> list:
+    """ints / (q s - p) for a root p/q of the integer polynomial ints in
+    lowest terms: an integer polynomial, by Gauss's lemma."""
+    out = [0] * (len(ints) - 1)
+    b = 0
+    for k in range(len(ints) - 1, 0, -1):
+        # c_k = q b_(k-1) - p b_k
+        b = (ints[k] + p * b) // q
+        out[k - 1] = b
+    return out

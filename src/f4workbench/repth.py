@@ -176,12 +176,20 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
 
     Raises when the Weyl-formula prediction exceeds the cap, naming the
     prediction, and when the constructed dimension disagrees with it.
+
+    Inside, a weight mu = xi - sum_j n_j a_j is keyed by its integer depth
+    vector n, so <mu, a_i~> = <xi, a_i~> - sum_j n_j A_ij is integer
+    arithmetic on the Cartan matrix A.  Levels are sorted in the order of
+    the weights, on integers; the rational weights are made once, for the
+    returned Irrep, which is keyed by them.
     """
     rank = data.rank
+    top: List[int] = []
     for i in range(rank):
         p = data.pairing(xi, i)
         if p < 0 or p.denominator != 1:
             raise ValueError("weight %r is not dominant integral" % (xi,))
+        top.append(int(p))
     if positives is None and len(xi) == 4:
         predicted = weyl_dimension(xi)
     elif positives is not None:
@@ -191,60 +199,74 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
     if predicted is not None and predicted > cap:
         raise ValueError("predicted dimension %d exceeds the cap %d"
                          % (predicted, cap))
+    cartan = _cartan_matrix(data)
+    # L mu = L xi - sum_j n_j (L a_j) with every L a_j integral, so the
+    # integer tuples -sum_j n_j (L a_j) order the weights as mu does
+    scale_l = lcm(*(x.denominator for a in data.simple for x in a))
+    scaled = [[int(x * scale_l) for x in a] for a in data.simple]
 
-    dims: Dict[Weight, int] = {xi: 1}
-    grams: Dict[Weight, Matrix] = {xi: Matrix([[ONE]])}
-    # E[i][mu]: list over basis of V_mu of vectors over basis of V_{mu+a_i}
-    e_data: List[Dict[Weight, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
-    # F[i][nu]: list over basis of V_nu of vectors over basis of V_{nu-a_i}
-    f_data: List[Dict[Weight, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
+    def pairing(n, i) -> int:
+        return top[i] - sum(nj * a for nj, a in zip(n, cartan[i]))
+
+    def up(n, i):
+        return n[:i] + (n[i] - 1,) + n[i + 1:]
+
+    def weight_order(n):
+        return tuple(-sum(nj * a[c] for nj, a in zip(n, scaled))
+                     for c in range(len(xi)))
+
+    n0 = (0,) * rank
+    dims: Dict[tuple, int] = {n0: 1}
+    grams: Dict[tuple, Matrix] = {n0: Matrix([[ONE]])}
+    # E[i][n]: list over basis of V_n of vectors over basis of V_{up(n, i)}
+    e_data: List[Dict[tuple, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
+    # F[i][n]: list over basis of V_n of vectors over basis of the weight
+    # a_i below it
+    f_data: List[Dict[tuple, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
     for i in range(rank):
-        e_data[i][xi] = [dict()]
+        e_data[i][n0] = [dict()]
 
-    level = [xi]
+    def raise_then_lower(mu, i, j, t):
+        # e_i applied to basis vector t of V_{mu + a_j}, then f_j down
+        up_j = up(mu, j)
+        fj = f_data[j].get(up(up_j, i))
+        if fj is None:
+            return {}
+        return combine(e_data[i][up_j][t], fj)
+
+    level = [n0]
     total = 1
     while level:
-        nxt = set()
-        for w in level:
-            for i in range(rank):
-                lower = tuple(x - a for x, a in zip(w, data.simple[i]))
-                nxt.add(lower)
+        nxt = {n[:i] + (n[i] + 1,) + n[i + 1:]
+               for n in level for i in range(rank)}
         new_level = []
-        for mu in sorted(nxt):
-            cands = []
-            for i in range(rank):
-                up = tuple(x + a for x, a in zip(mu, data.simple[i]))
-                for t in range(dims.get(up, 0)):
-                    cands.append((i, t))
+        for mu in sorted(nxt, key=weight_order):
+            cands = [(i, t) for i in range(rank)
+                     for t in range(dims.get(up(mu, i), 0))]
             if reverse_candidates:
                 cands = cands[::-1]
             if not cands:
                 continue
             # pairings <f_i u, f_j w> = <u, f_j e_i w> + d_ij <mu+a_i, a_i~> <u, w>
-            def raise_then_lower(i, j, t):
-                # e_i applied to basis vector t of V_{mu + a_j}, then f_j down
-                up_j = tuple(x + a for x, a in zip(mu, data.simple[j]))
-                up_ij = tuple(x + a for x, a in zip(up_j, data.simple[i]))
-                fj = f_data[j].get(up_ij)
-                if fj is None:
-                    return {}
-                return combine(e_data[i][up_j][t], fj)
-
+            # form a symmetric matrix, so each row copies its entries left
+            # of the diagonal from the rows above
             gram_rows: List[Dict[int, Scalar]] = []
-            for i, t in cands:
-                up_i = tuple(x + a for x, a in zip(mu, data.simple[i]))
-                g = grams[up_i]
-                row: Dict[int, Scalar] = {}
-                for b_idx, (j, s) in enumerate(cands):
-                    vecv = raise_then_lower(i, j, s)
-                    if i == j:
-                        hval = data.pairing(up_i, i)
-                        if hval:
-                            vecv = add(vecv, {s: sca(hval)})
+            for a_idx, (i, t) in enumerate(cands):
+                up_i = up(mu, i)
+                g = grams[up_i].entries[t]
+                hval = sca(pairing(up_i, i))
+                row = {b_idx: above[a_idx]
+                       for b_idx, above in enumerate(gram_rows)
+                       if a_idx in above}
+                for b_idx in range(a_idx, len(cands)):
+                    j, s = cands[b_idx]
+                    vecv = raise_then_lower(mu, i, j, s)
+                    if i == j and hval:
+                        vecv = add(vecv, {s: hval})
                     # pair with gram at up_i against basis vector t
                     acc = ZERO
                     for r, c in vecv.items():
-                        acc = acc + g.entries[t][r] * c
+                        acc = acc + g[r] * c
                     if acc:
                         row[b_idx] = acc
                 gram_rows.append(row)
@@ -262,26 +284,27 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
                                 for a in pivots])
             # record lowering data f_i: V_{mu+a_i} -> V_mu
             for i in range(rank):
-                up = tuple(x + a for x, a in zip(mu, data.simple[i]))
-                if up in dims:
-                    table = [dict() for _ in range(dims[up])]
+                up_i = up(mu, i)
+                if up_i in dims:
+                    table = [dict() for _ in range(dims[up_i])]
                     for a_idx, (ii, t) in enumerate(cands):
                         if ii == i:
                             table[t] = coords[a_idx]
-                    f_data[i][up] = table
+                    f_data[i][up_i] = table
             # raising data e_i on the new basis: pivot a = (j, s) means f_j w_s
             for i in range(rank):
-                up_i = tuple(x + a for x, a in zip(mu, data.simple[i]))
+                up_i = up(mu, i)
+                if up_i not in dims:
+                    e_data[i][mu] = [dict() for _ in pivots]
+                    continue
+                hval = sca(pairing(up_i, i))
                 table = []
                 for a_idx in pivots:
                     j, s = cands[a_idx]
-                    vecv = raise_then_lower(i, j, s)
-                    if i == j:
-                        up_j = tuple(x + a for x, a in zip(mu, data.simple[j]))
-                        hval = data.pairing(up_j, i)
-                        if hval:
-                            vecv = add(vecv, {s: sca(hval)})
-                    table.append(vecv if up_i in dims else dict())
+                    vecv = raise_then_lower(mu, i, j, s)
+                    if i == j and hval:
+                        vecv = add(vecv, {s: hval})
+                    table.append(vecv)
                 e_data[i][mu] = table
             new_level.append(mu)
         level = new_level
@@ -289,31 +312,49 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
     if predicted is not None and total != predicted:
         raise AssertionError("constructed dimension %d != predicted %d"
                              % (total, predicted))
-    # flatten
-    order = sorted(dims)
-    offsets = {}
+    # flatten, and make the rational weights
+    real = {n: tuple(x - sum(nj * a[c] for nj, a in zip(n, data.simple))
+                     for c, x in enumerate(xi)) for n in dims}
+    real[n0] = xi
+    order = sorted(dims, key=weight_order)
+    offsets: Dict[tuple, int] = {}
     off = 0
     weights_of_index: List[Weight] = []
-    for w in order:
-        offsets[w] = off
-        off += dims[w]
-        weights_of_index.extend([w] * dims[w])
+    for n in order:
+        offsets[n] = off
+        off += dims[n]
+        weights_of_index.extend([real[n]] * dims[n])
     e_ops = [SparseOp(total) for _ in range(rank)]
     f_ops = [SparseOp(total) for _ in range(rank)]
-    for w in order:
+    for n in order:
         for i in range(rank):
-            up = tuple(x + a for x, a in zip(w, data.simple[i]))
-            if w in e_data[i] and up in offsets:
-                for t, v in enumerate(e_data[i][w]):
+            up_i = up(n, i)
+            if up_i not in offsets:
+                continue
+            if n in e_data[i]:
+                for t, v in enumerate(e_data[i][n]):
                     for r, c in v.items():
-                        e_ops[i].cols[offsets[w] + t][offsets[up] + r] = c
-            if up in offsets and up in f_data[i]:
-                for t, v in enumerate(f_data[i][up]):
+                        e_ops[i].cols[offsets[n] + t][offsets[up_i] + r] = c
+            if up_i in f_data[i]:
+                for t, v in enumerate(f_data[i][up_i]):
                     for r, c in v.items():
-                        f_ops[i].cols[offsets[up] + t][offsets[w] + r] = c
-    return Irrep(data=data, highest=xi, dims=dims, offsets=offsets, dim=total,
-                 grams=grams, e_ops=e_ops, f_ops=f_ops,
-                 weights_of_index=weights_of_index)
+                        f_ops[i].cols[offsets[up_i] + t][offsets[n] + r] = c
+    return Irrep(data=data, highest=xi,
+                 dims={real[n]: d for n, d in dims.items()},
+                 offsets={real[n]: o for n, o in offsets.items()}, dim=total,
+                 grams={real[n]: g for n, g in grams.items()},
+                 e_ops=e_ops, f_ops=f_ops, weights_of_index=weights_of_index)
+
+
+def _cartan_matrix(data: TriangularData) -> List[List[int]]:
+    """A_ij = <a_j, a_i~>, checked to be integral."""
+    out = []
+    for i in range(data.rank):
+        row = [data.pairing(a, i) for a in data.simple]
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("simple roots with a nonintegral Cartan matrix")
+        out.append([int(x) for x in row])
+    return out
 
 
 def _quotient_basis(gram_rows: List[Dict[int, Scalar]]):

@@ -171,6 +171,46 @@ class TestSuites:
                                + ": " + by_id["crashes"]["witness"]]
 
 
+class TestOptionPosition:
+    """--seed, --json and --config act alike before and after the
+    subcommand."""
+
+    @staticmethod
+    def argv(where, options):
+        command = ["verify", "transversality"]
+        return options + command if where == "before" else command + options
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_seed(self, where, capsys):
+        assert main(self.argv(where, ["--seed", "5"])) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_json_written(self, where, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(self.argv(where, ["--json", str(out)])) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_json_unwritable_exits_3(self, where, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "report.json")
+        assert main(self.argv(where, ["--json", out])) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_config_read(self, where, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 11}))
+        assert main(self.argv(where, ["--config", str(cfg)])) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 11
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_config_missing_exits_2(self, where, tmp_path, capsys):
+        cfg = str(tmp_path / "none.toml")
+        assert main(self.argv(where, ["--config", cfg])) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["verify", "nosuch"]) == 2

@@ -121,6 +121,30 @@ class TestGeneralizedMatrix:
         entries = generalized_a_matrix([0, 1], 0)
         assert poly_det(entries) == poly_det_cofactor(entries)
 
+    def test_factorizations_match_the_cofactor_oracle(self):
+        # the 196 (lseq, delta) of the determinant check of verify all:
+        # Bareiss agrees with cofactor expansion on the unscaled matrix, and
+        # a determinant that splits is its leading coefficient times the
+        # linear factors of its roots
+        import itertools
+        from f4workbench.exactnum import poly_det, poly_det_cofactor
+        s = PolyScalar.variable()
+        cases = 0
+        for size in (1, 2, 3, 4):
+            for lseq in itertools.combinations(range(0, 7), size):
+                for delta in (0, 1):
+                    entries = generalized_a_matrix(lseq, delta)
+                    det = poly_det_cofactor(entries)
+                    assert poly_det(entries) == det, (lseq, delta)
+                    fac = determinant_factorization(lseq, delta)
+                    if fac.splits:
+                        product = PolyScalar.constant(fac.leading)
+                        for root in fac.roots:
+                            product = product * (s - PolyScalar.constant(root))
+                        assert product == det, (lseq, delta)
+                    cases += 1
+        assert cases == 196
+
     def test_singularity_at_integer_points_reported(self):
         # the numeric system is singular exactly when T - n is a root of
         # the polynomial determinant over the same index data

@@ -143,6 +143,54 @@ class TestPolyScalar:
                     for _ in range(n)] for _ in range(n)]
             assert poly_det(ent) == poly_det_cofactor(ent)
 
+    def test_det_matches_cofactor_over_sqrt2(self):
+        # Bareiss divides by polynomials with sqrt2 coefficients here
+        import random
+        rng = random.Random(5)
+        for n in range(1, 5):
+            ent = [[PolyScalar([Scalar(rng.randint(-3, 3), rng.randint(-2, 2),
+                                       rng.randint(1, 3)) for _ in range(3)])
+                    for _ in range(n)] for _ in range(n)]
+            assert poly_det(ent) == poly_det_cofactor(ent)
+
+    def test_arithmetic_matches_scalar_coefficients(self):
+        # the integer form against coefficientwise Scalar arithmetic
+        import random
+        rng = random.Random(11)
+
+        def draw():
+            return [Scalar(rng.randint(-3, 3), rng.randint(-2, 2),
+                           rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+
+        def trimmed(cs):
+            while cs and not cs[-1]:
+                cs = cs[:-1]
+            return cs
+
+        for _ in range(60):
+            a, b = draw(), draw()
+            pa, pb = PolyScalar(a), PolyScalar(b)
+            n = max(len(a), len(b))
+            a0, b0 = a + [ZERO] * (n - len(a)), b + [ZERO] * (n - len(b))
+            assert (pa + pb).coeffs == trimmed([x + y for x, y in zip(a0, b0)])
+            assert (pa - pb).coeffs == trimmed([x - y for x, y in zip(a0, b0)])
+            product = [ZERO] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    product[i + j] = product[i + j] + x * y
+            assert (pa * pb).coeffs == trimmed(product)
+            if not pb.is_zero():
+                assert (pa * pb).exact_div(pb) == pa
+
+    def test_stored_form_is_reduced(self):
+        # one polynomial, one stored form, whatever the construction
+        p = PolyScalar([HALF, S(0, Fraction(1, 3)), ZERO]) * S(6)
+        assert p == PolyScalar([S(3), S(0, 2)])
+        assert (p.p, p.q, p.den) == ([3, 0], [0, 2], 1)
+        assert p.coeffs == [S(3), S(0, 2)]
+        r = p - PolyScalar([S(0), S(0, 2)])
+        assert (r.p, r.q, r.den) == ([3], [], 1)
+
     def test_exact_div(self):
         s = PolyScalar.variable()
         p = (s + PolyScalar.constant(2)) * (s - PolyScalar.constant(3))

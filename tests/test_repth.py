@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from f4workbench import repth
-from f4workbench.exactnum import Echelon, Matrix, ONE, ZERO, add, sca, scale, sub
+from f4workbench.exactnum import (Echelon, Matrix, ONE, ZERO, add, combine, sca,
+                                  scale, sub)
 from f4workbench.repth import (
     DegreeMachine, SparseOp, TriangularData, _unit, build_irrep, build_module,
     build_module_for_weight, degree_additivity, degree_machine,
@@ -124,6 +125,185 @@ def _dense_quotient_basis(gram_rows):
         sol = gm.solve([gram.entries[a][b] for b in pivots])
         coords.append({r: c for r, c in enumerate(sol) if c})
     return pivots, coords
+
+
+def fraction_keyed_build_irrep(data, xi, cap=512, reverse_candidates=False,
+                               positives=None):
+    """build_irrep as it was before weights were keyed by depth vectors:
+    Fraction weights throughout, and every Gram entry computed."""
+    rank = data.rank
+    for i in range(rank):
+        p = data.pairing(xi, i)
+        if p < 0 or p.denominator != 1:
+            raise ValueError("weight %r is not dominant integral" % (xi,))
+    if positives is None and len(xi) == 4:
+        predicted = repth.weyl_dimension(xi)
+    elif positives is not None:
+        predicted = repth.weyl_dimension(xi, positives)
+    else:
+        predicted = None
+    if predicted is not None and predicted > cap:
+        raise ValueError("predicted dimension %d exceeds the cap %d"
+                         % (predicted, cap))
+
+    dims = {xi: 1}
+    grams = {xi: Matrix([[ONE]])}
+    # E[i][mu]: list over basis of V_mu of vectors over basis of V_{mu+a_i}
+    e_data = [dict() for _ in range(rank)]
+    # F[i][nu]: list over basis of V_nu of vectors over basis of V_{nu-a_i}
+    f_data = [dict() for _ in range(rank)]
+    for i in range(rank):
+        e_data[i][xi] = [dict()]
+
+    level = [xi]
+    total = 1
+    while level:
+        nxt = set()
+        for w in level:
+            for i in range(rank):
+                lower = tuple(x - a for x, a in zip(w, data.simple[i]))
+                nxt.add(lower)
+        new_level = []
+        for mu in sorted(nxt):
+            cands = []
+            for i in range(rank):
+                up = tuple(x + a for x, a in zip(mu, data.simple[i]))
+                for t in range(dims.get(up, 0)):
+                    cands.append((i, t))
+            if reverse_candidates:
+                cands = cands[::-1]
+            if not cands:
+                continue
+            # pairings <f_i u, f_j w> = <u, f_j e_i w> + d_ij <mu+a_i, a_i~> <u, w>
+            def raise_then_lower(i, j, t):
+                # e_i applied to basis vector t of V_{mu + a_j}, then f_j down
+                up_j = tuple(x + a for x, a in zip(mu, data.simple[j]))
+                up_ij = tuple(x + a for x, a in zip(up_j, data.simple[i]))
+                fj = f_data[j].get(up_ij)
+                if fj is None:
+                    return {}
+                return combine(e_data[i][up_j][t], fj)
+
+            gram_rows = []
+            for i, t in cands:
+                up_i = tuple(x + a for x, a in zip(mu, data.simple[i]))
+                g = grams[up_i]
+                row = {}
+                for b_idx, (j, s) in enumerate(cands):
+                    vecv = raise_then_lower(i, j, s)
+                    if i == j:
+                        hval = data.pairing(up_i, i)
+                        if hval:
+                            vecv = add(vecv, {s: sca(hval)})
+                    # pair with gram at up_i against basis vector t
+                    acc = ZERO
+                    for r, c in vecv.items():
+                        acc = acc + g.entries[t][r] * c
+                    if acc:
+                        row[b_idx] = acc
+                gram_rows.append(row)
+            pivots, coords = repth._quotient_basis(gram_rows)
+            dim_mu = len(pivots)
+            if dim_mu == 0:
+                continue
+            total += dim_mu
+            if total > cap:
+                raise ValueError(
+                    "dimension exceeds cap %d while building (prediction %s)"
+                    % (cap, predicted))
+            dims[mu] = dim_mu
+            grams[mu] = Matrix([[gram_rows[a].get(b, ZERO) for b in pivots]
+                                for a in pivots])
+            # record lowering data f_i: V_{mu+a_i} -> V_mu
+            for i in range(rank):
+                up = tuple(x + a for x, a in zip(mu, data.simple[i]))
+                if up in dims:
+                    table = [dict() for _ in range(dims[up])]
+                    for a_idx, (ii, t) in enumerate(cands):
+                        if ii == i:
+                            table[t] = coords[a_idx]
+                    f_data[i][up] = table
+            # raising data e_i on the new basis: pivot a = (j, s) means f_j w_s
+            for i in range(rank):
+                up_i = tuple(x + a for x, a in zip(mu, data.simple[i]))
+                table = []
+                for a_idx in pivots:
+                    j, s = cands[a_idx]
+                    vecv = raise_then_lower(i, j, s)
+                    if i == j:
+                        up_j = tuple(x + a for x, a in zip(mu, data.simple[j]))
+                        hval = data.pairing(up_j, i)
+                        if hval:
+                            vecv = add(vecv, {s: sca(hval)})
+                    table.append(vecv if up_i in dims else dict())
+                e_data[i][mu] = table
+            new_level.append(mu)
+        level = new_level
+
+    if predicted is not None and total != predicted:
+        raise AssertionError("constructed dimension %d != predicted %d"
+                             % (total, predicted))
+    # flatten
+    order = sorted(dims)
+    offsets = {}
+    off = 0
+    weights_of_index = []
+    for w in order:
+        offsets[w] = off
+        off += dims[w]
+        weights_of_index.extend([w] * dims[w])
+    e_ops = [repth.SparseOp(total) for _ in range(rank)]
+    f_ops = [repth.SparseOp(total) for _ in range(rank)]
+    for w in order:
+        for i in range(rank):
+            up = tuple(x + a for x, a in zip(w, data.simple[i]))
+            if w in e_data[i] and up in offsets:
+                for t, v in enumerate(e_data[i][w]):
+                    for r, c in v.items():
+                        e_ops[i].cols[offsets[w] + t][offsets[up] + r] = c
+            if up in offsets and up in f_data[i]:
+                for t, v in enumerate(f_data[i][up]):
+                    for r, c in v.items():
+                        f_ops[i].cols[offsets[up] + t][offsets[w] + r] = c
+    return repth.Irrep(data=data, highest=xi, dims=dims, offsets=offsets,
+                       dim=total, grams=grams, e_ops=e_ops, f_ops=f_ops,
+                       weights_of_index=weights_of_index)
+
+
+def _irrep_fields(rep):
+    """Every field of an Irrep, with each dict's key order."""
+    return (rep.data, rep.highest, list(rep.dims.items()),
+            list(rep.offsets.items()), rep.dim,
+            [(w, g.entries) for w, g in rep.grams.items()],
+            [[list(col.items()) for col in op.cols] for op in rep.e_ops],
+            [[list(col.items()) for col in op.cols] for op in rep.f_ops],
+            rep.weights_of_index,
+            [tuple(map(type, w)) for w in rep.weights_of_index])
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("kl", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)],
+                             ids=str)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_k_modules_match_fraction_keys(self, kl, reverse):
+        data, xi = k_triangular_data(), xi_weight(*kl)
+        got = build_irrep(data, xi, reverse_candidates=reverse)
+        want = fraction_keyed_build_irrep(data, xi, reverse_candidates=reverse)
+        assert _irrep_fields(got) == _irrep_fields(want)
+
+    def test_sl2_matches_fraction_keys(self):
+        data, pos = sl2_triangular_data(), ((Fraction(2),),)
+        for n in range(0, 5):
+            xi = (Fraction(n),)
+            got = build_irrep(data, xi, positives=pos)
+            want = fraction_keyed_build_irrep(data, xi, positives=pos)
+            assert _irrep_fields(got) == _irrep_fields(want)
+
+    def test_nonintegral_cartan_matrix_rejected(self):
+        data = TriangularData(simple=((Fraction(2), Fraction(0)),
+                                      (Fraction(1), Fraction(1, 3))))
+        with pytest.raises(ValueError, match="Cartan"):
+            build_irrep(data, (Fraction(0), Fraction(0)))
 
 
 class TestDenseOracles:
