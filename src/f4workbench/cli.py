@@ -291,27 +291,44 @@ def _module_checks(me, kl, cap: int, modules: dict) -> List[tuple]:
     """The dimension, invariant, boundary and chain checks of module kl.
 
     The first builds the module into modules; the others read it there.
+    When the build fails (say on the dimension cap), modules holds the
+    error instead, and the others fail with a witness naming it.
     """
     from .repth import (build_module, m_invariants, verify_hw3iv,
                         verify_techo, weyl_dimension, xi_weight)
 
     def dim():
-        ctx = modules.get(kl) or build_module(me, *kl, cap=cap)
-        modules[kl] = ctx
+        if kl not in modules:
+            try:
+                modules[kl] = build_module(me, *kl, cap=cap)
+            except Exception as exc:
+                modules[kl] = exc
+                raise
+        ctx = modules[kl]
         want = weyl_dimension(xi_weight(*kl))
         return _ok(ctx.rep.dim == want, "dim %d vs %d" % (ctx.rep.dim, want))
 
-    def inv():
-        n = len(m_invariants(modules[kl], me))
+    def on_module(check):
+        def fn():
+            ctx = modules[kl]
+            if isinstance(ctx, Exception):
+                return False, "module (%d,%d) was not built: %s: %s" % (
+                    *kl, type(ctx).__name__, ctx)
+            return check(ctx)
+        return fn
+
+    def inv(ctx):
+        n = len(m_invariants(ctx, me))
         return _ok(n == 1, "multiplicity %d" % n)
 
     return [
         ("module (%d,%d): dimension matches the product formula" % kl, dim),
-        ("module (%d,%d): invariant multiplicity measured" % kl, inv),
+        ("module (%d,%d): invariant multiplicity measured" % kl,
+         on_module(inv)),
         ("module (%d,%d): raising vanishing boundary" % kl,
-         lambda: _outcome(verify_hw3iv(modules[kl], me, *kl))),
+         on_module(lambda ctx: _outcome(verify_hw3iv(ctx, me, *kl)))),
         ("module (%d,%d): lowering-chain identities" % kl,
-         lambda: _outcome(verify_techo(modules[kl], me, *kl))),
+         on_module(lambda ctx: _outcome(verify_techo(ctx, me, *kl)))),
     ]
 
 
@@ -606,13 +623,35 @@ def _read_input(path: str):
             raise BadInput("bad input %s: %s" % (path, exc)) from exc
 
 
+ELEMENT_SHAPE = ('a list of coefficient lists with at least one term, or an '
+                 'object holding that list under "coefficients"; a term is '
+                 '{"exponents": {label: positive int}, '
+                 '"coeff": "a/b + c/d*sqrt2"}')
+
+
+def _is_term(term) -> bool:
+    return (isinstance(term, dict) and set(term) == {"exponents", "coeff"}
+            and isinstance(term["coeff"], str)
+            and isinstance(term["exponents"], dict)
+            and all(type(e) is int and e > 0
+                    for e in term["exponents"].values()))
+
+
 def _load_element(me, path: str, data):
     """Deserialize the IwasawaElement read from path by _read_input.
 
-    An unknown label, a bad coefficient string or a coefficient outside
-    U(k) raises BadInput (exit 2).
+    data is the list of coefficient lists, or an object holding it under
+    "coefficients" (as `uea omega` writes it).  Any other shape, an
+    unknown label, a bad coefficient string or a coefficient outside U(k)
+    raises BadInput (exit 2).
     """
     from .uea import IwasawaElement
+    if isinstance(data, dict):
+        data = data.get("coefficients")
+    if not (isinstance(data, list) and any(data)
+            and all(isinstance(c, list) and all(map(_is_term, c))
+                    for c in data)):
+        raise BadInput("bad input %s: expected %s" % (path, ELEMENT_SHAPE))
     try:
         elem = IwasawaElement.deserialize(me.g, data)
     except KeyError as exc:

@@ -111,26 +111,27 @@ def system_matrix(T: int, n: int, m: int, reduced: bool = False) -> Matrix:
 
 def generalized_a_matrix(lseq: Sequence[int], delta: int) -> List[List[PolyScalar]]:
     """The square polynomial matrix with entries
-    A_ij(s) = sum_l (-2)^l C(L_i, l) C(s - l, 2j + delta - l)."""
+    A_ij(s) = sum_l (-2)^l C(L_i, l) C(s - l, 2j + delta - l).  The
+    entries are shared between calls, so callers must not mutate them."""
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     if list(lseq) != sorted(set(lseq)) or any(x < 0 for x in lseq):
         raise ValueError("index sequence must be strictly increasing, >= 0")
     size = len(lseq)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            t_top = 2 * j + delta
-            acc = PolyScalar([])
-            for l in range(0, min(lseq[i], t_top) + 1):
-                c = (-2) ** l * _binom(lseq[i], l)
-                if not c:
-                    continue
-                acc = acc + _binom_poly(-l, t_top - l) * sca(c)
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[_a_entry(big_l, 2 * j + delta) for j in range(size)]
+            for big_l in lseq]
+
+
+@lru_cache(maxsize=None)
+def _a_entry(big_l: int, t: int) -> PolyScalar:
+    """sum_l (-2)^l C(big_l, l) C(s - l, t - l) as a polynomial in s;
+    shared, so never mutated."""
+    acc = PolyScalar([])
+    for l in range(0, min(big_l, t) + 1):
+        c = (-2) ** l * _binom(big_l, l)
+        if c:
+            acc = acc + _binom_poly(-l, t - l) * sca(c)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -158,17 +159,9 @@ def system_matches_generalized(m: int, T: int, n: int) -> bool:
     for a, L in enumerate(sets.L):
         for b, r in enumerate(sets.R):
             j = (r - delta) // 2
-            if j >= len(sets.L):
-                # compare against a directly-built entry polynomial
-                acc = PolyScalar([])
-                for l in range(0, min(L, r) + 1):
-                    c = (-2) ** l * _binom(L, l)
-                    if c:
-                        acc = acc + _binom_poly(-l, r - l) * sca(c)
-                if acc.evaluate(s_val) != sm.entries[a][b]:
-                    return False
-                continue
-            if ga[a][j].evaluate(s_val) != sm.entries[a][b]:
+            # columns past the square matrix compare against their entry
+            entry = ga[a][j] if j < len(sets.L) else _a_entry(L, r)
+            if entry.evaluate(s_val) != sm.entries[a][b]:
                 return False
     return True
 

@@ -30,33 +30,34 @@ from math import gcd, lcm
 Rational = Fraction
 
 
-def _gcd3(a: int, b: int, c: int) -> int:
-    return gcd(gcd(abs(a), abs(b)), abs(c))
-
-
 class Scalar:
     """An element a + b*sqrt2 of Q(sqrt2), stored as (p + q*sqrt2)/r."""
 
     __slots__ = ("p", "q", "r")
 
     def __init__(self, p: int = 0, q: int = 0, r: int = 1):
-        if r == 0:
-            raise ZeroDivisionError("scalar with zero denominator")
-        if r < 0:
-            p, q, r = -p, -q, -r
-        if p == 0 and q == 0:
-            r = 1
-        else:
-            g = _gcd3(p, q, r)
-            if g > 1:
-                p //= g
-                q //= g
-                r //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        # with r == 1 the triple is reduced as given: gcd(p, q, 1) = 1
+        if r != 1:
+            if r == 0:
+                raise ZeroDivisionError("scalar with zero denominator")
+            if r < 0:
+                p, q, r = -p, -q, -r
+            if p == 0 and q == 0:
+                r = 1
+            else:
+                g = gcd(p, q, r)
+                if g > 1:
+                    p //= g
+                    q //= g
+                    r //= g
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_r(self, r)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Scalar is immutable")
 
     # -- constructors -------------------------------------------------
@@ -200,6 +201,10 @@ class Scalar:
             return "%d/%d" % (self.p, self.r) if self.r != 1 else str(self.p)
         return self.to_string()
 
+
+# __setattr__ refuses every write, so __init__ fills the slots through
+# their member descriptors
+_set_p, _set_q, _set_r = Scalar.p.__set__, Scalar.q.__set__, Scalar.r.__set__
 
 ZERO = Scalar(0)
 ONE = Scalar(1)

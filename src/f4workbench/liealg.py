@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, accumulate, add,
                        combine, coordinates, kernel, scale, sca, sqrt_in_field,
@@ -33,9 +34,28 @@ from .rootdata import (
 # A Lie algebra element: sparse mapping basis index -> nonzero Scalar.
 LieElement = Dict[int, Scalar]
 
+# Brackets on a rescaled basis: (i, j) -> ((k, integer constant), ...).
+IntBrackets = Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]]
+
+
+class IntegerTable(NamedTuple):
+    """The bracket table on the rescaled basis e'_i = L sqrt2^{s_i} e_i.
+
+    parity holds the s_i and scale the L; brackets[(i, j)] = [e'_i, e'_j]
+    for every ordered pair with a nonzero bracket, with integer constants.
+    """
+
+    parity: List[int]
+    scale: int
+    brackets: IntBrackets
+
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra with an exact bracket table."""
+    """Finite-dimensional Lie algebra with an exact bracket table.
+
+    The table is fixed once the algebra is built: integer_table() caches
+    its rescaled integer form on the instance.
+    """
 
     def __init__(self, labels: Sequence[str], table: Dict[Tuple[int, int], LieElement]):
         self.labels = tuple(labels)
@@ -43,6 +63,7 @@ class LieAlgebra:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         # store only i < j; antisymmetry supplies the rest
         self.table = {k: dict(v) for k, v in table.items() if v}
+        self._integer_table: Optional[IntegerTable] = None
 
     def bracket_basis(self, i: int, j: int) -> LieElement:
         if i == j:
@@ -67,19 +88,36 @@ class LieAlgebra:
             cols.append([img.get(i, ZERO) for i in range(self.dim)])
         return Matrix.from_columns(cols)
 
+    def integer_table(self) -> IntegerTable:
+        """The table on the rescaled basis where every constant is an
+        integer (see _rescaling), built on first use; raises ValueError
+        when no such rescaling exists."""
+        if self._integer_table is None:
+            self._integer_table = _rescaling(self)
+        return self._integer_table
+
     def jacobi_failures(self, limit: int = 10) -> List[Tuple[int, int, int]]:
-        """All basis triples violating the Jacobi identity (up to limit)."""
+        """Basis triples i < j < k violating the Jacobi identity, in
+        lexicographic order (up to limit).
+
+        Runs on the integer table: Jacobi is trilinear, so on e'_i, e'_j,
+        e'_k it is L^3 sqrt2^{s_i+s_j+s_k} times its value on e_i, e_j, e_k
+        and fails on exactly the same triples.  Raises ValueError when the
+        table has no integer form.
+        """
+        get = self.integer_table().brackets.get
         bad = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                bij = self.bracket_basis(i, j)
+                bij = get((i, j), ())
                 for k in range(j + 1, self.dim):
-                    acc = self.bracket(bij, {k: ONE})
-                    accumulate(acc, self.bracket(self.bracket_basis(j, k),
-                                                 {i: ONE}))
-                    accumulate(acc, self.bracket(self.bracket_basis(k, i),
-                                                 {j: ONE}))
-                    if acc:
+                    acc: Dict[int, int] = {}
+                    for terms, x in ((bij, k), (get((j, k), ()), i),
+                                     (get((k, i), ()), j)):
+                        for a, c in terms:
+                            for m, d in get((a, x), ()):
+                                acc[m] = acc.get(m, 0) + c * d
+                    if any(acc.values()):
                         bad.append((i, j, k))
                         if len(bad) >= limit:
                             return bad
@@ -105,6 +143,69 @@ class LieAlgebra:
                 out.entries[i][j] = acc
                 out.entries[j][i] = acc
         return out
+
+
+def _rescaling(algebra: LieAlgebra) -> IntegerTable:
+    """Parities s_i, scale L and the brackets on e'_i = L sqrt2^{s_i} e_i.
+
+    The rescaling turns a constant c of [e_i, e_j] at e_k into
+    L sqrt2^{s_i + s_j - s_k} c.  With c rational or a rational multiple
+    of sqrt2 (t = 1 for the latter), the power of sqrt2 is rational
+    exactly when s_i + s_j + s_k = t mod 2.  That GF(2) system is solved
+    with the free parities set to 0, and L is the lcm of the denominators
+    left.  Raises ValueError on a constant that mixes Q and Q sqrt2, or
+    when the system has no solution.
+    """
+    unsolvable = ("no rescaling by powers of sqrt2 makes the structure "
+                  "constants rational")
+    equations = {}          # bit mask of {i, j, k} -> t
+    for (i, j), t in algebra.table.items():
+        for k, c in t.items():
+            if c.p and c.q:
+                raise ValueError(
+                    "structure constant %s of [%s, %s] at %s mixes Q and "
+                    "Q*sqrt2" % (c.to_string(), algebra.labels[i],
+                                 algebra.labels[j], algebra.labels[k]))
+            mask = (1 << i) ^ (1 << j) ^ (1 << k)
+            parity = 1 if c.q else 0
+            if equations.setdefault(mask, parity) != parity:
+                raise ValueError(unsolvable)
+    pivots = {}             # lowest bit -> (mask, parity), fully reduced
+    for mask, parity in equations.items():
+        for low, (pm, pp) in pivots.items():
+            if mask >> low & 1:
+                mask, parity = mask ^ pm, parity ^ pp
+        if not mask:
+            if parity:
+                raise ValueError(unsolvable)
+            continue
+        low = (mask & -mask).bit_length() - 1
+        for other, (om, op) in pivots.items():
+            if om >> low & 1:
+                pivots[other] = (om ^ mask, op ^ parity)
+        pivots[low] = (mask, parity)
+    # with the free parities 0, each pivot parity is its equation's t
+    s = [0] * algebra.dim
+    for low, (_, parity) in pivots.items():
+        s[low] = parity
+    rational = {}           # (i, j) -> [(k, num, den)], sqrt2^{s_i+s_j-s_k} c
+    scale_l = 1
+    for (i, j), t in algebra.table.items():
+        row = rational[(i, j)] = []
+        for k, c in t.items():
+            num = c.q if c.q else c.p
+            # sqrt2^{s_i + s_j - s_k + t} is 1 or 2
+            if s[i] + s[j] - s[k] + (1 if c.q else 0) == 2:
+                num *= 2
+            g = gcd(num, c.r)
+            row.append((k, num // g, c.r // g))
+            scale_l = lcm(scale_l, c.r // g)
+    brackets: IntBrackets = {}
+    for (i, j), row in rational.items():
+        items = tuple((k, num * scale_l // den) for k, num, den in row)
+        brackets[(i, j)] = items
+        brackets[(j, i)] = tuple((k, -c) for k, c in items)
+    return IntegerTable(s, scale_l, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +517,14 @@ def _build_theta(alg: LieAlgebra, rs: RootSystem, c1: Scalar) -> Matrix:
 
 
 def _is_automorphism(alg: LieAlgebra, m: Matrix) -> Optional[str]:
+    """None when m preserves every basis bracket, else the first basis
+    pair i < j where m[e_i, e_j] != [m e_i, m e_j]."""
+    images = [{i: row[j] for i, row in enumerate(m.entries) if row[j]}
+              for j in range(alg.dim)]
     for i in range(alg.dim):
-        xi = _matrix_apply(m, {i: ONE})
         for j in range(i + 1, alg.dim):
-            lhs = _matrix_apply(m, alg.bracket_basis(i, j))
-            rhs = alg.bracket(xi, _matrix_apply(m, {j: ONE}))
-            if lhs != rhs:
+            if combine(alg.bracket_basis(i, j), images) \
+                    != alg.bracket(images[i], images[j]):
                 return "bracket image mismatch at basis pair (%s, %s)" % (
                     alg.labels[i], alg.labels[j])
     return None
@@ -860,14 +963,14 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
 
     rep.check("involution squares to identity",
               model.theta * model.theta == Matrix.identity(alg.dim))
-    rep.check("involution is an automorphism",
-              _is_automorphism(alg, model.theta) is None)
-    rep.check("rotation is an automorphism",
-              _is_automorphism(alg, model.chi) is None)
-    rep.check("Jacobi identity on all basis triples",
-              not alg.jacobi_failures(limit=1))
-    rep.check("Jacobi identity on the 36-dim table",
-              not model.k_algebra.jacobi_failures(limit=1))
+    err = _is_automorphism(alg, model.theta)
+    rep.check("involution is an automorphism", err is None, err)
+    err = _is_automorphism(alg, model.chi)
+    rep.check("rotation is an automorphism", err is None, err)
+    err = _jacobi_witness(alg)
+    rep.check("Jacobi identity on all basis triples", err is None, err)
+    err = _jacobi_witness(model.k_algebra)
+    rep.check("Jacobi identity on the 36-dim table", err is None, err)
 
     br = alg.bracket
     rep.check("[X1, X2] = E", br(d["X1"], d["X2"]) == d["E"])
@@ -963,6 +1066,19 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
     rep.check("F4 Killing determinant nonzero",
               len(Echelon(killing_rows)) == alg.dim)
     return rep
+
+
+def _jacobi_witness(alg: LieAlgebra) -> Optional[str]:
+    """None when Jacobi holds on every basis triple, else the first
+    failing triple, or why the table has no integer form."""
+    try:
+        bad = alg.jacobi_failures(limit=1)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+    if bad:
+        return "Jacobi fails at basis triple (%s, %s, %s)" % tuple(
+            alg.labels[i] for i in bad[0])
+    return None
 
 
 def _gtilde_type(model: F4Model) -> str:

@@ -12,9 +12,10 @@ below deg m, so the cancelling leading terms of g e^m and e^m g are
 never formed.  The tables amortize that work across the congruence and
 degree computations downstream.
 
-The straightening runs over Z.  Each engine rescales its basis to
-e'_i = L sqrt2^{s_i} e_i, with parities s_i and a scale L chosen when it
-is built so that every structure constant becomes an integer.  The memo
+The straightening runs over Z.  Each engine works on the basis
+e'_i = L sqrt2^{s_i} e_i of its algebra's integer table
+(liealg.LieAlgebra.integer_table), with parities s_i and a scale L chosen
+so that every structure constant becomes an integer.  The memo
 tables hold {monomial: int} on that basis, and an element there is two
 integer vectors (its rational and its sqrt2 part) over one common
 denominator, which never mix.  mul, mono_mul and ad convert their
@@ -38,7 +39,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactnum import (ONE, Scalar, ZERO, accumulate, add, combine,
                        coordinates, dual_basis, kernel, scale)
-from .liealg import F4Model, LieAlgebra, LieElement, build_f4_model
+from .liealg import (F4Model, IntBrackets, LieAlgebra, LieElement,
+                     build_f4_model)
 
 Mono = Tuple[Tuple[int, int], ...]
 UEA = Dict[Mono, Scalar]
@@ -88,74 +90,17 @@ def mono_mul_free(m1: Mono, m2: Mono) -> Optional[Mono]:
     return None
 
 
-def _rescaling(algebra: LieAlgebra):
-    """Parities s_i, scale L and the brackets on e'_i = L sqrt2^{s_i} e_i.
-
-    The rescaling turns a constant c of [e_i, e_j] at e_k into
-    L sqrt2^{s_i + s_j - s_k} c.  With c rational or a rational multiple
-    of sqrt2 (t = 1 for the latter), the power of sqrt2 is rational
-    exactly when s_i + s_j + s_k = t mod 2.  That GF(2) system is solved
-    with the free parities set to 0, and L is the lcm of the denominators
-    left.  Returns (s, L, {(i, j): ((k, integer constant), ...)}) for the
-    stored pairs i < j.  Raises ValueError on a constant that mixes Q and
-    Q sqrt2, or when the system has no solution.
-    """
-    equations = {}          # bit mask of {i, j, k} -> t
-    for (i, j), t in algebra.table.items():
-        for k, c in t.items():
-            if c.p and c.q:
-                raise ValueError("structure constant %s mixes Q and Q*sqrt2"
-                                 % c.to_string())
-            mask = (1 << i) ^ (1 << j) ^ (1 << k)
-            parity = 1 if c.q else 0
-            if equations.setdefault(mask, parity) != parity:
-                raise ValueError("no rescaling by powers of sqrt2 makes the "
-                                 "structure constants rational")
-    pivots = {}             # lowest bit -> (mask, parity), fully reduced
-    for mask, parity in equations.items():
-        for low, (pm, pp) in pivots.items():
-            if mask >> low & 1:
-                mask, parity = mask ^ pm, parity ^ pp
-        if not mask:
-            if parity:
-                raise ValueError("no rescaling by powers of sqrt2 makes the "
-                                 "structure constants rational")
-            continue
-        low = (mask & -mask).bit_length() - 1
-        for other, (om, op) in pivots.items():
-            if om >> low & 1:
-                pivots[other] = (om ^ mask, op ^ parity)
-        pivots[low] = (mask, parity)
-    # with the free parities 0, each pivot parity is its equation's t
-    s = [0] * algebra.dim
-    for low, (_, parity) in pivots.items():
-        s[low] = parity
-    rational = {}           # (i, j) -> [(k, num, den)], sqrt2^{s_i+s_j-s_k} c
-    scale = 1
-    for (i, j), t in algebra.table.items():
-        row = rational[(i, j)] = []
-        for k, c in t.items():
-            num = c.q if c.q else c.p
-            # sqrt2^{s_i + s_j - s_k + t} is 1 or 2
-            if s[i] + s[j] - s[k] + (1 if c.q else 0) == 2:
-                num *= 2
-            g = gcd(num, c.r)
-            row.append((k, num // g, c.r // g))
-            scale = lcm(scale, c.r // g)
-    return s, scale, {ij: tuple((k, num * scale // den) for k, num, den in row)
-                      for ij, row in rational.items()}
-
-
 class PBWEngine:
     """Straightening engine for one algebra under one basis order.
 
     The engine works on the rescaled basis e'_i = L sqrt2^{s_i} e_i of
-    _rescaling, where every structure constant is an integer.  There the
-    straightening is Z-linear, so the two memo tables, right products
-    e'^m e'_g (_memo) and brackets [e'_g, e'^m] by the derivation rule
-    (_memo_left, see _bracket), hold {monomial: int}, and the rational
-    and sqrt2 parts of an element never mix: its core
-    form (to_core) is two integer vectors over one common denominator.
+    the algebra's integer_table(), where every structure constant is an
+    integer.  There the straightening is Z-linear, so the two memo
+    tables, right products e'^m e'_g (_memo) and brackets [e'_g, e'^m]
+    by the derivation rule (_memo_left, see _bracket), hold
+    {monomial: int}, and the rational and sqrt2 parts of an element never
+    mix: its core form (to_core) is two integer vectors over one common
+    denominator.
     The public operations take and return {monomial: Scalar} on the
     original basis and convert once at entry and once at exit.
     """
@@ -165,14 +110,13 @@ class PBWEngine:
         self.order = order or BasisOrder(algebra.labels)
         if tuple(self.order.labels) != tuple(algebra.labels):
             raise ValueError("engine order must list the algebra labels")
-        self.parity, self.scale_l, table = _rescaling(algebra)
+        table = algebra.integer_table()
+        self.parity, self.scale_l = table.parity, table.scale
         self._memo: Dict[Tuple[Mono, int], Core] = {}
         self._memo_left: Dict[Tuple[int, Mono], Core] = {}
-        # _brackets[(i, j)] = [e'_i, e'_j] on the rescaled basis, as items
-        self._brackets: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-        for (i, j), items in table.items():
-            self._brackets[(i, j)] = items
-            self._brackets[(j, i)] = tuple((k, -c) for k, c in items)
+        # _brackets[(i, j)] = [e'_i, e'_j] on the rescaled basis, as items;
+        # shared with the algebra, so never mutated
+        self._brackets: IntBrackets = table.brackets
 
     # -- basic constructors ------------------------------------------------
 

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from f4workbench.cli import (Config, GOLDENS, SUITES, _mini_toml,
-                             emit_golden, main, run_suite, suite_model)
+from f4workbench.cli import (Config, ELEMENT_SHAPE, GOLDENS, SUITES,
+                             _mini_toml, emit_golden, main, run_suite,
+                             suite_model)
 from f4workbench.reporting import Report
 
 
@@ -292,6 +293,53 @@ class TestExitCodes:
         assert main(command + ["--input", str(path)]) == 2
         assert capsys.readouterr().err == \
             "bad input %s: coefficients must lie in U(k)\n" % path
+
+    @pytest.mark.parametrize("command", [["balg", "check-b"],
+                                         ["combin", "assemble"]])
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", "[[]]", "[[], []]", "3", '"omega"', "[1]", "[[1]]",
+        '{"coefficients": 3}', '{"coefficients": []}',
+        '{"omega": [[{"exponents": {"E": 1}, "coeff": "1/1 + 0/1*sqrt2"}]]}',
+        '[{"exponents": {"E": 1}, "coeff": "1/1 + 0/1*sqrt2"}]',
+        '[[{"exponents": {"E": 1}}]]',
+        '[[{"exponents": ["E"], "coeff": "1/1 + 0/1*sqrt2"}]]',
+        '[[{"exponents": {"E": 1.5}, "coeff": "1/1 + 0/1*sqrt2"}]]',
+        '[[{"exponents": {"E": 0}, "coeff": "1/1 + 0/1*sqrt2"}]]',
+        '[[{"exponents": {"E": true}, "coeff": "1/1 + 0/1*sqrt2"}]]',
+        '[[{"exponents": {"E": 1}, "coeff": 1}]]',
+    ])
+    def test_wrong_shape_names_the_expected_one(self, tmp_path, capsys,
+                                                command, text):
+        # the empty list and object used to pass as the zero element
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        assert main(command + ["--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bad input %s: expected %s\n" % (
+            path, ELEMENT_SHAPE)
+
+    @pytest.mark.parametrize("command, code", [
+        (["balg", "check-b", "--nmax", "3"], 0),
+        (["combin", "assemble", "--T", "2", "--n", "0"], 0)])
+    def test_uea_omega_output_pipes_back(self, tmp_path, capsys, command,
+                                         code):
+        assert main(["uea", "omega"]) == 0
+        path = tmp_path / "omega.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(command + ["--input", str(path)]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["fail"] == 0 and report["checks"]
+
+    def test_module_over_the_cap_names_it_in_every_witness(self, capsys):
+        assert main(["repth", "verify", "--k", "9", "--l", "9"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        cap_error = ("ValueError: predicted dimension 865980544 exceeds "
+                     "the cap 512")
+        assert [c["status"] for c in checks] == ["fail"] * 4
+        assert checks[0]["witness"] == cap_error
+        for c in checks[1:]:
+            assert c["witness"] == "module (9,9) was not built: " + cap_error
 
     @pytest.mark.parametrize("t, n, why", [
         ("9", "0", "T=9 out of range [2, 8]"),

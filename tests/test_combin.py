@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from f4workbench.combin import (
-    _binom_poly, assemble_system, coefficient_a, coefficient_b,
+    _a_entry, _binom_poly, assemble_system, coefficient_a, coefficient_b,
     coefficient_data, degree_profile, determinant_factorization, dk_operator,
     generalized_a_matrix, has_degree_property, in_reduced_subspace,
     index_sets, power_needed_for_degree_property, system_matches_generalized,
@@ -195,14 +195,15 @@ class TestBinomPoly:
                     assert poly.evaluate(sca(s)) == sca(comb(s + shift, t))
 
     def test_factorization_survives_the_cache(self):
-        # the cached polynomials are shared between calls; a caller that
-        # mutated one would change the second answer
+        # the cached polynomials and matrix entries are shared between
+        # calls; a caller that mutated one would change the second answer
         _binom_poly.cache_clear()
+        _a_entry.cache_clear()
         cold = [determinant_factorization(lseq, delta)
                 for lseq in ((0, 1), (1, 3), (0, 2, 5)) for delta in (0, 1)]
         warm = [determinant_factorization(lseq, delta)
                 for lseq in ((0, 1), (1, 3), (0, 2, 5)) for delta in (0, 1)]
-        assert _binom_poly.cache_info().hits > 0
+        assert _a_entry.cache_info().hits > 0
         assert cold == warm
 
 

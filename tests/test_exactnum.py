@@ -1,6 +1,7 @@
 import ast
 import pathlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,56 @@ class TestScalar:
     def test_inverse_law(self, x):
         if x:
             assert x * x.inverse() == ONE
+
+
+def normalized_oracle(p, q, r):
+    """The reduced triple of (p + q*sqrt2)/r as Scalar.__init__ computed
+    it before its r == 1 shortcut: the oracle for the constructor."""
+    if r == 0:
+        raise ZeroDivisionError("scalar with zero denominator")
+    if r < 0:
+        p, q, r = -p, -q, -r
+    if p == 0 and q == 0:
+        return 0, 0, 1
+    g = gcd(gcd(abs(p), abs(q)), abs(r))
+    return p // g, q // g, r // g
+
+
+small_ints = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(-2 ** 80, 2 ** 80))
+denominators = st.one_of(st.just(1), st.just(-1),
+                         st.integers(-10 ** 4, 10 ** 4).filter(bool),
+                         st.integers(1, 2 ** 70))
+
+
+class TestScalarConstructor:
+    @given(small_ints, small_ints, denominators)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_old_normalization(self, p, q, r):
+        x = Scalar(p, q, r)
+        assert (x.p, x.q, x.r) == normalized_oracle(p, q, r)
+
+    @pytest.mark.parametrize("p, q, r, want", [
+        (0, 0, 1, (0, 0, 1)), (0, 0, -7, (0, 0, 1)), (6, -4, 1, (6, -4, 1)),
+        (6, -4, -2, (-3, 2, 1)), (-5, 0, -10, (1, 0, 2))])
+    def test_edge_cases(self, p, q, r, want):
+        x = Scalar(p, q, r)
+        assert (x.p, x.q, x.r) == want == normalized_oracle(p, q, r)
+
+    @given(small_ints, small_ints)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_zero_denominator_raises(self, p, q):
+        with pytest.raises(ZeroDivisionError):
+            Scalar(p, q, 0)
+
+    @pytest.mark.parametrize("name", ["p", "q", "r", "other"])
+    def test_immutable(self, name):
+        x = Scalar(3, 4, 1)
+        with pytest.raises(AttributeError):
+            setattr(x, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert (x.p, x.q, x.r) == (3, 4, 1)
 
 
 class TestMatrix:

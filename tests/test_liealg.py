@@ -4,12 +4,16 @@ import pytest
 
 from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
                                   add, sca, scale, sub)
+from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
+    LieAlgebra, _is_automorphism, _jacobi_witness, _matrix_apply,
     _transversality_columns, build_f4_model, cayley_transform,
     chevalley_algebra, orthocomplement, transversality_rank, transversality_rank_zero_map,
     verify_model,
 )
 from f4workbench.rootdata import build_root_system, f4_root_system, vec
+
+B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
 
 
 @pytest.fixture(scope="session")
@@ -294,3 +298,134 @@ class TestSubspaceEchelon:
                     for row in rows[:len(pivots)]]
             assert Subspace(n, gens).basis() == want, name
             assert basis == want, name
+
+
+def jacobi_failures_oracle(alg, limit=10):
+    """The Jacobi check in Scalar arithmetic on the original basis: the
+    oracle for LieAlgebra.jacobi_failures, which runs on the integer
+    table."""
+    bad = []
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            bij = alg.bracket_basis(i, j)
+            for k in range(j + 1, alg.dim):
+                acc = alg.bracket(bij, {k: ONE})
+                accumulate(acc, alg.bracket(alg.bracket_basis(j, k),
+                                            {i: ONE}))
+                accumulate(acc, alg.bracket(alg.bracket_basis(k, i),
+                                            {j: ONE}))
+                if acc:
+                    bad.append((i, j, k))
+                    if len(bad) >= limit:
+                        return bad
+    return bad
+
+
+def is_automorphism_oracle(alg, m):
+    """The automorphism check mapping both basis vectors of every pair
+    afresh: the oracle for liealg._is_automorphism."""
+    for i in range(alg.dim):
+        xi = _matrix_apply(m, {i: ONE})
+        for j in range(i + 1, alg.dim):
+            lhs = _matrix_apply(m, alg.bracket_basis(i, j))
+            rhs = alg.bracket(xi, _matrix_apply(m, {j: ONE}))
+            if lhs != rhs:
+                return "bracket image mismatch at basis pair (%s, %s)" % (
+                    alg.labels[i], alg.labels[j])
+    return None
+
+
+def _algebra(model, name):
+    if name == "B4":
+        return chevalley_algebra(build_root_system(B4))
+    return getattr(model, name)
+
+
+def _planted(alg, key, k, c):
+    """A copy of alg whose bracket of the pair key has constant c at k."""
+    table = {ij: dict(t) for ij, t in alg.table.items()}
+    table.setdefault(key, {})[k] = c
+    return LieAlgebra(alg.labels, table)
+
+
+class TestJacobiOracle:
+    """The integer-table Jacobi check against the Scalar loop."""
+
+    @pytest.mark.parametrize("name", ["algebra", "k_algebra", "g_algebra",
+                                      "B4"])
+    def test_matches_oracle(self, model, name):
+        alg = _algebra(model, name)
+        assert alg.jacobi_failures() == jacobi_failures_oracle(alg) == []
+
+    @pytest.mark.parametrize("name", ["algebra", "k_algebra", "g_algebra",
+                                      "B4"])
+    def test_planted_constant_same_first_triple(self, model, name):
+        # one constant, midway through the table, times 3/5 (which also
+        # changes the scale L of the integer table)
+        alg = _algebra(model, name)
+        key = sorted(alg.table)[len(alg.table) // 2]
+        k, c = next(iter(alg.table[key].items()))
+        bad = _planted(alg, key, k, c * sca(Fraction(3, 5)))
+        got = bad.jacobi_failures(limit=5)
+        assert got and got == jacobi_failures_oracle(bad, limit=5)
+        assert _jacobi_witness(bad) == \
+            "Jacobi fails at basis triple (%s, %s, %s)" % tuple(
+                bad.labels[i] for i in got[0])
+
+    def test_planted_sqrt2_factor_has_no_integer_table(self, model):
+        # the parities of a Jacobi-true table are rigid: one constant
+        # times sqrt2 leaves no solution, and the check fails with that
+        # witness where the oracle finds a failing triple
+        alg = model.k_algebra
+        key = sorted(alg.table)[7]
+        k, c = next(iter(alg.table[key].items()))
+        bad = _planted(alg, key, k, c * SQRT2)
+        assert jacobi_failures_oracle(bad, limit=1)
+        assert _jacobi_witness(bad) == "ValueError: no rescaling by powers " \
+            "of sqrt2 makes the structure constants rational"
+
+    def test_unrescalable_table_fails_with_witness(self, model):
+        # 1 + sqrt2 has no integer form: the model check fails with a
+        # witness naming the constant, and the rest of the battery runs
+        from dataclasses import replace
+        alg = model.k_algebra
+        key = sorted(alg.table)[0]
+        k = next(iter(alg.table[key]))
+        bad = _planted(alg, key, k, ONE + SQRT2)
+        with pytest.raises(ValueError):
+            bad.jacobi_failures()
+        assert jacobi_failures_oracle(bad, limit=1)
+        rep = verify_model(replace(model, k_algebra=bad))
+        failed = [c for c in rep.checks if c["status"] == "fail"]
+        assert [c["id"] for c in failed] == [
+            "Jacobi identity on the 36-dim table"]
+        assert failed[0]["witness"].startswith(
+            "ValueError: structure constant 1/1 + 1/1*sqrt2 of [%s, %s] at %s"
+            % (alg.labels[key[0]], alg.labels[key[1]], alg.labels[k]))
+        assert len(rep.checks) == len(verify_model(model).checks)
+
+    def test_table_built_once_and_shared_with_the_engine(self, model):
+        from f4workbench.uea import PBWEngine
+        alg = LieAlgebra(model.k_algebra.labels, model.k_algebra.table)
+        table = alg.integer_table()
+        assert alg.integer_table() is table
+        assert PBWEngine(alg)._brackets is table.brackets
+
+
+class TestAutomorphismOracle:
+    """_is_automorphism, which maps the basis once, against the loop that
+    maps both vectors of every pair afresh."""
+
+    @pytest.mark.parametrize("name", ["theta", "chi"])
+    def test_matches_oracle(self, model, name):
+        m = getattr(model, name)
+        assert _is_automorphism(model.algebra, m) is None
+        assert is_automorphism_oracle(model.algebra, m) is None
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (17, 30), (51, 40)])
+    def test_planted_entry_same_pair(self, model, row, col):
+        m = Matrix([r[:] for r in model.theta.entries])
+        m.entries[row][col] = m.entries[row][col] + ONE
+        got = _is_automorphism(model.algebra, m)
+        assert got is not None
+        assert got == is_automorphism_oracle(model.algebra, m)
