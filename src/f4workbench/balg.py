@@ -4,6 +4,9 @@ congruences of the algebra of polynomial-part images.
 Elements of U(k) (x) U(a) are read as polynomials in one central
 indeterminate x with left coefficients in U(k): b(arg) always means
 sum_j b_j * arg^j with the argument powers multiplying on the right.
+One type holds them, uea.IwasawaElement, with its coefficients in the
+monomial basis; to_phi and from_phi convert plain coefficient lists to
+and from the difference basis phi_0, phi_1, ....
 Arguments are "central" combinations s - T of a rational constant and a
 torus element, which commute with x but not with the coefficients.
 
@@ -23,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from .exactnum import ONE, Scalar, add, sca, scale, sub
+from .exactnum import ONE, add, sca, scale, sub
 from .liealg import LieElement
 from .reporting import Report
 from .uea import IwasawaElement, ONE_MONO, UEA, ModelEngine
@@ -62,88 +65,37 @@ def phi_value_at(n: int, x: Fraction) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# PolyUEA
+# the phi basis
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PolyUEA:
-    """Polynomial with U(k) coefficients, in the monomial or phi basis."""
-
-    coeffs: List[UEA]
-    basis: str = "x"
-
-    def __post_init__(self):
-        if self.basis not in ("x", "phi"):
-            raise ValueError("basis must be 'x' or 'phi'")
-
-    def trim(self) -> "PolyUEA":
-        c = list(self.coeffs)
-        while c and not c[-1]:
-            c.pop()
-        return PolyUEA(c, self.basis)
-
-    @property
-    def degree(self) -> int:
-        t = self.trim()
-        return len(t.coeffs) - 1
-
-    def coeff(self, j: int) -> UEA:
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else {}
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def add(self, other: "PolyUEA") -> "PolyUEA":
-        if self.basis != other.basis:
-            raise ValueError("mixed bases")
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyUEA([add(self.coeff(j), other.coeff(j))
-                        for j in range(n)], self.basis).trim()
-
-    def scale(self, c: Scalar) -> "PolyUEA":
-        return PolyUEA([scale(c, u) for u in self.coeffs],
-                       self.basis).trim()
-
-    def map_coeffs(self, f) -> "PolyUEA":
-        return PolyUEA([f(u) for u in self.coeffs], self.basis)
-
-    def to_x(self) -> "PolyUEA":
-        if self.basis == "x":
-            return self
-        out: List[UEA] = [dict() for _ in range(max(len(self.coeffs), 1))]
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
+def to_phi(p: IwasawaElement) -> List[UEA]:
+    """The coefficients of p over phi_0, phi_1, ..., as many as p has."""
+    rem = [dict(c) for c in p.trim().coeffs]
+    out: List[UEA] = [dict() for _ in range(len(rem))]
+    for j in range(len(rem) - 1, -1, -1):
+        top = rem[j]
+        if top:
+            cj = scale(sca(factorial(j)), top)
+            out[j] = cj
             for i, s in enumerate(phi_coeffs(j)):
                 if s:
-                    out[i] = add(out[i], scale(sca(s), c))
-        return PolyUEA(out, "x").trim()
-
-    def to_phi(self) -> "PolyUEA":
-        if self.basis == "phi":
-            return self
-        rem = [dict(c) for c in self.coeffs]
-        out: List[UEA] = [dict() for _ in range(len(rem))]
-        for j in range(len(rem) - 1, -1, -1):
-            top = rem[j]
-            if top:
-                cj = scale(sca(factorial(j)), top)
-                out[j] = cj
-                for i, s in enumerate(phi_coeffs(j)):
-                    if s:
-                        rem[i] = sub(rem[i], scale(sca(s), cj))
-        if any(rem):
-            raise AssertionError("phi-basis conversion left a remainder")
-        return PolyUEA(out, "phi").trim()
+                    rem[i] = sub(rem[i], scale(sca(s), cj))
+    if any(rem):
+        raise AssertionError("phi-basis conversion left a remainder")
+    return out
 
 
-def iwasawa_to_poly(b: IwasawaElement) -> PolyUEA:
-    return PolyUEA([dict(c) for c in b.coeffs], "x").trim()
-
-
-def poly_to_iwasawa(p: PolyUEA) -> IwasawaElement:
-    return IwasawaElement([dict(c) for c in p.to_x().coeffs]).trim()
+def from_phi(cs: List[UEA]) -> IwasawaElement:
+    """sum_j cs[j] phi_j in the monomial basis."""
+    out: List[UEA] = [dict() for _ in range(len(cs))]
+    for j, c in enumerate(cs):
+        if not c:
+            continue
+        for i, s in enumerate(phi_coeffs(j)):
+            if s:
+                out[i] = add(out[i], scale(sca(s), c))
+    return IwasawaElement(out).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +103,9 @@ def poly_to_iwasawa(p: PolyUEA) -> IwasawaElement:
 # ---------------------------------------------------------------------------
 
 
-def shift_by_scalar(p: PolyUEA, c: Fraction) -> PolyUEA:
-    """p(x + c) in the monomial basis."""
-    p = p.to_x()
-    n = len(p.coeffs)
-    out: List[UEA] = [dict() for _ in range(n)]
+def shift_by_scalar(p: IwasawaElement, c: Fraction) -> IwasawaElement:
+    """p(x + c)."""
+    out: List[UEA] = [dict() for _ in range(len(p.coeffs))]
     for j, pj in enumerate(p.coeffs):
         if not pj:
             continue
@@ -163,25 +113,24 @@ def shift_by_scalar(p: PolyUEA, c: Fraction) -> PolyUEA:
             s = comb(j, i) * c ** (j - i)
             if s:
                 out[i] = add(out[i], scale(sca(s), pj))
-    return PolyUEA(out, "x").trim()
+    return IwasawaElement(out).trim()
 
 
-def discrete_derivative(p: PolyUEA, n: int) -> PolyUEA:
+def discrete_derivative(p: IwasawaElement, n: int) -> IwasawaElement:
     """The n-th central difference sum_j (-1)^j C(n,j) p(x + n/2 - j)."""
     if n == 0:
-        return p.to_x()
-    p = p.to_x()
-    out = PolyUEA([], "x")
+        return p
+    out = IwasawaElement([])
     for j in range(n + 1):
         term = shift_by_scalar(p, Fraction(n, 2) - j)
         out = out.add(term.scale(sca((-1) ** j * comb(n, j))))
     return out
 
 
-def phi_poly(n: int) -> PolyUEA:
-    """phi_n as a PolyUEA with scalar coefficients."""
-    return PolyUEA([{ONE_MONO: sca(c)} if c else {} for c in phi_coeffs(n)],
-                   "x").trim()
+def phi_poly(n: int) -> IwasawaElement:
+    """phi_n with scalar coefficients."""
+    return IwasawaElement([{ONE_MONO: sca(c)} if c else {}
+                           for c in phi_coeffs(n)]).trim()
 
 
 class CentralArg:
@@ -205,10 +154,9 @@ class CentralArg:
         return self._powers[i]
 
 
-def evaluate_poly(me: ModelEngine, p: PolyUEA, arg: CentralArg,
+def evaluate_poly(me: ModelEngine, p: IwasawaElement, arg: CentralArg,
                   right: Optional[UEA] = None) -> UEA:
     """sum_j p_j arg^j (right), coefficients on the left."""
-    p = p.to_x()
     acc: UEA = {}
     for j, pj in enumerate(p.coeffs):
         if not pj:
@@ -231,16 +179,14 @@ def t_matrix_entry(me: ModelEngine, i: int, j: int) -> UEA:
     return acc
 
 
-def shift_substitute(me: ModelEngine, b: PolyUEA) -> PolyUEA:
-    """c(x) = b(x + H - 1), returned in the phi basis.
+def shift_substitute(me: ModelEngine, b: IwasawaElement) -> IwasawaElement:
+    """c(x) = b(x + H - 1).
 
-    Uses the triangular matrix c_i = sum_{j >= i} b_j t_ij with the
-    torus-polynomial entries t_ij multiplying on the right.
+    Uses the triangular matrix c_i = sum_{j >= i} b_j t_ij, which gives
+    the phi-basis coefficients c_i of c, with the torus-polynomial
+    entries t_ij multiplying on the right.
     """
-    b = b.to_x()
     m = b.degree
-    if m < 0:
-        return PolyUEA([], "phi")
     out: List[UEA] = []
     for i in range(m + 1):
         acc: UEA = {}
@@ -250,15 +196,13 @@ def shift_substitute(me: ModelEngine, b: PolyUEA) -> PolyUEA:
                 continue
             acc = add(acc, me.g.mul(bj, t_matrix_entry(me, i, j)))
         out.append(acc)
-    return PolyUEA(out, "phi").trim()
+    return from_phi(out)
 
 
-def shift_substitute_direct(me: ModelEngine, b: PolyUEA) -> PolyUEA:
-    """Independent route: expand b(x + (H - 1)) binomially, x basis."""
-    b = b.to_x()
+def shift_substitute_direct(me: ModelEngine,
+                            b: IwasawaElement) -> IwasawaElement:
+    """Independent route: expand b(x + (H - 1)) binomially."""
     m = b.degree
-    if m < 0:
-        return PolyUEA([], "x")
     h = me.model.distinguished["H"]
     arg = CentralArg(me, Fraction(-1), h)
     out: List[UEA] = [dict() for _ in range(m + 1)]
@@ -270,7 +214,7 @@ def shift_substitute_direct(me: ModelEngine, b: PolyUEA) -> PolyUEA:
             term = me.g.mul(scale(sca(comb(j, i)), bj),
                             arg.power(j - i))
             out[i] = add(out[i], term)
-    return PolyUEA(out, "x").trim()
+    return IwasawaElement(out).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +261,8 @@ def check_congruences(me: ModelEngine, b: IwasawaElement,
         left_arg = CentralArg(me, Fraction(n - 1), neg_y)
         right_arg = CentralArg(me, Fraction(-n - 1), neg_y)
         en = me.g.gen("E", n)
-        lhs = me.g.mul(en, evaluate_poly(me, iwasawa_to_poly(b), left_arg))
-        rhs = evaluate_poly(me, iwasawa_to_poly(b), right_arg, right=en)
+        lhs = me.g.mul(en, evaluate_poly(me, b, left_arg))
+        rhs = evaluate_poly(me, b, right_arg, right=en)
         rep.vanishes("n=%d" % n, me.reduce_mod_mplus(sub(lhs, rhs)),
                      me.g.serialize)
     return rep
@@ -340,7 +284,7 @@ def check_b_membership(me: ModelEngine, b: IwasawaElement,
     return check_congruences(me, b, nmax, rep)
 
 
-def check_triangular(me: ModelEngine, c: PolyUEA) -> Report:
+def check_triangular(me: ModelEngine, c: IwasawaElement) -> Report:
     """The triangularized system, one equation per degree level.
 
     Equation n reads: apply the raising derivation n+1 times to the n-th
@@ -348,62 +292,57 @@ def check_triangular(me: ModelEngine, c: PolyUEA) -> Report:
     (n+1)-st difference evaluated at n/2 - 1/2 - Ytilde times E, and
     reduce; equation n only involves the coefficients from n upward.
     """
-    cx = c.to_x()
-    m = cx.degree
+    m = c.degree
     yt = me.model.distinguished["Ytilde"]
     neg_yt = scale(-ONE, yt)
     e = me.g.gen("E")
     rep = Report("triangular")
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
     for n in range(0, max(m, 0) + 1):
-        dn = discrete_derivative(cx, n)
-        dn1 = discrete_derivative(cx, n + 1)
-        dn_e = dn.map_coeffs(lambda u: me.g.ad_power(e_elt, u, n + 1))
-        dn1_e = dn1.map_coeffs(lambda u: me.g.ad_power(e_elt, u, n))
+        dn = discrete_derivative(c, n).coeffs
+        dn1 = discrete_derivative(c, n + 1).coeffs
+        dn_e = [me.g.ad_power(e_elt, u, n + 1) for u in dn]
+        dn1_e = [me.g.ad_power(e_elt, u, n) for u in dn1]
         arg1 = CentralArg(me, Fraction(n, 2) + 1, neg_yt)
         arg2 = CentralArg(me, Fraction(n, 2) - Fraction(1, 2), neg_yt)
         total = add(
-            evaluate_poly(me, dn_e, arg1),
-            evaluate_poly(me, dn1_e, arg2, right=e))
+            evaluate_poly(me, IwasawaElement(dn_e), arg1),
+            evaluate_poly(me, IwasawaElement(dn1_e), arg2, right=e))
         rep.vanishes("n=%d" % n, me.reduce_mod_mplus(total), me.g.serialize)
     return rep
 
 
-def epsilon_ln(me: ModelEngine, c: PolyUEA, l: int, n: int) -> UEA:
+def antisymmetric_pair(me: ModelEngine, f: Callable[[int, int], UEA],
+                       l: int, n: int) -> UEA:
+    """(-1)^n f(l, n) E^n - (-1)^l f(n, l) E^l, the form in which every
+    (l, n) congruence combination is assembled."""
+    return sub(scale(sca((-1) ** n), me.g.mul(f(l, n), me.g.gen("E", n))),
+               scale(sca((-1) ** l), me.g.mul(f(n, l), me.g.gen("E", l))))
+
+
+def epsilon_ln(me: ModelEngine, c: IwasawaElement, l: int, n: int) -> UEA:
     """The mixed-difference combination for a pair (l, n), exactly.
 
+    With c_i the phi-basis coefficients of c, it is the antisymmetric
+    pair of f(l, n) = sum_{i >= n} ad(E)^l(c_i) phi_{i-n}(l - n/2 - Ytilde).
     For members of the congruence algebra it reduces to zero modulo the
-    nilradical left ideal; the (n, l) assembly is its negative.
+    nilradical left ideal; the (n, l) combination is its negative.
     """
-    cphi = c.to_phi()
-    m = cphi.degree
-    yt = me.model.distinguished["Ytilde"]
-    neg_yt = scale(-ONE, yt)
+    cphi = to_phi(c)
+    neg_yt = scale(-ONE, me.model.distinguished["Ytilde"])
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
-    acc: UEA = {}
-    for i in range(n, m + 1):
-        ci = cphi.coeff(i)
-        if not ci:
-            continue
-        der = me.g.ad_power(e_elt, ci, l)
-        if not der:
-            continue
-        arg = CentralArg(me, -Fraction(n, 2) + l, neg_yt)
-        phi_at = evaluate_poly(me, phi_poly(i - n), arg)
-        term = me.g.mul_many(der, phi_at, me.g.gen("E", n) if n else me.g.one())
-        acc = add(acc, scale(sca((-1) ** n), term))
-    for i in range(l, m + 1):
-        ci = cphi.coeff(i)
-        if not ci:
-            continue
-        der = me.g.ad_power(e_elt, ci, n)
-        if not der:
-            continue
-        arg = CentralArg(me, -Fraction(l, 2) + n, neg_yt)
-        phi_at = evaluate_poly(me, phi_poly(i - l), arg)
-        term = me.g.mul_many(der, phi_at, me.g.gen("E", l) if l else me.g.one())
-        acc = sub(acc, scale(sca((-1) ** l), term))
-    return acc
+
+    def f(l: int, n: int) -> UEA:
+        arg = CentralArg(me, l - Fraction(n, 2), neg_yt)
+        acc: UEA = {}
+        for i in range(n, len(cphi)):
+            der = me.g.ad_power(e_elt, cphi[i], l)
+            if der:
+                acc = add(acc, me.g.mul(
+                    der, evaluate_poly(me, phi_poly(i - n), arg)))
+        return acc
+
+    return antisymmetric_pair(me, f, l, n)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .balg import antisymmetric_pair
 from .exactnum import (Matrix, ONE, PolyScalar, Scalar, ZERO, add, coordinates,
                        sca, scale, sub)
 from .reporting import Report
@@ -225,8 +226,7 @@ def dk_operator(me: ModelEngine, b: UEA, k: int,
         der = me.g.ad_power(xd, me.g.ad_power(e, b, j + l), two_i - l)
         if not der:
             continue
-        tail = me.g.mul(me.g.gen("E", k - l) if k > l else me.g.one(),
-                        me.g.power(x4, l))
+        tail = me.g.mul(me.g.gen("E", k - l), me.g.power(x4, l))
         acc = add(acc, scale(sca(c), me.g.mul(der, tail)))
     return acc
 
@@ -351,9 +351,8 @@ def _sigma_direct(me: ModelEngine, b: IwasawaElement, m: int, T: int,
             der = me.g.ad_power(xd, me.g.ad_power(e, br, l + i - r), T - l - i)
             if not der:
                 continue
-            tail_e = me.g.gen("E", r - i) if r > i else me.g.one()
-            tail_d = me.g.gen("Xdelta", i - n) if i > n else me.g.one()
-            term = me.g.mul_many(der, tail_e, tail_d)
+            term = me.g.mul_many(der, me.g.gen("E", r - i),
+                                 me.g.gen("Xdelta", i - n))
             acc = add(acc, scale(c, term))
     return acc
 
@@ -381,11 +380,9 @@ def _sigma_typed(me: ModelEngine, data: CoefficientData, T: int,
                                     T - l - i)
                 if not der:
                     continue
-                term = me.g.mul_many(
-                    der,
-                    me.g.gen("E", r - i) if r > i else me.g.one(),
-                    me.g.gen("Xdelta", T - k) if T > k else me.g.one(),
-                    me.g.power(x4, k + i - n))
+                term = me.g.mul_many(der, me.g.gen("E", r - i),
+                                     me.g.gen("Xdelta", T - k),
+                                     me.g.power(x4, k + i - n))
                 acc = add(acc, scale(c, term))
     return acc
 
@@ -425,24 +422,20 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
     g = gamma_basis()
     if rep is None:
         rep = Report("assembly")
+    typed: Dict[Tuple[int, int], UEA] = {}
+
+    def typed_pair(l: int, n: int) -> UEA:
+        if (l, n) not in typed:
+            typed[(l, n)] = antisymmetric_pair(
+                me, lambda a, c: _sigma_typed(me, data, T, a, c), l, n)
+        return typed[(l, n)]
+
     for (l, n) in ln_pairs:
-        s1 = _sigma_direct(me, b, m, T, l, n)
-        s2 = _sigma_direct(me, b, m, T, n, l)
-        lhs = sub(
-            scale(sca((-1) ** n),
-                  me.g.mul(s1, me.g.gen("E", n) if n else me.g.one())),
-            scale(sca((-1) ** l),
-                  me.g.mul(s2, me.g.gen("E", l) if l else me.g.one())))
+        lhs = antisymmetric_pair(
+            me, lambda a, c: _sigma_direct(me, b, m, T, a, c), l, n)
         rep.vanishes("direct (l,n)=(%d,%d)" % (l, n),
                      me.reduce_mod_mplus(lhs), me.g.serialize)
-
-        t1 = _sigma_typed(me, data, T, l, n)
-        t2 = _sigma_typed(me, data, T, n, l)
-        lhs_t = sub(
-            scale(sca((-1) ** n),
-                  me.g.mul(t1, me.g.gen("E", n) if n else me.g.one())),
-            scale(sca((-1) ** l),
-                  me.g.mul(t2, me.g.gen("E", l) if l else me.g.one())))
+        lhs_t = typed_pair(l, n)
         rep.vanishes("typed (l,n)=(%d,%d)" % (l, n),
                      me.reduce_mod_mplus(lhs_t), me.g.serialize)
         expect = vadd(vscale(2 * T - l - n, g["gamma1"]),
@@ -460,17 +453,10 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
         for L in range(0, min(2 * m, T) - n + 1):
             acc: UEA = {}
             for l in range(0, L + 1):
-                t1 = _sigma_typed(me, data, T, l, n)
-                t2 = _sigma_typed(me, data, T, n, l)
-                eps = sub(
-                    scale(sca((-1) ** n),
-                          me.g.mul(t1, me.g.gen("E", n) if n else me.g.one())),
-                    scale(sca((-1) ** l),
-                          me.g.mul(t2, me.g.gen("E", l) if l else me.g.one())))
+                eps = typed_pair(l, n)
                 if not eps:
                     continue
-                tail = me.g.mul(me.g.gen("E", L - l) if L > l else me.g.one(),
-                                me.g.power(x4, l + n))
+                tail = me.g.mul(me.g.gen("E", L - l), me.g.power(x4, l + n))
                 acc = add(acc, scale(sca((-2) ** l * comb(L, l)),
                                      me.g.mul(eps, tail)))
             rep.vanishes("combined (n,L)=(%d,%d)" % (n, L),

@@ -232,9 +232,7 @@ class ChevalleyData:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.roots = rs.roots
-        height = {}
-        for r in rs.positives:
-            height[r] = sum(rs.simple_coefficients(r))
+        height = {r: rs.height(r) for r in rs.positives}
         self.pos_order = sorted(rs.positives, key=lambda r: (height[r], r))
         self.pos_rank = {r: n for n, r in enumerate(self.pos_order)}
         self.height = height

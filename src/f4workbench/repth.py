@@ -708,12 +708,8 @@ class DegreeMachine:
         model = me.model
         kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
               for i in range(36)]
-
-        def fv(x, y):
-            return model.b(model.in_chevalley(x), model.in_chevalley(y))
-
         inner, shift, self._casimir_den = _casimir_tensor(
-            me.g, zip(kb, dual_basis(kb, fv)))
+            me.g, zip(kb, dual_basis(kb, me.invariant_form)))
         self._casimir = (inner, shift)
 
         def core(x):

@@ -14,7 +14,7 @@ split P+ / P- is read off the first coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -56,6 +56,10 @@ class RootSystem:
     positives: Tuple[Coord, ...]
     cartan: Tuple[Tuple[int, ...], ...]
     ip: Callable[[Coord, Coord], Fraction]
+    # every root's coefficients over the simple roots, as build_root_system
+    # finds them; derived from the fields above, so left out of == and hash
+    coefficients: Dict[Coord, Tuple[int, ...]] = field(
+        compare=False, hash=False)
 
     @property
     def rank(self) -> int:
@@ -68,32 +72,13 @@ class RootSystem:
     def reflect(self, beta: Coord, alpha: Coord) -> Coord:
         return vsub(beta, vscale(self.coroot_pairing(beta, alpha), alpha))
 
-    def height(self, beta: Coord) -> Fraction:
+    def height(self, beta: Coord) -> int:
         """Sum of simple-root coefficients (positive for positive roots)."""
         return sum(self.simple_coefficients(beta))
 
-    def simple_coefficients(self, beta: Coord) -> Tuple[Fraction, ...]:
-        # solve beta = sum c_i alpha_i via the Gram matrix of the simples
-        n = self.rank
-        gram = [[self.ip(self.simple[i], self.simple[j]) for j in range(n)]
-                for i in range(n)]
-        rhs = [self.ip(beta, self.simple[i]) for i in range(n)]
-        return tuple(_solve_rational(gram, rhs))
-
-
-def _solve_rational(m: List[List[Fraction]], rhs: List[Fraction]) -> List[Fraction]:
-    n = len(m)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [inv * x for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[c][j] for j in range(n + 1)]
-    return [a[i][n] for i in range(n)]
+    def simple_coefficients(self, beta: Coord) -> Tuple[int, ...]:
+        """The coefficients c_i of the root beta = sum c_i alpha_i."""
+        return self.coefficients[beta]
 
 
 def validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
@@ -225,9 +210,12 @@ def build_root_system(cartan: Sequence[Sequence[int]],
         by_height[h] = nxt
     positives = tuple(sorted(coeff_of, key=lambda r: (sum(coeff_of[r]), r)))
     roots = frozenset(positives) | frozenset(vneg(r) for r in positives)
+    for r in positives:
+        coeff_of[vneg(r)] = tuple(-c for c in coeff_of[r])
     return RootSystem(simple=tuple(simple_coords), roots=roots,
                       positives=positives,
-                      cartan=tuple(tuple(row) for row in cartan), ip=ip)
+                      cartan=tuple(tuple(row) for row in cartan), ip=ip,
+                      coefficients=coeff_of)
 
 
 def simple_system(positives: Sequence[Coord]) -> Tuple[Coord, ...]:

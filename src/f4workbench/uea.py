@@ -127,7 +127,8 @@ class PBWEngine:
         return {}
 
     def gen(self, label: str, power: int = 1) -> UEA:
-        return {((self.algebra.index[label], power),): ONE}
+        i = self.algebra.index[label]
+        return {((i, power),): ONE} if power else self.one()
 
     def from_lie(self, x: LieElement) -> UEA:
         return {((i, 1),): c for i, c in x.items()}
@@ -424,6 +425,7 @@ def reduce_mod(engine: PBWEngine, u: UEA, suffix_start: int) -> UEA:
 class IwasawaElement:
     """Sum of b_j (x) Z^j with polynomial-part coefficients in U(k).
 
+    Also the polynomials in x of balg, coefficients in the monomial basis.
     Multiplication is the tensor-product algebra structure: Z commutes
     formally past the first factor.
     """
@@ -499,6 +501,11 @@ class ModelEngine:
         """Chevalley-coordinate element to mixed-basis coordinates."""
         return self.model.g_algebra.coords_in_parent(x)
 
+    def invariant_form(self, x: LieElement, y: LieElement) -> Scalar:
+        """The model's invariant form b on mixed-basis coordinates."""
+        return self.model.b(self.model.in_chevalley(x),
+                            self.model.in_chevalley(y))
+
     def uea_of(self, x: LieElement) -> UEA:
         return self.g.from_lie(self.lie_in_mixed(x))
 
@@ -560,24 +567,14 @@ def casimir(engine: PBWEngine, basis: List[LieElement], form_value) -> UEA:
 
 def model_casimir_g(me: ModelEngine) -> UEA:
     """Casimir of the full algebra in the mixed-basis engine."""
-    model = me.model
-    basis = [me.lie_in_mixed({i: ONE}) for i in range(model.algebra.dim)]
-
-    def fv(x: LieElement, y: LieElement) -> Scalar:
-        return model.b(model.in_chevalley(x), model.in_chevalley(y))
-
-    return casimir(me.g, basis, fv)
+    basis = [me.lie_in_mixed({i: ONE}) for i in range(me.model.algebra.dim)]
+    return casimir(me.g, basis, me.invariant_form)
 
 
 def model_casimir_m(me: ModelEngine) -> UEA:
     """Casimir of the centralizer subalgebra, inside U(k)."""
-    model = me.model
-    basis = [me.lie_in_mixed(v) for v in model.subspaces["m"].basis()]
-
-    def fv(x: LieElement, y: LieElement) -> Scalar:
-        return model.b(model.in_chevalley(x), model.in_chevalley(y))
-
-    return casimir(me.g, basis, fv)
+    basis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].basis()]
+    return casimir(me.g, basis, me.invariant_form)
 
 
 @dataclass

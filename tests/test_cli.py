@@ -319,6 +319,20 @@ class TestExitCodes:
         assert captured.err == "bad input %s: expected %s\n" % (
             path, ELEMENT_SHAPE)
 
+    @pytest.mark.parametrize("command", [["balg", "check-b"],
+                                         ["combin", "assemble"]])
+    def test_wrong_shape_exits_before_model_build(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        def no_model():
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr("f4workbench.uea.model_engine", no_model)
+        path = tmp_path / "in.json"
+        path.write_text('{"coefficients": []}')
+        assert main(command + ["--input", str(path)]) == 2
+        assert capsys.readouterr().err == "bad input %s: expected %s\n" % (
+            path, ELEMENT_SHAPE)
+
     @pytest.mark.parametrize("command, code", [
         (["balg", "check-b", "--nmax", "3"], 0),
         (["combin", "assemble", "--T", "2", "--n", "0"], 0)])

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from f4workbench.combin import (
-    _a_entry, _binom_poly, assemble_system, coefficient_a, coefficient_b,
+    _a_entry, _binom_poly, _sigma_direct, _sigma_typed, assemble_system, coefficient_a, coefficient_b,
     coefficient_data, degree_profile, determinant_factorization, dk_operator,
     generalized_a_matrix, has_degree_property, in_reduced_subspace,
     index_sets, power_needed_for_degree_property, system_matches_generalized,
     system_matrix, u_element, weight_of,
 )
-from f4workbench.exactnum import Matrix, ONE, PolyScalar, ZERO, add, sca, sub
+from f4workbench.exactnum import (Matrix, ONE, PolyScalar, ZERO, add, sca,
+                                  scale, sub)
 from f4workbench.rootdata import gamma_basis, vadd, vscale
 from f4workbench.uea import IwasawaElement, model_casimir_m, reduce_mod
 
@@ -371,3 +373,46 @@ class TestDegreeProperty:
         deep = add(comps[(2, 0)], comps[(0, 2)])
         b = IwasawaElement([deep, {}, comps[(0, 2)]])
         assert in_reduced_subspace(me, b)
+
+
+def pair_oracle(me, sigma, l, n):
+    """(-1)^n sigma(l, n) E^n - (-1)^l sigma(n, l) E^l, written inline."""
+    return sub(
+        scale(sca((-1) ** n),
+              me.g.mul(sigma(l, n), me.g.gen("E", n) if n else me.g.one())),
+        scale(sca((-1) ** l),
+              me.g.mul(sigma(n, l), me.g.gen("E", l) if l else me.g.one())))
+
+
+class TestAssembleOracle:
+    """The sums assemble_system reduces, captured before the reduction
+    and compared with inline pair formulas, on a non-member."""
+
+    def test_unreduced_sums_match(self, me, shifted_omega, monkeypatch):
+        b, T, pairs = shifted_omega, 2, [(1, 0), (0, 1), (2, 0)]
+        data = coefficient_data(me, b)
+        direct = [pair_oracle(me, lambda a, c: _sigma_direct(
+            me, b, data.m, T, a, c), l, n) for l, n in pairs]
+        typed = {(l, n): pair_oracle(me, lambda a, c: _sigma_typed(
+            me, data, T, a, c), l, n) for l in range(3) for n in range(2)}
+        x4 = me.uea_of(me.model.distinguished["X4"])
+        combined = []
+        for n, lmax in ((0, 2), (1, 1)):
+            for L in range(lmax + 1):
+                acc = {}
+                for l in range(L + 1):
+                    tail = me.g.mul(me.g.gen("E", L - l) if L > l
+                                    else me.g.one(), me.g.power(x4, l + n))
+                    acc = add(acc, scale(sca((-2) ** l * comb(L, l)),
+                                         me.g.mul(typed[(l, n)], tail)))
+                combined.append(acc)
+        want = [s for pair in zip(direct, (typed[p] for p in pairs))
+                for s in pair] + combined
+        assert [len(s) for s in want[:6]] == [2, 4, 2, 4, 6, 8]
+
+        seen = []
+        reduce = me.reduce_mod_mplus
+        monkeypatch.setattr(me, "reduce_mod_mplus",
+                            lambda u: seen.append(u) or reduce(u))
+        assemble_system(me, b, T, pairs, data=data)
+        assert seen == want

@@ -64,6 +64,57 @@ class TestBuildRootSystem:
                 assert rs.reflect(b, a) in roots
 
 
+def _solve_rational(m, rhs):
+    """Gauss-Jordan on a nonsingular rational system."""
+    n = len(m)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if a[i][c] != 0)
+        a[c], a[piv] = a[piv], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [inv * x for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [a[i][j] - f * a[c][j] for j in range(n + 1)]
+    return [a[i][n] for i in range(n)]
+
+
+def _realized(simple):
+    return build_root_system(cartan_matrix_of(simple), simple_coords=simple)
+
+
+B4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+B3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+
+
+class TestSimpleCoefficients:
+    """The coefficients kept from the height induction against a Gram
+    solve, on every root."""
+
+    @pytest.mark.parametrize("rs", [
+        lambda: f4_root_system(),
+        lambda: build_root_system(B4_CARTAN),
+        lambda: build_root_system(B3_CARTAN),
+        lambda: _realized(compact_split(DEFAULT_REGULAR).simple_k),
+        lambda: _realized(simple_system(f4_satake_data()[1].p_minus)),
+    ], ids=["F4", "B4", "B3", "B4-in-F4", "B3-in-F4"])
+    def test_match_the_gram_solve(self, rs):
+        rs = rs()
+        gram = [[rs.ip(a, b) for b in rs.simple] for a in rs.simple]
+        assert set(rs.coefficients) == rs.roots
+        for beta in rs.roots:
+            want = _solve_rational(gram, [rs.ip(beta, a) for a in rs.simple])
+            assert rs.simple_coefficients(beta) == tuple(want)
+            assert rs.height(beta) == sum(want)
+
+    def test_left_out_of_equality(self):
+        rs = f4_root_system()
+        again = build_root_system(rs.cartan, simple_coords=rs.simple)
+        assert again == rs and hash(again) == hash(rs)
+        assert again.coefficients is not rs.coefficients
+
+
 class TestSatake:
     def test_p_plus_minus_counts(self):
         _, split = f4_satake_data()

@@ -82,6 +82,16 @@ class TestProduct:
         assert eng.mul(x, eng.one()) == x
         assert eng.mul(eng.one(), x) == x
 
+    def test_zeroth_power_is_the_unit(self, me):
+        # the zeroth power is 1, not a monomial with exponent 0
+        assert me.g.gen("E", 0) == me.g.one()
+        assert me.g.serialize(me.g.gen("E", 0)) == [
+            {"exponents": {}, "coeff": ONE.to_string()}]
+        x = me.g.gen("Xdelta", 2)
+        assert me.g.mul(x, me.g.gen("E", 0)) == x
+        with pytest.raises(KeyError):
+            me.g.gen("nope", 0)
+
     def test_associativity_sampled(self, me):
         rng = random.Random(2)
         for _ in range(12):
