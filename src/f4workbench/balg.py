@@ -320,15 +320,16 @@ def antisymmetric_pair(me: ModelEngine, f: Callable[[int, int], UEA],
                scale(sca((-1) ** l), me.g.mul(f(n, l), me.g.gen("E", l))))
 
 
-def epsilon_ln(me: ModelEngine, c: IwasawaElement, l: int, n: int) -> UEA:
+def epsilon_ln(me: ModelEngine, cphi: List[UEA], l: int, n: int) -> UEA:
     """The mixed-difference combination for a pair (l, n), exactly.
 
-    With c_i the phi-basis coefficients of c, it is the antisymmetric
-    pair of f(l, n) = sum_{i >= n} ad(E)^l(c_i) phi_{i-n}(l - n/2 - Ytilde).
+    With cphi = to_phi(c) the phi-basis coefficients c_i of c, it is the
+    antisymmetric pair of
+    f(l, n) = sum_{i >= n} ad(E)^l(c_i) phi_{i-n}(l - n/2 - Ytilde).
     For members of the congruence algebra it reduces to zero modulo the
-    nilradical left ideal; the (n, l) combination is its negative.
+    nilradical left ideal; the (n, l) combination is its negative.  A
+    caller asking for many pairs converts c once.
     """
-    cphi = to_phi(c)
     neg_yt = scale(-ONE, me.model.distinguished["Ytilde"])
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
 

@@ -261,10 +261,10 @@ def suite_balg(cfg: Config) -> Report:
         return True, None
 
     def epsilon_family():
-        c = shift_substitute(me, om)
+        cphi = to_phi(shift_substitute(me, om))
         for l in range(4):
             for n in range(4):
-                if me.reduce_mod_mplus(epsilon_ln(me, c, l, n)):
+                if me.reduce_mod_mplus(epsilon_ln(me, cphi, l, n)):
                     return False, "(l, n) = (%d, %d)" % (l, n)
         return True, None
 

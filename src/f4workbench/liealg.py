@@ -102,21 +102,27 @@ class LieAlgebra:
 
         Runs on the integer table: Jacobi is trilinear, so on e'_i, e'_j,
         e'_k it is L^3 sqrt2^{s_i+s_j+s_k} times its value on e_i, e_j, e_k
-        and fails on exactly the same triples.  Raises ValueError when the
-        table has no integer form.
+        and fails on exactly the same triples.  A table with no integer
+        form (say [a, b] = (1 + sqrt2) b) runs the same loop on its Scalar
+        constants.
         """
-        get = self.integer_table().brackets.get
+        try:
+            get, zero = self.integer_table().brackets.get, 0
+        except ValueError:
+            def get(pair, default):
+                return self.bracket_basis(*pair).items()
+            zero = ZERO
         bad = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 bij = get((i, j), ())
                 for k in range(j + 1, self.dim):
-                    acc: Dict[int, int] = {}
+                    acc: dict = {}
                     for terms, x in ((bij, k), (get((j, k), ()), i),
                                      (get((k, i), ()), j)):
                         for a, c in terms:
                             for m, d in get((a, x), ()):
-                                acc[m] = acc.get(m, 0) + c * d
+                                acc[m] = acc.get(m, zero) + c * d
                     if any(acc.values()):
                         bad.append((i, j, k))
                         if len(bad) >= limit:
@@ -1068,11 +1074,8 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
 
 def _jacobi_witness(alg: LieAlgebra) -> Optional[str]:
     """None when Jacobi holds on every basis triple, else the first
-    failing triple, or why the table has no integer form."""
-    try:
-        bad = alg.jacobi_failures(limit=1)
-    except ValueError as exc:
-        return "ValueError: %s" % exc
+    failing triple."""
+    bad = alg.jacobi_failures(limit=1)
     if bad:
         return "Jacobi fails at basis triple (%s, %s, %s)" % tuple(
             alg.labels[i] for i in bad[0])

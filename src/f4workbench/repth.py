@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, add, combine, coordinates, dual_basis, kernel,
                        rational_roots, sca, scale)
-from .liealg import F4Model, LieElement
+from .liealg import F4Model, LieElement, orthocomplement
 from .reporting import Report
 from .rootdata import Coord, compact_split, DEFAULT_REGULAR, dot, gamma_basis, vec
 from .uea import Core, ModelEngine, UEA
@@ -697,20 +697,33 @@ class DegreeMachine:
 
     The Casimir acts through its symmetric tensor in triangular form
     (_casimir_tensor): since [ad x, ad y] = ad [x, y], the two orders of
-    each pair fold into one, sum_h ad(Y_h) ad(e'_h) - ad(r).  On F4 an
-    application makes 46 label passes of ad per core vector (20 inner, 23
-    outer, 3 for r) where the full pair sum makes 78, and it stays exact
-    on every element of U(k), invariant or not.
+    each pair fold into one, sum_h ad(Y_h) ad(e'_h) - ad(r).
+
+    components() applies only the part of the Casimir on m^perp, the
+    orthocomplement of m in k for the invariant form.  Over dual bases
+    of the two orthogonal summands the Casimir splits as
+    C_k = C_m + C_perp, and on an M-invariant v every term
+    ad(x_i) ad(x^i) v of C_m vanishes, because x^i lies in m.  Input that
+    is not M-invariant is rejected, and C_k commutes with ad(m), so every
+    Krylov vector is M-invariant and C_perp acts on it as C_k does.  On F4
+    an application of C_perp makes 31 label passes of ad per core vector
+    (11 inner labels, 17 terms of the Y_h, 3 labels of r), where C_k
+    makes 46 (20, 23, 3) and the plain pair sum 78.  The Krylov chain,
+    its minimal polynomial and the projectors stay in core form; only the
+    components are converted to Scalars.
+
+    casimir_apply is the full C_k, exact on every element of U(k),
+    invariant or not; its tensor is built on first use.
     """
 
     def __init__(self, me: ModelEngine):
         self.me = me
         model = me.model
-        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
-              for i in range(36)]
-        inner, shift, self._casimir_den = _casimir_tensor(
-            me.g, zip(kb, dual_basis(kb, me.invariant_form)))
-        self._casimir = (inner, shift)
+        perp = orthocomplement(model, model.subspaces["m"],
+                               model.subspaces["k"])
+        self._casimir_perp = _casimir_of(
+            me, [me.lie_in_mixed(x) for x in perp.basis()])
+        self._casimir = None
 
         def core(x):
             return me.g.lie_core(me.lie_in_mixed(x))[:2]
@@ -724,20 +737,24 @@ class DegreeMachine:
         self._rho = tuple(sum(a[i] for a in pos) / 2 for i in range(4))
 
     def casimir_apply(self, u: UEA) -> UEA:
-        """sum_i ad(x_i) ad(x^i) u, converted to and from the core once."""
+        """sum_i ad(x_i) ad(x^i) u over dual bases of k, converted to and
+        from the core once."""
+        if self._casimir is None:
+            model = self.me.model
+            self._casimir = _casimir_of(
+                self.me, [self.me.lie_in_mixed(model.k_element_in_g({i: ONE}))
+                          for i in range(36)])
         engine = self.me.g
-        core_p, core_q, den = engine.to_core(u)
-        return engine.from_core(_casimir_core(engine, *self._casimir, core_p),
-                                _casimir_core(engine, *self._casimir, core_q),
-                                den * self._casimir_den)
+        return engine.from_core(*_casimir_step(engine, self._casimir,
+                                               engine.to_core(u)))
 
     def casimir_eigenvalue(self, xi: Weight) -> Fraction:
         return dot(xi, xi) + 2 * dot(xi, self._rho)
 
-    def is_m_invariant(self, u: UEA) -> bool:
-        engine = self.me.g
-        v = engine.to_core(u)[:2]
-        return not any(any(engine.ad_pair(x, v)) for x in self._m_gens)
+    def _is_m_invariant(self, v: Tuple[Core, Core]) -> bool:
+        """Whether the m generators kill the core pair v."""
+        ad_pair = self.me.g.ad_pair
+        return not any(any(ad_pair(x, v)) for x in self._m_gens)
 
     def components(self, u: UEA) -> Dict[Tuple[int, int], UEA]:
         """Isotypic components of an invariant element, exactly."""
@@ -745,22 +762,35 @@ class DegreeMachine:
             return {}
         if not self.me.k_only(u):
             raise ValueError("element must lie in U(k)")
-        if not self.is_m_invariant(u):
+        engine = self.me.g
+        cur = engine.to_core(u)
+        if not self._is_m_invariant(cur[:2]):
             raise ValueError("element is not an invariant of the centralizer")
-        # krylov[t] = C^t u until C^d u falls into their span; the
-        # dependency add() returns is C^d u = sum_t a_t C^t u, so the
-        # minimal polynomial on the cyclic span is x^d - sum_t a_t x^t
-        span = Echelon()
-        krylov: List[UEA] = []
-        cur = u
+        # krylov[t] is the core (P_t, Q_t, D_t) of C^t u, until C^d u
+        # falls into the span of the earlier ones.  C is rational on the
+        # rescaled basis with rational eigenvalues, so over Q the integer
+        # vectors w_t = P_t (+) Q_t have the same minimal polynomial, and
+        # w_d depends on the earlier w_j exactly when its column of inner
+        # products <w_i, w_d> depends on theirs, with the same
+        # coefficients (the form is positive definite): a t x t solve.
+        krylov: List[Tuple[Core, Core, int]] = []
+        gram: List[List[int]] = []
         while True:
-            relation = span.add(cur)
+            inner = [_dot(w, cur) for w in krylov] + [_dot(cur, cur)]
+            relation = coordinates(
+                [_int_vector(gram[j] + [inner[j]]) for j in range(len(gram))],
+                _int_vector(inner))
             if relation is not None:
                 break
+            for row, x in zip(gram, inner):
+                row.append(x)
+            gram.append(inner)
             krylov.append(cur)
-            cur = self.casimir_apply(cur)
-        poly = PolyScalar([-relation.get(t, ZERO) for t in range(len(krylov))]
-                          + [ONE])
+            cur = _casimir_step(engine, self._casimir_perp, cur)
+        # w_d = sum_j b_j w_j and C^t u = w_t / D_t give the minimal
+        # polynomial x^d - sum_j b_j D_j / D_d x^j
+        poly = PolyScalar([-relation.get(j, ZERO) * sca(Fraction(w[2], cur[2]))
+                           for j, w in enumerate(krylov)] + [ONE])
         roots, rem = rational_roots(poly)
         if rem.degree() > 0:
             raise AssertionError("Casimir minimal polynomial does not split")
@@ -770,27 +800,26 @@ class DegreeMachine:
             # the Krylov vectors already at hand
             quot = poly.exact_div(PolyScalar([-sca(root), ONE]))
             norm = quot.evaluate(sca(root)).inverse()
-            comp = combine({t: norm * c for t, c in enumerate(quot.coeffs)},
-                           krylov)
-            if not comp:
+            comp = _core_combination(
+                [(norm * c).rational_value() for c in quot.coeffs], krylov)
+            if not (comp[0] or comp[1]):
                 continue
-            label = self._type_of_pure(comp)
+            label = self._type_of_pure(comp[:2])
             expect = self.casimir_eigenvalue(xi_weight(*label))
             if sca(expect) != sca(root):
                 raise AssertionError(
                     "component label %r disagrees with eigenvalue %s"
                     % (label, root))
-            out[label] = comp
+            out[label] = engine.from_core(*comp)
         return out
 
-    def _type_of_pure(self, comp: UEA) -> Tuple[int, int]:
-        """Label (k, l) of a pure-type invariant from its raising corner.
+    def _type_of_pure(self, start: Tuple[Core, Core]) -> Tuple[int, int]:
+        """Label (k, l) of a pure-type invariant, given by the core pair of
+        its numerators, from its raising corner.
 
-        Only vanishing is asked, so the chains run on the core pair of comp
-        and never convert back or track the denominator.
+        Only vanishing is asked, so the chains never track a denominator.
         """
         ad = self.me.g.ad_pair
-        start = self.me.g.to_core(comp)[:2]
         k = 0
         w = start
         while True:
@@ -837,10 +866,11 @@ def _casimir_tensor(engine, pairs):
     with Y_h = T_hh e'_h + sum_{g<h} 2 T_gh e'_g and
     r = sum_{g<h} T_gh [e'_g, e'_h].  Returns ([(h, Y_h)], r, den) with
     integer Y_h = {g: int} and r = {k: int} over the common denominator
-    den.  On F4 that is 20 inner labels h, 23 terms of the Y_h and an r on
-    the 3 Cartan labels, over 256: 46 label passes of ad per application
-    instead of the 36 + 42 of the full sum.  Raises ValueError when T is
-    not symmetric or a coefficient is not rational.
+    den.  For the Casimir of k on F4 that is 20 inner labels h, 23 terms
+    of the Y_h and an r on the 3 Cartan labels, over 256: 46 label passes
+    of ad per application instead of the 36 + 42 of the full sum; for the
+    Casimir of m^perp it is 11, 17 and 3.  Raises ValueError when T is not
+    symmetric or a coefficient is not rational.
     """
     def rescaled(x):
         core_p, core_q, den = engine.lie_core(x)
@@ -888,6 +918,51 @@ def _casimir_core(engine, inner, shift, v: Core) -> Core:
     for m, c in ad_core(shift, v).items():
         out[m] = out.get(m, 0) - c
     return out
+
+
+def _casimir_of(me: ModelEngine, basis: List[LieElement]):
+    """_casimir_tensor of the Casimir of span(basis), mixed coordinates,
+    over the dual basis for the invariant form."""
+    return _casimir_tensor(me.g, zip(basis,
+                                     dual_basis(basis, me.invariant_form)))
+
+
+def _casimir_step(engine, tensor, v: Tuple[Core, Core, int]
+                  ) -> Tuple[Core, Core, int]:
+    """The Casimir of tensor = (inner, shift, den) on a core triple."""
+    inner, shift, den = tensor
+    core_p, core_q, d = v
+    return (_casimir_core(engine, inner, shift, core_p),
+            _casimir_core(engine, inner, shift, core_q), d * den)
+
+
+def _dot(v: Tuple[Core, Core, int], w: Tuple[Core, Core, int]) -> int:
+    """<P_v (+) Q_v, P_w (+) Q_w> of two core triples."""
+    return (sum(c * w[0].get(m, 0) for m, c in v[0].items())
+            + sum(c * w[1].get(m, 0) for m, c in v[1].items()))
+
+
+def _int_vector(xs: List[int]) -> Dict[int, Scalar]:
+    return {i: sca(x) for i, x in enumerate(xs) if x}
+
+
+def _core_combination(coeffs: List[Fraction],
+                      vectors: List[Tuple[Core, Core, int]]
+                      ) -> Tuple[Core, Core, int]:
+    """sum_t coeffs[t] vectors[t] of core triples, over one denominator."""
+    scaled = [c / v[2] for c, v in zip(coeffs, vectors)]
+    den = lcm(*(f.denominator for f in scaled))
+    out_p: Core = {}
+    out_q: Core = {}
+    for f, (core_p, core_q, _) in zip(scaled, vectors):
+        n = f.numerator * (den // f.denominator)
+        if not n:
+            continue
+        for out, core in ((out_p, core_p), (out_q, core_q)):
+            for m, c in core.items():
+                out[m] = out.get(m, 0) + n * c
+    return ({m: c for m, c in out_p.items() if c},
+            {m: c for m, c in out_q.items() if c}, den)
 
 
 def degree_machine(me: ModelEngine) -> DegreeMachine:

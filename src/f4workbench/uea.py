@@ -21,6 +21,13 @@ integer vectors (its rational and its sqrt2 part) over one common
 denominator, which never mix.  mul, mono_mul and ad convert their
 arguments to that core form on entry and back to Scalars on exit.
 
+In the core a monomial is one packed int, sum_i e_i << (BITS i): the
+exponent of label i sits in its own BITS-bit field, so the last label of
+m is (m.bit_length() - 1) // BITS, dropping one factor of it is a
+subtraction and appending a label at or above it an addition.  A field
+holds exponents below 2**BITS; to_core and mul refuse an element whose
+degree could carry into the next field.
+
 The fixed model order lists the 36 fixed-subalgebra labels first (with
 the nilradical of the centralizer as a suffix and the abelian ideal as
 the very last block), then the torus generator Z, then the 15 nilpotent
@@ -44,9 +51,14 @@ from .liealg import (F4Model, IntBrackets, LieAlgebra, LieElement,
 
 Mono = Tuple[Tuple[int, int], ...]
 UEA = Dict[Mono, Scalar]
-Core = Dict[Mono, int]
+Core = Dict[int, int]           # {packed monomial: int}
 
 ONE_MONO: Mono = ()
+
+# bits per exponent in a packed core monomial; every monomial the core
+# forms has degree below 2**BITS
+BITS = 8
+DEGREE_LIMIT = 1 << BITS
 
 
 @dataclass(frozen=True)
@@ -77,19 +89,6 @@ def _nonzero(v: Core) -> Core:
     return {m: c for m, c in v.items() if c}
 
 
-def mono_mul_free(m1: Mono, m2: Mono) -> Optional[Mono]:
-    """Concatenation when already ordered, else None."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if m1[-1][0] < m2[0][0]:
-        return m1 + m2
-    if m1[-1][0] == m2[0][0]:
-        return m1[:-1] + ((m1[-1][0], m1[-1][1] + m2[0][1]),) + m2[1:]
-    return None
-
-
 class PBWEngine:
     """Straightening engine for one algebra under one basis order.
 
@@ -100,9 +99,12 @@ class PBWEngine:
     by the derivation rule (_memo_left, see _bracket), hold
     {monomial: int}, and the rational and sqrt2 parts of an element never
     mix: its core form (to_core) is two integer vectors over one common
-    denominator.
+    denominator.  Core monomials, the keys of those vectors and of both
+    tables, are packed ints of BITS = 8 bits per label, one byte each (see
+    the module docstring): on F4 at most 52 bytes.
     The public operations take and return {monomial: Scalar} on the
-    original basis and convert once at entry and once at exit.
+    original basis, with tuple monomials, and convert once at entry and
+    once at exit.
     """
 
     def __init__(self, algebra: LieAlgebra, order: Optional[BasisOrder] = None):
@@ -112,11 +114,13 @@ class PBWEngine:
             raise ValueError("engine order must list the algebra labels")
         table = algebra.integer_table()
         self.parity, self.scale_l = table.parity, table.scale
-        self._memo: Dict[Tuple[Mono, int], Core] = {}
-        self._memo_left: Dict[Tuple[int, Mono], Core] = {}
+        self._memo: Dict[Tuple[int, int], Core] = {}
+        self._memo_left: Dict[Tuple[int, int], Core] = {}
         # _brackets[(i, j)] = [e'_i, e'_j] on the rescaled basis, as items;
         # shared with the algebra, so never mutated
         self._brackets: IntBrackets = table.brackets
+        # _unit[i] is the packed monomial e'_i
+        self._unit = [1 << (BITS * i) for i in range(algebra.dim)]
 
     # -- basic constructors ------------------------------------------------
 
@@ -127,6 +131,8 @@ class PBWEngine:
         return {}
 
     def gen(self, label: str, power: int = 1) -> UEA:
+        if power < 0:
+            raise ValueError("negative power %d of %s" % (power, label))
         i = self.algebra.index[label]
         return {((i, power),): ONE} if power else self.one()
 
@@ -135,23 +141,53 @@ class PBWEngine:
 
     # -- the core form ------------------------------------------------------
 
-    def _weight(self, m: Mono) -> Tuple[int, int]:
-        """(deg, sigma) of m, with e'^m = L^deg sqrt2^sigma e^m."""
-        deg = sigma = 0
+    def _pack(self, m: Mono) -> Tuple[int, int, int]:
+        """(key, deg, sigma): m packed, and e'^m = L^deg sqrt2^sigma e^m.
+
+        Raises ValueError on an exponent below 1 and on a degree of
+        DEGREE_LIMIT or more, which a product could carry across a field.
+        """
+        key = deg = sigma = 0
         for i, e in m:
+            if e < 1:
+                raise ValueError("exponent %d in monomial %r" % (e, m))
+            key += e << (BITS * i)
             deg += e
             sigma += self.parity[i] * e
-        return deg, sigma
+        if deg >= DEGREE_LIMIT:
+            raise ValueError("monomial of degree %d; the packed core holds "
+                             "degrees below %d" % (deg, DEGREE_LIMIT))
+        return key, deg, sigma
+
+    def _unpack(self, key: int) -> Tuple[Mono, int, int]:
+        """(m, deg, sigma) of a packed monomial, as _pack gives them."""
+        m = []
+        deg = sigma = 0
+        while key:
+            i = ((key & -key).bit_length() - 1) // BITS
+            e = (key >> (BITS * i)) & (DEGREE_LIMIT - 1)
+            m.append((i, e))
+            deg += e
+            sigma += self.parity[i] * e
+            key -= e << (BITS * i)
+        return tuple(m), deg, sigma
 
     def to_core(self, u: UEA) -> Tuple[Core, Core, int]:
         """(P, Q, D) with u = sum_m (P[m] + Q[m] sqrt2) / D * e'^m.
 
-        c e^m has the core coefficient c / (L^deg sqrt2^sigma) (_weight).
+        c e^m has the core coefficient c / (L^deg sqrt2^sigma) (_pack).
         """
+        return self._to_core(u)[:3]
+
+    def _to_core(self, u: UEA) -> Tuple[Core, Core, int, int]:
+        """to_core(u) and the degree of u (-1 for 0)."""
         terms = []
         den_lcm = 1
+        top = -1
         for m, c in u.items():
-            deg, sigma = self._weight(m)
+            key, deg, sigma = self._pack(m)
+            if deg > top:
+                top = deg
             p, q = c.p, c.q
             if sigma & 1:           # c / sqrt2 = c sqrt2 / 2
                 p, q = 2 * q, p
@@ -159,27 +195,27 @@ class PBWEngine:
             den = c.r * self.scale_l ** deg << (sigma >> 1)
             g = gcd(gcd(p, q), den)
             den //= g
-            terms.append((m, p // g, q // g, den))
+            terms.append((key, p // g, q // g, den))
             den_lcm = lcm(den_lcm, den)
         core_p: Core = {}
         core_q: Core = {}
-        for m, p, q, den in terms:
+        for key, p, q, den in terms:
             f = den_lcm // den
             if p:
-                core_p[m] = p * f
+                core_p[key] = p * f
             if q:
-                core_q[m] = q * f
-        return core_p, core_q, den_lcm
+                core_q[key] = q * f
+        return core_p, core_q, den_lcm, top
 
     def from_core(self, core_p: Core, core_q: Core, den: int) -> UEA:
         """The element sum_m (P[m] + Q[m] sqrt2) / D * e'^m; one Scalar per
         nonzero term."""
         out: UEA = {}
-        for m in {**core_p, **core_q}:
-            p, q = core_p.get(m, 0), core_q.get(m, 0)
+        for key in {**core_p, **core_q}:
+            p, q = core_p.get(key, 0), core_q.get(key, 0)
             if not (p or q):
                 continue
-            deg, sigma = self._weight(m)
+            m, deg, sigma = self._unpack(key)
             if sigma & 1:           # c sqrt2 = 2q + p sqrt2
                 p, q = 2 * q, p
             f = self.scale_l ** deg << (sigma >> 1)
@@ -190,8 +226,9 @@ class PBWEngine:
                                                Dict[int, int], int]:
         """to_core of a Lie element, keyed by label."""
         core_p, core_q, den = self.to_core(self.from_lie(x))
-        return ({m[0][0]: c for m, c in core_p.items()},
-                {m[0][0]: c for m, c in core_q.items()}, den)
+        return ({(m.bit_length() - 1) // BITS: c for m, c in core_p.items()},
+                {(m.bit_length() - 1) // BITS: c for m, c in core_q.items()},
+                den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -200,18 +237,16 @@ class PBWEngine:
     add = staticmethod(add)
     scale = staticmethod(scale)
 
-    def _mono_times_gen(self, m: Mono, g: int) -> Core:
+    def _mono_times_gen(self, m: int, g: int) -> Core:
         """Straightened product e'^m * e'_g."""
-        if not m or m[-1][0] < g:
-            return {m + ((g, 1),): 1}
-        last, p = m[-1]
-        if last == g:
-            return {m[:-1] + ((g, p + 1),): 1}
+        last = (m.bit_length() - 1) // BITS        # -1 for m = 1
+        if last <= g:
+            return {m + self._unit[g]: 1}
         key = (m, g)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        head = m[:-1] + ((last, p - 1),) if p > 1 else m[:-1]
+        head = m - self._unit[last]
         out: Core = {}
         get = out.get
         # (head e'_g) e'_last
@@ -226,7 +261,7 @@ class PBWEngine:
         self._memo[key] = out
         return out
 
-    def _bracket(self, g: int, m: Mono) -> Core:
+    def _bracket(self, g: int, m: int) -> Core:
         """Straightened [e'_g, e'^m]: with m = head x, x its last label,
         [e'_g, e'^head e'_x] = [e'_g, e'^head] e'_x + e'^head [e'_g, e'_x]."""
         if not m:
@@ -235,8 +270,8 @@ class PBWEngine:
         hit = self._memo_left.get(key)
         if hit is not None:
             return hit
-        x, p = m[-1]
-        head = m[:-1] + ((x, p - 1),) if p > 1 else m[:-1]
+        x = (m.bit_length() - 1) // BITS
+        head = m - self._unit[x]
         out: Core = {}
         get = out.get
         for mono, c in self._bracket(g, head).items():
@@ -252,22 +287,23 @@ class PBWEngine:
     # perfbench/sample.py counts bracket calls and entries under these names
     _gen_times_mono = _bracket
 
-    def _mono_mul_core(self, m1: Mono, m2: Mono) -> Core:
+    def _mono_mul_core(self, m1: int, m2: int) -> Core:
         """Straightened product e'^m1 * e'^m2."""
-        free = mono_mul_free(m1, m2)
-        if free is not None:
-            return {free: 1}
+        if (m1.bit_length() - 1) // BITS \
+                <= ((m2 & -m2).bit_length() - 1) // BITS:
+            return {m1 + m2: 1}
         cur: Core = {m1: 1}
-        for g, p in m2:
+        while m2:
+            g = ((m2 & -m2).bit_length() - 1) // BITS
+            step = self._unit[g]
+            p = (m2 >> (BITS * g)) & (DEGREE_LIMIT - 1)
+            m2 -= p * step
             for _ in range(p):
                 nxt: Core = {}
                 get = nxt.get
                 for mono, c in cur.items():
-                    if not mono or mono[-1][0] < g:
-                        key = mono + ((g, 1),)
-                        nxt[key] = get(key, 0) + c
-                    elif mono[-1][0] == g:
-                        key = mono[:-1] + ((g, mono[-1][1] + 1),)
+                    if (mono.bit_length() - 1) // BITS <= g:
+                        key = mono + step
                         nxt[key] = get(key, 0) + c
                     else:
                         for mono2, c2 in self._mono_times_gen(mono, g).items():
@@ -303,10 +339,13 @@ class PBWEngine:
         return self.mul({m1: ONE}, {m2: ONE})
 
     def mul(self, u: UEA, v: UEA) -> UEA:
+        p1, q1, d1, deg1 = self._to_core(u)
+        p2, q2, d2, deg2 = self._to_core(v)
+        if deg1 + deg2 >= DEGREE_LIMIT:
+            raise ValueError("product of degree %d; the packed core holds "
+                             "degrees below %d" % (deg1 + deg2, DEGREE_LIMIT))
         # (P1 + Q1 sqrt2)(P2 + Q2 sqrt2)
         #     = P1 P2 + 2 Q1 Q2 + (P1 Q2 + Q1 P2) sqrt2
-        p1, q1, d1 = self.to_core(u)
-        p2, q2, d2 = self.to_core(v)
         out_p: Core = {}
         out_q: Core = {}
         self._mul_into(out_p, p1, p2)

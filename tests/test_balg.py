@@ -188,18 +188,18 @@ class TestMembership:
 
 class TestEpsilon:
     def test_diagonal_identically_zero(self, me, omega_report):
-        c = shift_substitute(me, omega_report.omega)
+        c = to_phi(shift_substitute(me, omega_report.omega))
         for l in range(3):
             assert epsilon_ln(me, c, l, l) == {}
 
     def test_antisymmetry(self, me, omega_report):
-        c = shift_substitute(me, omega_report.omega)
+        c = to_phi(shift_substitute(me, omega_report.omega))
         a = epsilon_ln(me, c, 1, 2)
         b = epsilon_ln(me, c, 2, 1)
         assert add(a, b) == {}
 
     def test_omega_reduces_to_zero(self, me, omega_report):
-        c = shift_substitute(me, omega_report.omega)
+        c = to_phi(shift_substitute(me, omega_report.omega))
         for l in range(4):
             for n in range(4):
                 assert me.reduce_mod_mplus(epsilon_ln(me, c, l, n)) == {}
@@ -352,7 +352,7 @@ class TestEpsilonOracle:
             phi_substitute_oracle(me, shifted_omega)
 
     def test_matches_inline_sums(self, me, shifted_omega):
-        c = shift_substitute(me, shifted_omega)
+        c = to_phi(shift_substitute(me, shifted_omega))
         cphi = phi_substitute_oracle(me, shifted_omega)
         nonzero = 0
         for l in range(4):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -374,35 +375,52 @@ class TestJacobiOracle:
 
     def test_planted_sqrt2_factor_has_no_integer_table(self, model):
         # the parities of a Jacobi-true table are rigid: one constant
-        # times sqrt2 leaves no solution, and the check fails with that
-        # witness where the oracle finds a failing triple
+        # times sqrt2 leaves no integer form, and the check falls back to
+        # the Scalar loop, which fails with the oracle's triples
         alg = model.k_algebra
         key = sorted(alg.table)[7]
         k, c = next(iter(alg.table[key].items()))
         bad = _planted(alg, key, k, c * SQRT2)
-        assert jacobi_failures_oracle(bad, limit=1)
-        assert _jacobi_witness(bad) == "ValueError: no rescaling by powers " \
-            "of sqrt2 makes the structure constants rational"
+        with pytest.raises(ValueError, match="^no rescaling by powers of "
+                           "sqrt2 makes the structure constants rational$"):
+            bad.integer_table()
+        got = bad.jacobi_failures(limit=3)
+        assert got and got == jacobi_failures_oracle(bad, limit=3)
+        assert _jacobi_witness(bad) == \
+            "Jacobi fails at basis triple (%s, %s, %s)" % tuple(
+                bad.labels[i] for i in got[0])
 
     def test_unrescalable_table_fails_with_witness(self, model):
-        # 1 + sqrt2 has no integer form: the model check fails with a
-        # witness naming the constant, and the rest of the battery runs
+        # 1 + sqrt2 has no integer form: the Scalar loop runs instead, the
+        # model check fails with the first failing triple as its witness,
+        # and the rest of the battery runs
         from dataclasses import replace
         alg = model.k_algebra
         key = sorted(alg.table)[0]
         k = next(iter(alg.table[key]))
         bad = _planted(alg, key, k, ONE + SQRT2)
-        with pytest.raises(ValueError):
-            bad.jacobi_failures()
-        assert jacobi_failures_oracle(bad, limit=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "structure constant 1/1 + 1/1*sqrt2 of [%s, %s] at %s"
+                % (alg.labels[key[0]], alg.labels[key[1]], alg.labels[k]))):
+            bad.integer_table()
+        got = bad.jacobi_failures(limit=1)
+        assert got and got == jacobi_failures_oracle(bad, limit=1)
         rep = verify_model(replace(model, k_algebra=bad))
         failed = [c for c in rep.checks if c["status"] == "fail"]
         assert [c["id"] for c in failed] == [
             "Jacobi identity on the 36-dim table"]
-        assert failed[0]["witness"].startswith(
-            "ValueError: structure constant 1/1 + 1/1*sqrt2 of [%s, %s] at %s"
-            % (alg.labels[key[0]], alg.labels[key[1]], alg.labels[k]))
+        assert failed[0]["witness"] == \
+            "Jacobi fails at basis triple (%s, %s, %s)" % tuple(
+                alg.labels[i] for i in got[0])
         assert len(rep.checks) == len(verify_model(model).checks)
+
+    def test_mixed_constants_fall_back_to_scalars(self):
+        # [a, b] = (1 + sqrt2) b has no integer form but satisfies Jacobi
+        alg = LieAlgebra(["a", "b", "c"], {(0, 1): {1: Scalar(1, 1)}})
+        with pytest.raises(ValueError):
+            alg.integer_table()
+        assert alg.jacobi_failures() == jacobi_failures_oracle(alg) == []
+        assert _jacobi_witness(alg) is None
 
     def test_table_built_once_and_shared_with_the_engine(self, model):
         from f4workbench.uea import PBWEngine

@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 
 from f4workbench import repth
-from f4workbench.exactnum import (Echelon, Matrix, ONE, ZERO, add, combine, sca,
+from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO, add,
+                                  combine, dual_basis, rational_roots, sca,
                                   scale, sub)
 from f4workbench.repth import (
-    DegreeMachine, SparseOp, TriangularData, _unit, build_irrep, build_module,
-    build_module_for_weight, degree_additivity, degree_machine,
+    DegreeMachine, SparseOp, TriangularData, _casimir_step, _unit, build_irrep,
+    build_module, build_module_for_weight, degree_additivity, degree_machine,
     k_triangular_data, label_of_weight, lowering_chain, m_generators,
     m_invariants, sl2_triangular_data, spherical_fundamentals, verify_hw3iv,
     verify_techo, weyl_dimension, xi_weight,
@@ -754,3 +755,140 @@ class TestInvariantCache:
         assert [list(v.items()) for v in m_invariants(fresh, me)] == \
             [list(v.items()) for v in want]
         assert solves == one_solve
+
+
+def components_oracle(dm, u):
+    """components() before the m^perp split and the integer chain: the
+    Krylov vectors come from the full casimir_apply as Scalars, and the
+    relation and the projectors run on them through Echelon and combine."""
+    span = Echelon()
+    krylov = []
+    cur = u
+    while True:
+        relation = span.add(cur)
+        if relation is not None:
+            break
+        krylov.append(cur)
+        cur = dm.casimir_apply(cur)
+    poly = PolyScalar([-relation.get(t, ZERO) for t in range(len(krylov))]
+                      + [ONE])
+    roots, _ = rational_roots(poly)
+    out = {}
+    for root in sorted(set(roots)):
+        quot = poly.exact_div(PolyScalar([-sca(root), ONE]))
+        norm = quot.evaluate(sca(root)).inverse()
+        comp = combine({t: norm * c for t, c in enumerate(quot.coeffs)},
+                       krylov)
+        if comp:
+            out[dm._type_of_pure(dm.me.g.to_core(comp)[:2])] = comp
+    return out
+
+
+class TestPerpCasimir:
+    """components() runs its Krylov chain through C_perp, the Casimir of
+    the orthocomplement of m in k.  On M-invariants it must agree with the
+    full casimir_apply and with the plain pair sum over dual bases of k,
+    on every Krylov vector."""
+
+    @pytest.fixture(scope="class")
+    def pair_sum(self, me):
+        model = me.model
+        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
+              for i in range(36)]
+        pairs = list(zip(kb, dual_basis(kb, me.invariant_form)))
+
+        def apply(u):
+            out = {}
+            for x, xd in pairs:
+                out = add(out, me.g.ad(x, me.g.ad(xd, u)))
+            return out
+
+        return apply
+
+    @pytest.fixture(scope="class")
+    def product(self, me, uk2_m_basis):
+        # as in the degree_products benchmark: u, v in the span of the unit
+        # and the smallest quadratic invariant
+        one, quad = sorted(uk2_m_basis, key=len)[:2]
+        u = add(scale(sca(3), one), scale(sca(-5), quad))
+        v = add(scale(sca(-7), one), scale(sca(2), quad))
+        return me.g.mul(u, v)
+
+    @staticmethod
+    def perp_apply(dm, u):
+        eng = dm.me.g
+        return eng.from_core(*_casimir_step(eng, dm._casimir_perp,
+                                            eng.to_core(u)))
+
+    def _check_chain(self, me, pair_sum, u, full_oracle=True):
+        """C_perp = C_k (= the pair sum) on C^t u for t = 0 .. d, d the
+        degree of the minimal polynomial."""
+        dm = degree_machine(me)
+        d = len(components_oracle(dm, u))
+        vectors = [u]
+        for _ in range(d):
+            got = self.perp_apply(dm, vectors[-1])
+            assert got == dm.casimir_apply(vectors[-1])
+            if full_oracle:
+                assert got == pair_sum(vectors[-1])
+            vectors.append(got)
+        assert len(Echelon(vectors)) == d
+        return vectors
+
+    def test_tensor_sizes(self, me):
+        dm = DegreeMachine(me)
+        inner, shift, _ = dm._casimir_perp
+        assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
+            (11, 17, 3)
+        dm.casimir_apply(me.g.one())
+        inner, shift, _ = dm._casimir
+        assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
+            (20, 23, 3)
+
+    def test_degree_two_invariants(self, me, pair_sum, uk2_m_basis):
+        for u in uk2_m_basis:
+            self._check_chain(me, pair_sum, u)
+
+    def test_casimir_of_m(self, me, pair_sum):
+        from f4workbench.uea import model_casimir_m
+        self._check_chain(me, pair_sum, model_casimir_m(me))
+
+    def test_omega_constant_coefficient(self, me, pair_sum, omega_report):
+        self._check_chain(me, pair_sum, omega_report.omega.coeff(0))
+
+    def test_product_krylov_vectors(self, me, pair_sum, product):
+        vectors = self._check_chain(me, pair_sum, product)
+        assert len(vectors) == 4
+        assert [len(v) for v in vectors][-1] > 500
+
+    def test_differs_off_invariants(self, me, pair_sum):
+        dm = degree_machine(me)
+        x = me.g.gen("T23")
+        with pytest.raises(ValueError):
+            dm.components(x)
+        full = dm.casimir_apply(x)
+        assert full == pair_sum(x)
+        assert self.perp_apply(dm, x) != full
+
+    def test_components_match_full_casimir_path(self, me, uk2_m_basis,
+                                                omega_report, product):
+        from f4workbench.uea import model_casimir_m
+        dm = degree_machine(me)
+        rng = random.Random(5)
+        mixed = {}
+        for b in uk2_m_basis:
+            mixed = add(mixed, scale(sca(rng.randrange(1, 2 ** 30)), b))
+        for u in [*uk2_m_basis, mixed, model_casimir_m(me),
+                  omega_report.omega.coeff(0), product]:
+            got = dm.components(u)
+            want = components_oracle(dm, u)
+            assert got == want
+            assert {k: me.g.serialize(c) for k, c in got.items()} == \
+                {k: me.g.serialize(c) for k, c in want.items()}
+
+    def test_components_never_build_the_full_tensor(self, me):
+        from f4workbench.uea import model_casimir_m
+        dm = DegreeMachine(me)
+        assert set(dm.components(model_casimir_m(me))) == \
+            {(0, 0), (2, 0), (0, 2)}
+        assert dm._casimir is None

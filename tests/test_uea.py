@@ -11,9 +11,9 @@ from f4workbench.liealg import LieAlgebra, chevalley_algebra
 from f4workbench.repth import _casimir_core, _casimir_tensor, degree_machine
 from f4workbench.rootdata import build_root_system, f4_satake_data
 from f4workbench.uea import (
-    IwasawaElement, ONE_MONO, PBWEngine, casimir, ideal_normal_form,
-    invariants_up_to_degree, model_casimir_g, model_casimir_m,
-    mono_degree, mono_mul_free, omega_normalized, reduce_mod,
+    DEGREE_LIMIT, IwasawaElement, ONE_MONO, PBWEngine, casimir,
+    ideal_normal_form, invariants_up_to_degree, model_casimir_g,
+    model_casimir_m, mono_degree, omega_normalized, reduce_mod,
 )
 
 
@@ -416,6 +416,19 @@ class TestEvenOddSplit:
 # ---------------------------------------------------------------------------
 
 
+def mono_mul_free(m1, m2):
+    """Concatenation when already ordered, else None."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m1[-1][0] == m2[0][0]:
+        return m1[:-1] + ((m1[-1][0], m1[-1][1] + m2[0][1]),) + m2[1:]
+    return None
+
+
 def _acc(out, mono, c):
     s = out.get(mono, ZERO) + c
     if s:
@@ -628,6 +641,51 @@ def _bracket_cases():
     return cases
 
 
+def _key(eng, m):
+    """The core key of the monomial m, read off to_core."""
+    core_p, core_q, _ = eng.to_core({m: ONE})
+    (key,) = {**core_p, **core_q}
+    return key
+
+
+def _mono_of(eng, key):
+    """The monomial of a core key, read off from_core."""
+    (m,) = eng.from_core({key: 1}, {}, 1)
+    return m
+
+
+class TestPackedCore:
+    """Core monomials are packed ints, one byte per label; a degree that
+    could carry into the next byte is refused before packing."""
+
+    def test_keys_pack_one_byte_per_label(self, me):
+        m = ((0, 2), (26, 1), (51, 200))
+        core_p, core_q, den = me.g.to_core({m: ONE})
+        assert set(core_p) | set(core_q) == {2 + (1 << 208) + (200 << 408)}
+        assert me.g.from_core(core_p, core_q, den) == {m: ONE}
+
+    def test_negative_power_rejected(self, me):
+        with pytest.raises(ValueError):
+            me.g.gen("E", -1)
+        with pytest.raises(ValueError):
+            me.g.to_core({((26, -1),): ONE})
+
+    def test_degree_limit(self, me):
+        eng = me.g
+        top = eng.gen("E", DEGREE_LIMIT - 1)
+        assert eng.mul(eng.gen("E", DEGREE_LIMIT - 2), eng.gen("E")) == top
+        assert eng.from_core(*eng.to_core(top)) == top
+        # E^255 E would carry into the field of the next label
+        with pytest.raises(ValueError):
+            eng.mul(top, eng.gen("E"))
+        with pytest.raises(ValueError):
+            eng.mono_mul(((26, 200),), ((1, 56),))
+        with pytest.raises(ValueError):
+            eng.to_core(eng.gen("E", DEGREE_LIMIT))
+        with pytest.raises(ValueError):
+            eng.to_core({((0, 128), (26, 128)): ONE})
+
+
 class TestBracketTable:
     """The memoized brackets [e'_g, e'^m] against the oracle's left and
     right products."""
@@ -655,16 +713,18 @@ class TestBracketTable:
             fresh.ad({g: ONE}, {m: ONE})
         assert fresh._memo_left
         for (g, m), out in fresh._memo_left.items():
-            assert PBWEngine.degree(out) <= mono_degree(m), (g, m)
+            assert PBWEngine.degree(fresh.from_core(out, {}, 1)) <= \
+                mono_degree(_mono_of(fresh, m)), (g, m)
             assert all(type(c) is int for c in out.values())
 
     def test_bracket_is_a_commutator(self, fresh):
         for g, m in _bracket_cases()[::7]:
-            gm = fresh._mono_mul_core(((g, 1),), m)
-            for mono, c in fresh._mono_mul_core(m, ((g, 1),)).items():
+            key, gen = _key(fresh, m), _key(fresh, ((g, 1),))
+            gm = fresh._mono_mul_core(gen, key)
+            for mono, c in fresh._mono_mul_core(key, gen).items():
                 gm[mono] = gm.get(mono, 0) - c
             assert {k: c for k, c in gm.items() if c} == \
-                fresh._bracket(g, m), (g, m)
+                fresh._bracket(g, key), (g, m)
 
 
 class TestCasimirTriangular:
@@ -691,8 +751,8 @@ class TestCasimirTriangular:
         for a, b, c in itertools.product(range(4), repeat=3):
             # e^a f^b h^c, in PBW order h < e < f
             m = tuple((i, p) for i, p in ((0, c), (1, a), (2, b)) if p)
-            got = eng.from_core(_casimir_core(eng, inner, shift, {m: 1}), {},
-                                den)
+            got = eng.from_core(
+                _casimir_core(eng, inner, shift, {_key(eng, m): 1}), {}, den)
             assert got == self._pair_sum(eng.ad, pairs, {m: ONE}), (a, b, c)
 
     def test_asymmetric_tensor_rejected(self, sl2):
