@@ -199,24 +199,6 @@ def shift_substitute(me: ModelEngine, b: IwasawaElement) -> IwasawaElement:
     return from_phi(out)
 
 
-def shift_substitute_direct(me: ModelEngine,
-                            b: IwasawaElement) -> IwasawaElement:
-    """Independent route: expand b(x + (H - 1)) binomially."""
-    m = b.degree
-    h = me.model.distinguished["H"]
-    arg = CentralArg(me, Fraction(-1), h)
-    out: List[UEA] = [dict() for _ in range(m + 1)]
-    for j in range(m + 1):
-        bj = b.coeff(j)
-        if not bj:
-            continue
-        for i in range(j + 1):
-            term = me.g.mul(scale(sca(comb(j, i)), bj),
-                            arg.power(j - i))
-            out[i] = add(out[i], term)
-    return IwasawaElement(out).trim()
-
-
 # ---------------------------------------------------------------------------
 # membership reports
 # ---------------------------------------------------------------------------
@@ -228,7 +210,7 @@ def default_nmax(degree: int) -> int:
 
 def coefficients_m_invariant(me: ModelEngine, b: IwasawaElement) -> bool:
     """Whether every polynomial coefficient is killed by the centralizer."""
-    mbasis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].basis()]
+    mbasis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].rows()]
     for c in b.coeffs:
         if not c:
             continue

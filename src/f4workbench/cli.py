@@ -767,7 +767,7 @@ def _combin_command(args, cfg: Config) -> int:
         payload = {
             "L": list(sets.L),
             "R": list(sets.R_reduced if args.reduced else sets.R),
-            "entries": [[e.to_string() for e in row] for row in sm.entries],
+            "entries": [[e.to_string() for e in row] for row in sm],
         }
         _emit(payload, args.json_out)
         return 0

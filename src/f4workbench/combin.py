@@ -19,8 +19,8 @@ from math import comb, factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .balg import antisymmetric_pair
-from .exactnum import (Matrix, ONE, PolyScalar, Scalar, ZERO, add, coordinates,
-                       sca, scale, sub)
+from .exactnum import (ONE, PolyScalar, Scalar, ZERO, add, coordinates, sca,
+                       scale, sub)
 from .reporting import Report
 from .repth import degree_machine
 from .rootdata import Coord, gamma_basis, vadd, vscale
@@ -92,8 +92,10 @@ def coefficient_b(r: int, k: int, T: int, n: int, L: int) -> Scalar:
     return sca(val)
 
 
-def system_matrix(T: int, n: int, m: int, reduced: bool = False) -> Matrix:
-    """Rows over L(T,n), columns over R (or the reduced set)."""
+def system_matrix(T: int, n: int, m: int,
+                  reduced: bool = False) -> List[List[Scalar]]:
+    """The rows, over L(T,n), of the matrix with columns over R (or the
+    reduced set)."""
     sets = index_sets(m, T, n)
     cols = sets.R_reduced if reduced else sets.R
     entries = []
@@ -105,9 +107,7 @@ def system_matrix(T: int, n: int, m: int, reduced: bool = False) -> Matrix:
                 acc += (-2) ** l * _binom(L, l) * _binom(T - n - l, r - l)
             row.append(sca(acc))
         entries.append(row)
-    if not entries:
-        return Matrix.zero(0, len(cols))
-    return Matrix(entries)
+    return entries
 
 
 def generalized_a_matrix(lseq: Sequence[int], delta: int) -> List[List[PolyScalar]]:
@@ -162,7 +162,7 @@ def system_matches_generalized(m: int, T: int, n: int) -> bool:
             j = (r - delta) // 2
             # columns past the square matrix compare against their entry
             entry = ga[a][j] if j < len(sets.L) else _a_entry(L, r)
-            if entry.evaluate(s_val) != sm.entries[a][b]:
+            if entry.evaluate(s_val) != sm[a][b]:
                 return False
     return True
 

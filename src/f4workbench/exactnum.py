@@ -13,10 +13,11 @@ elimination on them: add, sub, scale and combine all run the one
 accumulate loop, and one sparse reduced echelon form (Echelon) serves
 every span, coordinate solve, kernel, dual basis and rank downstream.
 
-Matrices are dense with Scalar entries.  Downstream they are only
-multiplied and read; their eliminations (fraction-free Bareiss rank and
-determinant, Gauss-Jordan rref, nullspace and solve) have no caller
-outside the tests, where they are the oracle for the echelon.
+Matrix, the dense matrix with Scalar entries, has no caller in the rest
+of the program: linear maps and forms downstream are lists of sparse
+vectors.  Its products and eliminations (fraction-free Bareiss rank and
+determinant, Gauss-Jordan rref, nullspace and solve) are the oracle the
+tests hold the sparse layer against.
 """
 
 from __future__ import annotations
@@ -543,6 +544,9 @@ class Echelon:
             accumulate(coords, rc, c)
         return rem, {i: coords[i] for i in sorted(coords)}
 
+    def contains(self, v: dict) -> bool:
+        return not self.reduce(v)[0]
+
     def add(self, v: dict):
         """Insert v: None when it enlarged the span, else its coordinates."""
         rem, coords = self.reduce(v)
@@ -834,24 +838,6 @@ def poly_det(entries) -> PolyScalar:
         prev = m[r][r]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-def poly_det_cofactor(entries) -> PolyScalar:
-    """Independent oracle: determinant by recursive cofactor expansion."""
-    n = len(entries)
-    if n == 0:
-        return PolyScalar.constant(1)
-    if n == 1:
-        return entries[0][0]
-    acc = PolyScalar([])
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [[entries[i][k] for k in range(n) if k != j]
-                 for i in range(1, n)]
-        term = entries[0][j] * poly_det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactnum import (Echelon, Matrix, ONE, Scalar, ZERO, accumulate, add,
-                       combine, coordinates, kernel, scale, sca, sqrt_in_field,
-                       sub)
+from .exactnum import (Echelon, ONE, Scalar, ZERO, accumulate, add, combine,
+                       coordinates, kernel, scale, sca, sqrt_in_field, sub)
 from .reporting import Report
 from .rootdata import (
     Coord, F4_SIMPLE, RootSystem, cartan_type, f4_root_system,
@@ -81,13 +80,6 @@ class LieAlgebra:
                     accumulate(out, t, ci * cj)
         return out
 
-    def ad_matrix(self, x: LieElement) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            img = self.bracket(x, {j: ONE})
-            cols.append([img.get(i, ZERO) for i in range(self.dim)])
-        return Matrix.from_columns(cols)
-
     def integer_table(self) -> IntegerTable:
         """The table on the rescaled basis where every constant is an
         integer (see _rescaling), built on first use; raises ValueError
@@ -129,12 +121,13 @@ class LieAlgebra:
                             return bad
         return bad
 
-    def killing_form(self) -> Matrix:
-        """kappa(x, y) = trace(ad x ad y), exactly."""
+    def killing_form(self) -> List[LieElement]:
+        """kappa(x, y) = trace(ad x ad y), exactly, as symmetric sparse
+        rows: row i holds kappa(e_i, e_j) at each j where it is nonzero."""
         n = self.dim
         # rows of ad: ad_j[k] = bracket_basis(j, k)
         ad = [[self.bracket_basis(j, k) for k in range(n)] for j in range(n)]
-        out = Matrix.zero(n, n)
+        out: List[LieElement] = [{} for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 acc = ZERO
@@ -146,8 +139,9 @@ class LieAlgebra:
                         c2 = ad[i][l].get(k)
                         if c2:
                             acc = acc + c * c2
-                out.entries[i][j] = acc
-                out.entries[j][i] = acc
+                if acc:
+                    out[i][j] = acc
+                    out[j][i] = acc
         return out
 
 
@@ -361,40 +355,8 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Subspaces
-# ---------------------------------------------------------------------------
-
-
-class Subspace:
-    """Span of elements of a fixed algebra, in reduced echelon form."""
-
-    def __init__(self, dim_ambient: int, generators: Sequence[LieElement]):
-        self.dim_ambient = dim_ambient
-        self._echelon = Echelon(generators)
-
-    def add(self, element: LieElement) -> bool:
-        """Insert element; True when it enlarged the span."""
-        return self._echelon.add(element) is None
-
-    @property
-    def dim(self) -> int:
-        return len(self._echelon)
-
-    def basis(self) -> List[LieElement]:
-        return self._echelon.rows()
-
-    def contains(self, element: LieElement) -> bool:
-        return not self._echelon.reduce(element)[0]
-
-
-# ---------------------------------------------------------------------------
 # The F4 model
 # ---------------------------------------------------------------------------
-
-
-def _matrix_apply(m: Matrix, x: LieElement) -> LieElement:
-    return combine(x, {j: {i: row[j] for i, row in enumerate(m.entries)
-                           if row[j]} for j in x})
 
 
 # Lagrange interpolation of exp(pi/4 * t) on the spectrum {0, +-i, +-2i};
@@ -409,30 +371,29 @@ _CAYLEY_COEFFS = (
 
 
 def cayley_transform(algebra: LieAlgebra, xmu: LieElement,
-                     theta_xmu: LieElement) -> Matrix:
-    """exp(pi/4 ad(theta_xmu - xmu)) as an exact matrix.
+                     theta_xmu: LieElement) -> List[LieElement]:
+    """exp(pi/4 ad(W)), W = theta_xmu - xmu, exactly: entry j is the
+    image of e_j, with ascending keys.
 
     The generator acts semisimply with spectrum in {0, +-i, +-2i}; the
-    exponential is the interpolation polynomial evaluated on ad(W).
-    Raises if the spectrum condition (the minimal-polynomial identity
-    A(A^2+1)(A^2+4) = 0) fails, which signals a wrong normalization.
+    exponential is the interpolation polynomial in A = ad(W), applied to
+    one basis vector at a time.  Raises if the spectrum condition (the
+    minimal-polynomial identity A(A^2+1)(A^2+4) = 0) fails on some basis
+    vector, which signals a wrong normalization.
     """
     w = sub(theta_xmu, xmu)
-    a = algebra.ad_matrix(w)
-    n = algebra.dim
-    powers = [Matrix.identity(n), a]
-    for _ in range(3):
-        powers.append(powers[-1] * a)
-    a5 = powers[4] * a
-    five_a3 = powers[3].scale(sca(5))
-    four_a = powers[1].scale(sca(4))
-    if a5.add(five_a3).add(four_a) != Matrix.zero(n, n):
-        raise ValueError("generator spectrum is not {0,+-i,+-2i}; "
-                         "check the s-triple normalization")
-    out = Matrix.zero(n, n)
-    for c, p in zip(_CAYLEY_COEFFS, powers):
-        out = out.add(p.scale(c))
-    return out
+    coeffs = dict(enumerate(_CAYLEY_COEFFS))
+    columns = []
+    for j in range(algebra.dim):
+        powers = [{j: ONE}]            # v, Av, ..., A^5 v
+        for _ in range(5):
+            powers.append(algebra.bracket(w, powers[-1]))
+        if combine({1: sca(4), 3: sca(5), 5: ONE}, powers):
+            raise ValueError("generator spectrum is not {0,+-i,+-2i}; "
+                             "check the s-triple normalization")
+        column = combine(coeffs, powers)
+        columns.append({i: column[i] for i in sorted(column)})
+    return columns
 
 
 K_LABELS = (
@@ -453,13 +414,15 @@ Y_LABELS = ("X2", "S23", "S24")
 class F4Model:
     """The exact split F4 model with its named vectors and subspaces."""
 
+    # theta and chi hold the image of e_j at j; the forms are symmetric
+    # sparse rows, row i holding the pairings of e_i with the e_j
     algebra: LieAlgebra                    # Chevalley basis of g
-    theta: Matrix                          # Cartan-type involution
-    killing: Matrix                        # trace form on the Chevalley basis
-    bform: Matrix                          # killing / 18: epsilon-orthonormal
-    chi: Matrix                            # the rotation into the compact Cartan
+    theta: List[LieElement]                # Cartan-type involution
+    killing: List[LieElement]              # trace form on the Chevalley basis
+    bform: List[LieElement]                # killing / 18: epsilon-orthonormal
+    chi: List[LieElement]                  # the rotation into the compact Cartan
     distinguished: Dict[str, LieElement]   # named vectors, Chevalley coords
-    subspaces: Dict[str, Subspace]
+    subspaces: Dict[str, Echelon]
     k_basis: List[LieElement]              # 36 vectors, order K_LABELS
     k_algebra: LieAlgebra                  # bracket table over K_LABELS
     g_basis: List[LieElement]              # k basis + Z + 15 n-vectors
@@ -473,10 +436,10 @@ class F4Model:
         return _form_value(self.bform, x, y)
 
     def theta_apply(self, x: LieElement) -> LieElement:
-        return _matrix_apply(self.theta, x)
+        return combine(x, self.theta)
 
     def chi_apply(self, x: LieElement) -> LieElement:
-        return _matrix_apply(self.chi, x)
+        return combine(x, self.chi)
 
     def in_chevalley(self, x: LieElement) -> LieElement:
         """Convert a mixed-basis element to Chevalley coordinates.
@@ -489,7 +452,10 @@ class F4Model:
     k_element_in_g = in_chevalley
 
 
-def _build_theta(alg: LieAlgebra, rs: RootSystem, c1: Scalar) -> Matrix:
+def _build_theta(alg: LieAlgebra, rs: RootSystem,
+                 c1: Scalar) -> List[LieElement]:
+    """The images of the basis vectors under the involution extending the
+    coordinate flip, with c1 on the flipped simple raisings."""
     data: ChevalleyData = alg.chevalley
     rank = rs.rank
     images: Dict[int, LieElement] = {}
@@ -516,15 +482,15 @@ def _build_theta(alg: LieAlgebra, rs: RootSystem, c1: Scalar) -> Matrix:
         images[ridx[gamma]] = scale(ninv, img)
         imgn = alg.bracket(images[ridx[vneg(a1)]], images[ridx[vneg(b1)]])
         images[ridx[vneg(gamma)]] = scale(-ninv, imgn)
-    return Matrix([[images[j].get(i, ZERO) for j in range(alg.dim)]
-                   for i in range(alg.dim)])
+    return [{i: images[j][i] for i in sorted(images[j])}
+            for j in range(alg.dim)]
 
 
-def _is_automorphism(alg: LieAlgebra, m: Matrix) -> Optional[str]:
-    """None when m preserves every basis bracket, else the first basis
-    pair i < j where m[e_i, e_j] != [m e_i, m e_j]."""
-    images = [{i: row[j] for i, row in enumerate(m.entries) if row[j]}
-              for j in range(alg.dim)]
+def _is_automorphism(alg: LieAlgebra,
+                     images: List[LieElement]) -> Optional[str]:
+    """None when the linear map sending e_j to images[j] preserves every
+    basis bracket, else the first basis pair i < j where the image of
+    [e_i, e_j] is not [images[i], images[j]]."""
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             if combine(alg.bracket_basis(i, j), images) \
@@ -574,16 +540,16 @@ def _rebase_table(parent: LieAlgebra, basis: List[LieElement],
     return out
 
 
-def _closure(parent: LieAlgebra, generators: List[LieElement]) -> Subspace:
-    span = Subspace(parent.dim, generators)
-    frontier = list(span.basis())
+def _closure(parent: LieAlgebra, generators: List[LieElement]) -> Echelon:
+    span = Echelon(generators)
+    frontier = span.rows()
     while frontier:
         new = []
-        basis_now = span.basis()
+        basis_now = span.rows()
         for x in frontier:
             for y in basis_now:
                 br = parent.bracket(x, y)
-                if br and span.add(br):
+                if br and span.add(br) is None:
                     new.append(br)
         frontier = new
     return span
@@ -611,7 +577,7 @@ def build_f4_model() -> F4Model:
     k_t1 = _form_value(kappa, t_elements[0], t_elements[0])
     if not k_t1.is_rational() or k_t1.rational_value() <= 0:
         raise ValueError("unexpected Killing normalization")
-    bform = kappa.scale(k_t1.inverse())
+    bform = [scale(k_t1.inverse(), row) for row in kappa]
     for i in range(4):
         for j in range(4):
             expect = ONE if i == j else ZERO
@@ -625,7 +591,7 @@ def build_f4_model() -> F4Model:
     theta = None
     for c1 in (ONE, -ONE):
         cand = _build_theta(alg, rs, c1)
-        if cand * cand == Matrix.identity(n):
+        if _is_involution(cand):
             theta = cand
             break
     if theta is None:
@@ -635,14 +601,14 @@ def build_f4_model() -> F4Model:
         raise ValueError("involution is not an automorphism: " + err)
 
     def th(x: LieElement) -> LieElement:
-        return _matrix_apply(theta, x)
+        return combine(x, theta)
 
     # fixed and anti-fixed subspaces: spanned by x + theta x and x - theta x
-    k_span = Subspace(n, [add(th({j: ONE}), {j: ONE}) for j in range(n)])
-    p_span = Subspace(n, [sub({j: ONE}, th({j: ONE})) for j in range(n)])
-    if (k_span.dim, p_span.dim) != (36, 16):
+    k_span = Echelon([add(theta[j], {j: ONE}) for j in range(n)])
+    p_span = Echelon([sub({j: ONE}, theta[j]) for j in range(n)])
+    if (len(k_span), len(p_span)) != (36, 16):
         raise ValueError("fixed-space dimensions (%d, %d) are wrong"
-                         % (k_span.dim, p_span.dim))
+                         % (len(k_span), len(p_span)))
 
     # X_mu normalization: <X_mu, theta X_mu> = 2 under bform
     eps1 = _eps(1 - 1)
@@ -667,7 +633,7 @@ def build_f4_model() -> F4Model:
     chi = cayley_transform(alg, xmu, th(xmu))
 
     def ch(x: LieElement) -> LieElement:
-        return _matrix_apply(chi, x)
+        return combine(x, chi)
 
     # named vectors, normalized by their defining relations
     e_elt = add(x_ma1, th(x_ma1))
@@ -751,6 +717,7 @@ def build_f4_model() -> F4Model:
             raise ValueError("basis vector %s is not fixed by the involution" % lab)
 
     k_alg = _rebase_table(alg, k_basis, K_LABELS)
+    k_weights, k_t_weights = _k_torus_weights(k_alg)
 
     # Iwasawa complement: Z spans a, n spans the positive restricted part
     _, split = f4_satake_data()
@@ -786,31 +753,31 @@ def build_f4_model() -> F4Model:
     })
 
     # subspaces
-    msp = Subspace(n, [ {ridx[a]: ONE} for a in split.p_minus ])
-    mplus_named = Subspace(n, [named[l] for l in MPLUS_LABELS])
-    if msp.dim != 9 or mplus_named.dim != 9 or not all(
-            msp.contains(v) for v in mplus_named.basis()):
+    msp = Echelon([ {ridx[a]: ONE} for a in split.p_minus ])
+    mplus_named = Echelon([named[l] for l in MPLUS_LABELS])
+    if len(msp) != 9 or len(mplus_named) != 9 or not all(
+            msp.contains(v) for v in mplus_named.rows()):
         raise ValueError("nilpotent part of the centralizer mismatch")
-    m_all = Subspace(n, [ {ridx[a]: ONE} for a in split.p_minus ] +
-                        [ {ridx[vneg(a)]: ONE} for a in split.p_minus ] +
-                        t_elements[1:])
-    y_sub = Subspace(n, [named[l] for l in Y_LABELS])
+    m_all = Echelon([ {ridx[a]: ONE} for a in split.p_minus ] +
+                    [ {ridx[vneg(a)]: ONE} for a in split.p_minus ] +
+                    t_elements[1:])
+    y_sub = Echelon([named[l] for l in Y_LABELS])
     kplus_names = ("X1", "X2", "E", "Xdelta", "Xdelta1", "Xdelta2", "Xpsi1",
                    "Xpsi2", "S23", "S24", "T23", "T24", "T34")
-    kplus = Subspace(n, [named[nm] for nm in kplus_names] + [x4, xphi1, xphi2])
-    qplus = Subspace(n, [named[nm] for nm in kplus_names if nm != "X1"]
-                     + [x4, xphi1, xphi2])
-    hr = Subspace(n, [hr1, hr2])
-    q = Subspace(n, qplus.basis() + [hr1, hr2, t43])
-    qtilde = Subspace(n, kplus.basis() + [hr1, hr2, t43, xmdelta2, xmdelta1])
+    kplus = Echelon([named[nm] for nm in kplus_names] + [x4, xphi1, xphi2])
+    qplus = Echelon([named[nm] for nm in kplus_names if nm != "X1"]
+                    + [x4, xphi1, xphi2])
+    hr = Echelon([hr1, hr2])
+    q = Echelon(qplus.rows() + [hr1, hr2, t43])
+    qtilde = Echelon(kplus.rows() + [hr1, hr2, t43, xmdelta2, xmdelta1])
     kminus_names = ("Xm1", "Xm2", "Xm3", "Xm4", "Xmdelta", "Xmphi1",
                     "Xmdelta1", "Xmphi2", "Xmdelta2", "Xmpsi1", "Xmpsi2",
                     "T32", "T42", "T43", "Sm23", "Sm24")
-    hk = Subspace(n, [ht1] + t_elements[1:])
-    s_sub = Subspace(n, [named[nm] for nm in kminus_names] + hk.basis()
-                     + [xphi1, xphi2, t34, x1])
-    a_sub = Subspace(n, [z_elt])
-    n_sub = Subspace(n, n_basis)
+    hk = Echelon([ht1] + t_elements[1:])
+    s_sub = Echelon([named[nm] for nm in kminus_names] + hk.rows()
+                    + [xphi1, xphi2, t34, x1])
+    a_sub = Echelon([z_elt])
+    n_sub = Echelon(n_basis)
     gt = _closure(alg, [chev_root(0, 1, 0, 0), chev_root(0, -1, 0, 0),
                         {ridx[alpha1]: ONE}, {ridx[vneg(alpha1)]: ONE},
                         chev_root(0, 0, 1, 1), chev_root(0, 0, -1, -1)])
@@ -818,16 +785,16 @@ def build_f4_model() -> F4Model:
     subspaces = {
         "k": k_span, "p": p_span, "m": m_all, "mplus": mplus_named,
         "a": a_sub, "n": n_sub, "y": y_sub, "q": q, "qplus": qplus,
-        "qminus": Subspace(n, [t43]), "hr": hr, "qtilde": qtilde,
+        "qminus": Echelon([t43]), "hr": hr, "qtilde": qtilde,
         "s": s_sub, "gtilde": gt, "hk": hk,
-        "t": Subspace(n, t_elements[1:]),
+        "t": Echelon(t_elements[1:]),
     }
 
     model = F4Model(
         algebra=alg, theta=theta, killing=kappa, bform=bform, chi=chi,
         distinguished=distinguished, subspaces=subspaces,
         k_basis=k_basis, k_algebra=k_alg, g_basis=g_basis, g_algebra=g_alg,
-        k_weights=_k_weights(), k_t_weights=_k_t_weights(), c_value=c_value,
+        k_weights=k_weights, k_t_weights=k_t_weights, c_value=c_value,
     )
     model.subspaces["mplus_perp"] = orthocomplement(model, subspaces["mplus"],
                                                     subspaces["k"])
@@ -840,14 +807,21 @@ def _eps(i: int) -> Coord:
     return tuple(Fraction(1 if j == i else 0) for j in range(4))
 
 
-def _form_value(form: Matrix, x: LieElement, y: LieElement) -> Scalar:
+def _form_value(form: List[LieElement], x: LieElement,
+                y: LieElement) -> Scalar:
     acc = ZERO
     for i, ci in x.items():
-        row = form.entries[i]
+        row = form[i]
         for j, cj in y.items():
-            if row[j]:
-                acc = acc + ci * cj * row[j]
+            f = row.get(j)
+            if f:
+                acc = acc + ci * cj * f
     return acc
+
+
+def _is_involution(images: List[LieElement]) -> bool:
+    """Whether the map sending e_j to images[j] squares to the identity."""
+    return all(combine(x, images) == {j: ONE} for j, x in enumerate(images))
 
 
 def _coroot_element(rs: RootSystem, ridx, root: Coord) -> LieElement:
@@ -855,53 +829,41 @@ def _coroot_element(rs: RootSystem, ridx, root: Coord) -> LieElement:
     return {i: sca(c) for i, c in enumerate(co) if c}
 
 
-def _k_weights() -> Dict[int, Optional[Coord]]:
-    g = gamma_basis()
-    w = {
-        "Xm1": vneg(g["gamma1"]), "Xm2": vneg(g["gamma2"]),
-        "Xm3": vneg(g["gamma3"]), "Xm4": vneg(g["gamma4"]),
-        "Xmdelta": vneg(g["delta"]), "Xmphi1": vneg(g["phi1"]),
-        "Xmdelta1": vneg(g["delta1"]), "Xmphi2": vneg(g["phi2"]),
-        "Xmdelta2": vneg(g["delta2"]), "Xmpsi1": vneg(g["psi1"]),
-        "Xmpsi2": vneg(g["psi2"]),
-        "T32": vec(0, -1, 1, 0), "T42": vec(0, -1, 0, 1),
-        "T43": vec(0, 0, -1, 1), "Sm23": vec(0, -1, -1, 0),
-        "Sm24": vec(0, -1, 0, -1),
-        "X1": g["gamma1"], "Xpsi1": g["psi1"], "Xpsi2": g["psi2"],
-        "Xdelta1": g["delta1"], "Xdelta2": g["delta2"],
-        "Ht1": vec(0, 0, 0, 0), "Ht2": vec(0, 0, 0, 0),
-        "Ht3": vec(0, 0, 0, 0), "Ht4": vec(0, 0, 0, 0),
-        "Xdelta": g["delta"], "E": g["gamma3"],
-        "D2": None, "D3": None, "D4": None,
-        "T23": vec(0, 1, -1, 0), "T24": vec(0, 1, 0, -1),
-        "T34": vec(0, 0, 1, -1),
-        "X2": g["gamma2"], "S23": vec(0, 1, 1, 0), "S24": vec(0, 1, 0, 1),
-    }
-    return {i: w[lab] for i, lab in enumerate(K_LABELS)}
+def _k_torus_weights(k_alg: LieAlgebra):
+    """(k_weights, k_t_weights) read off the brackets [Ht_i, e_j] of the
+    k table.
+
+    k_weights[j] holds the eigenvalues of ad Ht1..Ht4 on label j, or None
+    where ad Ht1 does not act diagonally on it (D2, D3, D4).  Ht2..Ht4 act
+    diagonally on every label, and k_t_weights[j] is (0, their
+    eigenvalues); raises ValueError otherwise.
+    """
+    hts = [k_alg.index[nm] for nm in ("Ht1", "Ht2", "Ht3", "Ht4")]
+    k_weights: Dict[int, Optional[Coord]] = {}
+    k_t_weights: Dict[int, Coord] = {}
+    for j in range(k_alg.dim):
+        w = []
+        for h in hts:
+            br = k_alg.bracket_basis(h, j)
+            diagonal = br.keys() <= {j}
+            w.append(br.get(j, ZERO).rational_value() if diagonal else None)
+        if None in w[1:]:
+            raise ValueError("the small torus does not act diagonally on %s"
+                             % k_alg.labels[j])
+        k_weights[j] = None if w[0] is None else tuple(w)
+        k_t_weights[j] = (Fraction(0),) + tuple(w[1:])
+    return k_weights, k_t_weights
 
 
-def _k_t_weights() -> Dict[int, Coord]:
-    full = _k_weights()
-    out = {}
-    for i, lab in enumerate(K_LABELS):
-        w = full[i]
-        if w is None:
-            w = {"D2": vec(0, 1, 0, 0), "D3": vec(0, 0, 1, 0),
-                 "D4": vec(0, 0, 0, 1)}[lab]
-        out[i] = (Fraction(0),) + tuple(w[1:])
-    return out
-
-
-def orthocomplement(model: F4Model, sub: Subspace, within: Subspace) -> Subspace:
+def orthocomplement(model: F4Model, sub: Echelon, within: Echelon) -> Echelon:
     """Exact orthocomplement of sub inside within, for the invariant form."""
-    wb = within.basis()
+    wb = within.rows()
     if kernel([{i: model.b(x, w) for i, x in enumerate(wb)} for w in wb]):
         raise ValueError("form degenerates on the ambient subspace")
-    sb = sub.basis()
+    sb = sub.rows()
     pairings = [{i: model.b(s, w) for i, s in enumerate(sb)} for w in wb]
-    result = Subspace(model.algebra.dim,
-                      [combine(c, wb) for c in kernel(pairings)])
-    if sub.dim + result.dim != within.dim:
+    result = Echelon([combine(c, wb) for c in kernel(pairings)])
+    if len(sub) + len(result) != len(within):
         raise ValueError("orthocomplement dimension mismatch")
     return result
 
@@ -922,17 +884,17 @@ def transversality_rank(model: F4Model, which: str) -> Tuple[int, int]:
         target = model.subspaces["k"]
     else:
         raise ValueError("unknown transversality map %r" % which)
-    return _transversality_rank_at(model, dom, zo), target.dim
+    return _transversality_rank_at(model, dom, zo), len(target)
 
 
-def _transversality_columns(model: F4Model, dom: Subspace,
+def _transversality_columns(model: F4Model, dom: Echelon,
                             z: LieElement) -> List[LieElement]:
     """The images [x, z] of the basis of dom, then the basis of (mplus)perp."""
-    return ([model.algebra.bracket(x, z) for x in dom.basis()]
-            + model.subspaces["mplus_perp"].basis())
+    return ([model.algebra.bracket(x, z) for x in dom.rows()]
+            + model.subspaces["mplus_perp"].rows())
 
 
-def _transversality_rank_at(model: F4Model, dom: Subspace,
+def _transversality_rank_at(model: F4Model, dom: Echelon,
                             z: LieElement) -> int:
     return len(Echelon(_transversality_columns(model, dom, z)))
 
@@ -958,20 +920,22 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
     sub = model.subspaces
 
     rep.equal("dim g = 52", alg.dim, 52)
-    rep.equal("dim k = 36", sub["k"].dim, 36)
-    rep.equal("dim p = 16", sub["p"].dim, 16)
-    rep.equal("dim m = 21", sub["m"].dim, 21)
-    rep.equal("dim n = 15", sub["n"].dim, 15)
-    rep.equal("dim a = 1", sub["a"].dim, 1)
-    rep.equal("dim gtilde = 21", sub["gtilde"].dim, 21)
+    rep.equal("dim k = 36", len(sub["k"]), 36)
+    rep.equal("dim p = 16", len(sub["p"]), 16)
+    rep.equal("dim m = 21", len(sub["m"]), 21)
+    rep.equal("dim n = 15", len(sub["n"]), 15)
+    rep.equal("dim a = 1", len(sub["a"]), 1)
+    rep.equal("dim gtilde = 21", len(sub["gtilde"]), 21)
 
-    rep.check("involution squares to identity",
-              model.theta * model.theta == Matrix.identity(alg.dim))
+    rep.check("involution squares to identity", _is_involution(model.theta))
     err = _is_automorphism(alg, model.theta)
     rep.check("involution is an automorphism", err is None, err)
     err = _is_automorphism(alg, model.chi)
     rep.check("rotation is an automorphism", err is None, err)
-    err = _jacobi_witness(alg)
+    # the Chevalley table, then the mixed table PBWEngine straightens on
+    err = next(("%s table: %s" % (name, w) for name, w in (
+        ("Chevalley", _jacobi_witness(alg)),
+        ("mixed", _jacobi_witness(model.g_algebra))) if w), None)
     rep.check("Jacobi identity on all basis triples", err is None, err)
     err = _jacobi_witness(model.k_algebra)
     rep.check("Jacobi identity on the 36-dim table", err is None, err)
@@ -995,7 +959,7 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
 
     rep.check("rotation fixes the small torus",
               all(model.chi_apply(t) == t
-                  for t in sub["t"].basis()))
+                  for t in sub["t"].rows()))
     rep.check("rotation moves the split coroot onto the compact one",
               model.chi_apply(d["Hmu"])
               == add(d["Xmu"], model.theta_apply(d["Xmu"])))
@@ -1006,7 +970,7 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
               == scale(half_sqrt2, d["E"]))
 
     rep.check("E is dominant for the centralizer nilradical",
-              all(br(x, d["E"]) == {} for x in sub["mplus"].basis()))
+              all(br(x, d["E"]) == {} for x in sub["mplus"].rows()))
 
     # difference vectors land in the nilradical of the centralizer
     rep.check("X4 - Xdelta in mplus", sub["mplus"].contains(d["D2"]))
@@ -1016,26 +980,26 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
               model.b(d["D2"], add(d["Xm4"], d["Xmdelta"])) == ZERO)
     rep.check("Xm4 + Xmdelta orthogonal to mplus",
               all(model.b(add(d["Xm4"], d["Xmdelta"]), v) == ZERO
-                  for v in sub["mplus"].basis()))
+                  for v in sub["mplus"].rows()))
 
-    rep.equal("dim mplus_perp = 27", sub["mplus_perp"].dim, 27)
-    rep.equal("dim y_perp = 33", sub["y_perp"].dim, 33)
+    rep.equal("dim mplus_perp = 27", len(sub["mplus_perp"]), 27)
+    rep.equal("dim y_perp = 33", len(sub["y_perp"]), 33)
     rep.check("anchor vector lies in mplus_perp",
               sub["mplus_perp"].contains(d["Zo"]))
     for nm in ("Xmdelta", "Xmdelta1", "Xmdelta2", "T32", "T42", "T43"):
         rep.check("y_perp contains %s" % nm, sub["y_perp"].contains(d[nm]))
     rep.check("y_perp contains mplus_perp",
-              all(sub["y_perp"].contains(v) for v in sub["mplus_perp"].basis()))
+              all(sub["y_perp"].contains(v) for v in sub["mplus_perp"].rows()))
 
     rep.check("[q, y] inside y",
               all(sub["y"].contains(br(x, y)) or not br(x, y)
-                  for x in sub["q"].basis() for y in sub["y"].basis()))
+                  for x in sub["q"].rows() for y in sub["y"].rows()))
     rep.check("y is abelian",
-              all(not br(x, y) for x in sub["y"].basis()
-                  for y in sub["y"].basis()))
+              all(not br(x, y) for x in sub["y"].rows()
+                  for y in sub["y"].rows()))
     rep.check("gtilde stable under the involution",
               all(sub["gtilde"].contains(model.theta_apply(v))
-                  for v in sub["gtilde"].basis()))
+                  for v in sub["gtilde"].rows()))
 
     # Cartan types
     _, split = f4_satake_data()
@@ -1065,10 +1029,8 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
     rep.check("invariant form: associativity on sampled triples", ok)
     # a square matrix has nonzero determinant exactly when its rows are
     # independent
-    killing_rows = [{j: c for j, c in enumerate(row) if c}
-                    for row in model.killing.entries]
     rep.check("F4 Killing determinant nonzero",
-              len(Echelon(killing_rows)) == alg.dim)
+              len(Echelon(model.killing)) == alg.dim)
     return rep
 
 

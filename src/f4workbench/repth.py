@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar, ZERO,
+from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, add, combine, coordinates, dual_basis, kernel,
                        rational_roots, sca, scale)
 from .liealg import F4Model, LieElement, orthocomplement
@@ -150,7 +150,7 @@ class Irrep:
     dims: Dict[Weight, int]
     offsets: Dict[Weight, int]
     dim: int
-    grams: Dict[Weight, Matrix]
+    grams: Dict[Weight, List[Dict[int, Scalar]]]   # symmetric sparse rows
     e_ops: List[SparseOp]               # one per simple root
     f_ops: List[SparseOp]
     weights_of_index: List[Weight]
@@ -217,7 +217,7 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
 
     n0 = (0,) * rank
     dims: Dict[tuple, int] = {n0: 1}
-    grams: Dict[tuple, Matrix] = {n0: Matrix([[ONE]])}
+    grams: Dict[tuple, List[Dict[int, Scalar]]] = {n0: [{0: ONE}]}
     # E[i][n]: list over basis of V_n of vectors over basis of V_{up(n, i)}
     e_data: List[Dict[tuple, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
     # F[i][n]: list over basis of V_n of vectors over basis of the weight
@@ -253,7 +253,7 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
             gram_rows: List[Dict[int, Scalar]] = []
             for a_idx, (i, t) in enumerate(cands):
                 up_i = up(mu, i)
-                g = grams[up_i].entries[t]
+                g = grams[up_i][t]
                 hval = sca(pairing(up_i, i))
                 row = {b_idx: above[a_idx]
                        for b_idx, above in enumerate(gram_rows)
@@ -266,7 +266,8 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
                     # pair with gram at up_i against basis vector t
                     acc = ZERO
                     for r, c in vecv.items():
-                        acc = acc + g[r] * c
+                        if r in g:
+                            acc = acc + g[r] * c
                     if acc:
                         row[b_idx] = acc
                 gram_rows.append(row)
@@ -280,8 +281,8 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
                     "dimension exceeds cap %d while building (prediction %s)"
                     % (cap, predicted))
             dims[mu] = dim_mu
-            grams[mu] = Matrix([[gram_rows[a].get(b, ZERO) for b in pivots]
-                                for a in pivots])
+            grams[mu] = [{k: gram_rows[a][b] for k, b in enumerate(pivots)
+                          if b in gram_rows[a]} for a in pivots]
             # record lowering data f_i: V_{mu+a_i} -> V_mu
             for i in range(rank):
                 up_i = up(mu, i)
@@ -722,7 +723,7 @@ class DegreeMachine:
         perp = orthocomplement(model, model.subspaces["m"],
                                model.subspaces["k"])
         self._casimir_perp = _casimir_of(
-            me, [me.lie_in_mixed(x) for x in perp.basis()])
+            me, [me.lie_in_mixed(x) for x in perp.rows()])
         self._casimir = None
 
         def core(x):

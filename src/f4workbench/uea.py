@@ -612,7 +612,7 @@ def model_casimir_g(me: ModelEngine) -> UEA:
 
 def model_casimir_m(me: ModelEngine) -> UEA:
     """Casimir of the centralizer subalgebra, inside U(k)."""
-    basis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].basis()]
+    basis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].rows()]
     return casimir(me.g, basis, me.invariant_form)
 
 
@@ -700,17 +700,22 @@ def invariants_up_to_degree(engine: PBWEngine, sub_basis: List[LieElement],
         level = extend(level)
     monos = level
     if label_weights is not None:
-        zero = tuple(Fraction(0) for _ in next(iter(label_weights.values())))
+        # scaled once by the lcm of their denominators, the weights are
+        # integers, and a monomial's weight is a sum of ints
+        den = lcm(*(Fraction(x).denominator
+                    for w in label_weights.values() for x in w))
+        scaled = {i: [int(x * den) for x in w]
+                  for i, w in label_weights.items()}
+        width = len(next(iter(scaled.values())))
 
-        def mono_weight(m: Mono):
-            acc = list(zero)
+        def weight_zero(m: Mono) -> bool:
+            acc = [0] * width
             for i, e in m:
-                w = label_weights[i]
-                for j in range(len(acc)):
-                    acc[j] += e * w[j]
-            return tuple(acc)
+                for j, x in enumerate(scaled[i]):
+                    acc[j] += e * x
+            return not any(acc)
 
-        monos = [m for m in monos if mono_weight(m) == zero]
+        monos = [m for m in monos if weight_zero(m)]
 
     space = [{m: ONE} for m in monos]
     for x in sub_basis:

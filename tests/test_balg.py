@@ -9,10 +9,28 @@ from f4workbench.balg import (
     check_triangular, coefficients_m_invariant, default_nmax,
     discrete_derivative, epsilon_ln, evaluate_poly, from_phi, leading_data,
     phi_coeffs, phi_poly, phi_value_at, shift_by_scalar, shift_substitute,
-    shift_substitute_direct, t_matrix_entry, to_phi,
+    t_matrix_entry, to_phi,
 )
 from f4workbench.exactnum import ONE, Scalar, ZERO, add, sca, scale, sub
 from f4workbench.uea import IwasawaElement, ONE_MONO
+
+
+def shift_substitute_direct(me, b):
+    """Independent route to shift_substitute: expand b(x + (H - 1))
+    binomially."""
+    m = b.degree
+    h = me.model.distinguished["H"]
+    arg = CentralArg(me, Fraction(-1), h)
+    out = [dict() for _ in range(m + 1)]
+    for j in range(m + 1):
+        bj = b.coeff(j)
+        if not bj:
+            continue
+        for i in range(j + 1):
+            term = me.g.mul(scale(sca(comb(j, i)), bj),
+                            arg.power(j - i))
+            out[i] = add(out[i], term)
+    return IwasawaElement(out).trim()
 
 
 def x_poly(me, *coeff_specs):

@@ -9,13 +9,32 @@ from hypothesis import given, settings, strategies as st
 import f4workbench
 from f4workbench.exactnum import (
     HALF, ONE, SQRT2, TWO, ZERO, Echelon, Matrix, PolyScalar, Scalar, add,
-    combine, coordinates, dual_basis, kernel, poly_det, poly_det_cofactor,
-    rational_roots, sca, scale, sqrt_in_field, sub,
+    combine, coordinates, dual_basis, kernel, poly_det, rational_roots, sca,
+    scale, sqrt_in_field, sub,
 )
 
 
 def S(a, b=0):
     return Scalar.from_pair(Fraction(a), Fraction(b))
+
+
+def poly_det_cofactor(entries) -> PolyScalar:
+    """Independent oracle for poly_det: the determinant by recursive
+    cofactor expansion along the first row."""
+    n = len(entries)
+    if n == 0:
+        return PolyScalar.constant(1)
+    if n == 1:
+        return entries[0][0]
+    acc = PolyScalar([])
+    for j in range(n):
+        if entries[0][j].is_zero():
+            continue
+        minor = [[entries[i][k] for k in range(n) if k != j]
+                 for i in range(1, n)]
+        term = entries[0][j] * poly_det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
 
 
 scalars = st.builds(
@@ -415,22 +434,41 @@ class TestSparseArithmetic:
 
 
 class TestDenseEliminationIsTheOracle:
-    """Outside exactnum, the program eliminates only through Echelon; the
-    dense Matrix eliminations are left to the tests as the oracle."""
+    """Outside exactnum, the program eliminates only through Echelon and
+    holds linear maps and forms as sparse vectors; the dense Matrix is left
+    to the tests as the oracle."""
 
     DENSE = {"rref", "solve", "nullspace", "bareiss"}
 
-    def test_no_dense_elimination_in_the_program(self):
+    @staticmethod
+    def _program_trees():
         package = pathlib.Path(f4workbench.__file__).parent
         sources = sorted(p for p in package.glob("*.py")
                          if p.name != "exactnum.py")
         assert sources
+        return [(path.name, ast.parse(path.read_text(), str(path)))
+                for path in sources]
+
+    def test_no_dense_elimination_in_the_program(self):
         calls = []
-        for path in sources:
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for name, tree in self._program_trees():
+            for node in ast.walk(tree):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in self.DENSE):
-                    calls.append("%s:%d %s" % (path.name, node.lineno,
+                    calls.append("%s:%d %s" % (name, node.lineno,
                                                node.func.attr))
         assert calls == []
+
+    def test_no_dense_matrix_in_the_program(self):
+        # no import, name or attribute Matrix outside exactnum
+        uses = []
+        for name, tree in self._program_trees():
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Name) and node.id == "Matrix"
+                        or isinstance(node, ast.Attribute)
+                        and node.attr == "Matrix"
+                        or isinstance(node, ast.alias)
+                        and node.name == "Matrix"):
+                    uses.append("%s:%d" % (name, getattr(node, "lineno", 0)))
+        assert uses == []

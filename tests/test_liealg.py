@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
-                                  add, sca, scale, sub)
+                                  add, combine, sca, scale, sub)
 from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
-    LieAlgebra, _is_automorphism, _jacobi_witness, _matrix_apply,
-    _transversality_columns, build_f4_model, cayley_transform,
-    chevalley_algebra, orthocomplement, transversality_rank, transversality_rank_zero_map,
-    verify_model,
+    _CAYLEY_COEFFS, LieAlgebra, _is_automorphism, _is_involution,
+    _jacobi_witness, _transversality_columns, build_f4_model,
+    cayley_transform, chevalley_algebra, orthocomplement,
+    transversality_rank, transversality_rank_zero_map, verify_model,
 )
 from f4workbench.rootdata import build_root_system, f4_root_system, vec
 
@@ -20,6 +20,63 @@ B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
 @pytest.fixture(scope="session")
 def model():
     return build_f4_model()
+
+
+def dense(vectors) -> Matrix:
+    """The square Matrix whose column j is vectors[j]; for the symmetric
+    rows of a form, the matrix of the form."""
+    n = len(vectors)
+    return Matrix.from_columns([[v.get(i, ZERO) for i in range(n)]
+                                for v in vectors])
+
+
+def columns(m: Matrix) -> list:
+    """The columns of m as sparse vectors with ascending keys."""
+    return [{i: row[j] for i, row in enumerate(m.entries) if row[j]}
+            for j in range(m.cols)]
+
+
+def matrix_apply(m: Matrix, x):
+    """m x, reading the columns of m afresh for each call."""
+    return combine(x, {j: {i: row[j] for i, row in enumerate(m.entries)
+                           if row[j]} for j in x})
+
+
+def dense_cayley(alg, xmu, theta_xmu) -> Matrix:
+    """exp(pi/4 ad W) as cayley_transform computed it on dense matrices:
+    ad W as a Matrix and its powers by Matrix products."""
+    n = alg.dim
+    w = sub(theta_xmu, xmu)
+    a = Matrix.from_columns([[alg.bracket(w, {j: ONE}).get(i, ZERO)
+                              for i in range(n)] for j in range(n)])
+    powers = [Matrix.identity(n), a]
+    for _ in range(3):
+        powers.append(powers[-1] * a)
+    if (powers[4] * a).add(powers[3].scale(sca(5))).add(a.scale(sca(4))) \
+            != Matrix.zero(n, n):
+        raise ValueError("generator spectrum is not {0,+-i,+-2i}")
+    out = Matrix.zero(n, n)
+    for c, p in zip(_CAYLEY_COEFFS, powers):
+        out = out.add(p.scale(c))
+    return out
+
+
+def dense_killing(alg) -> Matrix:
+    """trace(ad x ad y) filled into a dense Matrix, entry by entry."""
+    n = alg.dim
+    ad = [[alg.bracket_basis(j, k) for k in range(n)] for j in range(n)]
+    out = Matrix.zero(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            acc = ZERO
+            for k in range(n):
+                for l, c in ad[j][k].items():
+                    c2 = ad[i][l].get(k)
+                    if c2:
+                        acc = acc + c * c2
+            out.entries[i][j] = acc
+            out.entries[j][i] = acc
+    return out
 
 
 class TestChevalley:
@@ -48,12 +105,12 @@ class TestChevalley:
         a = chevalley_algebra(rs)
         kf = a.killing_form()
         # oracle: trace of (ad h)^2 over the 3-dim adjoint is 4 + 4 = 8
-        assert kf.entries[0][0] == sca(8)
+        assert kf[0][0] == sca(8)
         e = a.index["x[1]"]
-        assert kf.entries[e][e] == ZERO  # ad-nilpotency
+        assert e not in kf[e]  # ad-nilpotency
 
     def test_killing_f4_nondegenerate(self, model):
-        assert model.killing.det() != ZERO
+        assert dense(model.killing).det() != ZERO
 
 
 class TestModelInvariants:
@@ -63,16 +120,16 @@ class TestModelInvariants:
 
     def test_dimensions(self, model):
         s = model.subspaces
-        assert (s["k"].dim, s["p"].dim, s["m"].dim, s["n"].dim, s["a"].dim) \
+        assert tuple(len(s[nm]) for nm in ("k", "p", "m", "n", "a")) \
             == (36, 16, 21, 15, 1)
-        assert s["gtilde"].dim == 21
+        assert len(s["gtilde"]) == 21
 
     def test_q_dimensions(self, model):
         s = model.subspaces
-        assert s["qplus"].dim == 15
-        assert s["q"].dim == 18
-        assert s["qtilde"].dim == 21
-        assert s["hr"].dim == 2
+        assert len(s["qplus"]) == 15
+        assert len(s["q"]) == 18
+        assert len(s["qtilde"]) == 21
+        assert len(s["hr"]) == 2
 
     def test_normalizations(self, model):
         d = model.distinguished
@@ -97,14 +154,16 @@ class TestModelInvariants:
         d = model.distinguished
         assert model.chi_apply(d["Hmu"]) == add(
             d["Xmu"], model.theta_apply(d["Xmu"]))
-        for t in model.subspaces["t"].basis():
+        for t in model.subspaces["t"].rows():
             assert model.chi_apply(t) == t
 
     def test_cayley_wrong_normalization_rejected(self, model):
         d = model.distinguished
         bad = scale(sca(3), d["Xmu"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spectrum"):
             cayley_transform(model.algebra, bad, model.theta_apply(bad))
+        with pytest.raises(ValueError, match="spectrum"):
+            dense_cayley(model.algebra, bad, model.theta_apply(bad))
 
     def test_theta_eigenspace_matches_root_classification(self, model):
         # derived cross-check of the compact/noncompact displays
@@ -152,6 +211,43 @@ class TestModelInvariants:
             assert d[dname] == scale(c, br)
 
 
+class TestDenseModelOracles:
+    """The sparse involution, rotation and forms of the model against the
+    dense Matrix computations they replaced."""
+
+    def test_rotation_matches_dense_cayley(self, model):
+        xmu = model.distinguished["Xmu"]
+        want = columns(dense_cayley(model.algebra, xmu,
+                                    model.theta_apply(xmu)))
+        # same columns, each with the same key order
+        assert [list(c.items()) for c in model.chi] == \
+            [list(c.items()) for c in want]
+
+    def test_involution_squares_to_identity_densely(self, model):
+        assert dense(model.theta) * dense(model.theta) == Matrix.identity(52)
+        assert _is_involution(model.theta)
+        assert [list(c.items()) for c in model.theta] == \
+            [list(c.items()) for c in columns(dense(model.theta))]
+
+    @pytest.mark.parametrize("row, col", [(0, 0), (17, 30), (51, 40)])
+    def test_planted_entry_is_no_involution(self, model, row, col):
+        images = [dict(c) for c in model.theta]
+        accumulate(images[col], {row: ONE})
+        assert not _is_involution(images)
+        assert dense(images) * dense(images) != Matrix.identity(52)
+
+    @pytest.mark.parametrize("rs", [build_root_system([[2]]),
+                                    build_root_system(B4)], ids=["A1", "B4"])
+    def test_killing_rows_match_dense(self, rs):
+        alg = chevalley_algebra(rs)
+        assert alg.killing_form() == columns(dense_killing(alg))
+
+    def test_model_forms_match_dense(self, model):
+        kappa = dense_killing(model.algebra)
+        assert model.killing == columns(kappa)
+        assert model.bform == columns(kappa.scale(sca(Fraction(1, 18))))
+
+
 class TestTransversality:
     def test_ranks(self, model):
         assert transversality_rank(model, "T") == (33, 33)
@@ -163,7 +259,7 @@ class TestTransversality:
     def test_image_lands_in_y_perp(self, model):
         zo = model.distinguished["Zo"]
         yp = model.subspaces["y_perp"]
-        for x in model.subspaces["q"].basis():
+        for x in model.subspaces["q"].rows():
             img = model.algebra.bracket(x, zo)
             assert yp.contains(img)
 
@@ -185,11 +281,9 @@ class TestDenseRankOracle:
         assert len(Echelon(cols)) == self._dense_rank(cols) == rank
 
     def test_killing_rows(self, model):
-        killing = model.killing
-        rows = [{j: c for j, c in enumerate(row) if c}
-                for row in killing.entries]
+        killing = dense(model.killing)
         assert killing.det() != ZERO
-        assert len(Echelon(rows)) == killing.rank() == 52
+        assert len(Echelon(model.killing)) == killing.rank() == 52
 
 
 class TestTorusSolve:
@@ -208,18 +302,17 @@ class TestTorusSolve:
 class TestOrthocomplement:
     def test_dims(self, model):
         s = model.subspaces
-        assert s["mplus_perp"].dim == 27
-        assert s["y_perp"].dim == 33
+        assert len(s["mplus_perp"]) == 27
+        assert len(s["y_perp"]) == 33
 
     def test_full_space_complement_trivial(self, model):
         k = model.subspaces["k"]
         out = orthocomplement(model, k, k)
-        assert out.dim == 0
+        assert len(out) == 0
 
     def test_degenerate_restriction_rejected(self, model):
         # the form is degenerate on the span of a single nilpotent vector
-        from f4workbench.liealg import Subspace
-        nil = Subspace(model.algebra.dim, [model.distinguished["E"]])
+        nil = Echelon([model.distinguished["E"]])
         with pytest.raises(ValueError):
             orthocomplement(model, nil, nil)
 
@@ -264,9 +357,15 @@ class TestKAlgebra:
             assert model.theta_apply(v) == v
 
     def test_k_weights_consistency(self, model):
+        # the weights read off the k table are the hand table below, as
+        # Fraction tuples
+        want, want_t = hand_k_weights()
+        assert model.k_weights == want
+        assert model.k_t_weights == want_t
+        assert all(type(x) is Fraction
+                   for w in list(model.k_weights.values())
+                   + list(model.k_t_weights.values()) if w for x in w)
         # native labels carry the weight their bracket action shows
-        ka = model.k_algebra
-        d = model.distinguished
         cart = [model.distinguished[nm] for nm in ("Ht1", "Ht2", "Ht3", "Ht4")]
         for idx, w in model.k_weights.items():
             if w is None:
@@ -278,6 +377,41 @@ class TestKAlgebra:
                 assert got == want
 
 
+def hand_k_weights():
+    """(k_weights, k_t_weights) typed in from the root data: the weight of
+    each k label under Ht1..Ht4, None for D2, D3, D4, which Ht1 does not
+    act on diagonally, and the torus weights (0, Ht2..Ht4)."""
+    from f4workbench.liealg import K_LABELS
+    from f4workbench.rootdata import gamma_basis, vneg
+    g = gamma_basis()
+    w = {
+        "Xm1": vneg(g["gamma1"]), "Xm2": vneg(g["gamma2"]),
+        "Xm3": vneg(g["gamma3"]), "Xm4": vneg(g["gamma4"]),
+        "Xmdelta": vneg(g["delta"]), "Xmphi1": vneg(g["phi1"]),
+        "Xmdelta1": vneg(g["delta1"]), "Xmphi2": vneg(g["phi2"]),
+        "Xmdelta2": vneg(g["delta2"]), "Xmpsi1": vneg(g["psi1"]),
+        "Xmpsi2": vneg(g["psi2"]),
+        "T32": vec(0, -1, 1, 0), "T42": vec(0, -1, 0, 1),
+        "T43": vec(0, 0, -1, 1), "Sm23": vec(0, -1, -1, 0),
+        "Sm24": vec(0, -1, 0, -1),
+        "X1": g["gamma1"], "Xpsi1": g["psi1"], "Xpsi2": g["psi2"],
+        "Xdelta1": g["delta1"], "Xdelta2": g["delta2"],
+        "Ht1": vec(0, 0, 0, 0), "Ht2": vec(0, 0, 0, 0),
+        "Ht3": vec(0, 0, 0, 0), "Ht4": vec(0, 0, 0, 0),
+        "Xdelta": g["delta"], "E": g["gamma3"],
+        "D2": None, "D3": None, "D4": None,
+        "T23": vec(0, 1, -1, 0), "T24": vec(0, 1, 0, -1),
+        "T34": vec(0, 0, 1, -1),
+        "X2": g["gamma2"], "S23": vec(0, 1, 1, 0), "S24": vec(0, 1, 0, 1),
+    }
+    d_torus = {"D2": vec(0, 1, 0, 0), "D3": vec(0, 0, 1, 0),
+               "D4": vec(0, 0, 0, 1)}
+    k_weights = {i: w[lab] for i, lab in enumerate(K_LABELS)}
+    k_t_weights = {i: (Fraction(0),) + tuple((w[lab] or d_torus[lab])[1:])
+                   for i, lab in enumerate(K_LABELS)}
+    return k_weights, k_t_weights
+
+
 class TestSubspaceEchelon:
     def test_model_subspaces_are_the_dense_rref(self, model):
         # every model subspace, rebuilt from random combinations of its
@@ -285,11 +419,10 @@ class TestSubspaceEchelon:
         # row echelon form Matrix.rref computes from those generators
         import random
         from f4workbench.exactnum import combine
-        from f4workbench.liealg import Subspace
         rng = random.Random(5)
         n = model.algebra.dim
         for name, sub in sorted(model.subspaces.items()):
-            basis = sub.basis()
+            basis = sub.rows()
             gens = [combine({i: sca(rng.randint(-30, 30))
                              for i in range(len(basis))}, basis)
                     for _ in range(len(basis) + 1)] + [{}]
@@ -297,7 +430,7 @@ class TestSubspaceEchelon:
                                    for g in gens]).rref()
             want = [{i: c for i, c in enumerate(row) if c}
                     for row in rows[:len(pivots)]]
-            assert Subspace(n, gens).basis() == want, name
+            assert Echelon(gens).rows() == want, name
             assert basis == want, name
 
 
@@ -323,13 +456,13 @@ def jacobi_failures_oracle(alg, limit=10):
 
 
 def is_automorphism_oracle(alg, m):
-    """The automorphism check mapping both basis vectors of every pair
-    afresh: the oracle for liealg._is_automorphism."""
+    """The automorphism check on a dense Matrix, mapping both basis vectors
+    of every pair afresh: the oracle for liealg._is_automorphism."""
     for i in range(alg.dim):
-        xi = _matrix_apply(m, {i: ONE})
+        xi = matrix_apply(m, {i: ONE})
         for j in range(i + 1, alg.dim):
-            lhs = _matrix_apply(m, alg.bracket_basis(i, j))
-            rhs = alg.bracket(xi, _matrix_apply(m, {j: ONE}))
+            lhs = matrix_apply(m, alg.bracket_basis(i, j))
+            rhs = alg.bracket(xi, matrix_apply(m, {j: ONE}))
             if lhs != rhs:
                 return "bracket image mismatch at basis pair (%s, %s)" % (
                     alg.labels[i], alg.labels[j])
@@ -414,6 +547,21 @@ class TestJacobiOracle:
                 alg.labels[i] for i in got[0])
         assert len(rep.checks) == len(verify_model(model).checks)
 
+    def test_planted_mixed_table_fails_the_model_record(self, model):
+        # verify_model runs Jacobi on the table PBWEngine straightens on,
+        # inside the record of the Chevalley table, and names the table
+        from dataclasses import replace
+        alg = model.g_algebra
+        key = sorted(alg.table)[len(alg.table) // 2]
+        k, c = next(iter(alg.table[key].items()))
+        bad = _planted(alg, key, k, c * sca(Fraction(3, 5)))
+        rep = verify_model(replace(model, g_algebra=bad))
+        failed = [c for c in rep.checks if c["status"] == "fail"]
+        assert [c["id"] for c in failed] == [
+            "Jacobi identity on all basis triples"]
+        assert failed[0]["witness"] == "mixed table: " + _jacobi_witness(bad)
+        assert len(rep.checks) == len(verify_model(model).checks)
+
     def test_mixed_constants_fall_back_to_scalars(self):
         # [a, b] = (1 + sqrt2) b has no integer form but satisfies Jacobi
         alg = LieAlgebra(["a", "b", "c"], {(0, 1): {1: Scalar(1, 1)}})
@@ -436,14 +584,16 @@ class TestAutomorphismOracle:
 
     @pytest.mark.parametrize("name", ["theta", "chi"])
     def test_matches_oracle(self, model, name):
-        m = getattr(model, name)
-        assert _is_automorphism(model.algebra, m) is None
-        assert is_automorphism_oracle(model.algebra, m) is None
+        images = getattr(model, name)
+        assert _is_automorphism(model.algebra, images) is None
+        assert is_automorphism_oracle(model.algebra, dense(images)) is None
 
     @pytest.mark.parametrize("row, col", [(0, 0), (17, 30), (51, 40)])
     def test_planted_entry_same_pair(self, model, row, col):
-        m = Matrix([r[:] for r in model.theta.entries])
-        m.entries[row][col] = m.entries[row][col] + ONE
-        got = _is_automorphism(model.algebra, m)
+        # the entry at row of column col, that is at e_row in the image
+        # of e_col
+        images = [dict(c) for c in model.theta]
+        accumulate(images[col], {row: ONE})
+        got = _is_automorphism(model.algebra, images)
         assert got is not None
-        assert got == is_automorphism_oracle(model.algebra, m)
+        assert got == is_automorphism_oracle(model.algebra, dense(images))

@@ -80,7 +80,8 @@ class TestBuildIrrep:
                         reverse_candidates=True)
         assert a.dims == b.dims
         for w in a.grams:
-            ratio = a.grams[w].det() / b.grams[w].det()
+            ratio = Matrix(_gram_entries(a.grams[w])).det() \
+                / Matrix(_gram_entries(b.grams[w])).det()
             assert ratio.is_rational() and ratio.rational_value() > 0
 
     def test_bracket_relations_on_operators(self, modules):
@@ -131,7 +132,8 @@ def _dense_quotient_basis(gram_rows):
 def fraction_keyed_build_irrep(data, xi, cap=512, reverse_candidates=False,
                                positives=None):
     """build_irrep as it was before weights were keyed by depth vectors:
-    Fraction weights throughout, and every Gram entry computed."""
+    Fraction weights throughout, every Gram entry computed, and the Gram
+    matrices kept as dense Matrix objects."""
     rank = data.rank
     for i in range(rank):
         p = data.pairing(xi, i)
@@ -271,11 +273,19 @@ def fraction_keyed_build_irrep(data, xi, cap=512, reverse_candidates=False,
                        weights_of_index=weights_of_index)
 
 
+def _gram_entries(g):
+    """A Gram matrix as dense rows: Irrep.grams holds symmetric sparse
+    rows, the Fraction-keyed oracle a dense Matrix."""
+    if isinstance(g, Matrix):
+        return g.entries
+    return [[row.get(b, ZERO) for b in range(len(g))] for row in g]
+
+
 def _irrep_fields(rep):
     """Every field of an Irrep, with each dict's key order."""
     return (rep.data, rep.highest, list(rep.dims.items()),
             list(rep.offsets.items()), rep.dim,
-            [(w, g.entries) for w, g in rep.grams.items()],
+            [(w, _gram_entries(g)) for w, g in rep.grams.items()],
             [[list(col.items()) for col in op.cols] for op in rep.e_ops],
             [[list(col.items()) for col in op.cols] for op in rep.f_ops],
             rep.weights_of_index,

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,8 +31,8 @@ def _sl2_form(alg):
         acc = ZERO
         for i, ci in x.items():
             for j, cj in y.items():
-                if kf.entries[i][j]:
-                    acc = acc + ci * cj * kf.entries[i][j]
+                if j in kf[i]:
+                    acc = acc + ci * cj * kf[i][j]
         return acc
 
     return fv
@@ -259,7 +260,7 @@ class TestCasimir:
     def test_centralizer_casimir_in_uk(self, me):
         cm = model_casimir_m(me)
         assert me.k_only(cm)
-        for v in me.model.subspaces["m"].basis():
+        for v in me.model.subspaces["m"].rows():
             assert me.g.ad(me.lie_in_mixed(v), cm) == {}
 
 
@@ -293,11 +294,46 @@ class TestOmega:
 
     def test_omega0_m_invariant(self, me, omega_report):
         w0 = omega_report.omega.coeff(0)
-        for v in me.model.subspaces["m"].basis():
+        for v in me.model.subspaces["m"].rows():
             assert me.g.ad(me.lie_in_mixed(v), w0) == {}
 
 
+def fraction_weight_zero_monomials(n, max_degree, label_weights):
+    """The PBW monomials of degree <= max_degree in the labels below n
+    whose weight, summed in Fractions, is zero, in sorted order: the
+    filter invariants_up_to_degree ran before it scaled the weights to
+    integers."""
+    monos = set()
+    for d in range(max_degree + 1):
+        for letters in itertools.combinations_with_replacement(range(n), d):
+            monos.add(tuple((g, letters.count(g))
+                            for g in sorted(set(letters))))
+    width = len(next(iter(label_weights.values())))
+
+    def weight(m):
+        acc = [Fraction(0)] * width
+        for i, e in m:
+            for j in range(width):
+                acc[j] += e * Fraction(label_weights[i][j])
+        return acc
+
+    return [m for m in sorted(monos) if not any(weight(m))]
+
+
 class TestInvariants:
+    @pytest.mark.parametrize("weights, limit, max_degree", [
+        ("k", 36, 1), ("k", 36, 2), ("k", 36, 3), ("mixed", None, 2)])
+    def test_weight_filter_matches_fractions(self, me, weights, limit,
+                                             max_degree):
+        # with no generators the kernel is every monomial the filter keeps
+        lw = (mixed_t_weights(me) if weights == "mixed"
+              else {i: me.model.k_t_weights[i][1:] for i in range(36)})
+        got = invariants_up_to_degree(me.g, [], max_degree, label_weights=lw,
+                                      label_limit=limit)
+        assert all(list(u.values()) == [ONE] for u in got)
+        assert [next(iter(u)) for u in got] == \
+            fraction_weight_zero_monomials(limit or 52, max_degree, lw)
+
     def test_sl2_degree2(self, sl2):
         alg, eng = sl2
         gens = [{0: ONE}, {1: ONE}, {2: ONE}]
