@@ -23,7 +23,6 @@ combinations used by the induction machinery downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, List, Optional
@@ -326,21 +325,3 @@ def epsilon_ln(me: ModelEngine, cphi: List[UEA], l: int, n: int) -> UEA:
         return acc
 
     return antisymmetric_pair(me, f, l, n)
-
-
-@dataclass
-class LeadingData:
-    degree: int
-    leading: UEA
-    parity_even: bool
-    zero: bool = False
-
-
-def leading_data(b: IwasawaElement) -> LeadingData:
-    """Degree, leading coefficient, and the evenness surrogate for the
-    invariance of the leading term under the restricted Weyl group."""
-    t = b.trim()
-    if not t.coeffs:
-        return LeadingData(degree=-1, leading={}, parity_even=True, zero=True)
-    m = len(t.coeffs) - 1
-    return LeadingData(degree=m, leading=t.coeffs[m], parity_even=(m % 2 == 0))

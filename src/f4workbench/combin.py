@@ -82,16 +82,6 @@ def coefficient_a(i: int, r: int, T: int, n: int, l: int) -> Scalar:
     return sca(val)
 
 
-def coefficient_b(r: int, k: int, T: int, n: int, L: int) -> Scalar:
-    """r! (-1)^T 2^(T-r-2k) C(L, T-r-2k) C(T-L-n, r-n), or zero."""
-    c1 = _binom(L, T - r - 2 * k)
-    c2 = _binom(T - L - n, r - n)
-    if not c1 or not c2:
-        return ZERO
-    val = factorial(r) * (-1) ** T * Fraction(2) ** (T - r - 2 * k) * c1 * c2
-    return sca(val)
-
-
 def system_matrix(T: int, n: int, m: int,
                   reduced: bool = False) -> List[List[Scalar]]:
     """The rows, over L(T,n), of the matrix with columns over R (or the
@@ -462,54 +452,3 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
             rep.vanishes("combined (n,L)=(%d,%d)" % (n, L),
                          me.reduce_mod_mplus(acc), me.g.serialize)
     return rep
-
-
-# ---------------------------------------------------------------------------
-# degree-property bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def has_degree_property(me: ModelEngine, b: IwasawaElement,
-                        data: Optional[CoefficientData] = None) -> bool:
-    """d(b_{m-j}) <= m + 2j for every coefficient."""
-    dm = degree_machine(me)
-    b = b.trim()
-    m = b.degree
-    if m < 0:
-        return True
-    for j in range(m + 1):
-        c = b.coeff(m - j)
-        if not c:
-            continue
-        if dm.degree(c) > m + 2 * j:
-            return False
-    return True
-
-
-def power_needed_for_degree_property(me: ModelEngine, b: IwasawaElement) -> int:
-    """Smallest n with d(b_{m-j}) <= m + 2n + 2j for all j."""
-    dm = degree_machine(me)
-    b = b.trim()
-    m = b.degree
-    need = 0
-    for j in range(m + 1):
-        c = b.coeff(m - j)
-        if not c:
-            continue
-        gap = dm.degree(c) - m - 2 * j
-        if gap > 0:
-            need = max(need, (gap + 1) // 2)
-    return need
-
-
-def in_reduced_subspace(me: ModelEngine, b: IwasawaElement) -> bool:
-    """Whether every even coefficient has all its skew types of degree
-    beyond the coefficient index: types (2i, j) with i + j <= k vanish
-    in the coefficient of index 2k."""
-    data = coefficient_data(me, b)
-    for r in range(0, data.m + 1, 2):
-        k = r // 2
-        for (p, q) in data.components[r]:
-            if p // 2 + q <= k:
-                return False
-    return True

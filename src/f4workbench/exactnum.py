@@ -278,13 +278,6 @@ class Matrix:
         return Matrix([[ZERO] * cols for _ in range(rows)])
 
     @staticmethod
-    def identity(n: int) -> "Matrix":
-        m = Matrix.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = ONE
-        return m
-
-    @staticmethod
     def from_columns(cols) -> "Matrix":
         cols = [list(c) for c in cols]
         if not cols:
@@ -668,10 +661,6 @@ class PolyScalar:
     @staticmethod
     def constant(c) -> "PolyScalar":
         return PolyScalar([sca(c)])
-
-    @staticmethod
-    def variable() -> "PolyScalar":
-        return PolyScalar._of([0, 1], [], 1)
 
     @property
     def coeffs(self) -> list:

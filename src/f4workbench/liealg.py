@@ -213,16 +213,18 @@ def _rescaling(algebra: LieAlgebra) -> IntegerTable:
 # ---------------------------------------------------------------------------
 
 
-def _coroot_coeffs(rs: RootSystem, beta: Coord) -> List[Fraction]:
-    """Coefficients of beta-coroot over the simple coroots (integers)."""
+def _coroot_element(rs: RootSystem, beta: Coord) -> LieElement:
+    """The beta-coroot over the simple coroots, the first rs.rank labels
+    of a Chevalley basis (integer coefficients)."""
     ks = rs.simple_coefficients(beta)
     bb = rs.ip(beta, beta)
-    out = []
+    out: LieElement = {}
     for i, k in enumerate(ks):
         c = k * rs.ip(rs.simple[i], rs.simple[i]) / bb
         if c.denominator != 1:
             raise ValueError("non-integral coroot expansion")
-        out.append(c)
+        if c:
+            out[i] = sca(c)
     return out
 
 
@@ -342,8 +344,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
             done.add((r, s))
             tot = vadd(r, s)
             if all(x == 0 for x in tot):
-                coeffs = _coroot_coeffs(rs, r)
-                put(ridx[r], ridx[s], {i: sca(c) for i, c in enumerate(coeffs) if c})
+                put(ridx[r], ridx[s], _coroot_element(rs, r))
             elif tot in rs.roots:
                 put(ridx[r], ridx[s], {ridx[tot]: sca(data.n_any(r, s))})
     alg = LieAlgebra(labels, table)
@@ -461,8 +462,7 @@ def _build_theta(alg: LieAlgebra, rs: RootSystem,
     images: Dict[int, LieElement] = {}
     # Cartan part: h_alpha -> h_(theta alpha)
     for i in range(rank):
-        co = _coroot_coeffs(rs, theta_coord(rs.simple[i]))
-        images[i] = {j: sca(c) for j, c in enumerate(co) if c}
+        images[i] = _coroot_element(rs, theta_coord(rs.simple[i]))
     ridx = alg.root_index
     for i, alpha in enumerate(rs.simple):
         ta = theta_coord(alpha)
@@ -728,7 +728,7 @@ def build_f4_model() -> F4Model:
     g_alg = _rebase_table(alg, g_basis, g_labels)
 
     # named non-basis vectors
-    h_a1 = {i: sca(c) for i, c in enumerate(_coroot_coeffs(rs, alpha1)) if c}
+    h_a1 = _coroot_element(rs, alpha1)
     y_elt = sub(h_a1, z_elt)   # torus part of the alpha1 coroot
     h_elt = scale(sca(Fraction(1, 2)), h2)
     ytilde = add(y_elt, h_elt)
@@ -737,9 +737,9 @@ def build_f4_model() -> F4Model:
     if got_c != sca(c_value):
         raise ValueError("the scalar alpha1(Y) is %r, expected 3/2" % got_c)
 
-    hr1 = _coroot_element(rs, ridx, vec(0, 0, 1, -1))
-    hr2 = ch(_coroot_element(rs, ridx, vec(-1, 0, 0, 1)))
-    h43 = ch(_coroot_element(rs, ridx, vec(0, 0, -1, 1)))
+    hr1 = _coroot_element(rs, vec(0, 0, 1, -1))
+    hr2 = ch(_coroot_element(rs, vec(-1, 0, 0, 1)))
+    h43 = ch(_coroot_element(rs, vec(0, 0, -1, 1)))
     zo = add(add(add(xm4, xmdelta), add(xmphi2, xmdelta2)),
              add(xm3, h43))
 
@@ -822,11 +822,6 @@ def _form_value(form: List[LieElement], x: LieElement,
 def _is_involution(images: List[LieElement]) -> bool:
     """Whether the map sending e_j to images[j] squares to the identity."""
     return all(combine(x, images) == {j: ONE} for j, x in enumerate(images))
-
-
-def _coroot_element(rs: RootSystem, ridx, root: Coord) -> LieElement:
-    co = _coroot_coeffs(rs, root)
-    return {i: sca(c) for i, c in enumerate(co) if c}
 
 
 def _k_torus_weights(k_alg: LieAlgebra):

@@ -21,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, add, combine, coordinates, dual_basis, kernel,
                        rational_roots, sca, scale)
 from .liealg import F4Model, LieElement, orthocomplement
 from .reporting import Report
-from .rootdata import Coord, compact_split, DEFAULT_REGULAR, dot, gamma_basis, vec
+from .rootdata import Coord, RootSystem, gamma_basis, k_root_system, vec
 from .uea import Core, ModelEngine, UEA
 
 Weight = Coord
@@ -40,60 +40,17 @@ def xi_weight(k: int, l: int) -> Weight:
     return (half, k + half, half, half)
 
 
-def label_of_weight(w: Weight) -> Optional[Tuple[int, int]]:
-    """Invert xi_weight, or None when w is not on the spherical lattice."""
-    if not (w[0] == w[2] == w[3]):
-        return None
-    l2 = 2 * w[0]
-    k = w[1] - w[0]
-    if l2.denominator != 1 or k.denominator != 1:
-        return None
-    l, k = int(l2), int(k)
-    if l < 0 or k < 0:
-        return None
-    return (k, l)
-
-
-@dataclass(frozen=True)
-class TriangularData:
-    """Simple-root data driving the weight-by-weight construction."""
-
-    simple: Tuple[Coord, ...]
-
-    def pairing(self, w: Weight, i: int) -> Fraction:
-        a = self.simple[i]
-        return 2 * dot(w, a) / dot(a, a)
-
-    @property
-    def rank(self) -> int:
-        return len(self.simple)
-
-
-def k_triangular_data() -> TriangularData:
-    cs = compact_split(DEFAULT_REGULAR)
-    return TriangularData(simple=tuple(cs.simple_k))
-
-
-def sl2_triangular_data() -> TriangularData:
-    return TriangularData(simple=((Fraction(2),),))
-
-
-def positive_roots_k() -> Tuple[Coord, ...]:
-    return compact_split(DEFAULT_REGULAR).positives_k
-
-
-def weyl_dimension(xi: Weight, positives: Optional[Sequence[Coord]] = None
-                   ) -> int:
-    """Product formula over the positive roots, exactly."""
-    if positives is None:
-        positives = positive_roots_k()
-    rho = tuple(sum(a[i] for a in positives) / 2
-                for i in range(len(positives[0])))
+def weyl_dimension(xi: Weight, rs: Optional[RootSystem] = None) -> int:
+    """Product formula over the positive roots of rs (those of k by
+    default), exactly."""
+    if rs is None:
+        rs = k_root_system()
+    rho = rs.rho
     num = Fraction(1)
     den = Fraction(1)
-    for a in positives:
-        num *= dot(tuple(x + r for x, r in zip(xi, rho)), a)
-        den *= dot(rho, a)
+    for a in rs.positives:
+        num *= rs.ip(tuple(x + r for x, r in zip(xi, rho)), a)
+        den *= rs.ip(rho, a)
     val = num / den
     if val.denominator != 1 or val <= 0:
         raise ValueError("weight %r is not dominant integral" % (xi,))
@@ -134,9 +91,6 @@ class SparseOp:
     def commutator(self, other: "SparseOp") -> "SparseOp":
         return self.mul(other).add_scaled(other.mul(self), -ONE)
 
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
-
 
 # ---------------------------------------------------------------------------
 # the irreducible module builder
@@ -145,7 +99,7 @@ class SparseOp:
 
 @dataclass
 class Irrep:
-    data: TriangularData
+    data: RootSystem
     highest: Weight
     dims: Dict[Weight, int]
     offsets: Dict[Weight, int]
@@ -155,58 +109,38 @@ class Irrep:
     f_ops: List[SparseOp]
     weights_of_index: List[Weight]
 
-    def weight_diag(self, coords_eval) -> SparseOp:
-        """Diagonal operator mu -> coords_eval(mu) on each weight space."""
-        op = SparseOp(self.dim)
-        for w, off in self.offsets.items():
-            v = coords_eval(w)
-            if v:
-                for t in range(self.dims[w]):
-                    op.cols[off + t][off + t] = v
-        return op
 
-    def vector(self, weight: Weight, idx: int) -> Dict[int, Scalar]:
-        return {self.offsets[weight] + idx: ONE}
-
-
-def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
-                reverse_candidates: bool = False,
-                positives: Optional[Sequence[Coord]] = None) -> Irrep:
-    """Construct the irreducible with highest weight xi, exactly.
+def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
+    """Construct the irreducible of the root system rs with highest weight
+    xi, exactly.
 
     Raises when the Weyl-formula prediction exceeds the cap, naming the
     prediction, and when the constructed dimension disagrees with it.
 
     Inside, a weight mu = xi - sum_j n_j a_j is keyed by its integer depth
-    vector n, so <mu, a_i~> = <xi, a_i~> - sum_j n_j A_ij is integer
-    arithmetic on the Cartan matrix A.  Levels are sorted in the order of
-    the weights, on integers; the rational weights are made once, for the
-    returned Irrep, which is keyed by them.
+    vector n, so <mu, a_i~> = <xi, a_i~> - sum_j n_j A_ji is integer
+    arithmetic on the Cartan matrix A of rs.  Levels are sorted in the
+    order of the weights, on integers; the rational weights are made once,
+    for the returned Irrep, which is keyed by them.
     """
-    rank = data.rank
+    rank = rs.rank
     top: List[int] = []
-    for i in range(rank):
-        p = data.pairing(xi, i)
+    for a in rs.simple:
+        p = rs.coroot_pairing(xi, a)
         if p < 0 or p.denominator != 1:
             raise ValueError("weight %r is not dominant integral" % (xi,))
         top.append(int(p))
-    if positives is None and len(xi) == 4:
-        predicted = weyl_dimension(xi)
-    elif positives is not None:
-        predicted = weyl_dimension(xi, positives)
-    else:
-        predicted = None
-    if predicted is not None and predicted > cap:
+    predicted = weyl_dimension(xi, rs)
+    if predicted > cap:
         raise ValueError("predicted dimension %d exceeds the cap %d"
                          % (predicted, cap))
-    cartan = _cartan_matrix(data)
     # L mu = L xi - sum_j n_j (L a_j) with every L a_j integral, so the
     # integer tuples -sum_j n_j (L a_j) order the weights as mu does
-    scale_l = lcm(*(x.denominator for a in data.simple for x in a))
-    scaled = [[int(x * scale_l) for x in a] for a in data.simple]
+    scale_l = lcm(*(x.denominator for a in rs.simple for x in a))
+    scaled = [[int(x * scale_l) for x in a] for a in rs.simple]
 
     def pairing(n, i) -> int:
-        return top[i] - sum(nj * a for nj, a in zip(n, cartan[i]))
+        return top[i] - sum(nj * row[i] for nj, row in zip(n, rs.cartan))
 
     def up(n, i):
         return n[:i] + (n[i] - 1,) + n[i + 1:]
@@ -243,8 +177,6 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
         for mu in sorted(nxt, key=weight_order):
             cands = [(i, t) for i in range(rank)
                      for t in range(dims.get(up(mu, i), 0))]
-            if reverse_candidates:
-                cands = cands[::-1]
             if not cands:
                 continue
             # pairings <f_i u, f_j w> = <u, f_j e_i w> + d_ij <mu+a_i, a_i~> <u, w>
@@ -310,11 +242,11 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
             new_level.append(mu)
         level = new_level
 
-    if predicted is not None and total != predicted:
+    if total != predicted:
         raise AssertionError("constructed dimension %d != predicted %d"
                              % (total, predicted))
     # flatten, and make the rational weights
-    real = {n: tuple(x - sum(nj * a[c] for nj, a in zip(n, data.simple))
+    real = {n: tuple(x - sum(nj * a[c] for nj, a in zip(n, rs.simple))
                      for c, x in enumerate(xi)) for n in dims}
     real[n0] = xi
     order = sorted(dims, key=weight_order)
@@ -340,22 +272,11 @@ def build_irrep(data: TriangularData, xi: Weight, cap: int = 512,
                 for t, v in enumerate(f_data[i][up_i]):
                     for r, c in v.items():
                         f_ops[i].cols[offsets[up_i] + t][offsets[n] + r] = c
-    return Irrep(data=data, highest=xi,
+    return Irrep(data=rs, highest=xi,
                  dims={real[n]: d for n, d in dims.items()},
                  offsets={real[n]: o for n, o in offsets.items()}, dim=total,
                  grams={real[n]: g for n, g in grams.items()},
                  e_ops=e_ops, f_ops=f_ops, weights_of_index=weights_of_index)
-
-
-def _cartan_matrix(data: TriangularData) -> List[List[int]]:
-    """A_ij = <a_j, a_i~>, checked to be integral."""
-    out = []
-    for i in range(data.rank):
-        row = [data.pairing(a, i) for a in data.simple]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("simple roots with a nonintegral Cartan matrix")
-        out.append([int(x) for x in row])
-    return out
 
 
 def _quotient_basis(gram_rows: List[Dict[int, Scalar]]):
@@ -404,8 +325,7 @@ class KActionBasis:
     def __init__(self, model: F4Model):
         self.model = model
         ka = model.k_algebra
-        cs = compact_split(DEFAULT_REGULAR)
-        self.simple = tuple(cs.simple_k)
+        self.simple = k_root_system().simple
         e_vecs = [self._k_named(_SIMPLE_VECTOR_NAMES[s][0]) for s in self.simple]
         f_vecs = []
         for i, s in enumerate(self.simple):
@@ -519,7 +439,7 @@ def build_module(me: ModelEngine, k: int, l: int, cap: int = 512
 
 def build_module_for_weight(me: ModelEngine, xi: Weight, cap: int = 512
                             ) -> ModuleContext:
-    rep = build_irrep(k_triangular_data(), xi, cap=cap)
+    rep = build_irrep(k_root_system(), xi, cap=cap)
     basis = _action_basis(me)
     return ModuleContext(rep=rep, basis=basis, word_ops=basis.word_ops(rep))
 
@@ -734,8 +654,6 @@ class DegreeMachine:
         self._e = core(model.distinguished["E"])
         self._m_gens = [core(model.k_element_in_g(gvec))
                         for gvec in m_generators(me)]
-        pos = positive_roots_k()
-        self._rho = tuple(sum(a[i] for a in pos) / 2 for i in range(4))
 
     def casimir_apply(self, u: UEA) -> UEA:
         """sum_i ad(x_i) ad(x^i) u over dual bases of k, converted to and
@@ -750,7 +668,8 @@ class DegreeMachine:
                                                engine.to_core(u)))
 
     def casimir_eigenvalue(self, xi: Weight) -> Fraction:
-        return dot(xi, xi) + 2 * dot(xi, self._rho)
+        rs = k_root_system()
+        return rs.ip(xi, xi) + 2 * rs.ip(xi, rs.rho)
 
     def _is_m_invariant(self, v: Tuple[Core, Core]) -> bool:
         """Whether the m generators kill the core pair v."""
@@ -970,38 +889,3 @@ def degree_machine(me: ModelEngine) -> DegreeMachine:
     if me.degree_machine is None:
         me.degree_machine = DegreeMachine(me)
     return me.degree_machine
-
-
-@dataclass
-class AdditivityReport:
-    d_u: int
-    d_v: int
-    d_uv: int
-
-    @property
-    def ok(self) -> bool:
-        return self.d_uv == self.d_u + self.d_v
-
-
-def degree_additivity(me: ModelEngine, u: UEA, v: UEA) -> AdditivityReport:
-    dm = degree_machine(me)
-    return AdditivityReport(d_u=dm.degree(u), d_v=dm.degree(v),
-                            d_uv=dm.degree(me.g.mul(u, v)))
-
-
-def spherical_fundamentals() -> List[Tuple[Weight, bool]]:
-    """The fundamental weights with their spherical-lattice membership."""
-    data = k_triangular_data()
-    # column j holds the pairings of the unit weight j with the simple roots
-    columns = [{i: sca(p) for i in range(4)
-                if (p := data.pairing(_unit(j), i))} for j in range(4)]
-    out = []
-    for i in range(4):
-        coords = coordinates(columns, {i: ONE})
-        w = tuple(coords.get(j, ZERO).rational_value() for j in range(4))
-        out.append((w, label_of_weight(w) is not None))
-    return out
-
-
-def _unit(j: int) -> Weight:
-    return tuple(Fraction(1 if t == j else 0) for t in range(4))

@@ -69,8 +69,11 @@ class RootSystem:
         """2<phi, alpha>/<alpha, alpha>."""
         return 2 * self.ip(phi, alpha) / self.ip(alpha, alpha)
 
-    def reflect(self, beta: Coord, alpha: Coord) -> Coord:
-        return vsub(beta, vscale(self.coroot_pairing(beta, alpha), alpha))
+    @property
+    def rho(self) -> Coord:
+        """Half the sum of the positive roots."""
+        return tuple(sum(a[i] for a in self.positives) / 2
+                     for i in range(len(self.simple[0])))
 
     def height(self, beta: Coord) -> int:
         """Sum of simple-root coefficients (positive for positive roots)."""
@@ -410,26 +413,13 @@ def compact_split(regular: Coord) -> CompactSplit:
 DEFAULT_REGULAR = vec(0, 4, 2, 1)
 
 
-def restricted_negative_set(regular: Coord) -> Tuple[Coord, ...]:
-    """Roots restricting to the simple restricted root but negative on
-    the regular vector."""
-    rs, split = f4_satake_data()
-    lam0 = Fraction(1, 2)  # first coordinate of the simple root in P+
-    return tuple(a for a in split.p_plus
-                 if a[0] == lam0 and dot(a, regular) < 0)
-
-
-def is_compatible(regular: Coord) -> bool:
-    """Every root in the negative set, other than the simple one itself,
-    stays a root after subtracting the simple root of P+."""
-    rs, _ = f4_satake_data()
-    a1 = F4_SIMPLE[0]
-    for a in restricted_negative_set(regular):
-        if a == a1:
-            continue
-        if vsub(a, a1) not in rs.roots:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def k_root_system() -> RootSystem:
+    """The root system of k, on the simple roots of the compact split at
+    the default regular vector; the module builder and the degree machine
+    read the k roots from it."""
+    simple_k = compact_split(DEFAULT_REGULAR).simple_k
+    return build_root_system(cartan_matrix_of(simple_k), simple_coords=simple_k)
 
 
 def gamma_basis() -> Dict[str, Coord]:

@@ -18,8 +18,8 @@ e'_i = L sqrt2^{s_i} e_i of its algebra's integer table
 so that every structure constant becomes an integer.  The memo
 tables hold {monomial: int} on that basis, and an element there is two
 integer vectors (its rational and its sqrt2 part) over one common
-denominator, which never mix.  mul, mono_mul and ad convert their
-arguments to that core form on entry and back to Scalars on exit.
+denominator, which never mix.  mul and ad convert their arguments to
+that core form on entry and back to Scalars on exit.
 
 In the core a monomial is one packed int, sum_i e_i << (BITS i): the
 exponent of label i sits in its own BITS-bit field, so the last label of
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import (ONE, Scalar, ZERO, accumulate, add, combine,
                        coordinates, dual_basis, kernel, scale)
@@ -61,27 +61,6 @@ BITS = 8
 DEGREE_LIMIT = 1 << BITS
 
 
-@dataclass(frozen=True)
-class BasisOrder:
-    """A total order on the labels of an algebra, as a label tuple."""
-
-    labels: Tuple[str, ...]
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def suffix_start(self, ideal_labels: Sequence[str]) -> int:
-        """Index where an ideal suffix begins; raises if not a suffix."""
-        k = len(self.labels) - len(ideal_labels)
-        if tuple(self.labels[k:]) != tuple(ideal_labels):
-            raise ValueError("ideal labels must occupy a suffix of the order")
-        return k
-
-
-def mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
 def _nonzero(v: Core) -> Core:
     """v without its zero entries (v itself when it has none)."""
     if all(v.values()):
@@ -90,7 +69,7 @@ def _nonzero(v: Core) -> Core:
 
 
 class PBWEngine:
-    """Straightening engine for one algebra under one basis order.
+    """Straightening engine for one algebra, in the order of its labels.
 
     The engine works on the rescaled basis e'_i = L sqrt2^{s_i} e_i of
     the algebra's integer_table(), where every structure constant is an
@@ -107,11 +86,8 @@ class PBWEngine:
     once at exit.
     """
 
-    def __init__(self, algebra: LieAlgebra, order: Optional[BasisOrder] = None):
+    def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
-        self.order = order or BasisOrder(algebra.labels)
-        if tuple(self.order.labels) != tuple(algebra.labels):
-            raise ValueError("engine order must list the algebra labels")
         table = algebra.integer_table()
         self.parity, self.scale_l = table.parity, table.scale
         self._memo: Dict[Tuple[int, int], Core] = {}
@@ -334,10 +310,6 @@ class PBWEngine:
         self._ad_into(out, x, v)
         return _nonzero(out)
 
-    def mono_mul(self, m1: Mono, m2: Mono) -> UEA:
-        """Straightened product e^m1 * e^m2 on the original basis."""
-        return self.mul({m1: ONE}, {m2: ONE})
-
     def mul(self, u: UEA, v: UEA) -> UEA:
         p1, q1, d1, deg1 = self._to_core(u)
         p2, q2, d2, deg2 = self._to_core(v)
@@ -392,11 +364,6 @@ class PBWEngine:
 
     # -- structure helpers ----------------------------------------------------
 
-    @staticmethod
-    def degree(u: UEA) -> int:
-        """Filtration degree; -1 for the zero element."""
-        return max((mono_degree(m) for m in u), default=-1)
-
     def supported_below(self, u: UEA, bound: int) -> bool:
         """True when every index in the support is < bound."""
         return all(i < bound for m in u for i, _ in m)
@@ -427,32 +394,16 @@ class PBWEngine:
 # ---------------------------------------------------------------------------
 
 
-def ideal_normal_form(engine: PBWEngine, u: UEA, suffix_start: int):
-    """Split u = reduced + sum_k a_k X_k for a suffix-based left ideal.
+def reduce_mod(u: UEA, suffix_start: int) -> UEA:
+    """The normal form of u modulo the left ideal spanned by the labels
+    from suffix_start on.
 
     With the ideal basis occupying the order suffix, a PBW monomial lies
-    in the left ideal exactly when its largest label is an ideal label;
-    the reduced part collects the remaining monomials and is the unique
-    normal form.  Components are keyed by the terminal ideal generator.
+    in the left ideal exactly when its largest label is an ideal label,
+    so the normal form keeps the remaining monomials.
     """
-    reduced: UEA = {}
-    components: Dict[int, UEA] = {}
-    for m, c in u.items():
-        if m and m[-1][0] >= suffix_start:
-            g, p = m[-1]
-            head = m[:-1] + ((g, p - 1),) if p > 1 else m[:-1]
-            comp = components.setdefault(g, {})
-            comp[head] = comp.get(head, ZERO) + c
-        else:
-            reduced[m] = c
-    components = {g: {m: c for m, c in comp.items() if c}
-                  for g, comp in components.items()}
-    return {g: comp for g, comp in components.items() if comp}, \
-        {m: c for m, c in reduced.items() if c}
-
-
-def reduce_mod(engine: PBWEngine, u: UEA, suffix_start: int) -> UEA:
-    return ideal_normal_form(engine, u, suffix_start)[1]
+    return {m: c for m, c in u.items()
+            if c and not (m and m[-1][0] >= suffix_start)}
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +435,6 @@ class IwasawaElement:
 
     def coeff(self, j: int) -> UEA:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else {}
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
 
     def add(self, other: "IwasawaElement") -> "IwasawaElement":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -551,10 +499,6 @@ class ModelEngine:
     def k_only(self, u: UEA) -> bool:
         return self.g.supported_below(u, self.n_k)
 
-    def ad_named(self, name: str, u: UEA, n: int = 1) -> UEA:
-        x = self.lie_in_mixed(self.model.distinguished[name])
-        return self.g.ad_power(x, u, n)
-
     # -- the projection ------------------------------------------------------
 
     def iwasawa_project(self, u: UEA) -> IwasawaElement:
@@ -576,10 +520,10 @@ class ModelEngine:
                                for u in out]).trim()
 
     def reduce_mod_mplus(self, u: UEA) -> UEA:
-        return reduce_mod(self.g, u, self.mplus_start)
+        return reduce_mod(u, self.mplus_start)
 
     def reduce_mod_y(self, u: UEA) -> UEA:
-        return reduce_mod(self.g, u, self.y_start)
+        return reduce_mod(u, self.y_start)
 
 
 @lru_cache(maxsize=1)
@@ -622,7 +566,6 @@ class OmegaReport:
     omega1_scalar: Scalar          # coefficient of Z, a multiple of 1
     casimir_m_coeff: Scalar        # omega0 = this * Cas(m) + const * 1
     constant_coeff: Scalar
-    checks: list
 
 
 def omega_normalized(me: ModelEngine = None) -> OmegaReport:
@@ -643,7 +586,6 @@ def omega_normalized(me: ModelEngine = None) -> OmegaReport:
 
 def _omega_report(me: ModelEngine) -> OmegaReport:
     om = me.iwasawa_project(model_casimir_g(me))
-    checks = []
     if om.degree != 2:
         raise ValueError("projected Casimir does not have polynomial degree 2")
     top = om.coeff(2)
@@ -654,7 +596,6 @@ def _omega_report(me: ModelEngine) -> OmegaReport:
     if set(w1) != {ONE_MONO}:
         raise ValueError("the Z coefficient is not a scalar multiple of 1")
     w1s = w1[ONE_MONO]
-    checks.append(("omega1 nonzero scalar", bool(w1s)))
     w0 = om.coeff(0)
     cas_m = model_casimir_m(me)
     # solve w0 = s*cas_m + t*1 exactly over the monomial coordinates
@@ -662,10 +603,8 @@ def _omega_report(me: ModelEngine) -> OmegaReport:
     if sol is None:
         raise ValueError("constant coefficient is outside span{1, Casimir(m)}")
     s, t = sol.get(0, ZERO), sol.get(1, ZERO)
-    checks.append(("omega0 in span{1, Casimir(m)}", True))
-    checks.append(("omega0 constant shift recorded", True))
     return OmegaReport(omega=om, omega1_scalar=w1s, casimir_m_coeff=s,
-                       constant_coeff=t, checks=checks)
+                       constant_coeff=t)
 
 
 def invariants_up_to_degree(engine: PBWEngine, sub_basis: List[LieElement],

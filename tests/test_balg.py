@@ -5,9 +5,9 @@ from math import comb, factorial
 import pytest
 
 from f4workbench.balg import (
-    CentralArg, LeadingData, check_b_membership, check_congruences,
+    CentralArg, check_b_membership, check_congruences,
     check_triangular, coefficients_m_invariant, default_nmax,
-    discrete_derivative, epsilon_ln, evaluate_poly, from_phi, leading_data,
+    discrete_derivative, epsilon_ln, evaluate_poly, from_phi,
     phi_coeffs, phi_poly, phi_value_at, shift_by_scalar, shift_substitute,
     t_matrix_entry, to_phi,
 )
@@ -85,7 +85,7 @@ class TestDiscreteDerivative:
             d = discrete_derivative(p, m)
             assert d.trim().coeffs == [
                 scale(sca(factorial(m)), me.g.one())]
-            assert discrete_derivative(p, m + 1).is_zero()
+            assert discrete_derivative(p, m + 1).degree == -1
 
     def test_iterated_equals_direct(self, me):
         rng = random.Random(17)
@@ -224,21 +224,22 @@ class TestEpsilon:
 
 
 class TestLeadingData:
-    def test_omega(self, omega_report):
-        ld = leading_data(omega_report.omega)
-        assert ld.degree == 2 and ld.parity_even and not ld.zero
+    """The degree in x and the leading coefficient of members."""
+
+    def test_omega(self, me, omega_report):
+        om = omega_report.omega
+        assert om.degree == 2 and om.coeff(2) == me.g.one()
 
     def test_z_degree_one(self, me):
-        ld = leading_data(IwasawaElement([{}, me.g.one()]))
-        assert ld.degree == 1 and not ld.parity_even
+        b = IwasawaElement([{}, me.g.one(), {}])
+        assert b.degree == 1 and b.coeff(b.degree) == me.g.one()
 
     def test_omega_squared(self, me, omega_report):
         om2 = omega_report.omega.mul(omega_report.omega, me.g)
-        assert leading_data(om2).degree == 4
+        assert om2.degree == 4 and om2.coeff(4) == me.g.one()
 
     def test_zero(self):
-        ld = leading_data(IwasawaElement([]))
-        assert ld.zero
+        assert IwasawaElement([{}, {}]).degree == -1
 
 
 class TestRaisingIdentities:
@@ -319,7 +320,7 @@ class TestSerialization:
         om = omega_report.omega
         data = om.serialize(me.g)
         back = IwasawaElement.deserialize(me.g, data)
-        assert back.add(om.scale(-ONE)).is_zero()
+        assert back.add(om.scale(-ONE)).degree == -1
 
 
 def phi_substitute_oracle(me, b):

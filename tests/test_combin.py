@@ -1,26 +1,69 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 from f4workbench.combin import (
-    _a_entry, _binom_poly, _sigma_direct, _sigma_typed, assemble_system, coefficient_a, coefficient_b,
-    coefficient_data, degree_profile, determinant_factorization, dk_operator,
-    generalized_a_matrix, has_degree_property, in_reduced_subspace,
-    index_sets, power_needed_for_degree_property, system_matches_generalized,
-    system_matrix, u_element, weight_of,
+    _a_entry, _binom, _binom_poly, _sigma_direct, _sigma_typed,
+    assemble_system, coefficient_a, coefficient_data, degree_profile,
+    determinant_factorization, dk_operator, generalized_a_matrix, index_sets,
+    system_matches_generalized, system_matrix, u_element, weight_of,
 )
 from f4workbench.exactnum import (Matrix, ONE, PolyScalar, ZERO, add, sca,
                                   scale, sub)
+from f4workbench.repth import degree_machine
 from f4workbench.rootdata import gamma_basis, vadd, vscale
-from f4workbench.uea import IwasawaElement, model_casimir_m, reduce_mod
-from test_exactnum import poly_det_cofactor
+from f4workbench.uea import IwasawaElement, model_casimir_m
+from test_exactnum import poly_det_cofactor, variable
+
+
+def coefficient_b(r, k, T, n, L):
+    """r! (-1)^T 2^(T-r-2k) C(L, T-r-2k) C(T-L-n, r-n), or zero."""
+    c1 = _binom(L, T - r - 2 * k)
+    c2 = _binom(T - L - n, r - n)
+    if not c1 or not c2:
+        return ZERO
+    return sca(factorial(r) * (-1) ** T * Fraction(2) ** (T - r - 2 * k)
+               * c1 * c2)
+
+
+# The degree property of a member b of degree m in x, and the reduced
+# subspace, read off the degrees and types of its coefficients.  The
+# degree machine is built per engine on first use.
+
+def power_needed_for_degree_property(me, b):
+    """Smallest n with d(b_{m-j}) <= m + 2n + 2j for all j."""
+    dm = degree_machine(me)
+    m = b.degree
+    need = 0
+    for j in range(m + 1):
+        c = b.coeff(m - j)
+        if not c:
+            continue
+        gap = dm.degree(c) - m - 2 * j
+        if gap > 0:
+            need = max(need, (gap + 1) // 2)
+    return need
+
+
+def has_degree_property(me, b):
+    """d(b_{m-j}) <= m + 2j for every coefficient."""
+    return power_needed_for_degree_property(me, b) == 0
+
+
+def in_reduced_subspace(me, b):
+    """Whether every even coefficient has all its skew types of degree
+    beyond the coefficient index: types (2i, j) with i + j <= k vanish
+    in the coefficient of index 2k."""
+    data = coefficient_data(me, b)
+    return all(p // 2 + q > r // 2
+               for r in range(0, data.m + 1, 2)
+               for (p, q) in data.components[r])
 
 
 @pytest.fixture(scope="module")
 def cas_components(me):
-    from f4workbench.repth import degree_machine
     return degree_machine(me).components(model_casimir_m(me))
 
 
@@ -129,7 +172,7 @@ class TestGeneralizedMatrix:
         # linear factors of its roots
         import itertools
         from f4workbench.exactnum import poly_det
-        s = PolyScalar.variable()
+        s = variable()
         cases = 0
         for size in (1, 2, 3, 4):
             for lseq in itertools.combinations(range(0, 7), size):
@@ -366,7 +409,6 @@ class TestDegreeProperty:
         # it is not in the reduced subspace
         assert not in_reduced_subspace(me, omega_report.omega)
         # a degree-2 element whose coefficients carry only deep types is
-        from f4workbench.repth import degree_machine
         dm = degree_machine(me)
         comps = dm.components(omega_report.omega.coeff(0))
         deep = add(comps[(2, 0)], comps[(0, 2)])

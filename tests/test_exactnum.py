@@ -18,6 +18,16 @@ def S(a, b=0):
     return Scalar.from_pair(Fraction(a), Fraction(b))
 
 
+def variable() -> PolyScalar:
+    """The polynomial x."""
+    return PolyScalar([ZERO, ONE])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[ONE if i == j else ZERO for j in range(n)]
+                   for i in range(n)])
+
+
 def poly_det_cofactor(entries) -> PolyScalar:
     """Independent oracle for poly_det: the determinant by recursive
     cofactor expansion along the first row."""
@@ -156,7 +166,7 @@ class TestScalarConstructor:
 
 class TestMatrix:
     def test_identity_rank(self):
-        assert Matrix.identity(3).rank() == 3
+        assert identity(3).rank() == 3
 
     def test_zero_rank(self):
         assert Matrix.zero(2, 5).rank() == 0
@@ -198,7 +208,7 @@ class TestMatrix:
 
 class TestPolyScalar:
     def test_det_diag(self):
-        s = PolyScalar.variable()
+        s = variable()
         z = PolyScalar([])
         assert poly_det([[s, z], [z, s]]) == s * s
 
@@ -262,21 +272,21 @@ class TestPolyScalar:
         assert (r.p, r.q, r.den) == ([3], [], 1)
 
     def test_exact_div(self):
-        s = PolyScalar.variable()
+        s = variable()
         p = (s + PolyScalar.constant(2)) * (s - PolyScalar.constant(3))
         assert p.exact_div(s + PolyScalar.constant(2)) == s - PolyScalar.constant(3)
         with pytest.raises(ValueError):
             (s * s + PolyScalar.constant(1)).exact_div(s + PolyScalar.constant(1))
 
     def test_rational_roots(self):
-        s = PolyScalar.variable()
+        s = variable()
         p = (s - PolyScalar.constant(Fraction(1, 2))) * (s + PolyScalar.constant(4)) * s
         roots, rem = rational_roots(p)
         assert sorted(roots) == [Fraction(-4), Fraction(0), Fraction(1, 2)]
         assert rem.degree() == 0
 
     def test_rational_roots_nonsplit(self):
-        s = PolyScalar.variable()
+        s = variable()
         p = s * s + PolyScalar.constant(1)
         roots, rem = rational_roots(p)
         assert roots == [] and rem.degree() == 2

@@ -13,6 +13,7 @@ from f4workbench.liealg import (
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
 from f4workbench.rootdata import build_root_system, f4_root_system, vec
+from test_exactnum import identity
 
 B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
 
@@ -49,7 +50,7 @@ def dense_cayley(alg, xmu, theta_xmu) -> Matrix:
     w = sub(theta_xmu, xmu)
     a = Matrix.from_columns([[alg.bracket(w, {j: ONE}).get(i, ZERO)
                               for i in range(n)] for j in range(n)])
-    powers = [Matrix.identity(n), a]
+    powers = [identity(n), a]
     for _ in range(3):
         powers.append(powers[-1] * a)
     if (powers[4] * a).add(powers[3].scale(sca(5))).add(a.scale(sca(4))) \
@@ -224,7 +225,7 @@ class TestDenseModelOracles:
             [list(c.items()) for c in want]
 
     def test_involution_squares_to_identity_densely(self, model):
-        assert dense(model.theta) * dense(model.theta) == Matrix.identity(52)
+        assert dense(model.theta) * dense(model.theta) == identity(52)
         assert _is_involution(model.theta)
         assert [list(c.items()) for c in model.theta] == \
             [list(c.items()) for c in columns(dense(model.theta))]
@@ -234,7 +235,7 @@ class TestDenseModelOracles:
         images = [dict(c) for c in model.theta]
         accumulate(images[col], {row: ONE})
         assert not _is_involution(images)
-        assert dense(images) * dense(images) != Matrix.identity(52)
+        assert dense(images) * dense(images) != identity(52)
 
     @pytest.mark.parametrize("rs", [build_root_system([[2]]),
                                     build_root_system(B4)], ids=["A1", "B4"])

@@ -1,0 +1,72 @@
+"""src/ holds what the product reaches.
+
+Every function, class and method defined in the package must be named
+somewhere in the package or in perfbench/, outside its own definition.
+Code that only the tests call belongs in the tests, as a helper or an
+oracle.  The check is by name: a reference to any attribute of that name
+counts, so it misses a dead method that shares its name with a live one.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+import f4workbench
+
+PACKAGE = pathlib.Path(f4workbench.__file__).parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+# Matrix is the dense test oracle; it stays in exactnum because
+# perfbench/sample.py counts its eliminations, and these two methods are
+# called only by the tests that use it.
+ALLOWED = {"Matrix.from_columns", "Matrix.transpose"}
+
+
+def _names(node):
+    """Every name and attribute referenced under node."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _definitions(tree):
+    """(qualified name, node) of every non-dunder def and class."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.append((prefix + name, child))
+                visit(child, prefix + name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def test_every_definition_is_reached():
+    sources = sorted(PACKAGE.glob("*.py"))
+    bench = sorted(PERFBENCH.glob("*.py"))
+    assert sources and bench
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sources + bench}
+    refs = Counter()
+    for tree in trees.values():
+        refs.update(_names(tree))
+    unreached = []
+    for path in sources:
+        for qualname, node in _definitions(trees[path]):
+            name = node.name
+            if refs[name] - _names(node)[name] <= 0 \
+                    and qualname not in ALLOWED:
+                unreached.append("%s:%d %s" % (path.name, node.lineno,
+                                               qualname))
+    assert unreached == []

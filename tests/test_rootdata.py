@@ -5,9 +5,26 @@ import pytest
 from f4workbench.rootdata import (
     DEFAULT_REGULAR, F4_SIMPLE, build_root_system, cartan_matrix_of,
     cartan_type, compact_split, dot, f4_root_system, f4_satake_data,
-    gamma_basis, is_compatible, restricted_negative_set, simple_system, vadd,
-    vec, vneg, vsub,
+    gamma_basis, simple_system, vadd, vec, vneg, vscale, vsub,
 )
+
+
+def restricted_negative_set(regular):
+    """Roots restricting to the simple restricted root but negative on
+    the regular vector."""
+    _, split = f4_satake_data()
+    lam0 = Fraction(1, 2)  # first coordinate of the simple root in P+
+    return tuple(a for a in split.p_plus
+                 if a[0] == lam0 and dot(a, regular) < 0)
+
+
+def is_compatible(regular):
+    """Every root in the negative set, other than the simple one itself,
+    stays a root after subtracting the simple root of P+."""
+    rs, _ = f4_satake_data()
+    a1 = F4_SIMPLE[0]
+    return all(vsub(a, a1) in rs.roots
+               for a in restricted_negative_set(regular) if a != a1)
 
 
 class TestBuildRootSystem:
@@ -61,7 +78,7 @@ class TestBuildRootSystem:
                     cur = vadd(cur, a)
                 assert q - p == -rs.coroot_pairing(b, a)
                 # reflections permute the root set
-                assert rs.reflect(b, a) in roots
+                assert vsub(b, vscale(rs.coroot_pairing(b, a), a)) in roots
 
 
 def _solve_rational(m, rhs):
