@@ -286,22 +286,20 @@ def _module_checks(me, kl, cap: int, modules: dict) -> List[tuple]:
     """The dimension, invariant, boundary and chain checks of module kl.
 
     The first builds the module into modules; the others read it there.
-    When the build fails (say on the dimension cap), modules holds the
-    error instead, and the others fail with a witness naming it.
+    The build itself checks the dimension: build_irrep raises naming both
+    the built and the predicted dimension when they differ.  When the
+    build fails (on that check or on the dimension cap), modules holds
+    the error instead, and the others fail with a witness naming it.
     """
-    from .repth import (build_module, m_invariants, verify_hw3iv,
-                        verify_techo, weyl_dimension, xi_weight)
+    from .repth import build_module, m_invariants, verify_hw3iv, verify_techo
 
     def dim():
-        if kl not in modules:
-            try:
-                modules[kl] = build_module(me, *kl, cap=cap)
-            except Exception as exc:
-                modules[kl] = exc
-                raise
-        ctx = modules[kl]
-        want = weyl_dimension(xi_weight(*kl))
-        return _ok(ctx.rep.dim == want, "dim %d vs %d" % (ctx.rep.dim, want))
+        try:
+            modules[kl] = build_module(me, *kl, cap=cap)
+        except Exception as exc:
+            modules[kl] = exc
+            raise
+        return True, None
 
     def on_module(check):
         def fn():

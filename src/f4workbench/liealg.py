@@ -4,6 +4,11 @@ The generic half of the module constructs a Chevalley basis for any
 finite-type Cartan matrix: integer structure constants with signs fixed
 by a deterministic extraspecial-pair convention, plus the Killing form
 and Jacobi validation.  Elements are sparse dicts {basis index: Scalar}.
+The roots of rootdata are tuples of Fractions; the integer coordinates
+live only inside ChevalleyData, which scales every root by the lcm of
+the denominators of the simple roots' coordinates, fixes the signs on
+those integer tuples, and maps its results back.  Labels, root_index
+and the public fields of ChevalleyData are on the Fraction coordinates.
 
 The F4 half instantiates the split 52-dimensional algebra in epsilon
 coordinates, builds the involution fixing the centralizer of the split
@@ -212,98 +217,141 @@ def _rescaling(algebra: LieAlgebra) -> IntegerTable:
 # Chevalley basis from a root system
 # ---------------------------------------------------------------------------
 
+# A root on the integer coordinates of ChevalleyData.
+_IntRoot = Tuple[int, ...]
 
-def _coroot_element(rs: RootSystem, beta: Coord) -> LieElement:
-    """The beta-coroot over the simple coroots, the first rs.rank labels
-    of a Chevalley basis (integer coefficients)."""
-    ks = rs.simple_coefficients(beta)
-    bb = rs.ip(beta, beta)
-    out: LieElement = {}
-    for i, k in enumerate(ks):
-        c = k * rs.ip(rs.simple[i], rs.simple[i]) / bb
-        if c.denominator != 1:
-            raise ValueError("non-integral coroot expansion")
-        if c:
-            out[i] = sca(c)
-    return out
+
+def _exact_quotient(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError("%d/%d is not an integer" % (num, den))
+    return q
 
 
 class ChevalleyData:
-    """Positive-pair structure constants with extraspecial-pair signs."""
+    """Positive-pair structure constants with extraspecial-pair signs.
+
+    N(a, b) = p + 1 on each extraspecial pair (Carter, Simple Groups of
+    Lie Type, 4.2); every other N follows from the relations among them.
+    The work runs on integer coordinates: each root is scaled by L, the
+    lcm of the denominators of the simple roots' coordinates (2 for F4 in
+    epsilon coordinates, 1 in the simple-root basis), and the squared
+    lengths by the lcm of theirs.  Scaling by positive integers keeps the
+    (height, coordinates) order of the positive roots and every length
+    ratio, so the labels, extraspecial pairs and signs are those of the
+    coordinates of rs.  pos_order, height, extraspecial and N are mapped
+    back to those coordinates once, at the end; N holds integers.
+    """
 
     def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.roots = rs.roots
-        height = {r: rs.height(r) for r in rs.positives}
-        self.pos_order = sorted(rs.positives, key=lambda r: (height[r], r))
-        self.pos_rank = {r: n for n, r in enumerate(self.pos_order)}
-        self.height = height
-        self.extraspecial: Dict[Coord, Tuple[Coord, Coord]] = {}
-        self.N: Dict[Tuple[Coord, Coord], Fraction] = {}
-        self._build()
+        scale_l = lcm(*(x.denominator for a in rs.simple for x in a))
+        lengths = {r: rs.ip(r, r) for r in rs.positives}
+        scale_len = lcm(*(v.denominator for v in lengths.values()))
+        self._int: Dict[Coord, _IntRoot] = {}
+        self._rational: Dict[_IntRoot, Coord] = {}
+        self._coeff: Dict[_IntRoot, Tuple[int, ...]] = {}
+        self._len: Dict[_IntRoot, int] = {}
+        height: Dict[_IntRoot, int] = {}
+        for r in rs.positives:
+            ri = tuple(x.numerator * (scale_l // x.denominator) for x in r)
+            ks = rs.coefficients[r]
+            height[ri] = sum(ks)
+            length = lengths[r].numerator * (scale_len
+                                             // lengths[r].denominator)
+            for key, val, coeff in ((r, ri, ks),
+                                    (vneg(r), vneg(ri), vneg(ks))):
+                self._int[key] = val
+                self._rational[val] = key
+                self._coeff[val] = coeff
+                self._len[val] = length
+        self._simple_len = [self._len[self._int[a]] for a in rs.simple]
+        self._order = sorted(height, key=lambda r: (height[r], r))
+        self._rank = {r: n for n, r in enumerate(self._order)}
+        self._extraspecial: Dict[_IntRoot, Tuple[_IntRoot, _IntRoot]] = {}
+        self._N: Dict[Tuple[_IntRoot, _IntRoot], int] = {}
+        self._build(height)
+        back = self._rational
+        self.pos_order = [back[r] for r in self._order]
+        self.height = {back[r]: h for r, h in height.items()}
+        self.extraspecial: Dict[Coord, Tuple[Coord, Coord]] = {
+            back[g]: (back[a], back[b])
+            for g, (a, b) in self._extraspecial.items()}
+        self.N: Dict[Tuple[Coord, Coord], int] = {
+            (back[a], back[b]): v for (a, b), v in self._N.items()}
 
-    def _down_string(self, alpha: Coord, beta: Coord) -> int:
+    def _down_string(self, alpha: _IntRoot, beta: _IntRoot) -> int:
         p = 0
         cur = vsub(beta, alpha)
-        while cur in self.roots:
+        while cur in self._len:
             p += 1
             cur = vsub(cur, alpha)
         return p
 
-    def _build(self):
-        ip = self.rs.ip
-        posset = set(self.pos_order)
-        for gamma in self.pos_order:
-            if self.height[gamma] == 1:
+    def _build(self, height: Dict[_IntRoot, int]):
+        # every root, and only a root, has a length
+        roots = length = self._len
+        rank, n_any = self._rank, self._n_any
+        for gamma in self._order:
+            if height[gamma] == 1:
                 continue
+            # pairs a + b = gamma of positive roots, a first, by rank of a
             pairs = []
-            for a in self.pos_order:
-                if self.pos_rank[a] > self.pos_rank[gamma]:
-                    break
+            for a in self._order[:rank[gamma]]:
                 b = vsub(gamma, a)
-                if b in posset and self.pos_rank[a] <= self.pos_rank[b]:
+                if b in rank and rank[a] <= rank[b]:
                     pairs.append((a, b))
-            a1, b1 = min(pairs, key=lambda p: self.pos_rank[p[0]])
-            self.extraspecial[gamma] = (a1, b1)
-            self.N[(a1, b1)] = Fraction(self._down_string(a1, b1) + 1)
-            n11 = self.N[(a1, b1)]
-            for (a, b) in pairs:
-                if (a, b) == (a1, b1):
-                    continue
-                t1 = Fraction(0)
-                if vsub(a, a1) in self.roots:
-                    t1 = self.n_any(vneg(a1), a) * self.n_any(vsub(a, a1), b)
-                t3 = Fraction(0)
-                if vsub(b, a1) in self.roots:
-                    t3 = self.n_any(b, vneg(a1)) * self.n_any(vsub(b, a1), a)
-                val = (t1 + t3) * ip(gamma, gamma) / (ip(b1, b1) * n11)
+            a1, b1 = pairs[0]
+            self._extraspecial[gamma] = (a1, b1)
+            n11 = self._N[(a1, b1)] = self._down_string(a1, b1) + 1
+            for (a, b) in pairs[1:]:
+                t1 = t3 = 0
+                if vsub(a, a1) in roots:
+                    t1 = n_any(vneg(a1), a) * n_any(vsub(a, a1), b)
+                if vsub(b, a1) in roots:
+                    t3 = n_any(b, vneg(a1)) * n_any(vsub(b, a1), a)
+                val = _exact_quotient((t1 + t3) * length[gamma],
+                                      length[b1] * n11)
                 expected = self._down_string(a, b) + 1
                 if abs(val) != expected:
                     raise AssertionError(
                         "structure constant magnitude %s != string bound %s"
                         % (val, expected))
-                self.N[(a, b)] = val
+                self._N[(a, b)] = val
 
-    def n_any(self, x: Coord, y: Coord) -> Fraction:
+    def _n_any(self, x: _IntRoot, y: _IntRoot) -> int:
         """N(x, y) for arbitrary roots with x + y a nonzero root."""
-        xpos = x in self.pos_rank
-        ypos = y in self.pos_rank
+        rank = self._rank
+        xpos = x in rank
+        ypos = y in rank
         if xpos and ypos:
-            if (x, y) in self.N:
-                return self.N[(x, y)]
-            return -self.N[(y, x)]
+            if (x, y) in self._N:
+                return self._N[(x, y)]
+            return -self._N[(y, x)]
         if not xpos and not ypos:
-            return -self.n_any(vneg(x), vneg(y))
+            return -self._n_any(vneg(x), vneg(y))
         if not xpos:
-            return -self.n_any(y, x)
+            return -self._n_any(y, x)
         # x positive, y = -nu negative
-        ip = self.rs.ip
+        length = self._len
         nu = vneg(y)
         gamma = vadd(x, y)
-        if gamma in self.pos_rank:
-            return -ip(gamma, gamma) / ip(x, x) * self.n_any(nu, gamma)
+        if gamma in rank:
+            return _exact_quotient(-length[gamma] * self._n_any(nu, gamma),
+                                   length[x])
         mu = vneg(gamma)
-        return ip(mu, mu) / ip(nu, nu) * self.n_any(mu, x)
+        return _exact_quotient(length[mu] * self._n_any(mu, x), length[nu])
+
+    def _coroot(self, beta: _IntRoot) -> LieElement:
+        bb = self._len[beta]
+        return {i: sca(_exact_quotient(k * aa, bb))
+                for i, (k, aa) in enumerate(zip(self._coeff[beta],
+                                                self._simple_len)) if k}
+
+    def coroot(self, beta: Coord) -> LieElement:
+        """The beta-coroot over the simple coroots, the first rs.rank
+        labels of a Chevalley basis (integer coefficients); raises
+        ValueError on a non-integral expansion."""
+        return self._coroot(self._int[beta])
 
 
 def root_label(r: Coord) -> str:
@@ -311,44 +359,38 @@ def root_label(r: Coord) -> str:
 
 
 def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
-    """Chevalley basis {h_i} + {x_r}: integer constants, Jacobi-true."""
+    """Chevalley basis {h_i} + {x_r}: integer constants, Jacobi-true.
+
+    Runs on the integer coordinates of ChevalleyData; the labels and
+    root_index are on the coordinates of rs.
+    """
     data = ChevalleyData(rs)
     rank = rs.rank
+    allroots = data._order + [vneg(r) for r in data._order]
     labels = ["h%d" % (i + 1) for i in range(rank)]
-    allroots = list(data.pos_order) + [vneg(r) for r in data.pos_order]
-    for r in allroots:
-        labels.append(root_label(r))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    ridx = {r: idx[root_label(r)] for r in allroots}
+    labels += [root_label(data._rational[r]) for r in allroots]
+    ridx = {r: rank + n for n, r in enumerate(allroots)}
 
+    # every key (i, j) below has i < j: the h_i come first and the roots
+    # are visited in label order
     table: Dict[Tuple[int, int], LieElement] = {}
-
-    def put(i: int, j: int, val: LieElement):
-        if i == j or not val:
-            return
-        if i < j:
-            table[(i, j)] = val
-        else:
-            table[(j, i)] = {k: -c for k, c in val.items()}
-
     for i in range(rank):
+        column = [row[i] for row in rs.cartan]
         for r in allroots:
-            pairing = rs.coroot_pairing(r, rs.simple[i])
+            # <r, alpha_i^vee> = sum_j c_j <alpha_j, alpha_i^vee>
+            pairing = sum(c * a for c, a in zip(data._coeff[r], column))
             if pairing:
-                put(i, ridx[r], {ridx[r]: sca(pairing)})
-    done = set()
-    for r in allroots:
-        for s in allroots:
-            if (s, r) in done or r == s:
-                continue
-            done.add((r, s))
+                table[(i, ridx[r])] = {ridx[r]: sca(pairing)}
+    for n, r in enumerate(allroots):
+        for s in allroots[n + 1:]:
             tot = vadd(r, s)
-            if all(x == 0 for x in tot):
-                put(ridx[r], ridx[s], _coroot_element(rs, r))
-            elif tot in rs.roots:
-                put(ridx[r], ridx[s], {ridx[tot]: sca(data.n_any(r, s))})
+            if tot in ridx:
+                table[(ridx[r], ridx[s])] = {ridx[tot]:
+                                             sca(data._n_any(r, s))}
+            elif not any(tot):
+                table[(ridx[r], ridx[s])] = data._coroot(r)
     alg = LieAlgebra(labels, table)
-    alg.root_index = dict(ridx)
+    alg.root_index = {data._rational[r]: i for r, i in ridx.items()}
     alg.rank = rank
     alg.rs = rs
     alg.chevalley = data
@@ -462,7 +504,7 @@ def _build_theta(alg: LieAlgebra, rs: RootSystem,
     images: Dict[int, LieElement] = {}
     # Cartan part: h_alpha -> h_(theta alpha)
     for i in range(rank):
-        images[i] = _coroot_element(rs, theta_coord(rs.simple[i]))
+        images[i] = data.coroot(theta_coord(rs.simple[i]))
     ridx = alg.root_index
     for i, alpha in enumerate(rs.simple):
         ta = theta_coord(alpha)
@@ -728,7 +770,7 @@ def build_f4_model() -> F4Model:
     g_alg = _rebase_table(alg, g_basis, g_labels)
 
     # named non-basis vectors
-    h_a1 = _coroot_element(rs, alpha1)
+    h_a1 = alg.chevalley.coroot(alpha1)
     y_elt = sub(h_a1, z_elt)   # torus part of the alpha1 coroot
     h_elt = scale(sca(Fraction(1, 2)), h2)
     ytilde = add(y_elt, h_elt)
@@ -737,9 +779,9 @@ def build_f4_model() -> F4Model:
     if got_c != sca(c_value):
         raise ValueError("the scalar alpha1(Y) is %r, expected 3/2" % got_c)
 
-    hr1 = _coroot_element(rs, vec(0, 0, 1, -1))
-    hr2 = ch(_coroot_element(rs, vec(-1, 0, 0, 1)))
-    h43 = ch(_coroot_element(rs, vec(0, 0, -1, 1)))
+    hr1 = alg.chevalley.coroot(vec(0, 0, 1, -1))
+    hr2 = ch(alg.chevalley.coroot(vec(-1, 0, 0, 1)))
+    h43 = ch(alg.chevalley.coroot(vec(0, 0, -1, 1)))
     zo = add(add(add(xm4, xmdelta), add(xmphi2, xmdelta2)),
              add(xm3, h43))
 

@@ -7,8 +7,24 @@ A check record is the JSON dict itself:
 from __future__ import annotations
 
 import json
+import sys
 import time
 from typing import Callable, Iterable, Optional, Tuple
+
+try:
+    import resource
+except ImportError:         # not on every platform (Windows)
+    resource = None
+
+
+def peak_rss_mb() -> Optional[float]:
+    """Peak resident set size of this process in MB (2^20 bytes), or None
+    without the resource module.  ru_maxrss counts KiB on Linux and bytes
+    on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 class Report:
@@ -91,7 +107,7 @@ class Report:
         wall = self.wall_time
         if wall is None:
             wall = time.perf_counter() - self._start
-        return {
+        out = {
             "suite": self.suite,
             "seed": self.seed,
             "checks": self.checks,
@@ -99,3 +115,7 @@ class Report:
             "setup_seconds": round(self.setup_seconds, 6),
             "wall_time_seconds": round(wall, 3),
         }
+        peak = peak_rss_mb()
+        if peak is not None:
+            out["peak_rss_mb"] = round(peak, 1)
+        return out

@@ -1,6 +1,7 @@
 """Root systems from Cartan data and the F4 restricted-root bookkeeping.
 
-Roots and weights are plain tuples of Fractions.  A system built from a
+Roots and weights are plain tuples of Fractions (liealg.ChevalleyData
+rescales them to integers for its own work).  A system built from a
 bare Cartan matrix lives in the coordinate space spanned by its simple
 roots, with the inner product read off a symmetrization of the matrix;
 the F4 system is realized concretely in the orthonormal epsilon basis
@@ -74,14 +75,6 @@ class RootSystem:
         """Half the sum of the positive roots."""
         return tuple(sum(a[i] for a in self.positives) / 2
                      for i in range(len(self.simple[0])))
-
-    def height(self, beta: Coord) -> int:
-        """Sum of simple-root coefficients (positive for positive roots)."""
-        return sum(self.simple_coefficients(beta))
-
-    def simple_coefficients(self, beta: Coord) -> Tuple[int, ...]:
-        """The coefficients c_i of the root beta = sum c_i alpha_i."""
-        return self.coefficients[beta]
 
 
 def validate_cartan(cartan: Sequence[Sequence[int]]) -> None:

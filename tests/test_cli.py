@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -86,6 +87,34 @@ class TestSuites:
         assert main(["verify", "model", "--json", str(out)]) == 0
         assert json.loads(out.read_text())["wall_time_seconds"] > 0
         capsys.readouterr()
+
+    def test_report_carries_peak_rss(self, tmp_path, capsys):
+        out = tmp_path / "model.json"
+        assert main(["verify", "model", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["peak_rss_mb"] > 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("platform, maxrss", [("linux", 51200),
+                                                  ("darwin", 50 << 20)])
+    def test_peak_rss_units(self, monkeypatch, platform, maxrss):
+        from f4workbench import reporting
+
+        class FakeResource:
+            RUSAGE_SELF = 0
+
+            @staticmethod
+            def getrusage(who):
+                return types.SimpleNamespace(ru_maxrss=maxrss)
+
+        monkeypatch.setattr(reporting, "resource", FakeResource)
+        monkeypatch.setattr(reporting.sys, "platform", platform)
+        assert reporting.peak_rss_mb() == 50.0
+        assert Report("x").as_dict()["peak_rss_mb"] == 50.0
+
+    def test_peak_rss_omitted_without_resource(self, monkeypatch):
+        from f4workbench import reporting
+        monkeypatch.setattr(reporting, "resource", None)
+        assert "peak_rss_mb" not in Report("x").as_dict()
 
     @pytest.mark.parametrize("suite", sorted(SUITES) + ["all"])
     def test_check_records_carry_seconds(self, suite, tmp_path, capsys):
@@ -355,6 +384,23 @@ class TestExitCodes:
         for c in checks[1:]:
             assert c["witness"] == "module (9,9) was not built: " + cap_error
 
+    def test_dimension_mismatch_fails_the_build_record(self, capsys,
+                                                       monkeypatch):
+        from f4workbench import repth
+        weyl = repth.weyl_dimension
+        monkeypatch.setattr(repth, "weyl_dimension",
+                            lambda xi, rs=None: weyl(xi, rs) + 1)
+        assert main(["repth", "verify", "--k", "1", "--l", "0"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        error = "AssertionError: constructed dimension 16 != predicted 17"
+        assert len(checks) == 4
+        assert checks[0]["id"] == \
+            "module (1,0): dimension matches the product formula"
+        assert [c["status"] for c in checks] == ["fail"] * 4
+        assert checks[0]["witness"] == error
+        for c in checks[1:]:
+            assert c["witness"] == "module (1,0) was not built: " + error
+
     @pytest.mark.parametrize("t, n, why", [
         ("9", "0", "T=9 out of range [2, 8]"),
         ("2", "-1", "(l,n)=(0,-1) has a negative entry"),
@@ -418,7 +464,8 @@ class TestReportSchema:
         code = main([paths.get(a, a) for a in command])
         report = json.loads(capsys.readouterr().out)
         assert list(report) == ["suite", "seed", "checks", "summary",
-                                "setup_seconds", "wall_time_seconds"]
+                                "setup_seconds", "wall_time_seconds",
+                                "peak_rss_mb"]
         assert code == int(report["summary"]["fail"] > 0)
         for c in report["checks"]:
             assert set(c) == ({"id", "status", "seconds"} |

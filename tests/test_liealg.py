@@ -9,10 +9,11 @@ from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
     _CAYLEY_COEFFS, LieAlgebra, _is_automorphism, _is_involution,
     _jacobi_witness, _transversality_columns, build_f4_model,
-    cayley_transform, chevalley_algebra, orthocomplement,
+    cayley_transform, chevalley_algebra, orthocomplement, root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
-from f4workbench.rootdata import build_root_system, f4_root_system, vec
+from f4workbench.rootdata import (build_root_system, f4_root_system, vadd,
+                                  vec, vneg, vsub)
 from test_exactnum import identity
 
 B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
@@ -112,6 +113,172 @@ class TestChevalley:
 
     def test_killing_f4_nondegenerate(self, model):
         assert dense(model.killing).det() != ZERO
+
+
+def coroot_element_oracle(rs, beta):
+    """The beta-coroot over the simple coroots, on Fraction coordinates."""
+    ks = rs.coefficients[beta]
+    bb = rs.ip(beta, beta)
+    out = {}
+    for i, k in enumerate(ks):
+        c = k * rs.ip(rs.simple[i], rs.simple[i]) / bb
+        if c.denominator != 1:
+            raise ValueError("non-integral coroot expansion")
+        if c:
+            out[i] = sca(c)
+    return out
+
+
+class ChevalleyDataOracle:
+    """ChevalleyData on the Fraction coordinates of the root system: the
+    oracle for the integer-coordinate ChevalleyData."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.roots = rs.roots
+        height = {r: sum(rs.coefficients[r]) for r in rs.positives}
+        self.pos_order = sorted(rs.positives, key=lambda r: (height[r], r))
+        self.pos_rank = {r: n for n, r in enumerate(self.pos_order)}
+        self.height = height
+        self.extraspecial = {}
+        self.N = {}
+        self._build()
+
+    def _down_string(self, alpha, beta):
+        p = 0
+        cur = vsub(beta, alpha)
+        while cur in self.roots:
+            p += 1
+            cur = vsub(cur, alpha)
+        return p
+
+    def _build(self):
+        ip = self.rs.ip
+        posset = set(self.pos_order)
+        for gamma in self.pos_order:
+            if self.height[gamma] == 1:
+                continue
+            pairs = []
+            for a in self.pos_order:
+                if self.pos_rank[a] > self.pos_rank[gamma]:
+                    break
+                b = vsub(gamma, a)
+                if b in posset and self.pos_rank[a] <= self.pos_rank[b]:
+                    pairs.append((a, b))
+            a1, b1 = min(pairs, key=lambda p: self.pos_rank[p[0]])
+            self.extraspecial[gamma] = (a1, b1)
+            self.N[(a1, b1)] = Fraction(self._down_string(a1, b1) + 1)
+            n11 = self.N[(a1, b1)]
+            for (a, b) in pairs:
+                if (a, b) == (a1, b1):
+                    continue
+                t1 = Fraction(0)
+                if vsub(a, a1) in self.roots:
+                    t1 = self.n_any(vneg(a1), a) * self.n_any(vsub(a, a1), b)
+                t3 = Fraction(0)
+                if vsub(b, a1) in self.roots:
+                    t3 = self.n_any(b, vneg(a1)) * self.n_any(vsub(b, a1), a)
+                val = (t1 + t3) * ip(gamma, gamma) / (ip(b1, b1) * n11)
+                assert abs(val) == self._down_string(a, b) + 1
+                self.N[(a, b)] = val
+
+    def n_any(self, x, y):
+        """N(x, y) for arbitrary roots with x + y a nonzero root."""
+        xpos = x in self.pos_rank
+        ypos = y in self.pos_rank
+        if xpos and ypos:
+            if (x, y) in self.N:
+                return self.N[(x, y)]
+            return -self.N[(y, x)]
+        if not xpos and not ypos:
+            return -self.n_any(vneg(x), vneg(y))
+        if not xpos:
+            return -self.n_any(y, x)
+        ip = self.rs.ip
+        nu = vneg(y)
+        gamma = vadd(x, y)
+        if gamma in self.pos_rank:
+            return -ip(gamma, gamma) / ip(x, x) * self.n_any(nu, gamma)
+        mu = vneg(gamma)
+        return ip(mu, mu) / ip(nu, nu) * self.n_any(mu, x)
+
+
+def chevalley_algebra_oracle(rs):
+    """The Chevalley basis built on Fraction coordinates, every pair of
+    roots visited through a set of done pairs."""
+    data = ChevalleyDataOracle(rs)
+    rank = rs.rank
+    labels = ["h%d" % (i + 1) for i in range(rank)]
+    allroots = list(data.pos_order) + [vneg(r) for r in data.pos_order]
+    for r in allroots:
+        labels.append(root_label(r))
+    idx = {lab: i for i, lab in enumerate(labels)}
+    ridx = {r: idx[root_label(r)] for r in allroots}
+    table = {}
+
+    def put(i, j, val):
+        if i == j or not val:
+            return
+        if i < j:
+            table[(i, j)] = val
+        else:
+            table[(j, i)] = {k: -c for k, c in val.items()}
+
+    for i in range(rank):
+        for r in allroots:
+            pairing = rs.coroot_pairing(r, rs.simple[i])
+            if pairing:
+                put(i, ridx[r], {ridx[r]: sca(pairing)})
+    done = set()
+    for r in allroots:
+        for s in allroots:
+            if (s, r) in done or r == s:
+                continue
+            done.add((r, s))
+            tot = vadd(r, s)
+            if all(x == 0 for x in tot):
+                put(ridx[r], ridx[s], coroot_element_oracle(rs, r))
+            elif tot in rs.roots:
+                put(ridx[r], ridx[s], {ridx[tot]: sca(data.n_any(r, s))})
+    alg = LieAlgebra(labels, table)
+    alg.root_index = dict(ridx)
+    alg.chevalley = data
+    return alg
+
+
+G2 = [[2, -1], [-3, 2]]
+
+
+class TestChevalleyOracle:
+    """The integer-coordinate Chevalley basis against the Fraction one."""
+
+    SYSTEMS = {"F4": f4_root_system, "B4": lambda: build_root_system(B4),
+               "G2": lambda: build_root_system(G2),
+               "A1": lambda: build_root_system([[2]])}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_matches_fraction_oracle(self, name):
+        rs = self.SYSTEMS[name]()
+        fast, slow = chevalley_algebra(rs), chevalley_algebra_oracle(rs)
+        assert fast.labels == slow.labels
+        assert fast.table == slow.table
+        assert list(fast.table) == list(slow.table)
+        assert fast.root_index == slow.root_index
+        got, want = fast.chevalley, slow.chevalley
+        assert got.pos_order == want.pos_order
+        assert got.height == want.height
+        assert got.extraspecial == want.extraspecial
+        assert got.N == want.N
+        assert all(type(v) is int for v in got.N.values())
+        for r in rs.roots:
+            assert got.coroot(r) == coroot_element_oracle(rs, r)
+
+    def test_f4_scales_by_two(self):
+        data = chevalley_algebra(f4_root_system()).chevalley
+        r = vec(Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2),
+                Fraction(-1, 2))
+        assert data._int[r] == (1, -1, -1, -1)
+        assert all(type(x) is int for ri in data._int.values() for x in ri)
 
 
 class TestModelInvariants:

@@ -122,8 +122,7 @@ class TestSimpleCoefficients:
         assert set(rs.coefficients) == rs.roots
         for beta in rs.roots:
             want = _solve_rational(gram, [rs.ip(beta, a) for a in rs.simple])
-            assert rs.simple_coefficients(beta) == tuple(want)
-            assert rs.height(beta) == sum(want)
+            assert rs.coefficients[beta] == tuple(want)
 
     def test_left_out_of_equality(self):
         rs = f4_root_system()
