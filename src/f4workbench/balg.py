@@ -14,22 +14,39 @@ The membership test implements, for the unique simple restricted root,
 the congruence
 
     E^n b(n - Y - 1) = b(-n - Y - 1) E^n   modulo the left ideal
-                                           generated by the centralizer
-                                           nilradical,
+                                           I = U(g) m+ generated by the
+                                           centralizer nilradical m+,
 
 together with its triangularized equivalent and the mixed-difference
 combinations used by the induction machinery downstream.
+
+Both sides are computed in the quotient U(g)/I.  Its normal form NF
+(uea.reduce_mod) keeps the PBW monomials of U(k) with no m+ label: in
+the model order the nine m+ labels D2 ... S24 are the last labels of k,
+so a monomial of U(k) lies in I exactly when its last label is one.
+  - I is a left ideal, so NF(u X) = NF(u NF(X)): the left side
+    multiplies only the reduced sum by E^n.
+  - E is the last label before the m+ block, and [E, m+] = 0, so
+    (U(g) m+) E^n = U(g) E^n m+ lies in I and NF(X E^n) = NF(X) E^n.
+    Every label of NF(X) is at most E, so that product only appends E^n
+    to each monomial (append_power), with no straightening.
+  - b(s + a) with a = -Y expands as sum_{i <= j} C(j, i) s^(j-i) b_j a^i,
+    since the scalar s commutes with a.  The products NF(b_j a^i) are
+    formed once per element, and each n takes two integer-weighted
+    sums of them.
+quotient_label checks the two facts about E on the engine's table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
-from .exactnum import ONE, add, sca, scale, sub
+from .exactnum import ONE, accumulate, add, sca, scale, sub
 from .liealg import LieElement
 from .reporting import Report
+from .repth import is_m_invariant
 from .uea import IwasawaElement, ONE_MONO, UEA, ModelEngine
 
 
@@ -153,17 +170,14 @@ class CentralArg:
         return self._powers[i]
 
 
-def evaluate_poly(me: ModelEngine, p: IwasawaElement, arg: CentralArg,
-                  right: Optional[UEA] = None) -> UEA:
-    """sum_j p_j arg^j (right), coefficients on the left."""
+def evaluate_poly(me: ModelEngine, p: IwasawaElement, arg: CentralArg) -> UEA:
+    """sum_j p_j arg^j, coefficients on the left."""
     acc: UEA = {}
     for j, pj in enumerate(p.coeffs):
         if not pj:
             continue
         term = me.g.mul(pj, arg.power(j))
         acc = add(acc, term)
-    if right is not None:
-        acc = me.g.mul(acc, right)
     return acc
 
 
@@ -209,14 +223,70 @@ def default_nmax(degree: int) -> int:
 
 def coefficients_m_invariant(me: ModelEngine, b: IwasawaElement) -> bool:
     """Whether every polynomial coefficient is killed by the centralizer."""
-    mbasis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].rows()]
+    return all(is_m_invariant(me, me.g.to_core(c)[:2])
+               for c in b.coeffs if c)
+
+
+def quotient_label(me: ModelEngine) -> int:
+    """The label of E, once the two facts the quotient arithmetic rests on
+    are checked on the engine's table: E is the last label before the m+
+    block, and E commutes with every m+ label.  Raises ValueError naming
+    the label that breaks them."""
+    alg = me.g.algebra
+    e = alg.index["E"]
+    if e != me.mplus_start - 1:
+        raise ValueError("E is label %d, but the label before the m+ block "
+                         "is %s" % (e, alg.labels[me.mplus_start - 1]))
+    for i in range(me.mplus_start, me.n_k):
+        if alg.bracket_basis(e, i):
+            raise ValueError("E does not commute with the m+ label %s"
+                             % alg.labels[i])
+    return e
+
+
+def append_power(u: UEA, label: int, n: int) -> UEA:
+    """u * e_label^n for u whose monomials use no label above label; the
+    product is then in PBW order as it stands."""
+    out: UEA = {}
+    for m, c in u.items():
+        if m and m[-1][0] == label:
+            out[m[:-1] + ((label, m[-1][1] + n),)] = c
+        else:
+            out[m + ((label, n),)] = c
+    return out
+
+
+def congruence_residuals(me: ModelEngine, b: IwasawaElement, nmax: int
+                         ) -> Iterator[UEA]:
+    """NF(E^n b(n - Y - 1) - b(-n - Y - 1) E^n) for n = 1..nmax, in the
+    quotient by I (module docstring).
+
+    Raises ValueError when a coefficient leaves U(k), or when the model
+    order breaks a fact quotient_label checks.
+    """
+    b = b.trim()
     for c in b.coeffs:
-        if not c:
-            continue
-        for x in mbasis:
-            if me.g.ad(x, c):
-                return False
-    return True
+        if c and not me.k_only(c):
+            raise ValueError("coefficients must lie in U(k)")
+    e = quotient_label(me)
+    a = CentralArg(me, Fraction(0), scale(-ONE, me.model.distinguished["Y"]))
+    # table[j][i] = NF(b_j a^i)
+    table = [[me.reduce_mod_mplus(me.g.mul(bj, a.power(i))) if bj else {}
+              for i in range(j + 1)] for j, bj in enumerate(b.coeffs)]
+
+    def at(s: int) -> UEA:
+        """NF(b(s + a))."""
+        acc: UEA = {}
+        for j, row in enumerate(table):
+            for i, p in enumerate(row):
+                c = comb(j, i) * s ** (j - i)
+                if p and c:
+                    accumulate(acc, p, sca(c))
+        return acc
+
+    for n in range(1, nmax + 1):
+        lhs = me.reduce_mod_mplus(me.g.mul(me.g.gen("E", n), at(n - 1)))
+        yield sub(lhs, append_power(at(-n - 1), e, n))
 
 
 def check_congruences(me: ModelEngine, b: IwasawaElement,
@@ -228,24 +298,12 @@ def check_congruences(me: ModelEngine, b: IwasawaElement,
     degree plus two; the triangular form shows higher equations are
     redundant, and the buffer catches assembly errors.
     """
-    b = b.trim()
-    for c in b.coeffs:
-        if c and not me.k_only(c):
-            raise ValueError("coefficients must lie in U(k)")
     if nmax is None:
         nmax = default_nmax(max(b.degree, 0))
-    y = me.model.distinguished["Y"]
-    neg_y = scale(-ONE, y)
     if rep is None:
         rep = Report("congruences")
-    for n in range(1, nmax + 1):
-        left_arg = CentralArg(me, Fraction(n - 1), neg_y)
-        right_arg = CentralArg(me, Fraction(-n - 1), neg_y)
-        en = me.g.gen("E", n)
-        lhs = me.g.mul(en, evaluate_poly(me, b, left_arg))
-        rhs = evaluate_poly(me, b, right_arg, right=en)
-        rep.vanishes("n=%d" % n, me.reduce_mod_mplus(sub(lhs, rhs)),
-                     me.g.serialize)
+    for n, residual in enumerate(congruence_residuals(me, b, nmax), 1):
+        rep.vanishes("n=%d" % n, residual, me.g.serialize)
     return rep
 
 
@@ -272,11 +330,13 @@ def check_triangular(me: ModelEngine, c: IwasawaElement) -> Report:
     difference, evaluate at n/2 + 1 - Ytilde, add the n-times-derived
     (n+1)-st difference evaluated at n/2 - 1/2 - Ytilde times E, and
     reduce; equation n only involves the coefficients from n upward.
+    Each term is reduced on its own, and E is appended to the reduced
+    second one (module docstring).
     """
     m = c.degree
     yt = me.model.distinguished["Ytilde"]
     neg_yt = scale(-ONE, yt)
-    e = me.g.gen("E")
+    e = quotient_label(me)
     rep = Report("triangular")
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
     for n in range(0, max(m, 0) + 1):
@@ -287,9 +347,10 @@ def check_triangular(me: ModelEngine, c: IwasawaElement) -> Report:
         arg1 = CentralArg(me, Fraction(n, 2) + 1, neg_yt)
         arg2 = CentralArg(me, Fraction(n, 2) - Fraction(1, 2), neg_yt)
         total = add(
-            evaluate_poly(me, IwasawaElement(dn_e), arg1),
-            evaluate_poly(me, IwasawaElement(dn1_e), arg2, right=e))
-        rep.vanishes("n=%d" % n, me.reduce_mod_mplus(total), me.g.serialize)
+            me.reduce_mod_mplus(evaluate_poly(me, IwasawaElement(dn_e), arg1)),
+            append_power(me.reduce_mod_mplus(
+                evaluate_poly(me, IwasawaElement(dn1_e), arg2)), e, 1))
+        rep.vanishes("n=%d" % n, total, me.g.serialize)
     return rep
 
 

@@ -61,6 +61,10 @@ class Scalar:
     def __delattr__(self, name):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not by setting slots
+        return Scalar, (self.p, self.q, self.r)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

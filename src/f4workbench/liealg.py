@@ -554,11 +554,15 @@ def _ratio(x: LieElement, y: LieElement) -> Scalar:
 
 
 def _rebase_table(parent: LieAlgebra, basis: List[LieElement],
-                  labels: Sequence[str]) -> LieAlgebra:
+                  labels: Sequence[str],
+                  head: Optional[LieAlgebra] = None) -> LieAlgebra:
     """Bracket table of a list of closed vectors, over those vectors.
 
     The result carries coords_in_parent, the coordinates over the vectors
     of a parent element in their span; it raises on any other element.
+    head, when given, is the table already rebased over the first
+    head.dim vectors, which span a subalgebra: its brackets keep their
+    coordinates over the longer list, so they are taken as they stand.
     """
     n = len(basis)
     span = Echelon()
@@ -571,9 +575,10 @@ def _rebase_table(parent: LieAlgebra, basis: List[LieElement],
             raise ValueError("element does not lie in the span")
         return out
 
-    table: Dict[Tuple[int, int], LieElement] = {}
+    table: Dict[Tuple[int, int], LieElement] = dict(head.table) if head else {}
+    start = head.dim if head else 0
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(max(i + 1, start), n):
             br = parent.bracket(basis[i], basis[j])
             if br:
                 table[(i, j)] = coords(br)
@@ -767,7 +772,7 @@ def build_f4_model() -> F4Model:
     n_basis = [ {ridx[a]: ONE} for a in split.p_plus ]
     g_labels = list(K_LABELS) + ["Z"] + ["n%d" % i for i in range(len(n_basis))]
     g_basis = k_basis + [z_elt] + n_basis
-    g_alg = _rebase_table(alg, g_basis, g_labels)
+    g_alg = _rebase_table(alg, g_basis, g_labels, head=k_alg)
 
     # named non-basis vectors
     h_a1 = alg.chevalley.coroot(alpha1)

@@ -473,6 +473,21 @@ def m_generators(me: ModelEngine) -> List[LieElement]:
     return gens
 
 
+def is_m_invariant(me: ModelEngine, v: Tuple[Core, Core]) -> bool:
+    """Whether the centralizer kills the core pair v of an element of U(g).
+
+    ad is a Lie algebra action, so m kills v exactly when the six
+    m_generators do: their Lie closure is m.  Their core forms are built
+    once per engine.
+    """
+    if me.m_generator_cores is None:
+        me.m_generator_cores = [
+            me.g.lie_core(me.lie_in_mixed(me.model.k_element_in_g(gvec)))[:2]
+            for gvec in m_generators(me)]
+    ad_pair = me.g.ad_pair
+    return not any(any(ad_pair(x, v)) for x in me.m_generator_cores)
+
+
 def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]:
     """Exact joint kernel of the centralizer action.
 
@@ -649,11 +664,9 @@ class DegreeMachine:
         def core(x):
             return me.g.lie_core(me.lie_in_mixed(x))[:2]
 
-        # the raisings and the m generators in core form, for ad_pair
+        # the raisings in core form, for ad_pair
         self._xdelta = core(model.distinguished["Xdelta"])
         self._e = core(model.distinguished["E"])
-        self._m_gens = [core(model.k_element_in_g(gvec))
-                        for gvec in m_generators(me)]
 
     def casimir_apply(self, u: UEA) -> UEA:
         """sum_i ad(x_i) ad(x^i) u over dual bases of k, converted to and
@@ -671,11 +684,6 @@ class DegreeMachine:
         rs = k_root_system()
         return rs.ip(xi, xi) + 2 * rs.ip(xi, rs.rho)
 
-    def _is_m_invariant(self, v: Tuple[Core, Core]) -> bool:
-        """Whether the m generators kill the core pair v."""
-        ad_pair = self.me.g.ad_pair
-        return not any(any(ad_pair(x, v)) for x in self._m_gens)
-
     def components(self, u: UEA) -> Dict[Tuple[int, int], UEA]:
         """Isotypic components of an invariant element, exactly."""
         if not u:
@@ -684,7 +692,7 @@ class DegreeMachine:
             raise ValueError("element must lie in U(k)")
         engine = self.me.g
         cur = engine.to_core(u)
-        if not self._is_m_invariant(cur[:2]):
+        if not is_m_invariant(self.me, cur[:2]):
             raise ValueError("element is not an invariant of the centralizer")
         # krylov[t] is the core (P_t, Q_t, D_t) of C^t u, until C^d u
         # falls into the span of the earlier ones.  C is rational on the

@@ -476,10 +476,11 @@ class ModelEngine:
         self.z_index = 36
         self.mplus_start = model.g_algebra.index["D2"]
         self.y_start = model.g_algebra.index["X2"]
-        # built on first use by repth.build_module, repth.degree_machine
-        # and omega_normalized
+        # built on first use by repth.build_module, repth.degree_machine,
+        # repth.is_m_invariant and omega_normalized
         self.action_basis = None
         self.degree_machine = None
+        self.m_generator_cores = None
         self.omega = None
 
     # -- conversions --------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -6,12 +7,14 @@ import pytest
 
 from f4workbench.balg import (
     CentralArg, check_b_membership, check_congruences,
-    check_triangular, coefficients_m_invariant, default_nmax,
-    discrete_derivative, epsilon_ln, evaluate_poly, from_phi,
+    check_triangular, coefficients_m_invariant, congruence_residuals,
+    default_nmax, discrete_derivative, epsilon_ln, evaluate_poly, from_phi,
     phi_coeffs, phi_poly, phi_value_at, shift_by_scalar, shift_substitute,
     t_matrix_entry, to_phi,
 )
-from f4workbench.exactnum import ONE, Scalar, ZERO, add, sca, scale, sub
+from f4workbench.exactnum import ONE, Echelon, Scalar, ZERO, add, sca, scale, sub
+from f4workbench.liealg import LieAlgebra, _closure
+from f4workbench.repth import m_generators
 from f4workbench.uea import IwasawaElement, ONE_MONO
 
 
@@ -380,3 +383,151 @@ class TestEpsilonOracle:
                 assert got == epsilon_oracle(me, cphi, l, n), (l, n)
                 nonzero += bool(me.reduce_mod_mplus(got))
         assert nonzero == 2
+
+
+# ---------------------------------------------------------------------------
+# the quotient arithmetic against the full products
+# ---------------------------------------------------------------------------
+
+
+def congruence_residuals_oracle(me, b, nmax):
+    """The residuals of E^n b(n - Y - 1) - b(-n - Y - 1) E^n for
+    n = 1..nmax: both sides in full in U(g) for each n, each argument power
+    formed afresh, and the difference reduced mod m+ at the end."""
+    neg_y = scale(-ONE, me.model.distinguished["Y"])
+    out = []
+    for n in range(1, nmax + 1):
+        left_arg = CentralArg(me, Fraction(n - 1), neg_y)
+        right_arg = CentralArg(me, Fraction(-n - 1), neg_y)
+        en = me.g.gen("E", n)
+        lhs = me.g.mul(en, evaluate_poly(me, b, left_arg))
+        rhs = me.g.mul(evaluate_poly(me, b, right_arg), en)
+        out.append(me.reduce_mod_mplus(sub(lhs, rhs)))
+    return out
+
+
+def m_invariant_oracle(me, b):
+    """Whether ad of each of the 21 basis vectors of m kills every
+    coefficient."""
+    mbasis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].rows()]
+    return not any(me.g.ad(x, c) for c in b.coeffs if c for x in mbasis)
+
+
+def triangular_oracle(me, c):
+    """The triangular residuals with the E term multiplied in full and the
+    sum reduced afterwards."""
+    neg_yt = scale(-ONE, me.model.distinguished["Ytilde"])
+    e_elt = me.lie_in_mixed(me.model.distinguished["E"])
+    out = []
+    for n in range(0, max(c.degree, 0) + 1):
+        dn_e = [me.g.ad_power(e_elt, u, n + 1)
+                for u in discrete_derivative(c, n).coeffs]
+        dn1_e = [me.g.ad_power(e_elt, u, n)
+                 for u in discrete_derivative(c, n + 1).coeffs]
+        arg1 = CentralArg(me, Fraction(n, 2) + 1, neg_yt)
+        arg2 = CentralArg(me, Fraction(n, 2) - Fraction(1, 2), neg_yt)
+        total = add(evaluate_poly(me, IwasawaElement(dn_e), arg1),
+                    me.g.mul(evaluate_poly(me, IwasawaElement(dn1_e), arg2),
+                             me.g.gen("E")))
+        out.append(me.reduce_mod_mplus(total))
+    return out
+
+
+def z_shifted(me, b):
+    """b with 1 added to its Z coefficient: not a member when b is."""
+    coeffs = [dict(c) for c in b.coeffs]
+    coeffs[1] = add(coeffs[1], me.g.one())
+    return IwasawaElement(coeffs)
+
+
+QUOTIENT_LABELS = ("X2", "T23", "S24", "D3", "Ht1", "Ht2", "E", "Xdelta")
+
+
+def random_element(me, rng):
+    """A polynomial of degree <= 3 whose coefficients are short sums of
+    products of up to two QUOTIENT_LABELS, ideal labels among them."""
+    coeffs = []
+    for _ in range(rng.randint(1, 4)):
+        c = {}
+        for _ in range(rng.randint(0, 2)):
+            term = me.g.one()
+            for _ in range(rng.randint(0, 2)):
+                term = me.g.mul(term, me.g.gen(rng.choice(QUOTIENT_LABELS)))
+            c = add(c, scale(sca(rng.randint(-3, 3)), term))
+        coeffs.append(c)
+    return IwasawaElement(coeffs).trim()
+
+
+class TestQuotientOracle:
+    """congruence_residuals and the invariance test on the six generators
+    against the full products and the 21 basis vectors of m."""
+
+    def test_named_elements(self, me, omega_report):
+        om = omega_report.omega
+        om2 = om.mul(om, me.g)
+        nonzero = []
+        for b in (om, om2, z_shifted(me, om), z_shifted(me, om2)):
+            nmax = default_nmax(b.degree)
+            got = list(congruence_residuals(me, b, nmax))
+            assert got == congruence_residuals_oracle(me, b, nmax)
+            assert m_invariant_oracle(me, b)
+            assert coefficients_m_invariant(me, b)
+            nonzero.append(sum(1 for r in got if r))
+        # the members pass every equation; the shifted controls fail some
+        assert nonzero[:2] == [0, 0] and all(nonzero[2:])
+
+    def test_seeded_random_elements(self, me):
+        rng = random.Random(31)
+        checked = failing = invariant = 0
+        while checked < 32:
+            b = random_element(me, rng)
+            if b.degree < 0:
+                continue
+            checked += 1
+            nmax = default_nmax(b.degree)
+            got = list(congruence_residuals(me, b, nmax))
+            assert got == congruence_residuals_oracle(me, b, nmax)
+            inv = coefficients_m_invariant(me, b)
+            assert inv == m_invariant_oracle(me, b)
+            failing += any(got)
+            invariant += inv
+        # the family exercises nonzero residuals and both invariance answers
+        assert failing >= 20 and 0 < invariant < checked
+
+    def test_triangular_terms_reduced_first(self, me, shifted_omega):
+        c = shift_substitute(me, shifted_omega)
+        rep = check_triangular(me, c)
+        want = triangular_oracle(me, c)
+        assert any(want)
+        for record, residual in zip(rep.checks, want):
+            assert (record["status"] == "pass") == (not residual)
+            if residual:
+                assert record["witness"].startswith(
+                    "%d residual monomials" % len(residual))
+        assert len(rep.checks) == len(want)
+
+    def test_m_generators_close_to_m(self, me):
+        model = me.model
+        gens = [model.k_element_in_g(g) for g in m_generators(me)]
+        closure = _closure(model.algebra, gens)
+        assert len(closure) == 21
+        assert closure.rows() == model.subspaces["m"].rows()
+
+    def test_e_must_centralize_mplus(self, me, omega_report):
+        alg = me.g.algebra
+        e, d3 = alg.index["E"], alg.index["D3"]
+        table = dict(alg.table)
+        table[(e, d3)] = {d3: ONE}
+        doctored = copy.copy(me)
+        doctored.g = copy.copy(me.g)
+        doctored.g.algebra = LieAlgebra(alg.labels, table)
+        with pytest.raises(ValueError, match="D3"):
+            check_congruences(doctored, omega_report.omega, 2)
+        with pytest.raises(ValueError, match="D3"):
+            check_triangular(doctored, omega_report.omega)
+
+    def test_e_must_precede_mplus(self, me, omega_report):
+        doctored = copy.copy(me)
+        doctored.mplus_start = me.mplus_start + 1
+        with pytest.raises(ValueError, match="D2"):
+            check_congruences(doctored, omega_report.omega, 2)

@@ -8,7 +8,7 @@ from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
 from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
     _CAYLEY_COEFFS, LieAlgebra, _is_automorphism, _is_involution,
-    _jacobi_witness, _transversality_columns, build_f4_model,
+    _jacobi_witness, _rebase_table, _transversality_columns, build_f4_model,
     cayley_transform, chevalley_algebra, orthocomplement, root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
@@ -508,6 +508,15 @@ class TestKAlgebra:
             lhs = model.k_element_in_g(got)
             rhs = model.algebra.bracket(model.k_basis[i], model.k_basis[j])
             assert lhs == rhs
+
+    def test_mixed_table_reuses_the_k_block(self, model):
+        # the mixed table takes its k x k block from the k table; rebased
+        # from scratch over all 52 vectors it comes out the same
+        ga = model.g_algebra
+        fresh = _rebase_table(model.algebra, model.g_basis, ga.labels)
+        assert fresh.table == ga.table
+        assert model.k_algebra.table == {
+            (i, j): v for (i, j), v in ga.table.items() if j < 36}
 
     def test_coords_in_parent_rejects_non_members(self, model):
         ka = model.k_algebra

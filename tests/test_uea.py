@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -871,3 +873,29 @@ class TestRescaling:
                     # [e'_i, e'_j] = L sqrt2^{s_i + s_j - s_k} c e'_k
                     assert sca(got[k]) == sca(big_l) * c * \
                         SQRT2 ** (s[i] + s[j] - s[k])
+
+
+class TestCopies:
+    """Scalars, and the UEA dicts and IwasawaElements holding them, survive
+    pickling and deep copies unchanged."""
+
+    def test_scalar_round_trip(self):
+        x = Scalar(3, -5, 14)
+        for back in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x),
+                     copy.copy(x)):
+            assert type(back) is Scalar
+            assert (back.p, back.q, back.r) == (3, -5, 14)
+            with pytest.raises(AttributeError):
+                back.p = 1
+
+    def test_uea_dict_round_trip(self, me, omega_report):
+        # a sqrt2 part and a denominator in every coefficient
+        u = scale(Scalar(1, 2, 3), omega_report.omega.coeff(0))
+        assert pickle.loads(pickle.dumps(u)) == u
+        assert copy.deepcopy(u) == u
+
+    def test_iwasawa_element_round_trip(self, me, omega_report):
+        om = omega_report.omega
+        for back in (pickle.loads(pickle.dumps(om)), copy.deepcopy(om)):
+            assert back == om and back is not om
+            assert back.coeffs[0] is not om.coeffs[0]
