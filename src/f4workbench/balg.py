@@ -5,10 +5,11 @@ Elements of U(k) (x) U(a) are read as polynomials in one central
 indeterminate x with left coefficients in U(k): b(arg) always means
 sum_j b_j * arg^j with the argument powers multiplying on the right.
 One type holds them, uea.IwasawaElement, with its coefficients in the
-monomial basis; to_phi and from_phi convert plain coefficient lists to
-and from the difference basis phi_0, phi_1, ....
-Arguments are "central" combinations s - T of a rational constant and a
-torus element, which commute with x but not with the coefficients.
+monomial basis; to_phi gives the coefficients over the difference basis
+phi_0, phi_1, ....
+Every argument is s + t, a rational constant s plus an element t of
+U(g): substitute forms b(x + t), which commutes with x but not with the
+coefficients, and IwasawaElement.at evaluates it at x = s.
 
 The membership test implements, for the unique simple restricted root,
 the congruence
@@ -30,10 +31,9 @@ so a monomial of U(k) lies in I exactly when its last label is one.
     (U(g) m+) E^n = U(g) E^n m+ lies in I and NF(X E^n) = NF(X) E^n.
     Every label of NF(X) is at most E, so that product only appends E^n
     to each monomial (append_power), with no straightening.
-  - b(s + a) with a = -Y expands as sum_{i <= j} C(j, i) s^(j-i) b_j a^i,
-    since the scalar s commutes with a.  The products NF(b_j a^i) are
-    formed once per element, and each n takes two integer-weighted
-    sums of them.
+  - b(x + a) with a = -Y is formed once per element by Horner's rule
+    and its coefficients are reduced once (NF is linear); each n then
+    evaluates it at the scalars x = n - 1 and x = -n - 1.
 quotient_label checks the two facts about E on the engine's table.
 """
 
@@ -44,7 +44,6 @@ from math import comb, factorial
 from typing import Callable, Iterator, List, Optional
 
 from .exactnum import ONE, accumulate, add, sca, scale, sub
-from .liealg import LieElement
 from .reporting import Report
 from .repth import is_m_invariant
 from .uea import IwasawaElement, ONE_MONO, UEA, ModelEngine
@@ -73,13 +72,6 @@ def phi_coeffs(n: int) -> List[Fraction]:
     return [c * inv for c in coeffs]
 
 
-def phi_value_at(n: int, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(phi_coeffs(n)):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # the phi basis
 # ---------------------------------------------------------------------------
@@ -100,18 +92,6 @@ def to_phi(p: IwasawaElement) -> List[UEA]:
     if any(rem):
         raise AssertionError("phi-basis conversion left a remainder")
     return out
-
-
-def from_phi(cs: List[UEA]) -> IwasawaElement:
-    """sum_j cs[j] phi_j in the monomial basis."""
-    out: List[UEA] = [dict() for _ in range(len(cs))]
-    for j, c in enumerate(cs):
-        if not c:
-            continue
-        for i, s in enumerate(phi_coeffs(j)):
-            if s:
-                out[i] = add(out[i], scale(sca(s), c))
-    return IwasawaElement(out).trim()
 
 
 # ---------------------------------------------------------------------------
@@ -149,67 +129,32 @@ def phi_poly(n: int) -> IwasawaElement:
                            for c in phi_coeffs(n)]).trim()
 
 
-class CentralArg:
-    """An argument s + T: rational constant plus a torus element of U(k)."""
-
-    def __init__(self, me: ModelEngine, scalar: Fraction,
-                 element: Optional[LieElement] = None):
-        self.me = me
-        self.scalar = Fraction(scalar)
-        base: UEA = {}
-        if scalar:
-            base[ONE_MONO] = sca(scalar)
-        if element:
-            base = add(base, me.g.from_lie(me.lie_in_mixed(element)))
-        self.value = base
-        self._powers = [me.g.one()]
-
-    def power(self, i: int) -> UEA:
-        while len(self._powers) <= i:
-            self._powers.append(self.me.g.mul(self._powers[-1], self.value))
-        return self._powers[i]
-
-
-def evaluate_poly(me: ModelEngine, p: IwasawaElement, arg: CentralArg) -> UEA:
-    """sum_j p_j arg^j, coefficients on the left."""
-    acc: UEA = {}
-    for j, pj in enumerate(p.coeffs):
-        if not pj:
-            continue
-        term = me.g.mul(pj, arg.power(j))
-        acc = add(acc, term)
-    return acc
+def substitute(me: ModelEngine, b: IwasawaElement, t: UEA) -> IwasawaElement:
+    """b(x + t) = sum_j b_j (x + t)^j for t in U(g), coefficients on the
+    left, by Horner's rule acc <- acc (x + t) + b_j.  Since x is central,
+    acc (x + t) moves each coefficient a_i up to x^(i+1) and adds a_i t
+    at x^i."""
+    acc: List[UEA] = []
+    for bj in reversed(b.trim().coeffs):
+        acc = [add(lo, me.g.mul(hi, t)) if hi else lo
+               for lo, hi in zip([bj] + acc, acc + [{}])]
+    return IwasawaElement(acc).trim()
 
 
 def t_matrix_entry(me: ModelEngine, i: int, j: int) -> UEA:
     """t_ij = sum_k (-1)^k C(i,k) (H + i/2 - 1 - k)^j, an H-polynomial."""
-    h = me.model.distinguished["H"]
+    h = me.uea_of(me.model.distinguished["H"])
     acc: UEA = {}
     for k in range(i + 1):
-        arg = CentralArg(me, Fraction(i, 2) - 1 - k, h)
-        term = scale(sca((-1) ** k * comb(i, k)), arg.power(j))
-        acc = add(acc, term)
+        arg = add(h, scale(sca(Fraction(i, 2) - 1 - k), me.g.one()))
+        accumulate(acc, me.g.power(arg, j), sca((-1) ** k * comb(i, k)))
     return acc
 
 
 def shift_substitute(me: ModelEngine, b: IwasawaElement) -> IwasawaElement:
-    """c(x) = b(x + H - 1).
-
-    Uses the triangular matrix c_i = sum_{j >= i} b_j t_ij, which gives
-    the phi-basis coefficients c_i of c, with the torus-polynomial
-    entries t_ij multiplying on the right.
-    """
-    m = b.degree
-    out: List[UEA] = []
-    for i in range(m + 1):
-        acc: UEA = {}
-        for j in range(i, m + 1):
-            bj = b.coeff(j)
-            if not bj:
-                continue
-            acc = add(acc, me.g.mul(bj, t_matrix_entry(me, i, j)))
-        out.append(acc)
-    return from_phi(out)
+    """c(x) = b(x + H - 1)."""
+    h = me.uea_of(me.model.distinguished["H"])
+    return substitute(me, b, sub(h, me.g.one()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +214,12 @@ def congruence_residuals(me: ModelEngine, b: IwasawaElement, nmax: int
         if c and not me.k_only(c):
             raise ValueError("coefficients must lie in U(k)")
     e = quotient_label(me)
-    a = CentralArg(me, Fraction(0), scale(-ONE, me.model.distinguished["Y"]))
-    # table[j][i] = NF(b_j a^i)
-    table = [[me.reduce_mod_mplus(me.g.mul(bj, a.power(i))) if bj else {}
-              for i in range(j + 1)] for j, bj in enumerate(b.coeffs)]
-
-    def at(s: int) -> UEA:
-        """NF(b(s + a))."""
-        acc: UEA = {}
-        for j, row in enumerate(table):
-            for i, p in enumerate(row):
-                c = comb(j, i) * s ** (j - i)
-                if p and c:
-                    accumulate(acc, p, sca(c))
-        return acc
-
+    neg_y = me.uea_of(scale(-ONE, me.model.distinguished["Y"]))
+    c = IwasawaElement([me.reduce_mod_mplus(u)
+                        for u in substitute(me, b, neg_y).coeffs])
     for n in range(1, nmax + 1):
-        lhs = me.reduce_mod_mplus(me.g.mul(me.g.gen("E", n), at(n - 1)))
-        yield sub(lhs, append_power(at(-n - 1), e, n))
+        lhs = me.reduce_mod_mplus(me.g.mul(me.g.gen("E", n), c.at(n - 1)))
+        yield sub(lhs, append_power(c.at(-n - 1), e, n))
 
 
 def check_congruences(me: ModelEngine, b: IwasawaElement,
@@ -334,8 +267,7 @@ def check_triangular(me: ModelEngine, c: IwasawaElement) -> Report:
     second one (module docstring).
     """
     m = c.degree
-    yt = me.model.distinguished["Ytilde"]
-    neg_yt = scale(-ONE, yt)
+    neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
     e = quotient_label(me)
     rep = Report("triangular")
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
@@ -344,12 +276,12 @@ def check_triangular(me: ModelEngine, c: IwasawaElement) -> Report:
         dn1 = discrete_derivative(c, n + 1).coeffs
         dn_e = [me.g.ad_power(e_elt, u, n + 1) for u in dn]
         dn1_e = [me.g.ad_power(e_elt, u, n) for u in dn1]
-        arg1 = CentralArg(me, Fraction(n, 2) + 1, neg_yt)
-        arg2 = CentralArg(me, Fraction(n, 2) - Fraction(1, 2), neg_yt)
+        first = substitute(me, IwasawaElement(dn_e), neg_yt)
+        second = substitute(me, IwasawaElement(dn1_e), neg_yt)
         total = add(
-            me.reduce_mod_mplus(evaluate_poly(me, IwasawaElement(dn_e), arg1)),
+            me.reduce_mod_mplus(first.at(Fraction(n, 2) + 1)),
             append_power(me.reduce_mod_mplus(
-                evaluate_poly(me, IwasawaElement(dn1_e), arg2)), e, 1))
+                second.at(Fraction(n, 2) - Fraction(1, 2))), e, 1))
         rep.vanishes("n=%d" % n, total, me.g.serialize)
     return rep
 
@@ -372,17 +304,19 @@ def epsilon_ln(me: ModelEngine, cphi: List[UEA], l: int, n: int) -> UEA:
     nilradical left ideal; the (n, l) combination is its negative.  A
     caller asking for many pairs converts c once.
     """
-    neg_yt = scale(-ONE, me.model.distinguished["Ytilde"])
+    neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
     e_elt = me.lie_in_mixed(me.model.distinguished["E"])
+    # phi_k(x - Ytilde) for every k either half of the pair reads
+    phis = [substitute(me, phi_poly(k), neg_yt)
+            for k in range(len(cphi) - min(l, n))]
 
     def f(l: int, n: int) -> UEA:
-        arg = CentralArg(me, l - Fraction(n, 2), neg_yt)
         acc: UEA = {}
         for i in range(n, len(cphi)):
             der = me.g.ad_power(e_elt, cphi[i], l)
             if der:
                 acc = add(acc, me.g.mul(
-                    der, evaluate_poly(me, phi_poly(i - n), arg)))
+                    der, phis[i - n].at(l - Fraction(n, 2))))
         return acc
 
     return antisymmetric_pair(me, f, l, n)

@@ -255,20 +255,20 @@ def u_element(me: ModelEngine) -> Tuple[UEA, Scalar, Scalar]:
     xd_x4 = me.g.mul(me.g.gen("Xdelta"), me.uea_of(me.model.distinguished["X4"]))
     t1 = me.g.mul(me.g.gen("T23"), me.g.gen("S23"))
     t2 = me.g.mul(me.g.gen("T24"), me.g.gen("S24"))
+    # the simple raisings of k, in k (and so mixed) coordinates
     k_idx = me.model.k_algebra.index
     raisers = [
-        me.model.k_element_in_g({k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE}),
-        me.model.k_element_in_g({k_idx["T34"]: ONE}),
-        me.model.k_element_in_g({k_idx["Xdelta2"]: ONE}),
-        me.model.k_element_in_g({k_idx["X1"]: ONE}),
+        {k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
+        {k_idx["T34"]: ONE},
+        {k_idx["Xdelta2"]: ONE},
+        {k_idx["X1"]: ONE},
     ]
     # the images under every raiser, stacked as one vector keyed by
     # (raiser, monomial): a ad(t1) + b ad(t2) = -ad(xd_x4)
     images = [{}, {}, {}]
     for r, x in enumerate(raisers):
-        xm = me.lie_in_mixed(x)
         for image, u in zip(images, (xd_x4, t1, t2)):
-            image.update(((r, mo), c) for mo, c in me.g.ad(xm, u).items())
+            image.update(((r, mo), c) for mo, c in me.g.ad(x, u).items())
     sol = coordinates(images[1:], scale(-ONE, images[0]))
     if sol is None:
         raise ValueError("no dominant combination exists")

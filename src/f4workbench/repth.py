@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, add, combine, coordinates, dual_basis, kernel,
                        rational_roots, sca, scale)
-from .liealg import F4Model, LieElement, orthocomplement
+from .liealg import LieElement, orthocomplement
 from .reporting import Report
 from .rootdata import Coord, RootSystem, gamma_basis, k_root_system, vec
 from .uea import Core, ModelEngine, UEA
@@ -322,14 +322,19 @@ class KActionBasis:
     yields the action of any element via one exact linear solve.
     """
 
-    def __init__(self, model: F4Model):
-        self.model = model
-        ka = model.k_algebra
+    def __init__(self, me: ModelEngine):
+        self.model = me.model
+        ka = me.model.k_algebra
         self.simple = k_root_system().simple
-        e_vecs = [self._k_named(_SIMPLE_VECTOR_NAMES[s][0]) for s in self.simple]
+
+        def named(name: str) -> LieElement:
+            # k coordinates are the first 36 mixed coordinates
+            return me.lie_in_mixed(me.model.distinguished[name])
+
+        e_vecs = [named(_SIMPLE_VECTOR_NAMES[s][0]) for s in self.simple]
         f_vecs = []
         for i, s in enumerate(self.simple):
-            cand = self._k_named(_SIMPLE_VECTOR_NAMES[s][1])
+            cand = named(_SIMPLE_VECTOR_NAMES[s][1])
             h = ka.bracket(e_vecs[i], cand)
             val = self._eval_weight(self.simple[i], h)
             if not val:
@@ -366,18 +371,6 @@ class KActionBasis:
             raise AssertionError("bracket words span only %d of 36"
                                  % len(self.words))
 
-    def _k_named(self, name: str) -> LieElement:
-        model = self.model
-        labels = {lab: i for i, lab in enumerate(model.k_algebra.labels)}
-        if name in labels:
-            return {labels[name]: ONE}
-        if name == "Xphi2":
-            return {labels["D4"]: ONE, labels["Xdelta2"]: ONE}
-        if name == "Xphi1":
-            return {labels["D3"]: ONE, labels["Xdelta1"]: ONE}
-        if name == "X4":
-            return {labels["D2"]: ONE, labels["Xdelta"]: ONE}
-        raise KeyError(name)
 
     def _eval_weight(self, w: Weight, h: LieElement) -> Scalar:
         # h must be toral: supported on the four Cartan labels (21..24)
@@ -429,7 +422,7 @@ class ModuleContext:
 
     def action_named(self, me: ModelEngine, name: str) -> SparseOp:
         x = me.model.distinguished[name]
-        return self.action(me.model.k_algebra.coords_in_parent(x))
+        return self.action(me.lie_in_mixed(x))
 
 
 def build_module(me: ModelEngine, k: int, l: int, cap: int = 512
@@ -446,7 +439,7 @@ def build_module_for_weight(me: ModelEngine, xi: Weight, cap: int = 512
 
 def _action_basis(me: ModelEngine) -> KActionBasis:
     if me.action_basis is None:
-        me.action_basis = KActionBasis(me.model)
+        me.action_basis = KActionBasis(me)
     return me.action_basis
 
 
@@ -459,16 +452,18 @@ M_SIMPLE_NEG_LABELS = ("T32", "T43",)   # the lowering partner of D4 is solved
 
 
 def m_generators(me: ModelEngine) -> List[LieElement]:
-    """Simple raising/lowering vectors of the centralizer, in k coords."""
+    """Simple raising/lowering vectors of the centralizer, in k
+    coordinates.  The mixed basis of g starts with the basis of k, so
+    these are also their mixed coordinates."""
     model = me.model
     ka = model.k_algebra
     idx = {lab: i for i, lab in enumerate(ka.labels)}
     gens = [{idx["T23"]: ONE}, {idx["T32"]: ONE},
             {idx["T34"]: ONE}, {idx["T43"]: ONE},
             {idx["D4"]: ONE}]
-    # lowering vector for the short torus root: in k coordinates
+    # lowering vector for the short torus root
     alg = model.algebra
-    lower = ka.coords_in_parent({alg.root_index[vec(0, 0, 0, -1)]: ONE})
+    lower = me.lie_in_mixed({alg.root_index[vec(0, 0, 0, -1)]: ONE})
     gens.append(lower)
     return gens
 
@@ -482,8 +477,7 @@ def is_m_invariant(me: ModelEngine, v: Tuple[Core, Core]) -> bool:
     """
     if me.m_generator_cores is None:
         me.m_generator_cores = [
-            me.g.lie_core(me.lie_in_mixed(me.model.k_element_in_g(gvec)))[:2]
-            for gvec in m_generators(me)]
+            me.g.lie_core(gvec)[:2] for gvec in m_generators(me)]
     ad_pair = me.g.ad_pair
     return not any(any(ad_pair(x, v)) for x in me.m_generator_cores)
 
@@ -672,10 +666,8 @@ class DegreeMachine:
         """sum_i ad(x_i) ad(x^i) u over dual bases of k, converted to and
         from the core once."""
         if self._casimir is None:
-            model = self.me.model
-            self._casimir = _casimir_of(
-                self.me, [self.me.lie_in_mixed(model.k_element_in_g({i: ONE}))
-                          for i in range(36)])
+            self._casimir = _casimir_of(self.me,
+                                        [{i: ONE} for i in range(36)])
         engine = self.me.g
         return engine.from_core(*_casimir_step(engine, self._casimir,
                                                engine.to_core(u)))

@@ -445,6 +445,15 @@ class IwasawaElement:
     def scale(self, c: Scalar) -> "IwasawaElement":
         return IwasawaElement([scale(c, u) for u in self.coeffs]).trim()
 
+    def at(self, s) -> UEA:
+        """sum_i s^i p_i at a rational s."""
+        out: UEA = {}
+        for i, p in enumerate(self.coeffs):
+            c = Fraction(s) ** i
+            if p and c:
+                accumulate(out, p, Scalar.from_rational(c))
+        return out
+
     def mul(self, other: "IwasawaElement", engine: PBWEngine) -> "IwasawaElement":
         out: List[UEA] = [dict() for _ in
                           range(len(self.coeffs) + len(other.coeffs) - 1)] \

@@ -6,16 +6,56 @@ from math import comb, factorial
 import pytest
 
 from f4workbench.balg import (
-    CentralArg, check_b_membership, check_congruences,
-    check_triangular, coefficients_m_invariant, congruence_residuals,
-    default_nmax, discrete_derivative, epsilon_ln, evaluate_poly, from_phi,
-    phi_coeffs, phi_poly, phi_value_at, shift_by_scalar, shift_substitute,
-    t_matrix_entry, to_phi,
+    check_b_membership, check_congruences, check_triangular,
+    coefficients_m_invariant, congruence_residuals, default_nmax,
+    discrete_derivative, epsilon_ln, phi_coeffs, phi_poly, shift_by_scalar,
+    shift_substitute, substitute, t_matrix_entry, to_phi,
 )
 from f4workbench.exactnum import ONE, Echelon, Scalar, ZERO, add, sca, scale, sub
 from f4workbench.liealg import LieAlgebra, _closure
 from f4workbench.repth import m_generators
 from f4workbench.uea import IwasawaElement, ONE_MONO
+
+
+class CentralArg:
+    """An argument s + T: a rational constant plus an element of g given
+    in Chevalley coordinates, with its powers multiplied out one at a
+    time."""
+
+    def __init__(self, me, scalar, element=None):
+        self.me = me
+        base = {}
+        if scalar:
+            base[ONE_MONO] = sca(scalar)
+        if element:
+            base = add(base, me.uea_of(element))
+        self.value = base
+        self._powers = [me.g.one()]
+
+    def power(self, i):
+        while len(self._powers) <= i:
+            self._powers.append(self.me.g.mul(self._powers[-1], self.value))
+        return self._powers[i]
+
+
+def evaluate_poly_oracle(me, p, arg):
+    """sum_j p_j arg^j, coefficients on the left, each power of the
+    argument multiplied out in full."""
+    acc = {}
+    for j, pj in enumerate(p.coeffs):
+        if pj:
+            acc = add(acc, me.g.mul(pj, arg.power(j)))
+    return acc
+
+
+def from_phi(cs):
+    """sum_j cs[j] phi_j in the monomial basis."""
+    out = [dict() for _ in range(len(cs))]
+    for j, c in enumerate(cs):
+        for i, s in enumerate(phi_coeffs(j)):
+            if c and s:
+                out[i] = add(out[i], scale(sca(s), c))
+    return IwasawaElement(out).trim()
 
 
 def shift_substitute_direct(me, b):
@@ -59,7 +99,8 @@ class TestPhi:
 
     def test_vanishing_at_zero(self):
         for n in range(1, 9):
-            assert phi_value_at(n, Fraction(0)) == 0
+            assert phi_coeffs(n)[0] == 0
+            assert phi_poly(n).at(0) == {}
 
     def test_difference_recursion(self, me):
         for n in range(1, 9):
@@ -249,53 +290,47 @@ class TestRaisingIdentities:
     """The four derivation identities for powers of the torus arguments."""
 
     def test_e_on_h_powers(self, me):
-        h = me.model.distinguished["H"]
-        e_elt = me.lie_in_mixed(h)
+        h = me.uea_of(me.model.distinguished["H"])
         raiser = me.lie_in_mixed(me.model.distinguished["E"])
         for k in range(5):
-            arg = CentralArg(me, Fraction(0), h)
-            got = me.g.ad_power(raiser, arg.power(k), k)
+            got = me.g.ad_power(raiser, me.g.power(h, k), k)
             expect = scale(
                 sca(Fraction(factorial(k) * (-1) ** k, 2 ** k)),
                 me.g.gen("E", k))
             assert got == expect
             if k:
-                assert me.g.ad_power(raiser, arg.power(k - 1), k) == {}
+                assert me.g.ad_power(raiser, me.g.power(h, k - 1), k) == {}
 
     def test_e_on_phi_of_h(self, me):
-        h = me.model.distinguished["H"]
+        h = me.uea_of(me.model.distinguished["H"])
         raiser = me.lie_in_mixed(me.model.distinguished["E"])
-        arg = CentralArg(me, Fraction(0), h)
         for k in range(5):
-            val = evaluate_poly(me, phi_poly(k), arg)
+            val = substitute(me, phi_poly(k), h).at(0)
             got = me.g.ad_power(raiser, val, k)
             expect = scale(sca(Fraction((-1) ** k, 2 ** k)),
                            me.g.gen("E", k))
             assert got == expect
 
     def test_xdelta_on_ytilde_powers(self, me):
-        yt = me.model.distinguished["Ytilde"]
-        neg_yt = scale(-ONE, yt)
+        neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
         raiser = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for k in range(5):
-            arg = CentralArg(me, Fraction(0), neg_yt)
-            got = me.g.ad_power(raiser, arg.power(k), k)
+            got = me.g.ad_power(raiser, me.g.power(neg_yt, k), k)
             expect = scale(sca(factorial(k) * (-1) ** k),
                                      me.g.power(xdelta, k))
             assert got == expect
             if k:
-                assert me.g.ad_power(raiser, arg.power(k - 1), k) == {}
+                assert me.g.ad_power(raiser, me.g.power(neg_yt, k - 1),
+                                     k) == {}
 
     def test_xdelta_on_phi_of_shifted_ytilde(self, me):
-        yt = me.model.distinguished["Ytilde"]
-        neg_yt = scale(-ONE, yt)
+        neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
         raiser = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for a in (Fraction(0), Fraction(3), Fraction(-1, 2)):
             for k in range(5):
-                arg = CentralArg(me, a, neg_yt)
-                val = evaluate_poly(me, phi_poly(k), arg)
+                val = substitute(me, phi_poly(k), neg_yt).at(a)
                 got = me.g.ad_power(raiser, val, k)
                 expect = scale(sca((-1) ** k),
                                          me.g.power(xdelta, k))
@@ -350,7 +385,7 @@ def epsilon_oracle(me, cphi, l, n):
         der = me.g.ad_power(e_elt, cphi[i], l) if cphi[i] else {}
         if der:
             arg = CentralArg(me, -Fraction(n, 2) + l, neg_yt)
-            phi_at = evaluate_poly(me, phi_poly(i - n), arg)
+            phi_at = evaluate_poly_oracle(me, phi_poly(i - n), arg)
             term = me.g.mul_many(der, phi_at,
                                  me.g.gen("E", n) if n else me.g.one())
             acc = add(acc, scale(sca((-1) ** n), term))
@@ -358,7 +393,7 @@ def epsilon_oracle(me, cphi, l, n):
         der = me.g.ad_power(e_elt, cphi[i], n) if cphi[i] else {}
         if der:
             arg = CentralArg(me, -Fraction(l, 2) + n, neg_yt)
-            phi_at = evaluate_poly(me, phi_poly(i - l), arg)
+            phi_at = evaluate_poly_oracle(me, phi_poly(i - l), arg)
             term = me.g.mul_many(der, phi_at,
                                  me.g.gen("E", l) if l else me.g.one())
             acc = sub(acc, scale(sca((-1) ** l), term))
@@ -400,8 +435,8 @@ def congruence_residuals_oracle(me, b, nmax):
         left_arg = CentralArg(me, Fraction(n - 1), neg_y)
         right_arg = CentralArg(me, Fraction(-n - 1), neg_y)
         en = me.g.gen("E", n)
-        lhs = me.g.mul(en, evaluate_poly(me, b, left_arg))
-        rhs = me.g.mul(evaluate_poly(me, b, right_arg), en)
+        lhs = me.g.mul(en, evaluate_poly_oracle(me, b, left_arg))
+        rhs = me.g.mul(evaluate_poly_oracle(me, b, right_arg), en)
         out.append(me.reduce_mod_mplus(sub(lhs, rhs)))
     return out
 
@@ -426,9 +461,9 @@ def triangular_oracle(me, c):
                  for u in discrete_derivative(c, n + 1).coeffs]
         arg1 = CentralArg(me, Fraction(n, 2) + 1, neg_yt)
         arg2 = CentralArg(me, Fraction(n, 2) - Fraction(1, 2), neg_yt)
-        total = add(evaluate_poly(me, IwasawaElement(dn_e), arg1),
-                    me.g.mul(evaluate_poly(me, IwasawaElement(dn1_e), arg2),
-                             me.g.gen("E")))
+        second = evaluate_poly_oracle(me, IwasawaElement(dn1_e), arg2)
+        total = add(evaluate_poly_oracle(me, IwasawaElement(dn_e), arg1),
+                    me.g.mul(second, me.g.gen("E")))
         out.append(me.reduce_mod_mplus(total))
     return out
 
@@ -531,3 +566,50 @@ class TestQuotientOracle:
         doctored.mplus_start = me.mplus_start + 1
         with pytest.raises(ValueError, match="D2"):
             check_congruences(doctored, omega_report.omega, 2)
+
+
+# ---------------------------------------------------------------------------
+# the one substitution against the argument powers multiplied out
+# ---------------------------------------------------------------------------
+
+
+# each argument s + t as (constant part of t, name of the rest of t, sign)
+ARGUMENTS = ((0, "Y", -1), (-1, "H", 1), (0, "Ytilde", -1), (2, "Xdelta", 1))
+
+
+def substitution_family(me, omega):
+    """omega, omega^2, both with 1 added to the Z coefficient, and 20
+    seeded random elements."""
+    om2 = omega.mul(omega, me.g)
+    family = [omega, om2, z_shifted(me, omega), z_shifted(me, om2)]
+    rng = random.Random(37)
+    while len(family) < 24:
+        b = random_element(me, rng)
+        if b.degree >= 0:
+            family.append(b)
+    return family
+
+
+class TestSubstituteOracle:
+    """substitute(me, b, t).at(s) against sum_j b_j (s + t)^j with the
+    powers of s + t multiplied out.  Xdelta + 2 does not commute with the
+    coefficients, so a product taken in the wrong order shows."""
+
+    def test_matches_multiplied_out_powers(self, me, omega_report):
+        family = substitution_family(me, omega_report.omega)
+        for const, name, sign in ARGUMENTS:
+            elt = scale(sca(sign), me.model.distinguished[name])
+            t = add(me.uea_of(elt), scale(sca(const), me.g.one()))
+            for b in family:
+                c = substitute(me, b, t)
+                assert c.degree == b.degree
+                for s in (Fraction(0), Fraction(1), Fraction(3, 2),
+                          Fraction(-2)):
+                    want = evaluate_poly_oracle(
+                        me, b, CentralArg(me, s + const, elt))
+                    assert c.at(s) == want, (name, s)
+
+    def test_shift_substitute_matches_phi_oracle(self, me, omega_report):
+        for b in substitution_family(me, omega_report.omega):
+            assert shift_substitute(me, b) == \
+                from_phi(phi_substitute_oracle(me, b))

@@ -412,6 +412,20 @@ class TestExitCodes:
         assert err.startswith("combin assemble: " + why)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("power, flags, why", [
+        (300, [], "monomial of degree 300; "),
+        (250, ["--nmax", "8"], "product of degree 256; "),
+    ], ids=["E300", "E250-nmax8"])
+    def test_check_b_degree_beyond_the_core(self, tmp_path, capsys, power,
+                                            flags, why):
+        path = tmp_path / "high.json"
+        path.write_text(json.dumps([[{"exponents": {"E": power},
+                                      "coeff": "1/1 + 0/1*sqrt2"}]]))
+        assert main(["balg", "check-b", "--input", str(path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("balg check-b: " + why)
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["balg", "check-b"],
                                          ["combin", "assemble"]])
