@@ -324,7 +324,7 @@ def _module_checks(me, kl, cap: int, modules: dict) -> List[tuple]:
 def suite_repth(cfg: Config) -> Report:
     rep = Report("repth", cfg.seed)
     from .uea import model_engine, invariants_up_to_degree
-    from .repth import degree_machine, m_generators
+    from .repth import degree_machine, label_degree, m_generators
     me = model_engine()
     rng = random.Random(cfg.seed)
     labels = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
@@ -341,14 +341,24 @@ def suite_repth(cfg: Config) -> Report:
         inv2 = invariants_up_to_degree(me.g, gens, 2, label_weights=lw,
                                        label_limit=36)
         dm = degree_machine(me)
-        if dm.degree(me.g.one()) != 0:
-            return False, "unit degree"
-        for _ in range(20):
+
+        def degree(u):
+            labels = sorted(dm.components(u))
+            return label_degree(labels), ", ".join(map(str, labels))
+
+        d, labels = degree(me.g.one())
+        if d != 0:
+            return False, "the unit has degree %d; components %s" % (d, labels)
+        for i in range(20):
             u = me.g.zero()
             for b in inv2:
                 u = add(u, scale(sca(rng.randint(-3, 3)), b))
-            if u and dm.degree(u) > 4:
-                return False, "bound violated"
+            if not u:
+                continue
+            d, labels = degree(u)
+            if d > 4:
+                return False, ("sample %d has degree %d > 4; components %s"
+                               % (i, d, labels))
         return True, None
 
     checks.append(("filtration bound on sampled invariants", degree_checks))

@@ -599,15 +599,20 @@ def coordinates(vectors, target):
     return None if rem else coords
 
 
-def dual_basis(basis, form) -> list:
+def dual_basis(basis, form, images=None) -> list:
     """Vectors d_i in the span of basis with form(basis[j], d_i) = [i == j].
 
+    images[j], when given, is basis[j] in the coordinates form reads, and
+    form pairs the images: a form that would map its arguments first is
+    then evaluated on vectors mapped once, not at each of the n^2 pairings.
     Raises ValueError when the form is degenerate on the span.
     """
     n = len(basis)
+    if images is None:
+        images = basis
     columns = Echelon()
     for k in range(n):
-        if columns.add({j: form(basis[j], basis[k]) for j in range(n)}) \
+        if columns.add({j: form(images[j], images[k]) for j in range(n)}) \
                 is not None:
             raise ValueError("the form is degenerate on the span")
     # the rows are now the unit vectors e_i = sum_k c_k column_k, and

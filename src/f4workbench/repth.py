@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, add, combine, coordinates, dual_basis, kernel,
@@ -635,12 +635,19 @@ class DegreeMachine:
     C_k = C_m + C_perp, and on an M-invariant v every term
     ad(x_i) ad(x^i) v of C_m vanishes, because x^i lies in m.  Input that
     is not M-invariant is rejected, and C_k commutes with ad(m), so every
-    Krylov vector is M-invariant and C_perp acts on it as C_k does.  On F4
-    an application of C_perp makes 31 label passes of ad per core vector
-    (11 inner labels, 17 terms of the Y_h, 3 labels of r), where C_k
-    makes 46 (20, 23, 3) and the plain pair sum 78.  The Krylov chain,
-    its minimal polynomial and the projectors stay in core form; only the
-    components are converted to Scalars.
+    Krylov vector is M-invariant and C_perp acts on it as C_k does.
+
+    By the same argument the triangular form of C_perp loses every pass
+    that begins with ad(e'_h), h a label in m: ad(e'_h) v = 0 on an
+    M-invariant v, so the inner terms ad(Y_h) ad(e'_h) with h in m and
+    the entries of r on labels in m sum to zero there and are dropped.
+    On F4 those are the inner labels D2, D3, D4 and all three labels
+    Ht2, Ht3, Ht4 of r.  An application then makes 19 label passes of ad
+    per core vector (8 inner labels, 11 terms of the Y_h, no label of r),
+    where the whole C_perp tensor makes 31 (11, 17, 3), C_k 46 (20, 23, 3)
+    and the plain pair sum 78.  The Krylov chain, its minimal polynomial
+    and the projectors stay in core form; only the components are
+    converted to Scalars.
 
     casimir_apply is the full C_k, exact on every element of U(k),
     invariant or not; its tensor is built on first use.
@@ -649,11 +656,21 @@ class DegreeMachine:
     def __init__(self, me: ModelEngine):
         self.me = me
         model = me.model
-        perp = orthocomplement(model, model.subspaces["m"],
-                               model.subspaces["k"])
-        self._casimir_perp = _casimir_of(
+        m = model.subspaces["m"]
+        perp = orthocomplement(model, m, model.subspaces["k"])
+        inner, shift, den = _casimir_of(
             me, [me.lie_in_mixed(x) for x in perp.rows()])
+
+        def in_m(h):
+            return m.contains(model.in_chevalley({h: ONE}))
+
+        # ad(e'_h) kills every M-invariant for h in m
+        self._casimir_perp = ([(h, y) for h, y in inner if not in_m(h)],
+                              {h: c for h, c in shift.items() if not in_m(h)},
+                              den)
         self._casimir = None
+        # casimir_eigenvalue by weight, one entry per label (k, l) met
+        self._eigenvalues: Dict[Weight, Fraction] = {}
 
         def core(x):
             return me.g.lie_core(me.lie_in_mixed(x))[:2]
@@ -673,8 +690,14 @@ class DegreeMachine:
                                                engine.to_core(u)))
 
     def casimir_eigenvalue(self, xi: Weight) -> Fraction:
-        rs = k_root_system()
-        return rs.ip(xi, xi) + 2 * rs.ip(xi, rs.rho)
+        """(xi, xi + 2 rho), the eigenvalue of C_k on the irreducible
+        module of highest weight xi."""
+        value = self._eigenvalues.get(xi)
+        if value is None:
+            rs = k_root_system()
+            value = rs.ip(xi, xi) + 2 * rs.ip(xi, rs.rho)
+            self._eigenvalues[xi] = value
+        return value
 
     def components(self, u: UEA) -> Dict[Tuple[int, int], UEA]:
         """Isotypic components of an invariant element, exactly."""
@@ -768,10 +791,12 @@ class DegreeMachine:
 
     def degree(self, u: UEA) -> int:
         """max(k + 2l) over the components with nonzero projection."""
-        comps = self.components(u)
-        if not comps:
-            return 0
-        return max(k + 2 * l for (k, l) in comps)
+        return label_degree(self.components(u))
+
+
+def label_degree(labels: Iterable[Tuple[int, int]]) -> int:
+    """max(k + 2l) over the labels (k, l), 0 when there are none."""
+    return max((k + 2 * l for k, l in labels), default=0)
 
 
 def _casimir_tensor(engine, pairs):
@@ -842,9 +867,12 @@ def _casimir_core(engine, inner, shift, v: Core) -> Core:
 
 def _casimir_of(me: ModelEngine, basis: List[LieElement]):
     """_casimir_tensor of the Casimir of span(basis), mixed coordinates,
-    over the dual basis for the invariant form."""
+    over the dual basis for the invariant form b, which reads each vector
+    in Chevalley coordinates, mapped once."""
+    model = me.model
+    images = [model.in_chevalley(x) for x in basis]
     return _casimir_tensor(me.g, zip(basis,
-                                     dual_basis(basis, me.invariant_form)))
+                                     dual_basis(basis, model.b, images)))
 
 
 def _casimir_step(engine, tensor, v: Tuple[Core, Core, int]

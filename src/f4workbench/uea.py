@@ -10,7 +10,10 @@ Brackets [g, e^m], which ad sums: by the derivation rule
 [g, head x] = [g, head] x + head [g, x], from right products of degree
 below deg m, so the cancelling leading terms of g e^m and e^m g are
 never formed.  The tables amortize that work across the congruence and
-degree computations downstream.
+degree computations downstream.  Each recursion keeps one table per
+generator g, keyed by the packed monomial m (below), so a lookup reads
+the table of g once and then hashes an int, and ad, which brackets every
+term of an element with the same g, reads that table once per label.
 
 The straightening runs over Z.  Each engine works on the basis
 e'_i = L sqrt2^{s_i} e_i of its algebra's integer table
@@ -68,6 +71,17 @@ def _nonzero(v: Core) -> Core:
     return {m: c for m, c in v.items() if c}
 
 
+class LabelTables(list):
+    """One memo table per label: self[g] maps a packed monomial m to the
+    straightened Core of (g, m).  len() counts the entries of all tables."""
+
+    def __init__(self, n: int):
+        super().__init__({} for _ in range(n))
+
+    def __len__(self) -> int:
+        return sum(map(len, self))
+
+
 class PBWEngine:
     """Straightening engine for one algebra, in the order of its labels.
 
@@ -78,9 +92,13 @@ class PBWEngine:
     by the derivation rule (_memo_left, see _bracket), hold
     {monomial: int}, and the rational and sqrt2 parts of an element never
     mix: its core form (to_core) is two integer vectors over one common
-    denominator.  Core monomials, the keys of those vectors and of both
+    denominator.  Core monomials, the keys of those vectors and of the
     tables, are packed ints of BITS = 8 bits per label, one byte each (see
-    the module docstring): on F4 at most 52 bytes.
+    the module docstring): on F4 at most 52 bytes.  Each memo is a
+    LabelTables, one dict per label g keyed by m, whose len() counts the
+    entries of all its dicts.  A product that only appends a label at or
+    above the last one of m is an addition, formed inline and never
+    stored.
     The public operations take and return {monomial: Scalar} on the
     original basis, with tuple monomials, and convert once at entry and
     once at exit.
@@ -90,8 +108,8 @@ class PBWEngine:
         self.algebra = algebra
         table = algebra.integer_table()
         self.parity, self.scale_l = table.parity, table.scale
-        self._memo: Dict[Tuple[int, int], Core] = {}
-        self._memo_left: Dict[Tuple[int, int], Core] = {}
+        self._memo = LabelTables(algebra.dim)
+        self._memo_left = LabelTables(algebra.dim)
         # _brackets[(i, j)] = [e'_i, e'_j] on the rescaled basis, as items;
         # shared with the algebra, so never mutated
         self._brackets: IntBrackets = table.brackets
@@ -215,49 +233,69 @@ class PBWEngine:
 
     def _mono_times_gen(self, m: int, g: int) -> Core:
         """Straightened product e'^m * e'_g."""
-        last = (m.bit_length() - 1) // BITS        # -1 for m = 1
-        if last <= g:
-            return {m + self._unit[g]: 1}
-        key = (m, g)
-        hit = self._memo.get(key)
+        unit = self._unit
+        if m < unit[g] << BITS:                 # no label of m above g
+            return {m + unit[g]: 1}
+        table = self._memo[g]
+        hit = table.get(m)
         if hit is not None:
             return hit
-        head = m - self._unit[last]
+        last = (m.bit_length() - 1) // BITS
+        head = m - unit[last]
         out: Core = {}
-        get = out.get
         # (head e'_g) e'_last
-        for mono, c in self._mono_times_gen(head, g).items():
-            for mono2, c2 in self._mono_times_gen(mono, last).items():
-                out[mono2] = get(mono2, 0) + c * c2
+        self._times_gen_into(out, self._mono_times_gen(head, g), last)
         # head [e'_last, e'_g]
-        for k, c in self._brackets.get((last, g), ()):
-            for mono2, c2 in self._mono_times_gen(head, k).items():
-                out[mono2] = get(mono2, 0) + c * c2
+        self._head_times_into(out, head, self._brackets.get((last, g), ()))
         out = _nonzero(out)
-        self._memo[key] = out
+        table[m] = out
         return out
+
+    def _times_gen_into(self, out: Core, v: Core, g: int) -> None:
+        """out += v e'_g.  A monomial with no label above g takes e'_g by
+        an addition, the others through _mono_times_gen."""
+        step = self._unit[g]
+        top = step << BITS
+        get = out.get
+        for mono, c in v.items():
+            if mono < top:
+                key = mono + step
+                out[key] = get(key, 0) + c
+            else:
+                for mono2, c2 in self._mono_times_gen(mono, g).items():
+                    out[mono2] = get(mono2, 0) + c * c2
+
+    def _head_times_into(self, out: Core, head: int, terms) -> None:
+        """out += sum_k c_k e'^head e'_k over the pairs (k, c_k) of terms."""
+        unit = self._unit
+        get = out.get
+        for k, c in terms:
+            if head < unit[k] << BITS:
+                key = head + unit[k]
+                out[key] = get(key, 0) + c
+            else:
+                for mono2, c2 in self._mono_times_gen(head, k).items():
+                    out[mono2] = get(mono2, 0) + c * c2
 
     def _bracket(self, g: int, m: int) -> Core:
         """Straightened [e'_g, e'^m]: with m = head x, x its last label,
         [e'_g, e'^head e'_x] = [e'_g, e'^head] e'_x + e'^head [e'_g, e'_x]."""
         if not m:
             return {}
-        key = (g, m)
-        hit = self._memo_left.get(key)
+        table = self._memo_left[g]
+        hit = table.get(m)
         if hit is not None:
             return hit
         x = (m.bit_length() - 1) // BITS
         head = m - self._unit[x]
         out: Core = {}
-        get = out.get
-        for mono, c in self._bracket(g, head).items():
-            for mono2, c2 in self._mono_times_gen(mono, x).items():
-                out[mono2] = get(mono2, 0) + c * c2
-        for k, c in self._brackets.get((g, x), ()):
-            for mono2, c2 in self._mono_times_gen(head, k).items():
-                out[mono2] = get(mono2, 0) + c * c2
+        sub = table.get(head)
+        if sub is None:
+            sub = self._bracket(g, head)
+        self._times_gen_into(out, sub, x)
+        self._head_times_into(out, head, self._brackets.get((g, x), ()))
         out = _nonzero(out)
-        self._memo_left[key] = out
+        table[m] = out
         return out
 
     # perfbench/sample.py counts bracket calls and entries under these names
@@ -271,19 +309,11 @@ class PBWEngine:
         cur: Core = {m1: 1}
         while m2:
             g = ((m2 & -m2).bit_length() - 1) // BITS
-            step = self._unit[g]
             p = (m2 >> (BITS * g)) & (DEGREE_LIMIT - 1)
-            m2 -= p * step
+            m2 -= p * self._unit[g]
             for _ in range(p):
                 nxt: Core = {}
-                get = nxt.get
-                for mono, c in cur.items():
-                    if (mono.bit_length() - 1) // BITS <= g:
-                        key = mono + step
-                        nxt[key] = get(key, 0) + c
-                    else:
-                        for mono2, c2 in self._mono_times_gen(mono, g).items():
-                            nxt[mono2] = get(mono2, 0) + c * c2
+                self._times_gen_into(nxt, cur, g)
                 cur = _nonzero(nxt)
         return cur
 
@@ -299,9 +329,13 @@ class PBWEngine:
         get = out.get
         bracket = self._bracket
         for g, cg in x.items():
+            table = self._memo_left[g]
             for m, c in v.items():
+                br = table.get(m)
+                if br is None:
+                    br = bracket(g, m)
                 coef = cg * c
-                for mono, c2 in bracket(g, m).items():
+                for mono, c2 in br.items():
                     out[mono] = get(mono, 0) + coef * c2
 
     def ad_core(self, x: Dict[int, int], v: Core) -> Core:
@@ -498,11 +532,6 @@ class ModelEngine:
         """Chevalley-coordinate element to mixed-basis coordinates."""
         return self.model.g_algebra.coords_in_parent(x)
 
-    def invariant_form(self, x: LieElement, y: LieElement) -> Scalar:
-        """The model's invariant form b on mixed-basis coordinates."""
-        return self.model.b(self.model.in_chevalley(x),
-                            self.model.in_chevalley(y))
-
     def uea_of(self, x: LieElement) -> UEA:
         return self.g.from_lie(self.lie_in_mixed(x))
 
@@ -546,28 +575,33 @@ def model_engine() -> ModelEngine:
 # ---------------------------------------------------------------------------
 
 
-def casimir(engine: PBWEngine, basis: List[LieElement], form_value) -> UEA:
+def casimir(engine: PBWEngine, basis: List[LieElement], form_value,
+            images: Optional[List[LieElement]] = None) -> UEA:
     """Sum of x_i x^i over form-dual bases of the spanned subalgebra.
 
     basis holds elements in the engine's own coordinates; form_value is
-    a symmetric nondegenerate invariant pairing on the span.
+    a symmetric nondegenerate invariant pairing on the span, evaluated on
+    images (see exactnum.dual_basis) when they are given.
     """
     out: UEA = {}
-    for x, dual in zip(basis, dual_basis(basis, form_value)):
+    for x, dual in zip(basis, dual_basis(basis, form_value, images)):
         out = add(out, engine.mul(engine.from_lie(x), engine.from_lie(dual)))
     return out
 
 
 def model_casimir_g(me: ModelEngine) -> UEA:
-    """Casimir of the full algebra in the mixed-basis engine."""
-    basis = [me.lie_in_mixed({i: ONE}) for i in range(me.model.algebra.dim)]
-    return casimir(me.g, basis, me.invariant_form)
+    """Casimir of the full algebra in the mixed-basis engine, over the
+    Chevalley basis, paired by the invariant form b."""
+    images = [{i: ONE} for i in range(me.model.algebra.dim)]
+    return casimir(me.g, [me.lie_in_mixed(x) for x in images], me.model.b,
+                   images)
 
 
 def model_casimir_m(me: ModelEngine) -> UEA:
     """Casimir of the centralizer subalgebra, inside U(k)."""
-    basis = [me.lie_in_mixed(v) for v in me.model.subspaces["m"].rows()]
-    return casimir(me.g, basis, me.invariant_form)
+    images = me.model.subspaces["m"].rows()
+    return casimir(me.g, [me.lie_in_mixed(x) for x in images], me.model.b,
+                   images)
 
 
 @dataclass

@@ -274,13 +274,13 @@ class TestAcceptance:
             bad.append("U congruence")
         k_idx = me.model.k_algebra.index
         raisers = [
-            me.model.k_element_in_g({k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE}),
-            me.model.k_element_in_g({k_idx["T34"]: ONE}),
-            me.model.k_element_in_g({k_idx["Xdelta2"]: ONE}),
-            me.model.k_element_in_g({k_idx["X1"]: ONE}),
+            {k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
+            {k_idx["T34"]: ONE},
+            {k_idx["Xdelta2"]: ONE},
+            {k_idx["X1"]: ONE},
         ]
         for x in raisers:
-            if me.g.ad(me.lie_in_mixed(x), u):
+            if me.g.ad(x, u):
                 bad.append("U dominance")
         dm = degree_machine(me)
         comps = dm.components(model_casimir_m(me))

@@ -201,6 +201,51 @@ class TestSuites:
                                + ": " + by_id["crashes"]["witness"]]
 
 
+class TestDegreeWitness:
+    """A failing "filtration bound on sampled invariants" record names the
+    element, its degree and its component labels."""
+
+    @staticmethod
+    def _record(monkeypatch, extra_label, at_call):
+        """The record when call number at_call of components (0 is the
+        unit) reports one more component, labelled extra_label."""
+        from f4workbench import repth
+        components = repth.DegreeMachine.components
+        calls = []
+
+        def padded(self, u):
+            out = dict(components(self, u))
+            if len(calls) == at_call:
+                out[extra_label] = {}
+            calls.append(u)
+            return out
+
+        monkeypatch.setattr(repth.DegreeMachine, "components", padded)
+        rep = run_suite("repth", Config(seed=20240801))
+        (record,) = [c for c in rep.checks
+                     if c["id"] == "filtration bound on sampled invariants"]
+        return record, len(calls)
+
+    def test_sample_over_the_bound(self, monkeypatch):
+        record, calls = self._record(monkeypatch, (1, 2), 4)
+        assert record["status"] == "fail"
+        assert record["witness"] == ("sample 3 has degree 5 > 4; components "
+                                     "(0, 0), (0, 2), (1, 2), (2, 0)")
+        assert calls == 5
+
+    def test_unit_of_nonzero_degree(self, monkeypatch):
+        record, calls = self._record(monkeypatch, (2, 0), 0)
+        assert record["status"] == "fail"
+        assert record["witness"] == \
+            "the unit has degree 2; components (0, 0), (2, 0)"
+        assert calls == 1
+
+    def test_passes_unpadded(self, monkeypatch):
+        record, calls = self._record(monkeypatch, (1, 2), -1)
+        assert record["status"] == "pass"
+        assert "witness" not in record
+
+
 class TestOptionPosition:
     """--seed, --json and --config act alike before and after the
     subcommand."""

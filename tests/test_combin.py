@@ -261,13 +261,13 @@ class TestUElement:
         u, _, _ = u_element(me)
         k_idx = me.model.k_algebra.index
         raisers = [
-            me.model.k_element_in_g({k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE}),
-            me.model.k_element_in_g({k_idx["T34"]: ONE}),
-            me.model.k_element_in_g({k_idx["Xdelta2"]: ONE}),
-            me.model.k_element_in_g({k_idx["X1"]: ONE}),
+            {k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
+            {k_idx["T34"]: ONE},
+            {k_idx["Xdelta2"]: ONE},
+            {k_idx["X1"]: ONE},
         ]
         for x in raisers:
-            assert me.g.ad(me.lie_in_mixed(x), u) == {}
+            assert me.g.ad(x, u) == {}
 
     def test_congruent_to_leading_product(self, me):
         u, _, _ = u_element(me)
@@ -285,8 +285,7 @@ class TestUElement:
         k_idx = me.model.k_algebra.index
         rows, rhs = [], []
         for labels in (("D4", "Xdelta2"), ("T34",), ("Xdelta2",), ("X1",)):
-            x = me.lie_in_mixed(me.model.k_element_in_g(
-                {k_idx[lab]: ONE for lab in labels}))
+            x = {k_idx[lab]: ONE for lab in labels}
             im0, im1, im2 = (me.g.ad(x, u) for u in (xd_x4, t1, t2))
             for mo in sorted(set(im0) | set(im1) | set(im2)):
                 rows.append([im1.get(mo, ZERO), im2.get(mo, ZERO)])

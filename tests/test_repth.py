@@ -7,10 +7,12 @@ from f4workbench import repth
 from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO, add,
                                   combine, coordinates, dual_basis,
                                   rational_roots, sca, scale, sub)
+from f4workbench.liealg import orthocomplement
 from f4workbench.repth import (
-    DegreeMachine, SparseOp, _casimir_step, build_irrep, build_module,
-    build_module_for_weight, degree_machine, lowering_chain, m_generators,
-    m_invariants, verify_hw3iv, verify_techo, weyl_dimension, xi_weight,
+    DegreeMachine, SparseOp, _casimir_of, _casimir_step, build_irrep,
+    build_module, build_module_for_weight, degree_machine, lowering_chain,
+    m_generators, m_invariants, verify_hw3iv, verify_techo, weyl_dimension,
+    xi_weight,
 )
 from f4workbench.rootdata import (build_root_system, cartan_matrix_of,
                                   k_root_system, vec)
@@ -85,8 +87,7 @@ def modules(me):
 
 @pytest.fixture(scope="module")
 def uk2_m_basis(me):
-    gens = [me.lie_in_mixed(me.model.k_element_in_g(g))
-            for g in m_generators(me)]
+    gens = m_generators(me)
     lw = {i: me.model.k_t_weights[i][1:] for i in range(36)}
     return invariants_up_to_degree(me.g, gens, 2, label_weights=lw,
                                    label_limit=36)
@@ -691,13 +692,12 @@ def dominant_in_ideal_slice(me, target, max_degree=2):
         h = me.lie_in_mixed(me.model.distinguished["Ht%d" % ci])
         ops.append((h, sca(target[ci - 1])))
     k_idx = me.model.k_algebra.index
-    raisers = [me.model.k_element_in_g({k_idx["D4"]: ONE,
-                                        k_idx["Xdelta2"]: ONE}),
-               me.model.k_element_in_g({k_idx["T34"]: ONE}),
-               me.model.k_element_in_g({k_idx["Xdelta2"]: ONE}),
-               me.model.k_element_in_g({k_idx["X1"]: ONE})]
+    raisers = [{k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
+               {k_idx["T34"]: ONE},
+               {k_idx["Xdelta2"]: ONE},
+               {k_idx["X1"]: ONE}]
     for r in raisers:
-        ops.append((me.lie_in_mixed(r), None))
+        ops.append((r, None))
     for x, eig in ops:
         if not space:
             break
@@ -784,8 +784,7 @@ def _dense_invariants(engine, sub_basis, max_degree, label_weights,
 
 class TestEchelonOracles:
     def test_invariants_match_the_dense_loop(self, me, uk2_m_basis):
-        gens = [me.lie_in_mixed(me.model.k_element_in_g(g))
-                for g in m_generators(me)]
+        gens = m_generators(me)
         lw = {i: me.model.k_t_weights[i][1:] for i in range(36)}
         dense = _dense_invariants(me.g, gens, 2, lw, 36)
         # same vectors in the same order, each with the same term order
@@ -878,16 +877,20 @@ def components_oracle(dm, u):
 
 class TestPerpCasimir:
     """components() runs its Krylov chain through C_perp, the Casimir of
-    the orthocomplement of m in k.  On M-invariants it must agree with the
-    full casimir_apply and with the plain pair sum over dual bases of k,
-    on every Krylov vector."""
+    the orthocomplement of m in k, with the passes that begin with ad of a
+    label in m dropped.  On M-invariants it must agree with the whole
+    C_perp tensor, with the full casimir_apply and with the plain pair sum
+    over dual bases of k, on every Krylov vector."""
 
     @pytest.fixture(scope="class")
     def pair_sum(self, me):
         model = me.model
-        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
-              for i in range(36)]
-        pairs = list(zip(kb, dual_basis(kb, me.invariant_form)))
+        kb = [{i: ONE} for i in range(36)]
+
+        def fv(x, y):
+            return model.b(model.in_chevalley(x), model.in_chevalley(y))
+
+        pairs = list(zip(kb, dual_basis(kb, fv)))
 
         def apply(u):
             out = {}
@@ -896,6 +899,15 @@ class TestPerpCasimir:
             return out
 
         return apply
+
+    @pytest.fixture(scope="class")
+    def whole_perp(self, me):
+        """The triangular C_perp tensor with every label kept: the oracle
+        for the degree machine's tensor."""
+        model = me.model
+        perp = orthocomplement(model, model.subspaces["m"],
+                               model.subspaces["k"])
+        return _casimir_of(me, [me.lie_in_mixed(x) for x in perp.rows()])
 
     @pytest.fixture(scope="class")
     def product(self, me, uk2_m_basis):
@@ -907,29 +919,46 @@ class TestPerpCasimir:
         return me.g.mul(u, v)
 
     @staticmethod
-    def perp_apply(dm, u):
+    def perp_apply(dm, u, tensor=None):
         eng = dm.me.g
-        return eng.from_core(*_casimir_step(eng, dm._casimir_perp,
-                                            eng.to_core(u)))
+        return eng.from_core(*_casimir_step(
+            eng, dm._casimir_perp if tensor is None else tensor,
+            eng.to_core(u)))
 
-    def _check_chain(self, me, pair_sum, u, full_oracle=True):
-        """C_perp = C_k (= the pair sum) on C^t u for t = 0 .. d, d the
-        degree of the minimal polynomial."""
+    @staticmethod
+    def dropped_labels(dm, whole):
+        """The inner and shift labels of the whole C_perp tensor that the
+        degree machine's tensor leaves out."""
+        inner, shift, _ = dm._casimir_perp
+        kept = {h for h, _ in inner} | set(shift)
+        return ({h for h, _ in whole[0]} | set(whole[1])) - kept
+
+    def _check_chain(self, me, pair_sum, whole_perp, u):
+        """C_perp with the m labels dropped = the whole C_perp = C_k
+        (= the pair sum) on C^t u for t = 0 .. d, d the degree of the
+        minimal polynomial, and ad of each dropped label kills C^t u."""
         dm = degree_machine(me)
         d = len(components_oracle(dm, u))
+        dropped = self.dropped_labels(dm, whole_perp)
         vectors = [u]
         for _ in range(d):
-            got = self.perp_apply(dm, vectors[-1])
-            assert got == dm.casimir_apply(vectors[-1])
-            if full_oracle:
-                assert got == pair_sum(vectors[-1])
+            v = vectors[-1]
+            for h in dropped:
+                assert me.g.ad({h: ONE}, v) == {}, h
+            got = self.perp_apply(dm, v)
+            assert got == self.perp_apply(dm, v, whole_perp)
+            assert got == dm.casimir_apply(v)
+            assert got == pair_sum(v)
             vectors.append(got)
         assert len(Echelon(vectors)) == d
         return vectors
 
-    def test_tensor_sizes(self, me):
+    def test_tensor_sizes(self, me, whole_perp):
         dm = DegreeMachine(me)
         inner, shift, _ = dm._casimir_perp
+        assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
+            (8, 11, 0)
+        inner, shift, _ = whole_perp
         assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
             (11, 17, 3)
         dm.casimir_apply(me.g.one())
@@ -937,19 +966,31 @@ class TestPerpCasimir:
         assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
             (20, 23, 3)
 
-    def test_degree_two_invariants(self, me, pair_sum, uk2_m_basis):
+    def test_dropped_labels_lie_in_m(self, me, whole_perp):
+        model = me.model
+        labels = model.g_algebra.labels
+        dropped = self.dropped_labels(degree_machine(me), whole_perp)
+        assert {labels[h] for h in dropped} == \
+            {"D2", "D3", "D4", "Ht2", "Ht3", "Ht4"}
+        for h in dropped:
+            assert model.subspaces["m"].contains(model.in_chevalley({h: ONE}))
+
+    def test_degree_two_invariants(self, me, pair_sum, whole_perp,
+                                   uk2_m_basis):
         for u in uk2_m_basis:
-            self._check_chain(me, pair_sum, u)
+            self._check_chain(me, pair_sum, whole_perp, u)
 
-    def test_casimir_of_m(self, me, pair_sum):
+    def test_casimir_of_m(self, me, pair_sum, whole_perp):
         from f4workbench.uea import model_casimir_m
-        self._check_chain(me, pair_sum, model_casimir_m(me))
+        self._check_chain(me, pair_sum, whole_perp, model_casimir_m(me))
 
-    def test_omega_constant_coefficient(self, me, pair_sum, omega_report):
-        self._check_chain(me, pair_sum, omega_report.omega.coeff(0))
+    def test_omega_constant_coefficient(self, me, pair_sum, whole_perp,
+                                        omega_report):
+        self._check_chain(me, pair_sum, whole_perp,
+                          omega_report.omega.coeff(0))
 
-    def test_product_krylov_vectors(self, me, pair_sum, product):
-        vectors = self._check_chain(me, pair_sum, product)
+    def test_product_krylov_vectors(self, me, pair_sum, whole_perp, product):
+        vectors = self._check_chain(me, pair_sum, whole_perp, product)
         assert len(vectors) == 4
         assert [len(v) for v in vectors][-1] > 500
 

@@ -647,8 +647,7 @@ class TestIntegerCore:
     def test_casimir_apply_matches_oracle(self, me, oracle, u):
         from f4workbench.repth import degree_machine
         model = me.model
-        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
-              for i in range(36)]
+        kb = [{i: ONE} for i in range(36)]
 
         def fv(x, y):
             return model.b(model.in_chevalley(x), model.in_chevalley(y))
@@ -665,9 +664,10 @@ class TestIntegerCore:
         u = eng.mul(eng.gen("X1", 2), eng.mul(eng.gen("Xm1"), eng.gen("E")))
         assert u
         assert eng.ad({eng.algebra.index["Xm1"]: ONE}, u)
-        for table in (eng._memo, eng._memo_left):
-            assert table
-            assert all(type(c) is int
+        for tables in (eng._memo, eng._memo_left):
+            assert tables
+            assert len(tables) == sum(len(t) for t in tables)
+            assert all(type(c) is int for table in tables
                        for out in table.values() for c in out.values())
 
 
@@ -772,10 +772,11 @@ class TestBracketTable:
         for g, m in _bracket_cases():
             fresh.ad({g: ONE}, {m: ONE})
         assert fresh._memo_left
-        for (g, m), out in fresh._memo_left.items():
-            assert uea_degree(fresh.from_core(out, {}, 1)) <= \
-                mono_degree(_mono_of(fresh, m)), (g, m)
-            assert all(type(c) is int for c in out.values())
+        for g, table in enumerate(fresh._memo_left):
+            for m, out in table.items():
+                assert uea_degree(fresh.from_core(out, {}, 1)) <= \
+                    mono_degree(_mono_of(fresh, m)), (g, m)
+                assert all(type(c) is int for c in out.values())
 
     def test_bracket_is_a_commutator(self, fresh):
         for g, m in _bracket_cases()[::7]:
@@ -822,8 +823,7 @@ class TestCasimirTriangular:
 
     def test_f4_krylov_vectors_match_pair_sum(self, me, oracle, omega_report):
         model = me.model
-        kb = [me.lie_in_mixed(model.k_element_in_g({i: ONE}))
-              for i in range(36)]
+        kb = [{i: ONE} for i in range(36)]
 
         def fv(x, y):
             return model.b(model.in_chevalley(x), model.in_chevalley(y))
