@@ -22,7 +22,7 @@ from .balg import antisymmetric_pair
 from .exactnum import (ONE, PolyScalar, Scalar, ZERO, add, coordinates, sca,
                        scale, sub)
 from .reporting import Report
-from .repth import degree_machine
+from .repth import action_basis, degree_machine
 from .rootdata import Coord, gamma_basis, vadd, vscale
 from .uea import IwasawaElement, ModelEngine, UEA
 
@@ -255,18 +255,10 @@ def u_element(me: ModelEngine) -> Tuple[UEA, Scalar, Scalar]:
     xd_x4 = me.g.mul(me.g.gen("Xdelta"), me.uea_of(me.model.distinguished["X4"]))
     t1 = me.g.mul(me.g.gen("T23"), me.g.gen("S23"))
     t2 = me.g.mul(me.g.gen("T24"), me.g.gen("S24"))
-    # the simple raisings of k, in k (and so mixed) coordinates
-    k_idx = me.model.k_algebra.index
-    raisers = [
-        {k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
-        {k_idx["T34"]: ONE},
-        {k_idx["Xdelta2"]: ONE},
-        {k_idx["X1"]: ONE},
-    ]
-    # the images under every raiser, stacked as one vector keyed by
-    # (raiser, monomial): a ad(t1) + b ad(t2) = -ad(xd_x4)
+    # the images under every simple raising of k, stacked as one vector
+    # keyed by (raiser, monomial): a ad(t1) + b ad(t2) = -ad(xd_x4)
     images = [{}, {}, {}]
-    for r, x in enumerate(raisers):
+    for r, x in enumerate(action_basis(me).e_vecs):
         for image, u in zip(images, (xd_x4, t1, t2)):
             image.update(((r, mo), c) for mo, c in me.g.ad(x, u).items())
     sol = coordinates(images[1:], scale(-ONE, images[0]))

@@ -26,11 +26,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-# Exact rationals: arbitrary precision, always reduced, positive
-# denominator.  fractions.Fraction guarantees all three.
-Rational = Fraction
-
-
 class Scalar:
     """An element a + b*sqrt2 of Q(sqrt2), stored as (p + q*sqrt2)/r."""
 
@@ -621,51 +616,50 @@ def dual_basis(basis, form, images=None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in one indeterminate over Q(sqrt2)
+# Polynomials in one indeterminate over Q
 # ---------------------------------------------------------------------------
 
 
 class PolyScalar:
-    """Polynomial in one indeterminate s with coefficients in Q(sqrt2).
+    """Polynomial in one indeterminate s with rational coefficients.
 
-    Stored the way PBWEngine.to_core stores an element: the coefficient of
-    s^i is (p[i] + q[i]*sqrt2) / den, with two integer lists over one
-    positive denominator.  The form is reduced, so equal polynomials store
-    equal ints: gcd(den, p, q) = 1, the top coefficient is nonzero, and q
-    is empty when every coefficient is rational.  The arithmetic, and so
-    poly_det's Bareiss, runs on these ints; Scalars are made only where a
-    caller reads coeffs, leading() or evaluate().
+    Every polynomial the program forms is rational: the determinant
+    entries scale by integers and Fractions, and the minimal polynomials
+    come from integer Krylov Gram columns.  The coefficient of s^i is
+    p[i] / den, an integer list over one positive denominator, stored
+    reduced so equal polynomials store equal ints: gcd(den, p) = 1 and the
+    top coefficient is nonzero.  The arithmetic, and so poly_det's
+    Bareiss, runs on these ints; Scalars are made only where a caller
+    reads coeffs, leading() or evaluate(), which takes any Scalar.
+    Raises ValueError on a coefficient with a sqrt2 part.
     """
 
-    __slots__ = ("p", "q", "den")
+    __slots__ = ("p", "den")
 
     def __init__(self, coeffs):
         cs = [sca(c) for c in coeffs]
+        if any(c.q for c in cs):
+            raise ValueError("PolyScalar needs rational coefficients")
         den = lcm(*(c.r for c in cs))
-        self._reduce([c.p * (den // c.r) for c in cs],
-                     [c.q * (den // c.r) for c in cs], den)
+        self._reduce([c.p * (den // c.r) for c in cs], den)
 
     @staticmethod
-    def _of(p: list, q: list, den: int) -> "PolyScalar":
-        """The polynomial (p + q*sqrt2) / den; q is empty or as long as p,
-        and both lists become the new polynomial's."""
+    def _of(p: list, den: int) -> "PolyScalar":
+        """The polynomial p / den; the list becomes the new polynomial's."""
         out = PolyScalar.__new__(PolyScalar)
-        out._reduce(p, q, den)
+        out._reduce(p, den)
         return out
 
-    def _reduce(self, p: list, q: list, den: int) -> None:
-        if q and not any(q):
-            q = []
+    def _reduce(self, p: list, den: int) -> None:
         n = len(p)
-        while n and not (p[n - 1] or (q and q[n - 1])):
+        while n and not p[n - 1]:
             n -= 1
-        del p[n:], q[n:]
-        g = gcd(den, *p, *q)
+        del p[n:]
+        g = gcd(den, *p)
         if g > 1:
             p = [x // g for x in p]
-            q = [x // g for x in q]
             den //= g
-        self.p, self.q, self.den = p, q, den
+        self.p, self.den = p, den
 
     @staticmethod
     def constant(c) -> "PolyScalar":
@@ -674,8 +668,7 @@ class PolyScalar:
     @property
     def coeffs(self) -> list:
         """The coefficients as Scalars, constant term first."""
-        q = self.q or [0] * len(self.p)
-        return [Scalar(a, b, self.den) for a, b in zip(self.p, q)]
+        return [Scalar(a, 0, self.den) for a in self.p]
 
     def degree(self) -> int:
         """Degree, with deg 0 = -1 for the zero polynomial."""
@@ -687,21 +680,19 @@ class PolyScalar:
     def leading(self) -> Scalar:
         if not self.p:
             return ZERO
-        return Scalar(self.p[-1], self.q[-1] if self.q else 0, self.den)
+        return Scalar(self.p[-1], 0, self.den)
 
     def __eq__(self, other):
         return (isinstance(other, PolyScalar) and self.den == other.den
-                and self.p == other.p and self.q == other.q)
+                and self.p == other.p)
 
     def _linear(self, other: "PolyScalar", sign: int) -> "PolyScalar":
         """self + sign * other."""
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
         n = max(len(self.p), len(other.p))
-        p = _scaled_sum(self.p, fa, other.p, fb, n)
-        q = _scaled_sum(self.q, fa, other.q, fb, n) \
-            if self.q or other.q else []
-        return PolyScalar._of(p, q, den)
+        return PolyScalar._of(
+            _scaled_sum(self.p, den // self.den,
+                        other.p, sign * (den // other.den), n), den)
 
     def __add__(self, other):
         return self._linear(other, 1)
@@ -710,26 +701,15 @@ class PolyScalar:
         return self._linear(other, -1)
 
     def __neg__(self):
-        return PolyScalar._of([-x for x in self.p], [-x for x in self.q],
-                              self.den)
+        return PolyScalar._of([-x for x in self.p], self.den)
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            other = PolyScalar._of([other.p], [other.q] if other.q else [],
-                                   other.r)
+            other = PolyScalar([other])
         if not self.p or not other.p:
-            return PolyScalar._of([], [], 1)
-        # (a + b sqrt2)(c + d sqrt2) = ac + 2bd + (ad + bc) sqrt2
-        p = _convolve(self.p, other.p)
-        q = []
-        if self.q and other.q:
-            p = [x + 2 * y for x, y in zip(p, _convolve(self.q, other.q))]
-        if self.q:
-            q = _convolve(self.q, other.p)
-        if other.q:
-            q2 = _convolve(self.p, other.q)
-            q = [x + y for x, y in zip(q, q2)] if q else q2
-        return PolyScalar._of(p, q, self.den * other.den)
+            return PolyScalar._of([], 1)
+        return PolyScalar._of(_convolve(self.p, other.p),
+                              self.den * other.den)
 
     def evaluate(self, x: Scalar) -> Scalar:
         acc = ZERO
@@ -741,19 +721,13 @@ class PolyScalar:
         """Exact polynomial quotient; raises if the division has remainder."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if other.q:
-            # divide by the rational polynomial other * conj(other)
-            conj = PolyScalar._of(other.p[:], [-x for x in other.q],
-                                  other.den)
-            return (self * conj).exact_div(other * conj)
         # other = content * prim / den with prim primitive: by Gauss's lemma
         # an exact quotient by prim has integer coefficients
         content = gcd(*other.p)
         prim = [x // content for x in other.p]
-        p = _divide_exact(self.p, prim)
-        q = _divide_exact(self.q, prim) if self.q else []
-        return PolyScalar._of([x * other.den for x in p],
-                              [x * other.den for x in q], self.den * content)
+        return PolyScalar._of([x * other.den
+                               for x in _divide_exact(self.p, prim)],
+                              self.den * content)
 
     def __repr__(self):
         if not self.p:
@@ -865,9 +839,9 @@ def _divisors(n: int):
 def rational_roots(poly: PolyScalar):
     """All rational roots with multiplicity, plus the non-split remainder.
 
-    Requires rational coefficients.  Returns (roots, remainder) where
-    roots is a list of Fractions (with repetition) and remainder is the
-    PolyScalar left after dividing out every rational linear factor.
+    Returns (roots, remainder) where roots is a list of Fractions (with
+    repetition) and remainder is the PolyScalar left after dividing out
+    every rational linear factor.
 
     The search runs on the primitive integer polynomial: a root p/q in
     lowest terms has p dividing the constant and q the top coefficient,
@@ -876,8 +850,6 @@ def rational_roots(poly: PolyScalar):
     """
     if poly.is_zero():
         raise ValueError("zero polynomial has every root")
-    if poly.q:
-        raise ValueError("rational_roots needs rational coefficients")
     zeros = next(i for i, c in enumerate(poly.p) if c)
     roots = [Fraction(0)] * zeros
     content = gcd(*poly.p)
@@ -891,7 +863,7 @@ def rational_roots(poly: PolyScalar):
         roots.append(Fraction(p, q))
         ints = _divide_linear(ints, p, q)
         content *= q
-    return roots, PolyScalar._of([c * content for c in ints], [], poly.den)
+    return roots, PolyScalar._of([c * content for c in ints], poly.den)
 
 
 def _integer_root(ints: list):

@@ -25,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, add, combine, coordinates, dual_basis, kernel,
-                       rational_roots, sca, scale)
-from .liealg import LieElement, orthocomplement
+                       rational_roots, sca, scale, sub)
+from .liealg import LieElement, _ratio, orthocomplement
 from .reporting import Report
 from .rootdata import Coord, RootSystem, gamma_basis, k_root_system, vec
 from .uea import Core, ModelEngine, UEA
@@ -58,38 +58,16 @@ def weyl_dimension(xi: Weight, rs: Optional[RootSystem] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse operators on a weight-graded space
+# operators on a module: lists of sparse columns
 # ---------------------------------------------------------------------------
 
+# column j is the image of the basis vector e_j; apply with combine
+Operator = List[Dict[int, Scalar]]
 
-class SparseOp:
-    """Column-sparse square operator on the flattened module."""
 
-    __slots__ = ("n", "cols")
-
-    def __init__(self, n: int, cols: Optional[List[Dict[int, Scalar]]] = None):
-        self.n = n
-        self.cols = cols if cols is not None else [dict() for _ in range(n)]
-
-    def apply(self, vec_: Dict[int, Scalar]) -> Dict[int, Scalar]:
-        return combine(vec_, self.cols)
-
-    def mul(self, other: "SparseOp") -> "SparseOp":
-        out = SparseOp(self.n)
-        for j in range(self.n):
-            col = other.cols[j]
-            if col:
-                out.cols[j] = self.apply(col)
-        return out
-
-    def add_scaled(self, other: "SparseOp", c: Scalar) -> "SparseOp":
-        out = SparseOp(self.n, [dict(col) for col in self.cols])
-        for col, other_col in zip(out.cols, other.cols):
-            accumulate(col, other_col, c)
-        return out
-
-    def commutator(self, other: "SparseOp") -> "SparseOp":
-        return self.mul(other).add_scaled(other.mul(self), -ONE)
+def commutator(a: Operator, b: Operator) -> Operator:
+    """The columns of ab - ba."""
+    return [sub(combine(bj, a), combine(aj, b)) for aj, bj in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +83,8 @@ class Irrep:
     offsets: Dict[Weight, int]
     dim: int
     grams: Dict[Weight, List[Dict[int, Scalar]]]   # symmetric sparse rows
-    e_ops: List[SparseOp]               # one per simple root
-    f_ops: List[SparseOp]
+    e_ops: List[Operator]               # one per simple root
+    f_ops: List[Operator]
     weights_of_index: List[Weight]
 
 
@@ -122,6 +100,11 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
     arithmetic on the Cartan matrix A of rs.  Levels are sorted in the
     order of the weights, on integers; the rational weights are made once,
     for the returned Irrep, which is keyed by them.
+
+    One raising pass per weight serves the pairing and the raising tables:
+    e_i f_j w_s is computed once for each candidate f_j w_s at mu and each
+    i with V_{mu+a_i} built.  Since <f_i w_t, f_j w_s> = <w_t, e_i f_j w_s>,
+    those vectors give the Gram rows, and at the pivots the table of e_i.
     """
     rank = rs.rank
     top: List[int] = []
@@ -160,14 +143,6 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
     for i in range(rank):
         e_data[i][n0] = [dict()]
 
-    def raise_then_lower(mu, i, j, t):
-        # e_i applied to basis vector t of V_{mu + a_j}, then f_j down
-        up_j = up(mu, j)
-        fj = f_data[j].get(up(up_j, i))
-        if fj is None:
-            return {}
-        return combine(e_data[i][up_j][t], fj)
-
     level = [n0]
     total = 1
     while level:
@@ -179,27 +154,30 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
                      for t in range(dims.get(up(mu, i), 0))]
             if not cands:
                 continue
-            # pairings <f_i u, f_j w> = <u, f_j e_i w> + d_ij <mu+a_i, a_i~> <u, w>
-            # form a symmetric matrix, so each row copies its entries left
-            # of the diagonal from the rows above
-            gram_rows: List[Dict[int, Scalar]] = []
-            for a_idx, (i, t) in enumerate(cands):
+            # raised[i][b] = e_i f_j w_s = f_j e_i w_s + d_ij <mu+a_i, a_i~> w_s
+            # for candidate b = (j, s), over the basis of V_{mu+a_i}
+            raised: Dict[int, List[Dict[int, Scalar]]] = {}
+            for i in range(rank):
                 up_i = up(mu, i)
-                g = grams[up_i][t]
+                if up_i not in dims:
+                    continue
                 hval = sca(pairing(up_i, i))
-                row = {b_idx: above[a_idx]
-                       for b_idx, above in enumerate(gram_rows)
-                       if a_idx in above}
-                for b_idx in range(a_idx, len(cands)):
-                    j, s = cands[b_idx]
-                    vecv = raise_then_lower(mu, i, j, s)
+                vectors = []
+                for j, s in cands:
+                    up_j = up(mu, j)
+                    # empty when V_{mu+a_i+a_j} is zero, and f_j with it
+                    v = combine(e_data[i][up_j][s],
+                                f_data[j].get(up(up_j, i)))
                     if i == j and hval:
-                        vecv = add(vecv, {s: hval})
-                    # pair with gram at up_i against basis vector t
-                    acc = ZERO
-                    for r, c in vecv.items():
-                        if r in g:
-                            acc = acc + g[r] * c
+                        v = add(v, {s: hval})
+                    vectors.append(v)
+                raised[i] = vectors
+            gram_rows: List[Dict[int, Scalar]] = []
+            for i, t in cands:
+                g = grams[up(mu, i)][t]
+                row = {}
+                for b_idx, v in enumerate(raised[i]):
+                    acc = sum((g[r] * c for r, c in v.items() if r in g), ZERO)
                     if acc:
                         row[b_idx] = acc
                 gram_rows.append(row)
@@ -215,30 +193,19 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
             dims[mu] = dim_mu
             grams[mu] = [{k: gram_rows[a][b] for k, b in enumerate(pivots)
                           if b in gram_rows[a]} for a in pivots]
-            # record lowering data f_i: V_{mu+a_i} -> V_mu
             for i in range(rank):
-                up_i = up(mu, i)
-                if up_i in dims:
-                    table = [dict() for _ in range(dims[up_i])]
+                # raising data e_i on the new basis: pivot a = (j, s) means
+                # f_j w_s
+                vectors = raised.get(i)
+                e_data[i][mu] = [vectors[a] if vectors else dict()
+                                 for a in pivots]
+                # lowering data f_i: V_{mu+a_i} -> V_mu
+                if vectors:
+                    table = [dict() for _ in range(dims[up(mu, i)])]
                     for a_idx, (ii, t) in enumerate(cands):
                         if ii == i:
                             table[t] = coords[a_idx]
-                    f_data[i][up_i] = table
-            # raising data e_i on the new basis: pivot a = (j, s) means f_j w_s
-            for i in range(rank):
-                up_i = up(mu, i)
-                if up_i not in dims:
-                    e_data[i][mu] = [dict() for _ in pivots]
-                    continue
-                hval = sca(pairing(up_i, i))
-                table = []
-                for a_idx in pivots:
-                    j, s = cands[a_idx]
-                    vecv = raise_then_lower(mu, i, j, s)
-                    if i == j and hval:
-                        vecv = add(vecv, {s: hval})
-                    table.append(vecv)
-                e_data[i][mu] = table
+                    f_data[i][up(mu, i)] = table
             new_level.append(mu)
         level = new_level
 
@@ -257,8 +224,8 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
         offsets[n] = off
         off += dims[n]
         weights_of_index.extend([real[n]] * dims[n])
-    e_ops = [SparseOp(total) for _ in range(rank)]
-    f_ops = [SparseOp(total) for _ in range(rank)]
+    e_ops: List[Operator] = [[{} for _ in range(total)] for _ in range(rank)]
+    f_ops: List[Operator] = [[{} for _ in range(total)] for _ in range(rank)]
     for n in order:
         for i in range(rank):
             up_i = up(n, i)
@@ -267,11 +234,11 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
             if n in e_data[i]:
                 for t, v in enumerate(e_data[i][n]):
                     for r, c in v.items():
-                        e_ops[i].cols[offsets[n] + t][offsets[up_i] + r] = c
+                        e_ops[i][offsets[n] + t][offsets[up_i] + r] = c
             if up_i in f_data[i]:
                 for t, v in enumerate(f_data[i][up_i]):
                     for r, c in v.items():
-                        f_ops[i].cols[offsets[up_i] + t][offsets[n] + r] = c
+                        f_ops[i][offsets[up_i] + t][offsets[n] + r] = c
     return Irrep(data=rs, highest=xi,
                  dims={real[n]: d for n, d in dims.items()},
                  offsets={real[n]: o for n, o in offsets.items()}, dim=total,
@@ -320,26 +287,29 @@ class KActionBasis:
     Words are built from the simple raising/lowering vectors; the same
     construction evaluated on a module's raising/lowering operators
     yields the action of any element via one exact linear solve.
+
+    Each lowering vector is scaled so that h_i = [e_i, f_i] acts on e_i by
+    2, as the simple coroot does on a module: the scalar alpha_i(h) of
+    h = [e_i, f~_i] is read from [h, e_i] = alpha_i(h) e_i.
     """
 
     def __init__(self, me: ModelEngine):
-        self.model = me.model
         ka = me.model.k_algebra
-        self.simple = k_root_system().simple
+        simple = k_root_system().simple
 
         def named(name: str) -> LieElement:
             # k coordinates are the first 36 mixed coordinates
             return me.lie_in_mixed(me.model.distinguished[name])
 
-        e_vecs = [named(_SIMPLE_VECTOR_NAMES[s][0]) for s in self.simple]
+        e_vecs = [named(_SIMPLE_VECTOR_NAMES[s][0]) for s in simple]
         f_vecs = []
-        for i, s in enumerate(self.simple):
+        for i, s in enumerate(simple):
             cand = named(_SIMPLE_VECTOR_NAMES[s][1])
             h = ka.bracket(e_vecs[i], cand)
-            val = self._eval_weight(self.simple[i], h)
+            val = _ratio(ka.bracket(h, e_vecs[i]), e_vecs[i])
             if not val:
                 raise ValueError("degenerate simple pair %d" % i)
-            f_vecs.append(scale(sca(Fraction(2) / val.rational_value()), cand))
+            f_vecs.append(scale(sca(2) / val, cand))
         self.e_vecs, self.f_vecs = e_vecs, f_vecs
         # closure: words as ('gen', kind, i) or ('br', a, b)
         self.words: List[tuple] = []
@@ -371,17 +341,6 @@ class KActionBasis:
             raise AssertionError("bracket words span only %d of 36"
                                  % len(self.words))
 
-
-    def _eval_weight(self, w: Weight, h: LieElement) -> Scalar:
-        # h must be toral: supported on the four Cartan labels (21..24)
-        acc = ZERO
-        for i, c in h.items():
-            lab = self.model.k_algebra.labels[i]
-            if not lab.startswith("Ht"):
-                raise ValueError("bracket is not toral")
-            acc = acc + c * sca(w[int(lab[2]) - 1])
-        return acc
-
     def coords(self, x: LieElement) -> Dict[int, Scalar]:
         """Coordinates of x over the words, keyed by word index."""
         rem, coords = self._span.reduce(x)
@@ -389,8 +348,8 @@ class KActionBasis:
             raise ValueError("element is not in the fixed subalgebra span")
         return coords
 
-    def word_ops(self, rep: Irrep) -> List[SparseOp]:
-        ops: List[Optional[SparseOp]] = []
+    def word_ops(self, rep: Irrep) -> List[Operator]:
+        ops: List[Operator] = []
         for word in self.words:
             if word[0] == "e":
                 ops.append(rep.e_ops[word[1]])
@@ -399,7 +358,7 @@ class KActionBasis:
             else:
                 _, (kind, idx), target = word
                 gen = rep.e_ops[idx] if kind == "e" else rep.f_ops[idx]
-                ops.append(gen.commutator(ops[target]))
+                ops.append(commutator(gen, ops[target]))
         return ops
 
 
@@ -409,18 +368,18 @@ class ModuleContext:
 
     rep: Irrep
     basis: KActionBasis
-    word_ops: List[SparseOp]
+    word_ops: List[Operator]
     # the centralizer invariants, solved on first use by m_invariants
     invariants: Optional[List[Dict[int, Scalar]]] = None
 
-    def action(self, x: LieElement) -> SparseOp:
-        out = SparseOp(self.rep.dim)
+    def action(self, x: LieElement) -> Operator:
+        out: Operator = [{} for _ in range(self.rep.dim)]
         for i, c in self.basis.coords(x).items():
-            for col, word_col in zip(out.cols, self.word_ops[i].cols):
+            for col, word_col in zip(out, self.word_ops[i]):
                 accumulate(col, word_col, c)
         return out
 
-    def action_named(self, me: ModelEngine, name: str) -> SparseOp:
+    def action_named(self, me: ModelEngine, name: str) -> Operator:
         x = me.model.distinguished[name]
         return self.action(me.lie_in_mixed(x))
 
@@ -433,11 +392,11 @@ def build_module(me: ModelEngine, k: int, l: int, cap: int = 512
 def build_module_for_weight(me: ModelEngine, xi: Weight, cap: int = 512
                             ) -> ModuleContext:
     rep = build_irrep(k_root_system(), xi, cap=cap)
-    basis = _action_basis(me)
+    basis = action_basis(me)
     return ModuleContext(rep=rep, basis=basis, word_ops=basis.word_ops(rep))
 
 
-def _action_basis(me: ModelEngine) -> KActionBasis:
+def action_basis(me: ModelEngine) -> KActionBasis:
     if me.action_basis is None:
         me.action_basis = KActionBasis(me)
     return me.action_basis
@@ -446,10 +405,6 @@ def _action_basis(me: ModelEngine) -> KActionBasis:
 # ---------------------------------------------------------------------------
 # invariants of the centralizer inside a module
 # ---------------------------------------------------------------------------
-
-M_SIMPLE_POS_LABELS = ("T23", "T34", "D4")
-M_SIMPLE_NEG_LABELS = ("T32", "T43",)   # the lowering partner of D4 is solved
-
 
 def m_generators(me: ModelEngine) -> List[LieElement]:
     """Simple raising/lowering vectors of the centralizer, in k
@@ -493,7 +448,7 @@ def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]
         for gvec in m_generators(me):
             op = ctx.action(gvec)
             space = [combine(c, space)
-                     for c in kernel([op.apply(v) for v in space])]
+                     for c in kernel([combine(v, op) for v in space])]
             if not space:
                 break
         ctx.invariants = space
@@ -522,7 +477,7 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
         for q in range(0, k + l + 2):
             w = v
             for _ in range(q):
-                w = e.apply(w)
+                w = combine(w, e)
             for p in range(0, k + 2):
                 expect_zero = (p > k) or (p + q > k + l)
                 rep.check("vanishing at (p=%d,q=%d)" % (p, q),
@@ -530,30 +485,30 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
                           "expected %s" % ("zero" if expect_zero else
                                            "nonzero"))
                 if p <= k:
-                    w = xd.apply(w)
+                    w = combine(w, xd)
         # the extreme vector is dominant
         w = v
         for _ in range(l):
-            w = e.apply(w)
+            w = combine(w, e)
         for _ in range(k):
-            w = xd.apply(w)
+            w = combine(w, xd)
         if rep.check("extreme vector is nonzero", w, "it vanished"):
             for i in range(4):
                 rep.check("extreme vector is dominant (i=%d)" % i,
-                          not ctx.rep.e_ops[i].apply(w), "raised nonzero")
+                          not combine(w, ctx.rep.e_ops[i]), "raised nonzero")
     return rep
 
 
-def lowering_chain(xd: SparseOp, e: SparseOp, v: Dict[int, Scalar],
+def lowering_chain(xd: Operator, e: Operator, v: Dict[int, Scalar],
                    k: int, l: int) -> List[Dict[int, Scalar]]:
     """The vectors Xdelta^{k-j} E^{l+j} v for 0 <= j <= k."""
     chain = []
     for j in range(0, k + 1):
         w = v
         for _ in range(l + j):
-            w = e.apply(w)
+            w = combine(w, e)
         for _ in range(k - j):
-            w = xd.apply(w)
+            w = combine(w, xd)
         chain.append(w)
     return chain
 
@@ -588,12 +543,12 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
                       all(ctx.rep.weights_of_index[i] == want for i in w))
         # identity: X1 (chain_j) = (j+l)/2 chain_{j-1}
         for j in range(0, k + 1):
-            lhs = x1.apply(chain[j])
+            lhs = combine(chain[j], x1)
             want = scale(sca(Fraction(j + l, 2)), chain[j - 1]) if j else {}
             rep.check("raising identity at j=%d" % j, lhs == want)
         # identity: Xm1 (chain_j) = 2(j+1)(k-j)/(l+j+1) chain_{j+1}
         for j in range(0, k + 1):
-            lhs = xm1.apply(chain[j])
+            lhs = combine(chain[j], xm1)
             if j < k:
                 c = Fraction(2 * (j + 1) * (k - j), l + j + 1)
                 want = scale(sca(c), chain[j + 1])
@@ -607,7 +562,7 @@ def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
             c = Fraction(2 ** j * factorial(j) * comb(k, j), comb(l + j, l))
             want = scale(sca(c), chain[j])
             rep.check("iterated lowering at j=%d" % j, acc == want)
-            acc = xm1.apply(acc)
+            acc = combine(acc, xm1)
     return rep
 
 

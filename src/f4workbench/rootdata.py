@@ -328,7 +328,6 @@ F4_SIMPLE = (
 
 @dataclass(frozen=True)
 class SatakeSplit:
-    theta_signs: Tuple[int, ...]          # action on epsilon coordinates
     p_plus: Tuple[Coord, ...]             # positives with nonzero restriction
     p_minus: Tuple[Coord, ...]            # positive roots of the centralizer
 
@@ -357,8 +356,7 @@ def f4_satake_data() -> Tuple[RootSystem, SatakeSplit]:
     rs = f4_root_system()
     p_plus = tuple(a for a in rs.positives if a[0] != 0)
     p_minus = tuple(a for a in rs.positives if a[0] == 0)
-    return rs, SatakeSplit(theta_signs=(-1, 1, 1, 1),
-                           p_plus=p_plus, p_minus=p_minus)
+    return rs, SatakeSplit(p_plus=p_plus, p_minus=p_minus)
 
 
 def is_compact_root(a: Coord) -> bool:

@@ -4,18 +4,15 @@ tolerance.  Each test prints a single PASS/FAIL line."""
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
-import pytest
-
-from f4workbench.exactnum import Matrix, ONE, ZERO, add, sca, scale, sub
-from f4workbench.liealg import (build_f4_model, transversality_rank,
-                                verify_model)
+from f4workbench.exactnum import ONE, ZERO, add, sca, scale, sub
+from f4workbench.liealg import transversality_rank
 from f4workbench.rootdata import (cartan_type, compact_split, DEFAULT_REGULAR,
                                   f4_satake_data, gamma_basis, simple_system,
                                   vadd, vscale)
-from f4workbench.uea import (IwasawaElement, ONE_MONO,
-                             invariants_up_to_degree, model_casimir_m)
+from f4workbench.uea import (IwasawaElement, invariants_up_to_degree,
+                             model_casimir_m)
 
 SEED = 20240801
 

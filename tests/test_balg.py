@@ -8,10 +8,10 @@ import pytest
 from f4workbench.balg import (
     check_b_membership, check_congruences, check_triangular,
     coefficients_m_invariant, congruence_residuals, default_nmax,
-    discrete_derivative, epsilon_ln, phi_coeffs, phi_poly, shift_by_scalar,
-    shift_substitute, substitute, t_matrix_entry, to_phi,
+    discrete_derivative, epsilon_ln, phi_coeffs, phi_poly, shift_substitute,
+    substitute, t_matrix_entry, to_phi,
 )
-from f4workbench.exactnum import ONE, Echelon, Scalar, ZERO, add, sca, scale, sub
+from f4workbench.exactnum import ONE, add, sca, scale, sub
 from f4workbench.liealg import LieAlgebra, _closure
 from f4workbench.repth import m_generators
 from f4workbench.uea import IwasawaElement, ONE_MONO

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -12,7 +11,7 @@ from f4workbench.combin import (
 )
 from f4workbench.exactnum import (Matrix, ONE, PolyScalar, ZERO, add, sca,
                                   scale, sub)
-from f4workbench.repth import degree_machine
+from f4workbench.repth import action_basis, degree_machine
 from f4workbench.rootdata import gamma_basis, vadd, vscale
 from f4workbench.uea import IwasawaElement, model_casimir_m
 from test_exactnum import poly_det_cofactor, variable
@@ -268,6 +267,15 @@ class TestUElement:
         ]
         for x in raisers:
             assert me.g.ad(x, u) == {}
+
+    def test_raisers_are_the_simple_raisings_of_k(self, me):
+        # u_element takes them from the action basis
+        k_idx = me.model.k_algebra.index
+        literal = [{k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
+                   {k_idx["T34"]: ONE}, {k_idx["Xdelta2"]: ONE},
+                   {k_idx["X1"]: ONE}]
+        assert {frozenset(x.items()) for x in action_basis(me).e_vecs} == \
+            {frozenset(x.items()) for x in literal}
 
     def test_congruent_to_leading_product(self, me):
         u, _, _ = u_element(me)

@@ -70,3 +70,30 @@ def test_every_definition_is_reached():
                 unreached.append("%s:%d %s" % (path.name, node.lineno,
                                                qualname))
     assert unreached == []
+
+
+def _unused_imports(tree):
+    """Names an import statement anywhere in tree binds and nothing in
+    tree reads, with the line of the import."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((name, node.lineno))
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    return [(name, line) for name, line in imported if name not in used]
+
+
+def test_every_import_is_used():
+    tests = pathlib.Path(__file__).parent
+    paths = [path for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"] + sorted(tests.glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), str(path))
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in _unused_imports(tree)]
+    assert unused == []

@@ -9,10 +9,10 @@ from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO, add,
                                   rational_roots, sca, scale, sub)
 from f4workbench.liealg import orthocomplement
 from f4workbench.repth import (
-    DegreeMachine, SparseOp, _casimir_of, _casimir_step, build_irrep,
-    build_module, build_module_for_weight, degree_machine, lowering_chain,
-    m_generators, m_invariants, verify_hw3iv, verify_techo, weyl_dimension,
-    xi_weight,
+    DegreeMachine, _casimir_of, _casimir_step, action_basis, build_irrep,
+    build_module, build_module_for_weight, commutator, degree_machine,
+    lowering_chain, m_generators, m_invariants, verify_hw3iv, verify_techo,
+    weyl_dimension, xi_weight,
 )
 from f4workbench.rootdata import (build_root_system, cartan_matrix_of,
                                   k_root_system, vec)
@@ -66,18 +66,24 @@ def spherical_fundamentals():
 
 
 def weight_diag(rep, coords_eval):
-    """Diagonal operator mu -> coords_eval(mu) on each weight space."""
-    op = SparseOp(rep.dim)
+    """Diagonal operator mu -> coords_eval(mu) on each weight space, as a
+    list of sparse columns."""
+    op = [{} for _ in range(rep.dim)]
     for w, off in rep.offsets.items():
         v = coords_eval(w)
         if v:
             for t in range(rep.dims[w]):
-                op.cols[off + t][off + t] = v
+                op[off + t][off + t] = v
     return op
 
 
 def is_zero(op):
-    return not any(op.cols)
+    return not any(op)
+
+
+def op_sub(a, b):
+    """The columns of a - b."""
+    return [sub(x, y) for x, y in zip(a, b)]
 
 
 @pytest.fixture(scope="module")
@@ -154,13 +160,13 @@ class TestBuildIrrep:
         rs = rep.data
         for i in range(4):
             for j in range(4):
-                comm = rep.e_ops[i].commutator(rep.f_ops[j])
+                comm = commutator(rep.e_ops[i], rep.f_ops[j])
                 if i != j:
                     assert is_zero(comm)
                 else:
                     diag = weight_diag(rep, lambda mu: sca(
                         rs.coroot_pairing(mu, rs.simple[i])))
-                    assert is_zero(comm.add_scaled(diag, -ONE))
+                    assert is_zero(op_sub(comm, diag))
 
     def test_serre_relations_via_action_basis(self, me, modules):
         # the action map is a Lie homomorphism on sampled pairs
@@ -170,10 +176,9 @@ class TestBuildIrrep:
         for _ in range(12):
             i, j = rng.randrange(36), rng.randrange(36)
             x, y = {i: ONE}, {j: ONE}
-            ax, ay = ctx.action(x), ctx.action(y)
-            lhs = ax.commutator(ay)
+            lhs = commutator(ctx.action(x), ctx.action(y))
             rhs = ctx.action(ka.bracket(x, y))
-            assert is_zero(lhs.add_scaled(rhs, -ONE))
+            assert is_zero(op_sub(lhs, rhs))
 
 
 def _dense_quotient_basis(gram_rows):
@@ -196,7 +201,11 @@ def fraction_keyed_build_irrep(rs, xi, cap=512, reverse_candidates=False):
     """build_irrep as it was before weights were keyed by depth vectors:
     Fraction weights throughout, every Gram entry computed, the Gram
     matrices kept as dense Matrix objects, and the candidates at each
-    weight optionally taken in reverse order."""
+    weight optionally taken in reverse order.
+
+    It is also the two-pass oracle for the one raising pass per weight:
+    every Gram entry recomputes e_i f_j w_s for its pair, and the raising
+    tables recompute the same vectors in a second loop."""
     rank = rs.rank
 
     def pairing(w, i):
@@ -317,19 +326,19 @@ def fraction_keyed_build_irrep(rs, xi, cap=512, reverse_candidates=False):
         offsets[w] = off
         off += dims[w]
         weights_of_index.extend([w] * dims[w])
-    e_ops = [repth.SparseOp(total) for _ in range(rank)]
-    f_ops = [repth.SparseOp(total) for _ in range(rank)]
+    e_ops = [[{} for _ in range(total)] for _ in range(rank)]
+    f_ops = [[{} for _ in range(total)] for _ in range(rank)]
     for w in order:
         for i in range(rank):
             up = tuple(x + a for x, a in zip(w, rs.simple[i]))
             if w in e_data[i] and up in offsets:
                 for t, v in enumerate(e_data[i][w]):
                     for r, c in v.items():
-                        e_ops[i].cols[offsets[w] + t][offsets[up] + r] = c
+                        e_ops[i][offsets[w] + t][offsets[up] + r] = c
             if up in offsets and up in f_data[i]:
                 for t, v in enumerate(f_data[i][up]):
                     for r, c in v.items():
-                        f_ops[i].cols[offsets[up] + t][offsets[w] + r] = c
+                        f_ops[i][offsets[up] + t][offsets[w] + r] = c
     return repth.Irrep(data=rs, highest=xi, dims=dims, offsets=offsets,
                        dim=total, grams=grams, e_ops=e_ops, f_ops=f_ops,
                        weights_of_index=weights_of_index)
@@ -348,8 +357,8 @@ def _irrep_fields(rep):
     return (rep.data, rep.highest, list(rep.dims.items()),
             list(rep.offsets.items()), rep.dim,
             [(w, _gram_entries(g)) for w, g in rep.grams.items()],
-            [[list(col.items()) for col in op.cols] for op in rep.e_ops],
-            [[list(col.items()) for col in op.cols] for op in rep.f_ops],
+            [[list(col.items()) for col in op] for op in rep.e_ops],
+            [[list(col.items()) for col in op] for op in rep.f_ops],
             rep.weights_of_index,
             [tuple(map(type, w)) for w in rep.weights_of_index])
 
@@ -407,8 +416,8 @@ class TestDenseOracles:
         assert got.dims == want.dims
         assert got.offsets == want.offsets
         assert got.grams == want.grams
-        assert [op.cols for op in got.e_ops] == [op.cols for op in want.e_ops]
-        assert [op.cols for op in got.f_ops] == [op.cols for op in want.f_ops]
+        assert got.e_ops == want.e_ops
+        assert got.f_ops == want.f_ops
 
     def test_spherical_fundamentals_match_solve(self):
         rs = k_root_system()
@@ -429,10 +438,41 @@ class TestDenseOracles:
             for _ in range(3)]
         for x in samples:
             x = {i: c for i, c in x.items() if c}
-            old = SparseOp(ctx.rep.dim)
+            old = [{} for _ in range(ctx.rep.dim)]
             for i, c in ctx.basis.coords(x).items():
-                old = old.add_scaled(ctx.word_ops[i], c)
-            assert ctx.action(x).cols == old.cols
+                old = [add(col, scale(c, word_col))
+                       for col, word_col in zip(old, ctx.word_ops[i])]
+            assert ctx.action(x) == old
+
+
+def eval_weight(me, w, h):
+    """w(h) for a toral h of k, by reading the coordinate out of each
+    label Ht1..Ht4: the simple pairs were once scaled by this."""
+    labels = me.model.k_algebra.labels
+    acc = ZERO
+    for i, c in h.items():
+        lab = labels[i]
+        if not lab.startswith("Ht"):
+            raise ValueError("bracket is not toral")
+        acc = acc + c * sca(w[int(lab[2]) - 1])
+    return acc
+
+
+class TestSimplePairs:
+    def test_scalar_matches_the_label_reading(self, me):
+        # alpha_i(h) read from [h, e_i] = alpha_i(h) e_i, for the unscaled
+        # lowering vector, against the coordinates of the Ht labels; the
+        # scaled pair then has alpha_i([e_i, f_i]) = 2
+        from f4workbench.liealg import _ratio
+        ka = me.model.k_algebra
+        basis = action_basis(me)
+        for a, e, f in zip(k_root_system().simple, basis.e_vecs,
+                           basis.f_vecs):
+            cand = me.lie_in_mixed(me.model.distinguished[
+                repth._SIMPLE_VECTOR_NAMES[a][1]])
+            h = ka.bracket(e, cand)
+            assert _ratio(ka.bracket(h, e), e) == eval_weight(me, a, h)
+            assert eval_weight(me, a, ka.bracket(e, f)) == sca(2)
 
 
 class TestMInvariants:
@@ -469,17 +509,18 @@ class TestHw3iv:
         v = m_invariants(ctx, me)[0]
         e = ctx.action_named(me, "E")
         xd = ctx.action_named(me, "Xdelta")
-        assert e.apply(v)
-        assert not e.apply(e.apply(v))
-        assert not xd.apply(v)
+        assert combine(v, e)
+        assert not combine(combine(v, e), e)
+        assert not combine(v, xd)
         # (1,0): Xdelta v nonzero, Xdelta^2 v = 0, Xdelta E v = 0
         ctx = modules[(1, 0)]
         v = m_invariants(ctx, me)[0]
         e = ctx.action_named(me, "E")
         xd = ctx.action_named(me, "Xdelta")
-        assert xd.apply(v)
-        assert not xd.apply(xd.apply(v))
-        assert not xd.apply(e.apply(v)) and not e.apply(xd.apply(v))
+        assert combine(v, xd)
+        assert not combine(combine(v, xd), xd)
+        assert not combine(combine(v, e), xd)
+        assert not combine(combine(v, xd), e)
 
 
 class TestTecho:
@@ -492,7 +533,7 @@ class TestTecho:
         ctx = modules[(0, 1)]
         v = m_invariants(ctx, me)[0]
         e = ctx.action_named(me, "E")
-        assert e.apply(v)   # the one-element chain is a basis
+        assert combine(v, e)   # the one-element chain is a basis
 
     def test_explicit_lowering_scalar(self, me, modules):
         # at (1,1), lowering the extreme vector gives 2*1*1/(1+1) = 1
@@ -502,9 +543,9 @@ class TestTecho:
         e = ctx.action_named(me, "E")
         xd = ctx.action_named(me, "Xdelta")
         xm1 = ctx.action_named(me, "Xm1")
-        u = xd.apply(v)
-        lowered = xm1.apply(u)
-        expect = {i: sca(2) * c for i, c in e.apply(v).items()}
+        u = combine(v, xd)
+        lowered = combine(u, xm1)
+        expect = {i: sca(2) * c for i, c in combine(v, e).items()}
         assert lowered == expect
 
 
@@ -661,8 +702,6 @@ def dominant_in_ideal_slice(me, target, max_degree=2):
     """Joint kernel of (Cartan - target) and the simple raisings on the
     filtration slice of the nilradical left ideal; empty means no
     dominant vector of that weight lives in the ideal."""
-    from f4workbench.uea import ONE_MONO
-
     monos = [()]
     for _ in range(max_degree):
         out = set(monos)
@@ -809,13 +848,11 @@ class TestInvariantCache:
     @staticmethod
     def _joint_kernel(ctx, me):
         """m_invariants before the cache: one joint solve per call."""
-        from f4workbench import repth
-        from f4workbench.exactnum import combine
         space = [{i: ONE} for i in range(ctx.rep.dim)]
         for gvec in m_generators(me):
             op = ctx.action(gvec)
             space = [combine(c, space)
-                     for c in repth.kernel([op.apply(v) for v in space])]
+                     for c in repth.kernel([combine(v, op) for v in space])]
             if not space:
                 break
         return space

@@ -14,9 +14,8 @@ from f4workbench.liealg import LieAlgebra, chevalley_algebra
 from f4workbench.repth import _casimir_core, _casimir_tensor, degree_machine
 from f4workbench.rootdata import build_root_system, f4_satake_data
 from f4workbench.uea import (
-    DEGREE_LIMIT, IwasawaElement, ONE_MONO, PBWEngine, casimir,
-    invariants_up_to_degree, model_casimir_g, model_casimir_m,
-    omega_normalized, reduce_mod,
+    DEGREE_LIMIT, ONE_MONO, PBWEngine, casimir, invariants_up_to_degree,
+    model_casimir_g, model_casimir_m, reduce_mod,
 )
 
 
