@@ -4,7 +4,9 @@ Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage
 error or bad input, 3 I/O error.  Every command that runs checks writes
 one JSON schema, reporting.Report.as_dict(): one record per check, each
 carrying a stable descriptive id, the seed used for sampled families so
-runs are reproducible, the setup time and the wall time.
+runs are reproducible, the setup time and the wall time; a run that
+built the model engine adds memo_entries, the size of its straightening
+tables.
 """
 
 from __future__ import annotations
@@ -457,6 +459,9 @@ SUITES = {
     "omega": suite_omega,
 }
 
+# the suites that run on the model alone and never build the PBW engine
+MODEL_ONLY_SUITES = ("model", "transversality")
+
 
 def run_suite(name: str, cfg: Config) -> Report:
     """Run one suite, or all of them; wall_time covers the whole call,
@@ -671,8 +676,13 @@ def _emit(payload: dict, json_out: Optional[str]) -> None:
     print(text)
 
 
-def _emit_report(rep: Report, json_out: Optional[str]) -> int:
-    _emit(rep.as_dict(), json_out)
+def _emit_report(rep: Report, json_out: Optional[str], me=None) -> int:
+    """Write the report; a run that built the model engine me also gets
+    memo_entries, the size of its straightening tables at the end."""
+    payload = rep.as_dict()
+    if me is not None:
+        payload["memo_entries"] = me.g.memo_entries
+    _emit(payload, json_out)
     return 0 if rep.ok else 1
 
 
@@ -703,7 +713,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if args.command == "verify":
-            return _emit_report(run_suite(args.suite, cfg), args.json_out)
+            rep = run_suite(args.suite, cfg)
+            me = None
+            if args.suite not in MODEL_ONLY_SUITES:
+                from .uea import model_engine
+                me = model_engine()
+            return _emit_report(rep, args.json_out, me)
 
         if args.command == "golden":
             emit_golden(args.target, args.out)
@@ -734,7 +749,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             except ValueError as exc:
                 print("balg check-b: %s" % exc, file=sys.stderr)
                 return 2
-            return _emit_report(rep, args.json_out)
+            return _emit_report(rep, args.json_out, me)
 
         if args.command == "repth":
             rep = Report("repth verify", cfg.seed)
@@ -742,7 +757,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             me = model_engine()
             rep.run(_module_checks(me, (args.k, args.l), cfg.dimension_cap,
                                    {}))
-            return _emit_report(rep, args.json_out)
+            return _emit_report(rep, args.json_out, me)
 
         if args.command == "combin":
             return _combin_command(args, cfg)
@@ -813,7 +828,7 @@ def _combin_command(args, cfg: Config) -> int:
             print("combin assemble: %s" % exc, file=sys.stderr)
             return 2
         assemble_system(me, elem, T, pairs, data=data, rep=rep)
-        return _emit_report(rep, args.json_out)
+        return _emit_report(rep, args.json_out, me)
     return 2
 
 

@@ -217,6 +217,8 @@ def sca(x) -> Scalar:
     """Coerce an int/Fraction/Scalar to Scalar."""
     if isinstance(x, Scalar):
         return x
+    if type(x) is int:      # bool, an int subclass, keeps the rational path
+        return Scalar(x)
     return Scalar.from_rational(x)
 
 

@@ -6,7 +6,11 @@ vectors at each weight are lowerings of the basis one level up, their
 contravariant pairings are computed recursively from raising data, and
 the radical of the pairing is quotiented away on the spot by pivot
 selection.  Everything is exact, and every constructed module is
-checked against the Weyl dimension formula.
+checked against the Weyl dimension formula.  The raising pass and the
+Gram rows run on integers, each vector over one denominator; the module
+is converted to Scalars once, when it is returned.  An element of k acts
+through the operators of a bracket-word basis, and each word's operator
+is built the first time an action reads it.
 
 The degree machinery classifies the isotypic components of invariant
 elements of U(k) by their two-parameter labels (k, l): highest weight
@@ -20,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
-                       accumulate, add, combine, coordinates, dual_basis, kernel,
+                       accumulate, combine, coordinates, dual_basis, kernel,
                        rational_roots, sca, scale, sub)
 from .liealg import LieElement, _ratio, orthocomplement
 from .reporting import Report
@@ -42,19 +46,31 @@ def xi_weight(k: int, l: int) -> Weight:
 
 def weyl_dimension(xi: Weight, rs: Optional[RootSystem] = None) -> int:
     """Product formula over the positive roots of rs (those of k by
-    default), exactly."""
+    default), exactly, on integers.
+
+    For a positive root a = sum_i c_i a_i the coroot a~ is proportional to
+    sum_i c_i d_i a_i~ with d_i = (a_i, a_i), and <rho, a_i~> = 1, so
+    <xi + rho, a~> / <rho, a~> = sum_i c_i d_i (m_i + 1) / sum_i c_i d_i
+    with the labels m_i = <xi, a_i~>.  Raises unless every m_i is a
+    nonnegative integer.
+    """
     if rs is None:
         rs = k_root_system()
-    rho = rs.rho
-    num = Fraction(1)
-    den = Fraction(1)
+    marks = []
+    for a in rs.simple:
+        m = rs.coroot_pairing(xi, a)
+        if m < 0 or m.denominator != 1:
+            raise ValueError("weight %r is not dominant integral" % (xi,))
+        marks.append(int(m))
+    lengths = [rs.ip(a, a) for a in rs.simple]
+    scale_d = lcm(*(x.denominator for x in lengths))
+    d = [int(x * scale_d) for x in lengths]
+    num = den = 1
     for a in rs.positives:
-        num *= rs.ip(tuple(x + r for x, r in zip(xi, rho)), a)
-        den *= rs.ip(rho, a)
-    val = num / den
-    if val.denominator != 1 or val <= 0:
-        raise ValueError("weight %r is not dominant integral" % (xi,))
-    return int(val)
+        c = rs.coefficients[a]
+        num *= sum(ci * di * (m + 1) for ci, di, m in zip(c, d, marks))
+        den *= sum(ci * di for ci, di in zip(c, d))
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +114,20 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
     Inside, a weight mu = xi - sum_j n_j a_j is keyed by its integer depth
     vector n, so <mu, a_i~> = <xi, a_i~> - sum_j n_j A_ji is integer
     arithmetic on the Cartan matrix A of rs.  Levels are sorted in the
-    order of the weights, on integers; the rational weights are made once,
-    for the returned Irrep, which is keyed by them.
+    order of the weights, on integers, and the rational weights of the
+    returned Irrep are made from the same integer keys.
 
     One raising pass per weight serves the pairing and the raising tables:
     e_i f_j w_s is computed once for each candidate f_j w_s at mu and each
     i with V_{mu+a_i} built.  Since <f_i w_t, f_j w_s> = <w_t, e_i f_j w_s>,
     those vectors give the Gram rows, and at the pivots the table of e_i.
+
+    The pass runs on integers.  Every basis vector is a monomial in the
+    f_j applied to the highest weight vector, so every Gram entry is an
+    integer, and each raising or lowering vector is an integer vector over
+    one denominator (a _RatVec).  Only the quotient of each Gram matrix
+    goes through Echelon on Scalars, and the returned Irrep is converted
+    to Scalars once.
     """
     rank = rs.rank
     top: List[int] = []
@@ -128,60 +151,63 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
     def up(n, i):
         return n[:i] + (n[i] - 1,) + n[i + 1:]
 
-    def weight_order(n):
-        return tuple(-sum(nj * a[c] for nj, a in zip(n, scaled))
-                     for c in range(len(xi)))
-
     n0 = (0,) * rank
+    # weight_order[n] = -sum_j n_j (L a_j), kept for every depth vector met
+    weight_order: Dict[tuple, tuple] = {n0: (0,) * len(xi)}
     dims: Dict[tuple, int] = {n0: 1}
-    grams: Dict[tuple, List[Dict[int, Scalar]]] = {n0: [{0: ONE}]}
+    grams: Dict[tuple, List[Dict[int, int]]] = {n0: [{0: 1}]}
     # E[i][n]: list over basis of V_n of vectors over basis of V_{up(n, i)}
-    e_data: List[Dict[tuple, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
+    e_data: List[Dict[tuple, List[_RatVec]]] = [dict() for _ in range(rank)]
     # F[i][n]: list over basis of V_n of vectors over basis of the weight
     # a_i below it
-    f_data: List[Dict[tuple, List[Dict[int, Scalar]]]] = [dict() for _ in range(rank)]
+    f_data: List[Dict[tuple, List[_RatVec]]] = [dict() for _ in range(rank)]
     for i in range(rank):
-        e_data[i][n0] = [dict()]
+        e_data[i][n0] = [_EMPTY]
 
     level = [n0]
     total = 1
     while level:
-        nxt = {n[:i] + (n[i] + 1,) + n[i + 1:]
-               for n in level for i in range(rank)}
+        nxt = set()
+        for n in level:
+            for i in range(rank):
+                below = n[:i] + (n[i] + 1,) + n[i + 1:]
+                nxt.add(below)
+                weight_order[below] = tuple(
+                    x - y for x, y in zip(weight_order[n], scaled[i]))
         new_level = []
-        for mu in sorted(nxt, key=weight_order):
+        for mu in sorted(nxt, key=weight_order.__getitem__):
+            ups = [up(mu, i) for i in range(rank)]
             cands = [(i, t) for i in range(rank)
-                     for t in range(dims.get(up(mu, i), 0))]
+                     for t in range(dims.get(ups[i], 0))]
             if not cands:
                 continue
             # raised[i][b] = e_i f_j w_s = f_j e_i w_s + d_ij <mu+a_i, a_i~> w_s
             # for candidate b = (j, s), over the basis of V_{mu+a_i}
-            raised: Dict[int, List[Dict[int, Scalar]]] = {}
+            raised: Dict[int, List[_RatVec]] = {}
             for i in range(rank):
-                up_i = up(mu, i)
-                if up_i not in dims:
+                if ups[i] not in dims:
                     continue
-                hval = sca(pairing(up_i, i))
-                vectors = []
-                for j, s in cands:
-                    up_j = up(mu, j)
-                    # empty when V_{mu+a_i+a_j} is zero, and f_j with it
-                    v = combine(e_data[i][up_j][s],
-                                f_data[j].get(up(up_j, i)))
-                    if i == j and hval:
-                        v = add(v, {s: hval})
-                    vectors.append(v)
-                raised[i] = vectors
-            gram_rows: List[Dict[int, Scalar]] = []
+                hval = pairing(ups[i], i)
+                e_i = e_data[i]
+                # f_j from V_{mu+a_i+a_j}, None when that space is zero
+                f_up = [f_data[j].get(up(ups[j], i)) for j in range(rank)]
+                raised[i] = [_raise_lower(e_i[ups[j]][s], f_up[j],
+                                          s if i == j else None, hval)
+                             for j, s in cands]
+            gram_rows: List[Dict[int, int]] = []
             for i, t in cands:
-                g = grams[up(mu, i)][t]
+                g = grams[ups[i]][t]
                 row = {}
-                for b_idx, v in enumerate(raised[i]):
-                    acc = sum((g[r] * c for r, c in v.items() if r in g), ZERO)
+                for b_idx, (v, den) in enumerate(raised[i]):
+                    acc = sum(g[r] * c for r, c in v.items() if r in g)
                     if acc:
-                        row[b_idx] = acc
+                        entry, rem = divmod(acc, den)
+                        if rem:
+                            raise AssertionError("Gram entry is not an integer")
+                        row[b_idx] = entry
                 gram_rows.append(row)
-            pivots, coords = _quotient_basis(gram_rows)
+            pivots, coords = _quotient_basis(
+                [{b: Scalar(x) for b, x in row.items()} for row in gram_rows])
             dim_mu = len(pivots)
             if dim_mu == 0:
                 continue
@@ -197,26 +223,27 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
                 # raising data e_i on the new basis: pivot a = (j, s) means
                 # f_j w_s
                 vectors = raised.get(i)
-                e_data[i][mu] = [vectors[a] if vectors else dict()
+                e_data[i][mu] = [vectors[a] if vectors else _EMPTY
                                  for a in pivots]
                 # lowering data f_i: V_{mu+a_i} -> V_mu
                 if vectors:
-                    table = [dict() for _ in range(dims[up(mu, i)])]
+                    table = [_EMPTY] * dims[ups[i]]
                     for a_idx, (ii, t) in enumerate(cands):
                         if ii == i:
-                            table[t] = coords[a_idx]
-                    f_data[i][up(mu, i)] = table
+                            table[t] = _over_one_denominator(coords[a_idx])
+                    f_data[i][ups[i]] = table
             new_level.append(mu)
         level = new_level
 
     if total != predicted:
         raise AssertionError("constructed dimension %d != predicted %d"
                              % (total, predicted))
-    # flatten, and make the rational weights
-    real = {n: tuple(x - sum(nj * a[c] for nj, a in zip(n, rs.simple))
-                     for c, x in enumerate(xi)) for n in dims}
+    # flatten, and make the rational weights: mu = xi + weight_order(n) / L
+    order = sorted(dims, key=weight_order.__getitem__)
+    real = {n: tuple(Fraction(x.numerator * scale_l + c * x.denominator,
+                              x.denominator * scale_l)
+                     for x, c in zip(xi, weight_order[n])) for n in order}
     real[n0] = xi
-    order = sorted(dims, key=weight_order)
     offsets: Dict[tuple, int] = {}
     off = 0
     weights_of_index: List[Weight] = []
@@ -232,18 +259,72 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
             if up_i not in offsets:
                 continue
             if n in e_data[i]:
-                for t, v in enumerate(e_data[i][n]):
+                for t, (v, den) in enumerate(e_data[i][n]):
+                    col = e_ops[i][offsets[n] + t]
                     for r, c in v.items():
-                        e_ops[i][offsets[n] + t][offsets[up_i] + r] = c
+                        col[offsets[up_i] + r] = Scalar(c, 0, den)
             if up_i in f_data[i]:
-                for t, v in enumerate(f_data[i][up_i]):
+                for t, (v, den) in enumerate(f_data[i][up_i]):
+                    col = f_ops[i][offsets[up_i] + t]
                     for r, c in v.items():
-                        f_ops[i][offsets[up_i] + t][offsets[n] + r] = c
+                        col[offsets[n] + r] = Scalar(c, 0, den)
     return Irrep(data=rs, highest=xi,
                  dims={real[n]: d for n, d in dims.items()},
                  offsets={real[n]: o for n, o in offsets.items()}, dim=total,
-                 grams={real[n]: g for n, g in grams.items()},
+                 grams={real[n]: [{k: Scalar(x) for k, x in row.items()}
+                                  for row in g] for n, g in grams.items()},
                  e_ops=e_ops, f_ops=f_ops, weights_of_index=weights_of_index)
+
+
+# a rational vector as integer numerators over one positive denominator
+_RatVec = Tuple[Dict[int, int], int]
+_EMPTY: _RatVec = ({}, 1)
+
+
+def _raise_lower(e_vec: _RatVec, f_table: Optional[List[_RatVec]],
+                 s: Optional[int], hval: int) -> _RatVec:
+    """f_j e_i w_s + hval w_s (the second term only when s is given) from
+    the raising vector e_vec of w_s and the table f_table of f_j, reduced.
+
+    Terms are summed over the common denominator one by one, as
+    exactnum.accumulate sums them, so the keys come out in the order, and
+    the same entries cancel, as in combine(e_vec, f_table) + {s: hval} on
+    Scalars.
+    """
+    num, den = e_vec
+    out: Dict[int, int] = {}
+    if num:
+        d = lcm(*(f_table[r][1] for r in num))
+        for r, c in num.items():
+            f_num, f_den = f_table[r]
+            c *= d // f_den
+            for k, x in f_num.items():
+                x *= c
+                prev = out.get(k)
+                if prev is not None:
+                    x += prev
+                if x:
+                    out[k] = x
+                else:
+                    del out[k]
+        den *= d
+    if s is not None and hval:
+        x = out.get(s, 0) + hval * den
+        if x:
+            out[s] = x
+        else:
+            del out[s]
+    g = gcd(den, *out.values())
+    if g > 1:
+        out = {k: x // g for k, x in out.items()}
+        den //= g
+    return out, den
+
+
+def _over_one_denominator(v: Dict[int, Scalar]) -> _RatVec:
+    """A rational Scalar vector as integer numerators over their lcm."""
+    den = lcm(*(c.r for c in v.values()))
+    return {k: c.p * (den // c.r) for k, c in v.items()}, den
 
 
 def _quotient_basis(gram_rows: List[Dict[int, Scalar]]):
@@ -348,18 +429,41 @@ class KActionBasis:
             raise ValueError("element is not in the fixed subalgebra span")
         return coords
 
-    def word_ops(self, rep: Irrep) -> List[Operator]:
-        ops: List[Operator] = []
-        for word in self.words:
-            if word[0] == "e":
-                ops.append(rep.e_ops[word[1]])
-            elif word[0] == "f":
-                ops.append(rep.f_ops[word[1]])
+    def word_ops(self, rep: Irrep) -> "WordOps":
+        """The operators of the words on rep, each built when it is first
+        indexed (see WordOps)."""
+        return WordOps(self.words, rep)
+
+
+class WordOps:
+    """The operator of each bracket word on one module, by word index.
+
+    A word's operator is built the first time it is indexed, from those
+    of its generator and its target word, and kept.  A check that reads a
+    few elements of k forms only the commutators their coordinates reach.
+    """
+
+    def __init__(self, words: List[tuple], rep: Irrep):
+        self._words = words
+        self._rep = rep
+        self._ops: Dict[int, Operator] = {}
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+    def __getitem__(self, i: int) -> Operator:
+        op = self._ops.get(i)
+        if op is None:
+            word = self._words[i]
+            if word[0] == "br":
+                op = commutator(self._generator(*word[1]), self[word[2]])
             else:
-                _, (kind, idx), target = word
-                gen = rep.e_ops[idx] if kind == "e" else rep.f_ops[idx]
-                ops.append(commutator(gen, ops[target]))
-        return ops
+                op = self._generator(*word)
+            self._ops[i] = op
+        return op
+
+    def _generator(self, kind: str, idx: int) -> Operator:
+        return (self._rep.e_ops if kind == "e" else self._rep.f_ops)[idx]
 
 
 @dataclass
@@ -368,7 +472,7 @@ class ModuleContext:
 
     rep: Irrep
     basis: KActionBasis
-    word_ops: List[Operator]
+    word_ops: WordOps
     # the centralizer invariants, solved on first use by m_invariants
     invariants: Optional[List[Dict[int, Scalar]]] = None
 

@@ -116,6 +116,11 @@ class PBWEngine:
         # _unit[i] is the packed monomial e'_i
         self._unit = [1 << (BITS * i) for i in range(algebra.dim)]
 
+    @property
+    def memo_entries(self) -> int:
+        """The number of entries in the two straightening tables."""
+        return len(self._memo) + len(self._memo_left)
+
     # -- basic constructors ------------------------------------------------
 
     def one(self) -> UEA:

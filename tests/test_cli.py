@@ -522,9 +522,15 @@ class TestReportSchema:
         paths = dict(zip(("member", "control"), member_and_control))
         code = main([paths.get(a, a) for a in command])
         report = json.loads(capsys.readouterr().out)
+        # the runs on the model alone build no PBW engine, so report no
+        # straightening tables
+        engine = command[0] in ("balg", "repth", "combin")
         assert list(report) == ["suite", "seed", "checks", "summary",
                                 "setup_seconds", "wall_time_seconds",
-                                "peak_rss_mb"]
+                                "peak_rss_mb"] + ["memo_entries"] * engine
+        if engine:
+            assert type(report["memo_entries"]) is int
+            assert report["memo_entries"] >= 0
         assert code == int(report["summary"]["fail"] > 0)
         for c in report["checks"]:
             assert set(c) == ({"id", "status", "seconds"} |

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import f4workbench
 from f4workbench.exactnum import (
     HALF, ONE, SQRT2, TWO, ZERO, Echelon, Matrix, PolyScalar, Scalar, add,
-    combine, coordinates, dual_basis, kernel, poly_det, rational_roots, scale,
-    sqrt_in_field, sub,
+    combine, coordinates, dual_basis, kernel, poly_det, rational_roots, sca,
+    scale, sqrt_in_field, sub,
 )
 
 
@@ -165,6 +165,18 @@ class TestScalarConstructor:
     def test_zero_denominator_raises(self, p, q):
         with pytest.raises(ZeroDivisionError):
             Scalar(p, q, 0)
+
+    @pytest.mark.parametrize("x", [0, 1, -1, 2 ** 70, True, Fraction(3, 4)],
+                             ids=repr)
+    def test_sca_matches_from_rational(self, x):
+        # plain ints skip Fraction; bools keep that path and come out ints
+        got, want = sca(x), Scalar.from_rational(x)
+        assert got == want
+        assert all(type(v) is int for v in (got.p, got.q, got.r))
+
+    def test_sca_keeps_a_scalar(self):
+        x = Scalar(3, -1, 4)
+        assert sca(x) is x
 
     @pytest.mark.parametrize("name", ["p", "q", "r", "other"])
     def test_immutable(self, name):

@@ -1,12 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from f4workbench import repth
-from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO, add,
-                                  combine, coordinates, dual_basis,
-                                  rational_roots, sca, scale, sub)
+from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO,
+                                  accumulate, add, combine, coordinates,
+                                  dual_basis, rational_roots, sca, scale, sub)
 from f4workbench.liealg import orthocomplement
 from f4workbench.repth import (
     DegreeMachine, _casimir_of, _casimir_step, action_basis, build_irrep,
@@ -29,6 +30,8 @@ def root_system(*simple):
 
 
 SL2 = root_system((2,))
+B4_STANDARD = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1))
+A3_IN_R4 = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1))
 
 
 def label_of_weight(w):
@@ -117,6 +120,30 @@ class TestWeylDimension:
         with pytest.raises(ValueError):
             weyl_dimension(vec(1, 0, 0, 0))
 
+    def test_matches_the_fraction_formula(self):
+        rs = k_root_system()
+        fundamentals = [w for w, _ in spherical_fundamentals()]
+        cases = [(rs, tuple(sum(n * w[c] for n, w in zip(ns, fundamentals))
+                            for c in range(4)))
+                 for ns in itertools.product(range(3), repeat=4)]
+        cases += [(SL2, (Fraction(n),)) for n in range(5)]
+        cases += [(root_system(*simple), vec(1, 0, 0, 0))
+                  for simple in (B4_STANDARD, A3_IN_R4)]
+        for rs, xi in cases:
+            assert weyl_dimension(xi, rs) == fraction_weyl_dimension(xi, rs)
+
+
+def fraction_weyl_dimension(xi, rs):
+    """weyl_dimension as it was before it ran on the Cartan data: the
+    product over the positive roots of (xi + rho, a) / (rho, a), on the
+    rational coordinates."""
+    rho = rs.rho
+    num = den = Fraction(1)
+    for a in rs.positives:
+        num *= rs.ip(tuple(x + r for x, r in zip(xi, rho)), a)
+        den *= rs.ip(rho, a)
+    return num / den
+
 
 class TestBuildIrrep:
     def test_sl2(self):
@@ -124,10 +151,8 @@ class TestBuildIrrep:
             rep = build_irrep(SL2, (Fraction(n),))
             assert rep.dim == n + 1
 
-    @pytest.mark.parametrize("simple, dim", [
-        (((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1)), 9),
-        (((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)), 4),
-    ], ids=["B4-standard", "A3-in-R4"])
+    @pytest.mark.parametrize("simple, dim", [(B4_STANDARD, 9), (A3_IN_R4, 4)],
+                             ids=["B4-standard", "A3-in-R4"])
     def test_prediction_uses_the_given_roots(self, simple, dim):
         # the vector module of B4 and of A3, each in its own coordinates:
         # the Weyl formula must run over their roots, not over those of k
@@ -378,13 +403,15 @@ def assert_same_module(a, b):
 
 
 class TestIntegerKeys:
-    @pytest.mark.parametrize("kl", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)],
-                             ids=str)
+    # the cap admits (1,2), of dimension 576, and bounds nothing else
+    @pytest.mark.parametrize("kl", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2),
+                                    (1, 2)], ids=str)
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
     def test_k_modules_match_fraction_keys(self, kl, reverse):
         rs, xi = k_root_system(), xi_weight(*kl)
-        got = build_irrep(rs, xi)
-        want = fraction_keyed_build_irrep(rs, xi, reverse_candidates=reverse)
+        got = build_irrep(rs, xi, cap=1024)
+        want = fraction_keyed_build_irrep(rs, xi, cap=1024,
+                                          reverse_candidates=reverse)
         if reverse:
             assert_same_module(got, want)
         else:
@@ -443,6 +470,66 @@ class TestDenseOracles:
                 old = [add(col, scale(c, word_col))
                        for col, word_col in zip(old, ctx.word_ops[i])]
             assert ctx.action(x) == old
+
+
+def eager_word_ops(basis, rep):
+    """KActionBasis.word_ops as it was before the operators were built on
+    demand: every word in order, each bracket word from the operator of
+    its target."""
+    ops = []
+    for word in basis.words:
+        if word[0] == "e":
+            ops.append(rep.e_ops[word[1]])
+        elif word[0] == "f":
+            ops.append(rep.f_ops[word[1]])
+        else:
+            _, (kind, idx), target = word
+            gen = rep.e_ops[idx] if kind == "e" else rep.f_ops[idx]
+            ops.append(commutator(gen, ops[target]))
+    return ops
+
+
+class TestWordOps:
+    @pytest.mark.parametrize("kl", [(1, 1), (2, 0), (0, 2), (1, 2)], ids=str)
+    def test_on_demand_matches_the_eager_chain(self, me, kl):
+        rep = build_irrep(k_root_system(), xi_weight(*kl), cap=1024)
+        basis = action_basis(me)
+        lazy = basis.word_ops(rep)
+        eager = eager_word_ops(basis, rep)
+        order = list(range(36))
+        random.Random(10 * kl[0] + kl[1]).shuffle(order)
+        assert len(lazy) == len(eager) == 36
+        for i in order:
+            assert lazy[i] == eager[i]
+
+    @pytest.mark.parametrize("kl", [(1, 1), (2, 0)], ids=str)
+    def test_action_matches_the_eager_action(self, me, modules, kl):
+        ctx = modules[kl]
+        eager = eager_word_ops(ctx.basis, ctx.rep)
+        for j in range(36):
+            x = {j: ONE}
+            want = [{} for _ in range(ctx.rep.dim)]
+            for i, c in ctx.basis.coords(x).items():
+                for col, word_col in zip(want, eager[i]):
+                    accumulate(col, word_col, c)
+            assert ctx.action(x) == want
+
+    def test_module_checks_form_nine_commutators(self, me, monkeypatch):
+        # the six m generators and Xdelta, E, X1, Xm1 reach 17 of the 36
+        # words, 9 of them brackets; the eager chain formed all 28
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return commutator(a, b)
+
+        monkeypatch.setattr(repth, "commutator", counted)
+        ctx = build_module(me, 1, 1)
+        m_invariants(ctx, me)
+        assert verify_hw3iv(ctx, me, 1, 1).ok
+        assert verify_techo(ctx, me, 1, 1).ok
+        assert len(calls) == 9
+        assert sum(w[0] == "br" for w in ctx.basis.words) == 28
 
 
 def eval_weight(me, w, h):
