@@ -138,12 +138,18 @@ def suite_omega(cfg: Config) -> Report:
     rep = Report("omega", cfg.seed)
     from .uea import model_engine, omega_normalized
     from .balg import check_b_membership
-    from .repth import degree_machine
+    from .repth import degree_machine, label_degree
     me = model_engine()
     omr = omega_normalized(me)
     om = omr.omega
     dm = degree_machine(me)
     nmax = cfg.nmax or 6
+
+    def constant_degree():
+        labels = sorted(dm.components(om.coeff(0)))
+        d = label_degree(labels)
+        return _ok(d <= cfg.degree_cap, "degree %d > %d; components %s" % (
+            d, cfg.degree_cap, ", ".join(map(str, labels))))
 
     checks = [
         ("projected Casimir has polynomial degree 2",
@@ -158,8 +164,8 @@ def suite_omega(cfg: Config) -> Report:
          lambda: _ok(omr.casimir_m_coeff != ZERO,
                      "solved (%r, %r)" % (omr.casimir_m_coeff,
                                           omr.constant_coeff))),
-        ("constant coefficient degree at most 4",
-         lambda: _ok(dm.degree(om.coeff(0)) <= cfg.degree_cap)),
+        ("constant coefficient degree at most %d" % cfg.degree_cap,
+         constant_degree),
         ("membership equations for the projected Casimir",
          lambda: _outcome(check_b_membership(me, om, nmax=nmax))),
         ("membership equations for its square",

@@ -188,21 +188,16 @@ def determinant_factorization(lseq: Sequence[int], delta: int) -> DetFactorizati
 # ---------------------------------------------------------------------------
 
 
-def dk_operator(me: ModelEngine, b: UEA, k: int,
-                checked_type: Optional[Tuple[int, int]] = None) -> UEA:
+def dk_operator(me: ModelEngine, b: UEA, k: int) -> UEA:
     """The k-th twisted raising combination of a pure-type invariant.
 
     For an invariant of type (2i, j) and 0 <= k <= 2i:
     sum_l (-2)^l C(k,l) C(j+l,l)^(-1) Xdelta^(2i-l) E^(j+l) (b) E^(k-l) X4^l.
     """
-    dm = degree_machine(me)
-    if checked_type is None:
-        comps = dm.components(b)
-        if len(comps) != 1:
-            raise ValueError("element is not of pure type: %s" % sorted(comps))
-        (two_i, j), = comps.keys()
-    else:
-        two_i, j = checked_type
+    comps = degree_machine(me).components(b)
+    if len(comps) != 1:
+        raise ValueError("element is not of pure type: %s" % sorted(comps))
+    (two_i, j), = comps.keys()
     if two_i % 2 != 0:
         raise ValueError("first type label must be even")
     if not (0 <= k <= two_i):

@@ -792,11 +792,9 @@ def build_f4_model() -> F4Model:
 
     distinguished = dict(named)
     distinguished.update({
-        "X4": x4, "Xphi1": xphi1, "Xphi2": xphi2, "X3": e_elt,
+        "X4": x4, "Xphi1": xphi1, "Xphi2": xphi2,
         "Xmu": xmu, "Hmu": h_mu, "H1": h1, "H2": h2,
-        "Y": y_elt, "Z": z_elt, "H": h_elt, "Ytilde": ytilde,
-        "Zo": zo, "Halpha1": h_a1,
-        "Hr1": hr1, "Hr2": hr2, "H43": h43,
+        "Y": y_elt, "Z": z_elt, "H": h_elt, "Ytilde": ytilde, "Zo": zo,
     })
 
     # subspaces
@@ -817,12 +815,6 @@ def build_f4_model() -> F4Model:
     hr = Echelon([hr1, hr2])
     q = Echelon(qplus.rows() + [hr1, hr2, t43])
     qtilde = Echelon(kplus.rows() + [hr1, hr2, t43, xmdelta2, xmdelta1])
-    kminus_names = ("Xm1", "Xm2", "Xm3", "Xm4", "Xmdelta", "Xmphi1",
-                    "Xmdelta1", "Xmphi2", "Xmdelta2", "Xmpsi1", "Xmpsi2",
-                    "T32", "T42", "T43", "Sm23", "Sm24")
-    hk = Echelon([ht1] + t_elements[1:])
-    s_sub = Echelon([named[nm] for nm in kminus_names] + hk.rows()
-                    + [xphi1, xphi2, t34, x1])
     a_sub = Echelon([z_elt])
     n_sub = Echelon(n_basis)
     gt = _closure(alg, [chev_root(0, 1, 0, 0), chev_root(0, -1, 0, 0),
@@ -832,8 +824,7 @@ def build_f4_model() -> F4Model:
     subspaces = {
         "k": k_span, "p": p_span, "m": m_all, "mplus": mplus_named,
         "a": a_sub, "n": n_sub, "y": y_sub, "q": q, "qplus": qplus,
-        "qminus": Echelon([t43]), "hr": hr, "qtilde": qtilde,
-        "s": s_sub, "gtilde": gt, "hk": hk,
+        "hr": hr, "qtilde": qtilde, "gtilde": gt,
         "t": Echelon(t_elements[1:]),
     }
 

@@ -22,7 +22,7 @@ operators, so no floating point and no lookup table enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -429,75 +429,62 @@ class KActionBasis:
             raise ValueError("element is not in the fixed subalgebra span")
         return coords
 
-    def word_ops(self, rep: Irrep) -> "WordOps":
-        """The operators of the words on rep, each built when it is first
-        indexed (see WordOps)."""
-        return WordOps(self.words, rep)
-
-
-class WordOps:
-    """The operator of each bracket word on one module, by word index.
-
-    A word's operator is built the first time it is indexed, from those
-    of its generator and its target word, and kept.  A check that reads a
-    few elements of k forms only the commutators their coordinates reach.
-    """
-
-    def __init__(self, words: List[tuple], rep: Irrep):
-        self._words = words
-        self._rep = rep
-        self._ops: Dict[int, Operator] = {}
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __getitem__(self, i: int) -> Operator:
-        op = self._ops.get(i)
-        if op is None:
-            word = self._words[i]
-            if word[0] == "br":
-                op = commutator(self._generator(*word[1]), self[word[2]])
-            else:
-                op = self._generator(*word)
-            self._ops[i] = op
-        return op
-
-    def _generator(self, kind: str, idx: int) -> Operator:
-        return (self._rep.e_ops if kind == "e" else self._rep.f_ops)[idx]
-
 
 @dataclass
 class ModuleContext:
-    """An irreducible module together with model-element actions."""
+    """An irreducible module and the operators of k on it.
+
+    The operator of each bracket word is built the first time an action
+    reads it, from those of its generator and its target word, and kept,
+    so a check that reads a few elements of k forms only the commutators
+    their coordinates reach.  Each named action is kept too, and shared by
+    every check on the module; callers must not mutate an operator they
+    are given.
+    """
 
     rep: Irrep
     basis: KActionBasis
-    word_ops: WordOps
     # the centralizer invariants, solved on first use by m_invariants
     invariants: Optional[List[Dict[int, Scalar]]] = None
+    _word_ops: Dict[int, Operator] = field(default_factory=dict, repr=False)
+    _named: Dict[str, Operator] = field(default_factory=dict, repr=False)
+
+    def word_op(self, i: int) -> Operator:
+        """The operator of bracket word i."""
+        op = self._word_ops.get(i)
+        if op is None:
+            word = self.basis.words[i]
+            if word[0] == "br":
+                op = commutator(self._generator(*word[1]),
+                                self.word_op(word[2]))
+            else:
+                op = self._generator(*word)
+            self._word_ops[i] = op
+        return op
+
+    def _generator(self, kind: str, idx: int) -> Operator:
+        return (self.rep.e_ops if kind == "e" else self.rep.f_ops)[idx]
 
     def action(self, x: LieElement) -> Operator:
         out: Operator = [{} for _ in range(self.rep.dim)]
         for i, c in self.basis.coords(x).items():
-            for col, word_col in zip(out, self.word_ops[i]):
+            for col, word_col in zip(out, self.word_op(i)):
                 accumulate(col, word_col, c)
         return out
 
     def action_named(self, me: ModelEngine, name: str) -> Operator:
-        x = me.model.distinguished[name]
-        return self.action(me.lie_in_mixed(x))
+        """The action of the distinguished vector name, formed once."""
+        op = self._named.get(name)
+        if op is None:
+            op = self.action(me.lie_in_mixed(me.model.distinguished[name]))
+            self._named[name] = op
+        return op
 
 
 def build_module(me: ModelEngine, k: int, l: int, cap: int = 512
                  ) -> ModuleContext:
-    return build_module_for_weight(me, xi_weight(k, l), cap)
-
-
-def build_module_for_weight(me: ModelEngine, xi: Weight, cap: int = 512
-                            ) -> ModuleContext:
-    rep = build_irrep(k_root_system(), xi, cap=cap)
-    basis = action_basis(me)
-    return ModuleContext(rep=rep, basis=basis, word_ops=basis.word_ops(rep))
+    rep = build_irrep(k_root_system(), xi_weight(k, l), cap=cap)
+    return ModuleContext(rep, action_basis(me))
 
 
 def action_basis(me: ModelEngine) -> KActionBasis:
@@ -564,6 +551,27 @@ def m_invariants(ctx: ModuleContext, me: ModelEngine) -> List[Dict[int, Scalar]]
 # ---------------------------------------------------------------------------
 
 
+def raising_grid(ctx: ModuleContext, me: ModelEngine, v: Dict[int, Scalar],
+                 pmax: int, qmax: int) -> List[List[Dict[int, Scalar]]]:
+    """grid[q][p] = Xdelta^p E^q v for 0 <= p <= pmax and 0 <= q <= qmax.
+
+    Each row starts from the one above by one E and runs along by
+    Xdelta, so every vector costs one application.
+    """
+    xd = ctx.action_named(me, "Xdelta")
+    e = ctx.action_named(me, "E")
+    grid = []
+    w = v
+    for q in range(qmax + 1):
+        if q:
+            w = combine(w, e)
+        row = [w]
+        for _ in range(pmax):
+            row.append(combine(row[-1], xd))
+        grid.append(row)
+    return grid
+
+
 def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     """Vanishing boundary of the two raisings on an invariant vector.
 
@@ -575,27 +583,17 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     inv = m_invariants(ctx, me)
     if not rep.check("invariant vector exists", inv, "none"):
         return rep
-    xd = ctx.action_named(me, "Xdelta")
-    e = ctx.action_named(me, "E")
     for v in inv:
-        for q in range(0, k + l + 2):
-            w = v
-            for _ in range(q):
-                w = combine(w, e)
-            for p in range(0, k + 2):
+        grid = raising_grid(ctx, me, v, k + 1, k + l + 1)
+        for q, row in enumerate(grid):
+            for p, w in enumerate(row):
                 expect_zero = (p > k) or (p + q > k + l)
                 rep.check("vanishing at (p=%d,q=%d)" % (p, q),
                           (not w) == expect_zero,
                           "expected %s" % ("zero" if expect_zero else
                                            "nonzero"))
-                if p <= k:
-                    w = combine(w, xd)
         # the extreme vector is dominant
-        w = v
-        for _ in range(l):
-            w = combine(w, e)
-        for _ in range(k):
-            w = combine(w, xd)
+        w = grid[l][k]
         if rep.check("extreme vector is nonzero", w, "it vanished"):
             for i in range(4):
                 rep.check("extreme vector is dominant (i=%d)" % i,
@@ -603,40 +601,25 @@ def verify_hw3iv(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     return rep
 
 
-def lowering_chain(xd: Operator, e: Operator, v: Dict[int, Scalar],
-                   k: int, l: int) -> List[Dict[int, Scalar]]:
-    """The vectors Xdelta^{k-j} E^{l+j} v for 0 <= j <= k."""
-    chain = []
-    for j in range(0, k + 1):
-        w = v
-        for _ in range(l + j):
-            w = combine(w, e)
-        for _ in range(k - j):
-            w = combine(w, xd)
-        chain.append(w)
-    return chain
-
-
 def verify_techo(ctx: ModuleContext, me: ModelEngine, k: int, l: int) -> Report:
     """The lowering-chain identities and the basis property.
 
     From the extreme vector u = Xdelta^k E^l v the chain
-    Xdelta^{k-j} E^{l+j} v (0 <= j <= k) is a basis of a (k+1)-dim
-    module for the gamma1 triple, with the three displayed identities
-    holding with their exact binomial scalars.
+    Xdelta^{k-j} E^{l+j} v (0 <= j <= k), read off raising_grid, is a
+    basis of a (k+1)-dim module for the gamma1 triple, with the three
+    displayed identities holding with their exact binomial scalars.
     """
     rep = Report("lowering-chain identities")
     inv = m_invariants(ctx, me)
     if not rep.check("invariant vector exists", inv, "none"):
         return rep
-    xd = ctx.action_named(me, "Xdelta")
-    e = ctx.action_named(me, "E")
     x1 = ctx.action_named(me, "X1")
     xm1 = ctx.action_named(me, "Xm1")
     g = gamma_basis()
     xi = xi_weight(k, l)
     for v in inv:
-        chain = lowering_chain(xd, e, v, k, l)
+        grid = raising_grid(ctx, me, v, k, k + l)
+        chain = [grid[l + j][k - j] for j in range(k + 1)]
         rank = len(Echelon(chain))
         rep.check("chain is independent", rank == k + 1,
                   "rank %d of %d" % (rank, k + 1))

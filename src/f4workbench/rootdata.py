@@ -90,37 +90,23 @@ def validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-    # finite type iff the symmetrization is positive definite
+    # finite type iff the symmetrization is positive definite: iff
+    # elimination without row exchanges meets only positive pivots (pivot
+    # c is the ratio of the leading minors of sizes c + 1 and c)
     d = _symmetrizer(cartan)
     sym = [[Fraction(cartan[i][j]) * d[j] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if _minor_det(sym, k) <= 0:
+    for c in range(n):
+        pivot = sym[c][c]
+        if pivot <= 0:
             raise ValueError("Cartan matrix is not of finite type")
-
-
-def _minor_det(m: List[List[Fraction]], k: int) -> Fraction:
-    a = [row[:k] for row in m[:k]]
-    det = Fraction(1)
-    for c in range(k):
-        piv = None
-        for i in range(c, k):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for i in range(c + 1, k):
-            f = a[i][c] / a[c][c]
-            a[i] = [a[i][j] - f * a[c][j] for j in range(k)]
-    return det
+        for i in range(c + 1, n):
+            f = sym[i][c] / pivot
+            if f:
+                sym[i] = [x - f * y for x, y in zip(sym[i], sym[c])]
 
 
 def _symmetrizer(cartan) -> List[Fraction]:
-    """d_i with d_i * a_ij = d_j * a_ji, representing <a_i,a_i>/2."""
+    """d_i with d_j * a_ij = d_i * a_ji, representing <a_i,a_i>/2."""
     n = len(cartan)
     d = [None] * n
     for start in range(n):

@@ -286,7 +286,7 @@ class TestAcceptance:
         for trial in range(3):
             b20 = scale(sca(rng.randint(1, 5)), comps[(2, 0)])
             for k in range(0, 3):
-                dk = dk_operator(me, b20, k, checked_type=(2, 0))
+                dk = dk_operator(me, b20, k)
                 expect = vadd(vadd(g["gamma4"], g["delta"]),
                               vscale(k, g["gamma3"]))
                 if weight_of(me, dk) != expect:

@@ -246,6 +246,24 @@ class TestDegreeWitness:
         assert "witness" not in record
 
 
+class TestOmegaDegreeCap:
+    def test_cap_below_the_degree_fails_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cap.toml"
+        cfg.write_text("degree_cap = 2\n")
+        assert main(["verify", "omega", "--config", str(cfg)]) == 1
+        records = json.loads(capsys.readouterr().out)["checks"]
+        (record,) = [c for c in records if c["status"] == "fail"]
+        assert record["id"] == "constant coefficient degree at most 2"
+        assert record["witness"] == \
+            "degree 4 > 2; components (0, 0), (0, 2), (2, 0)"
+
+    def test_default_id_is_unchanged(self):
+        rep = run_suite("omega", Config())
+        assert "constant coefficient degree at most 4" in [
+            c["id"] for c in rep.checks]
+        assert rep.ok
+
+
 class TestOptionPosition:
     """--seed, --json and --config act alike before and after the
     subcommand."""

@@ -10,10 +10,10 @@ from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO,
                                   dual_basis, rational_roots, sca, scale, sub)
 from f4workbench.liealg import orthocomplement
 from f4workbench.repth import (
-    DegreeMachine, _casimir_of, _casimir_step, action_basis, build_irrep,
-    build_module, build_module_for_weight, commutator, degree_machine,
-    lowering_chain, m_generators, m_invariants, verify_hw3iv, verify_techo,
-    weyl_dimension, xi_weight,
+    DegreeMachine, ModuleContext, _casimir_of, _casimir_step, action_basis,
+    build_irrep, build_module, commutator, degree_machine, m_generators,
+    m_invariants, raising_grid, verify_hw3iv, verify_techo, weyl_dimension,
+    xi_weight,
 )
 from f4workbench.rootdata import (build_root_system, cartan_matrix_of,
                                   k_root_system, vec)
@@ -468,14 +468,14 @@ class TestDenseOracles:
             old = [{} for _ in range(ctx.rep.dim)]
             for i, c in ctx.basis.coords(x).items():
                 old = [add(col, scale(c, word_col))
-                       for col, word_col in zip(old, ctx.word_ops[i])]
+                       for col, word_col in zip(old, ctx.word_op(i))]
             assert ctx.action(x) == old
 
 
 def eager_word_ops(basis, rep):
-    """KActionBasis.word_ops as it was before the operators were built on
-    demand: every word in order, each bracket word from the operator of
-    its target."""
+    """The word operators as formed before they were built on demand:
+    every word in order, each bracket word from the operator of its
+    target."""
     ops = []
     for word in basis.words:
         if word[0] == "e":
@@ -494,13 +494,13 @@ class TestWordOps:
     def test_on_demand_matches_the_eager_chain(self, me, kl):
         rep = build_irrep(k_root_system(), xi_weight(*kl), cap=1024)
         basis = action_basis(me)
-        lazy = basis.word_ops(rep)
+        ctx = ModuleContext(rep, basis)
         eager = eager_word_ops(basis, rep)
         order = list(range(36))
         random.Random(10 * kl[0] + kl[1]).shuffle(order)
-        assert len(lazy) == len(eager) == 36
+        assert len(basis.words) == len(eager) == 36
         for i in order:
-            assert lazy[i] == eager[i]
+            assert ctx.word_op(i) == eager[i]
 
     @pytest.mark.parametrize("kl", [(1, 1), (2, 0)], ids=str)
     def test_action_matches_the_eager_action(self, me, modules, kl):
@@ -575,7 +575,8 @@ class TestMInvariants:
         # the adjoint weight is not on the two-parameter lattice and
         # carries no invariant vector
         assert label_of_weight(vec(0, 1, 1, 0)) is None
-        ctx = build_module_for_weight(me, vec(0, 1, 1, 0))
+        ctx = ModuleContext(build_irrep(k_root_system(), vec(0, 1, 1, 0)),
+                            action_basis(me))
         assert m_invariants(ctx, me) == []
 
     def test_fundamental_lattice_membership(self):
@@ -634,6 +635,64 @@ class TestTecho:
         lowered = combine(u, xm1)
         expect = {i: sca(2) * c for i, c in combine(v, e).items()}
         assert lowered == expect
+
+
+def lowering_chain(xd, e, v, k, l):
+    """The vectors Xdelta^{k-j} E^{l+j} v for 0 <= j <= k, each raised
+    from v on its own: the chain verify_techo read before raising_grid,
+    kept as its oracle."""
+    chain = []
+    for j in range(0, k + 1):
+        w = v
+        for _ in range(l + j):
+            w = combine(w, e)
+        for _ in range(k - j):
+            w = combine(w, xd)
+        chain.append(w)
+    return chain
+
+
+class TestRaisingGrid:
+    @pytest.mark.parametrize("kl", LABELS + [(0, 2), (1, 2), (2, 1)], ids=str)
+    def test_grid_matches_the_separate_raisings(self, me, modules, kl):
+        ctx = modules.get(kl) or build_module(me, *kl, cap=1024)
+        k, l = kl
+        xd = ctx.action_named(me, "Xdelta")
+        e = ctx.action_named(me, "E")
+        v, = m_invariants(ctx, me)
+        # the chain verify_techo reads, against the oracle
+        grid = raising_grid(ctx, me, v, k, k + l)
+        assert [grid[l + j][k - j] for j in range(k + 1)] \
+            == lowering_chain(xd, e, v, k, l)
+        # every cell verify_hw3iv reads, each raised on its own
+        grid = raising_grid(ctx, me, v, k + 1, k + l + 1)
+        assert len(grid) == k + l + 2
+        for q, row in enumerate(grid):
+            assert len(row) == k + 2
+            for p, w in enumerate(row):
+                want = v
+                for op in [e] * q + [xd] * p:
+                    want = combine(want, op)
+                assert w == want, (q, p)
+
+    def test_module_checks_form_each_action_once(self, me, monkeypatch):
+        # the six m generators and Xdelta, E, X1, Xm1; the two checks
+        # once formed Xdelta and E each
+        calls = []
+        action = ModuleContext.action
+
+        def counted(self, x):
+            calls.append(1)
+            return action(self, x)
+
+        monkeypatch.setattr(ModuleContext, "action", counted)
+        ctx = build_module(me, 2, 0)
+        m_invariants(ctx, me)
+        assert verify_hw3iv(ctx, me, 2, 0).ok
+        assert verify_techo(ctx, me, 2, 0).ok
+        assert len(calls) == 10
+        assert ctx.action_named(me, "E") is ctx.action_named(me, "E")
+        assert len(calls) == 10
 
 
 class TestChainRankOracle:

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from f4workbench.rootdata import (
-    DEFAULT_REGULAR, F4_SIMPLE, build_root_system, cartan_matrix_of,
-    cartan_type, compact_split, dot, f4_root_system, f4_satake_data,
-    gamma_basis, simple_system, vadd, vec, vneg, vscale, vsub,
+    DEFAULT_REGULAR, F4_SIMPLE, _symmetrizer, build_root_system,
+    cartan_matrix_of, cartan_type, compact_split, dot, f4_root_system,
+    f4_satake_data, gamma_basis, simple_system, vadd, validate_cartan, vec,
+    vneg, vscale, vsub,
 )
 
 
@@ -53,6 +54,34 @@ class TestBuildRootSystem:
     def test_infinite_type_rejected(self):
         with pytest.raises(ValueError):
             build_root_system([[2, -2], [-2, 2]])  # affine A1
+
+    @pytest.mark.parametrize("cartan", [
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],     # affine A2
+        [[2, -1, 0], [-1, 2, -2], [0, -2, 2]],       # hyperbolic, det -2
+        [[2, -1, 0], [-2, 2, -1], [0, -2, 2]],       # affine, det 0
+    ], ids=["affine-A2", "hyperbolic", "affine-nonsymmetric"])
+    def test_rank_three_infinite_types_rejected(self, cartan):
+        # validated alone: building the roots of an accepted infinite type
+        # would not terminate
+        with pytest.raises(ValueError, match="not of finite type"):
+            validate_cartan(cartan)
+
+    @pytest.mark.parametrize("cartan, roots", [
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 12),   # A3
+        ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 18),   # B3
+        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 18),   # C3
+        ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+         48),                                          # F4
+        ([[2, -1], [-3, 2]], 12),                      # G2
+    ], ids=["A3", "B3", "C3", "F4", "G2"])
+    def test_finite_types_build(self, cartan, roots):
+        assert len(build_root_system(cartan).roots) == roots
+        # d_j a_ij = d_i a_ji: the symmetrization the finite-type test
+        # eliminates is symmetric
+        d = _symmetrizer(cartan)
+        n = len(cartan)
+        assert all(d[j] * cartan[i][j] == d[i] * cartan[j][i]
+                   for i in range(n) for j in range(n))
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):
