@@ -22,7 +22,7 @@ from .balg import antisymmetric_pair
 from .exactnum import (ONE, PolyScalar, Scalar, ZERO, add, coordinates, sca,
                        scale, sub)
 from .reporting import Report
-from .repth import action_basis, degree_machine
+from .repth import action_basis, degree_machine, label_degree
 from .rootdata import Coord, gamma_basis, vadd, vscale
 from .uea import IwasawaElement, ModelEngine, UEA
 
@@ -301,7 +301,7 @@ def coefficient_data(me: ModelEngine, b: IwasawaElement) -> CoefficientData:
         c = b.coeff(r)
         parts = dm.components(c) if c else {}
         comps.append(parts)
-        d = max((k + 2 * l for (k, l) in parts), default=0)
+        d = label_degree(parts)
         degrees.append(d)
         if d > 2 * profile[r]:
             raise ValueError("degree bound violated: d(b_%d) = %d > %d"

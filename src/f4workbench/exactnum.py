@@ -193,8 +193,10 @@ class Scalar:
         m = Scalar._PARSE.match(s)
         if not m:
             raise ValueError("bad scalar string: %r" % s)
-        return Scalar.from_pair(Fraction(int(m.group(1)), int(m.group(2))),
-                                Fraction(int(m.group(3)), int(m.group(4))))
+        a, a_den, b, b_den = map(int, m.groups())
+        if not (a_den and b_den):
+            raise ValueError("zero denominator in scalar string: %r" % s)
+        return Scalar.from_pair(Fraction(a, a_den), Fraction(b, b_den))
 
     def __repr__(self):
         if self.q == 0:
@@ -596,17 +598,16 @@ def coordinates(vectors, target):
     return None if rem else coords
 
 
-def dual_basis(basis, form, images=None) -> list:
+def dual_basis(basis, form, images) -> list:
     """Vectors d_i in the span of basis with form(basis[j], d_i) = [i == j].
 
-    images[j], when given, is basis[j] in the coordinates form reads, and
-    form pairs the images: a form that would map its arguments first is
-    then evaluated on vectors mapped once, not at each of the n^2 pairings.
-    Raises ValueError when the form is degenerate on the span.
+    images[j] is basis[j] in the coordinates form reads, and form pairs
+    the images: a form that would map its arguments first is then
+    evaluated on vectors mapped once, not at each of the n^2 pairings.
+    Pass basis itself when form reads its coordinates.  Raises ValueError
+    when the form is degenerate on the span.
     """
     n = len(basis)
-    if images is None:
-        images = basis
     columns = Echelon()
     for k in range(n):
         if columns.add({j: form(images[j], images[k]) for j in range(n)}) \

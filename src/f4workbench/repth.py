@@ -28,12 +28,12 @@ from math import comb, factorial, gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
-                       accumulate, combine, coordinates, dual_basis, kernel,
+                       accumulate, combine, coordinates, kernel,
                        rational_roots, sca, scale, sub)
 from .liealg import LieElement, _ratio, orthocomplement
 from .reporting import Report
 from .rootdata import Coord, RootSystem, gamma_basis, k_root_system, vec
-from .uea import Core, ModelEngine, UEA
+from .uea import Core, ModelEngine, UEA, _casimir_of, _casimir_step
 
 Weight = Coord
 
@@ -668,8 +668,8 @@ class DegreeMachine:
     read from the vanishing corner of the two raisings.
 
     The Casimir acts through its symmetric tensor in triangular form
-    (_casimir_tensor): since [ad x, ad y] = ad [x, y], the two orders of
-    each pair fold into one, sum_h ad(Y_h) ad(e'_h) - ad(r).
+    (uea._casimir_tensor): since [ad x, ad y] = ad [x, y], the two orders
+    of each pair fold into one, sum_h ad(Y_h) ad(e'_h) - ad(r).
 
     components() applies only the part of the Casimir on m^perp, the
     orthocomplement of m in k for the invariant form.  Over dual bases
@@ -839,91 +839,6 @@ class DegreeMachine:
 def label_degree(labels: Iterable[Tuple[int, int]]) -> int:
     """max(k + 2l) over the labels (k, l), 0 when there are none."""
     return max((k + 2 * l for k, l in labels), default=0)
-
-
-def _casimir_tensor(engine, pairs):
-    """sum_i x_i (x) x^i on the rescaled basis of the engine, in triangular
-    form.
-
-    The tensor T_gh = sum_i x_i[g] x^i[h] is symmetric, and
-    ad(e'_h) ad(e'_g) = ad(e'_g) ad(e'_h) - ad([e'_g, e'_h]), so
-
-        sum_{g,h} T_gh ad(e'_g) ad(e'_h) = sum_h ad(Y_h) ad(e'_h) - ad(r)
-
-    with Y_h = T_hh e'_h + sum_{g<h} 2 T_gh e'_g and
-    r = sum_{g<h} T_gh [e'_g, e'_h].  Returns ([(h, Y_h)], r, den) with
-    integer Y_h = {g: int} and r = {k: int} over the common denominator
-    den.  For the Casimir of k on F4 that is 20 inner labels h, 23 terms
-    of the Y_h and an r on the 3 Cartan labels, over 256: 46 label passes
-    of ad per application instead of the 36 + 42 of the full sum; for the
-    Casimir of m^perp it is 11, 17 and 3.  Raises ValueError when T is not
-    symmetric or a coefficient is not rational.
-    """
-    def rescaled(x):
-        core_p, core_q, den = engine.lie_core(x)
-        return {g: Scalar(core_p.get(g, 0), core_q.get(g, 0), den)
-                for g in set(core_p) | set(core_q)}
-
-    tensor: Dict[Tuple[int, int], Scalar] = {}
-    for x, xd in pairs:
-        b = rescaled(xd)
-        for g, ca in rescaled(x).items():
-            for h, cb in b.items():
-                tensor[(g, h)] = tensor.get((g, h), ZERO) + ca * cb
-    den = 1
-    for (g, h), c in tensor.items():
-        if tensor.get((h, g), ZERO) != c:
-            raise ValueError("Casimir tensor is not symmetric")
-        if not c.is_rational():
-            raise ValueError("Casimir tensor is not rational on the "
-                             "rescaled basis")
-        den = lcm(den, c.r)
-    by_inner: Dict[int, Dict[int, int]] = {}
-    shift: Dict[int, int] = {}
-    for (g, h), c in sorted(tensor.items()):
-        if not c or g > h:
-            continue
-        t = c.p * (den // c.r)
-        by_inner.setdefault(h, {})[g] = t if g == h else 2 * t
-        for k, ck in engine._brackets.get((g, h), ()):
-            shift[k] = shift.get(k, 0) + t * ck
-    return (sorted(by_inner.items()),
-            {k: c for k, c in sorted(shift.items()) if c}, den)
-
-
-def _casimir_core(engine, inner, shift, v: Core) -> Core:
-    """sum_h ad(Y_h) ad(e'_h) v - ad(r) v, with ([(h, Y_h)], r) from
-    _casimir_tensor: one ad pass per inner label, per term of the Y_h and
-    per label of r."""
-    out: Core = {}
-    if not v:
-        return out
-    ad_core = engine.ad_core
-    for h, y in inner:
-        for m, c in ad_core(y, ad_core({h: 1}, v)).items():
-            out[m] = out.get(m, 0) + c
-    for m, c in ad_core(shift, v).items():
-        out[m] = out.get(m, 0) - c
-    return out
-
-
-def _casimir_of(me: ModelEngine, basis: List[LieElement]):
-    """_casimir_tensor of the Casimir of span(basis), mixed coordinates,
-    over the dual basis for the invariant form b, which reads each vector
-    in Chevalley coordinates, mapped once."""
-    model = me.model
-    images = [model.in_chevalley(x) for x in basis]
-    return _casimir_tensor(me.g, zip(basis,
-                                     dual_basis(basis, model.b, images)))
-
-
-def _casimir_step(engine, tensor, v: Tuple[Core, Core, int]
-                  ) -> Tuple[Core, Core, int]:
-    """The Casimir of tensor = (inner, shift, den) on a core triple."""
-    inner, shift, den = tensor
-    core_p, core_q, d = v
-    return (_casimir_core(engine, inner, shift, core_p),
-            _casimir_core(engine, inner, shift, core_q), d * den)
 
 
 def _dot(v: Tuple[Core, Core, int], w: Tuple[Core, Core, int]) -> int:

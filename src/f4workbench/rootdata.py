@@ -90,19 +90,19 @@ def validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-    # finite type iff the symmetrization is positive definite: iff
-    # elimination without row exchanges meets only positive pivots (pivot
-    # c is the ratio of the leading minors of sizes c + 1 and c)
-    d = _symmetrizer(cartan)
-    sym = [[Fraction(cartan[i][j]) * d[j] for j in range(n)] for i in range(n)]
+    # finite type iff the symmetrization A D is positive definite: iff its
+    # leading minors det(A_c) d_1 ... d_c (every d_i > 0) are positive, iff
+    # elimination on A without row exchanges meets only positive pivots
+    # (pivot c is the ratio of the leading minors of sizes c + 1 and c)
+    rows = [[Fraction(x) for x in row] for row in cartan]
     for c in range(n):
-        pivot = sym[c][c]
+        pivot = rows[c][c]
         if pivot <= 0:
             raise ValueError("Cartan matrix is not of finite type")
         for i in range(c + 1, n):
-            f = sym[i][c] / pivot
+            f = rows[i][c] / pivot
             if f:
-                sym[i] = [x - f * y for x, y in zip(sym[i], sym[c])]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
 
 
 def _symmetrizer(cartan) -> List[Fraction]:

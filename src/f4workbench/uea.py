@@ -580,33 +580,115 @@ def model_engine() -> ModelEngine:
 # ---------------------------------------------------------------------------
 
 
-def casimir(engine: PBWEngine, basis: List[LieElement], form_value,
-            images: Optional[List[LieElement]] = None) -> UEA:
-    """Sum of x_i x^i over form-dual bases of the spanned subalgebra.
+def _casimir_tensor(engine: PBWEngine, pairs):
+    """sum_i x_i (x) x^i on the rescaled basis of the engine, in triangular
+    form.
 
-    basis holds elements in the engine's own coordinates; form_value is
-    a symmetric nondegenerate invariant pairing on the span, evaluated on
-    images (see exactnum.dual_basis) when they are given.
+    The tensor T_gh = sum_i x_i[g] x^i[h] is symmetric, and
+    ad(e'_h) ad(e'_g) = ad(e'_g) ad(e'_h) - ad([e'_g, e'_h]), so
+
+        sum_{g,h} T_gh ad(e'_g) ad(e'_h) = sum_h ad(Y_h) ad(e'_h) - ad(r)
+
+    with Y_h = T_hh e'_h + sum_{g<h} 2 T_gh e'_g and
+    r = sum_{g<h} T_gh [e'_g, e'_h].  Returns ([(h, Y_h)], r, den) with
+    integer Y_h = {g: int} and r = {k: int} over the common denominator
+    den.  For the Casimir of k on F4 that is 20 inner labels h, 23 terms
+    of the Y_h and an r on the 3 Cartan labels, over 256: 46 label passes
+    of ad per application instead of the 36 + 42 of the full sum; for the
+    Casimir of m^perp it is 11, 17 and 3.  Raises ValueError when T is not
+    symmetric or a coefficient is not rational.
     """
-    out: UEA = {}
-    for x, dual in zip(basis, dual_basis(basis, form_value, images)):
-        out = add(out, engine.mul(engine.from_lie(x), engine.from_lie(dual)))
+    def rescaled(x):
+        core_p, core_q, den = engine.lie_core(x)
+        return {g: Scalar(core_p.get(g, 0), core_q.get(g, 0), den)
+                for g in set(core_p) | set(core_q)}
+
+    tensor: Dict[Tuple[int, int], Scalar] = {}
+    for x, xd in pairs:
+        b = rescaled(xd)
+        for g, ca in rescaled(x).items():
+            for h, cb in b.items():
+                tensor[(g, h)] = tensor.get((g, h), ZERO) + ca * cb
+    den = 1
+    for (g, h), c in tensor.items():
+        if tensor.get((h, g), ZERO) != c:
+            raise ValueError("Casimir tensor is not symmetric")
+        if not c.is_rational():
+            raise ValueError("Casimir tensor is not rational on the "
+                             "rescaled basis")
+        den = lcm(den, c.r)
+    by_inner: Dict[int, Dict[int, int]] = {}
+    shift: Dict[int, int] = {}
+    for (g, h), c in sorted(tensor.items()):
+        if not c or g > h:
+            continue
+        t = c.p * (den // c.r)
+        by_inner.setdefault(h, {})[g] = t if g == h else 2 * t
+        for k, ck in engine._brackets.get((g, h), ()):
+            shift[k] = shift.get(k, 0) + t * ck
+    return (sorted(by_inner.items()),
+            {k: c for k, c in sorted(shift.items()) if c}, den)
+
+
+def _casimir_of(me: ModelEngine, basis: List[LieElement]):
+    """_casimir_tensor of the Casimir of span(basis), mixed coordinates,
+    over the dual basis for the invariant form b, which reads each vector
+    in Chevalley coordinates, mapped once."""
+    model = me.model
+    images = [model.in_chevalley(x) for x in basis]
+    return _casimir_tensor(me.g, zip(basis,
+                                     dual_basis(basis, model.b, images)))
+
+
+def _casimir_element(engine: PBWEngine, tensor) -> UEA:
+    """The Casimir sum_{g,h} T_gh e'_g e'_h of tensor = (inner, shift, den):
+    reordered as in _casimir_tensor it is sum_h Y_h e'_h - r, whose
+    products e'_g e'_h have g <= h, so it is read off with no straightening.
+    """
+    inner, shift, den = tensor
+    unit = engine._unit
+    core = {unit[g] + unit[h]: c for h, y in inner for g, c in y.items()}
+    for k, c in shift.items():
+        core[unit[k]] = -c
+    return engine.from_core(core, {}, den)
+
+
+def _casimir_core(engine: PBWEngine, inner, shift, v: Core) -> Core:
+    """sum_h ad(Y_h) ad(e'_h) v - ad(r) v, with ([(h, Y_h)], r) from
+    _casimir_tensor: one ad pass per inner label, per term of the Y_h and
+    per label of r."""
+    out: Core = {}
+    if not v:
+        return out
+    ad_core = engine.ad_core
+    for h, y in inner:
+        for m, c in ad_core(y, ad_core({h: 1}, v)).items():
+            out[m] = out.get(m, 0) + c
+    for m, c in ad_core(shift, v).items():
+        out[m] = out.get(m, 0) - c
     return out
 
 
+def _casimir_step(engine: PBWEngine, tensor, v: Tuple[Core, Core, int]
+                  ) -> Tuple[Core, Core, int]:
+    """The Casimir of tensor = (inner, shift, den) on a core triple."""
+    inner, shift, den = tensor
+    core_p, core_q, d = v
+    return (_casimir_core(engine, inner, shift, core_p),
+            _casimir_core(engine, inner, shift, core_q), d * den)
+
+
 def model_casimir_g(me: ModelEngine) -> UEA:
-    """Casimir of the full algebra in the mixed-basis engine, over the
-    Chevalley basis, paired by the invariant form b."""
-    images = [{i: ONE} for i in range(me.model.algebra.dim)]
-    return casimir(me.g, [me.lie_in_mixed(x) for x in images], me.model.b,
-                   images)
+    """Casimir of the full algebra in the mixed-basis engine, over its unit
+    vectors, paired by the invariant form b."""
+    return _casimir_element(me.g, _casimir_of(
+        me, [{i: ONE} for i in range(me.g.algebra.dim)]))
 
 
 def model_casimir_m(me: ModelEngine) -> UEA:
     """Casimir of the centralizer subalgebra, inside U(k)."""
-    images = me.model.subspaces["m"].rows()
-    return casimir(me.g, [me.lie_in_mixed(x) for x in images], me.model.b,
-                   images)
+    return _casimir_element(me.g, _casimir_of(
+        me, [me.lie_in_mixed(x) for x in me.model.subspaces["m"].rows()]))
 
 
 @dataclass

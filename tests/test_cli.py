@@ -367,7 +367,9 @@ class TestExitCodes:
         "[[{\"exponents\": {}, ",                                  # JSON
         '[[{"exponents": {"NoSuchLabel": 1}, "coeff": "1/1 + 0/1*sqrt2"}]]',
         '[[{"exponents": {"E": 1}, "coeff": "one"}]]',
-    ], ids=["malformed-json", "unknown-label", "bad-coefficient"])
+        '[[{"exponents": {"E": 1}, "coeff": "1/0 + 0/1*sqrt2"}]]',
+    ], ids=["malformed-json", "unknown-label", "bad-coefficient",
+            "zero-denominator"])
     def test_bad_input(self, tmp_path, capsys, command, text):
         path = tmp_path / "in.json"
         path.write_text(text)

@@ -92,6 +92,14 @@ class TestScalar:
         for x in [ZERO, ONE, HALF, S(-3, 2), S(Fraction(5, 6), Fraction(-7, 4))]:
             assert Scalar.parse(x.to_string()) == x
 
+    @pytest.mark.parametrize("text", ["1/0 + 0/1*sqrt2", "0/1 + 3/0*sqrt2",
+                                      "2/0 + 5/00*sqrt2"])
+    def test_parse_rejects_zero_denominator(self, text):
+        # a ValueError, which the CLI reports as bad input, not the
+        # ZeroDivisionError of Fraction
+        with pytest.raises(ValueError, match="zero denominator"):
+            Scalar.parse(text)
+
     def test_sign(self):
         assert S(1, -1).sign() == -1   # 1 - sqrt2 < 0
         assert S(-1, 1).sign() == 1
@@ -398,9 +406,9 @@ class TestEchelon:
 
         if gram.rank() < n:
             with pytest.raises(ValueError):
-                dual_basis(basis, form)
+                dual_basis(basis, form, basis)
             return
-        duals = dual_basis(basis, form)
+        duals = dual_basis(basis, form, basis)
         for i in range(n):
             rhs = [ONE if t == i else ZERO for t in range(n)]
             assert duals[i] == _sparse(gram.solve(rhs))

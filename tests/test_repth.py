@@ -10,14 +10,13 @@ from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO,
                                   dual_basis, rational_roots, sca, scale, sub)
 from f4workbench.liealg import orthocomplement
 from f4workbench.repth import (
-    DegreeMachine, ModuleContext, _casimir_of, _casimir_step, action_basis,
-    build_irrep, build_module, commutator, degree_machine, m_generators,
-    m_invariants, raising_grid, verify_hw3iv, verify_techo, weyl_dimension,
-    xi_weight,
+    DegreeMachine, ModuleContext, action_basis, build_irrep, build_module,
+    commutator, degree_machine, m_generators, m_invariants, raising_grid,
+    verify_hw3iv, verify_techo, weyl_dimension, xi_weight,
 )
 from f4workbench.rootdata import (build_root_system, cartan_matrix_of,
                                   k_root_system, vec)
-from f4workbench.uea import invariants_up_to_degree
+from f4workbench.uea import _casimir_of, _casimir_step, invariants_up_to_degree
 
 
 LABELS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
@@ -1073,7 +1072,7 @@ class TestPerpCasimir:
         def fv(x, y):
             return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
-        pairs = list(zip(kb, dual_basis(kb, fv)))
+        pairs = list(zip(kb, dual_basis(kb, fv, kb)))
 
         def apply(u):
             out = {}

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,6 +10,12 @@ from f4workbench.rootdata import (
     f4_satake_data, gamma_basis, simple_system, vadd, validate_cartan, vec,
     vneg, vscale, vsub,
 )
+
+
+def _sign(p):
+    """The sign of the permutation p, by counting inversions."""
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p))
+                       for j in range(i + 1, len(p)))
 
 
 def restricted_negative_set(regular):
@@ -76,12 +84,38 @@ class TestBuildRootSystem:
     ], ids=["A3", "B3", "C3", "F4", "G2"])
     def test_finite_types_build(self, cartan, roots):
         assert len(build_root_system(cartan).roots) == roots
-        # d_j a_ij = d_i a_ji: the symmetrization the finite-type test
-        # eliminates is symmetric
+        # d_j a_ij = d_i a_ji: the symmetrization behind the Gram matrix
+        # of build_root_system is symmetric
         d = _symmetrizer(cartan)
         n = len(cartan)
         assert all(d[j] * cartan[i][j] == d[i] * cartan[j][i]
                    for i in range(n) for j in range(n))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_verdict_matches_symmetrized_minors(self, n):
+        # the oracle is the textbook test: finite type iff every leading
+        # minor of the symmetrization A D is positive
+        def det(m):
+            return sum(_sign(p) * prod(m[i][p[i]] for i in range(len(m)))
+                       for p in itertools.permutations(range(len(m))))
+
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        entries = [(0, 0)] + list(itertools.product((-1, -2, -3), repeat=2))
+        for choice in itertools.product(entries, repeat=len(pairs)):
+            cartan = [[2 if i == j else 0 for j in range(n)]
+                      for i in range(n)]
+            for (i, j), (a, b) in zip(pairs, choice):
+                cartan[i][j], cartan[j][i] = a, b
+            d = _symmetrizer(cartan)
+            sym = [[cartan[i][j] * d[j] for j in range(n)] for i in range(n)]
+            finite = all(det([row[:c] for row in sym[:c]]) > 0
+                         for c in range(1, n + 1))
+            try:
+                validate_cartan(cartan)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == finite, cartan
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):

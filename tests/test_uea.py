@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 from f4workbench.exactnum import (Matrix, ONE, SQRT2, Scalar, ZERO, add,
                                   dual_basis, sca, scale, sub)
 from f4workbench.liealg import LieAlgebra, chevalley_algebra
-from f4workbench.repth import _casimir_core, _casimir_tensor, degree_machine
+from f4workbench.repth import degree_machine
 from f4workbench.rootdata import build_root_system, f4_satake_data
 from f4workbench.uea import (
-    DEGREE_LIMIT, ONE_MONO, PBWEngine, casimir, invariants_up_to_degree,
-    model_casimir_g, model_casimir_m, reduce_mod,
+    DEGREE_LIMIT, ONE_MONO, PBWEngine, _casimir_core, _casimir_element,
+    _casimir_of, _casimir_tensor, invariants_up_to_degree, model_casimir_g,
+    model_casimir_m, reduce_mod,
 )
 
 
@@ -37,6 +38,23 @@ def _sl2_form(alg):
         return acc
 
     return fv
+
+
+def _sl2_casimir(alg, eng):
+    """The Casimir of sl2 for its Killing form, read off its tensor."""
+    basis = [{0: ONE}, {1: ONE}, {2: ONE}]
+    pairs = zip(basis, dual_basis(basis, _sl2_form(alg), basis))
+    return _casimir_element(eng, _casimir_tensor(eng, pairs))
+
+
+def casimir_by_products(engine, basis, form, images):
+    """sum_i x_i x^i over form-dual bases, one PBW product per basis
+    vector; form pairs the images of the basis vectors.  The oracle for
+    the Casimir read off its tensor."""
+    out = {}
+    for x, dual in zip(basis, dual_basis(basis, form, images)):
+        out = add(out, engine.mul(engine.from_lie(x), engine.from_lie(dual)))
+    return out
 
 
 def k_simple_generators(me):
@@ -255,7 +273,7 @@ class TestIwasawaProjection:
 class TestCasimir:
     def test_sl2_central(self, sl2):
         alg, eng = sl2
-        om = casimir(eng, [{0: ONE}, {1: ONE}, {2: ONE}], _sl2_form(alg))
+        om = _sl2_casimir(alg, eng)
         for i in range(3):
             assert eng.ad({i: ONE}, om) == {}
 
@@ -284,6 +302,38 @@ class TestCasimir:
         assert me.k_only(cm)
         for v in me.model.subspaces["m"].rows():
             assert me.g.ad(me.lie_in_mixed(v), cm) == {}
+
+
+class TestCasimirElement:
+    """The Casimir read off its triangular tensor, sum_h Y_h e'_h - r,
+    against the products oracle, on another basis: the Chevalley basis
+    for g, the rows of k and of m for k and m."""
+
+    def test_sl2(self, sl2):
+        alg, eng = sl2
+        # h, e + f, e - f
+        basis = [{0: ONE}, {1: ONE, 2: ONE}, {1: ONE, 2: -ONE}]
+        assert _sl2_casimir(alg, eng) == \
+            casimir_by_products(eng, basis, _sl2_form(alg), basis)
+
+    @pytest.mark.parametrize("space, dim", [("g", 52), ("m", 21), ("k", 36)])
+    def test_f4(self, me, space, dim):
+        model = me.model
+        if space == "g":
+            rows = [{i: ONE} for i in range(model.algebra.dim)]
+            got = model_casimir_g(me)
+        elif space == "m":
+            rows = model.subspaces["m"].rows()
+            got = model_casimir_m(me)
+        else:
+            # the tensor casimir_apply acts by, on the mixed unit vectors
+            rows = model.subspaces["k"].rows()
+            got = _casimir_element(
+                me.g, _casimir_of(me, [{i: ONE} for i in range(36)]))
+        assert len(rows) == dim
+        want = casimir_by_products(
+            me.g, [me.lie_in_mixed(x) for x in rows], model.b, rows)
+        assert got and got == want
 
 
 class TestOmega:
@@ -361,7 +411,7 @@ class TestInvariants:
         gens = [{0: ONE}, {1: ONE}, {2: ONE}]
         inv = invariants_up_to_degree(eng, gens, 2)
         assert len(inv) == 2   # span{1, Casimir}
-        om = casimir(eng, gens, _sl2_form(alg))
+        om = _sl2_casimir(alg, eng)
         monos = sorted({m for u in inv for m in u} | set(om))
         mat = Matrix([[u.get(m, ZERO) for u in inv] for m in monos])
         assert mat.solve([om.get(m, ZERO) for m in monos]) is not None
@@ -652,7 +702,7 @@ class TestIntegerCore:
             return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
         want = {}
-        for x, xd in zip(kb, dual_basis(kb, fv)):
+        for x, xd in zip(kb, dual_basis(kb, fv, kb)):
             want = add(want, oracle.ad(x, oracle.ad(xd, u)))
         assert degree_machine(me).casimir_apply(u) == want
 
@@ -801,7 +851,7 @@ class TestCasimirTriangular:
     def test_sl2_by_hand(self, sl2):
         alg, eng = sl2
         basis = [{0: ONE}, {1: ONE}, {2: ONE}]          # h, e, f
-        pairs = list(zip(basis, dual_basis(basis, _sl2_form(alg))))
+        pairs = list(zip(basis, dual_basis(basis, _sl2_form(alg), basis)))
         inner, shift, den = _casimir_tensor(eng, pairs)
         # the form has (h, h) = 8 and (e, f) = 4, so the tensor is
         # (h h + 2 e f + 2 f e) / 8: Y_h = h, Y_f = 4 e, r = 2 [e, f] = 2 h
@@ -827,7 +877,7 @@ class TestCasimirTriangular:
         def fv(x, y):
             return model.b(model.in_chevalley(x), model.in_chevalley(y))
 
-        pairs = list(zip(kb, dual_basis(kb, fv)))
+        pairs = list(zip(kb, dual_basis(kb, fv, kb)))
         dm = degree_machine(me)
         for u in (model_casimir_m(me), omega_report.omega.coeff(0)):
             comps = dm.components(u)
