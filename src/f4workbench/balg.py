@@ -143,7 +143,7 @@ def substitute(me: ModelEngine, b: IwasawaElement, t: UEA) -> IwasawaElement:
 
 def t_matrix_entry(me: ModelEngine, i: int, j: int) -> UEA:
     """t_ij = sum_k (-1)^k C(i,k) (H + i/2 - 1 - k)^j, an H-polynomial."""
-    h = me.uea_of(me.model.distinguished["H"])
+    h = me.g.from_lie(me.named["H"])
     acc: UEA = {}
     for k in range(i + 1):
         arg = add(h, scale(sca(Fraction(i, 2) - 1 - k), me.g.one()))
@@ -153,7 +153,7 @@ def t_matrix_entry(me: ModelEngine, i: int, j: int) -> UEA:
 
 def shift_substitute(me: ModelEngine, b: IwasawaElement) -> IwasawaElement:
     """c(x) = b(x + H - 1)."""
-    h = me.uea_of(me.model.distinguished["H"])
+    h = me.g.from_lie(me.named["H"])
     return substitute(me, b, sub(h, me.g.one()))
 
 
@@ -214,7 +214,7 @@ def congruence_residuals(me: ModelEngine, b: IwasawaElement, nmax: int
         if c and not me.k_only(c):
             raise ValueError("coefficients must lie in U(k)")
     e = quotient_label(me)
-    neg_y = me.uea_of(scale(-ONE, me.model.distinguished["Y"]))
+    neg_y = me.g.from_lie(scale(-ONE, me.named["Y"]))
     c = IwasawaElement([me.reduce_mod_mplus(u)
                         for u in substitute(me, b, neg_y).coeffs])
     for n in range(1, nmax + 1):
@@ -267,10 +267,10 @@ def check_triangular(me: ModelEngine, c: IwasawaElement) -> Report:
     second one (module docstring).
     """
     m = c.degree
-    neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
+    neg_yt = me.g.from_lie(scale(-ONE, me.named["Ytilde"]))
     e = quotient_label(me)
     rep = Report("triangular")
-    e_elt = me.lie_in_mixed(me.model.distinguished["E"])
+    e_elt = me.named["E"]
     for n in range(0, max(m, 0) + 1):
         dn = discrete_derivative(c, n).coeffs
         dn1 = discrete_derivative(c, n + 1).coeffs
@@ -304,8 +304,8 @@ def epsilon_ln(me: ModelEngine, cphi: List[UEA], l: int, n: int) -> UEA:
     nilradical left ideal; the (n, l) combination is its negative.  A
     caller asking for many pairs converts c once.
     """
-    neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
-    e_elt = me.lie_in_mixed(me.model.distinguished["E"])
+    neg_yt = me.g.from_lie(scale(-ONE, me.named["Ytilde"]))
+    e_elt = me.named["E"]
     # phi_k(x - Ytilde) for every k either half of the pair reads
     phis = [substitute(me, phi_poly(k), neg_yt)
             for k in range(len(cphi) - min(l, n))]

@@ -50,7 +50,8 @@ class Config:
 
     @staticmethod
     def load(path: str) -> "Config":
-        text = open(path).read()
+        with open(path) as f:
+            text = f.read()
         if path.endswith(".json"):
             data = json.loads(text)
         else:
@@ -196,7 +197,7 @@ def suite_balg(cfg: Config) -> Report:
         return True, None
 
     def t_identity():
-        e_elt = me.lie_in_mixed(me.model.distinguished["E"])
+        e_elt = me.named["E"]
         for j in range(5):
             for i in range(j + 1):
                 t = t_matrix_entry(me, i, j)
@@ -208,10 +209,10 @@ def suite_balg(cfg: Config) -> Report:
         return True, None
 
     def raising_identities():
-        h = me.uea_of(me.model.distinguished["H"])
-        neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
-        raiser_e = me.lie_in_mixed(me.model.distinguished["E"])
-        raiser_d = me.lie_in_mixed(me.model.distinguished["Xdelta"])
+        h = me.g.from_lie(me.named["H"])
+        neg_yt = me.g.from_lie(scale(-ONE, me.named["Ytilde"]))
+        raiser_e = me.named["E"]
+        raiser_d = me.named["Xdelta"]
         xdelta = me.g.gen("Xdelta")
         for k in range(5):
             got = me.g.ad_power(raiser_e, me.g.power(h, k), k)
@@ -252,7 +253,7 @@ def suite_balg(cfg: Config) -> Report:
         return True, None
 
     def omega_consequences():
-        e_elt = me.lie_in_mixed(me.model.distinguished["E"])
+        e_elt = me.named["E"]
         m = om.degree
         c = to_phi(shift_substitute(me, om))
         for j in range(m + 1):
@@ -418,8 +419,7 @@ def suite_combin(cfg: Config) -> Report:
         g = gamma_basis()
         if weight_of(me, u) != vadd(g["gamma4"], g["delta"]):
             return False, "weight"
-        lead = me.g.mul(me.g.gen("Xdelta"),
-                        me.uea_of(me.model.distinguished["X4"]))
+        lead = me.g.mul(me.g.gen("Xdelta"), me.g.from_lie(me.named["X4"]))
         if me.reduce_mod_y(sub(u, lead)):
             return False, "leading congruence"
         return True, None
@@ -428,7 +428,7 @@ def suite_combin(cfg: Config) -> Report:
         dm = degree_machine(me)
         comps = dm.components(model_casimir_m(me))
         b20 = comps[(2, 0)]
-        x1 = me.lie_in_mixed(me.model.distinguished["X1"])
+        x1 = me.named["X1"]
         g = gamma_basis()
         for k in range(0, 3):
             dk = dk_operator(me, b20, k)

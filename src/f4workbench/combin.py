@@ -202,9 +202,9 @@ def dk_operator(me: ModelEngine, b: UEA, k: int) -> UEA:
         raise ValueError("first type label must be even")
     if not (0 <= k <= two_i):
         raise ValueError("k=%d out of range [0, %d]" % (k, two_i))
-    xd = me.lie_in_mixed(me.model.distinguished["Xdelta"])
-    e = me.lie_in_mixed(me.model.distinguished["E"])
-    x4 = me.uea_of(me.model.distinguished["X4"])
+    xd = me.named["Xdelta"]
+    e = me.named["E"]
+    x4 = me.g.from_lie(me.named["X4"])
     acc: UEA = {}
     for l in range(0, k + 1):
         c = Fraction((-2) ** l * comb(k, l), comb(j + l, l))
@@ -222,7 +222,7 @@ def weight_of(me: ModelEngine, u: UEA) -> Optional[Coord]:
         return None
     out = []
     for ci in (1, 2, 3, 4):
-        h = me.lie_in_mixed(me.model.distinguished["Ht%d" % ci])
+        h = me.named["Ht%d" % ci]
         img = me.g.ad(h, u)
         if not img:
             out.append(Fraction(0))
@@ -247,7 +247,7 @@ def u_element(me: ModelEngine) -> Tuple[UEA, Scalar, Scalar]:
     exactly so that every simple raising kills U; the mixed terms lie in
     the abelian-ideal left ideal, so U is congruent to Xdelta X4 there.
     """
-    xd_x4 = me.g.mul(me.g.gen("Xdelta"), me.uea_of(me.model.distinguished["X4"]))
+    xd_x4 = me.g.mul(me.g.gen("Xdelta"), me.g.from_lie(me.named["X4"]))
     t1 = me.g.mul(me.g.gen("T23"), me.g.gen("S23"))
     t2 = me.g.mul(me.g.gen("T24"), me.g.gen("S24"))
     # the images under every simple raising of k, stacked as one vector
@@ -314,8 +314,8 @@ def _sigma_direct(me: ModelEngine, b: IwasawaElement, m: int, T: int,
                   l: int, n: int) -> UEA:
     """First assembled sum with raw coefficients: over the index pairs
     with n <= i <= min(m, T-l), i <= r <= min(m, i+l)."""
-    xd = me.lie_in_mixed(me.model.distinguished["Xdelta"])
-    e = me.lie_in_mixed(me.model.distinguished["E"])
+    xd = me.named["Xdelta"]
+    e = me.named["E"]
     acc: UEA = {}
     for i in range(n, min(m, T - l) + 1):
         for r in range(i, min(m, i + l) + 1):
@@ -339,9 +339,9 @@ def _sigma_typed(me: ModelEngine, data: CoefficientData, T: int,
     """First assembled sum over the skew-diagonal type components, with
     the longer weight-aligning tails."""
     m = data.m
-    xd = me.lie_in_mixed(me.model.distinguished["Xdelta"])
-    e = me.lie_in_mixed(me.model.distinguished["E"])
-    x4 = me.uea_of(me.model.distinguished["X4"])
+    xd = me.named["Xdelta"]
+    e = me.named["E"]
+    x4 = me.g.from_lie(me.named["X4"])
     acc: UEA = {}
     for i in range(n, min(m, T - l) + 1):
         for r in range(i, min(m, i + l) + 1):
@@ -422,7 +422,7 @@ def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
                   (not lhs_t) or w == expect,
                   "weight %s, expected %s" % (w, expect))
     # the binomially combined family over admissible L
-    x4 = me.uea_of(me.model.distinguished["X4"])
+    x4 = me.g.from_lie(me.named["X4"])
     seen_n = sorted({n for (_, n) in ln_pairs})
     for n in seen_n:
         if n > min(2 * data.profile[m], T):

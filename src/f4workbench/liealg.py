@@ -470,7 +470,6 @@ class F4Model:
     k_algebra: LieAlgebra                  # bracket table over K_LABELS
     g_basis: List[LieElement]              # k basis + Z + 15 n-vectors
     g_algebra: LieAlgebra                  # bracket table over the mixed basis
-    k_weights: Dict[int, Optional[Coord]]  # moved-Cartan weight per k label
     k_t_weights: Dict[int, Coord]          # torus weight per k label
     c_value: Fraction                      # alpha1(Y)
 
@@ -764,7 +763,7 @@ def build_f4_model() -> F4Model:
             raise ValueError("basis vector %s is not fixed by the involution" % lab)
 
     k_alg = _rebase_table(alg, k_basis, K_LABELS)
-    k_weights, k_t_weights = _k_torus_weights(k_alg)
+    k_t_weights = _k_torus_weights(k_alg)
 
     # Iwasawa complement: Z spans a, n spans the positive restricted part
     _, split = f4_satake_data()
@@ -832,7 +831,7 @@ def build_f4_model() -> F4Model:
         algebra=alg, theta=theta, killing=kappa, bform=bform, chi=chi,
         distinguished=distinguished, subspaces=subspaces,
         k_basis=k_basis, k_algebra=k_alg, g_basis=g_basis, g_algebra=g_alg,
-        k_weights=k_weights, k_t_weights=k_t_weights, c_value=c_value,
+        k_t_weights=k_t_weights, c_value=c_value,
     )
     model.subspaces["mplus_perp"] = orthocomplement(model, subspaces["mplus"],
                                                     subspaces["k"])
@@ -862,30 +861,24 @@ def _is_involution(images: List[LieElement]) -> bool:
     return all(combine(x, images) == {j: ONE} for j, x in enumerate(images))
 
 
-def _k_torus_weights(k_alg: LieAlgebra):
-    """(k_weights, k_t_weights) read off the brackets [Ht_i, e_j] of the
-    k table.
+def _k_torus_weights(k_alg: LieAlgebra) -> Dict[int, Coord]:
+    """k_t_weights read off the brackets [Ht_i, e_j] of the k table.
 
-    k_weights[j] holds the eigenvalues of ad Ht1..Ht4 on label j, or None
-    where ad Ht1 does not act diagonally on it (D2, D3, D4).  Ht2..Ht4 act
-    diagonally on every label, and k_t_weights[j] is (0, their
-    eigenvalues); raises ValueError otherwise.
+    Ht2..Ht4 act diagonally on every label, and k_t_weights[j] is (0, their
+    eigenvalues on label j); raises ValueError otherwise.
     """
-    hts = [k_alg.index[nm] for nm in ("Ht1", "Ht2", "Ht3", "Ht4")]
-    k_weights: Dict[int, Optional[Coord]] = {}
+    hts = [k_alg.index[nm] for nm in ("Ht2", "Ht3", "Ht4")]
     k_t_weights: Dict[int, Coord] = {}
     for j in range(k_alg.dim):
-        w = []
+        w = [Fraction(0)]
         for h in hts:
             br = k_alg.bracket_basis(h, j)
-            diagonal = br.keys() <= {j}
-            w.append(br.get(j, ZERO).rational_value() if diagonal else None)
-        if None in w[1:]:
-            raise ValueError("the small torus does not act diagonally on %s"
-                             % k_alg.labels[j])
-        k_weights[j] = None if w[0] is None else tuple(w)
-        k_t_weights[j] = (Fraction(0),) + tuple(w[1:])
-    return k_weights, k_t_weights
+            if not br.keys() <= {j}:
+                raise ValueError("the small torus does not act diagonally "
+                                 "on %s" % k_alg.labels[j])
+            w.append(br.get(j, ZERO).rational_value())
+        k_t_weights[j] = tuple(w)
+    return k_t_weights
 
 
 def orthocomplement(model: F4Model, sub: Echelon, within: Echelon) -> Echelon:

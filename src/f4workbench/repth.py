@@ -378,14 +378,11 @@ class KActionBasis:
         ka = me.model.k_algebra
         simple = k_root_system().simple
 
-        def named(name: str) -> LieElement:
-            # k coordinates are the first 36 mixed coordinates
-            return me.lie_in_mixed(me.model.distinguished[name])
-
-        e_vecs = [named(_SIMPLE_VECTOR_NAMES[s][0]) for s in simple]
+        # k coordinates are the first 36 mixed coordinates
+        e_vecs = [me.named[_SIMPLE_VECTOR_NAMES[s][0]] for s in simple]
         f_vecs = []
         for i, s in enumerate(simple):
-            cand = named(_SIMPLE_VECTOR_NAMES[s][1])
+            cand = me.named[_SIMPLE_VECTOR_NAMES[s][1]]
             h = ka.bracket(e_vecs[i], cand)
             val = _ratio(ka.bracket(h, e_vecs[i]), e_vecs[i])
             if not val:
@@ -473,10 +470,10 @@ class ModuleContext:
         return out
 
     def action_named(self, me: ModelEngine, name: str) -> Operator:
-        """The action of the distinguished vector name, formed once."""
+        """The action of me.named[name], formed once."""
         op = self._named.get(name)
         if op is None:
-            op = self.action(me.lie_in_mixed(me.model.distinguished[name]))
+            op = self.action(me.named[name])
             self._named[name] = op
         return op
 
@@ -713,13 +710,9 @@ class DegreeMachine:
         self._casimir = None
         # casimir_eigenvalue by weight, one entry per label (k, l) met
         self._eigenvalues: Dict[Weight, Fraction] = {}
-
-        def core(x):
-            return me.g.lie_core(me.lie_in_mixed(x))[:2]
-
         # the raisings in core form, for ad_pair
-        self._xdelta = core(model.distinguished["Xdelta"])
-        self._e = core(model.distinguished["E"])
+        self._xdelta = me.g.lie_core(me.named["Xdelta"])[:2]
+        self._e = me.g.lie_core(me.named["E"])[:2]
 
     def casimir_apply(self, u: UEA) -> UEA:
         """sum_i ad(x_i) ad(x^i) u over dual bases of k, converted to and

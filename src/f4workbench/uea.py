@@ -515,7 +515,8 @@ class IwasawaElement:
 
 
 class ModelEngine:
-    """The F4 engines plus the fixed order bookkeeping used downstream."""
+    """The F4 engines, the named vectors in mixed coordinates, and the
+    fixed order bookkeeping used downstream."""
 
     def __init__(self, model: F4Model):
         self.model = model
@@ -524,6 +525,11 @@ class ModelEngine:
         self.z_index = 36
         self.mplus_start = model.g_algebra.index["D2"]
         self.y_start = model.g_algebra.index["X2"]
+        # the named vectors in mixed coordinates, converted once; shared,
+        # so callers must not mutate them
+        self.named: Dict[str, LieElement] = {
+            name: self.lie_in_mixed(x)
+            for name, x in model.distinguished.items()}
         # built on first use by repth.build_module, repth.degree_machine,
         # repth.is_m_invariant and omega_normalized
         self.action_basis = None
@@ -534,11 +540,9 @@ class ModelEngine:
     # -- conversions --------------------------------------------------------
 
     def lie_in_mixed(self, x: LieElement) -> LieElement:
-        """Chevalley-coordinate element to mixed-basis coordinates."""
+        """Chevalley-coordinate element to mixed-basis coordinates: the one
+        map, for subspace rows; named vectors are read from self.named."""
         return self.model.g_algebra.coords_in_parent(x)
-
-    def uea_of(self, x: LieElement) -> UEA:
-        return self.g.from_lie(self.lie_in_mixed(x))
 
     def k_only(self, u: UEA) -> bool:
         return self.g.supported_below(u, self.n_k)

@@ -122,8 +122,8 @@ class TestAcceptance:
                 if got != want:
                     bad.append("t(%d,%d)" % (i, j))
         # the four raising identities, k <= 4
-        h = me.uea_of(me.model.distinguished["H"])
-        neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
+        h = me.g.from_lie(me.named["H"])
+        neg_yt = me.g.from_lie(scale(-ONE, me.named["Ytilde"]))
         xdelta_elt = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for k in range(5):
@@ -265,8 +265,7 @@ class TestAcceptance:
         u, _, _ = u_element(me)
         if weight_of(me, u) != vadd(g["gamma4"], g["delta"]):
             bad.append("U weight")
-        lead = me.g.mul(me.g.gen("Xdelta"),
-                        me.uea_of(me.model.distinguished["X4"]))
+        lead = me.g.mul(me.g.gen("Xdelta"), me.g.from_lie(me.named["X4"]))
         if me.reduce_mod_y(sub(u, lead)):
             bad.append("U congruence")
         k_idx = me.model.k_algebra.index
@@ -341,8 +340,7 @@ class TestAcceptance:
             if dominant_in_ideal_slice(me, target, max_degree=2):
                 bad.append("nonzero dominant slice at %s" % (target,))
         # sum decomposition: u0 + u1 E in the ideal forces both in
-        d = me.model.distinguished
-        x4 = me.uea_of(d["X4"])
+        x4 = me.g.from_lie(me.named["X4"])
         xd = me.g.gen("Xdelta")
         delta_el = sub(
             scale(sca(2), me.g.mul(x4, me.g.gen("X2"))),
@@ -360,7 +358,7 @@ class TestAcceptance:
                     sca(rng.randint(-2, 2)), family[rng.randrange(len(family))]))
                 u1 = add(u1, scale(
                     sca(rng.randint(-2, 2)), family[rng.randrange(len(family))]))
-            x1 = me.lie_in_mixed(d["X1"])
+            x1 = me.named["X1"]
             if me.g.ad(x1, u0) or me.g.ad(x1, u1):
                 bad.append("sample family is not invariant")
                 break

@@ -28,7 +28,7 @@ class CentralArg:
         if scalar:
             base[ONE_MONO] = sca(scalar)
         if element:
-            base = add(base, me.uea_of(element))
+            base = add(base, me.g.from_lie(me.lie_in_mixed(element)))
         self.value = base
         self._powers = [me.g.one()]
 
@@ -290,7 +290,7 @@ class TestRaisingIdentities:
     """The four derivation identities for powers of the torus arguments."""
 
     def test_e_on_h_powers(self, me):
-        h = me.uea_of(me.model.distinguished["H"])
+        h = me.g.from_lie(me.named["H"])
         raiser = me.lie_in_mixed(me.model.distinguished["E"])
         for k in range(5):
             got = me.g.ad_power(raiser, me.g.power(h, k), k)
@@ -302,7 +302,7 @@ class TestRaisingIdentities:
                 assert me.g.ad_power(raiser, me.g.power(h, k - 1), k) == {}
 
     def test_e_on_phi_of_h(self, me):
-        h = me.uea_of(me.model.distinguished["H"])
+        h = me.g.from_lie(me.named["H"])
         raiser = me.lie_in_mixed(me.model.distinguished["E"])
         for k in range(5):
             val = substitute(me, phi_poly(k), h).at(0)
@@ -312,7 +312,7 @@ class TestRaisingIdentities:
             assert got == expect
 
     def test_xdelta_on_ytilde_powers(self, me):
-        neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
+        neg_yt = me.g.from_lie(scale(-ONE, me.named["Ytilde"]))
         raiser = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for k in range(5):
@@ -325,7 +325,7 @@ class TestRaisingIdentities:
                                      k) == {}
 
     def test_xdelta_on_phi_of_shifted_ytilde(self, me):
-        neg_yt = me.uea_of(scale(-ONE, me.model.distinguished["Ytilde"]))
+        neg_yt = me.g.from_lie(scale(-ONE, me.named["Ytilde"]))
         raiser = me.lie_in_mixed(me.model.distinguished["Xdelta"])
         xdelta = me.g.gen("Xdelta")
         for a in (Fraction(0), Fraction(3), Fraction(-1, 2)):
@@ -599,7 +599,8 @@ class TestSubstituteOracle:
         family = substitution_family(me, omega_report.omega)
         for const, name, sign in ARGUMENTS:
             elt = scale(sca(sign), me.model.distinguished[name])
-            t = add(me.uea_of(elt), scale(sca(const), me.g.one()))
+            t = add(me.g.from_lie(me.lie_in_mixed(elt)),
+                    scale(sca(const), me.g.one()))
             for b in family:
                 c = substitute(me, b, t)
                 assert c.degree == b.degree

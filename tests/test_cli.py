@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import types
+import warnings
 
 import pytest
 
@@ -34,6 +36,19 @@ class TestConfig:
         p.write_text("seed = 11\ndimension_cap = 256\n# comment\n")
         cfg = Config.load(str(p))
         assert cfg.seed == 11 and cfg.dimension_cap == 256
+
+    @pytest.mark.parametrize("name, text", [
+        ("cfg.toml", "seed = 11\n"), ("cfg.json", '{"seed": 11}'),
+    ], ids=["toml", "json"])
+    def test_load_closes_the_file(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = Config.load(str(p))
+            gc.collect()
+        assert cfg.seed == 11
+        assert [str(w.message) for w in caught] == []
 
     def test_mini_toml(self):
         # the parser used where tomllib is missing (Python 3.10)

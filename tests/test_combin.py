@@ -279,15 +279,13 @@ class TestUElement:
 
     def test_congruent_to_leading_product(self, me):
         u, _, _ = u_element(me)
-        lead = me.g.mul(me.g.gen("Xdelta"),
-                        me.uea_of(me.model.distinguished["X4"]))
+        lead = me.g.mul(me.g.gen("Xdelta"), me.g.from_lie(me.named["X4"]))
         assert me.reduce_mod_y(sub(u, lead)) == {}
 
     def test_coefficients_match_dense_solve(self, me):
         # a ad(T23 S23) + b ad(T24 S24) = -ad(Xdelta X4) under each raiser,
         # solved densely over the monomials of the images
-        xd_x4 = me.g.mul(me.g.gen("Xdelta"),
-                         me.uea_of(me.model.distinguished["X4"]))
+        xd_x4 = me.g.mul(me.g.gen("Xdelta"), me.g.from_lie(me.named["X4"]))
         t1 = me.g.mul(me.g.gen("T23"), me.g.gen("S23"))
         t2 = me.g.mul(me.g.gen("T24"), me.g.gen("S24"))
         k_idx = me.model.k_algebra.index
@@ -443,7 +441,7 @@ class TestAssembleOracle:
             me, b, data.m, T, a, c), l, n) for l, n in pairs]
         typed = {(l, n): pair_oracle(me, lambda a, c: _sigma_typed(
             me, data, T, a, c), l, n) for l in range(3) for n in range(2)}
-        x4 = me.uea_of(me.model.distinguished["X4"])
+        x4 = me.g.from_lie(me.named["X4"])
         combined = []
         for n, lmax in ((0, 2), (1, 1)):
             for L in range(lmax + 1):

@@ -158,10 +158,10 @@ class TestProduct:
 
 class TestDerivation:
     def test_named_identities(self, me):
-        d = me.model.distinguished
-        yt = me.uea_of(d["Ytilde"])
-        assert ad_named(me, "E", yt) == me.uea_of(d["E"])
-        assert ad_named(me, "Xdelta", yt) == me.uea_of(d["Xdelta"])
+        d = me.named
+        yt = me.g.from_lie(d["Ytilde"])
+        assert ad_named(me, "E", yt) == me.g.from_lie(d["E"])
+        assert ad_named(me, "Xdelta", yt) == me.g.from_lie(d["Xdelta"])
 
     def test_kills_unit(self, me):
         assert ad_named(me, "E", me.g.one()) == {}
@@ -190,6 +190,27 @@ class TestDerivation:
                                 me.g.ad(y, me.g.ad(x, u)))
             rhs = me.g.ad(alg.bracket(x, y), u)
             assert lhs == rhs
+
+
+class TestNamedVectors:
+    """ModelEngine.named against converting each Chevalley vector anew,
+    and the relations verify_model checks on the Chevalley table, here on
+    the mixed one."""
+
+    def test_named_is_the_conversion(self, me):
+        assert len(me.model.distinguished) == 48
+        assert me.named.keys() == me.model.distinguished.keys()
+        for name, x in me.model.distinguished.items():
+            assert me.named[name] == me.lie_in_mixed(x), name
+
+    @pytest.mark.parametrize("x, y, c, z", [
+        ("X1", "X2", 1, "E"), ("X1", "E", 1, "X4"), ("Xm1", "E", 2, "X2"),
+        ("H", "E", Fraction(1, 2), "E"), ("E", "Ytilde", 1, "E"),
+        ("Xdelta", "Ytilde", 1, "Xdelta"), ("E", "Y", Fraction(3, 2), "E"),
+    ], ids=str)
+    def test_relations_on_the_mixed_table(self, me, x, y, c, z):
+        d = me.named
+        assert me.model.g_algebra.bracket(d[x], d[y]) == scale(sca(c), d[z])
 
 
 class TestIdealNormalForm:
@@ -450,8 +471,8 @@ class TestEvenOddSplit:
     def test_delta_congruence(self, me):
         # (-1)^j Delta^j = E^{2j} modulo the abelian-ideal left ideal
         delta = sub(
-            scale(sca(2), me.g.mul(me.uea_of(me.model.distinguished["X4"]),
-                                             me.g.gen("X2"))),
+            scale(sca(2), me.g.mul(me.g.from_lie(me.named["X4"]),
+                                   me.g.gen("X2"))),
             me.g.gen("E", 2))
         for j in range(4):
             lhs = scale(sca((-1) ** j), me.g.power(delta, j))
@@ -460,8 +481,8 @@ class TestEvenOddSplit:
 
     def test_delta_is_x1_invariant(self, me):
         delta = sub(
-            scale(sca(2), me.g.mul(me.uea_of(me.model.distinguished["X4"]),
-                                             me.g.gen("X2"))),
+            scale(sca(2), me.g.mul(me.g.from_lie(me.named["X4"]),
+                                   me.g.gen("X2"))),
             me.g.gen("E", 2))
         assert ad_named(me, "X1", delta) == {}
 
@@ -469,8 +490,8 @@ class TestEvenOddSplit:
         # eta_0 = Delta, eta_1 = Delta, eta_2 = 1, eta_3 = 1: the full sum lies
         # in the ideal and each parity part reduces to zero separately
         delta = sub(
-            scale(sca(2), me.g.mul(me.uea_of(me.model.distinguished["X4"]),
-                                             me.g.gen("X2"))),
+            scale(sca(2), me.g.mul(me.g.from_lie(me.named["X4"]),
+                                   me.g.gen("X2"))),
             me.g.gen("E", 2))
         e = me.g.gen("E")
         etas = [delta, delta, me.g.one(), me.g.one()]
@@ -491,9 +512,8 @@ class TestEvenOddSplit:
     def test_sum_decomposition_sampled(self, me):
         # u0 + u1 E in the ideal with both annihilated by the raising
         # derivation forces both congruent to zero
-        d = me.model.distinguished
-        x4 = me.uea_of(d["X4"])
-        xd = me.uea_of(d["Xdelta"])
+        x4 = me.g.from_lie(me.named["X4"])
+        xd = me.g.from_lie(me.named["Xdelta"])
         delta = sub(scale(sca(2), me.g.mul(x4, me.g.gen("X2"))),
                               me.g.gen("E", 2))
         rng = random.Random(11)
