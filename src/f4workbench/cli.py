@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -68,8 +69,15 @@ class Config:
         return Config(**data)
 
 
+# a TOML integer: a decimal with an optional sign and no leading zero, or
+# an unsigned 0x, 0o or 0b literal; int(v, 0) then checks the digits
+_TOML_INT = re.compile(r"[+-]?(0|[1-9](_?[0-9])*)"
+                       r"|0[xob][0-9a-fA-F](_?[0-9a-fA-F])*")
+
+
 def _mini_toml(text: str) -> dict:
-    """Flat key = value lines with integer or quoted-string values."""
+    """Flat key = value lines with integer or quoted-string values, read
+    as tomllib reads them."""
     out = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -80,8 +88,10 @@ def _mini_toml(text: str) -> dict:
         k, v = (s.strip() for s in line.split("=", 1))
         if v.startswith('"') and v.endswith('"'):
             out[k] = v[1:-1]
+        elif _TOML_INT.fullmatch(v):
+            out[k] = int(v, 0)
         else:
-            out[k] = int(v)
+            raise ValueError("unsupported config value: %r" % v)
     return out
 
 

@@ -160,24 +160,6 @@ class Scalar:
     def __bool__(self):
         return self.p != 0 or self.q != 0
 
-    def sign(self) -> int:
-        """Sign under the real embedding sqrt2 > 0."""
-        if self.p == 0 and self.q == 0:
-            return 0
-        if self.q == 0:
-            return 1 if self.p > 0 else -1
-        if self.p == 0:
-            return 1 if self.q > 0 else -1
-        if self.p > 0 and self.q > 0:
-            return 1
-        if self.p < 0 and self.q < 0:
-            return -1
-        # mixed signs: compare p^2 with 2 q^2
-        big_p = self.p * self.p > 2 * self.q * self.q
-        if big_p:
-            return 1 if self.p > 0 else -1
-        return 1 if self.q > 0 else -1
-
     # -- serialization ---------------------------------------------------
 
     def to_string(self) -> str:

@@ -471,7 +471,6 @@ class F4Model:
     g_basis: List[LieElement]              # k basis + Z + 15 n-vectors
     g_algebra: LieAlgebra                  # bracket table over the mixed basis
     k_t_weights: Dict[int, Coord]          # torus weight per k label
-    c_value: Fraction                      # alpha1(Y)
 
     def b(self, x: LieElement, y: LieElement) -> Scalar:
         """The invariant form normalized so the epsilon basis is orthonormal."""
@@ -778,9 +777,8 @@ def build_f4_model() -> F4Model:
     y_elt = sub(h_a1, z_elt)   # torus part of the alpha1 coroot
     h_elt = scale(sca(Fraction(1, 2)), h2)
     ytilde = add(y_elt, h_elt)
-    c_value = Fraction(3, 2)
     got_c = _ratio(alg.bracket(e_elt, y_elt), e_elt)
-    if got_c != sca(c_value):
+    if got_c != sca(Fraction(3, 2)):
         raise ValueError("the scalar alpha1(Y) is %r, expected 3/2" % got_c)
 
     hr1 = alg.chevalley.coroot(vec(0, 0, 1, -1))
@@ -831,7 +829,7 @@ def build_f4_model() -> F4Model:
         algebra=alg, theta=theta, killing=kappa, bform=bform, chi=chi,
         distinguished=distinguished, subspaces=subspaces,
         k_basis=k_basis, k_algebra=k_alg, g_basis=g_basis, g_algebra=g_alg,
-        k_t_weights=k_t_weights, c_value=c_value,
+        k_t_weights=k_t_weights,
     )
     model.subspaces["mplus_perp"] = orthocomplement(model, subspaces["mplus"],
                                                     subspaces["k"])
@@ -981,7 +979,9 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
               br(d["Xdelta"], d["Ytilde"]) == d["Xdelta"])
     rep.check("[E, Y] = (3/2) E",
               br(d["E"], d["Y"]) == scale(sca(Fraction(3, 2)), d["E"]))
-    rep.equal("alpha1(Y) = 3/2", model.c_value, Fraction(3, 2))
+    xa1 = {alg.root_index[F4_SIMPLE[0]]: ONE}
+    rep.check("alpha1(Y) = 3/2",
+              br(d["Y"], xa1) == scale(sca(Fraction(3, 2)), xa1))
 
     rep.check("rotation fixes the small torus",
               all(model.chi_apply(t) == t

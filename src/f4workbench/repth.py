@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, combine, coordinates, kernel,
                        rational_roots, sca, scale, sub)
-from .liealg import LieElement, _ratio, orthocomplement
+from .liealg import LieElement, _ratio
 from .reporting import Report
 from .rootdata import Coord, RootSystem, gamma_basis, k_root_system, vec
 from .uea import Core, ModelEngine, UEA, _casimir_of, _casimir_step
@@ -666,48 +666,39 @@ class DegreeMachine:
 
     The Casimir acts through its symmetric tensor in triangular form
     (uea._casimir_tensor): since [ad x, ad y] = ad [x, y], the two orders
-    of each pair fold into one, sum_h ad(Y_h) ad(e'_h) - ad(r).
+    of each pair fold into one, sum_h ad(Y_h) ad(e'_h) - ad(r).  One
+    tensor, that of C_k over dual bases of k, serves both casimir_apply
+    and components().
 
-    components() applies only the part of the Casimir on m^perp, the
-    orthocomplement of m in k for the invariant form.  Over dual bases
-    of the two orthogonal summands the Casimir splits as
-    C_k = C_m + C_perp, and on an M-invariant v every term
-    ad(x_i) ad(x^i) v of C_m vanishes, because x^i lies in m.  Input that
-    is not M-invariant is rejected, and C_k commutes with ad(m), so every
-    Krylov vector is M-invariant and C_perp acts on it as C_k does.
+    components() drops every pass of C_k that begins with ad(e'_h), h a
+    label in m: the inner terms ad(Y_h) ad(e'_h) and the entries of r on
+    those labels.  ad(e'_h) kills every M-invariant when e'_h lies in m,
+    input that is not M-invariant is rejected, and C_k commutes with
+    ad(m), so every Krylov vector is M-invariant and the dropped passes
+    read zero on it.  On F4 an application then makes 19 label passes of
+    ad per core vector (8 inner labels, 11 terms of the Y_h, no label of
+    r) where C_k makes 46 (20, 23, 3) and the plain pair sum 78.  The
+    Krylov chain, its minimal polynomial and the projectors stay in core
+    form; only the components are converted to Scalars.
 
-    By the same argument the triangular form of C_perp loses every pass
-    that begins with ad(e'_h), h a label in m: ad(e'_h) v = 0 on an
-    M-invariant v, so the inner terms ad(Y_h) ad(e'_h) with h in m and
-    the entries of r on labels in m sum to zero there and are dropped.
-    On F4 those are the inner labels D2, D3, D4 and all three labels
-    Ht2, Ht3, Ht4 of r.  An application then makes 19 label passes of ad
-    per core vector (8 inner labels, 11 terms of the Y_h, no label of r),
-    where the whole C_perp tensor makes 31 (11, 17, 3), C_k 46 (20, 23, 3)
-    and the plain pair sum 78.  The Krylov chain, its minimal polynomial
-    and the projectors stay in core form; only the components are
-    converted to Scalars.
-
-    casimir_apply is the full C_k, exact on every element of U(k),
-    invariant or not; its tensor is built on first use.
+    casimir_apply is the whole C_k, exact on every element of U(k),
+    invariant or not.
     """
 
     def __init__(self, me: ModelEngine):
         self.me = me
         model = me.model
         m = model.subspaces["m"]
-        perp = orthocomplement(model, m, model.subspaces["k"])
-        inner, shift, den = _casimir_of(
-            me, [me.lie_in_mixed(x) for x in perp.rows()])
+        self._casimir = _casimir_of(me, [{i: ONE} for i in range(36)])
+        inner, shift, den = self._casimir
 
         def in_m(h):
             return m.contains(model.in_chevalley({h: ONE}))
 
         # ad(e'_h) kills every M-invariant for h in m
-        self._casimir_perp = ([(h, y) for h, y in inner if not in_m(h)],
-                              {h: c for h, c in shift.items() if not in_m(h)},
-                              den)
-        self._casimir = None
+        self._casimir_on_invariants = (
+            [(h, y) for h, y in inner if not in_m(h)],
+            {h: c for h, c in shift.items() if not in_m(h)}, den)
         # casimir_eigenvalue by weight, one entry per label (k, l) met
         self._eigenvalues: Dict[Weight, Fraction] = {}
         # the raisings in core form, for ad_pair
@@ -717,9 +708,6 @@ class DegreeMachine:
     def casimir_apply(self, u: UEA) -> UEA:
         """sum_i ad(x_i) ad(x^i) u over dual bases of k, converted to and
         from the core once."""
-        if self._casimir is None:
-            self._casimir = _casimir_of(self.me,
-                                        [{i: ONE} for i in range(36)])
         engine = self.me.g
         return engine.from_core(*_casimir_step(engine, self._casimir,
                                                engine.to_core(u)))
@@ -764,7 +752,7 @@ class DegreeMachine:
                 row.append(x)
             gram.append(inner)
             krylov.append(cur)
-            cur = _casimir_step(engine, self._casimir_perp, cur)
+            cur = _casimir_step(engine, self._casimir_on_invariants, cur)
         # w_d = sum_j b_j w_j and C^t u = w_t / D_t give the minimal
         # polynomial x^d - sum_j b_j D_j / D_d x^j
         poly = PolyScalar([-relation.get(j, ZERO) * sca(Fraction(w[2], cur[2]))

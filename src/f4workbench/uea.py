@@ -598,9 +598,8 @@ def _casimir_tensor(engine: PBWEngine, pairs):
     integer Y_h = {g: int} and r = {k: int} over the common denominator
     den.  For the Casimir of k on F4 that is 20 inner labels h, 23 terms
     of the Y_h and an r on the 3 Cartan labels, over 256: 46 label passes
-    of ad per application instead of the 36 + 42 of the full sum; for the
-    Casimir of m^perp it is 11, 17 and 3.  Raises ValueError when T is not
-    symmetric or a coefficient is not rational.
+    of ad per application instead of the 36 + 42 of the full sum.  Raises
+    ValueError when T is not symmetric or a coefficient is not rational.
     """
     def rescaled(x):
         core_p, core_q, den = engine.lie_core(x)

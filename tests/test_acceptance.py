@@ -8,9 +8,9 @@ from math import factorial
 
 from f4workbench.exactnum import ONE, ZERO, add, sca, scale, sub
 from f4workbench.liealg import transversality_rank
-from f4workbench.rootdata import (cartan_type, compact_split, DEFAULT_REGULAR,
-                                  f4_satake_data, gamma_basis, simple_system,
-                                  vadd, vscale)
+from f4workbench.rootdata import (F4_SIMPLE, cartan_type, compact_split,
+                                  DEFAULT_REGULAR, f4_satake_data,
+                                  gamma_basis, simple_system, vadd, vscale)
 from f4workbench.uea import (IwasawaElement, invariants_up_to_degree,
                              model_casimir_m)
 
@@ -52,6 +52,7 @@ class TestAcceptance:
         d = model.distinguished
         br = model.algebra.bracket
         half = sca(Fraction(1, 2))
+        xa1 = {model.algebra.root_index[F4_SIMPLE[0]]: ONE}
         checks = {
             "[X1,X2]=E": br(d["X1"], d["X2"]) == d["E"],
             "[X1,E]=X4": br(d["X1"], d["E"]) == d["X4"],
@@ -61,7 +62,7 @@ class TestAcceptance:
             "[Xdelta,H]=0": br(d["Xdelta"], d["H"]) == {},
             "adE(Ytilde)=E": br(d["E"], d["Ytilde"]) == d["E"],
             "adXdelta(Ytilde)=Xdelta": br(d["Xdelta"], d["Ytilde"]) == d["Xdelta"],
-            "c=3/2": model.c_value == Fraction(3, 2),
+            "c=3/2": br(d["Y"], xa1) == scale(sca(Fraction(3, 2)), xa1),
         }
         bad = [k for k, v in checks.items() if not v]
         _report(2, not bad, "normalization battery (9 identities)"

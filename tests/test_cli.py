@@ -58,6 +58,28 @@ class TestConfig:
             _mini_toml("seed 5\n")
 
     @pytest.mark.parametrize("text", [
+        "seed = %s\n" % v for v in (
+            "11", "+5", "-3", "1_000", "0x1F", "0o17", "0b101", "017", "0_1",
+            "-0x1F", "00", "1e3", "true", '"7"')
+    ] + ["[section]\nseed = 5\n"])
+    def test_toml_without_tomllib_reads_as_tomllib(self, tmp_path,
+                                                    monkeypatch, text):
+        # the Python 3.10 path through _mini_toml must give the Config
+        # that tomllib gives, or fail where tomllib fails
+        p = tmp_path / "cfg.toml"
+        p.write_text(text)
+
+        def load():
+            try:
+                return Config.load(str(p))
+            except ValueError:
+                return ValueError
+
+        with_tomllib = load()
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        assert load() == with_tomllib
+
+    @pytest.mark.parametrize("text", [
         "[1, 2]", '{"dimension_cap": "big"}', '{"degree_cpa": 9}',
         '{"seed": true}', '{"nmax": -3}', '{"nmax": 0}',
     ], ids=["list", "string-value", "unknown-key", "bool-value",
@@ -84,6 +106,17 @@ class TestSuites:
         d = rep.as_dict()
         assert d["summary"]["fail"] == 0
         assert d["seed"] == Config().seed
+
+    @pytest.mark.parametrize("seed", [20240801, 7])
+    def test_verify_all_records(self, seed):
+        # the ordered ids of verify all, pinned so a change that adds,
+        # drops, renames or reorders a record shows here
+        path = os.path.join(os.path.dirname(__file__), "verify_all_ids.json")
+        with open(path) as f:
+            want = json.load(f)
+        rep = run_suite("all", Config(seed=seed))
+        assert [c["id"] for c in rep.checks] == want
+        assert [c["id"] for c in rep.checks if c["status"] != "pass"] == []
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError):

@@ -100,12 +100,6 @@ class TestScalar:
         with pytest.raises(ValueError, match="zero denominator"):
             Scalar.parse(text)
 
-    def test_sign(self):
-        assert S(1, -1).sign() == -1   # 1 - sqrt2 < 0
-        assert S(-1, 1).sign() == 1
-        assert S(3, -2).sign() == 1    # 3 - 2 sqrt2 > 0
-        assert ZERO.sign() == 0
-
     def test_pow(self):
         assert (ONE + SQRT2) ** 3 == S(7, 5)
         assert (ONE + SQRT2) ** -1 == S(-1, 1)

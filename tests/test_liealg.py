@@ -12,8 +12,8 @@ from f4workbench.liealg import (
     cayley_transform, chevalley_algebra, orthocomplement, root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
-from f4workbench.rootdata import (build_root_system, f4_root_system, vadd,
-                                  vec, vneg, vsub)
+from f4workbench.rootdata import (F4_SIMPLE, build_root_system,
+                                  f4_root_system, vadd, vec, vneg, vsub)
 from test_exactnum import identity
 
 B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
@@ -347,7 +347,11 @@ class TestModelInvariants:
             assert model.subspaces["p"].contains(v)
 
     def test_c_value(self, model):
-        assert model.c_value == Fraction(3, 2)
+        # alpha1(Y), read off [Y, X_alpha1] on the simple root vector
+        alg = model.algebra
+        i = alg.root_index[F4_SIMPLE[0]]
+        assert alg.bracket(model.distinguished["Y"], {i: ONE}) == \
+            {i: sca(Fraction(3, 2))}
 
     def test_kappa_orthogonality_display(self, model):
         d = model.distinguished
@@ -755,6 +759,15 @@ class TestJacobiOracle:
             "Jacobi identity on all basis triples"]
         assert failed[0]["witness"] == "mixed table: " + _jacobi_witness(bad)
         assert len(rep.checks) == len(verify_model(model).checks)
+
+    def test_doubled_y_fails_the_alpha1_record(self, model):
+        from dataclasses import replace
+        named = dict(model.distinguished)
+        named["Y"] = scale(sca(2), named["Y"])
+        rep = verify_model(replace(model, distinguished=named))
+        status = {c["id"]: c["status"] for c in rep.checks}
+        assert status["alpha1(Y) = 3/2"] == "fail"
+        assert verify_model(model).ok
 
     def test_mixed_constants_fall_back_to_scalars(self):
         # [a, b] = (1 + sqrt2) b has no integer form but satisfies Jacobi

@@ -3,8 +3,11 @@
 Every function, class and method defined in the package must be named
 somewhere in the package or in perfbench/, outside its own definition.
 Code that only the tests call belongs in the tests, as a helper or an
-oracle.  The check is by name: a reference to any attribute of that name
-counts, so it misses a dead method that shares its name with a live one.
+oracle.  The check is by name.  A function or class is reached by any
+name or attribute reference.  A method is reached only by an attribute
+reference (x.name), or by its bare name in its own class body, as an
+alias (alias = method), so a local variable of the same name does not
+count; an attribute of that name on any object still does.
 """
 
 import ast
@@ -17,9 +20,10 @@ PACKAGE = pathlib.Path(f4workbench.__file__).parent
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 # Matrix is the dense test oracle; it stays in exactnum because
-# perfbench/sample.py counts its eliminations, and these two methods are
+# perfbench/sample.py counts its eliminations, and these methods are
 # called only by the tests that use it.
-ALLOWED = {"Matrix.from_columns", "Matrix.transpose"}
+ALLOWED = {"Matrix.from_columns", "Matrix.transpose", "Matrix.apply",
+           "Matrix.det"}
 
 
 def _names(node):
@@ -33,8 +37,26 @@ def _names(node):
     return out
 
 
+def _attributes(node):
+    """Every attribute referenced under node."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def _class_level_names(cls):
+    """The bare names the body of cls reads outside its defs."""
+    out = Counter()
+    for stmt in cls.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            out.update(sub.id for sub in ast.walk(stmt)
+                       if isinstance(sub, ast.Name))
+    return out
+
+
 def _definitions(tree):
-    """(qualified name, node) of every non-dunder def and class."""
+    """(qualified name, node, enclosing class or None) of every non-dunder
+    def and class."""
     out = []
 
     def visit(node, prefix):
@@ -43,7 +65,8 @@ def _definitions(tree):
                                   ast.ClassDef)):
                 name = child.name
                 if not (name.startswith("__") and name.endswith("__")):
-                    out.append((prefix + name, child))
+                    owner = node if isinstance(node, ast.ClassDef) else None
+                    out.append((prefix + name, child, owner))
                 visit(child, prefix + name + ".")
             else:
                 visit(child, prefix)
@@ -59,14 +82,20 @@ def test_every_definition_is_reached():
     trees = {path: ast.parse(path.read_text(), str(path))
              for path in sources + bench}
     refs = Counter()
+    attrs = Counter()
     for tree in trees.values():
         refs.update(_names(tree))
+        attrs.update(_attributes(tree))
     unreached = []
     for path in sources:
-        for qualname, node in _definitions(trees[path]):
+        for qualname, node, owner in _definitions(trees[path]):
             name = node.name
-            if refs[name] - _names(node)[name] <= 0 \
-                    and qualname not in ALLOWED:
+            if owner is None:
+                count = refs[name] - _names(node)[name]
+            else:
+                count = (attrs[name] - _attributes(node)[name]
+                         + _class_level_names(owner)[name])
+            if count <= 0 and qualname not in ALLOWED:
                 unreached.append("%s:%d %s" % (path.name, node.lineno,
                                                qualname))
     assert unreached == []
@@ -101,7 +130,9 @@ def test_every_import_is_used():
 
 # The modules past the model read the named vectors in mixed coordinates
 # from ModelEngine.named, converted once when the engine is built; the
-# Chevalley-coordinate vectors stay behind liealg, uea and the tests.
+# Chevalley-coordinate vectors stay behind liealg, uea and the tests.  They
+# build no orthocomplement either: the degree machine's Casimir tensor is
+# that of k, with the labels in m dropped.
 PAST_THE_MODEL = ("balg.py", "combin.py", "cli.py", "repth.py")
 
 
@@ -111,5 +142,6 @@ def test_named_vectors_cross_once():
         path = PACKAGE / name
         refs = _names(ast.parse(path.read_text(), str(path)))
         found += ["%s names %s" % (name, attr)
-                  for attr in ("distinguished", "uea_of") if refs[attr]]
+                  for attr in ("distinguished", "uea_of", "orthocomplement")
+                  if refs[attr]]
     assert found == []

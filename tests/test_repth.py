@@ -1031,7 +1031,7 @@ class TestInvariantCache:
 
 
 def components_oracle(dm, u):
-    """components() before the m^perp split and the integer chain: the
+    """components() on the whole C_k, without the integer chain: the
     Krylov vectors come from the full casimir_apply as Scalars, and the
     relation and the projectors run on them through Echelon and combine."""
     span = Echelon()
@@ -1058,11 +1058,12 @@ def components_oracle(dm, u):
 
 
 class TestPerpCasimir:
-    """components() runs its Krylov chain through C_perp, the Casimir of
-    the orthocomplement of m in k, with the passes that begin with ad of a
-    label in m dropped.  On M-invariants it must agree with the whole
-    C_perp tensor, with the full casimir_apply and with the plain pair sum
-    over dual bases of k, on every Krylov vector."""
+    """components() runs its Krylov chain through C_k with the passes that
+    begin with ad of a label in m dropped.  On M-invariants it must agree
+    with the whole C_k (casimir_apply), with the plain pair sum over dual
+    bases of k, and with the whole tensor of C_perp, the Casimir of the
+    orthocomplement of m in k (C_k = C_m + C_perp, and C_m kills every
+    M-invariant), on every Krylov vector."""
 
     @pytest.fixture(scope="class")
     def pair_sum(self, me):
@@ -1084,8 +1085,8 @@ class TestPerpCasimir:
 
     @pytest.fixture(scope="class")
     def whole_perp(self, me):
-        """The triangular C_perp tensor with every label kept: the oracle
-        for the degree machine's tensor."""
+        """The triangular C_perp tensor with every label kept: an oracle
+        for the degree machine's tensor built without C_k."""
         model = me.model
         perp = orthocomplement(model, model.subspaces["m"],
                                model.subspaces["k"])
@@ -1104,24 +1105,38 @@ class TestPerpCasimir:
     def perp_apply(dm, u, tensor=None):
         eng = dm.me.g
         return eng.from_core(*_casimir_step(
-            eng, dm._casimir_perp if tensor is None else tensor,
+            eng, dm._casimir_on_invariants if tensor is None else tensor,
             eng.to_core(u)))
 
     @staticmethod
-    def dropped_labels(dm, whole):
-        """The inner and shift labels of the whole C_perp tensor that the
-        degree machine's tensor leaves out."""
-        inner, shift, _ = dm._casimir_perp
+    def without_m(me, tensor):
+        """tensor with every inner and shift label in m dropped."""
+        model = me.model
+        m = model.subspaces["m"]
+
+        def in_m(h):
+            return m.contains(model.in_chevalley({h: ONE}))
+
+        inner, shift, den = tensor
+        return ([(h, y) for h, y in inner if not in_m(h)],
+                {h: c for h, c in shift.items() if not in_m(h)}, den)
+
+    @staticmethod
+    def dropped_labels(dm):
+        """The inner and shift labels of C_k that the chain's tensor leaves
+        out."""
+        inner, shift, _ = dm._casimir_on_invariants
         kept = {h for h, _ in inner} | set(shift)
-        return ({h for h, _ in whole[0]} | set(whole[1])) - kept
+        whole_inner, whole_shift, _ = dm._casimir
+        return ({h for h, _ in whole_inner} | set(whole_shift)) - kept
 
     def _check_chain(self, me, pair_sum, whole_perp, u):
-        """C_perp with the m labels dropped = the whole C_perp = C_k
-        (= the pair sum) on C^t u for t = 0 .. d, d the degree of the
+        """C_k with the m labels dropped = the whole C_k (= the pair sum)
+        = the whole C_perp on C^t u for t = 0 .. d, d the degree of the
         minimal polynomial, and ad of each dropped label kills C^t u."""
         dm = degree_machine(me)
         d = len(components_oracle(dm, u))
-        dropped = self.dropped_labels(dm, whole_perp)
+        dropped = self.dropped_labels(dm)
         vectors = [u]
         for _ in range(d):
             v = vectors[-1]
@@ -1136,24 +1151,27 @@ class TestPerpCasimir:
         return vectors
 
     def test_tensor_sizes(self, me, whole_perp):
-        dm = DegreeMachine(me)
-        inner, shift, _ = dm._casimir_perp
-        assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
-            (8, 11, 0)
-        inner, shift, _ = whole_perp
-        assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
-            (11, 17, 3)
-        dm.casimir_apply(me.g.one())
-        inner, shift, _ = dm._casimir
-        assert (len(inner), sum(len(y) for _, y in inner), len(shift)) == \
-            (20, 23, 3)
+        def sizes(tensor):
+            inner, shift, _ = tensor
+            return len(inner), sum(len(y) for _, y in inner), len(shift)
 
-    def test_dropped_labels_lie_in_m(self, me, whole_perp):
+        dm = DegreeMachine(me)
+        assert sizes(dm._casimir) == (20, 23, 3)
+        assert sizes(dm._casimir_on_invariants) == (8, 11, 0)
+        assert sizes(whole_perp) == (11, 17, 3)
+
+    def test_chain_tensor_is_filtered_perp(self, me, whole_perp):
+        dm = degree_machine(me)
+        assert dm._casimir_on_invariants == self.without_m(me, dm._casimir)
+        assert dm._casimir_on_invariants == self.without_m(me, whole_perp)
+
+    def test_dropped_labels_lie_in_m(self, me):
         model = me.model
         labels = model.g_algebra.labels
-        dropped = self.dropped_labels(degree_machine(me), whole_perp)
+        dropped = self.dropped_labels(degree_machine(me))
         assert {labels[h] for h in dropped} == \
-            {"D2", "D3", "D4", "Ht2", "Ht3", "Ht4"}
+            {"Ht2", "Ht3", "Ht4", "D2", "D3", "D4", "T23", "T24", "T34",
+             "X2", "S23", "S24"}
         for h in dropped:
             assert model.subspaces["m"].contains(model.in_chevalley({h: ONE}))
 
@@ -1201,9 +1219,18 @@ class TestPerpCasimir:
             assert {k: me.g.serialize(c) for k, c in got.items()} == \
                 {k: me.g.serialize(c) for k, c in want.items()}
 
-    def test_components_never_build_the_full_tensor(self, me):
+    def test_one_casimir_tensor_per_machine(self, me, monkeypatch):
+        from f4workbench import repth
         from f4workbench.uea import model_casimir_m
+        built = []
+
+        def spy(*args):
+            built.append(_casimir_of(*args))
+            return built[-1]
+
+        monkeypatch.setattr(repth, "_casimir_of", spy)
         dm = DegreeMachine(me)
-        assert set(dm.components(model_casimir_m(me))) == \
-            {(0, 0), (2, 0), (0, 2)}
-        assert dm._casimir is None
+        u = model_casimir_m(me)
+        assert set(dm.components(u)) == {(0, 0), (2, 0), (0, 2)}
+        dm.casimir_apply(u)
+        assert len(built) == 1 and dm._casimir is built[0]
