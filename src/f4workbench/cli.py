@@ -76,8 +76,8 @@ _TOML_INT = re.compile(r"[+-]?(0|[1-9](_?[0-9])*)"
 
 
 def _mini_toml(text: str) -> dict:
-    """Flat key = value lines with integer or quoted-string values, read
-    as tomllib reads them."""
+    """Flat key = value lines with bare or quoted keys and integer or
+    quoted-string values, read as tomllib reads them."""
     out = {}
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -86,6 +86,10 @@ def _mini_toml(text: str) -> dict:
         if "=" not in line:
             raise ValueError("unsupported config line: %r" % line)
         k, v = (s.strip() for s in line.split("=", 1))
+        if len(k) > 1 and k[0] == k[-1] and k[0] in "\"'":
+            k = k[1:-1]
+        if k in out:
+            raise ValueError("repeated config key: %r" % k)
         if v.startswith('"') and v.endswith('"'):
             out[k] = v[1:-1]
         elif _TOML_INT.fullmatch(v):

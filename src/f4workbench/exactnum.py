@@ -846,7 +846,7 @@ def rational_roots(poly: PolyScalar):
             break
         p, q = found
         roots.append(Fraction(p, q))
-        ints = _divide_linear(ints, p, q)
+        ints = _divide_exact(ints, [-p, q])
         content *= q
     return roots, PolyScalar._of([c * content for c in ints], poly.den)
 
@@ -868,15 +868,3 @@ def _integer_root(ints: list):
                 if acc == 0:
                     return p, q
     return None
-
-
-def _divide_linear(ints: list, p: int, q: int) -> list:
-    """ints / (q s - p) for a root p/q of the integer polynomial ints in
-    lowest terms: an integer polynomial, by Gauss's lemma."""
-    out = [0] * (len(ints) - 1)
-    b = 0
-    for k in range(len(ints) - 1, 0, -1):
-        # c_k = q b_(k-1) - p b_k
-        b = (ints[k] + p * b) // q
-        out[k - 1] = b
-    return out

@@ -1,7 +1,7 @@
 """Structure-constant Lie algebras and the exact F4 model.
 
 The generic half of the module constructs a Chevalley basis for any
-finite-type Cartan matrix: integer structure constants with signs fixed
+root system of rootdata: integer structure constants with signs fixed
 by a deterministic extraspecial-pair convention, plus the Killing form
 and Jacobi validation.  Elements are sparse dicts {basis index: Scalar}.
 The roots of rootdata are tuples of Fractions; the integer coordinates
@@ -30,7 +30,7 @@ from .exactnum import (Echelon, ONE, Scalar, ZERO, accumulate, add, combine,
                        coordinates, kernel, scale, sca, sqrt_in_field, sub)
 from .reporting import Report
 from .rootdata import (
-    Coord, F4_SIMPLE, RootSystem, cartan_type, f4_root_system,
+    Coord, F4_SIMPLE, RootSystem, cartan_type, dot, f4_root_system,
     f4_satake_data, gamma_basis, simple_system, theta_coord, vadd, vneg,
     vsub, vec,
 )
@@ -245,7 +245,7 @@ class ChevalleyData:
 
     def __init__(self, rs: RootSystem):
         scale_l = lcm(*(x.denominator for a in rs.simple for x in a))
-        lengths = {r: rs.ip(r, r) for r in rs.positives}
+        lengths = {r: dot(r, r) for r in rs.positives}
         scale_len = lcm(*(v.denominator for v in lengths.values()))
         self._int: Dict[Coord, _IntRoot] = {}
         self._rational: Dict[_IntRoot, Coord] = {}

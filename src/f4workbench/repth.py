@@ -32,7 +32,7 @@ from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        rational_roots, sca, scale, sub)
 from .liealg import LieElement, _ratio
 from .reporting import Report
-from .rootdata import Coord, RootSystem, gamma_basis, k_root_system, vec
+from .rootdata import Coord, RootSystem, dot, gamma_basis, k_root_system, vec
 from .uea import Core, ModelEngine, UEA, _casimir_of, _casimir_step
 
 Weight = Coord
@@ -62,7 +62,7 @@ def weyl_dimension(xi: Weight, rs: Optional[RootSystem] = None) -> int:
         if m < 0 or m.denominator != 1:
             raise ValueError("weight %r is not dominant integral" % (xi,))
         marks.append(int(m))
-    lengths = [rs.ip(a, a) for a in rs.simple]
+    lengths = [dot(a, a) for a in rs.simple]
     scale_d = lcm(*(x.denominator for x in lengths))
     d = [int(x * scale_d) for x in lengths]
     num = den = 1
@@ -718,7 +718,7 @@ class DegreeMachine:
         value = self._eigenvalues.get(xi)
         if value is None:
             rs = k_root_system()
-            value = rs.ip(xi, xi) + 2 * rs.ip(xi, rs.rho)
+            value = dot(xi, xi) + 2 * dot(xi, rs.rho)
             self._eigenvalues[xi] = value
         return value
 

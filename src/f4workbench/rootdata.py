@@ -1,11 +1,11 @@
-"""Root systems from Cartan data and the F4 restricted-root bookkeeping.
+"""Root systems from their simple roots and the F4 restricted-root
+bookkeeping.
 
 Roots and weights are plain tuples of Fractions (liealg.ChevalleyData
-rescales them to integers for its own work).  A system built from a
-bare Cartan matrix lives in the coordinate space spanned by its simple
-roots, with the inner product read off a symmetrization of the matrix;
-the F4 system is realized concretely in the orthonormal epsilon basis
-with simple roots
+rescales them to integers for its own work).  Every system is given by
+its simple roots in coordinates and measured with the standard dot
+product; the F4 system lives in the orthonormal epsilon basis with
+simple roots
 
     a1 = (e1 - e2 - e3 - e4)/2,  a2 = e4,  a3 = e3 - e4,  a4 = e2 - e3.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Coord = Tuple[Fraction, ...]
 
@@ -56,7 +56,6 @@ class RootSystem:
     roots: frozenset
     positives: Tuple[Coord, ...]
     cartan: Tuple[Tuple[int, ...], ...]
-    ip: Callable[[Coord, Coord], Fraction]
     # every root's coefficients over the simple roots, as build_root_system
     # finds them; derived from the fields above, so left out of == and hash
     coefficients: Dict[Coord, Tuple[int, ...]] = field(
@@ -68,7 +67,7 @@ class RootSystem:
 
     def coroot_pairing(self, phi: Coord, alpha: Coord) -> Fraction:
         """2<phi, alpha>/<alpha, alpha>."""
-        return 2 * self.ip(phi, alpha) / self.ip(alpha, alpha)
+        return 2 * dot(phi, alpha) / dot(alpha, alpha)
 
     @property
     def rho(self) -> Coord:
@@ -77,95 +76,37 @@ class RootSystem:
                      for i in range(len(self.simple[0])))
 
 
-def validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
-    n = len(cartan)
-    for i in range(n):
-        if len(cartan[i]) != n:
-            raise ValueError("Cartan matrix must be square")
-        if cartan[i][i] != 2:
-            raise ValueError("Cartan diagonal must be 2")
-        for j in range(n):
-            if i != j:
-                if cartan[i][j] > 0:
-                    raise ValueError("off-diagonal Cartan entries must be <= 0")
-                if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                    raise ValueError("Cartan zero pattern must be symmetric")
-    # finite type iff the symmetrization A D is positive definite: iff its
-    # leading minors det(A_c) d_1 ... d_c (every d_i > 0) are positive, iff
-    # elimination on A without row exchanges meets only positive pivots
-    # (pivot c is the ratio of the leading minors of sizes c + 1 and c)
-    rows = [[Fraction(x) for x in row] for row in cartan]
+def build_root_system(simple: Sequence[Coord]) -> RootSystem:
+    """Generate the full root system on the given simple roots.
+
+    Positive roots are built by height induction on root strings; only
+    the Cartan integers are used.  Input that is not a simple system
+    raises ValueError: dependent vectors, a positive off-diagonal Cartan
+    integer or a non-integral one.  Independent vectors have a positive
+    definite Gram matrix, which symmetrizes their Cartan matrix, so the
+    type is finite and the induction ends.
+    """
+    simple = [tuple(Fraction(x) for x in a) for a in simple]
+    n = len(simple)
+    # independent iff the Gram matrix is positive definite, iff
+    # elimination without row exchanges meets only positive pivots
+    rows = [[dot(a, b) for b in simple] for a in simple]
     for c in range(n):
         pivot = rows[c][c]
         if pivot <= 0:
-            raise ValueError("Cartan matrix is not of finite type")
+            raise ValueError("simple roots are linearly dependent")
         for i in range(c + 1, n):
             f = rows[i][c] / pivot
             if f:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-
-
-def _symmetrizer(cartan) -> List[Fraction]:
-    """d_i with d_j * a_ij = d_i * a_ji, representing <a_i,a_i>/2."""
-    n = len(cartan)
-    d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if cartan[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[j][i], cartan[i][j])
-                    stack.append(j)
-    return d
-
-
-def build_root_system(cartan: Sequence[Sequence[int]],
-                      simple_coords: Sequence[Coord] | None = None,
-                      ip: Callable[[Coord, Coord], Fraction] | None = None
-                      ) -> RootSystem:
-    """Generate the full root system of a finite-type Cartan matrix.
-
-    Positive roots are built by height induction on root strings; only
-    the Cartan integers are used.  If simple_coords/ip are given the
-    roots are realized there, otherwise in the simple-root basis with
-    the symmetrized Cartan form.
-    """
-    cartan = [list(map(int, row)) for row in cartan]
-    validate_cartan(cartan)
-    n = len(cartan)
-    if simple_coords is None:
-        simple_coords = [tuple(Fraction(1 if j == i else 0) for j in range(n))
-                         for i in range(n)]
-        d = _symmetrizer(cartan)
-        gram = [[Fraction(cartan[i][j]) * d[j] for j in range(n)]
-                for i in range(n)]
-
-        def ip_local(x: Coord, y: Coord) -> Fraction:
-            return sum(gram[i][j] * x[i] * y[j]
-                       for i in range(n) for j in range(n)
-                       if x[i] != 0 and y[j] != 0)
-
-        ip = ip_local
-    else:
-        simple_coords = [tuple(Fraction(x) for x in c) for c in simple_coords]
-        if ip is None:
-            ip = dot
-        for i in range(n):
-            for j in range(n):
-                expect = Fraction(cartan[i][j])
-                got = 2 * ip(simple_coords[i], simple_coords[j]) / ip(
-                    simple_coords[j], simple_coords[j])
-                if got != expect:
-                    raise ValueError("simple coordinates do not match Cartan matrix")
+    cartan = cartan_matrix_of(simple)
+    if any(cartan[i][j] > 0 for i in range(n) for j in range(n) if i != j):
+        raise ValueError("off-diagonal Cartan entries must be <= 0")
 
     # positive roots with their simple-basis coefficient vectors
     coeff_of: Dict[Coord, Tuple[int, ...]] = {}
     by_height: Dict[int, List[Coord]] = {1: []}
-    for i, a in enumerate(simple_coords):
+    for i, a in enumerate(simple):
         coeff_of[a] = tuple(1 if j == i else 0 for j in range(n))
         by_height[1].append(a)
     h = 1
@@ -173,7 +114,7 @@ def build_root_system(cartan: Sequence[Sequence[int]],
         nxt: List[Coord] = []
         for beta in by_height[h]:
             cb = coeff_of[beta]
-            for i, alpha in enumerate(simple_coords):
+            for i, alpha in enumerate(simple):
                 # p = length of the alpha-string below beta
                 p = 0
                 cur = vsub(beta, alpha)
@@ -194,9 +135,8 @@ def build_root_system(cartan: Sequence[Sequence[int]],
     roots = frozenset(positives) | frozenset(vneg(r) for r in positives)
     for r in positives:
         coeff_of[vneg(r)] = tuple(-c for c in coeff_of[r])
-    return RootSystem(simple=tuple(simple_coords), roots=roots,
-                      positives=positives,
-                      cartan=tuple(tuple(row) for row in cartan), ip=ip,
+    return RootSystem(simple=tuple(simple), roots=roots,
+                      positives=positives, cartan=cartan,
                       coefficients=coeff_of)
 
 
@@ -210,14 +150,13 @@ def simple_system(positives: Sequence[Coord]) -> Tuple[Coord, ...]:
     return tuple(out)
 
 
-def cartan_matrix_of(simple: Sequence[Coord],
-                     ip: Callable[[Coord, Coord], Fraction] = dot):
+def cartan_matrix_of(simple: Sequence[Coord]):
     n = len(simple)
     m = []
     for i in range(n):
         row = []
         for j in range(n):
-            v = 2 * ip(simple[i], simple[j]) / ip(simple[j], simple[j])
+            v = 2 * dot(simple[i], simple[j]) / dot(simple[j], simple[j])
             if v.denominator != 1:
                 raise ValueError("non-integral Cartan pairing")
             row.append(int(v))
@@ -225,11 +164,10 @@ def cartan_matrix_of(simple: Sequence[Coord],
     return tuple(m)
 
 
-def cartan_type(simple: Sequence[Coord],
-                ip: Callable[[Coord, Coord], Fraction] = dot) -> str:
+def cartan_type(simple: Sequence[Coord]) -> str:
     """Classify the Dynkin type of a simple system, e.g. "B4" or "A1xA1"."""
     n = len(simple)
-    a = cartan_matrix_of(simple, ip)
+    a = cartan_matrix_of(simple)
     adj = {i: [j for j in range(n) if j != i and a[i][j] != 0] for i in range(n)}
     seen = [False] * n
     labels = []
@@ -246,11 +184,11 @@ def cartan_type(simple: Sequence[Coord],
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
-        labels.append(_classify_component(comp, a, adj, simple, ip))
+        labels.append(_classify_component(comp, a, adj, simple))
     return "x".join(sorted(labels))
 
 
-def _classify_component(comp, a, adj, simple, ip) -> str:
+def _classify_component(comp, a, adj, simple) -> str:
     r = len(comp)
     if r == 1:
         return "A1"
@@ -270,8 +208,8 @@ def _classify_component(comp, a, adj, simple, ip) -> str:
         # double bond at the end of a chain: B (end node short) or C (end node long)
         end = i if degrees[i] == 1 else j
         other = j if end == i else i
-        li = ip(simple[end], simple[end])
-        lo = ip(simple[other], simple[other])
+        li = dot(simple[end], simple[end])
+        lo = dot(simple[other], simple[other])
         if r == 2:
             return "B2"
         return ("B%d" % r) if li < lo else ("C%d" % r)
@@ -333,8 +271,7 @@ def theta_coord(a: Coord) -> Coord:
 
 @lru_cache(maxsize=None)
 def f4_root_system() -> RootSystem:
-    cartan = cartan_matrix_of(F4_SIMPLE)
-    return build_root_system(cartan, simple_coords=F4_SIMPLE)
+    return build_root_system(F4_SIMPLE)
 
 
 @lru_cache(maxsize=None)
@@ -395,8 +332,7 @@ def k_root_system() -> RootSystem:
     """The root system of k, on the simple roots of the compact split at
     the default regular vector; the module builder and the degree machine
     read the k roots from it."""
-    simple_k = compact_split(DEFAULT_REGULAR).simple_k
-    return build_root_system(cartan_matrix_of(simple_k), simple_coords=simple_k)
+    return build_root_system(compact_split(DEFAULT_REGULAR).simple_k)
 
 
 def gamma_basis() -> Dict[str, Coord]:

@@ -61,7 +61,8 @@ class TestConfig:
         "seed = %s\n" % v for v in (
             "11", "+5", "-3", "1_000", "0x1F", "0o17", "0b101", "017", "0_1",
             "-0x1F", "00", "1e3", "true", '"7"')
-    ] + ["[section]\nseed = 5\n"])
+    ] + ["[section]\nseed = 5\n", "seed = 1\nseed = 2\n", '"seed" = 3\n',
+         "'seed' = 3\n", 'seed = 1\n"seed" = 2\n'])
     def test_toml_without_tomllib_reads_as_tomllib(self, tmp_path,
                                                     monkeypatch, text):
         # the Python 3.10 path through _mini_toml must give the Config
@@ -486,6 +487,20 @@ class TestExitCodes:
         assert main(command + ["--input", str(path)]) == code
         report = json.loads(capsys.readouterr().out)
         assert report["summary"]["fail"] == 0 and report["checks"]
+
+    def test_check_b_default_nmax(self, tmp_path, capsys, me, omega_report):
+        # without --nmax an element of degree d is checked for n = 1..2d+2
+        assert main(["uea", "omega"]) == 0
+        om = tmp_path / "omega.json"
+        om.write_text(capsys.readouterr().out)
+        om2 = tmp_path / "omega2.json"
+        omega = omega_report.omega
+        om2.write_text(json.dumps(omega.mul(omega, me.g).serialize(me.g)))
+        for path, nmax in ((om, 6), (om2, 10)):
+            assert main(["balg", "check-b", "--input", str(path)]) == 0
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [c["id"] for c in checks] == ["m-invariance"] + [
+                "n=%d" % n for n in range(1, nmax + 1)]
 
     def test_module_over_the_cap_names_it_in_every_witness(self, capsys):
         assert main(["repth", "verify", "--k", "9", "--l", "9"]) == 1

@@ -14,7 +14,8 @@ from f4workbench.exactnum import (Matrix, ONE, PolyScalar, ZERO, add, sca,
 from f4workbench.repth import action_basis, degree_machine
 from f4workbench.rootdata import gamma_basis, vadd, vscale
 from f4workbench.uea import IwasawaElement, model_casimir_m
-from test_exactnum import poly_det_cofactor, variable
+from test_exactnum import (permutation_sign, poly_det_cofactor,
+                           poly_det_leibniz, variable)
 
 
 def coefficient_b(r, k, T, n, L):
@@ -187,6 +188,22 @@ class TestGeneralizedMatrix:
                         assert product == det, (lseq, delta)
                     cases += 1
         assert cases == 196
+
+    def test_row_exchanges_match_the_leibniz_oracle(self):
+        # the first column of a delta = 0 matrix is all ones, so taking row
+        # 1 from row 0 zeroes the leading entry and keeps the determinant;
+        # the row orders then meet poly_det's row exchange
+        import itertools
+        from f4workbench.exactnum import poly_det
+        for lseq in itertools.combinations(range(5), 3):
+            entries = generalized_a_matrix(lseq, 0)
+            det = poly_det(entries)
+            rows = [[a - b for a, b in zip(entries[0], entries[1])]]
+            rows += entries[1:]
+            for perm in itertools.permutations(range(3)):
+                m = [rows[i] for i in perm]
+                want = det if permutation_sign(perm) == 1 else -det
+                assert poly_det(m) == poly_det_leibniz(m) == want, (lseq, perm)
 
     def test_singularity_at_integer_points_reported(self):
         # the numeric system is singular exactly when T - n is a root of

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 from fractions import Fraction
 from math import gcd
@@ -44,6 +45,24 @@ def poly_det_cofactor(entries) -> PolyScalar:
                  for i in range(1, n)]
         term = entries[0][j] * poly_det_cofactor(minor)
         acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def permutation_sign(p) -> int:
+    """The sign of the permutation p, by counting inversions."""
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p))
+                       for j in range(i + 1, len(p)))
+
+
+def poly_det_leibniz(entries) -> PolyScalar:
+    """Independent oracle for poly_det: the signed sum over permutations."""
+    n = len(entries)
+    acc = PolyScalar([])
+    for p in itertools.permutations(range(n)):
+        term = PolyScalar.constant(1)
+        for i in range(n):
+            term = term * entries[i][p[i]]
+        acc = acc + term if permutation_sign(p) == 1 else acc - term
     return acc
 
 
@@ -244,6 +263,18 @@ class TestPolyScalar:
             ent = [[PolyScalar([S(rng.randint(-3, 3)) for _ in range(3)])
                     for _ in range(n)] for _ in range(n)]
             assert poly_det(ent) == poly_det_cofactor(ent)
+
+    def test_row_exchange_matches_leibniz(self):
+        # a zero pivot makes Bareiss exchange rows and flip the sign: at
+        # the first step in the first two, at the second in the third
+        s, z, one = variable(), PolyScalar([]), PolyScalar.constant(1)
+        cases = [[[z, s], [one, z]],
+                 [[z, one, s], [s, z, one], [one, s, z]],
+                 [[s, one, z], [s, one, s], [one, z, s]]]
+        for ent in cases:
+            assert poly_det(ent) == poly_det_leibniz(ent)
+        assert poly_det(cases[0]) == -s
+        assert poly_det([[z, s], [z, one]]) == z
 
     def test_arithmetic_matches_scalar_coefficients(self):
         # the integer form against coefficientwise Scalar arithmetic

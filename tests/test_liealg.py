@@ -12,11 +12,13 @@ from f4workbench.liealg import (
     cayley_transform, chevalley_algebra, orthocomplement, root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
-from f4workbench.rootdata import (F4_SIMPLE, build_root_system,
+from f4workbench.rootdata import (F4_SIMPLE, build_root_system, dot,
                                   f4_root_system, vadd, vec, vneg, vsub)
 from test_exactnum import identity
 
-B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+A1 = (vec(1),)
+B4 = (vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1), vec(0, 0, 0, 1))
+G2 = (vec(1, -1, 0), vec(-2, 1, 1))
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +85,7 @@ def dense_killing(alg) -> Matrix:
 
 class TestChevalley:
     def test_sl2_relations(self):
-        rs = build_root_system([[2]])
+        rs = build_root_system(A1)
         a = chevalley_algebra(rs)
         h, e, f = a.index["h1"], 1, 2
         assert a.bracket_basis(h, e) == {e: sca(2)}
@@ -95,15 +97,13 @@ class TestChevalley:
         assert chevalley_algebra(f4_root_system()).dim == 52
 
     def test_b4_dim(self):
-        b4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
-        assert chevalley_algebra(build_root_system(b4)).dim == 36
+        assert chevalley_algebra(build_root_system(B4)).dim == 36
 
     def test_jacobi_b4(self):
-        b4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
-        assert chevalley_algebra(build_root_system(b4)).jacobi_failures(1) == []
+        assert chevalley_algebra(build_root_system(B4)).jacobi_failures(1) == []
 
     def test_killing_sl2(self):
-        rs = build_root_system([[2]])
+        rs = build_root_system(A1)
         a = chevalley_algebra(rs)
         kf = a.killing_form()
         # oracle: trace of (ad h)^2 over the 3-dim adjoint is 4 + 4 = 8
@@ -118,10 +118,10 @@ class TestChevalley:
 def coroot_element_oracle(rs, beta):
     """The beta-coroot over the simple coroots, on Fraction coordinates."""
     ks = rs.coefficients[beta]
-    bb = rs.ip(beta, beta)
+    bb = dot(beta, beta)
     out = {}
     for i, k in enumerate(ks):
-        c = k * rs.ip(rs.simple[i], rs.simple[i]) / bb
+        c = k * dot(rs.simple[i], rs.simple[i]) / bb
         if c.denominator != 1:
             raise ValueError("non-integral coroot expansion")
         if c:
@@ -153,7 +153,6 @@ class ChevalleyDataOracle:
         return p
 
     def _build(self):
-        ip = self.rs.ip
         posset = set(self.pos_order)
         for gamma in self.pos_order:
             if self.height[gamma] == 1:
@@ -178,7 +177,7 @@ class ChevalleyDataOracle:
                 t3 = Fraction(0)
                 if vsub(b, a1) in self.roots:
                     t3 = self.n_any(b, vneg(a1)) * self.n_any(vsub(b, a1), a)
-                val = (t1 + t3) * ip(gamma, gamma) / (ip(b1, b1) * n11)
+                val = (t1 + t3) * dot(gamma, gamma) / (dot(b1, b1) * n11)
                 assert abs(val) == self._down_string(a, b) + 1
                 self.N[(a, b)] = val
 
@@ -194,13 +193,12 @@ class ChevalleyDataOracle:
             return -self.n_any(vneg(x), vneg(y))
         if not xpos:
             return -self.n_any(y, x)
-        ip = self.rs.ip
         nu = vneg(y)
         gamma = vadd(x, y)
         if gamma in self.pos_rank:
-            return -ip(gamma, gamma) / ip(x, x) * self.n_any(nu, gamma)
+            return -dot(gamma, gamma) / dot(x, x) * self.n_any(nu, gamma)
         mu = vneg(gamma)
-        return ip(mu, mu) / ip(nu, nu) * self.n_any(mu, x)
+        return dot(mu, mu) / dot(nu, nu) * self.n_any(mu, x)
 
 
 def chevalley_algebra_oracle(rs):
@@ -246,15 +244,12 @@ def chevalley_algebra_oracle(rs):
     return alg
 
 
-G2 = [[2, -1], [-3, 2]]
-
-
 class TestChevalleyOracle:
     """The integer-coordinate Chevalley basis against the Fraction one."""
 
     SYSTEMS = {"F4": f4_root_system, "B4": lambda: build_root_system(B4),
                "G2": lambda: build_root_system(G2),
-               "A1": lambda: build_root_system([[2]])}
+               "A1": lambda: build_root_system(A1)}
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_matches_fraction_oracle(self, name):
@@ -408,7 +403,7 @@ class TestDenseModelOracles:
         assert not _is_involution(images)
         assert dense(images) * dense(images) != identity(52)
 
-    @pytest.mark.parametrize("rs", [build_root_system([[2]]),
+    @pytest.mark.parametrize("rs", [build_root_system(A1),
                                     build_root_system(B4)], ids=["A1", "B4"])
     def test_killing_rows_match_dense(self, rs):
         alg = chevalley_algebra(rs)

@@ -14,8 +14,7 @@ from f4workbench.repth import (
     commutator, degree_machine, m_generators, m_invariants, raising_grid,
     verify_hw3iv, verify_techo, weyl_dimension, xi_weight,
 )
-from f4workbench.rootdata import (build_root_system, cartan_matrix_of,
-                                  k_root_system, vec)
+from f4workbench.rootdata import build_root_system, dot, k_root_system, vec
 from f4workbench.uea import _casimir_of, _casimir_step, invariants_up_to_degree
 
 
@@ -23,9 +22,8 @@ LABELS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
 
 
 def root_system(*simple):
-    """The root system on the given simple roots, with the dot product."""
-    simple = [tuple(Fraction(x) for x in a) for a in simple]
-    return build_root_system(cartan_matrix_of(simple), simple_coords=simple)
+    """The root system on the given simple roots."""
+    return build_root_system(simple)
 
 
 SL2 = root_system((2,))
@@ -139,8 +137,8 @@ def fraction_weyl_dimension(xi, rs):
     rho = rs.rho
     num = den = Fraction(1)
     for a in rs.positives:
-        num *= rs.ip(tuple(x + r for x, r in zip(xi, rho)), a)
-        den *= rs.ip(rho, a)
+        num *= dot(tuple(x + r for x, r in zip(xi, rho)), a)
+        den *= dot(rho, a)
     return num / den
 
 

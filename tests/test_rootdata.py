@@ -5,17 +5,11 @@ from math import prod
 import pytest
 
 from f4workbench.rootdata import (
-    DEFAULT_REGULAR, F4_SIMPLE, _symmetrizer, build_root_system,
-    cartan_matrix_of, cartan_type, compact_split, dot, f4_root_system,
-    f4_satake_data, gamma_basis, simple_system, vadd, validate_cartan, vec,
-    vneg, vscale, vsub,
+    DEFAULT_REGULAR, F4_SIMPLE, build_root_system, cartan_type,
+    compact_split, dot, f4_root_system, f4_satake_data, gamma_basis,
+    simple_system, vadd, vec, vneg, vscale, vsub,
 )
-
-
-def _sign(p):
-    """The sign of the permutation p, by counting inversions."""
-    return (-1) ** sum(p[i] > p[j] for i in range(len(p))
-                       for j in range(i + 1, len(p)))
+from test_exactnum import permutation_sign
 
 
 def restricted_negative_set(regular):
@@ -36,9 +30,35 @@ def is_compatible(regular):
                for a in restricted_negative_set(regular) if a != a1)
 
 
+# simple roots in coordinates, measured with the dot product
+A1 = (vec(1),)
+A3 = (vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1))
+B3 = (vec(1, -1, 0), vec(0, 1, -1), vec(0, 0, 1))
+C3 = (vec(1, -1, 0), vec(0, 1, -1), vec(0, 0, 2))
+B4 = (vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1), vec(0, 0, 0, 1))
+G2 = (vec(1, -1, 0), vec(-2, 1, 1))
+
+
+def _leibniz_det(m):
+    return sum(permutation_sign(p) * prod(m[i][p[i]] for i in range(len(m)))
+               for p in itertools.permutations(range(len(m))))
+
+
+def _is_simple_system(vs):
+    """The oracle: the Gram determinant is positive (so the vectors are
+    independent) and every off-diagonal Cartan number is an integer <= 0."""
+    if _leibniz_det([[dot(a, b) for b in vs] for a in vs]) <= 0:
+        return False
+    for a, b in itertools.permutations(vs, 2):
+        c = 2 * dot(a, b) / dot(b, b)
+        if c.denominator != 1 or c > 0:
+            return False
+    return True
+
+
 class TestBuildRootSystem:
     def test_a1(self):
-        rs = build_root_system([[2]])
+        rs = build_root_system(A1)
         assert len(rs.roots) == 2 and len(rs.positives) == 1
 
     def test_f4_counts(self):
@@ -54,72 +74,55 @@ class TestBuildRootSystem:
         assert (len(units), len(mixed), len(halves)) == (4, 12, 8)
 
     def test_b4(self):
-        # B4 Cartan matrix: 32 roots
-        b4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
-        rs = build_root_system(b4)
+        rs = build_root_system(B4)
         assert len(rs.roots) == 32
 
     def test_infinite_type_rejected(self):
-        with pytest.raises(ValueError):
-            build_root_system([[2, -2], [-2, 2]])  # affine A1
+        # (a, -a) realizes the affine A1 matrix [[2, -2], [-2, 2]]
+        with pytest.raises(ValueError, match="dependent"):
+            build_root_system((vec(1, -1), vec(-1, 1)))
 
-    @pytest.mark.parametrize("cartan", [
-        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],     # affine A2
-        [[2, -1, 0], [-1, 2, -2], [0, -2, 2]],       # hyperbolic, det -2
-        [[2, -1, 0], [-2, 2, -1], [0, -2, 2]],       # affine, det 0
-    ], ids=["affine-A2", "hyperbolic", "affine-nonsymmetric"])
-    def test_rank_three_infinite_types_rejected(self, cartan):
-        # validated alone: building the roots of an accepted infinite type
-        # would not terminate
-        with pytest.raises(ValueError, match="not of finite type"):
-            validate_cartan(cartan)
+    @pytest.mark.parametrize("simple", [
+        (vec(1, -1, 0), vec(0, 1, -1), vec(-1, 0, 1)),
+    ], ids=["affine-A2"])
+    def test_rank_three_infinite_types_rejected(self, simple):
+        # (a1, a2, -a1 - a2) realizes the affine A2 matrix
+        with pytest.raises(ValueError, match="dependent"):
+            build_root_system(simple)
 
-    @pytest.mark.parametrize("cartan, roots", [
-        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 12),   # A3
-        ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], 18),   # B3
-        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 18),   # C3
-        ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-         48),                                          # F4
-        ([[2, -1], [-3, 2]], 12),                      # G2
+    @pytest.mark.parametrize("simple, roots", [
+        (A3, 12), (B3, 18), (C3, 18), (F4_SIMPLE, 48), (G2, 12),
     ], ids=["A3", "B3", "C3", "F4", "G2"])
-    def test_finite_types_build(self, cartan, roots):
-        assert len(build_root_system(cartan).roots) == roots
-        # d_j a_ij = d_i a_ji: the symmetrization behind the Gram matrix
-        # of build_root_system is symmetric
-        d = _symmetrizer(cartan)
-        n = len(cartan)
-        assert all(d[j] * cartan[i][j] == d[i] * cartan[j][i]
-                   for i in range(n) for j in range(n))
+    def test_finite_types_build(self, simple, roots):
+        assert len(build_root_system(simple).roots) == roots
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_verdict_matches_symmetrized_minors(self, n):
-        # the oracle is the textbook test: finite type iff every leading
-        # minor of the symmetrization A D is positive
-        def det(m):
-            return sum(_sign(p) * prod(m[i][p[i]] for i in range(len(m)))
-                       for p in itertools.permutations(range(len(m))))
-
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        entries = [(0, 0)] + list(itertools.product((-1, -2, -3), repeat=2))
-        for choice in itertools.product(entries, repeat=len(pairs)):
-            cartan = [[2 if i == j else 0 for j in range(n)]
-                      for i in range(n)]
-            for (i, j), (a, b) in zip(pairs, choice):
-                cartan[i][j], cartan[j][i] = a, b
-            d = _symmetrizer(cartan)
-            sym = [[cartan[i][j] * d[j] for j in range(n)] for i in range(n)]
-            finite = all(det([row[:c] for row in sym[:c]]) > 0
-                         for c in range(1, n + 1))
+    @pytest.mark.parametrize("n, types", [
+        (2, {"A1xA1", "A2", "B2", "G2"}),
+        (3, {"A3", "B3", "C3", "A1xG2"}),
+    ], ids=["2", "3"])
+    def test_verdict_matches_gram_oracle(self, n, types):
+        # the tuples hold the zero vector and dependent, acute and
+        # non-integral pairs, and the accepted ones span the given types
+        vectors = [vec(0, 0, 0), vec(1, 0, 0), vec(0, 0, 1), vec(0, 0, 2),
+                   vec(1, -1, 0), vec(0, 1, -1), vec(-1, 0, 1),
+                   vec(1, 1, 0), vec(-2, 1, 1), vec(1, 1, 1),
+                   vec(2, 0, 0)]
+        built, reasons = set(), set()
+        for vs in itertools.product(vectors, repeat=n):
             try:
-                validate_cartan(cartan)
-                accepted = True
-            except ValueError:
-                accepted = False
-            assert accepted == finite, cartan
+                rs = build_root_system(vs)
+            except ValueError as exc:
+                rs = None
+                reasons.add(str(exc))
+            assert (rs is not None) == _is_simple_system(vs), vs
+            if rs is not None:
+                built.add(cartan_type(rs.simple))
+        assert types <= built and len(reasons) == 3
 
     def test_invalid_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            build_root_system([[2, 1], [1, 2]])
+        # an acute pair: Cartan matrix [[2, 1], [1, 2]]
+        with pytest.raises(ValueError, match="<= 0"):
+            build_root_system((vec(1, -1, 0), vec(1, 0, -1)))
 
     def test_string_property_and_reflections(self):
         rs = f4_root_system()
@@ -160,36 +163,28 @@ def _solve_rational(m, rhs):
     return [a[i][n] for i in range(n)]
 
 
-def _realized(simple):
-    return build_root_system(cartan_matrix_of(simple), simple_coords=simple)
-
-
-B4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
-B3_CARTAN = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
-
-
 class TestSimpleCoefficients:
     """The coefficients kept from the height induction against a Gram
     solve, on every root."""
 
     @pytest.mark.parametrize("rs", [
         lambda: f4_root_system(),
-        lambda: build_root_system(B4_CARTAN),
-        lambda: build_root_system(B3_CARTAN),
-        lambda: _realized(compact_split(DEFAULT_REGULAR).simple_k),
-        lambda: _realized(simple_system(f4_satake_data()[1].p_minus)),
+        lambda: build_root_system(B4),
+        lambda: build_root_system(B3),
+        lambda: build_root_system(compact_split(DEFAULT_REGULAR).simple_k),
+        lambda: build_root_system(simple_system(f4_satake_data()[1].p_minus)),
     ], ids=["F4", "B4", "B3", "B4-in-F4", "B3-in-F4"])
     def test_match_the_gram_solve(self, rs):
         rs = rs()
-        gram = [[rs.ip(a, b) for b in rs.simple] for a in rs.simple]
+        gram = [[dot(a, b) for b in rs.simple] for a in rs.simple]
         assert set(rs.coefficients) == rs.roots
         for beta in rs.roots:
-            want = _solve_rational(gram, [rs.ip(beta, a) for a in rs.simple])
+            want = _solve_rational(gram, [dot(beta, a) for a in rs.simple])
             assert rs.coefficients[beta] == tuple(want)
 
     def test_left_out_of_equality(self):
         rs = f4_root_system()
-        again = build_root_system(rs.cartan, simple_coords=rs.simple)
+        again = build_root_system(rs.simple)
         assert again == rs and hash(again) == hash(rs)
         assert again.coefficients is not rs.coefficients
 

@@ -12,7 +12,7 @@ from f4workbench.exactnum import (Matrix, ONE, SQRT2, Scalar, ZERO, add,
                                   dual_basis, sca, scale, sub)
 from f4workbench.liealg import LieAlgebra, chevalley_algebra
 from f4workbench.repth import degree_machine
-from f4workbench.rootdata import build_root_system, f4_satake_data
+from f4workbench.rootdata import build_root_system, f4_satake_data, vec
 from f4workbench.uea import (
     DEGREE_LIMIT, ONE_MONO, PBWEngine, _casimir_core, _casimir_element,
     _casimir_of, _casimir_tensor, invariants_up_to_degree, model_casimir_g,
@@ -22,7 +22,7 @@ from f4workbench.uea import (
 
 @pytest.fixture(scope="module")
 def sl2():
-    alg = chevalley_algebra(build_root_system([[2]]))
+    alg = chevalley_algebra(build_root_system([vec(1)]))
     return alg, PBWEngine(alg)
 
 
