@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -56,47 +55,14 @@ class Config:
         if path.endswith(".json"):
             data = json.loads(text)
         else:
-            try:
-                import tomllib
-                data = tomllib.loads(text)
-            except ModuleNotFoundError:
-                data = _mini_toml(text)
+            import tomllib          # imported only when a TOML file is read
+            data = tomllib.loads(text)
         if not isinstance(data, dict):
             raise ValueError("%s must hold an object of keys" % path)
         unknown = sorted(set(data) - {f.name for f in fields(Config)})
         if unknown:
             raise ValueError("unknown key %s in %s" % (unknown[0], path))
         return Config(**data)
-
-
-# a TOML integer: a decimal with an optional sign and no leading zero, or
-# an unsigned 0x, 0o or 0b literal; int(v, 0) then checks the digits
-_TOML_INT = re.compile(r"[+-]?(0|[1-9](_?[0-9])*)"
-                       r"|0[xob][0-9a-fA-F](_?[0-9a-fA-F])*")
-
-
-def _mini_toml(text: str) -> dict:
-    """Flat key = value lines with bare or quoted keys and integer or
-    quoted-string values, read as tomllib reads them."""
-    out = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError("unsupported config line: %r" % line)
-        k, v = (s.strip() for s in line.split("=", 1))
-        if len(k) > 1 and k[0] == k[-1] and k[0] in "\"'":
-            k = k[1:-1]
-        if k in out:
-            raise ValueError("repeated config key: %r" % k)
-        if v.startswith('"') and v.endswith('"'):
-            out[k] = v[1:-1]
-        elif _TOML_INT.fullmatch(v):
-            out[k] = int(v, 0)
-        else:
-            raise ValueError("unsupported config value: %r" % v)
-    return out
 
 
 def _ok(cond: bool, witness: str = None) -> Tuple[bool, Optional[str]]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, combine, coordinates, kernel,
@@ -675,11 +675,26 @@ class DegreeMachine:
     those labels.  ad(e'_h) kills every M-invariant when e'_h lies in m,
     input that is not M-invariant is rejected, and C_k commutes with
     ad(m), so every Krylov vector is M-invariant and the dropped passes
-    read zero on it.  On F4 an application then makes 19 label passes of
-    ad per core vector (8 inner labels, 11 terms of the Y_h, no label of
-    r) where C_k makes 46 (20, 23, 3) and the plain pair sum 78.  The
-    Krylov chain, its minimal polynomial and the projectors stay in core
-    form; only the components are converted to Scalars.
+    read zero on it.  On F4 the first application then makes 19 label
+    passes of ad per core vector (8 inner labels, 11 terms of the Y_h,
+    no label of r) where C_k makes 46 (20, 23, 3) and the plain pair sum
+    78.
+
+    The same argument holds for every label of k, input by input: C_k is
+    the action of a central element of U(k), so it commutes with ad(k),
+    and ad(e'_h) u = 0 gives ad(e'_h) C^t u = C^t ad(e'_h) u = 0.  The
+    first application forms ad(e'_h) u for each remaining label anyway;
+    the labels where it reads zero (on both parts of the core) are
+    dropped from every later application, and their zero raisings give
+    k = 0 or l = 0 for every component with no chain; r is dropped as a
+    whole when ad(r) u reads zero (r lies in k).  A generic input
+    of U(k)^M_{<=2} keeps all 8 inner labels; the degree-8 product uv of
+    the degree_products benchmark is killed by Xdelta1, Xdelta2, Ht1 and
+    Xdelta, so its later applications make 8 label passes per core
+    vector where the static tensor makes 12 on a nonzero vector (4 of
+    them reading zero) and 7 on an empty one.  The Krylov chain, its
+    minimal polynomial and the projectors stay in core form; only the
+    components are converted to Scalars.
 
     casimir_apply is the whole C_k, exact on every element of U(k),
     invariant or not.
@@ -741,6 +756,8 @@ class DegreeMachine:
         # coefficients (the form is positive definite): a t x t solve.
         krylov: List[Tuple[Core, Core, int]] = []
         gram: List[List[int]] = []
+        tensor = self._casimir_on_invariants
+        killed: AbstractSet[int] = frozenset()
         while True:
             inner = [_dot(w, cur) for w in krylov] + [_dot(cur, cur)]
             relation = coordinates(
@@ -752,7 +769,17 @@ class DegreeMachine:
                 row.append(x)
             gram.append(inner)
             krylov.append(cur)
-            cur = _casimir_step(engine, self._casimir_on_invariants, cur)
+            # the first application forms ad(e'_h) u for every label h of
+            # the tensor; those that read zero kill every C^t u, since C_k
+            # commutes with ad(k), so their passes are dropped from here on
+            live = set() if len(krylov) == 1 else None
+            cur = _casimir_step(engine, tensor, cur, live)
+            if live is not None:
+                inner_labels, shift, den = tensor
+                killed = {h for h, _ in inner_labels} - live
+                # ad(r) u = 0 drops r whole: its labels need not kill u
+                tensor = ([(h, y) for h, y in inner_labels if h in live],
+                          shift if set(shift) <= live else {}, den)
         # w_d = sum_j b_j w_j and C^t u = w_t / D_t give the minimal
         # polynomial x^d - sum_j b_j D_j / D_d x^j
         poly = PolyScalar([-relation.get(j, ZERO) * sca(Fraction(w[2], cur[2]))
@@ -770,7 +797,7 @@ class DegreeMachine:
                 [(norm * c).rational_value() for c in quot.coeffs], krylov)
             if not (comp[0] or comp[1]):
                 continue
-            label = self._type_of_pure(comp[:2])
+            label = self._type_of_pure(comp[:2], killed)
             expect = self.casimir_eigenvalue(xi_weight(*label))
             if sca(expect) != sca(root):
                 raise AssertionError(
@@ -779,16 +806,25 @@ class DegreeMachine:
             out[label] = engine.from_core(*comp)
         return out
 
-    def _type_of_pure(self, start: Tuple[Core, Core]) -> Tuple[int, int]:
+    def _type_of_pure(self, start: Tuple[Core, Core],
+                      killed: AbstractSet[int] = frozenset()
+                      ) -> Tuple[int, int]:
         """Label (k, l) of a pure-type invariant, given by the core pair of
         its numerators, from its raising corner.
 
-        Only vanishing is asked, so the chains never track a denominator.
+        killed holds labels h with ad(e'_h) = 0 on the input the component
+        was cut from, and so on the component (see components): a raising
+        on those labels alone gives k = 0 or l = 0 with no chain.  Only
+        vanishing is asked, so the chains never track a denominator.
         """
         ad = self.me.g.ad_pair
+
+        def kills(x):
+            return set(x[0]) | set(x[1]) <= killed
+
         k = 0
         w = start
-        while True:
+        while not kills(self._xdelta):
             nxt = ad(self._xdelta, w)
             if not any(nxt):
                 break
@@ -798,7 +834,7 @@ class DegreeMachine:
                 raise AssertionError("raising chain did not terminate")
         l = 0
         w = start
-        while True:
+        while not kills(self._e):
             cand = ad(self._e, w)
             # apply Xdelta^k to E^(l+1)-raised vector to test the corner
             t = cand

@@ -81,13 +81,18 @@ def build_root_system(simple: Sequence[Coord]) -> RootSystem:
 
     Positive roots are built by height induction on root strings; only
     the Cartan integers are used.  Input that is not a simple system
-    raises ValueError: dependent vectors, a positive off-diagonal Cartan
+    raises ValueError: no vectors, vectors with different numbers of
+    coordinates, dependent vectors, a positive off-diagonal Cartan
     integer or a non-integral one.  Independent vectors have a positive
     definite Gram matrix, which symmetrizes their Cartan matrix, so the
     type is finite and the induction ends.
     """
     simple = [tuple(Fraction(x) for x in a) for a in simple]
     n = len(simple)
+    if not n:
+        raise ValueError("no simple roots")
+    if len({len(a) for a in simple}) > 1:
+        raise ValueError("simple roots have different numbers of coordinates")
     # independent iff the Gram matrix is positive definite, iff
     # elimination without row exchanges meets only positive pivots
     rows = [[dot(a, b) for b in simple] for a in simple]

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .exactnum import (ONE, Scalar, ZERO, accumulate, add, combine,
                        coordinates, dual_basis, kernel, scale)
@@ -656,29 +656,41 @@ def _casimir_element(engine: PBWEngine, tensor) -> UEA:
     return engine.from_core(core, {}, den)
 
 
-def _casimir_core(engine: PBWEngine, inner, shift, v: Core) -> Core:
+def _casimir_core(engine: PBWEngine, inner, shift, v: Core,
+                  live: Optional[Set[int]] = None) -> Core:
     """sum_h ad(Y_h) ad(e'_h) v - ad(r) v, with ([(h, Y_h)], r) from
     _casimir_tensor: one ad pass per inner label, per term of the Y_h and
-    per label of r."""
+    per label of r.  When live is a set, every inner label whose pass
+    ad(e'_h) v is nonzero is added to it, and every label of r when
+    ad(r) v is nonzero, at no extra pass."""
     out: Core = {}
     if not v:
         return out
     ad_core = engine.ad_core
     for h, y in inner:
-        for m, c in ad_core(y, ad_core({h: 1}, v)).items():
+        first = ad_core({h: 1}, v)
+        if first and live is not None:
+            live.add(h)
+        for m, c in ad_core(y, first).items():
             out[m] = out.get(m, 0) + c
-    for m, c in ad_core(shift, v).items():
+    part = ad_core(shift, v)
+    if part and live is not None:
+        live.update(shift)
+    for m, c in part.items():
         out[m] = out.get(m, 0) - c
     return out
 
 
-def _casimir_step(engine: PBWEngine, tensor, v: Tuple[Core, Core, int]
+def _casimir_step(engine: PBWEngine, tensor, v: Tuple[Core, Core, int],
+                  live: Optional[Set[int]] = None
                   ) -> Tuple[Core, Core, int]:
-    """The Casimir of tensor = (inner, shift, den) on a core triple."""
+    """The Casimir of tensor = (inner, shift, den) on a core triple; live
+    collects the labels whose pass reads nonzero on either part, as in
+    _casimir_core."""
     inner, shift, den = tensor
     core_p, core_q, d = v
-    return (_casimir_core(engine, inner, shift, core_p),
-            _casimir_core(engine, inner, shift, core_q), d * den)
+    return (_casimir_core(engine, inner, shift, core_p, live),
+            _casimir_core(engine, inner, shift, core_q, live), d * den)
 
 
 def model_casimir_g(me: ModelEngine) -> UEA:

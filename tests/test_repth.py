@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from f4workbench import repth
-from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, ZERO,
-                                  accumulate, add, combine, coordinates,
+from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar,
+                                  ZERO, accumulate, add, combine, coordinates,
                                   dual_basis, rational_roots, sca, scale, sub)
 from f4workbench.liealg import orthocomplement
 from f4workbench.repth import (
@@ -15,7 +15,8 @@ from f4workbench.repth import (
     verify_hw3iv, verify_techo, weyl_dimension, xi_weight,
 )
 from f4workbench.rootdata import build_root_system, dot, k_root_system, vec
-from f4workbench.uea import _casimir_of, _casimir_step, invariants_up_to_degree
+from f4workbench.uea import (_casimir_element, _casimir_of, _casimir_step,
+                             invariants_up_to_degree)
 
 
 LABELS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
@@ -1028,10 +1029,12 @@ class TestInvariantCache:
         assert solves == one_solve
 
 
-def components_oracle(dm, u):
-    """components() on the whole C_k, without the integer chain: the
-    Krylov vectors come from the full casimir_apply as Scalars, and the
-    relation and the projectors run on them through Echelon and combine."""
+def components_oracle(dm, u, apply=None):
+    """components() without the integer chain or any pruning: the Krylov
+    vectors come from apply (by default the whole C_k, casimir_apply) as
+    Scalars, the relation and the projectors run on them through Echelon
+    and combine, and each label is read off both raising chains."""
+    apply = apply or dm.casimir_apply
     span = Echelon()
     krylov = []
     cur = u
@@ -1040,7 +1043,7 @@ def components_oracle(dm, u):
         if relation is not None:
             break
         krylov.append(cur)
-        cur = dm.casimir_apply(cur)
+        cur = apply(cur)
     poly = PolyScalar([-relation.get(t, ZERO) for t in range(len(krylov))]
                       + [ONE])
     roots, _ = rational_roots(poly)
@@ -1057,11 +1060,13 @@ def components_oracle(dm, u):
 
 class TestPerpCasimir:
     """components() runs its Krylov chain through C_k with the passes that
-    begin with ad of a label in m dropped.  On M-invariants it must agree
-    with the whole C_k (casimir_apply), with the plain pair sum over dual
-    bases of k, and with the whole tensor of C_perp, the Casimir of the
-    orthocomplement of m in k (C_k = C_m + C_perp, and C_m kills every
-    M-invariant), on every Krylov vector."""
+    begin with ad of a label in m dropped, and after the first application
+    also those of every label that kills the input.  On M-invariants the
+    static chain must agree with the whole C_k (casimir_apply), with the
+    plain pair sum over dual bases of k, and with the whole tensor of
+    C_perp, the Casimir of the orthocomplement of m in k (C_k = C_m +
+    C_perp, and C_m kills every M-invariant), on every Krylov vector; and
+    the pruned chain must give the components of both unpruned ones."""
 
     @pytest.fixture(scope="class")
     def pair_sum(self, me):
@@ -1098,6 +1103,29 @@ class TestPerpCasimir:
         u = add(scale(sca(3), one), scale(sca(-5), quad))
         v = add(scale(sca(-7), one), scale(sca(2), quad))
         return me.g.mul(u, v)
+
+    @pytest.fixture(scope="class")
+    def oracle_inputs(self, me, uk2_m_basis, product):
+        """The unit, Omega_k (every label kills it), the smallest quadratic,
+        1 + sqrt2 times it (rational core part killed by every label, the
+        sqrt2 part not), the degree-8 product and two generic samples of
+        U(k)^M_{<=2}."""
+        quad = sorted(uk2_m_basis, key=len)[1]
+        rng = random.Random(11)
+        samples = []
+        for _ in range(2):
+            x = {}
+            for b in uk2_m_basis:
+                c = rng.choice((-1, 1)) * rng.randrange(1, 2 ** 30)
+                x = add(x, scale(sca(c), b))
+            samples.append(x)
+        return {"unit": me.g.one(),
+                "casimir_k": _casimir_element(me.g,
+                                              degree_machine(me)._casimir),
+                "quadratic": quad,
+                "sqrt2_quadratic": add(me.g.one(), scale(Scalar(0, 1), quad)),
+                "product": product,
+                "sample0": samples[0], "sample1": samples[1]}
 
     @staticmethod
     def perp_apply(dm, u, tensor=None):
@@ -1232,3 +1260,103 @@ class TestPerpCasimir:
         assert set(dm.components(u)) == {(0, 0), (2, 0), (0, 2)}
         dm.casimir_apply(u)
         assert len(built) == 1 and dm._casimir is built[0]
+
+    @pytest.mark.parametrize("name", ["unit", "casimir_k", "quadratic",
+                                      "sqrt2_quadratic", "product",
+                                      "sample0", "sample1"])
+    def test_pruning_matches_the_unpruned_chains(self, me, oracle_inputs,
+                                                 name):
+        dm = degree_machine(me)
+        u = oracle_inputs[name]
+        got = dm.components(u)
+        static = components_oracle(dm, u, lambda v: self.perp_apply(dm, v))
+        whole = components_oracle(dm, u)
+        for want in (static, whole):
+            assert list(got) == list(want)
+            assert got == want
+        assert list(got) == {"unit": [(0, 0)], "casimir_k": [(0, 0)],
+                             "quadratic": [(0, 0), (0, 2)],
+                             "sqrt2_quadratic": [(0, 0), (0, 2)],
+                             "product": [(0, 0), (0, 2), (0, 4)]}.get(
+                                 name, [(0, 0), (0, 2), (2, 0)])
+
+    @pytest.mark.parametrize("name, killers", [("product", 28),
+                                               ("sample0", 18)])
+    def test_annihilator_kills_every_krylov_vector(self, me, oracle_inputs,
+                                                   name, killers):
+        # C_k commutes with ad(k): ad(e'_h) u = 0 gives ad(e'_h) C^t u = 0
+        dm = degree_machine(me)
+        labels = me.model.g_algebra.labels
+        u = oracle_inputs[name]
+        kill = [h for h in range(36) if not me.g.ad({h: ONE}, u)]
+        assert len(kill) == killers
+        v = u
+        for t in range(1, 4):
+            v = dm.casimir_apply(v)
+            assert v
+            for h in kill:
+                assert me.g.ad({h: ONE}, v) == {}, (t, labels[h])
+
+    @staticmethod
+    def chain_steps(dm, monkeypatch, u):
+        """(tensor, live) of each Casimir application dm.components(u)
+        makes, live as the first one left it and None after."""
+        steps = []
+
+        def spy(engine, tensor, v, live=None):
+            out = _casimir_step(engine, tensor, v, live)
+            steps.append((tensor, None if live is None else set(live)))
+            return out
+
+        monkeypatch.setattr(repth, "_casimir_step", spy)
+        dm.components(u)
+        return steps
+
+    @pytest.mark.parametrize("name, inner", [
+        ("product", {"X1", "Xpsi1", "Xpsi2", "E"}),
+        ("sample0", {"X1", "Xpsi1", "Xpsi2", "Xdelta1", "Xdelta2", "Ht1",
+                     "Xdelta", "E"}),
+    ])
+    def test_pruned_tensor(self, me, monkeypatch, oracle_inputs, name,
+                           inner):
+        dm = degree_machine(me)
+        labels = me.model.g_algebra.labels
+        steps = self.chain_steps(dm, monkeypatch, oracle_inputs[name])
+        assert len(steps) == 3
+        (first, live), rest = steps[0], steps[1:]
+        assert first is dm._casimir_on_invariants
+        assert {labels[h] for h in live} == inner
+        for tensor, live in rest:
+            assert live is None
+            assert {labels[h] for h, _ in tensor[0]} == inner
+            assert tensor[1:] == first[1:]
+
+    @pytest.mark.parametrize("name", ["unit", "casimir_k"])
+    def test_central_input_stops_after_one_application(
+            self, me, monkeypatch, oracle_inputs, name):
+        # every label of k kills the unit and Omega_k, so C u = 0 and the
+        # chain has length 1
+        steps = self.chain_steps(degree_machine(me), monkeypatch,
+                                 oracle_inputs[name])
+        assert [live for _, live in steps] == [set()]
+
+    def test_whole_casimir_prunes_its_shift(self, me, monkeypatch,
+                                            oracle_inputs):
+        # started on the whole C_k, the first application finds the labels
+        # of m and r (on Cartan labels of m) reading zero on the product,
+        # drops them all, and the chain gives the same components
+        dm = DegreeMachine(me)
+        labels = me.model.g_algebra.labels
+        u = oracle_inputs["product"]
+        want = dm.components(u)
+        dm._casimir_on_invariants = dm._casimir
+        assert dm._casimir[1]
+        steps = self.chain_steps(dm, monkeypatch, u)
+        assert steps[0][0] is dm._casimir
+        for tensor, _ in steps[1:]:
+            assert {labels[h] for h, _ in tensor[0]} == \
+                {"X1", "Xpsi1", "Xpsi2", "E"}
+            assert tensor[1] == {}
+        got = dm.components(u)
+        assert list(got) == list(want)
+        assert got == want

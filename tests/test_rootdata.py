@@ -119,6 +119,20 @@ class TestBuildRootSystem:
                 built.add(cartan_type(rs.simple))
         assert types <= built and len(reasons) == 3
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="no simple roots"):
+            build_root_system([])
+
+    @pytest.mark.parametrize("simple", [
+        (vec(1, 0), vec(0, 1, 5)),
+        (vec(1, -1, 0), vec(0, 1)),
+    ], ids=["2-3", "3-2"])
+    def test_unequal_coordinate_counts_rejected(self, simple):
+        # dot and vadd zip the tuples, so these would build a system of
+        # roots of mixed sizes
+        with pytest.raises(ValueError, match="numbers of coordinates"):
+            build_root_system(simple)
+
     def test_invalid_matrix_rejected(self):
         # an acute pair: Cartan matrix [[2, 1], [1, 2]]
         with pytest.raises(ValueError, match="<= 0"):
