@@ -326,9 +326,9 @@ def suite_repth(cfg: Config) -> Report:
 
     def degree_checks():
         gens = m_generators(me)
-        lw = {i: me.model.k_t_weights[i][1:] for i in range(36)}
+        lw = {i: me.model.k_t_weights[i][1:] for i in range(me.n_k)}
         inv2 = invariants_up_to_degree(me.g, gens, 2, label_weights=lw,
-                                       label_limit=36)
+                                       label_limit=me.n_k)
         dm = degree_machine(me)
 
         def degree(u):
@@ -421,7 +421,7 @@ def suite_combin(cfg: Config) -> Report:
         return True, None
 
     def assembly():
-        return _outcome(assemble_system(me, om, 2, [(1, 0), (0, 1), (2, 1)]))
+        return _outcome(assemble_system(me, om, 2, [(1, 0), (0, 1), (2, 0)]))
 
     checks = [
         ("degree profile table", profile_table),
@@ -794,6 +794,15 @@ def _combin_command(args, cfg: Config) -> int:
         _emit({"factorizations": out}, args.json_out)
         return 0 if all(f["splits"] for f in out) else 1
     if args.action == "assemble":
+        T = args.T if args.T is not None else 2
+        n = args.n if args.n is not None else 0
+        # the sums of a pair with l + n > T are empty, and the
+        # antisymmetric sum of (n, n) is zero: both pass on any input
+        pairs = [(l, n) for l in range(0, T - n + 1) if l != n]
+        if not pairs:
+            print("combin assemble: no pair (l,n) with l != n and "
+                  "l + n <= T=%d for n=%d" % (T, n), file=sys.stderr)
+            return 2
         rep = Report("combin assemble", cfg.seed)
         from .uea import model_engine, omega_normalized
         data = _read_input(args.input) if args.input else None
@@ -803,10 +812,6 @@ def _combin_command(args, cfg: Config) -> int:
         else:
             elem = omega_normalized(me).omega
         rep.end_setup()
-        T = args.T if args.T is not None else 2
-        n = args.n if args.n is not None else 0
-        pairs = [(l, n) for l in range(0, T - n + 1) if (l, n) != (n, n)] \
-            or [(0, n)]
         try:
             data = coefficient_data(me, elem)
             check_assembly_hypotheses(data, T, pairs)

@@ -455,19 +455,24 @@ Y_LABELS = ("X2", "S23", "S24")
 
 @dataclass
 class F4Model:
-    """The exact split F4 model with its named vectors and subspaces."""
+    """The exact split F4 model with its named vectors and subspaces.
 
-    # theta and chi hold the image of e_j at j; the forms are symmetric
+    g_algebra is the one rebased table, over the mixed basis g_basis (the
+    k vectors in the order K_LABELS, Z, the root vectors of n); k_algebra
+    is its restriction to K_LABELS, so k coordinates are mixed
+    coordinates.  bform is the one invariant form; the Killing form is
+    18 bform.
+    """
+
+    # theta and chi hold the image of e_j at j; bform holds symmetric
     # sparse rows, row i holding the pairings of e_i with the e_j
     algebra: LieAlgebra                    # Chevalley basis of g
     theta: List[LieElement]                # Cartan-type involution
-    killing: List[LieElement]              # trace form on the Chevalley basis
-    bform: List[LieElement]                # killing / 18: epsilon-orthonormal
+    bform: List[LieElement]                # Killing / 18: epsilon-orthonormal
     chi: List[LieElement]                  # the rotation into the compact Cartan
     distinguished: Dict[str, LieElement]   # named vectors, Chevalley coords
     subspaces: Dict[str, Echelon]
-    k_basis: List[LieElement]              # 36 vectors, order K_LABELS
-    k_algebra: LieAlgebra                  # bracket table over K_LABELS
+    k_algebra: LieAlgebra                  # g_algebra on the labels K_LABELS
     g_basis: List[LieElement]              # k basis + Z + 15 n-vectors
     g_algebra: LieAlgebra                  # bracket table over the mixed basis
     k_t_weights: Dict[int, Coord]          # torus weight per k label
@@ -552,15 +557,11 @@ def _ratio(x: LieElement, y: LieElement) -> Scalar:
 
 
 def _rebase_table(parent: LieAlgebra, basis: List[LieElement],
-                  labels: Sequence[str],
-                  head: Optional[LieAlgebra] = None) -> LieAlgebra:
+                  labels: Sequence[str]) -> LieAlgebra:
     """Bracket table of a list of closed vectors, over those vectors.
 
     The result carries coords_in_parent, the coordinates over the vectors
     of a parent element in their span; it raises on any other element.
-    head, when given, is the table already rebased over the first
-    head.dim vectors, which span a subalgebra: its brackets keep their
-    coordinates over the longer list, so they are taken as they stand.
     """
     n = len(basis)
     span = Echelon()
@@ -573,16 +574,27 @@ def _rebase_table(parent: LieAlgebra, basis: List[LieElement],
             raise ValueError("element does not lie in the span")
         return out
 
-    table: Dict[Tuple[int, int], LieElement] = dict(head.table) if head else {}
-    start = head.dim if head else 0
+    table: Dict[Tuple[int, int], LieElement] = {}
     for i in range(n):
-        for j in range(max(i + 1, start), n):
+        for j in range(i + 1, n):
             br = parent.bracket(basis[i], basis[j])
             if br:
                 table[(i, j)] = coords(br)
     out = LieAlgebra(labels, table)
     out.coords_in_parent = coords
     return out
+
+
+def _leading_subalgebra(alg: LieAlgebra, labels: Sequence[str]) -> LieAlgebra:
+    """The table of alg on its first len(labels) basis vectors, renamed to
+    labels; raises ValueError naming a bracket that leaves them."""
+    n = len(labels)
+    table = {ij: v for ij, v in alg.table.items() if ij[1] < n}
+    for (i, j), v in table.items():
+        if max(v) >= n:
+            raise ValueError("[%s, %s] leaves the first %d labels"
+                             % (alg.labels[i], alg.labels[j], n))
+    return LieAlgebra(labels, table)
 
 
 def _closure(parent: LieAlgebra, generators: List[LieElement]) -> Echelon:
@@ -756,21 +768,19 @@ def build_f4_model() -> F4Model:
         "D2": d2, "D3": d3, "D4": d4, "T23": t23, "T24": t24, "T34": t34,
         "X2": x2, "S23": s23, "S24": s24,
     }
-    k_basis = [named[lab] for lab in K_LABELS]
     for lab, v in named.items():
         if th(v) != v:
             raise ValueError("basis vector %s is not fixed by the involution" % lab)
-
-    k_alg = _rebase_table(alg, k_basis, K_LABELS)
-    k_t_weights = _k_torus_weights(k_alg)
 
     # Iwasawa complement: Z spans a, n spans the positive restricted part
     _, split = f4_satake_data()
     z_elt = t_elements[0]
     n_basis = [ {ridx[a]: ONE} for a in split.p_plus ]
     g_labels = list(K_LABELS) + ["Z"] + ["n%d" % i for i in range(len(n_basis))]
-    g_basis = k_basis + [z_elt] + n_basis
-    g_alg = _rebase_table(alg, g_basis, g_labels, head=k_alg)
+    g_basis = [named[lab] for lab in K_LABELS] + [z_elt] + n_basis
+    g_alg = _rebase_table(alg, g_basis, g_labels)
+    k_alg = _leading_subalgebra(g_alg, K_LABELS)
+    k_t_weights = _k_torus_weights(k_alg)
 
     # named non-basis vectors
     h_a1 = alg.chevalley.coroot(alpha1)
@@ -826,9 +836,9 @@ def build_f4_model() -> F4Model:
     }
 
     model = F4Model(
-        algebra=alg, theta=theta, killing=kappa, bform=bform, chi=chi,
+        algebra=alg, theta=theta, bform=bform, chi=chi,
         distinguished=distinguished, subspaces=subspaces,
-        k_basis=k_basis, k_algebra=k_alg, g_basis=g_basis, g_algebra=g_alg,
+        k_algebra=k_alg, g_basis=g_basis, g_algebra=g_alg,
         k_t_weights=k_t_weights,
     )
     model.subspaces["mplus_perp"] = orthocomplement(model, subspaces["mplus"],
@@ -1054,9 +1064,9 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
                     ok = False
     rep.check("invariant form: associativity on sampled triples", ok)
     # a square matrix has nonzero determinant exactly when its rows are
-    # independent
+    # independent; the Killing form is 18 bform
     rep.check("F4 Killing determinant nonzero",
-              len(Echelon(model.killing)) == alg.dim)
+              len(Echelon(model.bform)) == alg.dim)
     return rep
 
 

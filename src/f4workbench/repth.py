@@ -32,7 +32,8 @@ from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        rational_roots, sca, scale, sub)
 from .liealg import LieElement, _ratio
 from .reporting import Report
-from .rootdata import Coord, RootSystem, dot, gamma_basis, k_root_system, vec
+from .rootdata import (Coord, RootSystem, dot, f4_satake_data, gamma_basis,
+                       k_root_system, simple_system, vneg)
 from .uea import Core, ModelEngine, UEA, _casimir_of, _casimir_step
 
 Weight = Coord
@@ -352,37 +353,34 @@ def _quotient_basis(gram_rows: List[Dict[int, Scalar]]):
 # actions of arbitrary fixed-subalgebra elements
 # ---------------------------------------------------------------------------
 
-# named raising/lowering vectors per simple-root coordinate vector
-_SIMPLE_VECTOR_NAMES = {
-    vec(1, 0, 0, 1): ("Xphi2", "Xmphi2"),
-    vec(0, 0, 1, -1): ("T34", "T43"),
-    vec(-1, 0, 0, 1): ("Xdelta2", "Xmdelta2"),
-    vec(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)):
-        ("X1", "Xm1"),
-}
-
-
 class KActionBasis:
     """A bracket-word basis of k matched between model and modules.
 
-    Words are built from the simple raising/lowering vectors; the same
+    Words are built from the simple raising/lowering vectors: e_i is the
+    root vector chi(x_beta) of the simple root beta of k_root_system(),
+    rotated into k, and f_i that of -beta, in mixed coordinates.  The same
     construction evaluated on a module's raising/lowering operators
     yields the action of any element via one exact linear solve.
 
     Each lowering vector is scaled so that h_i = [e_i, f_i] acts on e_i by
     2, as the simple coroot does on a module: the scalar alpha_i(h) of
-    h = [e_i, f~_i] is read from [h, e_i] = alpha_i(h) e_i.
+    h = [e_i, f~_i] is read from [h, e_i] = alpha_i(h) e_i; so negating
+    e_i negates f_i and keeps h_i, and the sign of a root vector is free.
     """
 
     def __init__(self, me: ModelEngine):
-        ka = me.model.k_algebra
+        model = me.model
+        ka = model.k_algebra
+        root_index = model.algebra.root_index
         simple = k_root_system().simple
 
-        # k coordinates are the first 36 mixed coordinates
-        e_vecs = [me.named[_SIMPLE_VECTOR_NAMES[s][0]] for s in simple]
+        def root_vector(root):
+            return me.lie_in_mixed(model.chi_apply({root_index[root]: ONE}))
+
+        e_vecs = [root_vector(s) for s in simple]
         f_vecs = []
         for i, s in enumerate(simple):
-            cand = me.named[_SIMPLE_VECTOR_NAMES[s][1]]
+            cand = root_vector(vneg(s))
             h = ka.bracket(e_vecs[i], cand)
             val = _ratio(ka.bracket(h, e_vecs[i]), e_vecs[i])
             if not val:
@@ -405,7 +403,7 @@ class KActionBasis:
             try_add(("e", i), e_vecs[i])
             try_add(("f", i), f_vecs[i])
         frontier = list(range(len(self.words)))
-        while len(self.words) < 36 and frontier:
+        while len(self.words) < ka.dim and frontier:
             new = []
             for gi in range(8):
                 kind, idx = ("e", gi) if gi < 4 else ("f", gi - 4)
@@ -415,9 +413,9 @@ class KActionBasis:
                     if v and try_add(("br", (kind, idx), wt), v):
                         new.append(len(self.words) - 1)
             frontier = new
-        if len(self.words) != 36:
-            raise AssertionError("bracket words span only %d of 36"
-                                 % len(self.words))
+        if len(self.words) != ka.dim:
+            raise AssertionError("bracket words span only %d of %d"
+                                 % (len(self.words), ka.dim))
 
     def coords(self, x: LieElement) -> Dict[int, Scalar]:
         """Coordinates of x over the words, keyed by word index."""
@@ -495,28 +493,22 @@ def action_basis(me: ModelEngine) -> KActionBasis:
 # ---------------------------------------------------------------------------
 
 def m_generators(me: ModelEngine) -> List[LieElement]:
-    """Simple raising/lowering vectors of the centralizer, in k
-    coordinates.  The mixed basis of g starts with the basis of k, so
-    these are also their mixed coordinates."""
-    model = me.model
-    ka = model.k_algebra
-    idx = {lab: i for i, lab in enumerate(ka.labels)}
-    gens = [{idx["T23"]: ONE}, {idx["T32"]: ONE},
-            {idx["T34"]: ONE}, {idx["T43"]: ONE},
-            {idx["D4"]: ONE}]
-    # lowering vector for the short torus root
-    alg = model.algebra
-    lower = me.lie_in_mixed({alg.root_index[vec(0, 0, 0, -1)]: ONE})
-    gens.append(lower)
-    return gens
+    """The root vectors x_a, x_-a of the simple roots a of the centralizer
+    m, which generate m, in mixed (so also k) coordinates; a runs along
+    the B3 chain from its long end: e2 - e3, e3 - e4, e4."""
+    root_index = me.model.algebra.root_index
+    _, split = f4_satake_data()
+    return [me.lie_in_mixed({root_index[r]: ONE})
+            for a in sorted(simple_system(split.p_minus), reverse=True)
+            for r in (a, vneg(a))]
 
 
 def is_m_invariant(me: ModelEngine, v: Tuple[Core, Core]) -> bool:
     """Whether the centralizer kills the core pair v of an element of U(g).
 
-    ad is a Lie algebra action, so m kills v exactly when the six
-    m_generators do: their Lie closure is m.  Their core forms are built
-    once per engine.
+    ad is a Lie algebra action, so m kills v exactly when the
+    m_generators do: the simple root vectors generate m.  Their core
+    forms are built once per engine.
     """
     if me.m_generator_cores is None:
         me.m_generator_cores = [
@@ -704,7 +696,7 @@ class DegreeMachine:
         self.me = me
         model = me.model
         m = model.subspaces["m"]
-        self._casimir = _casimir_of(me, [{i: ONE} for i in range(36)])
+        self._casimir = _casimir_of(me, [{i: ONE} for i in range(me.n_k)])
         inner, shift, den = self._casimir
 
         def in_m(h):

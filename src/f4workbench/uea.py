@@ -31,7 +31,7 @@ subtraction and appending a label at or above it an addition.  A field
 holds exponents below 2**BITS; to_core and mul refuse an element whose
 degree could carry into the next field.
 
-The fixed model order lists the 36 fixed-subalgebra labels first (with
+The fixed model order lists the fixed-subalgebra labels K_LABELS first (with
 the nilradical of the centralizer as a suffix and the abelian ideal as
 the very last block), then the torus generator Z, then the 15 nilpotent
 labels.  This one order simultaneously supports normal forms modulo
@@ -49,8 +49,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .exactnum import (ONE, Scalar, ZERO, accumulate, add, combine,
                        coordinates, dual_basis, kernel, scale)
-from .liealg import (F4Model, IntBrackets, LieAlgebra, LieElement,
-                     build_f4_model)
+from .liealg import (F4Model, IntBrackets, K_LABELS, LieAlgebra, LieElement,
+                     MPLUS_LABELS, Y_LABELS, build_f4_model)
 
 Mono = Tuple[Tuple[int, int], ...]
 UEA = Dict[Mono, Scalar]
@@ -521,10 +521,11 @@ class ModelEngine:
     def __init__(self, model: F4Model):
         self.model = model
         self.g = PBWEngine(model.g_algebra)
-        self.n_k = 36
-        self.z_index = 36
-        self.mplus_start = model.g_algebra.index["D2"]
-        self.y_start = model.g_algebra.index["X2"]
+        index = model.g_algebra.index
+        self.n_k = len(K_LABELS)
+        self.z_index = index["Z"]
+        self.mplus_start = index[MPLUS_LABELS[0]]
+        self.y_start = index[Y_LABELS[0]]
         # the named vectors in mixed coordinates, converted once; shared,
         # so callers must not mutate them
         self.named: Dict[str, LieElement] = {
@@ -598,7 +599,7 @@ def _casimir_tensor(engine: PBWEngine, pairs):
     integer Y_h = {g: int} and r = {k: int} over the common denominator
     den.  For the Casimir of k on F4 that is 20 inner labels h, 23 terms
     of the Y_h and an r on the 3 Cartan labels, over 256: 46 label passes
-    of ad per application instead of the 36 + 42 of the full sum.  Raises
+    of ad per application instead of the 78 of the full sum.  Raises
     ValueError when T is not symmetric or a coefficient is not rational.
     """
     def rescaled(x):

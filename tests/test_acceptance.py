@@ -294,7 +294,7 @@ class TestAcceptance:
                 if me.g.ad(x1, dk):
                     bad.append("D_%d annihilation" % k)
         rep = assemble_system(me, omega_report.omega, 2,
-                              [(1, 0), (0, 1), (2, 1)])
+                              [(1, 0), (0, 1), (2, 0)])
         if not rep.passed:
             bad.append("assembly residuals %s" % rep.details)
         _report(8, not bad, "profiles, index sets, 196 split determinants, "

@@ -289,7 +289,7 @@ class TestUElement:
         # u_element takes them from the action basis
         k_idx = me.model.k_algebra.index
         literal = [{k_idx["D4"]: ONE, k_idx["Xdelta2"]: ONE},
-                   {k_idx["T34"]: ONE}, {k_idx["Xdelta2"]: ONE},
+                   {k_idx["T34"]: ONE}, {k_idx["Xdelta2"]: -ONE},
                    {k_idx["X1"]: ONE}]
         assert {frozenset(x.items()) for x in action_basis(me).e_vecs} == \
             {frozenset(x.items()) for x in literal}
@@ -368,13 +368,13 @@ class TestAssembleSystem:
 
     def test_omega_at_t2(self, me, omega_report):
         rep = assemble_system(me, omega_report.omega, 2,
-                              [(1, 0), (0, 1), (2, 1)])
+                              [(1, 0), (0, 1), (2, 0)])
         assert rep.passed
         for kind in ("direct", "typed"):
             got = {c["id"]: c["status"] for c in rep.checks
                    if c["id"].startswith(kind + " ")}
             assert got == {"%s (l,n)=%s" % (kind, pair): "pass"
-                           for pair in ("(1,0)", "(0,1)", "(2,1)")}
+                           for pair in ("(1,0)", "(0,1)", "(2,0)")}
 
     def test_out_of_range_pair_trivial(self, me, omega_report):
         # (l, n) = (2, 1) at T = 2 empties both index families

@@ -8,7 +8,8 @@ from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
 from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
     _CAYLEY_COEFFS, LieAlgebra, _is_automorphism, _is_involution,
-    _jacobi_witness, _rebase_table, _transversality_columns, build_f4_model,
+    K_LABELS, _jacobi_witness, _leading_subalgebra, _rebase_table,
+    _transversality_columns, build_f4_model,
     cayley_transform, chevalley_algebra, orthocomplement, root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
@@ -32,6 +33,11 @@ def dense(vectors) -> Matrix:
     n = len(vectors)
     return Matrix.from_columns([[v.get(i, ZERO) for i in range(n)]
                                 for v in vectors])
+
+
+def killing(model) -> list:
+    """The Killing form of the model, as 18 times its invariant form."""
+    return [scale(sca(18), row) for row in model.bform]
 
 
 def columns(m: Matrix) -> list:
@@ -112,7 +118,7 @@ class TestChevalley:
         assert e not in kf[e]  # ad-nilpotency
 
     def test_killing_f4_nondegenerate(self, model):
-        assert dense(model.killing).det() != ZERO
+        assert dense(killing(model)).det() != ZERO
 
 
 def coroot_element_oracle(rs, beta):
@@ -411,7 +417,7 @@ class TestDenseModelOracles:
 
     def test_model_forms_match_dense(self, model):
         kappa = dense_killing(model.algebra)
-        assert model.killing == columns(kappa)
+        assert killing(model) == columns(kappa)
         assert model.bform == columns(kappa.scale(sca(Fraction(1, 18))))
 
 
@@ -448,9 +454,9 @@ class TestDenseRankOracle:
         assert len(Echelon(cols)) == self._dense_rank(cols) == rank
 
     def test_killing_rows(self, model):
-        killing = dense(model.killing)
-        assert killing.det() != ZERO
-        assert len(Echelon(model.killing)) == killing.rank() == 52
+        kappa = dense(killing(model))
+        assert kappa.det() != ZERO
+        assert len(Echelon(killing(model))) == kappa.rank() == 52
 
 
 class TestTorusSolve:
@@ -505,23 +511,38 @@ class TestKAlgebra:
             j = rng.randrange(36)
             got = ka.bracket_basis(i, j)
             lhs = model.k_element_in_g(got)
-            rhs = model.algebra.bracket(model.k_basis[i], model.k_basis[j])
+            rhs = model.algebra.bracket(model.g_basis[i], model.g_basis[j])
             assert lhs == rhs
 
     def test_mixed_table_reuses_the_k_block(self, model):
-        # the mixed table takes its k x k block from the k table; rebased
-        # from scratch over all 52 vectors it comes out the same
+        # the k table is the k x k block of the mixed table; rebased from
+        # scratch over the 36 k vectors alone, as the oracle, it comes out
+        # the same, and so does the mixed table over all 52 vectors
         ga = model.g_algebra
         fresh = _rebase_table(model.algebra, model.g_basis, ga.labels)
         assert fresh.table == ga.table
-        assert model.k_algebra.table == {
+        k_oracle = _rebase_table(model.algebra, model.g_basis[:36], K_LABELS)
+        assert model.k_algebra.labels == k_oracle.labels == K_LABELS
+        assert model.k_algebra.table == k_oracle.table == {
             (i, j): v for (i, j), v in ga.table.items() if j < 36}
 
     def test_coords_in_parent_rejects_non_members(self, model):
-        ka = model.k_algebra
-        assert ka.coords_in_parent(model.k_basis[3]) == {3: ONE}
+        # over the k vectors alone, a vector of g outside k has no
+        # coordinates
+        ka = _rebase_table(model.algebra, model.g_basis[:36], K_LABELS)
+        assert ka.coords_in_parent(model.g_basis[3]) == {3: ONE}
         with pytest.raises(ValueError):
             ka.coords_in_parent(model.distinguished["Z"])
+
+    def test_leading_subalgebra_rejects_a_bracket_that_leaves(self, model):
+        # plant Z in [Xm1, Xm2]: the first 36 labels no longer close
+        ga = model.g_algebra
+        table = {ij: dict(v) for ij, v in ga.table.items()}
+        table.setdefault((0, 1), {})[ga.index["Z"]] = ONE
+        bad = LieAlgebra(ga.labels, table)
+        with pytest.raises(ValueError, match=re.escape(
+                "[Xm1, Xm2] leaves the first 36 labels")):
+            _leading_subalgebra(bad, K_LABELS)
 
     def test_g_mixed_basis_rank(self, model):
         assert model.g_algebra.dim == 52
@@ -529,7 +550,7 @@ class TestKAlgebra:
         assert Matrix.from_columns(cols).rank() == 52
 
     def test_theta_fixes_k_basis(self, model):
-        for v in model.k_basis:
+        for v in model.g_basis[:36]:
             assert model.theta_apply(v) == v
 
     def test_k_weights_consistency(self, model):
@@ -547,7 +568,7 @@ class TestKAlgebra:
         for idx, w in k_weights.items():
             if w is None:
                 continue
-            v = model.k_basis[idx]
+            v = model.g_basis[idx]
             for ci, h in enumerate(cart):
                 got = model.algebra.bracket(h, v)
                 want = scale(sca(w[ci]), v)

@@ -8,7 +8,7 @@ from f4workbench import repth
 from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar,
                                   ZERO, accumulate, add, combine, coordinates,
                                   dual_basis, rational_roots, sca, scale, sub)
-from f4workbench.liealg import orthocomplement
+from f4workbench.liealg import _ratio, orthocomplement
 from f4workbench.repth import (
     DegreeMachine, ModuleContext, action_basis, build_irrep, build_module,
     commutator, degree_machine, m_generators, m_invariants, raising_grid,
@@ -95,9 +95,9 @@ def modules(me):
 @pytest.fixture(scope="module")
 def uk2_m_basis(me):
     gens = m_generators(me)
-    lw = {i: me.model.k_t_weights[i][1:] for i in range(36)}
+    lw = {i: me.model.k_t_weights[i][1:] for i in range(me.n_k)}
     return invariants_up_to_degree(me.g, gens, 2, label_weights=lw,
-                                   label_limit=36)
+                                   label_limit=me.n_k)
 
 
 class TestWeylDimension:
@@ -543,21 +543,56 @@ def eval_weight(me, w, h):
     return acc
 
 
+# the named raising/lowering vectors of each simple root of k, the
+# hand-written table KActionBasis once read: the oracle for the root-data
+# vectors it now takes
+SIMPLE_VECTOR_NAMES = {
+    vec(1, 0, 0, 1): ("Xphi2", "Xmphi2"),
+    vec(0, 0, 1, -1): ("T34", "T43"),
+    vec(-1, 0, 0, 1): ("Xdelta2", "Xmdelta2"),
+    vec(Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2)):
+        ("X1", "Xm1"),
+}
+
+# the hand-picked generators of m that m_generators once listed: x_a, x_-a
+# for e2 - e3, e3 - e4, then D4 and the lowering vector of e4
+M_GENERATOR_LABELS = ("T23", "T32", "T34", "T43", "D4")
+
+
 class TestSimplePairs:
     def test_scalar_matches_the_label_reading(self, me):
         # alpha_i(h) read from [h, e_i] = alpha_i(h) e_i, for the unscaled
-        # lowering vector, against the coordinates of the Ht labels; the
-        # scaled pair then has alpha_i([e_i, f_i]) = 2
-        from f4workbench.liealg import _ratio
+        # named lowering vector, against the coordinates of the Ht labels;
+        # the scaled pair then has alpha_i([e_i, f_i]) = 2
         ka = me.model.k_algebra
         basis = action_basis(me)
         for a, e, f in zip(k_root_system().simple, basis.e_vecs,
                            basis.f_vecs):
-            cand = me.lie_in_mixed(me.model.distinguished[
-                repth._SIMPLE_VECTOR_NAMES[a][1]])
+            cand = me.named[SIMPLE_VECTOR_NAMES[a][1]]
             h = ka.bracket(e, cand)
             assert _ratio(ka.bracket(h, e), e) == eval_weight(me, a, h)
             assert eval_weight(me, a, ka.bracket(e, f)) == sca(2)
+
+    def test_root_vectors_are_the_named_ones_up_to_sign(self, me):
+        # e_i is its named raising vector and f_i a multiple of its named
+        # lowering vector; only the e vector of (-1, 0, 0, 1) flips sign
+        basis = action_basis(me)
+        flipped = []
+        for a, e, f in zip(k_root_system().simple, basis.e_vecs,
+                           basis.f_vecs):
+            up, down = (me.named[nm] for nm in SIMPLE_VECTOR_NAMES[a])
+            assert e in (up, scale(-ONE, up))
+            if e != up:
+                flipped.append(a)
+            assert _ratio(f, down)
+        assert flipped == [vec(-1, 0, 0, 1)]
+
+    def test_m_generators_are_the_hand_picked_ones(self, me):
+        idx = me.model.k_algebra.index
+        lower = me.lie_in_mixed(
+            {me.model.algebra.root_index[vec(0, 0, 0, -1)]: ONE})
+        want = [{idx[lab]: ONE} for lab in M_GENERATOR_LABELS] + [lower]
+        assert m_generators(me) == want
 
 
 class TestMInvariants:
