@@ -28,7 +28,6 @@ from .reporting import Report
 class Config:
     dimension_cap: int = 512
     nmax: Optional[int] = None          # defaults to 2*deg + 2 per element
-    degree_cap: int = 4
     seed: int = 20240801
     parallelism: int = 1                # accepted for old config files
 
@@ -40,8 +39,8 @@ class Config:
             if type(value) is not int:          # a bool is not a count
                 raise ValueError("%s must be an integer, not %r"
                                  % (f.name, value))
-        if self.dimension_cap <= 0 or self.degree_cap <= 0:
-            raise ValueError("config values must be positive")
+        if self.dimension_cap <= 0:
+            raise ValueError("dimension_cap must be positive")
         if self.nmax is not None and self.nmax < 1:
             raise ValueError("nmax must be at least 1, not %d" % self.nmax)
         if self.parallelism != 1:
@@ -125,12 +124,13 @@ def suite_omega(cfg: Config) -> Report:
     om = omr.omega
     dm = degree_machine(me)
     nmax = cfg.nmax or 6
+    cap = 4                             # the paper's bound on omega_0
 
     def constant_degree():
         labels = sorted(dm.components(om.coeff(0)))
         d = label_degree(labels)
-        return _ok(d <= cfg.degree_cap, "degree %d > %d; components %s" % (
-            d, cfg.degree_cap, ", ".join(map(str, labels))))
+        return _ok(d <= cap, "degree %d > %d; components %s" % (
+            d, cap, ", ".join(map(str, labels))))
 
     checks = [
         ("projected Casimir has polynomial degree 2",
@@ -145,8 +145,7 @@ def suite_omega(cfg: Config) -> Report:
          lambda: _ok(omr.casimir_m_coeff != ZERO,
                      "solved (%r, %r)" % (omr.casimir_m_coeff,
                                           omr.constant_coeff))),
-        ("constant coefficient degree at most %d" % cfg.degree_cap,
-         constant_degree),
+        ("constant coefficient degree at most %d" % cap, constant_degree),
         ("membership equations for the projected Casimir",
          lambda: _outcome(check_b_membership(me, om, nmax=nmax))),
         ("membership equations for its square",
@@ -436,13 +435,14 @@ def suite_combin(cfg: Config) -> Report:
     return rep.run(checks)
 
 
+# in the order verify all runs them
 SUITES = {
     "model": suite_model,
     "transversality": suite_transversality,
+    "omega": suite_omega,
     "balg": suite_balg,
     "repth": suite_repth,
     "combin": suite_combin,
-    "omega": suite_omega,
 }
 
 # the suites that run on the model alone and never build the PBW engine
@@ -458,9 +458,8 @@ def run_suite(name: str, cfg: Config) -> Report:
     t0 = time.perf_counter()
     if name == "all":
         report = Report("all", cfg.seed)
-        for sub in ("model", "transversality", "omega", "balg", "repth",
-                    "combin"):
-            part = SUITES[sub](cfg)
+        for sub, suite in SUITES.items():
+            part = suite(cfg)
             report.checks.extend(dict(c, id="%s: %s" % (sub, c["id"]))
                                  for c in part.checks)
             report.setup_seconds += part.setup_seconds
@@ -758,9 +757,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _combin_command(args, cfg: Config) -> int:
-    from .combin import (assemble_system, check_assembly_hypotheses,
-                         coefficient_data, determinant_factorization,
-                         index_sets, system_matrix)
+    from .combin import (assemble_system, assembly_pairs,
+                         determinant_factorization, index_sets, system_matrix)
     import itertools
     if args.action == "matrix":
         if args.T is None or args.n is None or args.m is None:
@@ -796,9 +794,7 @@ def _combin_command(args, cfg: Config) -> int:
     if args.action == "assemble":
         T = args.T if args.T is not None else 2
         n = args.n if args.n is not None else 0
-        # the sums of a pair with l + n > T are empty, and the
-        # antisymmetric sum of (n, n) is zero: both pass on any input
-        pairs = [(l, n) for l in range(0, T - n + 1) if l != n]
+        pairs = assembly_pairs(T, n)
         if not pairs:
             print("combin assemble: no pair (l,n) with l != n and "
                   "l + n <= T=%d for n=%d" % (T, n), file=sys.stderr)
@@ -813,12 +809,10 @@ def _combin_command(args, cfg: Config) -> int:
             elem = omega_normalized(me).omega
         rep.end_setup()
         try:
-            data = coefficient_data(me, elem)
-            check_assembly_hypotheses(data, T, pairs)
+            assemble_system(me, elem, T, pairs, rep=rep)
         except ValueError as exc:
             print("combin assemble: %s" % exc, file=sys.stderr)
             return 2
-        assemble_system(me, elem, T, pairs, data=data, rep=rep)
         return _emit_report(rep, args.json_out, me)
     return 2
 

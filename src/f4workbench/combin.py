@@ -7,7 +7,10 @@ survive at a skew-diagonal level (T, n), the coefficient matrices carry
 the double binomial sums, and the assembled sums apply the raising
 derivations to the coefficients of a polynomial-part element and reduce
 the combination modulo the nilradical left ideal.  Binomials with
-out-of-range arguments vanish, which is what delimits every sum.
+out-of-range arguments vanish, which is what delimits every sum: so a
+pair (l, n) with l + n > T has empty sums, and (n, n) has sums that
+cancel.  assembly_pairs owns that rule, and assemble_system rejects
+such a pair rather than record a check that passes on any input.
 """
 
 from __future__ import annotations
@@ -278,15 +281,6 @@ class CoefficientData:
     components: List[Dict[Tuple[int, int], UEA]]
     degrees: List[int]
 
-    def p_holds(self, T: int) -> Tuple[bool, str]:
-        for r in range(self.m + 1):
-            bound = min(T - r, 2 * self.profile[r])
-            for (p, q) in self.components[r]:
-                if p + q > bound:
-                    return False, ("coefficient %d has type (%d,%d) beyond "
-                                   "diagonal %d" % (r, p, q, bound))
-        return True, ""
-
 
 def coefficient_data(me: ModelEngine, b: IwasawaElement) -> CoefficientData:
     """Exact per-coefficient type decompositions, with the degree bounds
@@ -364,37 +358,44 @@ def _sigma_typed(me: ModelEngine, data: CoefficientData, T: int,
     return acc
 
 
-def check_assembly_hypotheses(data: CoefficientData, T: int,
-                              ln_pairs: Sequence[Tuple[int, int]]) -> None:
-    """Raises ValueError naming the violated hypothesis: the diagonal
-    hypothesis at T, T outside [m, 2 d_0], or a negative l or n."""
-    ok, why = data.p_holds(T)
-    if not ok:
-        raise ValueError("diagonal hypothesis fails at T=%d: %s" % (T, why))
+def assembly_pairs(T: int, n: int) -> List[Tuple[int, int]]:
+    """The pairs (l, n) that assemble_system accepts at level T: the sums
+    of a pair with l + n > T are empty, and the antisymmetric sum of
+    (n, n) is zero."""
+    return [(l, n) for l in range(0, T - n + 1) if l != n]
+
+
+def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
+                    ln_pairs: Sequence[Tuple[int, int]],
+                    rep: Optional[Report] = None) -> Report:
+    """Assemble the congruence sums for the pairs (l, n) and reduce.
+
+    First raises ValueError naming the violated hypothesis: a degree
+    bound, the diagonal hypothesis at T, T outside [m, 2 d_0], or a pair
+    outside assembly_pairs(T, n).  Then, for each pair, records in rep
+    whether the raw-coefficient ("direct") and type-component ("typed")
+    assemblies vanish modulo the nilradical left ideal and whether the
+    typed assembly has its weight, and finally whether the binomially
+    combined family ("combined") vanishes for each n and admissible L.
+    """
+    data = coefficient_data(me, b)
+    for r, parts in enumerate(data.components):
+        bound = min(T - r, 2 * data.profile[r])
+        for (p, q) in parts:
+            if p + q > bound:
+                raise ValueError("diagonal hypothesis fails at T=%d: "
+                                 "coefficient %d has type (%d,%d) beyond "
+                                 "diagonal %d" % (T, r, p, q, bound))
     if not (data.m <= T <= 2 * data.profile[0]):
         raise ValueError("T=%d out of range [%d, %d]"
                          % (T, data.m, 2 * data.profile[0]))
     for l, n in ln_pairs:
         if l < 0 or n < 0:
             raise ValueError("(l,n)=(%d,%d) has a negative entry" % (l, n))
-
-
-def assemble_system(me: ModelEngine, b: IwasawaElement, T: int,
-                    ln_pairs: Sequence[Tuple[int, int]],
-                    data: Optional[CoefficientData] = None,
-                    rep: Optional[Report] = None) -> Report:
-    """Assemble the congruence sums for the pairs (l, n) and reduce.
-
-    Checks the degree bounds and the diagonal hypothesis first (raises
-    naming the violated hypothesis); then, for each pair, records in rep
-    whether the raw-coefficient ("direct") and type-component ("typed")
-    assemblies vanish modulo the nilradical left ideal and whether the
-    typed assembly has its weight, and finally whether the binomially
-    combined family ("combined") vanishes for each n and admissible L.
-    """
-    if data is None:
-        data = coefficient_data(me, b)
-    check_assembly_hypotheses(data, T, ln_pairs)
+        if (l, n) not in assembly_pairs(T, n):
+            raise ValueError("(l,n)=(%d,%d) is vacuous at T=%d: only a "
+                             "pair with l != n and l + n <= T has sums that "
+                             "can fail" % (l, n, T))
     m = data.m
     g = gamma_basis()
     if rep is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 class Scalar:
     """An element a + b*sqrt2 of Q(sqrt2), stored as (p + q*sqrt2)/r."""
@@ -221,7 +221,7 @@ def sqrt_in_field(x: Scalar) -> Scalar:
 
     def _isqrt_frac(f: Fraction):
         n, d = f.numerator, f.denominator
-        rn, rd = _isqrt(n), _isqrt(d)
+        rn, rd = isqrt(n), isqrt(d)
         if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
         return None
@@ -233,11 +233,6 @@ def sqrt_in_field(x: Scalar) -> Scalar:
     if s is not None:
         return Scalar.from_pair(0, s)
     raise ValueError("%s has no square root in Q(sqrt2)" % v)
-
-
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n)
 
 
 # ---------------------------------------------------------------------------

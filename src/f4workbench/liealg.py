@@ -710,9 +710,9 @@ def build_f4_model() -> F4Model:
     rho = _ratio(x4, ch({ridx[g4pre]: ONE}))
     xdelta = scale(rho, ch(th({ridx[g4pre]: ONE})))
     phi_pairs = {}
-    for nm, prename in (("phi1", vec(1, 0, 1, 0)), ("phi2", vec(1, 0, 0, 1))):
-        plus = ch({ridx[prename]: ONE})
-        minus = ch(th({ridx[prename]: ONE}))
+    for nm in ("phi1", "phi2"):
+        plus = ch({ridx[g[nm]]: ONE})
+        minus = ch(th({ridx[g[nm]]: ONE}))
         phi_pairs[nm] = (plus, minus)
     xphi1, xdelta1 = phi_pairs["phi1"]
     xphi2, xdelta2 = phi_pairs["phi2"]
@@ -723,14 +723,13 @@ def build_f4_model() -> F4Model:
         return scale(c.inverse(), v)
 
     xm4 = dual_normalized(x4, vneg(g4pre))
-    xmdelta = dual_normalized(xdelta, vec(1, -1, 0, 0))
-    xmphi1 = dual_normalized(xphi1, vec(-1, 0, -1, 0))
-    xmdelta1 = dual_normalized(xdelta1, vec(1, 0, -1, 0))
-    xmphi2 = dual_normalized(xphi2, vec(-1, 0, 0, -1))
-    xmdelta2 = dual_normalized(xdelta2, vec(1, 0, 0, -1))
+    xmdelta = dual_normalized(xdelta, vneg(g["delta"]))
+    xmphi1 = dual_normalized(xphi1, vneg(g["phi1"]))
+    xmdelta1 = dual_normalized(xdelta1, vneg(g["delta1"]))
+    xmphi2 = dual_normalized(xphi2, vneg(g["phi2"]))
+    xmdelta2 = dual_normalized(xdelta2, vneg(g["delta2"]))
 
-    g3pre = vec(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    xm3 = ch({ridx[vneg(g3pre)]: ONE})
+    xm3 = ch({ridx[vneg(g["gamma3"])]: ONE})
     xpsi1 = ch({ridx[g["psi1"]]: ONE})
     xpsi2 = ch({ridx[g["psi2"]]: ONE})
     xmpsi1 = ch({ridx[vneg(g["psi1"])]: ONE})
@@ -819,7 +818,6 @@ def build_f4_model() -> F4Model:
     kplus = Echelon([named[nm] for nm in kplus_names] + [x4, xphi1, xphi2])
     qplus = Echelon([named[nm] for nm in kplus_names if nm != "X1"]
                     + [x4, xphi1, xphi2])
-    hr = Echelon([hr1, hr2])
     q = Echelon(qplus.rows() + [hr1, hr2, t43])
     qtilde = Echelon(kplus.rows() + [hr1, hr2, t43, xmdelta2, xmdelta1])
     a_sub = Echelon([z_elt])
@@ -831,7 +829,7 @@ def build_f4_model() -> F4Model:
     subspaces = {
         "k": k_span, "p": p_span, "m": m_all, "mplus": mplus_named,
         "a": a_sub, "n": n_sub, "y": y_sub, "q": q, "qplus": qplus,
-        "hr": hr, "qtilde": qtilde, "gtilde": gt,
+        "qtilde": qtilde, "gtilde": gt,
         "t": Echelon(t_elements[1:]),
     }
 
@@ -1041,9 +1039,9 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
     _, split = f4_satake_data()
     rep.equal("centralizer root type is B3",
               cartan_type(simple_system(split.p_minus)), "B3")
-    from .rootdata import compact_split, DEFAULT_REGULAR
-    cs = compact_split(DEFAULT_REGULAR)
-    rep.equal("fixed-subalgebra root type is B4", cartan_type(cs.simple_k), "B4")
+    from .rootdata import compact_split
+    rep.equal("fixed-subalgebra root type is B4",
+              cartan_type(compact_split().simple_k), "B4")
     rep.equal("gtilde root type is C3", _gtilde_type(model), "C3")
 
     r1, t1 = transversality_rank(model, "T")

@@ -10,7 +10,9 @@ simple roots
     a1 = (e1 - e2 - e3 - e4)/2,  a2 = e4,  a3 = e3 - e4,  a4 = e2 - e3.
 
 The involution acts on coordinates by e1 -> -e1; the restricted-root
-split P+ / P- is read off the first coordinate.
+split P+ / P- is read off the first coordinate.  The compact roots are
+split into positives and negatives by one fixed regular vector,
+DEFAULT_REGULAR, so compact_split takes no argument.
 """
 
 from __future__ import annotations
@@ -267,7 +269,6 @@ class CompactSplit:
     delta_p: Tuple[Coord, ...]
     positives_k: Tuple[Coord, ...]
     simple_k: Tuple[Coord, ...]
-    regular: Coord
 
 
 def theta_coord(a: Coord) -> Coord:
@@ -301,43 +302,32 @@ def is_compact_root(a: Coord) -> bool:
     return minus % 2 == 0
 
 
-@lru_cache(maxsize=None)
-def compact_split(regular: Coord) -> CompactSplit:
-    """Split the moved-Cartan roots by compactness and pick positives.
-
-    The regular vector must vanish in the first coordinate, make every
-    positive root of the centralizer positive, and avoid the kernel of
-    every compact root.
-    """
-    regular = tuple(Fraction(x) for x in regular)
-    if regular[0] != 0:
-        raise ValueError("regular vector must lie in the small Cartan (first coord 0)")
-    rs, split = f4_satake_data()
-    for a in split.p_minus:
-        if dot(a, regular) <= 0:
-            raise ValueError("regular vector must be dominant for the centralizer")
-    delta_k = tuple(a for a in rs.roots if is_compact_root(a))
-    delta_p = tuple(a for a in rs.roots if not is_compact_root(a))
-    for a in delta_k:
-        if dot(a, regular) == 0:
-            raise ValueError("vector %r is not regular: orthogonal to %r"
-                             % (regular, a))
-    positives_k = tuple(a for a in delta_k if dot(a, regular) > 0)
-    simple_k = simple_system(positives_k)
-    return CompactSplit(delta_k=delta_k, delta_p=delta_p,
-                        positives_k=positives_k, simple_k=simple_k,
-                        regular=regular)
-
-
 DEFAULT_REGULAR = vec(0, 4, 2, 1)
 
 
 @lru_cache(maxsize=None)
+def compact_split() -> CompactSplit:
+    """Split the moved-Cartan roots by compactness, with the positive
+    compact roots those on which DEFAULT_REGULAR is positive.
+
+    DEFAULT_REGULAR vanishes in the first coordinate, makes every
+    positive root of the centralizer positive and lies on no compact
+    root's kernel; the tests check that of the constant.
+    """
+    rs = f4_root_system()
+    delta_k = tuple(a for a in rs.roots if is_compact_root(a))
+    delta_p = tuple(a for a in rs.roots if not is_compact_root(a))
+    positives_k = tuple(a for a in delta_k if dot(a, DEFAULT_REGULAR) > 0)
+    return CompactSplit(delta_k=delta_k, delta_p=delta_p,
+                        positives_k=positives_k,
+                        simple_k=simple_system(positives_k))
+
+
+@lru_cache(maxsize=None)
 def k_root_system() -> RootSystem:
-    """The root system of k, on the simple roots of the compact split at
-    the default regular vector; the module builder and the degree machine
-    read the k roots from it."""
-    return build_root_system(compact_split(DEFAULT_REGULAR).simple_k)
+    """The root system of k, on the simple roots of the compact split;
+    the module builder and the degree machine read the k roots from it."""
+    return build_root_system(compact_split().simple_k)
 
 
 def gamma_basis() -> Dict[str, Coord]:
@@ -363,7 +353,7 @@ def gamma_basis() -> Dict[str, Coord]:
 def dump_f4() -> dict:
     """JSON-friendly dump of the F4 root data."""
     rs, split = f4_satake_data()
-    cs = compact_split(DEFAULT_REGULAR)
+    cs = compact_split()
 
     def ser(roots):
         return [[str(x) for x in r] for r in roots]

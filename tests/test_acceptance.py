@@ -9,8 +9,8 @@ from math import factorial
 from f4workbench.exactnum import ONE, ZERO, add, sca, scale, sub
 from f4workbench.liealg import transversality_rank
 from f4workbench.rootdata import (F4_SIMPLE, cartan_type, compact_split,
-                                  DEFAULT_REGULAR, f4_satake_data,
-                                  gamma_basis, simple_system, vadd, vscale)
+                                  f4_satake_data, gamma_basis, simple_system,
+                                  vadd, vscale)
 from f4workbench.uea import (IwasawaElement, invariants_up_to_degree,
                              model_casimir_m)
 
@@ -38,7 +38,7 @@ class TestAcceptance:
             "dim a": len(sub["a"]) == 1,
             "dim gtilde": len(sub["gtilde"]) == 21,
         }
-        cs = compact_split(DEFAULT_REGULAR)
+        cs = compact_split()
         checks["k type B4"] = cartan_type(cs.simple_k) == "B4"
         _, split = f4_satake_data()
         checks["m type B3"] = cartan_type(simple_system(split.p_minus)) == "B3"

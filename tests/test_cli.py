@@ -5,6 +5,7 @@ import subprocess
 import sys
 import types
 import warnings
+from dataclasses import fields
 
 import pytest
 
@@ -17,8 +18,19 @@ class TestConfig:
     def test_defaults(self):
         cfg = Config()
         assert cfg.dimension_cap == 512
-        assert cfg.degree_cap == 4
         assert cfg.parallelism == 1
+        assert [f.name for f in fields(Config)] == [
+            "dimension_cap", "nmax", "seed", "parallelism"]
+
+    def test_degree_cap_key_exits_2_naming_it(self, tmp_path, capsys):
+        # omega's degree bound is the paper's 4, not a setting
+        cfg = tmp_path / "cap.toml"
+        cfg.write_text("degree_cap = 4\n")
+        assert main(["verify", "omega", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: unknown key degree_cap in %s\n" \
+            % cfg
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -302,15 +314,18 @@ class TestDegreeWitness:
 
 
 class TestOmegaDegreeCap:
-    def test_cap_below_the_degree_fails_naming_it(self, tmp_path, capsys):
-        cfg = tmp_path / "cap.toml"
-        cfg.write_text("degree_cap = 2\n")
-        assert main(["verify", "omega", "--config", str(cfg)]) == 1
+    def test_cap_below_the_degree_fails_naming_it(self, monkeypatch, capsys):
+        # pad omega_0's components with (2, 2), of degree 6
+        from f4workbench import repth
+        components = repth.DegreeMachine.components
+        monkeypatch.setattr(repth.DegreeMachine, "components",
+                            lambda self, u: {**components(self, u), (2, 2): {}})
+        assert main(["verify", "omega"]) == 1
         records = json.loads(capsys.readouterr().out)["checks"]
         (record,) = [c for c in records if c["status"] == "fail"]
-        assert record["id"] == "constant coefficient degree at most 2"
+        assert record["id"] == "constant coefficient degree at most 4"
         assert record["witness"] == \
-            "degree 4 > 2; components (0, 0), (0, 2), (2, 0)"
+            "degree 6 > 4; components (0, 0), (0, 2), (2, 0), (2, 2)"
 
     def test_default_id_is_unchanged(self):
         rep = run_suite("omega", Config())
@@ -582,6 +597,20 @@ class TestExitCodes:
              str(bad)], capture_output=True, text=True, check=True,
             env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.split("\n")[-2] == "[3, 2] 0"
+
+    def test_no_pair_exits_before_model_build(self):
+        # n > T leaves no pair (l, n); a fresh interpreter, so the model
+        # cache starts empty
+        script = (
+            "from f4workbench.cli import main\n"
+            "from f4workbench.uea import model_engine\n"
+            "code = main(['combin', 'assemble', '--T', '2', '--n', '3'])\n"
+            "print(code, model_engine.cache_info().currsize)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout == "2 0\n"
 
 
 @pytest.fixture

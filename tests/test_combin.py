@@ -5,12 +5,14 @@ import pytest
 
 from f4workbench.combin import (
     _a_entry, _binom, _binom_poly, _sigma_direct, _sigma_typed,
-    assemble_system, coefficient_a, coefficient_data, degree_profile,
-    determinant_factorization, dk_operator, generalized_a_matrix, index_sets,
+    assemble_system, assembly_pairs, coefficient_a, coefficient_data,
+    degree_profile, determinant_factorization, dk_operator,
+    generalized_a_matrix, index_sets,
     system_matches_generalized, system_matrix, u_element, weight_of,
 )
 from f4workbench.exactnum import (Matrix, ONE, PolyScalar, ZERO, add, sca,
                                   scale, sub)
+from f4workbench.reporting import Report
 from f4workbench.repth import action_basis, degree_machine
 from f4workbench.rootdata import gamma_basis, vadd, vscale
 from f4workbench.uea import IwasawaElement, model_casimir_m
@@ -376,11 +378,24 @@ class TestAssembleSystem:
             assert got == {"%s (l,n)=%s" % (kind, pair): "pass"
                            for pair in ("(1,0)", "(0,1)", "(2,0)")}
 
-    def test_out_of_range_pair_trivial(self, me, omega_report):
-        # (l, n) = (2, 1) at T = 2 empties both index families
-        rep = assemble_system(me, omega_report.omega, 2, [(2, 1)])
-        status = {c["id"]: c["status"] for c in rep.checks}
-        assert status["direct (l,n)=(2,1)"] == "pass"
+    @pytest.mark.parametrize("pair", [(2, 1), (1, 1)],
+                             ids=["l+n-above-T", "l-equals-n"])
+    def test_vacuous_pair_rejected_before_any_record(self, me, omega_report,
+                                                     pair):
+        # (2, 1) at T = 2 empties both index families, and the
+        # antisymmetric sum of (1, 1) is zero: both would pass on any input
+        for pairs in ([pair], [(1, 0), pair]):
+            rep = Report("assembly")
+            with pytest.raises(ValueError, match=r"\(l,n\)=\(%d,%d\) is "
+                               "vacuous at T=2" % pair):
+                assemble_system(me, omega_report.omega, 2, pairs, rep=rep)
+            assert rep.checks == []
+
+    def test_assembly_pairs(self):
+        assert assembly_pairs(2, 0) == [(1, 0), (2, 0)]
+        assert assembly_pairs(2, 1) == [(0, 1)]
+        assert assembly_pairs(2, 2) == [(0, 2)]
+        assert assembly_pairs(2, 3) == []
 
     def test_diagonal_hypothesis_enforced(self, me, omega_report):
         with pytest.raises(ValueError) as err:
@@ -391,8 +406,6 @@ class TestAssembleSystem:
         data = coefficient_data(me, omega_report.omega)
         assert data.degrees == [4, 0, 0]
         assert sorted(data.components[0]) == [(0, 0), (0, 2), (2, 0)]
-        assert data.p_holds(2)[0]
-        assert not data.p_holds(1)[0]
 
 
 class TestDegreeProperty:
@@ -477,5 +490,5 @@ class TestAssembleOracle:
         reduce = me.reduce_mod_mplus
         monkeypatch.setattr(me, "reduce_mod_mplus",
                             lambda u: seen.append(u) or reduce(u))
-        assemble_system(me, b, T, pairs, data=data)
+        assemble_system(me, b, T, pairs)
         assert seen == want

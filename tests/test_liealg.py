@@ -298,7 +298,6 @@ class TestModelInvariants:
         assert len(s["qplus"]) == 15
         assert len(s["q"]) == 18
         assert len(s["qtilde"]) == 21
-        assert len(s["hr"]) == 2
 
     def test_normalizations(self, model):
         d = model.distinguished
@@ -336,8 +335,8 @@ class TestModelInvariants:
 
     def test_theta_eigenspace_matches_root_classification(self, model):
         # derived cross-check of the compact/noncompact displays
-        from f4workbench.rootdata import compact_split, DEFAULT_REGULAR
-        cs = compact_split(DEFAULT_REGULAR)
+        from f4workbench.rootdata import compact_split
+        cs = compact_split()
         alg = model.algebra
         ksp = model.subspaces["k"]
         for r in cs.delta_k:

@@ -30,6 +30,26 @@ def is_compatible(regular):
                for a in restricted_negative_set(regular) if a != a1)
 
 
+def regular_violations(regular):
+    """Why regular cannot pick the positive compact roots: it must vanish
+    in the first coordinate, be positive on the centralizer's positive
+    roots and lie on no compact root's kernel."""
+    _, split = f4_satake_data()
+    out = []
+    if regular[0] != 0:
+        out.append("first coordinate")
+    if any(dot(a, regular) <= 0 for a in split.p_minus):
+        out.append("not dominant")
+    if any(dot(a, regular) == 0 for a in compact_split().delta_k):
+        out.append("not regular")
+    return out
+
+
+def positives_at(regular):
+    """The compact roots positive on regular."""
+    return {a for a in compact_split().delta_k if dot(a, regular) > 0}
+
+
 # simple roots in coordinates, measured with the dot product
 A1 = (vec(1),)
 A3 = (vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1))
@@ -185,7 +205,7 @@ class TestSimpleCoefficients:
         lambda: f4_root_system(),
         lambda: build_root_system(B4),
         lambda: build_root_system(B3),
-        lambda: build_root_system(compact_split(DEFAULT_REGULAR).simple_k),
+        lambda: build_root_system(compact_split().simple_k),
         lambda: build_root_system(simple_system(f4_satake_data()[1].p_minus)),
     ], ids=["F4", "B4", "B3", "B4-in-F4", "B3-in-F4"])
     def test_match_the_gram_solve(self, rs):
@@ -221,17 +241,17 @@ class TestSatake:
 
 class TestCompactSplit:
     def test_counts(self):
-        cs = compact_split(DEFAULT_REGULAR)
+        cs = compact_split()
         assert len(cs.delta_k) == 32
         assert len(cs.delta_p) == 16
         assert len(cs.positives_k) == 16
 
     def test_simple_type_b4(self):
-        cs = compact_split(DEFAULT_REGULAR)
+        cs = compact_split()
         assert cartan_type(cs.simple_k) == "B4"
 
     def test_simple_matches_fixed_list(self):
-        cs = compact_split(DEFAULT_REGULAR)
+        cs = compact_split()
         expected = {
             vec(1, 0, 0, 1),
             vec(0, 0, 1, -1),
@@ -240,18 +260,19 @@ class TestCompactSplit:
         }
         assert set(cs.simple_k) == expected
 
-    def test_nonregular_rejected(self):
-        with pytest.raises(ValueError):
-            compact_split(vec(0, 2, 1, 1))  # t2 = t3 + t4 kills a compact root
-
-    def test_first_coordinate_zero_required(self):
-        with pytest.raises(ValueError):
-            compact_split(vec(1, 4, 2, 1))
+    def test_default_regular_is_regular(self):
+        assert regular_violations(DEFAULT_REGULAR) == []
+        # each condition can fail: t2 = t3 + t4 kills a compact root
+        assert "first coordinate" in regular_violations(vec(1, 4, 2, 1))
+        assert regular_violations(vec(0, -4, -2, -1)) == ["not dominant"]
+        assert "not regular" in regular_violations(vec(0, 2, 1, 1))
 
     def test_two_chambers_both_compatible(self):
-        cs1 = compact_split(vec(0, 4, 2, 1))   # t2 > t3 + t4
-        cs2 = compact_split(vec(0, 4, 3, 2))   # t2 < t3 + t4
-        assert set(cs1.positives_k) != set(cs2.positives_k)
+        cs = compact_split()
+        assert set(cs.positives_k) == positives_at(vec(0, 4, 2, 1))
+        # t2 > t3 + t4 above, t2 < t3 + t4 below
+        assert regular_violations(vec(0, 4, 3, 2)) == []
+        assert set(cs.positives_k) != positives_at(vec(0, 4, 3, 2))
         assert is_compatible(vec(0, 4, 2, 1))
         assert is_compatible(vec(0, 4, 3, 2))
 
@@ -281,7 +302,7 @@ class TestGammaBasis:
                                   Fraction(1, 2), Fraction(1, 2))
 
     def test_weights_are_compact_roots_where_expected(self):
-        cs = compact_split(DEFAULT_REGULAR)
+        cs = compact_split()
         g = gamma_basis()
         for name in ("gamma1", "gamma2", "gamma3", "gamma4", "delta",
                      "phi1", "delta1", "phi2", "delta2", "psi1", "psi2"):
