@@ -262,10 +262,14 @@ class TestCompactSplit:
 
     def test_default_regular_is_regular(self):
         assert regular_violations(DEFAULT_REGULAR) == []
-        # each condition can fail: t2 = t3 + t4 kills a compact root
-        assert "first coordinate" in regular_violations(vec(1, 4, 2, 1))
         assert regular_violations(vec(0, -4, -2, -1)) == ["not dominant"]
+
+    def test_nonregular_rejected(self):
+        # t2 = t3 + t4 kills a compact root
         assert "not regular" in regular_violations(vec(0, 2, 1, 1))
+
+    def test_first_coordinate_zero_required(self):
+        assert "first coordinate" in regular_violations(vec(1, 4, 2, 1))
 
     def test_two_chambers_both_compatible(self):
         cs = compact_split()
