@@ -4,11 +4,11 @@ The generic half of the module constructs a Chevalley basis for any
 root system of rootdata: integer structure constants with signs fixed
 by a deterministic extraspecial-pair convention, plus the Killing form
 and Jacobi validation.  Elements are sparse dicts {basis index: Scalar}.
-The roots of rootdata are tuples of Fractions; the integer coordinates
-live only inside ChevalleyData, which scales every root by the lcm of
-the denominators of the simple roots' coordinates, fixes the signs on
-those integer tuples, and maps its results back.  Labels, root_index
-and the public fields of ChevalleyData are on the Fraction coordinates.
+The roots of rootdata are tuples of Fractions; ChevalleyData works on
+each root's integer coefficients over the simple roots, which
+RootSystem.coefficients already holds, fixes the signs on those, and
+maps its results back.  Labels, root_index and the public fields of
+ChevalleyData are on the Fraction coordinates.
 
 The F4 half instantiates the split 52-dimensional algebra in epsilon
 coordinates, builds the involution fixing the centralizer of the split
@@ -217,7 +217,7 @@ def _rescaling(algebra: LieAlgebra) -> IntegerTable:
 # Chevalley basis from a root system
 # ---------------------------------------------------------------------------
 
-# A root on the integer coordinates of ChevalleyData.
+# A root by its integer coefficients over the simple roots.
 _IntRoot = Tuple[int, ...]
 
 
@@ -233,46 +233,33 @@ class ChevalleyData:
 
     N(a, b) = p + 1 on each extraspecial pair (Carter, Simple Groups of
     Lie Type, 4.2); every other N follows from the relations among them.
-    The work runs on integer coordinates: each root is scaled by L, the
-    lcm of the denominators of the simple roots' coordinates (2 for F4 in
-    epsilon coordinates, 1 in the simple-root basis), and the squared
-    lengths by the lcm of theirs.  Scaling by positive integers keeps the
-    (height, coordinates) order of the positive roots and every length
-    ratio, so the labels, extraspecial pairs and signs are those of the
-    coordinates of rs.  pos_order, height, extraspecial and N are mapped
-    back to those coordinates once, at the end; N holds integers.
+    The work runs on integers: each root is keyed by its coefficients
+    over the simple roots (rs.coefficients), and the squared lengths are
+    scaled by the lcm of their denominators.  The positive roots keep the
+    order of rs.positives, by (height, coordinates), and a linear map
+    keeps every root string and length ratio, so the labels, extraspecial
+    pairs and signs are those of the coordinates of rs.  pos_order,
+    height, extraspecial and N are mapped back to those coordinates once,
+    at the end; N holds integers.
     """
 
     def __init__(self, rs: RootSystem):
-        scale_l = lcm(*(x.denominator for a in rs.simple for x in a))
-        lengths = {r: dot(r, r) for r in rs.positives}
+        coeff = self._coefficients = rs.coefficients
+        lengths = {r: dot(r, r) for r in rs.roots}
         scale_len = lcm(*(v.denominator for v in lengths.values()))
-        self._int: Dict[Coord, _IntRoot] = {}
-        self._rational: Dict[_IntRoot, Coord] = {}
-        self._coeff: Dict[_IntRoot, Tuple[int, ...]] = {}
-        self._len: Dict[_IntRoot, int] = {}
-        height: Dict[_IntRoot, int] = {}
-        for r in rs.positives:
-            ri = tuple(x.numerator * (scale_l // x.denominator) for x in r)
-            ks = rs.coefficients[r]
-            height[ri] = sum(ks)
-            length = lengths[r].numerator * (scale_len
-                                             // lengths[r].denominator)
-            for key, val, coeff in ((r, ri, ks),
-                                    (vneg(r), vneg(ri), vneg(ks))):
-                self._int[key] = val
-                self._rational[val] = key
-                self._coeff[val] = coeff
-                self._len[val] = length
-        self._simple_len = [self._len[self._int[a]] for a in rs.simple]
-        self._order = sorted(height, key=lambda r: (height[r], r))
+        self._rational: Dict[_IntRoot, Coord] = {
+            ks: r for r, ks in coeff.items()}
+        self._len: Dict[_IntRoot, int] = {
+            ks: int(lengths[r] * scale_len) for r, ks in coeff.items()}
+        self._simple_len = [self._len[coeff[a]] for a in rs.simple]
+        self._order = [coeff[r] for r in rs.positives]
         self._rank = {r: n for n, r in enumerate(self._order)}
         self._extraspecial: Dict[_IntRoot, Tuple[_IntRoot, _IntRoot]] = {}
         self._N: Dict[Tuple[_IntRoot, _IntRoot], int] = {}
-        self._build(height)
+        self._build()
         back = self._rational
-        self.pos_order = [back[r] for r in self._order]
-        self.height = {back[r]: h for r, h in height.items()}
+        self.pos_order = list(rs.positives)
+        self.height = {r: sum(coeff[r]) for r in rs.positives}
         self.extraspecial: Dict[Coord, Tuple[Coord, Coord]] = {
             back[g]: (back[a], back[b])
             for g, (a, b) in self._extraspecial.items()}
@@ -287,12 +274,13 @@ class ChevalleyData:
             cur = vsub(cur, alpha)
         return p
 
-    def _build(self, height: Dict[_IntRoot, int]):
+    def _build(self):
         # every root, and only a root, has a length
         roots = length = self._len
         rank, n_any = self._rank, self._n_any
         for gamma in self._order:
-            if height[gamma] == 1:
+            # a simple root has height 1
+            if sum(gamma) == 1:
                 continue
             # pairs a + b = gamma of positive roots, a first, by rank of a
             pairs = []
@@ -344,14 +332,13 @@ class ChevalleyData:
     def _coroot(self, beta: _IntRoot) -> LieElement:
         bb = self._len[beta]
         return {i: sca(_exact_quotient(k * aa, bb))
-                for i, (k, aa) in enumerate(zip(self._coeff[beta],
-                                                self._simple_len)) if k}
+                for i, (k, aa) in enumerate(zip(beta, self._simple_len)) if k}
 
     def coroot(self, beta: Coord) -> LieElement:
         """The beta-coroot over the simple coroots, the first rs.rank
         labels of a Chevalley basis (integer coefficients); raises
         ValueError on a non-integral expansion."""
-        return self._coroot(self._int[beta])
+        return self._coroot(self._coefficients[beta])
 
 
 def root_label(r: Coord) -> str:
@@ -361,7 +348,7 @@ def root_label(r: Coord) -> str:
 def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
     """Chevalley basis {h_i} + {x_r}: integer constants, Jacobi-true.
 
-    Runs on the integer coordinates of ChevalleyData; the labels and
+    Runs on the simple-root coefficients of ChevalleyData; the labels and
     root_index are on the coordinates of rs.
     """
     data = ChevalleyData(rs)
@@ -378,7 +365,7 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
         column = [row[i] for row in rs.cartan]
         for r in allroots:
             # <r, alpha_i^vee> = sum_j c_j <alpha_j, alpha_i^vee>
-            pairing = sum(c * a for c, a in zip(data._coeff[r], column))
+            pairing = sum(c * a for c, a in zip(r, column))
             if pairing:
                 table[(i, ridx[r])] = {ridx[r]: sca(pairing)}
     for n, r in enumerate(allroots):
@@ -1082,7 +1069,5 @@ def _gtilde_type(model: F4Model) -> str:
     alg = model.algebra
     gt = model.subspaces["gtilde"]
     rs = alg.rs
-    member_roots = [r for r in rs.roots
-                    if gt.contains({alg.root_index[r]: ONE})]
-    pos = [r for r in member_roots if r in set(rs.positives)]
+    pos = [r for r in rs.positives if gt.contains({alg.root_index[r]: ONE})]
     return cartan_type(simple_system(pos))

@@ -131,16 +131,12 @@ def build_irrep(rs: RootSystem, xi: Weight, cap: int = 512) -> Irrep:
     to Scalars once.
     """
     rank = rs.rank
-    top: List[int] = []
-    for a in rs.simple:
-        p = rs.coroot_pairing(xi, a)
-        if p < 0 or p.denominator != 1:
-            raise ValueError("weight %r is not dominant integral" % (xi,))
-        top.append(int(p))
+    # weyl_dimension rejects a weight that is not dominant integral
     predicted = weyl_dimension(xi, rs)
     if predicted > cap:
         raise ValueError("predicted dimension %d exceeds the cap %d"
                          % (predicted, cap))
+    top = [int(rs.coroot_pairing(xi, a)) for a in rs.simple]
     # L mu = L xi - sum_j n_j (L a_j) with every L a_j integral, so the
     # integer tuples -sum_j n_j (L a_j) order the weights as mu does
     scale_l = lcm(*(x.denominator for a in rs.simple for x in a))
@@ -678,13 +674,13 @@ class DegreeMachine:
     first application forms ad(e'_h) u for each remaining label anyway;
     the labels where it reads zero (on both parts of the core) are
     dropped from every later application, and their zero raisings give
-    k = 0 or l = 0 for every component with no chain; r is dropped as a
-    whole when ad(r) u reads zero (r lies in k).  A generic input
-    of U(k)^M_{<=2} keeps all 8 inner labels; the degree-8 product uv of
-    the degree_products benchmark is killed by Xdelta1, Xdelta2, Ht1 and
-    Xdelta, so its later applications make 8 label passes per core
-    vector where the static tensor makes 12 on a nonzero vector (4 of
-    them reading zero) and 7 on an empty one.  The Krylov chain, its
+    k = 0 or l = 0 for every component with no chain.  r needs no such
+    rule: all of it lies on Cartan labels of m, so the chain's tensor has
+    none left.  A generic input of U(k)^M_{<=2} keeps all 8 inner
+    labels; the degree-8 product uv of the degree_products benchmark is
+    killed by Xdelta1, Xdelta2, Ht1 and Xdelta, so its later applications
+    make 8 label passes per core vector where the static tensor makes 12
+    on a nonzero vector (4 of them reading zero) and 7 on an empty one.  The Krylov chain, its
     minimal polynomial and the projectors stay in core form; only the
     components are converted to Scalars.
 
@@ -706,8 +702,6 @@ class DegreeMachine:
         self._casimir_on_invariants = (
             [(h, y) for h, y in inner if not in_m(h)],
             {h: c for h, c in shift.items() if not in_m(h)}, den)
-        # casimir_eigenvalue by weight, one entry per label (k, l) met
-        self._eigenvalues: Dict[Weight, Fraction] = {}
         # the raisings in core form, for ad_pair
         self._xdelta = me.g.lie_core(me.named["Xdelta"])[:2]
         self._e = me.g.lie_core(me.named["E"])[:2]
@@ -722,12 +716,7 @@ class DegreeMachine:
     def casimir_eigenvalue(self, xi: Weight) -> Fraction:
         """(xi, xi + 2 rho), the eigenvalue of C_k on the irreducible
         module of highest weight xi."""
-        value = self._eigenvalues.get(xi)
-        if value is None:
-            rs = k_root_system()
-            value = dot(xi, xi) + 2 * dot(xi, rs.rho)
-            self._eigenvalues[xi] = value
-        return value
+        return dot(xi, xi) + 2 * dot(xi, k_root_system().rho)
 
     def components(self, u: UEA) -> Dict[Tuple[int, int], UEA]:
         """Isotypic components of an invariant element, exactly."""
@@ -769,9 +758,8 @@ class DegreeMachine:
             if live is not None:
                 inner_labels, shift, den = tensor
                 killed = {h for h, _ in inner_labels} - live
-                # ad(r) u = 0 drops r whole: its labels need not kill u
                 tensor = ([(h, y) for h, y in inner_labels if h in live],
-                          shift if set(shift) <= live else {}, den)
+                          shift, den)
         # w_d = sum_j b_j w_j and C^t u = w_t / D_t give the minimal
         # polynomial x^d - sum_j b_j D_j / D_d x^j
         poly = PolyScalar([-relation.get(j, ZERO) * sca(Fraction(w[2], cur[2]))

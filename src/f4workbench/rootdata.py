@@ -1,10 +1,12 @@
 """Root systems from their simple roots and the F4 restricted-root
 bookkeeping.
 
-Roots and weights are plain tuples of Fractions (liealg.ChevalleyData
-rescales them to integers for its own work).  Every system is given by
-its simple roots in coordinates and measured with the standard dot
-product; the F4 system lives in the orthonormal epsilon basis with
+Roots and weights are plain tuples of Fractions, and
+RootSystem.coefficients holds each root's integer coefficients over the
+simple roots (liealg.ChevalleyData keys its work by them).  Every system
+is given by its simple roots in coordinates and measured with the
+standard dot product, and cartan_type names a Dynkin type by counting
+its roots.  The F4 system lives in the orthonormal epsilon basis with
 simple roots
 
     a1 = (e1 - e2 - e3 - e4)/2,  a2 = e4,  a3 = e3 - e4,  a4 = e2 - e3.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 Coord = Tuple[Fraction, ...]
@@ -71,7 +73,7 @@ class RootSystem:
         """2<phi, alpha>/<alpha, alpha>."""
         return 2 * dot(phi, alpha) / dot(alpha, alpha)
 
-    @property
+    @cached_property
     def rho(self) -> Coord:
         """Half the sum of the positive roots."""
         return tuple(sum(a[i] for a in self.positives) / 2
@@ -172,77 +174,37 @@ def cartan_matrix_of(simple: Sequence[Coord]):
 
 
 def cartan_type(simple: Sequence[Coord]) -> str:
-    """Classify the Dynkin type of a simple system, e.g. "B4" or "A1xA1"."""
-    n = len(simple)
-    a = cartan_matrix_of(simple)
-    adj = {i: [j for j in range(n) if j != i and a[i][j] != 0] for i in range(n)}
-    seen = [False] * n
+    """The Dynkin type of a simple system, e.g. "B4" or "A1xA1".
+
+    Each connected component of the diagram is named by its rank r, its
+    number of positive roots and how many of them are short.  With one
+    root length it is A (r(r+1)/2 roots), D (r(r-1)) or E (36, 63 or
+    120); with two it is G2 (rank 2, 6 roots), F4 (rank 4, 24 roots), B
+    when exactly r roots are short, and C otherwise.  So C2 reads "B2"
+    and D3 reads "A3".  Input that is not a simple system raises
+    ValueError, as in build_root_system.
+    """
+    left = list(range(len(simple)))
     labels = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        labels.append(_classify_component(comp, a, adj, simple))
+    while left:
+        comp = [left.pop(0)]
+        for i in comp:
+            linked = [j for j in left if dot(simple[i], simple[j])]
+            left = [j for j in left if j not in linked]
+            comp += linked
+        rs = build_root_system([simple[i] for i in comp])
+        r, npos = len(comp), len(rs.positives)
+        lengths = [dot(a, a) for a in rs.positives]
+        short = lengths.count(min(lengths))
+        if short == npos:
+            kind = ("A" if npos == r * (r + 1) // 2
+                    else "D" if npos == r * (r - 1) else "E")
+        elif (r, npos) in ((2, 6), (4, 24)):
+            kind = "G" if r == 2 else "F"
+        else:
+            kind = "B" if short == r else "C"
+        labels.append("%s%d" % (kind, r))
     return "x".join(sorted(labels))
-
-
-def _classify_component(comp, a, adj, simple) -> str:
-    r = len(comp)
-    if r == 1:
-        return "A1"
-    mult = {}
-    for i in comp:
-        for j in adj[i]:
-            mult[(i, j)] = a[i][j] * a[j][i]
-    mmax = max(mult.values())
-    degrees = {i: len([j for j in adj[i] if j in comp]) for i in comp}
-    if mmax == 3:
-        return "G2"
-    if mmax == 2:
-        doubles = [(i, j) for (i, j), m in mult.items() if m == 2 and i < j]
-        (i, j) = doubles[0]
-        if degrees[i] == 2 and degrees[j] == 2 and r == 4:
-            return "F4"
-        # double bond at the end of a chain: B (end node short) or C (end node long)
-        end = i if degrees[i] == 1 else j
-        other = j if end == i else i
-        li = dot(simple[end], simple[end])
-        lo = dot(simple[other], simple[other])
-        if r == 2:
-            return "B2"
-        return ("B%d" % r) if li < lo else ("C%d" % r)
-    forks = [i for i in comp if degrees[i] >= 3]
-    if not forks:
-        return "A%d" % r
-    fork = forks[0]
-    arm_lengths = sorted(_arm_length(fork, j, adj) for j in adj[fork])
-    if arm_lengths[0] == 1 and arm_lengths[1] == 1:
-        return "D%d" % r
-    if arm_lengths[:2] == [1, 2]:
-        return "E%d" % r
-    raise ValueError("unrecognized diagram")
-
-
-def _arm_length(fork, start, adj) -> int:
-    length = 1
-    prev, cur = fork, start
-    while True:
-        nxt = [j for j in adj[cur] if j != prev]
-        if not nxt:
-            return length
-        if len(nxt) > 1:
-            return length
-        prev, cur = cur, nxt[0]
-        length += 1
 
 
 # ---------------------------------------------------------------------------

@@ -662,8 +662,7 @@ def _casimir_core(engine: PBWEngine, inner, shift, v: Core,
     """sum_h ad(Y_h) ad(e'_h) v - ad(r) v, with ([(h, Y_h)], r) from
     _casimir_tensor: one ad pass per inner label, per term of the Y_h and
     per label of r.  When live is a set, every inner label whose pass
-    ad(e'_h) v is nonzero is added to it, and every label of r when
-    ad(r) v is nonzero, at no extra pass."""
+    ad(e'_h) v is nonzero is added to it, at no extra pass."""
     out: Core = {}
     if not v:
         return out
@@ -674,10 +673,7 @@ def _casimir_core(engine: PBWEngine, inner, shift, v: Core,
             live.add(h)
         for m, c in ad_core(y, first).items():
             out[m] = out.get(m, 0) + c
-    part = ad_core(shift, v)
-    if part and live is not None:
-        live.update(shift)
-    for m, c in part.items():
+    for m, c in ad_core(shift, v).items():
         out[m] = out.get(m, 0) - c
     return out
 

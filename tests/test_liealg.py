@@ -137,7 +137,7 @@ def coroot_element_oracle(rs, beta):
 
 class ChevalleyDataOracle:
     """ChevalleyData on the Fraction coordinates of the root system: the
-    oracle for the integer-coordinate ChevalleyData."""
+    oracle for ChevalleyData on the simple-root coefficients."""
 
     def __init__(self, rs):
         self.rs = rs
@@ -251,7 +251,8 @@ def chevalley_algebra_oracle(rs):
 
 
 class TestChevalleyOracle:
-    """The integer-coordinate Chevalley basis against the Fraction one."""
+    """The Chevalley basis built on simple-root coefficients against the
+    one built on Fraction coordinates."""
 
     SYSTEMS = {"F4": f4_root_system, "B4": lambda: build_root_system(B4),
                "G2": lambda: build_root_system(G2),
@@ -273,13 +274,6 @@ class TestChevalleyOracle:
         assert all(type(v) is int for v in got.N.values())
         for r in rs.roots:
             assert got.coroot(r) == coroot_element_oracle(rs, r)
-
-    def test_f4_scales_by_two(self):
-        data = chevalley_algebra(f4_root_system()).chevalley
-        r = vec(Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2),
-                Fraction(-1, 2))
-        assert data._int[r] == (1, -1, -1, -1)
-        assert all(type(x) is int for ri in data._int.values() for x in ri)
 
 
 class TestModelInvariants:

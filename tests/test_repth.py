@@ -1375,11 +1375,12 @@ class TestPerpCasimir:
                                  oracle_inputs[name])
         assert [live for _, live in steps] == [set()]
 
-    def test_whole_casimir_prunes_its_shift(self, me, monkeypatch,
-                                            oracle_inputs):
-        # started on the whole C_k, the first application finds the labels
-        # of m and r (on Cartan labels of m) reading zero on the product,
-        # drops them all, and the chain gives the same components
+    def test_whole_casimir_keeps_its_shift(self, me, monkeypatch,
+                                           oracle_inputs):
+        # started on the whole C_k, the first application finds the inner
+        # labels of m reading zero on the product and drops them; r (on
+        # Cartan labels of m) stays, and the chain gives the same
+        # components
         dm = DegreeMachine(me)
         labels = me.model.g_algebra.labels
         u = oracle_inputs["product"]
@@ -1391,7 +1392,7 @@ class TestPerpCasimir:
         for tensor, _ in steps[1:]:
             assert {labels[h] for h, _ in tensor[0]} == \
                 {"X1", "Xpsi1", "Xpsi2", "E"}
-            assert tensor[1] == {}
+            assert tensor[1] == dm._casimir[1]
         got = dm.components(u)
         assert list(got) == list(want)
         assert got == want

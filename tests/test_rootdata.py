@@ -316,7 +316,70 @@ class TestGammaBasis:
             assert dot(g[name], DEFAULT_REGULAR) > 0  # all positive
 
 
+def _unit(n, i):
+    return vec(*(1 if j == i else 0 for j in range(n)))
+
+
+def _chain(n, rank):
+    """e_i - e_(i+1) for i < rank, in n coordinates."""
+    return [vsub(_unit(n, i), _unit(n, i + 1)) for i in range(rank)]
+
+
+def _classical(kind, r):
+    """The standard simple roots of A_r, B_r, C_r or D_r."""
+    if kind == "A":
+        return _chain(r + 1, r)
+    last = {"B": _unit(r, r - 1), "C": vscale(2, _unit(r, r - 1)),
+            "D": vadd(_unit(r, r - 2), _unit(r, r - 1))}[kind]
+    return _chain(r, r - 1) + [last]
+
+
+def _e8():
+    """Bourbaki's simple roots of E8; E7 and E6 are its first 7 and 6."""
+    half = Fraction(1, 2)
+    e = [_unit(8, i) for i in range(8)]
+    first = vec(half, *([-half] * 6), half)
+    return ([first, vadd(e[0], e[1]), vsub(e[1], e[0])]
+            + [vsub(e[i + 1], e[i]) for i in range(1, 6)])
+
+
+def _padded(*systems):
+    """The product of the given systems, each on its own coordinates of
+    one space, their simple roots interleaved."""
+    n = sum(len(s[0]) for s in systems)
+    out, offset = [], 0
+    for s in systems:
+        width = len(s[0])
+        out.append([vec(*([0] * offset), *a, *([0] * (n - offset - width)))
+                    for a in s])
+        offset += width
+    return [a for group in itertools.zip_longest(*out) for a in group
+            if a is not None]
+
+
+TYPE_TABLE = (
+    [pytest.param(name, simple, id=name) for name, simple in
+     [("A%d" % r, _classical("A", r)) for r in range(1, 9)]
+     + [("B%d" % r, _classical("B", r)) for r in range(2, 9)]
+     + [("C%d" % r, _classical("C", r)) for r in range(3, 9)]
+     + [("D%d" % r, _classical("D", r)) for r in range(4, 9)]
+     + [("E%d" % r, _e8()[:r]) for r in (6, 7, 8)]
+     + [("F4", F4_SIMPLE), ("G2", (vec(1, -1, 0), vec(-2, 1, 1)))]]
+    # the conventions for the coincident small ranks, and a product
+    + [pytest.param("B2", _classical("C", 2), id="C2-reads-B2"),
+       pytest.param("A3", _classical("D", 3), id="D3-reads-A3"),
+       pytest.param("A2xB2xB3", _padded(_classical("B", 3),
+                                        _classical("A", 2),
+                                        _classical("B", 2)),
+                    id="padded-A2xB2xB3")]
+)
+
+
 class TestCartanType:
+    @pytest.mark.parametrize("name, simple", TYPE_TABLE)
+    def test_every_irreducible_type_to_rank_8(self, name, simple):
+        assert cartan_type(simple) == name
+
     def test_c3_vs_b3(self):
         # C3: e1-e2, e2-e3, 2e3; B3: e1-e2, e2-e3, e3
         c3 = (vec(1, -1, 0), vec(0, 1, -1), vec(0, 0, 2))
