@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 class Scalar:
     """An element a + b*sqrt2 of Q(sqrt2), stored as (p + q*sqrt2)/r."""
@@ -204,35 +204,6 @@ def sca(x) -> Scalar:
     if type(x) is int:      # bool, an int subclass, keeps the rational path
         return Scalar(x)
     return Scalar.from_rational(x)
-
-
-def sqrt_in_field(x: Scalar) -> Scalar:
-    """Exact square root of a rational scalar inside Q(sqrt2), if it exists.
-
-    Accepts x = s^2 or x = 2 s^2 with s rational; raises otherwise.
-    """
-    if not x.is_rational():
-        raise ValueError("only rational radicands supported")
-    v = x.rational_value()
-    if v < 0:
-        raise ValueError("no real square root of %s" % v)
-    if v == 0:
-        return ZERO
-
-    def _isqrt_frac(f: Fraction):
-        n, d = f.numerator, f.denominator
-        rn, rd = isqrt(n), isqrt(d)
-        if rn * rn == n and rd * rd == d:
-            return Fraction(rn, rd)
-        return None
-
-    s = _isqrt_frac(v)
-    if s is not None:
-        return Scalar.from_rational(s)
-    s = _isqrt_frac(v / 2)
-    if s is not None:
-        return Scalar.from_pair(0, s)
-    raise ValueError("%s has no square root in Q(sqrt2)" % v)
 
 
 # ---------------------------------------------------------------------------

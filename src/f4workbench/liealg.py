@@ -2,8 +2,9 @@
 
 The generic half of the module constructs a Chevalley basis for any
 root system of rootdata: integer structure constants with signs fixed
-by a deterministic extraspecial-pair convention, plus the Killing form
-and Jacobi validation.  Elements are sparse dicts {basis index: Scalar}.
+by a deterministic extraspecial-pair convention, its invariant form read
+off the root lengths, and Jacobi validation.  Elements are sparse dicts
+{basis index: Scalar}.
 The roots of rootdata are tuples of Fractions; ChevalleyData works on
 each root's integer coefficients over the simple roots, which
 RootSystem.coefficients already holds, fixes the signs on those, and
@@ -27,7 +28,7 @@ from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import (Echelon, ONE, Scalar, ZERO, accumulate, add, combine,
-                       coordinates, kernel, scale, sca, sqrt_in_field, sub)
+                       coordinates, kernel, scale, sca, sub)
 from .reporting import Report
 from .rootdata import (
     Coord, F4_SIMPLE, RootSystem, cartan_type, dot, f4_root_system,
@@ -125,30 +126,6 @@ class LieAlgebra:
                         if len(bad) >= limit:
                             return bad
         return bad
-
-    def killing_form(self) -> List[LieElement]:
-        """kappa(x, y) = trace(ad x ad y), exactly, as symmetric sparse
-        rows: row i holds kappa(e_i, e_j) at each j where it is nonzero."""
-        n = self.dim
-        # rows of ad: ad_j[k] = bracket_basis(j, k)
-        ad = [[self.bracket_basis(j, k) for k in range(n)] for j in range(n)]
-        out: List[LieElement] = [{} for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                acc = ZERO
-                for k in range(n):
-                    t = ad[j][k]
-                    if not t:
-                        continue
-                    for l, c in t.items():
-                        c2 = ad[i][l].get(k)
-                        if c2:
-                            acc = acc + c * c2
-                if acc:
-                    out[i][j] = acc
-                    out[j][i] = acc
-        return out
-
 
 def _rescaling(algebra: LieAlgebra) -> IntegerTable:
     """Parities s_i, scale L and the brackets on e'_i = L sqrt2^{s_i} e_i.
@@ -384,6 +361,25 @@ def chevalley_algebra(rs: RootSystem) -> LieAlgebra:
     return alg
 
 
+def chevalley_form(alg: LieAlgebra) -> List[LieElement]:
+    """The invariant form of a Chevalley algebra under which the
+    coordinates of alg.rs are orthonormal, as symmetric sparse rows.
+
+    (h_i, h_j) is the inner product of the simple coroots 2a/(a, a), and
+    (x_a, x_-a) = 2/(a, a); every other pair is orthogonal (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 8.3 and 25.2).
+    The Killing form is a positive multiple of it: 18 of it on F4.
+    """
+    coroots = [[2 * c / dot(a, a) for c in a] for a in alg.rs.simple]
+    rows: List[LieElement] = [
+        {j: sca(dot(u, v)) for j, v in enumerate(coroots) if dot(u, v)}
+        for u in coroots]
+    rows += [{} for _ in range(alg.dim - alg.rank)]
+    for a, i in alg.root_index.items():
+        rows[i] = {alg.root_index[vneg(a)]: sca(2 / dot(a, a))}
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # The F4 model
 # ---------------------------------------------------------------------------
@@ -447,15 +443,15 @@ class F4Model:
     g_algebra is the one rebased table, over the mixed basis g_basis (the
     k vectors in the order K_LABELS, Z, the root vectors of n); k_algebra
     is its restriction to K_LABELS, so k coordinates are mixed
-    coordinates.  bform is the one invariant form; the Killing form is
-    18 bform.
+    coordinates.  bform is the one invariant form, chevalley_form of the
+    algebra; the Killing form is 18 bform.
     """
 
     # theta and chi hold the image of e_j at j; bform holds symmetric
     # sparse rows, row i holding the pairings of e_i with the e_j
     algebra: LieAlgebra                    # Chevalley basis of g
     theta: List[LieElement]                # Cartan-type involution
-    bform: List[LieElement]                # Killing / 18: epsilon-orthonormal
+    bform: List[LieElement]                # from root lengths: epsilon-orthonormal
     chi: List[LieElement]                  # the rotation into the compact Cartan
     distinguished: Dict[str, LieElement]   # named vectors, Chevalley coords
     subspaces: Dict[str, Echelon]
@@ -485,25 +481,20 @@ class F4Model:
     k_element_in_g = in_chevalley
 
 
-def _build_theta(alg: LieAlgebra, rs: RootSystem,
-                 c1: Scalar) -> List[LieElement]:
-    """The images of the basis vectors under the involution extending the
-    coordinate flip, with c1 on the flipped simple raisings."""
+def _build_theta(alg: LieAlgebra, rs: RootSystem) -> List[LieElement]:
+    """The images of the basis vectors under the automorphism that
+    extends the coordinate flip theta and sends x_a to x_(theta a) for
+    each simple root a and its negative; build_f4_model checks that it is
+    an involution."""
     data: ChevalleyData = alg.chevalley
-    rank = rs.rank
     images: Dict[int, LieElement] = {}
     # Cartan part: h_alpha -> h_(theta alpha)
-    for i in range(rank):
-        images[i] = data.coroot(theta_coord(rs.simple[i]))
-    ridx = alg.root_index
     for i, alpha in enumerate(rs.simple):
-        ta = theta_coord(alpha)
-        if ta == alpha:
-            images[ridx[alpha]] = {ridx[alpha]: ONE}
-            images[ridx[vneg(alpha)]] = {ridx[vneg(alpha)]: ONE}
-        else:
-            images[ridx[alpha]] = {ridx[ta]: c1}
-            images[ridx[vneg(alpha)]] = {ridx[vneg(ta)]: c1.inverse()}
+        images[i] = data.coroot(theta_coord(alpha))
+    ridx = alg.root_index
+    for alpha in rs.simple:
+        for r in (alpha, vneg(alpha)):
+            images[ridx[r]] = {ridx[theta_coord(r)]: ONE}
     for gamma in data.pos_order:
         if data.height[gamma] == 1:
             continue
@@ -607,8 +598,6 @@ def build_f4_model() -> F4Model:
     ridx = alg.root_index
     n = alg.dim
 
-    kappa = alg.killing_form()
-
     # epsilon-dual torus elements: T_i in h with eps_j(T_i) = delta_ij
     # h coordinates: eps_j(h_alpha_i) = coroot pairing of eps_j with alpha_i
     pair = [[rs.coroot_pairing(_eps(j), rs.simple[i]) for i in range(4)]
@@ -618,10 +607,7 @@ def build_f4_model() -> F4Model:
     t_elements = [coordinates(columns, {i: ONE}) for i in range(4)]
 
     # the invariant form with orthonormal epsilon basis
-    k_t1 = _form_value(kappa, t_elements[0], t_elements[0])
-    if not k_t1.is_rational() or k_t1.rational_value() <= 0:
-        raise ValueError("unexpected Killing normalization")
-    bform = [scale(k_t1.inverse(), row) for row in kappa]
+    bform = chevalley_form(alg)
     for i in range(4):
         for j in range(4):
             expect = ONE if i == j else ZERO
@@ -631,15 +617,10 @@ def build_f4_model() -> F4Model:
     def b_val(x, y):
         return _form_value(bform, x, y)
 
-    # involution: try both generator signs
-    theta = None
-    for c1 in (ONE, -ONE):
-        cand = _build_theta(alg, rs, c1)
-        if _is_involution(cand):
-            theta = cand
-            break
-    if theta is None:
-        raise ValueError("no involutive extension of the coordinate flip")
+    theta = _build_theta(alg, rs)
+    if not _is_involution(theta):
+        raise ValueError("the extension of the coordinate flip is not an "
+                         "involution")
     err = _is_automorphism(alg, theta)
     if err:
         raise ValueError("involution is not an automorphism: " + err)
@@ -654,12 +635,11 @@ def build_f4_model() -> F4Model:
         raise ValueError("fixed-space dimensions (%d, %d) are wrong"
                          % (len(k_span), len(p_span)))
 
-    # X_mu normalization: <X_mu, theta X_mu> = 2 under bform
-    eps1 = _eps(1 - 1)
-    x_e1 = {ridx[eps1]: ONE}
-    beta = b_val(x_e1, th(x_e1))
-    lam = sqrt_in_field(sca(2) / beta)
-    xmu = scale(lam, x_e1)
+    # X_mu normalization: <X_mu, theta X_mu> = 2 under bform, which the
+    # root vector of eps1 meets as it comes, up to the sign fixed below
+    xmu = {ridx[_eps(0)]: ONE}
+    if b_val(xmu, th(xmu)) != sca(2):
+        raise ValueError("<x_eps1, theta x_eps1> is not 2")
     alpha1 = F4_SIMPLE[0]
     x_a1 = {ridx[alpha1]: ONE}
     x_ma1 = {ridx[vneg(alpha1)]: ONE}
@@ -1049,7 +1029,7 @@ def verify_model(model: F4Model = None, rep: Report = None) -> Report:
                     ok = False
     rep.check("invariant form: associativity on sampled triples", ok)
     # a square matrix has nonzero determinant exactly when its rows are
-    # independent; the Killing form is 18 bform
+    # independent; the Killing form is 18 bform, so one test serves both
     rep.check("F4 Killing determinant nonzero",
               len(Echelon(model.bform)) == alg.dim)
     return rep

@@ -30,7 +30,7 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 from .exactnum import (Echelon, ONE, PolyScalar, Scalar, ZERO,
                        accumulate, combine, coordinates, kernel,
                        rational_roots, sca, scale, sub)
-from .liealg import LieElement, _ratio
+from .liealg import LieElement
 from .reporting import Report
 from .rootdata import (Coord, RootSystem, dot, f4_satake_data, gamma_basis,
                        k_root_system, simple_system, vneg)
@@ -358,10 +358,9 @@ class KActionBasis:
     construction evaluated on a module's raising/lowering operators
     yields the action of any element via one exact linear solve.
 
-    Each lowering vector is scaled so that h_i = [e_i, f_i] acts on e_i by
-    2, as the simple coroot does on a module: the scalar alpha_i(h) of
-    h = [e_i, f~_i] is read from [h, e_i] = alpha_i(h) e_i; so negating
-    e_i negates f_i and keeps h_i, and the sign of a root vector is free.
+    The Chevalley basis already pairs them as a module does: h_i =
+    [e_i, f_i] acts on e_i by 2, as the simple coroot does, and the
+    constructor raises if it does not.
     """
 
     def __init__(self, me: ModelEngine):
@@ -374,14 +373,11 @@ class KActionBasis:
             return me.lie_in_mixed(model.chi_apply({root_index[root]: ONE}))
 
         e_vecs = [root_vector(s) for s in simple]
-        f_vecs = []
-        for i, s in enumerate(simple):
-            cand = root_vector(vneg(s))
-            h = ka.bracket(e_vecs[i], cand)
-            val = _ratio(ka.bracket(h, e_vecs[i]), e_vecs[i])
-            if not val:
-                raise ValueError("degenerate simple pair %d" % i)
-            f_vecs.append(scale(sca(2) / val, cand))
+        f_vecs = [root_vector(vneg(s)) for s in simple]
+        for i, (e, f) in enumerate(zip(e_vecs, f_vecs)):
+            if ka.bracket(ka.bracket(e, f), e) != scale(sca(2), e):
+                raise ValueError("[[e_%d, f_%d], e_%d] is not 2 e_%d"
+                                 % (i, i, i, i))
         self.e_vecs, self.f_vecs = e_vecs, f_vecs
         # closure: words as ('gen', kind, i) or ('br', a, b)
         self.words: List[tuple] = []
@@ -686,6 +682,18 @@ class DegreeMachine:
 
     casimir_apply is the whole C_k, exact on every element of U(k),
     invariant or not.
+
+    The projectors split eigenvalues of C_k, not labels: labels with the
+    same (xi, xi + 2 rho) share one component, and _type_of_pure reads
+    it as the one with the larger k.  Every root of k has coordinate sum
+    -2, 0 or 2, so a label (k, l) of an element of U(k) has k even, and
+    k + 2l <= 2d at PBW degree d.  Among such labels the shared
+    eigenvalues with k + 2l <= 14 are 30 for (2,1) and (0,3), 60 for (4,1) and (0,5), 90 for (4,3) and
+    (2,5), 98 for (6,1) and (0,7), and 128 for (8,0) and (4,5).  So from
+    degree 3 on, a component read as (2,1) may hold a (0,3) part, and
+    degree() then misses its 6.  The tests certify the (2,1) component
+    of the constant coefficient of omega^2 as pure; no check does so at
+    run time.
     """
 
     def __init__(self, me: ModelEngine):

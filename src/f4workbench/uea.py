@@ -675,7 +675,7 @@ def _casimir_core(engine: PBWEngine, inner, shift, v: Core,
             out[m] = out.get(m, 0) + c
     for m, c in ad_core(shift, v).items():
         out[m] = out.get(m, 0) - c
-    return out
+    return _nonzero(out)
 
 
 def _casimir_step(engine: PBWEngine, tensor, v: Tuple[Core, Core, int],

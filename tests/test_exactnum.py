@@ -11,7 +11,7 @@ import f4workbench
 from f4workbench.exactnum import (
     HALF, ONE, SQRT2, TWO, ZERO, Echelon, Matrix, PolyScalar, Scalar, add,
     combine, coordinates, dual_basis, kernel, poly_det, rational_roots, sca,
-    scale, sqrt_in_field, sub,
+    scale, sub,
 )
 
 
@@ -122,13 +122,6 @@ class TestScalar:
     def test_pow(self):
         assert (ONE + SQRT2) ** 3 == S(7, 5)
         assert (ONE + SQRT2) ** -1 == S(-1, 1)
-
-    def test_sqrt_in_field(self):
-        assert sqrt_in_field(S(Fraction(9, 4))) == S(Fraction(3, 2))
-        assert sqrt_in_field(TWO) == SQRT2
-        assert sqrt_in_field(S(8)) == S(0, 2)
-        with pytest.raises(ValueError):
-            sqrt_in_field(S(3))
 
     @given(scalars, scalars, scalars)
     @settings(max_examples=60, deadline=None)

@@ -5,12 +5,14 @@ import pytest
 
 from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
                                   add, combine, sca, scale, sub)
+from f4workbench import liealg
 from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
     _CAYLEY_COEFFS, LieAlgebra, _is_automorphism, _is_involution,
     K_LABELS, _jacobi_witness, _leading_subalgebra, _rebase_table,
     _transversality_columns, build_f4_model,
-    cayley_transform, chevalley_algebra, orthocomplement, root_label,
+    cayley_transform, chevalley_algebra, chevalley_form, orthocomplement,
+    root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
 from f4workbench.rootdata import (F4_SIMPLE, build_root_system, dot,
@@ -111,7 +113,7 @@ class TestChevalley:
     def test_killing_sl2(self):
         rs = build_root_system(A1)
         a = chevalley_algebra(rs)
-        kf = a.killing_form()
+        kf = columns(dense_killing(a))
         # oracle: trace of (ad h)^2 over the 3-dim adjoint is 4 + 4 = 8
         assert kf[0][0] == sca(8)
         e = a.index["x[1]"]
@@ -402,16 +404,54 @@ class TestDenseModelOracles:
         assert not _is_involution(images)
         assert dense(images) * dense(images) != identity(52)
 
-    @pytest.mark.parametrize("rs", [build_root_system(A1),
-                                    build_root_system(B4)], ids=["A1", "B4"])
-    def test_killing_rows_match_dense(self, rs):
-        alg = chevalley_algebra(rs)
-        assert alg.killing_form() == columns(dense_killing(alg))
+    @pytest.mark.parametrize("simple, multiple", [
+        (A1, 2), (B4, 14), (F4_SIMPLE, 18), (G2, 24)],
+        ids=["A1", "B4", "F4", "G2"])
+    def test_killing_rows_match_dense(self, simple, multiple):
+        # the trace form is a positive multiple of the closed-form one
+        alg = chevalley_algebra(build_root_system(simple))
+        want = [scale(sca(multiple), row) for row in chevalley_form(alg)]
+        assert columns(dense_killing(alg)) == want
 
     def test_model_forms_match_dense(self, model):
         kappa = dense_killing(model.algebra)
         assert killing(model) == columns(kappa)
         assert model.bform == columns(kappa.scale(sca(Fraction(1, 18))))
+
+
+class TestNormalizationChecks:
+    """The Chevalley basis fixes theta and X_mu; build_f4_model checks them
+    instead of searching, and raises on a planted violation."""
+
+    def test_theta_that_is_no_involution_raises(self, monkeypatch):
+        build = liealg._build_theta
+
+        def planted(alg, rs):
+            images = build(alg, rs)
+            accumulate(images[30], {17: ONE})
+            return images
+
+        monkeypatch.setattr(liealg, "_build_theta", planted)
+        with pytest.raises(ValueError, match="is not an involution"):
+            build_f4_model.__wrapped__()
+
+    def test_x_eps1_paired_with_its_image_other_than_two_raises(
+            self, monkeypatch):
+        # theta conjugated by the automorphism x_a -> 2^(2 a_1) x_a is still
+        # an involutive automorphism with fixed spaces of dimension 36 and
+        # 16, and pairs x_eps1 with its image to 2/16
+        build = liealg._build_theta
+
+        def conjugated(alg, rs):
+            d = [ONE] * alg.dim
+            for a, i in alg.root_index.items():
+                d[i] = sca(2) ** int(2 * a[0])
+            return [{i: c * d[i] / d[j] for i, c in images.items()}
+                    for j, images in enumerate(build(alg, rs))]
+
+        monkeypatch.setattr(liealg, "_build_theta", conjugated)
+        with pytest.raises(ValueError, match="theta x_eps1> is not 2"):
+            build_f4_model.__wrapped__()
 
 
 class TestTransversality:

@@ -10,11 +10,12 @@ from f4workbench.exactnum import (Echelon, Matrix, ONE, PolyScalar, Scalar,
                                   dual_basis, rational_roots, sca, scale, sub)
 from f4workbench.liealg import _ratio, orthocomplement
 from f4workbench.repth import (
-    DegreeMachine, ModuleContext, action_basis, build_irrep, build_module,
+    DegreeMachine, KActionBasis, ModuleContext, action_basis, build_irrep, build_module,
     commutator, degree_machine, m_generators, m_invariants, raising_grid,
     verify_hw3iv, verify_techo, weyl_dimension, xi_weight,
 )
-from f4workbench.rootdata import build_root_system, dot, k_root_system, vec
+from f4workbench.rootdata import (build_root_system, dot, k_root_system, vec,
+                                  vneg)
 from f4workbench.uea import (_casimir_element, _casimir_of, _casimir_step,
                              invariants_up_to_degree)
 
@@ -561,9 +562,9 @@ M_GENERATOR_LABELS = ("T23", "T32", "T34", "T43", "D4")
 
 class TestSimplePairs:
     def test_scalar_matches_the_label_reading(self, me):
-        # alpha_i(h) read from [h, e_i] = alpha_i(h) e_i, for the unscaled
-        # named lowering vector, against the coordinates of the Ht labels;
-        # the scaled pair then has alpha_i([e_i, f_i]) = 2
+        # alpha_i(h) read from [h, e_i] = alpha_i(h) e_i, for the named
+        # lowering vector, against the coordinates of the Ht labels; the
+        # pair of the root data has alpha_i([e_i, f_i]) = 2
         ka = me.model.k_algebra
         basis = action_basis(me)
         for a, e, f in zip(k_root_system().simple, basis.e_vecs,
@@ -573,18 +574,32 @@ class TestSimplePairs:
             assert _ratio(ka.bracket(h, e), e) == eval_weight(me, a, h)
             assert eval_weight(me, a, ka.bracket(e, f)) == sca(2)
 
+    def test_lowering_vector_scaled_by_two_raises(self, me, monkeypatch):
+        # f_0 doubled gives [[e_0, f_0], e_0] = 4 e_0
+        model = me.model
+        lowering = model.chi_apply(
+            {model.algebra.root_index[vneg(k_root_system().simple[0])]: ONE})
+        convert = me.lie_in_mixed
+
+        def doubled(x):
+            return scale(sca(2), convert(x)) if x == lowering else convert(x)
+
+        monkeypatch.setattr(me, "lie_in_mixed", doubled)
+        with pytest.raises(ValueError,
+                           match=r"\[\[e_0, f_0\], e_0\] is not 2 e_0"):
+            KActionBasis(me)
+
     def test_root_vectors_are_the_named_ones_up_to_sign(self, me):
-        # e_i is its named raising vector and f_i a multiple of its named
-        # lowering vector; only the e vector of (-1, 0, 0, 1) flips sign
+        # e_i and f_i are the named raising and lowering vectors, each with
+        # the same sign; only the pair of (-1, 0, 0, 1) flips sign
         basis = action_basis(me)
         flipped = []
         for a, e, f in zip(k_root_system().simple, basis.e_vecs,
                            basis.f_vecs):
             up, down = (me.named[nm] for nm in SIMPLE_VECTOR_NAMES[a])
-            assert e in (up, scale(-ONE, up))
+            assert (e, f) in ((up, down), (scale(-ONE, up), scale(-ONE, down)))
             if e != up:
                 flipped.append(a)
-            assert _ratio(f, down)
         assert flipped == [vec(-1, 0, 0, 1)]
 
     def test_m_generators_are_the_hand_picked_ones(self, me):
@@ -791,6 +806,32 @@ class TestKostantDegree:
         dm = degree_machine(me)
         with pytest.raises(ValueError):
             dm.degree(me.g.gen("E"))
+
+    def test_omega_squared_21_component_is_pure(self, me, omega_report):
+        # (2,1) and (0,3) share the Casimir eigenvalue 30, so components()
+        # cannot part them, and a component holding both reads (2,1).  On
+        # the (2,1) component c of the constant coefficient of omega^2 the
+        # iterated lowering of verify_techo at k = 2, l = 1, j = 2 holds:
+        # ad(E)^3 c = (3/8) ad(Xm1)^2 ad(Xdelta)^2 ad(E) c; a (0,3) part
+        # would add its extreme vector to the left side only.
+        dm = degree_machine(me)
+        assert dm.casimir_eigenvalue(xi_weight(2, 1)) == \
+            dm.casimir_eigenvalue(xi_weight(0, 3)) == 30
+        omega = omega_report.omega
+        comps = dm.components(omega.mul(omega, me.g).coeff(0))
+        assert set(comps) == {(0, 0), (0, 1), (0, 2), (0, 4), (2, 0),
+                              (2, 1), (2, 2), (4, 0)}
+
+        def ad(name, u, times=1):
+            for _ in range(times):
+                u = me.g.ad(me.named[name], u)
+            return u
+
+        c = comps[(2, 1)]
+        lhs = ad("E", c, 3)
+        assert len(lhs) == 66
+        assert lhs == scale(sca(Fraction(3, 8)),
+                            ad("Xm1", ad("Xdelta", ad("E", c), 2), 2))
 
     def test_outside_uk_rejected(self, me):
         dm = degree_machine(me)
@@ -1331,6 +1372,24 @@ class TestPerpCasimir:
             assert v
             for h in kill:
                 assert me.g.ad({h: ONE}, v) == {}, (t, labels[h])
+
+    def test_no_casimir_application_leaves_a_zero(self, me, monkeypatch,
+                                                  product):
+        # the coefficients a Casimir sum cancels to are dropped, so the
+        # next application neither brackets nor memoizes them
+        dm = degree_machine(me)
+        steps = []
+
+        def spy(engine, tensor, v, live=None):
+            steps.append(_casimir_step(engine, tensor, v, live))
+            return steps[-1]
+
+        monkeypatch.setattr(repth, "_casimir_step", spy)
+        got = dm.components(product)
+        assert len(steps) == 3
+        for core_p, core_q, _ in steps:
+            assert all(core_p.values()) and all(core_q.values())
+        assert got == components_oracle(dm, product)
 
     @staticmethod
     def chain_steps(dm, monkeypatch, u):

@@ -380,20 +380,6 @@ class TestCartanType:
     def test_every_irreducible_type_to_rank_8(self, name, simple):
         assert cartan_type(simple) == name
 
-    def test_c3_vs_b3(self):
-        # C3: e1-e2, e2-e3, 2e3; B3: e1-e2, e2-e3, e3
-        c3 = (vec(1, -1, 0), vec(0, 1, -1), vec(0, 0, 2))
-        b3 = (vec(1, -1, 0), vec(0, 1, -1), vec(0, 0, 1))
-        assert cartan_type(c3) == "C3"
-        assert cartan_type(b3) == "B3"
-
-    def test_f4(self):
-        assert cartan_type(F4_SIMPLE) == "F4"
-
     def test_products(self):
         assert cartan_type((vec(1, -1, 0, 0), vec(0, 0, 1, -1))) == "A1xA1"
 
-    def test_d4(self):
-        d4 = (vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1),
-              vec(0, 0, 1, 1))
-        assert cartan_type(d4) == "D4"

@@ -18,6 +18,7 @@ from f4workbench.uea import (
     _casimir_of, _casimir_tensor, invariants_up_to_degree, model_casimir_g,
     model_casimir_m, reduce_mod,
 )
+from test_liealg import columns, dense_killing
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,7 @@ def sl2():
 
 
 def _sl2_form(alg):
-    kf = alg.killing_form()
+    kf = columns(dense_killing(alg))
 
     def fv(x, y):
         acc = ZERO
