@@ -191,9 +191,13 @@ def quotient_label(me: ModelEngine) -> int:
 
 def append_power(u: UEA, label: int, n: int) -> UEA:
     """u * e_label^n for u whose monomials use no label above label; the
-    product is then in PBW order as it stands."""
+    product is then in PBW order as it stands.  Raises ValueError on a
+    monomial of u with a label above label, whose product would need
+    straightening."""
     out: UEA = {}
     for m, c in u.items():
+        if m and m[-1][0] > label:
+            raise ValueError("monomial %r has a label above %d" % (m, label))
         if m and m[-1][0] == label:
             out[m[:-1] + ((label, m[-1][1] + n),)] = c
         else:

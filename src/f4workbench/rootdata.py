@@ -149,6 +149,13 @@ def build_root_system(simple: Sequence[Coord]) -> RootSystem:
                       coefficients=coeff_of)
 
 
+@lru_cache(maxsize=None)
+def root_system_of(simple: Tuple[Coord, ...]) -> RootSystem:
+    """build_root_system(simple), built once per tuple of simple roots;
+    shared, so callers must not mutate it."""
+    return build_root_system(simple)
+
+
 def simple_system(positives: Sequence[Coord]) -> Tuple[Coord, ...]:
     """The roots in a positive set not expressible as sums of two of them."""
     pset = set(positives)
@@ -181,7 +188,9 @@ def cartan_type(simple: Sequence[Coord]) -> str:
     root length it is A (r(r+1)/2 roots), D (r(r-1)) or E (36, 63 or
     120); with two it is G2 (rank 2, 6 roots), F4 (rank 4, 24 roots), B
     when exactly r roots are short, and C otherwise.  So C2 reads "B2"
-    and D3 reads "A3".  Input that is not a simple system raises
+    and D3 reads "A3".  Each component's root system comes from
+    root_system_of, so a system named before, or k_root_system(), is
+    not built again.  Input that is not a simple system raises
     ValueError, as in build_root_system.
     """
     left = list(range(len(simple)))
@@ -192,7 +201,7 @@ def cartan_type(simple: Sequence[Coord]) -> str:
             linked = [j for j in left if dot(simple[i], simple[j])]
             left = [j for j in left if j not in linked]
             comp += linked
-        rs = build_root_system([simple[i] for i in comp])
+        rs = root_system_of(tuple(tuple(simple[i]) for i in sorted(comp)))
         r, npos = len(comp), len(rs.positives)
         lengths = [dot(a, a) for a in rs.positives]
         short = lengths.count(min(lengths))
@@ -288,8 +297,9 @@ def compact_split() -> CompactSplit:
 @lru_cache(maxsize=None)
 def k_root_system() -> RootSystem:
     """The root system of k, on the simple roots of the compact split;
-    the module builder and the degree machine read the k roots from it."""
-    return build_root_system(compact_split().simple_k)
+    the module builder and the degree machine read the k roots from it,
+    and cartan_type names it from the same cache."""
+    return root_system_of(compact_split().simple_k)
 
 
 def gamma_basis() -> Dict[str, Coord]:

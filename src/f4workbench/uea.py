@@ -15,6 +15,15 @@ generator g, keyed by the packed monomial m (below), so a lookup reads
 the table of g once and then hashes an int, and ad, which brackets every
 term of an element with the same g, reads that table once per label.
 
+Neither recursion runs, and nothing is stored, where g commutes with the
+labels involved.  When every label of m above g commutes with g, e^m g
+is the PBW monomial m with g appended; when every label of m commutes
+with g, [g, e^m] = 0.  Each engine reads two bit masks per label off its
+bracket table to test this with one AND on the packed monomial.  A
+stored result of one or two terms is a flat tuple (k, c) or
+(k1, c1, k2, c2), a fraction of the size of a dict; larger results stay
+dicts, which iterate fastest.
+
 The straightening runs over Z.  Each engine works on the basis
 e'_i = L sqrt2^{s_i} e_i of its algebra's integer table
 (liealg.LieAlgebra.integer_table), with parities s_i and a scale L chosen
@@ -27,9 +36,9 @@ that core form on entry and back to Scalars on exit.
 In the core a monomial is one packed int, sum_i e_i << (BITS i): the
 exponent of label i sits in its own BITS-bit field, so the last label of
 m is (m.bit_length() - 1) // BITS, dropping one factor of it is a
-subtraction and appending a label at or above it an addition.  A field
-holds exponents below 2**BITS; to_core and mul refuse an element whose
-degree could carry into the next field.
+subtraction, appending a label an addition, and a set of labels is the
+mask of their fields.  A field holds exponents below 2**BITS; to_core
+and mul refuse an element whose degree could carry into the next field.
 
 The fixed model order lists the fixed-subalgebra labels K_LABELS first (with
 the nilradical of the centralizer as a suffix and the abelian ideal as
@@ -44,8 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .exactnum import (ONE, Scalar, ZERO, accumulate, add, combine,
                        coordinates, dual_basis, kernel, scale)
@@ -55,6 +65,9 @@ from .liealg import (F4Model, IntBrackets, K_LABELS, LieAlgebra, LieElement,
 Mono = Tuple[Tuple[int, int], ...]
 UEA = Dict[Mono, Scalar]
 Core = Dict[int, int]           # {packed monomial: int}
+# a straightened result as the memo tables hold it (_stored): a Core of
+# three or more terms, or a flat tuple of (monomial, int) pairs
+Stored = Union[Core, Tuple[int, ...]]
 
 ONE_MONO: Mono = ()
 
@@ -71,9 +84,34 @@ def _nonzero(v: Core) -> Core:
     return {m: c for m, c in v.items() if c}
 
 
+def _stored(v: Core) -> Stored:
+    """v without its zero entries, in the layout of the memo tables: the
+    flat tuple (), (k, c) or (k1, c1, k2, c2) for at most two terms, and
+    a dict, which iterates fastest, for more."""
+    v = _nonzero(v)
+    if len(v) > 2:
+        return v
+    return tuple(chain.from_iterable(v.items()))
+
+
+def _add_into(out: Core, r: Stored, c: int) -> None:
+    """out += c r for a result r in the stored layout."""
+    get = out.get
+    if type(r) is dict:
+        for m, cm in r.items():
+            out[m] = get(m, 0) + c * cm
+    elif r:
+        m = r[0]
+        out[m] = get(m, 0) + c * r[1]
+        if len(r) > 2:
+            m = r[2]
+            out[m] = get(m, 0) + c * r[3]
+
+
 class LabelTables(list):
     """One memo table per label: self[g] maps a packed monomial m to the
-    straightened Core of (g, m).  len() counts the entries of all tables."""
+    straightened result of (g, m), in the layout of _stored.  len() counts
+    the entries of all tables."""
 
     def __init__(self, n: int):
         super().__init__({} for _ in range(n))
@@ -89,16 +127,24 @@ class PBWEngine:
     the algebra's integer_table(), where every structure constant is an
     integer.  There the straightening is Z-linear, so the two memo
     tables, right products e'^m e'_g (_memo) and brackets [e'_g, e'^m]
-    by the derivation rule (_memo_left, see _bracket), hold
-    {monomial: int}, and the rational and sqrt2 parts of an element never
-    mix: its core form (to_core) is two integer vectors over one common
+    by the derivation rule (_memo_left, see _bracket), hold integer
+    results, and the rational and sqrt2 parts of an element never mix:
+    its core form (to_core) is two integer vectors over one common
     denominator.  Core monomials, the keys of those vectors and of the
     tables, are packed ints of BITS = 8 bits per label, one byte each (see
     the module docstring): on F4 at most 52 bytes.  Each memo is a
     LabelTables, one dict per label g keyed by m, whose len() counts the
-    entries of all its dicts.  A product that only appends a label at or
-    above the last one of m is an addition, formed inline and never
-    stored.
+    entries of all its dicts.  A stored result of at most two terms is a
+    flat tuple of (monomial, int) pairs, a larger one a {monomial: int}
+    dict (_stored); the loops that read results dispatch on the type.
+
+    Two bit masks per label g, read once off the bracket table in both
+    orders, decide where no straightening is needed.  _above[g] covers
+    the exponent fields of the labels above g whose bracket with g is
+    nonzero, _meets[g] those of every such label.  When m & _above[g] is
+    0, e'^m e'_g is the monomial m + e'_g, formed inline and never
+    stored; when m & _meets[g] is 0, [e'_g, e'^m] is empty, and neither
+    _bracket nor ad stores or looks anything up for it.
     The public operations take and return {monomial: Scalar} on the
     original basis, with tuple monomials, and convert once at entry and
     once at exit.
@@ -115,6 +161,17 @@ class PBWEngine:
         self._brackets: IntBrackets = table.brackets
         # _unit[i] is the packed monomial e'_i
         self._unit = [1 << (BITS * i) for i in range(algebra.dim)]
+        # _meets[g] covers the exponent fields of the labels that do not
+        # commute with g, _above[g] those of them above g (class docstring)
+        field = [(DEGREE_LIMIT - 1) * u for u in self._unit]
+        self._meets = [0] * algebra.dim
+        self._above = [0] * algebra.dim
+        for (i, j), terms in self._brackets.items():
+            if terms:
+                lo, hi = min(i, j), max(i, j)
+                self._meets[lo] |= field[hi]
+                self._meets[hi] |= field[lo]
+                self._above[lo] |= field[hi]
 
     @property
     def memo_entries(self) -> int:
@@ -236,57 +293,68 @@ class PBWEngine:
     add = staticmethod(add)
     scale = staticmethod(scale)
 
-    def _mono_times_gen(self, m: int, g: int) -> Core:
-        """Straightened product e'^m * e'_g."""
-        unit = self._unit
-        if m < unit[g] << BITS:                 # no label of m above g
-            return {m + unit[g]: 1}
+    def _mono_times_gen(self, m: int, g: int) -> Stored:
+        """Straightened product e'^m * e'_g, in the stored layout."""
+        if not m & self._above[g]:      # e'_g commutes past the rest of m
+            return m + self._unit[g], 1
         table = self._memo[g]
         hit = table.get(m)
         if hit is not None:
             return hit
         last = (m.bit_length() - 1) // BITS
-        head = m - unit[last]
+        head = m - self._unit[last]
         out: Core = {}
         # (head e'_g) e'_last
         self._times_gen_into(out, self._mono_times_gen(head, g), last)
         # head [e'_last, e'_g]
         self._head_times_into(out, head, self._brackets.get((last, g), ()))
-        out = _nonzero(out)
+        out = _stored(out)
         table[m] = out
         return out
 
-    def _times_gen_into(self, out: Core, v: Core, g: int) -> None:
-        """out += v e'_g.  A monomial with no label above g takes e'_g by
-        an addition, the others through _mono_times_gen."""
+    def _times_gen_into(self, out: Core, v: Stored, g: int) -> None:
+        """out += v e'_g.  A monomial whose labels above g all commute with
+        g takes e'_g by an addition, the others through _mono_times_gen."""
         step = self._unit[g]
-        top = step << BITS
+        above = self._above[g]
         get = out.get
-        for mono, c in v.items():
-            if mono < top:
+        for mono, c in (v.items() if type(v) is dict
+                        else zip(v[::2], v[1::2])):
+            if not mono & above:
                 key = mono + step
                 out[key] = get(key, 0) + c
             else:
-                for mono2, c2 in self._mono_times_gen(mono, g).items():
-                    out[mono2] = get(mono2, 0) + c * c2
+                # _add_into, inlined in this, the hottest loop of mul
+                r = self._mono_times_gen(mono, g)
+                if type(r) is dict:
+                    for mono2, c2 in r.items():
+                        out[mono2] = get(mono2, 0) + c * c2
+                elif r:
+                    key = r[0]
+                    out[key] = get(key, 0) + c * r[1]
+                    if len(r) > 2:
+                        key = r[2]
+                        out[key] = get(key, 0) + c * r[3]
 
     def _head_times_into(self, out: Core, head: int, terms) -> None:
         """out += sum_k c_k e'^head e'_k over the pairs (k, c_k) of terms."""
-        unit = self._unit
+        unit, above = self._unit, self._above
         get = out.get
         for k, c in terms:
-            if head < unit[k] << BITS:
+            if not head & above[k]:
                 key = head + unit[k]
                 out[key] = get(key, 0) + c
             else:
-                for mono2, c2 in self._mono_times_gen(head, k).items():
-                    out[mono2] = get(mono2, 0) + c * c2
+                _add_into(out, self._mono_times_gen(head, k), c)
 
-    def _bracket(self, g: int, m: int) -> Core:
-        """Straightened [e'_g, e'^m]: with m = head x, x its last label,
-        [e'_g, e'^head e'_x] = [e'_g, e'^head] e'_x + e'^head [e'_g, e'_x]."""
-        if not m:
-            return {}
+    def _bracket(self, g: int, m: int) -> Stored:
+        """Straightened [e'_g, e'^m], in the stored layout: with m = head x,
+        x its last label,
+        [e'_g, e'^head e'_x] = [e'_g, e'^head] e'_x + e'^head [e'_g, e'_x].
+        It is empty, and not stored, when every label of m commutes with g.
+        """
+        if not m & self._meets[g]:
+            return ()
         table = self._memo_left[g]
         hit = table.get(m)
         if hit is not None:
@@ -299,7 +367,7 @@ class PBWEngine:
             sub = self._bracket(g, head)
         self._times_gen_into(out, sub, x)
         self._head_times_into(out, head, self._brackets.get((g, x), ()))
-        out = _nonzero(out)
+        out = _stored(out)
         table[m] = out
         return out
 
@@ -331,17 +399,17 @@ class PBWEngine:
                     out[m] = get(m, 0) + c * cm
 
     def _ad_into(self, out: Core, x: Dict[int, int], v: Core) -> None:
-        get = out.get
         bracket = self._bracket
         for g, cg in x.items():
             table = self._memo_left[g]
+            meets = self._meets[g]
             for m, c in v.items():
+                if not m & meets:           # [e'_g, e'^m] = 0
+                    continue
                 br = table.get(m)
                 if br is None:
                     br = bracket(g, m)
-                coef = cg * c
-                for mono, c2 in br.items():
-                    out[mono] = get(mono, 0) + coef * c2
+                _add_into(out, br, cg * c)
 
     def ad_core(self, x: Dict[int, int], v: Core) -> Core:
         """ad(sum_g x_g e'_g) on an integer vector of the rescaled basis."""

@@ -6,10 +6,10 @@ from math import comb, factorial
 import pytest
 
 from f4workbench.balg import (
-    check_b_membership, check_congruences, check_triangular,
+    append_power, check_b_membership, check_congruences, check_triangular,
     coefficients_m_invariant, congruence_residuals, default_nmax,
     discrete_derivative, epsilon_ln, phi_coeffs, phi_poly, shift_substitute,
-    substitute, t_matrix_entry, to_phi,
+    quotient_label, substitute, t_matrix_entry, to_phi,
 )
 from f4workbench.exactnum import ONE, add, sca, scale, sub
 from f4workbench.liealg import LieAlgebra, _closure
@@ -614,3 +614,23 @@ class TestSubstituteOracle:
         for b in substitution_family(me, omega_report.omega):
             assert shift_substitute(me, b) == \
                 from_phi(phi_substitute_oracle(me, b))
+
+
+class TestAppendPower:
+    """append_power(u, e, n) = u e^n with no straightening, for u with no
+    label above e; a label above e is refused."""
+
+    def test_matches_the_engine_product(self, me):
+        e = quotient_label(me)
+        u = {ONE_MONO: ONE, ((0, 1),): sca(2), ((0, 1), (e, 2)): sca(-3),
+             ((e, 1),): sca(5)}
+        got = append_power(u, e, 3)
+        assert got == {((e, 3),): ONE, ((0, 1), (e, 3)): sca(2),
+                       ((0, 1), (e, 5)): sca(-3), ((e, 4),): sca(5)}
+        assert got == me.g.mul(u, me.g.gen("E", 3))
+
+    def test_label_above_rejected(self, me):
+        e = quotient_label(me)
+        for m in (((e + 1, 1),), ((0, 2), (me.n_k - 1, 1))):
+            with pytest.raises(ValueError, match="above"):
+                append_power({ONE_MONO: ONE, m: ONE}, e, 1)

@@ -5,7 +5,7 @@ import pytest
 
 from f4workbench.exactnum import (Echelon, Matrix, ONE, SQRT2, Scalar, ZERO,
                                   add, combine, sca, scale, sub)
-from f4workbench import liealg
+from f4workbench import liealg, rootdata
 from f4workbench.exactnum import accumulate
 from f4workbench.liealg import (
     _CAYLEY_COEFFS, LieAlgebra, _is_automorphism, _is_involution,
@@ -15,8 +15,10 @@ from f4workbench.liealg import (
     root_label,
     transversality_rank, transversality_rank_zero_map, verify_model,
 )
-from f4workbench.rootdata import (F4_SIMPLE, build_root_system, dot,
-                                  f4_root_system, vadd, vec, vneg, vsub)
+from f4workbench.rootdata import (F4_SIMPLE, build_root_system, cartan_type,
+                                  compact_split, dot, f4_root_system,
+                                  k_root_system, root_system_of, vadd, vec,
+                                  vneg, vsub)
 from test_exactnum import identity
 
 A1 = (vec(1),)
@@ -282,6 +284,24 @@ class TestModelInvariants:
     def test_battery_all_pass(self, model):
         rep = verify_model(model)
         assert rep.ok, rep.details
+
+    def test_root_types_reuse_cached_systems(self, model, monkeypatch):
+        # the three type records name their systems from cached root
+        # systems: B4 is the one k_root_system() holds, and a second
+        # battery builds none
+        verify_model(model)
+        assert cartan_type(compact_split().simple_k) == "B4"
+        assert root_system_of(compact_split().simple_k) is k_root_system()
+
+        def refuse(simple):
+            raise AssertionError("root system built again")
+
+        monkeypatch.setattr(rootdata, "build_root_system", refuse)
+        types = {c["id"]: c["status"] for c in verify_model(model).checks
+                 if "root type is" in c["id"]}
+        assert types == {"centralizer root type is B3": "pass",
+                         "fixed-subalgebra root type is B4": "pass",
+                         "gtilde root type is C3": "pass"}
 
     def test_dimensions(self, model):
         s = model.subspaces

@@ -14,7 +14,7 @@ from f4workbench.liealg import LieAlgebra, chevalley_algebra
 from f4workbench.repth import degree_machine
 from f4workbench.rootdata import build_root_system, f4_satake_data, vec
 from f4workbench.uea import (
-    DEGREE_LIMIT, ONE_MONO, PBWEngine, _casimir_core, _casimir_element,
+    BITS, DEGREE_LIMIT, ONE_MONO, PBWEngine, _casimir_core, _casimir_element,
     _casimir_of, _casimir_tensor, invariants_up_to_degree, model_casimir_g,
     model_casimir_m, reduce_mod,
 )
@@ -738,7 +738,19 @@ class TestIntegerCore:
             assert tables
             assert len(tables) == sum(len(t) for t in tables)
             assert all(type(c) is int for table in tables
-                       for out in table.values() for c in out.values())
+                       for out in table.values()
+                       for _, c in _entry_items(out))
+
+
+def _entry_items(out):
+    """The (monomial, int) pairs of a straightened result in the layout of
+    the memo tables: a flat tuple (), (k, c) or (k1, c1, k2, c2) for at
+    most two terms, a dict for more."""
+    if type(out) is dict:
+        assert len(out) > 2
+        return list(out.items())
+    assert type(out) is tuple and len(out) in (0, 2, 4)
+    return list(zip(out[::2], out[1::2]))
 
 
 def _bracket_cases():
@@ -844,9 +856,10 @@ class TestBracketTable:
         assert fresh._memo_left
         for g, table in enumerate(fresh._memo_left):
             for m, out in table.items():
-                assert uea_degree(fresh.from_core(out, {}, 1)) <= \
+                items = _entry_items(out)
+                assert uea_degree(fresh.from_core(dict(items), {}, 1)) <= \
                     mono_degree(_mono_of(fresh, m)), (g, m)
-                assert all(type(c) is int for c in out.values())
+                assert all(type(c) is int for _, c in items)
 
     def test_bracket_is_a_commutator(self, fresh):
         for g, m in _bracket_cases()[::7]:
@@ -855,7 +868,94 @@ class TestBracketTable:
             for mono, c in fresh._mono_mul_core(key, gen).items():
                 gm[mono] = gm.get(mono, 0) - c
             assert {k: c for k, c in gm.items() if c} == \
-                fresh._bracket(g, key), (g, m)
+                dict(_entry_items(fresh._bracket(g, key))), (g, m)
+
+
+def order_only(algebra):
+    """An engine whose masks hold every label above g and every label: it
+    appends e'_g inline only to a monomial with no label above g, and
+    skips only the bracket with the unit, as the engine did before it read
+    commutation off the table.  The oracle for the masked fast path."""
+    eng = PBWEngine(algebra)
+    eng._above = [-1 << (BITS * (g + 1)) for g in range(algebra.dim)]
+    eng._meets = [-1] * algebra.dim
+    return eng
+
+
+class TestCommutingLabels:
+    """The fast path of labels that commute with g (PBWEngine._above,
+    _meets) against the order-only rule, on fresh engines, so that each
+    table holds only what its own rule stored."""
+
+    @pytest.fixture(scope="class")
+    def masked(self, me):
+        return PBWEngine(me.model.g_algebra)
+
+    @pytest.fixture(scope="class")
+    def plain(self, me):
+        return order_only(me.model.g_algebra)
+
+    @staticmethod
+    def _same_core_ops(masked, plain, g, key):
+        assert dict(_entry_items(masked._bracket(g, key))) == \
+            dict(_entry_items(plain._bracket(g, key))), (g, key)
+        assert dict(_entry_items(masked._mono_times_gen(key, g))) == \
+            dict(_entry_items(plain._mono_times_gen(key, g))), (g, key)
+
+    @pytest.mark.parametrize("which", ["f4", "sl2"])
+    def test_masks_are_the_bracket_support(self, me, sl2, which):
+        alg = me.model.g_algebra if which == "f4" else sl2[0]
+        eng = PBWEngine(alg)
+        for g in range(alg.dim):
+            meets = [j for j in range(alg.dim) if alg.bracket_basis(g, j)]
+            assert eng._meets[g] == sum((DEGREE_LIMIT - 1) << (BITS * j)
+                                        for j in meets), g
+            assert eng._above[g] == sum((DEGREE_LIMIT - 1) << (BITS * j)
+                                        for j in meets if j > g), g
+
+    def test_order_only_masks_are_the_label_order(self, plain):
+        for g, m in _bracket_cases():
+            key = _key(plain, m)
+            assert (not key & plain._above[g]) == \
+                (key < plain._unit[g] << BITS), (g, m)
+            assert (not key & plain._meets[g]) == (key == 0), (g, m)
+
+    def test_every_pair_of_labels(self, me, masked, plain):
+        # one label dropped from a mask changes the pair that holds it
+        for g in range(me.g.algebra.dim):
+            for j in range(me.g.algebra.dim):
+                self._same_core_ops(masked, plain, g, masked._unit[j])
+
+    def test_bracket_cases(self, masked, plain):
+        for g, m in _bracket_cases():
+            self._same_core_ops(masked, plain, g, _key(masked, m))
+            assert masked.ad({g: ONE}, {m: ONE}) == \
+                plain.ad({g: ONE}, {m: ONE})
+            gen = {((g, 1),): ONE}
+            assert masked.mul({m: ONE}, gen) == plain.mul({m: ONE}, gen)
+            assert masked.mul(gen, {m: ONE}) == plain.mul(gen, {m: ONE})
+
+    @given(_lie, _elements(4), _elements(4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_seeded_elements(self, masked, plain, x, u, v):
+        assert masked.mul(u, v) == plain.mul(u, v)
+        assert masked.ad(x, u) == plain.ad(x, u)
+        for m in u:
+            key = _key(masked, m)
+            for g in x:
+                self._same_core_ops(masked, plain, g, key)
+
+    def test_fewer_entries(self, me):
+        # the same work, on engines that have done nothing else, leaves
+        # fewer entries in the masked tables
+        alg = me.model.g_algebra
+        engines = (PBWEngine(alg), order_only(alg))
+        outs = []
+        for eng in engines:
+            u = eng.mul(eng.gen("X1", 2), eng.gen("Xm1"))
+            outs.append(eng.ad({alg.index["E"]: ONE}, eng.mul(u, u)))
+        assert outs[0] == outs[1] and outs[0]
+        assert engines[0].memo_entries < engines[1].memo_entries
 
 
 class TestCasimirTriangular:
